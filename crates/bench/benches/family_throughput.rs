@@ -4,14 +4,13 @@
 //!
 //! Three measurements over one benchmark and one shared L1:
 //!
-//! 1. `evaluate_family` vs per-configuration `evaluate_filtered` over a
-//!    full nested-size family — the decode-sharing win in isolation;
+//! 1. `evaluate_family` over a full nested-size family vs one family of
+//!    one per member — the decode-sharing win in isolation;
 //! 2. the same comparison for the direct-mapped fast path, where the
 //!    whole family is answered from one "smallest hitting size"
 //!    threshold per event;
-//! 3. the end-to-end family sweep vs the filtered sweep over the
-//!    two-level design space, single-threaded so the comparison is pure
-//!    engine work (this is the `BENCH_sweep.json` acceptance ratio).
+//! 3. the end-to-end family sweep over the two-level design space,
+//!    single-threaded so the figure is pure engine work.
 //!
 //! For the committed machine-readable comparison, see `BENCH_sweep.json`
 //! (regenerate with `repro bench-sweep <path>`).
@@ -19,10 +18,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tlc_area::AreaModel;
 use tlc_core::configspace::{full_space, SpaceOptions, L2_SIZES_KB};
-use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate_family, evaluate_filtered, SimBudget,
-};
-use tlc_core::runner::{sweep_family_arena_threads, sweep_filtered_arena_threads};
+use tlc_core::experiment::{capture_benchmark, capture_miss_stream, evaluate_family, SimBudget};
+use tlc_core::runner::sweep_family_arena_threads;
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -39,8 +36,8 @@ fn bench_family(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("family_150k_instructions");
 
-    // Per-family cost: one batched pass over the events vs one filtered
-    // replay per member, for every policy/associativity shape.
+    // Per-family cost: one batched pass over the events vs one pass per
+    // member, for every policy/associativity shape.
     for (label, ways, policy) in [
         ("conventional_4way", 4, L2Policy::Conventional),
         ("conventional_dm", 1, L2Policy::Conventional),
@@ -52,11 +49,11 @@ fn bench_family(c: &mut Criterion) {
             .map(|&kb| MachineConfig::two_level(4, kb, ways, policy, 50.0))
             .collect();
         group.throughput(Throughput::Elements(family.len() as u64));
-        group.bench_function(BenchmarkId::new("filtered_per_member", label), |b| {
+        group.bench_function(BenchmarkId::new("family_of_one_per_member", label), |b| {
             b.iter(|| {
                 family
                     .iter()
-                    .map(|cfg| evaluate_filtered(cfg, &stream, &timing, &area))
+                    .map(|cfg| evaluate_family(std::slice::from_ref(cfg), &stream, &timing, &area))
                     .collect::<Vec<_>>()
             })
         });
@@ -65,8 +62,7 @@ fn bench_family(c: &mut Criterion) {
         });
     }
 
-    // End-to-end on the two-level design space, single-threaded: the
-    // acceptance comparison from BENCH_sweep.json in miniature.
+    // End-to-end on the two-level design space, single-threaded.
     let mut space = full_space(&SpaceOptions::baseline());
     space.extend(full_space(&SpaceOptions {
         l2_policy: L2Policy::Exclusive,
@@ -74,9 +70,6 @@ fn bench_family(c: &mut Criterion) {
     }));
     let twolevel: Vec<MachineConfig> = space.into_iter().filter(|c| c.l2.is_some()).collect();
     group.throughput(Throughput::Elements(refs * twolevel.len() as u64));
-    group.bench_function(BenchmarkId::new("filtered_sweep_twolevel", twolevel.len()), |b| {
-        b.iter(|| sweep_filtered_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, 1))
-    });
     group.bench_function(BenchmarkId::new("family_sweep_twolevel", twolevel.len()), |b| {
         b.iter(|| sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, 1))
     });

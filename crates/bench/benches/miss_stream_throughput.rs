@@ -5,13 +5,13 @@
 //!
 //! 1. `capture_miss_stream` — the one-time cost of running the L1 over
 //!    the arena and packing its miss/victim events;
-//! 2. `evaluate_filtered` vs `evaluate_arena` — the per-configuration
-//!    cost with and without the L1 in the loop (the filtered engine
-//!    touches only the events, typically a small fraction of the
-//!    references);
-//! 3. the end-to-end filtered sweep vs the arena sweep over the
-//!    two-level design space, where every configuration shares one of a
-//!    few L1 front-ends.
+//! 2. a family of one (`evaluate_family`) vs `evaluate_arena` — the
+//!    per-configuration cost with and without the L1 in the loop (the
+//!    miss-stream back-end touches only the events, typically a small
+//!    fraction of the references);
+//! 3. the end-to-end family sweep vs the arena sweep over the two-level
+//!    design space, where every configuration shares one of a few L1
+//!    front-ends.
 //!
 //! For the committed machine-readable comparison, see `BENCH_sweep.json`
 //! (regenerate with `repro bench-sweep <path>`).
@@ -20,9 +20,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tlc_area::AreaModel;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate_arena, evaluate_filtered, SimBudget,
+    capture_benchmark, capture_miss_stream, evaluate_arena, evaluate_family, SimBudget,
 };
-use tlc_core::runner::{default_threads, sweep_arena_threads, sweep_filtered_arena_threads};
+use tlc_core::runner::{default_threads, sweep_arena_threads, sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -58,8 +58,8 @@ fn bench_miss_stream(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("arena_per_config", label), |b| {
             b.iter(|| evaluate_arena(&cfg, &arena, BUDGET, &timing, &area))
         });
-        group.bench_function(BenchmarkId::new("filtered_per_config", label), |b| {
-            b.iter(|| evaluate_filtered(&cfg, &stream, &timing, &area))
+        group.bench_function(BenchmarkId::new("family_of_one_per_config", label), |b| {
+            b.iter(|| evaluate_family(std::slice::from_ref(&cfg), &stream, &timing, &area))
         });
     }
 
@@ -75,8 +75,8 @@ fn bench_miss_stream(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("arena_sweep_twolevel", twolevel.len()), |b| {
         b.iter(|| sweep_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads))
     });
-    group.bench_function(BenchmarkId::new("filtered_sweep_twolevel", twolevel.len()), |b| {
-        b.iter(|| sweep_filtered_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads))
+    group.bench_function(BenchmarkId::new("family_sweep_twolevel", twolevel.len()), |b| {
+        b.iter(|| sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads))
     });
     group.finish();
 }

@@ -1,5 +1,5 @@
 //! Machine-readable sweep-engine benchmark: legacy vs streaming vs arena
-//! vs miss-stream filtered vs family-batched.
+//! vs family-batched miss-stream replay vs analytical prediction.
 //!
 //! Times five engines over the same configuration space:
 //!
@@ -11,11 +11,11 @@
 //!    fallback);
 //! 3. **arena** — capture once, replay the packed buffer per
 //!    configuration;
-//! 4. **filtered** — capture once, simulate each distinct L1 once over
-//!    the arena, then fan every L2 over its L1's miss-stream events only;
-//! 5. **family** — filtered, plus one event pass per (L1, policy, ways)
-//!    family drives every L2 size at once (the sweep fast path);
-//! 6. **predict** — one reuse-distance profiling pass per L1 group
+//! 4. **family** — capture once, simulate each distinct L1 once over the
+//!    arena, then replay its miss-stream events once per (L1, policy,
+//!    ways) family, driving every L2 size at once (the sweep fast path;
+//!    `filtered` is its CLI alias);
+//! 5. **predict** — one reuse-distance profiling pass per L1 group
 //!    answers every conventional L2 point analytically (exclusive
 //!    members replay through the family engine). The only engine that
 //!    is *approximate*: the report records whether it met its ε
@@ -24,15 +24,14 @@
 //!    against family replay on 90- and 450-point conventional spaces
 //!    (acceptance bar: ≥ 5× at 450).
 //!
-//! The five replay engines must produce bit-identical design points.
-//! Because the
-//! filtered and family engines' whole advantage is on configurations
-//! that *share* an L1, the report also times the arena, filtered and
-//! family engines on the two-level subset of the space in isolation
-//! (`twolevel_*` fields) — those ratios are the "simulate the L1 once"
-//! and "decode the events once per family" wins with the single-level
-//! legs excluded (`twolevel_family_speedup` ≥ 1.5× is the family
-//! engine's acceptance bar).
+//! The four replay engines must produce bit-identical design points.
+//! Because the family engine's whole advantage is on configurations
+//! that *share* an L1, the report also times the arena and family
+//! engines on the two-level subset of the space in isolation
+//! (`twolevel_*` fields) — their ratio is the "simulate the L1 once and
+//! decode the events once per family" win with the single-level legs
+//! excluded (`twolevel_family_speedup`; acceptance bar: a total of ≥ 3×
+//! at one thread).
 //!
 //! A final section (`sampled_scaling`) times the second approximate
 //! path: SimPoint-style phase sampling with stitched warming
@@ -53,8 +52,7 @@ use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, DesignPoint, SimBudget};
 use tlc_core::runner::{
     sweep_arena_threads, sweep_dyn_threads, sweep_family_arena_threads,
-    sweep_filtered_arena_threads, sweep_predict_arena_threads, sweep_sampled_threads,
-    sweep_streaming_threads,
+    sweep_predict_arena_threads, sweep_sampled_threads, sweep_streaming_threads,
 };
 use tlc_core::sampling::{
     capture_phase_slices, sample_source, SampleOptions, SAMPLED_MISS_RATIO_EPSILON,
@@ -102,10 +100,6 @@ pub struct SweepBenchRow {
     pub capture_s: f64,
     /// Wall-clock seconds for the arena-replay sweep.
     pub replay_s: f64,
-    /// Wall-clock seconds for the miss-stream-filtered sweep (per-L1
-    /// capture plus per-configuration event replay; arena capture not
-    /// included, as for `replay_s`).
-    pub filtered_s: f64,
     /// Wall-clock seconds for the family-batched sweep (per-L1 capture
     /// plus one event pass per (L1, policy, ways) family; arena capture
     /// not included, as for `replay_s`).
@@ -126,28 +120,18 @@ pub struct SweepBenchRow {
     pub speedup: f64,
     /// `streaming_s / (capture_s + replay_s)`.
     pub speedup_vs_streaming: f64,
-    /// `legacy_s / (capture_s + filtered_s)` — the filtered engine's
-    /// headline speedup.
-    pub speedup_filtered: f64,
     /// `legacy_s / (capture_s + family_s)` — the family engine's
     /// headline speedup.
     pub speedup_family: f64,
     /// Wall-clock seconds for the arena engine on the two-level subset
     /// of the space only.
     pub twolevel_arena_s: f64,
-    /// Wall-clock seconds for the filtered engine on the two-level
-    /// subset only.
-    pub twolevel_filtered_s: f64,
-    /// `twolevel_arena_s / twolevel_filtered_s` — the additional speedup
-    /// miss-stream filtering buys over arena replay where L1s are shared
-    /// (the acceptance metric: ≥ 2×).
-    pub twolevel_speedup: f64,
     /// Wall-clock seconds for the family engine on the two-level subset
     /// only.
     pub twolevel_family_s: f64,
-    /// `twolevel_filtered_s / twolevel_family_s` — the additional
-    /// speedup family batching buys over per-configuration filtered
-    /// replay (the acceptance metric: ≥ 1.5×).
+    /// `twolevel_arena_s / twolevel_family_s` — the speedup miss-stream
+    /// filtering plus family batching buys over arena replay where L1s
+    /// are shared.
     pub twolevel_family_speedup: f64,
     /// Wall-clock seconds for the analytical predict sweep (per-L1
     /// profiling pass plus closed-form evaluation; exclusive members
@@ -164,7 +148,7 @@ pub struct SweepBenchRow {
     /// `tlc_cache::MISS_RATIO_EPSILON`. (The predict engine is the one
     /// engine excluded from `identical`.)
     pub predict_within_epsilon: bool,
-    /// Whether all five replay engines produced bit-identical design
+    /// Whether all four replay engines produced bit-identical design
     /// points.
     pub identical: bool,
 }
@@ -249,31 +233,20 @@ pub struct SweepBenchReport {
     pub total_streaming_s: f64,
     /// Total wall-clock seconds for all captures plus replay sweeps.
     pub total_arena_s: f64,
-    /// Total wall-clock seconds for all captures plus filtered sweeps.
-    pub total_filtered_s: f64,
     /// Total wall-clock seconds for all captures plus family sweeps.
     pub total_family_s: f64,
     /// `total_legacy_s / total_arena_s` — the arena engine's speedup.
     pub total_speedup: f64,
-    /// `total_legacy_s / total_filtered_s` — the filtered engine's
-    /// headline speedup.
-    pub total_speedup_filtered: f64,
     /// `total_legacy_s / total_family_s` — the family engine's headline
     /// speedup.
     pub total_speedup_family: f64,
     /// Total two-level-subset seconds for the arena engine.
     pub total_twolevel_arena_s: f64,
-    /// Total two-level-subset seconds for the filtered engine.
-    pub total_twolevel_filtered_s: f64,
-    /// `total_twolevel_arena_s / total_twolevel_filtered_s` — the
-    /// additional two-level speedup of miss-stream filtering (≥ 2× is
-    /// the acceptance bar).
-    pub total_twolevel_speedup: f64,
     /// Total two-level-subset seconds for the family engine.
     pub total_twolevel_family_s: f64,
-    /// `total_twolevel_filtered_s / total_twolevel_family_s` — the
-    /// additional two-level speedup of family batching over filtered
-    /// replay (≥ 1.5× is the acceptance bar).
+    /// `total_twolevel_arena_s / total_twolevel_family_s` — the
+    /// two-level speedup of the family engine over arena replay (the
+    /// acceptance bar: ≥ 3× at one thread).
     pub total_twolevel_family_speedup: f64,
     /// Total wall-clock seconds for all captures plus predict sweeps.
     pub total_predict_s: f64,
@@ -410,17 +383,6 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
             sweep_arena_threads(&cfg.configs, &arena, cfg.budget, &timing, &area, cfg.threads);
         let replay_s = t3.elapsed().as_secs_f64();
 
-        let t4 = Instant::now();
-        let filtered = sweep_filtered_arena_threads(
-            &cfg.configs,
-            &arena,
-            cfg.budget,
-            &timing,
-            &area,
-            cfg.threads,
-        );
-        let filtered_s = t4.elapsed().as_secs_f64();
-
         // Per-phase attribution for the family engine: discard spans the
         // earlier engines accumulated, then drain exactly this run's.
         let _ = tlc_obs::take_spans();
@@ -439,23 +401,12 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         let family_events_replayed =
             tlc_obs::counters().get(tlc_obs::Counter::L2EventsReplayed) - events_before;
 
-        // The two-level subset in isolation: the filtered and family
-        // engines' win with the unshared single-level legs excluded.
+        // The two-level subset in isolation: the family engine's win
+        // with the unshared single-level legs excluded.
         let t5 = Instant::now();
         let twolevel_arena =
             sweep_arena_threads(&twolevel, &arena, cfg.budget, &timing, &area, cfg.threads);
         let twolevel_arena_s = t5.elapsed().as_secs_f64();
-
-        let t6 = Instant::now();
-        let twolevel_filtered = sweep_filtered_arena_threads(
-            &twolevel,
-            &arena,
-            cfg.budget,
-            &timing,
-            &area,
-            cfg.threads,
-        );
-        let twolevel_filtered_s = t6.elapsed().as_secs_f64();
 
         let t7 = Instant::now();
         let twolevel_family =
@@ -479,7 +430,6 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
             streaming_s,
             capture_s,
             replay_s,
-            filtered_s,
             family_s,
             family_l1_capture_s: span_wall_s(&family_spans, "l1_capture"),
             family_fanout_s: span_wall_s(&family_spans, "fan_out"),
@@ -487,22 +437,17 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
             arena_bytes: arena.bytes() as u64,
             speedup: legacy_s / (capture_s + replay_s),
             speedup_vs_streaming: streaming_s / (capture_s + replay_s),
-            speedup_filtered: legacy_s / (capture_s + filtered_s),
             speedup_family: legacy_s / (capture_s + family_s),
             twolevel_arena_s,
-            twolevel_filtered_s,
-            twolevel_speedup: twolevel_arena_s / twolevel_filtered_s,
             twolevel_family_s,
-            twolevel_family_speedup: twolevel_filtered_s / twolevel_family_s,
+            twolevel_family_speedup: twolevel_arena_s / twolevel_family_s,
             predict_s,
             speedup_predict: legacy_s / (capture_s + predict_s),
             predict_within_epsilon: predict_contract_ok(&cfg.configs, &predicted, &family),
             identical: legacy == replayed
                 && streamed == replayed
-                && filtered == replayed
                 && family == replayed
-                && twolevel_arena == twolevel_filtered
-                && twolevel_family == twolevel_filtered,
+                && twolevel_family == twolevel_arena,
         });
     }
     // Predict-vs-family scaling: the same conventional space at growing
@@ -628,23 +573,19 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
     let total_legacy_s: f64 = rows.iter().map(|r| r.legacy_s).sum();
     let total_streaming_s: f64 = rows.iter().map(|r| r.streaming_s).sum();
     let total_arena_s: f64 = rows.iter().map(|r| r.capture_s + r.replay_s).sum();
-    let total_filtered_s: f64 = rows.iter().map(|r| r.capture_s + r.filtered_s).sum();
     let total_family_s: f64 = rows.iter().map(|r| r.capture_s + r.family_s).sum();
     let total_twolevel_arena_s: f64 = rows.iter().map(|r| r.twolevel_arena_s).sum();
-    let total_twolevel_filtered_s: f64 = rows.iter().map(|r| r.twolevel_filtered_s).sum();
     let total_twolevel_family_s: f64 = rows.iter().map(|r| r.twolevel_family_s).sum();
     let total_predict_s: f64 = rows.iter().map(|r| r.capture_s + r.predict_s).sum();
     SweepBenchReport {
-        schema: "tlc-sweep-bench/6".to_string(),
+        schema: "tlc-sweep-bench/7".to_string(),
         configs: cfg.configs.len() as u64,
         measured_instructions: cfg.budget.instructions,
         warmup_instructions: cfg.budget.warmup_instructions,
         threads: cfg.threads as u64,
         total_speedup: total_legacy_s / total_arena_s,
-        total_speedup_filtered: total_legacy_s / total_filtered_s,
         total_speedup_family: total_legacy_s / total_family_s,
-        total_twolevel_speedup: total_twolevel_arena_s / total_twolevel_filtered_s,
-        total_twolevel_family_speedup: total_twolevel_filtered_s / total_twolevel_family_s,
+        total_twolevel_family_speedup: total_twolevel_arena_s / total_twolevel_family_s,
         total_speedup_predict: total_legacy_s / total_predict_s,
         all_predict_within_epsilon: scaling_within_epsilon
             && rows.iter().all(|r| r.predict_within_epsilon),
@@ -657,11 +598,9 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         total_legacy_s,
         total_streaming_s,
         total_arena_s,
-        total_filtered_s,
         total_family_s,
         total_predict_s,
         total_twolevel_arena_s,
-        total_twolevel_filtered_s,
         total_twolevel_family_s,
     }
 }
@@ -708,7 +647,6 @@ mod tests {
         assert_eq!(report.benchmarks.len(), 7);
         assert!(report.all_identical, "engines must agree bit-for-bit");
         assert!(report.total_streaming_s > 0.0 && report.total_arena_s > 0.0);
-        assert!(report.total_filtered_s > 0.0 && report.total_twolevel_filtered_s > 0.0);
         assert!(report.total_family_s > 0.0 && report.total_twolevel_family_s > 0.0);
         if tlc_obs::ENABLED {
             assert!(
@@ -732,14 +670,13 @@ mod tests {
         assert!(s.full_s > 0.0 && s.sampled_s > 0.0 && s.speedup > 0.0);
         assert!(s.max_miss_ratio_error.is_finite());
         let json = serde_json::to_string_pretty(&report).expect("serialises");
-        assert!(json.contains("\"schema\": \"tlc-sweep-bench/6\""));
-        assert!(json.contains("\"filtered_s\""));
+        assert!(json.contains("\"schema\": \"tlc-sweep-bench/7\""));
+        assert!(!json.contains("filtered"), "the filtered engine is an alias of family");
         assert!(json.contains("\"family_s\""));
         assert!(json.contains("\"family_l1_capture_s\""));
         assert!(json.contains("\"family_fanout_s\""));
         assert!(json.contains("\"family_events_replayed\""));
         assert!(json.contains("\"obs_enabled\""));
-        assert!(json.contains("\"twolevel_speedup\""));
         assert!(json.contains("\"twolevel_family_speedup\""));
         assert!(json.contains("\"predict_s\""));
         assert!(json.contains("\"predict_within_epsilon\""));

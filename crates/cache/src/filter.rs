@@ -12,27 +12,33 @@
 //! miss and which victims are displaced) is therefore completely
 //! determined by the reference stream and the L1 geometry — never by the
 //! L2. A design-space sweep can simulate the L1 once per distinct front
-//! end, record the miss/victim events, and replay only those events
-//! through each L2 configuration.
+//! end ([`L1FrontEnd`]), record the miss/victim events ([`MissStream`]),
+//! and replay only those events through each L2 configuration.
 //!
 //! One subtlety: in the exclusive hierarchy an L1 fill's *dirty bit* does
 //! depend on L2 state (an L1-miss/L2-hit fills with `is_write || dirty`,
 //! where `dirty` came out of the L2 extract). The front-end therefore
 //! records only the L2-independent, store-only component
 //! ([`VictimLine::written`](tlc_trace::VictimLine)); the exclusive
-//! back-end reconstructs the exact dirty bit with a per-L1-set mirror of
-//! "was the current resident filled from a dirty L2 line" — see
-//! [`replay_exclusive`]. The conventional and single-level hierarchies
-//! fill the L1 with `is_write` only, so for them the recorded bit *is*
-//! the dirty bit.
+//! back-end reconstructs the exact dirty bit with a per-L1-set mirror
+//! (see [`filter_family`](crate::filter_family)). The conventional and
+//! single-level hierarchies fill the L1 with `is_write` only, so for
+//! them the recorded bit *is* the dirty bit.
 //!
-//! The L2's replacement state (including its pseudo-random LFSR) is
-//! driven by exactly the same call sequence as in the monolithic
-//! hierarchies, so every statistic is bit-identical — the equivalence
-//! suite in `tests/arena_equivalence.rs` pins all three back-ends to the
-//! arena engine across every benchmark.
+//! This module holds the front-end, the captured stream, the event walk
+//! every back-end shares ([`walk_events`]), and the single-level sink
+//! (every L1 miss goes off-chip — no L2 state at all). The conventional
+//! and exclusive L2 back-ends live in
+//! [`filter_family`](crate::filter_family): one family-batched,
+//! segment-stitching replay serves every L2 configuration, a single
+//! configuration being a family of one. The L2's replacement state
+//! (including its pseudo-random LFSR) is driven by exactly the same call
+//! sequence as in the monolithic hierarchies, so every statistic is
+//! bit-identical — the equivalence suite in `tests/arena_equivalence.rs`
+//! pins the back-end to the arena engine and to the naive oracle across
+//! every benchmark.
 
-use crate::cache::{Cache, Liveness};
+use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::stats::HierarchyStats;
@@ -128,6 +134,7 @@ impl L1FrontEnd {
             l1_stats: self.stats,
             l1_size_bytes: self.l1i.config().size_bytes(),
             line_bytes: self.line_bytes,
+            stitched: false,
         }
     }
 
@@ -161,6 +168,7 @@ impl L1FrontEnd {
             l1_stats,
             l1_size_bytes: self.l1i.config().size_bytes(),
             line_bytes: self.line_bytes,
+            stitched: true,
         }
     }
 }
@@ -235,6 +243,10 @@ pub struct MissStream {
     l1_stats: HierarchyStats,
     l1_size_bytes: u64,
     line_bytes: u64,
+    /// Cut from a running front-end by [`L1FrontEnd::take_stream`]: one
+    /// phase slice of a stitched capture, whose replay the back-end
+    /// times into the `sample.slice_replay_ns` histogram.
+    stitched: bool,
 }
 
 impl MissStream {
@@ -269,6 +281,7 @@ impl MissStream {
             l1_stats,
             l1_size_bytes,
             line_bytes,
+            stitched: false,
         }
     }
 
@@ -320,17 +333,22 @@ impl MissStream {
         self.events.iter()
     }
 
-    /// L1 sets per side (for the exclusive back-end's fill-dirty mirror;
-    /// shared with the family-batched back-ends in
-    /// [`filter_family`](crate::filter_family)).
+    /// L1 sets per side (for the exclusive back-end's fill-dirty mirror
+    /// in [`filter_family`](crate::filter_family)).
     pub(crate) fn l1_sets(&self) -> usize {
         (self.l1_size_bytes / self.line_bytes) as usize
     }
+
+    /// Whether this stream is a segment cut by
+    /// [`L1FrontEnd::take_stream`].
+    pub(crate) fn is_stitched(&self) -> bool {
+        self.stitched
+    }
 }
 
-/// Anything that can consume a decoded event stream: the scalar back-ends
-/// below and the family-batched back-ends in
-/// [`filter_family`](crate::filter_family).
+/// Anything that can consume a decoded event stream: the single-level
+/// sink below, the family-batched back-ends in
+/// [`filter_family`](crate::filter_family), and the naive oracle.
 pub(crate) trait EventSink {
     /// Consumes one event. `fetch` is true for instruction-fetch misses;
     /// `victim` carries the displaced line and its store-only written bit.
@@ -338,14 +356,6 @@ pub(crate) trait EventSink {
 
     /// Clears the counters at the warm-up boundary (L2 contents persist).
     fn reset_counters(&mut self);
-}
-
-/// One scalar L2 back-end: an [`EventSink`] that can report the three
-/// L2-side counters.
-trait BackEnd: EventSink {
-    /// `(l2_hits, l2_misses, offchip_writebacks)` accumulated since the
-    /// last reset.
-    fn counters(&self) -> (u64, u64, u64);
 }
 
 /// Walks the packed event stream through `sink`, resetting its counters
@@ -379,43 +389,8 @@ pub(crate) fn walk_events<S: EventSink>(sink: &mut S, stream: &MissStream) {
     }
 }
 
-/// Walks the stream through `back` and assembles the final statistics
-/// from the stream's L1-side counters plus the back-end's measured L2
-/// counters.
-fn replay_on<B: BackEnd>(back: &mut B, stream: &MissStream) -> HierarchyStats {
-    walk_events(back, stream);
-    let (l2_hits, l2_misses, offchip_writebacks) = back.counters();
-    HierarchyStats { l2_hits, l2_misses, offchip_writebacks, ..*stream.l1_stats() }
-}
-
-/// Flushes one replay pass's L2-side totals to the global counters.
-/// `stats` carries the measured-window hit/miss/writeback counts;
-/// `draws`/`swaps`/`live` are lifetime totals (warm-up included — the
-/// LFSR, the swap path, and the fill-generation tallies are never
-/// reset), matching the family engines so the two report identical sums
-/// on identical configs.
-pub(crate) fn flush_l2_counters(
-    events: u64,
-    stats: &HierarchyStats,
-    draws: u64,
-    swaps: u64,
-    live: Liveness,
-) {
-    tlc_obs::obs_count!(tlc_obs::Counter::L2EventsReplayed, events);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Hits, stats.l2_hits);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Misses, stats.l2_misses);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Probes, stats.l2_hits + stats.l2_misses);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Writebacks, stats.offchip_writebacks);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2LfsrDraws, draws);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2ExclusiveSwaps, swaps);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Fills, live.fills);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2DeadOnArrival, live.dead_on_arrival);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2LiveFills, live.live_fills);
-    tlc_obs::obs_count!(tlc_obs::Counter::L2MultiHit, live.multi_hit);
-}
-
 /// The replay inner loop: slice iteration over one chunk's packed
-/// columns, statically dispatched per concrete back-end.
+/// columns, statically dispatched per concrete sink.
 #[inline]
 fn replay_event_chunk<B: EventSink>(
     back: &mut B,
@@ -459,213 +434,23 @@ impl EventSink for SingleBack {
     }
 }
 
-impl BackEnd for SingleBack {
-    fn counters(&self) -> (u64, u64, u64) {
-        (0, self.l2_misses, self.offchip_writebacks)
-    }
-}
-
-/// Back-end for [`ConventionalTwoLevel`](crate::ConventionalTwoLevel):
-/// the same L2 call sequence as the monolithic hierarchy's miss path.
-#[derive(Debug)]
-struct ConventionalBack {
-    l2: Cache,
-    l2_hits: u64,
-    l2_misses: u64,
-    offchip_writebacks: u64,
-}
-
-impl EventSink for ConventionalBack {
-    #[inline]
-    fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        if self.l2.access(line, false) {
-            self.l2_hits += 1;
-        } else {
-            self.l2_misses += 1;
-            if let Some(v2) = self.l2.fill_after_miss(line, false) {
-                if v2.dirty {
-                    self.offchip_writebacks += 1;
-                }
-            }
-        }
-        // The L1 fill happens after the L2 interaction in the monolithic
-        // hierarchy; only its dirty victim touches the L2 (store-only
-        // dirty is exact for the conventional L1).
-        if let Some((vline, written)) = victim {
-            if written && !self.l2.merge_if_present(vline, true) {
-                self.offchip_writebacks += 1;
-            }
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.l2_hits = 0;
-        self.l2_misses = 0;
-        self.offchip_writebacks = 0;
-    }
-}
-
-impl BackEnd for ConventionalBack {
-    fn counters(&self) -> (u64, u64, u64) {
-        (self.l2_hits, self.l2_misses, self.offchip_writebacks)
-    }
-}
-
-/// Back-end for [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel).
-///
-/// The one L2-dependent bit of L1 state is reconstructed here: when an
-/// L1-miss/L2-hit fills the L1, the monolithic hierarchy marks the L1
-/// line dirty if the extracted L2 copy was dirty. The back-end keeps a
-/// per-L1-set mirror (one bool per set per side, the L1 being
-/// direct-mapped) of exactly that bit for the *current* resident; a
-/// victim's true dirty bit is then `written || mirror[set]`, read before
-/// the new fill overwrites the mirror entry (victim and filled line share
-/// the set by construction).
-#[derive(Debug)]
-struct ExclusiveBack {
-    l2: Cache,
-    /// "Current resident was filled from a dirty L2 extract", per L1I set.
-    mirror_i: Vec<bool>,
-    /// Same, per L1D set.
-    mirror_d: Vec<bool>,
-    l1_set_mask: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    offchip_writebacks: u64,
-    /// Lifetime fig-21a swap count (instrumented builds only).
-    swaps: u64,
-}
-
-impl ExclusiveBack {
-    /// Mirror of
-    /// [`ExclusiveTwoLevel::send_victim_to_l2`](crate::ExclusiveTwoLevel)
-    /// with no freed slot: merge into an existing copy, else insert into
-    /// the victim's own set, counting a dirty L2 eviction off-chip.
-    #[inline]
-    fn send_victim(&mut self, vline: LineAddr, vdirty: bool) {
-        if self.l2.merge_if_present(vline, vdirty) {
-            return;
-        }
-        if let Some(ev) = self.l2.fill_after_miss(vline, vdirty) {
-            if ev.dirty {
-                self.offchip_writebacks += 1;
-            }
-        }
-    }
-}
-
-impl EventSink for ExclusiveBack {
-    #[inline]
-    fn consume(&mut self, fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let set = (line.0 & self.l1_set_mask) as usize;
-        let mirror = if fetch { &mut self.mirror_i } else { &mut self.mirror_d };
-        // Read the victim's fill-dirty component BEFORE the new fill
-        // overwrites the set's mirror entry.
-        let victim = victim.map(|(vline, written)| (vline, written || mirror[set]));
-        if self.l2.access(line, false) {
-            self.l2_hits += 1;
-            let (dirty, slot) =
-                self.l2.extract(line).expect("L2 hit implies the line is extractable");
-            mirror[set] = dirty;
-            match victim {
-                Some((vline, vdirty)) => {
-                    if self.l2.set_index(vline) == slot.set && !self.l2.contains(vline) {
-                        // Figure 21-a swap: the victim takes the requested
-                        // line's way; the displaced line is the requested
-                        // line itself, already in L1.
-                        if tlc_obs::ENABLED {
-                            self.swaps += 1;
-                        }
-                        self.l2.fill_at(vline, vdirty, slot);
-                    } else {
-                        self.l2.fill_at(line, dirty, slot);
-                        self.send_victim(vline, vdirty);
-                    }
-                }
-                None => {
-                    self.l2.fill_at(line, dirty, slot);
-                }
-            }
-        } else {
-            self.l2_misses += 1;
-            // Off-chip refill bypasses the L2 and fills the L1 with the
-            // store-only dirty bit: no fill-dirty component.
-            mirror[set] = false;
-            if let Some((vline, vdirty)) = victim {
-                self.send_victim(vline, vdirty);
-            }
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.l2_hits = 0;
-        self.l2_misses = 0;
-        self.offchip_writebacks = 0;
-    }
-}
-
-impl BackEnd for ExclusiveBack {
-    fn counters(&self) -> (u64, u64, u64) {
-        (self.l2_hits, self.l2_misses, self.offchip_writebacks)
-    }
-}
-
 /// Replays `stream` as a [`SingleLevel`](crate::SingleLevel) hierarchy
 /// would experience it. Bit-identical to simulating the monolithic
 /// system on the original reference stream.
-pub fn replay_single(stream: &MissStream) -> HierarchyStats {
-    let stats = replay_on(&mut SingleBack::default(), stream);
+pub(crate) fn replay_single(stream: &MissStream) -> HierarchyStats {
+    let mut back = SingleBack::default();
+    walk_events(&mut back, stream);
     // No L2 exists here: the pass contributes replayed events and
     // off-chip writebacks, but no probes (`l2.probes` counts real L2
     // lookups only, keeping the hits+misses invariant meaningful).
     tlc_obs::obs_count!(tlc_obs::Counter::L2EventsReplayed, stream.len());
-    tlc_obs::obs_count!(tlc_obs::Counter::L2Writebacks, stats.offchip_writebacks);
-    stats
-}
-
-/// Replays `stream` through a conventional L2, producing the exact
-/// statistics [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)
-/// would report on the original reference stream.
-///
-/// # Panics
-///
-/// Panics if `l2_cfg`'s line size differs from the stream's.
-pub fn replay_conventional(l2_cfg: CacheConfig, stream: &MissStream) -> HierarchyStats {
-    assert_eq!(l2_cfg.line_bytes(), stream.line_bytes(), "L1 and L2 must share a line size");
-    let mut back = ConventionalBack {
-        l2: Cache::new(l2_cfg),
+    tlc_obs::obs_count!(tlc_obs::Counter::L2Writebacks, back.offchip_writebacks);
+    HierarchyStats {
         l2_hits: 0,
-        l2_misses: 0,
-        offchip_writebacks: 0,
-    };
-    let stats = replay_on(&mut back, stream);
-    flush_l2_counters(stream.len(), &stats, back.l2.lfsr_draws(), 0, back.l2.liveness());
-    stats
-}
-
-/// Replays `stream` through an exclusive (victim-swap) L2, producing the
-/// exact statistics [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)
-/// would report on the original reference stream.
-///
-/// # Panics
-///
-/// Panics if `l2_cfg`'s line size differs from the stream's.
-pub fn replay_exclusive(l2_cfg: CacheConfig, stream: &MissStream) -> HierarchyStats {
-    assert_eq!(l2_cfg.line_bytes(), stream.line_bytes(), "L1 and L2 must share a line size");
-    let sets = stream.l1_sets();
-    let mut back = ExclusiveBack {
-        l2: Cache::new(l2_cfg),
-        mirror_i: vec![false; sets],
-        mirror_d: vec![false; sets],
-        l1_set_mask: sets as u64 - 1,
-        l2_hits: 0,
-        l2_misses: 0,
-        offchip_writebacks: 0,
-        swaps: 0,
-    };
-    let stats = replay_on(&mut back, stream);
-    flush_l2_counters(stream.len(), &stats, back.l2.lfsr_draws(), back.swaps, back.l2.liveness());
-    stats
+        l2_misses: back.l2_misses,
+        offchip_writebacks: back.offchip_writebacks,
+        ..*stream.l1_stats()
+    }
 }
 
 #[cfg(test)]
@@ -673,6 +458,9 @@ mod tests {
     use super::*;
     use crate::config::{Associativity, ReplacementKind};
     use crate::exclusive::ExclusiveTwoLevel;
+    use crate::filter_family::{
+        try_replay_conventional_family_segments, try_replay_exclusive_family_segments,
+    };
     use crate::single::SingleLevel;
     use crate::twolevel::ConventionalTwoLevel;
     use tlc_trace::spec::SpecBenchmark;
@@ -702,6 +490,18 @@ mod tests {
         fe.finish(b.name())
     }
 
+    /// A conventional L2 family of one over the whole stream.
+    fn conventional(l2: CacheConfig, stream: &MissStream) -> HierarchyStats {
+        try_replay_conventional_family_segments(&[l2], std::slice::from_ref(stream))
+            .expect("valid family")[0][0]
+    }
+
+    /// An exclusive L2 family of one over the whole stream.
+    fn exclusive(l2: CacheConfig, stream: &MissStream) -> HierarchyStats {
+        try_replay_exclusive_family_segments(&[l2], std::slice::from_ref(stream))
+            .expect("valid family")[0][0]
+    }
+
     /// Drives the same window through a monolithic system.
     fn reference<M: MemorySystem>(b: SpecBenchmark, sys: &mut M, warm: u64, n: u64) {
         let mut w = b.workload();
@@ -725,13 +525,13 @@ mod tests {
     }
 
     #[test]
-    fn conventional_back_matches_monolithic() {
+    fn conventional_family_of_one_matches_monolithic() {
         for (l1, l2, ways) in [(1024, 8192, 4), (2048, 4096, 1)] {
             let stream = capture(SpecBenchmark::Gcc1, l1, 2_000, 8_000);
             let mut sys = ConventionalTwoLevel::new(l1_cfg(l1), l2_cfg(l2, ways));
             reference(SpecBenchmark::Gcc1, &mut sys, 2_000, 8_000);
             assert_eq!(
-                replay_conventional(l2_cfg(l2, ways), &stream),
+                conventional(l2_cfg(l2, ways), &stream),
                 *sys.stats(),
                 "l1={l1} l2={l2} ways={ways}"
             );
@@ -739,13 +539,13 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_back_matches_monolithic() {
+    fn exclusive_family_of_one_matches_monolithic() {
         for (l1, l2, ways) in [(1024, 8192, 4), (2048, 4096, 1), (1024, 2048, 4)] {
             let stream = capture(SpecBenchmark::Li, l1, 2_000, 8_000);
             let mut sys = ExclusiveTwoLevel::new(l1_cfg(l1), l2_cfg(l2, ways));
             reference(SpecBenchmark::Li, &mut sys, 2_000, 8_000);
             assert_eq!(
-                replay_exclusive(l2_cfg(l2, ways), &stream),
+                exclusive(l2_cfg(l2, ways), &stream),
                 *sys.stats(),
                 "l1={l1} l2={l2} ways={ways}"
             );
@@ -758,7 +558,7 @@ mod tests {
         for l2 in [2048u64, 8192, 32768] {
             let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), l2_cfg(l2, 4));
             reference(SpecBenchmark::Espresso, &mut sys, 1_000, 5_000);
-            assert_eq!(replay_conventional(l2_cfg(l2, 4), &stream), *sys.stats(), "l2={l2}");
+            assert_eq!(conventional(l2_cfg(l2, 4), &stream), *sys.stats(), "l2={l2}");
         }
     }
 
@@ -785,7 +585,7 @@ mod tests {
             sys.access(*r);
         }
         let stream = fe.finish("pingpong");
-        let got = replay_exclusive(l2, &stream);
+        let got = exclusive(l2, &stream);
         assert_eq!(got, *sys.stats());
         assert!(got.offchip_writebacks >= 1, "the dirty line must eventually go off-chip");
     }
@@ -795,7 +595,7 @@ mod tests {
         let stream = capture(SpecBenchmark::Fpppp, 1024, 3_000, 3_000);
         let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), l2_cfg(8192, 4));
         reference(SpecBenchmark::Fpppp, &mut sys, 3_000, 3_000);
-        let got = replay_conventional(l2_cfg(8192, 4), &stream);
+        let got = conventional(l2_cfg(8192, 4), &stream);
         assert_eq!(got, *sys.stats());
         assert_eq!(got.instructions, 3_000);
     }
@@ -813,8 +613,8 @@ mod tests {
         let stream = fe.finish("li");
         assert_eq!(stream.warmup_events(), stream.len());
         assert_eq!(replay_single(&stream), HierarchyStats::default());
-        assert_eq!(replay_conventional(l2_cfg(4096, 4), &stream), HierarchyStats::default());
-        assert_eq!(replay_exclusive(l2_cfg(4096, 4), &stream), HierarchyStats::default());
+        assert_eq!(conventional(l2_cfg(4096, 4), &stream), HierarchyStats::default());
+        assert_eq!(exclusive(l2_cfg(4096, 4), &stream), HierarchyStats::default());
     }
 
     #[test]

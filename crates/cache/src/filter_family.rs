@@ -1,19 +1,35 @@
-//! Family-batched replay: one pass over a miss stream drives *every* L2
-//! size of a configuration family at once.
+//! The L2 back-end: one pass over a miss stream drives *every* L2 size
+//! of a configuration family at once, across any number of stitched
+//! segments.
 //!
 //! The design spaces of the paper vary, for a fixed L1, only the L2
 //! *capacity* (§2.1: L2 from 2×L1 up to 256KB, same 16B lines, same
-//! associativity). The scalar back-ends in [`filter`](crate::filter)
-//! already replay only the L1 miss events, but they still decode the
-//! packed 17-byte events once per configuration. Here one decode of each
-//! event fans into N structure-of-arrays L2 states — per-configuration
-//! slot arrays, counters, a per-member replacement bank
-//! ([`ReplBank`](crate::cache)) holding the policy words (LRU/FIFO
-//! stamps, PLRU tree bits, SRRIP RRPVs) alongside the `(line<<1)|dirty`
-//! slot words, and crucially a **per-configuration [`Lfsr16`]**, so
-//! pseudo-random replacement draws happen in exactly the order the
-//! standalone back-end would make them and every statistic stays
-//! bit-identical.
+//! associativity), so "one L1 miss stream, every L2 size" is the only
+//! replay shape a sweep needs. One decode of each event fans into N
+//! structure-of-arrays L2 states — per-configuration slot arrays,
+//! counters, a per-member replacement bank ([`ReplBank`](crate::cache))
+//! holding the policy words (LRU/FIFO stamps, PLRU tree bits, SRRIP
+//! RRPVs) alongside the `(line<<1)|dirty` slot words, and crucially a
+//! **per-configuration [`Lfsr16`]**, so pseudo-random replacement draws
+//! happen in exactly the order a standalone
+//! [`ConventionalTwoLevel`](crate::ConventionalTwoLevel) or
+//! [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel) would make them and
+//! every statistic stays bit-identical.
+//!
+//! There is exactly one entry point per hierarchy kind:
+//!
+//! * [`try_replay_single_family_segments`] — single-level: every member
+//!   shares the L1-only statistics, so each segment is walked once
+//!   through the single-level sink in [`filter`](crate::filter);
+//! * [`try_replay_conventional_family_segments`] — conventional L2s;
+//! * [`try_replay_exclusive_family_segments`] — exclusive (victim-swap)
+//!   L2s.
+//!
+//! An unsegmented replay is a one-segment call
+//! (`std::slice::from_ref(stream)`), and a single configuration is a
+//! family of one. The naive oracle in [`oracle`](crate::oracle) is the
+//! independent second implementation the equivalence suites and the
+//! audit check this back-end against.
 //!
 //! ## Why batching preserves the bit-exact contract
 //!
@@ -21,16 +37,26 @@
 //! the batched loop applies one event to every member before moving on,
 //! and members never share mutable state. Replacement state is a replica
 //! of the scalar [`Cache`](crate::Cache)'s: the same `ReplBank` state
-//! machines, driven by the same touch/fill/victim call sequence — so
-//! stamp clocks, tree bits, and RRPVs evolve identically, and the only
-//! stateful randomness (the pseudo-random LFSR, consulted *only* when a
-//! set-associative fill finds no free way) is carried per member with the
-//! same seed as a fresh `Cache`. Members may even mix replacement
-//! policies: each bank is built from its own member's configuration. The
-//! exclusive policy's per-L1-set fill-dirty mirror must also be per
-//! member — its entries come out of the member's own L2 extracts, whose
-//! dirty bits depend on L2 capacity — so it is carried per configuration,
-//! not once per family (see `docs/models.md`).
+//! machines, driven by the same touch/fill/victim call sequence the
+//! monolithic hierarchies issue — so stamp clocks, tree bits, and RRPVs
+//! evolve identically, and the only stateful randomness (the
+//! pseudo-random LFSR, consulted *only* when a set-associative fill finds
+//! no free way) is carried per member with the same seed as a fresh
+//! `Cache`. Members may even mix replacement policies: each bank is
+//! built from its own member's configuration.
+//!
+//! The exclusive hierarchy has one L2-dependent bit of L1 state: an
+//! L1-miss/L2-hit fills the L1 line dirty if the extracted L2 copy was
+//! dirty, and the event stream records only the store-only component
+//! ([`VictimLine::written`](tlc_trace::VictimLine)). The exclusive
+//! back-end therefore keeps a per-L1-set mirror (one bool per set per
+//! side, the L1 being direct-mapped) of "the current resident was filled
+//! from a dirty L2 extract"; a victim's true dirty bit is
+//! `written || mirror[set]`, read before the new fill overwrites the
+//! entry (victim and filled line share the set by construction). The
+//! mirror must be per member — its entries come out of the member's own
+//! L2 extracts, whose dirty bits depend on L2 capacity (see
+//! `docs/models.md`).
 //!
 //! ## The direct-mapped fast path
 //!
@@ -42,20 +68,26 @@
 //! accumulate into per-threshold histograms instead of per-member
 //! counters — see `DmConventionalFamily` for the invariant. Replacement
 //! policy is irrelevant at one way per set, so the fast path serves every
-//! [`ReplacementKind`].
+//! [`ReplacementKind`](crate::ReplacementKind).
+//!
+//! ## Segments
+//!
+//! The family state — slot arrays, replacement banks, LFSRs, exclusive
+//! mirrors — is built **once** and persists across segments: segment `k`
+//! starts from the (stale) contents segment `k-1` left behind, its
+//! warm-up prefix refreshes that state, and its counters reset at its own
+//! warm-up boundary. This is the L2 half of stitched warming for sampled
+//! sweeps; each segment cut by
+//! [`L1FrontEnd::take_stream`](crate::L1FrontEnd::take_stream) is timed
+//! into the `sample.slice_replay_ns` histogram.
 //!
 //! ## Errors instead of panics
 //!
-//! An unsupported family shape surfaces as a typed [`FamilyError`] from
-//! the `try_replay_*` entry points; the plain `replay_*` wrappers keep
-//! the old panicking contract for callers that validate up front. Sweep
-//! workers use the `try_` forms and fall back to scalar filtered replay,
-//! so no configuration can panic a worker thread.
+//! An unsupported family or segment shape surfaces as a typed
+//! [`FamilyError`]; nothing in this module panics on caller input.
 
 use crate::cache::{Liveness, ReplBank};
 use crate::config::CacheConfig;
-#[cfg(test)]
-use crate::config::ReplacementKind;
 use crate::filter::{replay_single, walk_events, EventSink, MissStream};
 use crate::replacement::Lfsr16;
 use crate::stats::HierarchyStats;
@@ -69,12 +101,9 @@ use tlc_trace::LineAddr;
 /// a single shifted compare tests "valid and tag matches".
 const INVALID: u64 = u64::MAX;
 
-/// Why a configuration family cannot be batch-replayed.
+/// Why a family or its segments cannot be replayed.
 ///
-/// Returned by the `try_replay_*` entry points; the panicking `replay_*`
-/// wrappers turn these into messages. Callers (the sweep runner) treat an
-/// error as "replay each member through the scalar back-end instead" —
-/// the statistics are identical either way, only the batching is lost.
+/// Returned by every `try_replay_*` entry point instead of a panic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FamilyError {
     /// A member's line size differs from the stream's; the events would
@@ -93,6 +122,18 @@ pub enum FamilyError {
         /// The disagreeing member's way count.
         other: u32,
     },
+    /// The replay was handed no segments: there is no stream to walk.
+    NoSegments,
+    /// A segment was captured through a different L1 front-end than the
+    /// first one; stitched segments must all come from one front-end.
+    SegmentGeometry {
+        /// Index of the disagreeing segment.
+        segment: usize,
+        /// The first segment's `(L1 bytes, line bytes)`.
+        expected: (u64, u64),
+        /// The disagreeing segment's `(L1 bytes, line bytes)`.
+        found: (u64, u64),
+    },
 }
 
 impl fmt::Display for FamilyError {
@@ -106,6 +147,13 @@ impl fmt::Display for FamilyError {
             FamilyError::MixedWays { first, other } => {
                 write!(f, "family members disagree on associativity ({first} vs {other} ways)")
             }
+            FamilyError::NoSegments => write!(f, "need at least one segment to replay"),
+            FamilyError::SegmentGeometry { segment, expected, found } => write!(
+                f,
+                "segment {segment} was captured through a {}B L1 with {}B lines, segment 0 \
+                 through a {}B L1 with {}B lines (segments must share one L1 front-end)",
+                found.0, found.1, expected.0, expected.1
+            ),
         }
     }
 }
@@ -274,8 +322,10 @@ impl FamilyWays {
     }
 }
 
-/// Batched conventional back-end: the family counterpart of
-/// `filter::ConventionalBack`, one [`L2State`] per member.
+/// Batched conventional back-end, one [`L2State`] per member: per event,
+/// each member issues the monolithic
+/// [`ConventionalTwoLevel`](crate::ConventionalTwoLevel) miss path's L2
+/// calls — probe, fill on a miss, then merge a written L1 victim.
 ///
 /// `W` is the compile-time associativity — the hot set scans unroll for
 /// the common widths (2/4/8-way); `W = 0` selects the dynamic fallback
@@ -284,6 +334,12 @@ impl FamilyWays {
 struct ConventionalFamily<const W: usize> {
     states: Vec<L2State>,
     fw: FamilyWays,
+}
+
+impl<const W: usize> ConventionalFamily<W> {
+    fn new(l2_cfgs: &[CacheConfig], fw: FamilyWays) -> Self {
+        ConventionalFamily { states: l2_cfgs.iter().map(L2State::new).collect(), fw }
+    }
 }
 
 impl<const W: usize> EventSink for ConventionalFamily<W> {
@@ -323,9 +379,9 @@ impl<const W: usize> EventSink for ConventionalFamily<W> {
     }
 }
 
-/// Batched exclusive back-end: the family counterpart of
-/// `filter::ExclusiveBack`. The per-L1-set fill-dirty mirror is carried
-/// **per member**: a mirror entry records whether the member's own L2
+/// One member of the batched exclusive back-end, mirroring
+/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)'s extract/swap
+/// sequence. The per-L1-set fill-dirty mirror is carried **per member**: a mirror entry records whether the member's own L2
 /// extract was dirty, which depends on that member's capacity (see the
 /// module docs).
 #[derive(Debug)]
@@ -342,6 +398,23 @@ struct ExclusiveFamily<const W: usize> {
     members: Vec<ExclusiveFamilyMember>,
     fw: FamilyWays,
     l1_set_mask: u64,
+}
+
+impl<const W: usize> ExclusiveFamily<W> {
+    fn new(l2_cfgs: &[CacheConfig], fw: FamilyWays, l1_sets: usize) -> Self {
+        ExclusiveFamily {
+            members: l2_cfgs
+                .iter()
+                .map(|cfg| ExclusiveFamilyMember {
+                    l2: L2State::new(cfg),
+                    mirror_i: vec![false; l1_sets],
+                    mirror_d: vec![false; l1_sets],
+                })
+                .collect(),
+            fw,
+            l1_set_mask: l1_sets as u64 - 1,
+        }
+    }
 }
 
 impl<const W: usize> EventSink for ExclusiveFamily<W> {
@@ -450,6 +523,9 @@ impl<const W: usize> EventSink for ExclusiveFamily<W> {
 /// liveness tallies, which follow each member's own fill generations.
 #[derive(Debug)]
 struct DmConventionalFamily {
+    /// `order[k]`: input index of the `k`-th smallest member (a stable
+    /// sort, so duplicate sizes keep their relative order).
+    order: Vec<usize>,
     /// Per size (ascending): one slot per set.
     slots: Vec<Vec<u64>>,
     set_masks: Vec<u64>,
@@ -467,9 +543,13 @@ struct DmConventionalFamily {
 }
 
 impl DmConventionalFamily {
-    fn new(cfgs_ascending: &[&CacheConfig]) -> Self {
+    fn new(cfgs: &[CacheConfig]) -> Self {
+        let mut order: Vec<usize> = (0..cfgs.len()).collect();
+        order.sort_by_key(|&i| cfgs[i].size_bytes());
+        let cfgs_ascending: Vec<&CacheConfig> = order.iter().map(|&i| &cfgs[i]).collect();
         let k = cfgs_ascending.len();
         DmConventionalFamily {
+            order,
             slots: cfgs_ascending.iter().map(|c| vec![INVALID; c.num_sets() as usize]).collect(),
             set_masks: cfgs_ascending.iter().map(|c| c.num_sets() - 1).collect(),
             hit_hist: vec![0; k + 1],
@@ -493,22 +573,6 @@ impl DmConventionalFamily {
             }
         }
         self.set_masks.len()
-    }
-
-    /// Per-member `(l2_hits, l2_misses, offchip_writebacks)` in ascending
-    /// size order.
-    fn counters(&self) -> Vec<(u64, u64, u64)> {
-        let total_hits: u64 = self.hit_hist.iter().sum();
-        let total_vics: u64 = self.vic_hist.iter().sum();
-        let mut hits = 0u64;
-        let mut vics = 0u64;
-        (0..self.set_masks.len())
-            .map(|k| {
-                hits += self.hit_hist[k];
-                vics += self.vic_hist[k];
-                (hits, total_hits - hits, self.evict_wb[k] + (total_vics - vics))
-            })
-            .collect()
     }
 
     /// Family-total liveness: each member's tallies snapshotted over its
@@ -583,456 +647,251 @@ impl EventSink for DmConventionalFamily {
     }
 }
 
-/// Assembles one member's [`HierarchyStats`] from its three L2 counters
-/// plus the stream's L1-side counters.
-fn assemble(
-    stream: &MissStream,
-    (l2_hits, l2_misses, offchip_writebacks): (u64, u64, u64),
-) -> HierarchyStats {
-    HierarchyStats { l2_hits, l2_misses, offchip_writebacks, ..*stream.l1_stats() }
+/// A batched L2 family: an [`EventSink`] that reports every member's
+/// counters. Implemented by the conventional, exclusive, and
+/// direct-mapped families; [`replay_segments`] drives any of them.
+trait Family: EventSink {
+    /// Per-member `(l2_hits, l2_misses, offchip_writebacks)` since the
+    /// last counter reset, in input order.
+    fn member_counters(&self) -> Vec<(u64, u64, u64)>;
+
+    /// Lifetime `(lfsr_draws, swaps, liveness)` summed over the members
+    /// (instrumented builds only) — never reset, like the LFSR itself.
+    fn lifetime(&self) -> (u64, u64, Liveness);
 }
 
-/// Flushes one family pass's totals: the stream was decoded once
-/// (`l2.events_replayed` counts passes × events, exposing the family
-/// engine's fan-in), while probes/hits/misses/writebacks/liveness sum
-/// over the members — matching the scalar filtered engine's totals on
-/// the same configurations, since the per-member statistics are
-/// bit-identical.
-fn flush_family(
-    stream: &MissStream,
-    out: &[HierarchyStats],
-    draws: u64,
-    swaps: u64,
-    live: Liveness,
-) {
-    if !tlc_obs::ENABLED {
-        return;
+impl<const W: usize> Family for ConventionalFamily<W> {
+    fn member_counters(&self) -> Vec<(u64, u64, u64)> {
+        self.states.iter().map(|st| (st.hits, st.misses, st.writebacks)).collect()
     }
-    let totals = HierarchyStats {
-        l2_hits: out.iter().map(|s| s.l2_hits).sum(),
-        l2_misses: out.iter().map(|s| s.l2_misses).sum(),
-        offchip_writebacks: out.iter().map(|s| s.offchip_writebacks).sum(),
-        ..HierarchyStats::default()
-    };
-    crate::filter::flush_l2_counters(stream.len(), &totals, draws, swaps, live);
+
+    fn lifetime(&self) -> (u64, u64, Liveness) {
+        let mut live = Liveness::default();
+        for st in &self.states {
+            live.merge(st.liveness());
+        }
+        (self.states.iter().map(|st| st.lfsr_draws).sum(), 0, live)
+    }
 }
 
-/// Replays `stream` once through a whole family of conventional L2s,
-/// returning one [`HierarchyStats`] per member of `l2_cfgs`, in input
-/// order — each bit-identical to
-/// [`replay_conventional`](crate::filter::replay_conventional) on the
-/// same configuration.
+impl<const W: usize> Family for ExclusiveFamily<W> {
+    fn member_counters(&self) -> Vec<(u64, u64, u64)> {
+        self.members.iter().map(|m| (m.l2.hits, m.l2.misses, m.l2.writebacks)).collect()
+    }
+
+    fn lifetime(&self) -> (u64, u64, Liveness) {
+        let mut live = Liveness::default();
+        for m in &self.members {
+            live.merge(m.l2.liveness());
+        }
+        (
+            self.members.iter().map(|m| m.l2.lfsr_draws).sum(),
+            self.members.iter().map(|m| m.l2.swaps).sum(),
+            live,
+        )
+    }
+}
+
+impl Family for DmConventionalFamily {
+    /// Prefix sums over the ascending sizes, scattered back to input
+    /// order.
+    fn member_counters(&self) -> Vec<(u64, u64, u64)> {
+        let total_hits: u64 = self.hit_hist.iter().sum();
+        let total_vics: u64 = self.vic_hist.iter().sum();
+        let mut hits = 0u64;
+        let mut vics = 0u64;
+        let mut out = vec![(0, 0, 0); self.order.len()];
+        for (k, &i) in self.order.iter().enumerate() {
+            hits += self.hit_hist[k];
+            vics += self.vic_hist[k];
+            out[i] = (hits, total_hits - hits, self.evict_wb[k] + (total_vics - vics));
+        }
+        out
+    }
+
+    fn lifetime(&self) -> (u64, u64, Liveness) {
+        // Direct-mapped members have no replacement choice: no draws.
+        (0, 0, self.liveness_total())
+    }
+}
+
+/// Validates a segment list: at least one segment, all captured through
+/// the first segment's L1 front-end.
+fn check_segments(segments: &[MissStream]) -> Result<(), FamilyError> {
+    let first = segments.first().ok_or(FamilyError::NoSegments)?;
+    let expected = (first.l1_size_bytes(), first.line_bytes());
+    for (segment, seg) in segments.iter().enumerate() {
+        let found = (seg.l1_size_bytes(), seg.line_bytes());
+        if found != expected {
+            return Err(FamilyError::SegmentGeometry { segment, expected, found });
+        }
+    }
+    Ok(())
+}
+
+/// Times one segment's replay as a phase slice when it was cut from a
+/// stitched capture (`None` otherwise, so whole-stream sweeps never
+/// record the sampled-sweep histogram).
+fn slice_timer(seg: &MissStream) -> Option<tlc_obs::HistTimer> {
+    seg.is_stitched().then(|| tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs))
+}
+
+/// The one replay loop: walks every segment through `fam` in order,
+/// resetting its counters between segments (L2 state persists), and
+/// returns `out[segment][member]`. Flushes the pass's totals to the
+/// global counters: the events were decoded once (`l2.events_replayed`
+/// counts passes × events, exposing the family's fan-in), while
+/// probes/hits/misses/writebacks/liveness sum over the members.
+fn replay_segments<F: Family>(mut fam: F, segments: &[MissStream]) -> Vec<Vec<HierarchyStats>> {
+    let mut out = Vec::with_capacity(segments.len());
+    for seg in segments {
+        fam.reset_counters();
+        {
+            let _t = slice_timer(seg);
+            walk_events(&mut fam, seg);
+        }
+        out.push(
+            fam.member_counters()
+                .into_iter()
+                .map(|(l2_hits, l2_misses, offchip_writebacks)| HierarchyStats {
+                    l2_hits,
+                    l2_misses,
+                    offchip_writebacks,
+                    ..*seg.l1_stats()
+                })
+                .collect(),
+        );
+    }
+    if tlc_obs::ENABLED {
+        flush_l2_counters(segments, &out, fam.lifetime());
+    }
+    out
+}
+
+/// Flushes one replay pass's totals to the global counters. The
+/// measured-window hits/misses/writebacks sum over every segment and
+/// member; `draws`/`swaps`/`live` are lifetime totals (warm-up included
+/// — the LFSR, the swap path, and the fill-generation tallies are never
+/// reset).
+fn flush_l2_counters(
+    segments: &[MissStream],
+    out: &[Vec<HierarchyStats>],
+    (draws, swaps, live): (u64, u64, Liveness),
+) {
+    let sum = |f: fn(&HierarchyStats) -> u64| -> u64 { out.iter().flatten().map(f).sum() };
+    let (hits, misses) = (sum(|s| s.l2_hits), sum(|s| s.l2_misses));
+    let events: u64 = segments.iter().map(MissStream::len).sum();
+    tlc_obs::obs_count!(tlc_obs::Counter::L2EventsReplayed, events);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2Hits, hits);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2Misses, misses);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2Probes, hits + misses);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2Writebacks, sum(|s| s.offchip_writebacks));
+    tlc_obs::obs_count!(tlc_obs::Counter::L2LfsrDraws, draws);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2ExclusiveSwaps, swaps);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2Fills, live.fills);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2DeadOnArrival, live.dead_on_arrival);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2LiveFills, live.live_fills);
+    tlc_obs::obs_count!(tlc_obs::Counter::L2MultiHit, live.multi_hit);
+}
+
+/// Replays a sequence of segments through one family of conventional
+/// L2s, returning per-segment, per-member statistics
+/// (`out[segment][member]`, members in `l2_cfgs` input order), each
+/// bit-identical to [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)
+/// on the original reference stream. Family state persists across
+/// segments (see the module docs); pass `std::slice::from_ref(stream)`
+/// to replay one whole stream.
 ///
 /// A family of direct-mapped members takes the threshold/histogram fast
 /// path (`DmConventionalFamily`); any other associativity takes the
-/// generic batched loop. Every [`ReplacementKind`] is supported, and
+/// generic batched loop. Every replacement policy is supported, and
 /// members may mix policies.
 ///
 /// # Errors
 ///
-/// [`FamilyError`] if any member's line size differs from the stream's
-/// or members disagree on associativity.
-pub fn try_replay_conventional_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Result<Vec<HierarchyStats>, FamilyError> {
-    if l2_cfgs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let fw = FamilyWays::try_of(l2_cfgs, stream)?;
-    if fw.ways == 1 {
-        // Sort members by capacity (stably, so duplicates keep their
-        // relative order) and scatter the ascending-order counters back.
-        let mut order: Vec<usize> = (0..l2_cfgs.len()).collect();
-        order.sort_by_key(|&i| l2_cfgs[i].size_bytes());
-        let ascending: Vec<&CacheConfig> = order.iter().map(|&i| &l2_cfgs[i]).collect();
-        let mut fam = DmConventionalFamily::new(&ascending);
-        walk_events(&mut fam, stream);
-        let counters = fam.counters();
-        let mut out = vec![HierarchyStats::default(); l2_cfgs.len()];
-        for (k, &i) in order.iter().enumerate() {
-            out[i] = assemble(stream, counters[k]);
-        }
-        // Direct-mapped members have no replacement choice: no draws.
-        flush_family(stream, &out, 0, 0, fam.liveness_total());
-        return Ok(out);
-    }
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        stream: &MissStream,
-        fw: FamilyWays,
-    ) -> Vec<HierarchyStats> {
-        let mut fam =
-            ConventionalFamily::<W> { states: l2_cfgs.iter().map(L2State::new).collect(), fw };
-        walk_events(&mut fam, stream);
-        let out: Vec<HierarchyStats> = fam
-            .states
-            .iter()
-            .map(|st| assemble(stream, (st.hits, st.misses, st.writebacks)))
-            .collect();
-        let mut live = Liveness::default();
-        for st in &fam.states {
-            live.merge(st.liveness());
-        }
-        flush_family(stream, &out, fam.states.iter().map(|st| st.lfsr_draws).sum(), 0, live);
-        out
-    }
-    // Monomorphise the common associativities so the set scans unroll.
-    Ok(match fw.ways {
-        2 => run::<2>(l2_cfgs, stream, fw),
-        4 => run::<4>(l2_cfgs, stream, fw),
-        8 => run::<8>(l2_cfgs, stream, fw),
-        _ => run::<0>(l2_cfgs, stream, fw),
-    })
-}
-
-/// Panicking wrapper around [`try_replay_conventional_family`] for
-/// callers that validate the family shape up front.
-///
-/// # Panics
-///
-/// Panics with the [`FamilyError`] message if the family is rejected.
-pub fn replay_conventional_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Vec<HierarchyStats> {
-    try_replay_conventional_family(l2_cfgs, stream).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Replays `stream` once through a whole family of exclusive
-/// (victim-swap) L2s, returning one [`HierarchyStats`] per member of
-/// `l2_cfgs`, in input order — each bit-identical to
-/// [`replay_exclusive`](crate::filter::replay_exclusive) on the same
-/// configuration. Every [`ReplacementKind`] is supported, and members
-/// may mix policies.
-///
-/// # Errors
-///
-/// As [`try_replay_conventional_family`].
-pub fn try_replay_exclusive_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Result<Vec<HierarchyStats>, FamilyError> {
-    if l2_cfgs.is_empty() {
-        return Ok(Vec::new());
-    }
-    let fw = FamilyWays::try_of(l2_cfgs, stream)?;
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        stream: &MissStream,
-        fw: FamilyWays,
-    ) -> Vec<HierarchyStats> {
-        let sets = stream.l1_sets();
-        let mut fam = ExclusiveFamily::<W> {
-            members: l2_cfgs
-                .iter()
-                .map(|cfg| ExclusiveFamilyMember {
-                    l2: L2State::new(cfg),
-                    mirror_i: vec![false; sets],
-                    mirror_d: vec![false; sets],
-                })
-                .collect(),
-            fw,
-            l1_set_mask: sets as u64 - 1,
-        };
-        walk_events(&mut fam, stream);
-        let out: Vec<HierarchyStats> = fam
-            .members
-            .iter()
-            .map(|m| assemble(stream, (m.l2.hits, m.l2.misses, m.l2.writebacks)))
-            .collect();
-        let mut live = Liveness::default();
-        for m in &fam.members {
-            live.merge(m.l2.liveness());
-        }
-        flush_family(
-            stream,
-            &out,
-            fam.members.iter().map(|m| m.l2.lfsr_draws).sum(),
-            fam.members.iter().map(|m| m.l2.swaps).sum(),
-            live,
-        );
-        out
-    }
-    // Monomorphise the common associativities so the set scans unroll.
-    Ok(match fw.ways {
-        1 => run::<1>(l2_cfgs, stream, fw),
-        2 => run::<2>(l2_cfgs, stream, fw),
-        4 => run::<4>(l2_cfgs, stream, fw),
-        8 => run::<8>(l2_cfgs, stream, fw),
-        _ => run::<0>(l2_cfgs, stream, fw),
-    })
-}
-
-/// Panicking wrapper around [`try_replay_exclusive_family`].
-///
-/// # Panics
-///
-/// Panics with the [`FamilyError`] message if the family is rejected.
-pub fn replay_exclusive_family(
-    l2_cfgs: &[CacheConfig],
-    stream: &MissStream,
-) -> Vec<HierarchyStats> {
-    try_replay_exclusive_family(l2_cfgs, stream).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The single-level "family": every member shares the L1-only statistics,
-/// so the stream is walked once and the result cloned `members` times.
-pub fn replay_single_family(stream: &MissStream, members: usize) -> Vec<HierarchyStats> {
-    vec![replay_single(stream); members]
-}
-
-/// Validates that every segment of a stitched stream shares one L1
-/// geometry — they must all have come from the same front-end.
-fn assert_segments_stitchable(segments: &[MissStream]) {
-    let first = &segments[0];
-    for seg in segments {
-        assert_eq!(seg.line_bytes(), first.line_bytes(), "segments must share a line size");
-        assert_eq!(seg.l1_size_bytes(), first.l1_size_bytes(), "segments must share an L1 size");
-    }
-}
-
-/// Flushes one segmented family pass's totals, mirroring
-/// [`flush_family`] with the event count summed over the segments (the
-/// stream was still decoded exactly once).
-fn flush_family_segments(
-    segments: &[MissStream],
-    out: &[Vec<HierarchyStats>],
-    draws: u64,
-    swaps: u64,
-    live: Liveness,
-) {
-    if !tlc_obs::ENABLED {
-        return;
-    }
-    let totals = HierarchyStats {
-        l2_hits: out.iter().flatten().map(|s| s.l2_hits).sum(),
-        l2_misses: out.iter().flatten().map(|s| s.l2_misses).sum(),
-        offchip_writebacks: out.iter().flatten().map(|s| s.offchip_writebacks).sum(),
-        ..HierarchyStats::default()
-    };
-    let events: u64 = segments.iter().map(|s| s.len()).sum();
-    crate::filter::flush_l2_counters(events, &totals, draws, swaps, live);
-}
-
-/// Replays a *stitched* sequence of segments through one family of
-/// conventional L2s, returning per-segment, per-member statistics
-/// (`out[segment][member]`, members in `l2_cfgs` input order).
-///
-/// The family state — slot arrays, replacement banks, per-member LFSRs —
-/// is built **once** and persists across segments: segment `k` starts
-/// from the (stale) contents segment `k-1` left behind, each segment's
-/// warm-up prefix then refreshes that state before the counters reset
-/// at the segment's own warm-up boundary. This is the L2 half of
-/// stitched warming for sampled sweeps; a lone segment reproduces
-/// [`replay_conventional_family`] bit-for-bit.
-///
-/// # Errors
-///
-/// As [`try_replay_conventional_family`].
-///
-/// # Panics
-///
-/// Panics if segments disagree on L1 geometry or `segments` is empty.
+/// [`FamilyError::NoSegments`] or [`FamilyError::SegmentGeometry`] for
+/// an empty or mixed-front-end segment list; [`FamilyError::LineSize`]
+/// or [`FamilyError::MixedWays`] if a member's line size differs from
+/// the segments' or members disagree on associativity.
 pub fn try_replay_conventional_family_segments(
     l2_cfgs: &[CacheConfig],
     segments: &[MissStream],
 ) -> Result<Vec<Vec<HierarchyStats>>, FamilyError> {
-    assert!(!segments.is_empty(), "need at least one segment");
-    assert_segments_stitchable(segments);
+    check_segments(segments)?;
     if l2_cfgs.is_empty() {
         return Ok(vec![Vec::new(); segments.len()]);
     }
     let fw = FamilyWays::try_of(l2_cfgs, &segments[0])?;
-    if fw.ways == 1 {
-        let mut order: Vec<usize> = (0..l2_cfgs.len()).collect();
-        order.sort_by_key(|&i| l2_cfgs[i].size_bytes());
-        let ascending: Vec<&CacheConfig> = order.iter().map(|&i| &l2_cfgs[i]).collect();
-        let mut fam = DmConventionalFamily::new(&ascending);
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            fam.reset_counters();
-            {
-                let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-                walk_events(&mut fam, seg);
-            }
-            let counters = fam.counters();
-            let mut row = vec![HierarchyStats::default(); l2_cfgs.len()];
-            for (k, &i) in order.iter().enumerate() {
-                row[i] = assemble(seg, counters[k]);
-            }
-            out.push(row);
-        }
-        flush_family_segments(segments, &out, 0, 0, fam.liveness_total());
-        return Ok(out);
-    }
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        segments: &[MissStream],
-        fw: FamilyWays,
-    ) -> Vec<Vec<HierarchyStats>> {
-        let mut fam =
-            ConventionalFamily::<W> { states: l2_cfgs.iter().map(L2State::new).collect(), fw };
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            fam.reset_counters();
-            {
-                let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-                walk_events(&mut fam, seg);
-            }
-            out.push(
-                fam.states
-                    .iter()
-                    .map(|st| assemble(seg, (st.hits, st.misses, st.writebacks)))
-                    .collect(),
-            );
-        }
-        let mut live = Liveness::default();
-        for st in &fam.states {
-            live.merge(st.liveness());
-        }
-        flush_family_segments(
-            segments,
-            &out,
-            fam.states.iter().map(|st| st.lfsr_draws).sum(),
-            0,
-            live,
-        );
-        out
-    }
+    // Monomorphise the common associativities so the set scans unroll.
     Ok(match fw.ways {
-        2 => run::<2>(l2_cfgs, segments, fw),
-        4 => run::<4>(l2_cfgs, segments, fw),
-        8 => run::<8>(l2_cfgs, segments, fw),
-        _ => run::<0>(l2_cfgs, segments, fw),
+        1 => replay_segments(DmConventionalFamily::new(l2_cfgs), segments),
+        2 => replay_segments(ConventionalFamily::<2>::new(l2_cfgs, fw), segments),
+        4 => replay_segments(ConventionalFamily::<4>::new(l2_cfgs, fw), segments),
+        8 => replay_segments(ConventionalFamily::<8>::new(l2_cfgs, fw), segments),
+        _ => replay_segments(ConventionalFamily::<0>::new(l2_cfgs, fw), segments),
     })
 }
 
-/// Panicking wrapper around [`try_replay_conventional_family_segments`].
-///
-/// # Panics
-///
-/// As [`try_replay_conventional_family_segments`], plus with the
-/// [`FamilyError`] message if the family is rejected.
-pub fn replay_conventional_family_segments(
-    l2_cfgs: &[CacheConfig],
-    segments: &[MissStream],
-) -> Vec<Vec<HierarchyStats>> {
-    try_replay_conventional_family_segments(l2_cfgs, segments).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// As [`try_replay_conventional_family_segments`] for a family of
-/// exclusive (victim-swap) L2s: persistent slot arrays, replacement
-/// banks, per-member fill-dirty mirrors, and LFSRs stitch across
-/// segments; a lone segment reproduces [`replay_exclusive_family`]
-/// bit-for-bit.
+/// exclusive (victim-swap) L2s, each member bit-identical to
+/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel): persistent slot
+/// arrays, replacement banks, per-member fill-dirty mirrors, and LFSRs
+/// stitch across segments.
 ///
 /// # Errors
-///
-/// As [`try_replay_conventional_family`].
-///
-/// # Panics
 ///
 /// As [`try_replay_conventional_family_segments`].
 pub fn try_replay_exclusive_family_segments(
     l2_cfgs: &[CacheConfig],
     segments: &[MissStream],
 ) -> Result<Vec<Vec<HierarchyStats>>, FamilyError> {
-    assert!(!segments.is_empty(), "need at least one segment");
-    assert_segments_stitchable(segments);
+    check_segments(segments)?;
     if l2_cfgs.is_empty() {
         return Ok(vec![Vec::new(); segments.len()]);
     }
     let fw = FamilyWays::try_of(l2_cfgs, &segments[0])?;
-    fn run<const W: usize>(
-        l2_cfgs: &[CacheConfig],
-        segments: &[MissStream],
-        fw: FamilyWays,
-    ) -> Vec<Vec<HierarchyStats>> {
-        let sets = segments[0].l1_sets();
-        let mut fam = ExclusiveFamily::<W> {
-            members: l2_cfgs
-                .iter()
-                .map(|cfg| ExclusiveFamilyMember {
-                    l2: L2State::new(cfg),
-                    mirror_i: vec![false; sets],
-                    mirror_d: vec![false; sets],
-                })
-                .collect(),
-            fw,
-            l1_set_mask: sets as u64 - 1,
-        };
-        let mut out = Vec::with_capacity(segments.len());
-        for seg in segments {
-            fam.reset_counters();
-            {
-                let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-                walk_events(&mut fam, seg);
-            }
-            out.push(
-                fam.members
-                    .iter()
-                    .map(|m| assemble(seg, (m.l2.hits, m.l2.misses, m.l2.writebacks)))
-                    .collect(),
-            );
-        }
-        let mut live = Liveness::default();
-        for m in &fam.members {
-            live.merge(m.l2.liveness());
-        }
-        flush_family_segments(
-            segments,
-            &out,
-            fam.members.iter().map(|m| m.l2.lfsr_draws).sum(),
-            fam.members.iter().map(|m| m.l2.swaps).sum(),
-            live,
-        );
-        out
-    }
+    let sets = segments[0].l1_sets();
+    // Monomorphise the common associativities so the set scans unroll.
     Ok(match fw.ways {
-        1 => run::<1>(l2_cfgs, segments, fw),
-        2 => run::<2>(l2_cfgs, segments, fw),
-        4 => run::<4>(l2_cfgs, segments, fw),
-        8 => run::<8>(l2_cfgs, segments, fw),
-        _ => run::<0>(l2_cfgs, segments, fw),
+        1 => replay_segments(ExclusiveFamily::<1>::new(l2_cfgs, fw, sets), segments),
+        2 => replay_segments(ExclusiveFamily::<2>::new(l2_cfgs, fw, sets), segments),
+        4 => replay_segments(ExclusiveFamily::<4>::new(l2_cfgs, fw, sets), segments),
+        8 => replay_segments(ExclusiveFamily::<8>::new(l2_cfgs, fw, sets), segments),
+        _ => replay_segments(ExclusiveFamily::<0>::new(l2_cfgs, fw, sets), segments),
     })
 }
 
-/// Panicking wrapper around [`try_replay_exclusive_family_segments`].
+/// Per-segment single-level statistics for `members` configurations:
+/// there is no L2 state to stitch, so each segment is walked once
+/// through the single-level sink and its statistics shared by every
+/// member.
 ///
-/// # Panics
+/// # Errors
 ///
-/// As [`try_replay_conventional_family_segments`], plus with the
-/// [`FamilyError`] message if the family is rejected.
-pub fn replay_exclusive_family_segments(
-    l2_cfgs: &[CacheConfig],
-    segments: &[MissStream],
-) -> Vec<Vec<HierarchyStats>> {
-    try_replay_exclusive_family_segments(l2_cfgs, segments).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Per-segment single-level statistics: there is no L2 state to stitch,
-/// so each segment replays independently.
-pub fn replay_single_family_segments(
+/// [`FamilyError::NoSegments`] or [`FamilyError::SegmentGeometry`] for
+/// an empty or mixed-front-end segment list.
+pub fn try_replay_single_family_segments(
     segments: &[MissStream],
     members: usize,
-) -> Vec<Vec<HierarchyStats>> {
-    segments
+) -> Result<Vec<Vec<HierarchyStats>>, FamilyError> {
+    check_segments(segments)?;
+    Ok(segments
         .iter()
         .map(|seg| {
-            let _t = tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs);
-            replay_single_family(seg, members)
+            let _t = slice_timer(seg);
+            vec![replay_single(seg); members]
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::Cache;
-    use crate::config::Associativity;
-    use crate::filter::{replay_conventional, replay_exclusive, L1FrontEnd};
+    use crate::config::{Associativity, ReplacementKind};
+    use crate::filter::L1FrontEnd;
     use crate::hierarchy::MemorySystem;
+    use crate::oracle::{naive_replay_conventional, naive_replay_exclusive};
     use tlc_trace::spec::SpecBenchmark;
     use tlc_trace::InstructionSource;
 
@@ -1062,63 +921,86 @@ mod tests {
         fe.finish(b.name())
     }
 
+    /// One whole stream through a conventional family.
+    fn conventional(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
+        let mut out = try_replay_conventional_family_segments(cfgs, std::slice::from_ref(stream))
+            .expect("valid family");
+        out.pop().expect("one segment")
+    }
+
+    /// One whole stream through an exclusive family.
+    fn exclusive(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
+        let mut out = try_replay_exclusive_family_segments(cfgs, std::slice::from_ref(stream))
+            .expect("valid family");
+        out.pop().expect("one segment")
+    }
+
+    fn oracle_conventional(cfg: &CacheConfig, stream: &MissStream) -> HierarchyStats {
+        naive_replay_conventional(cfg.size_bytes(), cfg.ways(), cfg.replacement(), stream)
+    }
+
+    fn oracle_exclusive(cfg: &CacheConfig, stream: &MissStream) -> HierarchyStats {
+        naive_replay_exclusive(cfg.size_bytes(), cfg.ways(), cfg.replacement(), stream)
+    }
+
     #[test]
-    fn conventional_family_matches_scalar_backend() {
+    fn conventional_family_matches_oracle() {
         for ways in [1u32, 4] {
             let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
             let cfgs: Vec<CacheConfig> =
                 [2048u64, 4096, 8192, 32768].map(|b| l2_cfg(b, ways)).to_vec();
-            let batched = replay_conventional_family(&cfgs, &stream);
+            let batched = conventional(&cfgs, &stream);
             for (cfg, got) in cfgs.iter().zip(&batched) {
-                assert_eq!(*got, replay_conventional(*cfg, &stream), "ways={ways} {cfg}");
+                assert_eq!(*got, oracle_conventional(cfg, &stream), "ways={ways} {cfg}");
             }
         }
     }
 
     #[test]
-    fn exclusive_family_matches_scalar_backend() {
+    fn exclusive_family_matches_oracle() {
         for ways in [1u32, 4] {
             let stream = capture(SpecBenchmark::Li, 1024, 2_000, 8_000);
             let cfgs: Vec<CacheConfig> =
                 [2048u64, 4096, 8192, 32768].map(|b| l2_cfg(b, ways)).to_vec();
-            let batched = replay_exclusive_family(&cfgs, &stream);
+            let batched = exclusive(&cfgs, &stream);
             for (cfg, got) in cfgs.iter().zip(&batched) {
-                assert_eq!(*got, replay_exclusive(*cfg, &stream), "ways={ways} {cfg}");
+                assert_eq!(*got, oracle_exclusive(cfg, &stream), "ways={ways} {cfg}");
             }
         }
     }
 
     #[test]
-    fn family_matches_scalar_for_every_policy() {
+    fn family_matches_oracle_for_every_policy() {
         let conv_stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         let excl_stream = capture(SpecBenchmark::Li, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
             for ways in [2u32, 4] {
                 let cfgs: Vec<CacheConfig> =
                     [2048u64, 8192, 32768].map(|b| l2_policy_cfg(b, ways, repl)).to_vec();
-                let conv = replay_conventional_family(&cfgs, &conv_stream);
-                let excl = replay_exclusive_family(&cfgs, &excl_stream);
+                let conv = conventional(&cfgs, &conv_stream);
+                let excl = exclusive(&cfgs, &excl_stream);
                 for (cfg, (c, e)) in cfgs.iter().zip(conv.iter().zip(&excl)) {
-                    assert_eq!(*c, replay_conventional(*cfg, &conv_stream), "{repl} {cfg}");
-                    assert_eq!(*e, replay_exclusive(*cfg, &excl_stream), "{repl} {cfg}");
+                    assert_eq!(*c, oracle_conventional(cfg, &conv_stream), "{repl} {cfg}");
+                    assert_eq!(*e, oracle_exclusive(cfg, &excl_stream), "{repl} {cfg}");
                 }
             }
         }
     }
 
     #[test]
-    fn mixed_policy_family_matches_scalar() {
+    fn mixed_policy_family_matches_families_of_one() {
         // Members carry their own replacement banks, so one family can
-        // mix policies freely.
+        // mix policies freely: batching must not change any member.
         let stream = capture(SpecBenchmark::Espresso, 1024, 1_000, 6_000);
         let cfgs: Vec<CacheConfig> = ReplacementKind::ALL
             .iter()
             .enumerate()
             .map(|(i, &r)| l2_policy_cfg(2048 << i, 4, r))
             .collect();
-        let batched = replay_conventional_family(&cfgs, &stream);
+        let batched = conventional(&cfgs, &stream);
         for (cfg, got) in cfgs.iter().zip(&batched) {
-            assert_eq!(*got, replay_conventional(*cfg, &stream), "{cfg}");
+            assert_eq!(*got, conventional(std::slice::from_ref(cfg), &stream)[0], "{cfg}");
+            assert_eq!(*got, oracle_conventional(cfg, &stream), "{cfg}");
         }
     }
 
@@ -1126,9 +1008,9 @@ mod tests {
     fn dm_fast_path_handles_unsorted_and_duplicate_sizes() {
         let stream = capture(SpecBenchmark::Espresso, 1024, 1_000, 6_000);
         let cfgs: Vec<CacheConfig> = [8192u64, 2048, 8192, 4096].map(|b| l2_cfg(b, 1)).to_vec();
-        let batched = replay_conventional_family(&cfgs, &stream);
+        let batched = conventional(&cfgs, &stream);
         for (cfg, got) in cfgs.iter().zip(&batched) {
-            assert_eq!(*got, replay_conventional(*cfg, &stream), "{cfg}");
+            assert_eq!(*got, oracle_conventional(cfg, &stream), "{cfg}");
         }
         assert_eq!(batched[0], batched[2], "duplicate sizes share statistics");
     }
@@ -1138,7 +1020,7 @@ mod tests {
         let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
         let cfgs: Vec<CacheConfig> =
             [2048u64, 4096, 8192, 16384, 32768].map(|b| l2_cfg(b, 1)).to_vec();
-        let stats = replay_conventional_family(&cfgs, &stream);
+        let stats = conventional(&cfgs, &stream);
         for pair in stats.windows(2) {
             assert!(
                 pair[1].l2_misses <= pair[0].l2_misses,
@@ -1151,11 +1033,11 @@ mod tests {
     fn warmup_boundary_resets_family_counters() {
         let stream = capture(SpecBenchmark::Fpppp, 1024, 3_000, 3_000);
         for cfgs in [[l2_cfg(4096, 4), l2_cfg(16384, 4)], [l2_cfg(4096, 1), l2_cfg(16384, 1)]] {
-            let conv = replay_conventional_family(&cfgs, &stream);
-            let excl = replay_exclusive_family(&cfgs, &stream);
+            let conv = conventional(&cfgs, &stream);
+            let excl = exclusive(&cfgs, &stream);
             for (cfg, (c, e)) in cfgs.iter().zip(conv.iter().zip(&excl)) {
-                assert_eq!(*c, replay_conventional(*cfg, &stream));
-                assert_eq!(*e, replay_exclusive(*cfg, &stream));
+                assert_eq!(*c, oracle_conventional(cfg, &stream));
+                assert_eq!(*e, oracle_exclusive(cfg, &stream));
                 assert_eq!(c.instructions, 3_000);
             }
         }
@@ -1164,39 +1046,75 @@ mod tests {
     #[test]
     fn empty_family_and_empty_window() {
         let stream = capture(SpecBenchmark::Li, 1024, 500, 0);
-        assert!(replay_conventional_family(&[], &stream).is_empty());
-        assert!(replay_exclusive_family(&[], &stream).is_empty());
+        let one = std::slice::from_ref(&stream);
+        assert_eq!(try_replay_conventional_family_segments(&[], one), Ok(vec![Vec::new()]));
+        assert_eq!(try_replay_exclusive_family_segments(&[], one), Ok(vec![Vec::new()]));
         let cfgs = [l2_cfg(4096, 4)];
-        assert_eq!(replay_conventional_family(&cfgs, &stream)[0], HierarchyStats::default());
-        assert_eq!(replay_exclusive_family(&cfgs, &stream)[0], HierarchyStats::default());
-        assert_eq!(replay_single_family(&stream, 3), vec![HierarchyStats::default(); 3]);
+        assert_eq!(conventional(&cfgs, &stream)[0], HierarchyStats::default());
+        assert_eq!(exclusive(&cfgs, &stream)[0], HierarchyStats::default());
+        assert_eq!(
+            try_replay_single_family_segments(one, 3),
+            Ok(vec![vec![HierarchyStats::default(); 3]])
+        );
     }
 
     #[test]
-    #[should_panic(expected = "associativity")]
     fn rejects_mixed_associativity() {
         let stream = capture(SpecBenchmark::Li, 1024, 500, 500);
-        let _ = replay_conventional_family(&[l2_cfg(4096, 4), l2_cfg(8192, 2)], &stream);
+        let err = try_replay_conventional_family_segments(
+            &[l2_cfg(4096, 4), l2_cfg(8192, 2)],
+            std::slice::from_ref(&stream),
+        )
+        .expect_err("mixed ways are rejected");
+        assert!(err.to_string().contains("associativity"), "got: {err}");
     }
 
     #[test]
     fn try_variants_return_typed_errors_instead_of_panicking() {
         let stream = capture(SpecBenchmark::Li, 1024, 500, 500);
+        let one = std::slice::from_ref(&stream);
         let mixed = [l2_cfg(4096, 4), l2_cfg(8192, 2)];
         assert_eq!(
-            try_replay_conventional_family(&mixed, &stream),
+            try_replay_conventional_family_segments(&mixed, one),
             Err(FamilyError::MixedWays { first: 4, other: 2 })
         );
         assert_eq!(
-            try_replay_exclusive_family(&mixed, &stream),
+            try_replay_exclusive_family_segments(&mixed, one),
             Err(FamilyError::MixedWays { first: 4, other: 2 })
         );
         let wide_line =
             CacheConfig::new(4096, 32, Associativity::SetAssoc(4), ReplacementKind::Lru).unwrap();
         assert_eq!(
-            try_replay_conventional_family(&[wide_line], &stream),
+            try_replay_conventional_family_segments(&[wide_line], one),
             Err(FamilyError::LineSize { member: 32, stream: 16 })
         );
+    }
+
+    #[test]
+    fn no_segments_is_a_typed_error() {
+        let cfgs = [l2_cfg(4096, 4)];
+        assert_eq!(
+            try_replay_conventional_family_segments(&cfgs, &[]),
+            Err(FamilyError::NoSegments)
+        );
+        assert_eq!(try_replay_exclusive_family_segments(&cfgs, &[]), Err(FamilyError::NoSegments));
+        assert_eq!(try_replay_single_family_segments(&[], 2), Err(FamilyError::NoSegments));
+        assert!(FamilyError::NoSegments.to_string().contains("at least one segment"));
+    }
+
+    #[test]
+    fn segments_from_different_front_ends_are_a_typed_error() {
+        let segments = [
+            capture(SpecBenchmark::Li, 1024, 500, 500),
+            capture(SpecBenchmark::Li, 2048, 500, 500),
+        ];
+        let want =
+            FamilyError::SegmentGeometry { segment: 1, expected: (1024, 16), found: (2048, 16) };
+        let cfgs = [l2_cfg(8192, 4)];
+        assert_eq!(try_replay_conventional_family_segments(&cfgs, &segments), Err(want));
+        assert_eq!(try_replay_exclusive_family_segments(&cfgs, &segments), Err(want));
+        assert_eq!(try_replay_single_family_segments(&segments, 1), Err(want));
+        assert!(want.to_string().contains("one L1 front-end"), "got: {want}");
     }
 
     /// Drives a plain [`Cache`] with the conventional back-end's exact
@@ -1229,8 +1147,7 @@ mod tests {
         for repl in ReplacementKind::ALL {
             let cfgs = [l2_policy_cfg(4096, 4, repl), l2_policy_cfg(16384, 4, repl)];
             let fw = FamilyWays::try_of(&cfgs, &stream).unwrap();
-            let mut fam =
-                ConventionalFamily::<4> { states: cfgs.iter().map(L2State::new).collect(), fw };
+            let mut fam = ConventionalFamily::<4>::new(&cfgs, fw);
             walk_events(&mut fam, &stream);
             for (cfg, st) in cfgs.iter().zip(&fam.states) {
                 let mut scalar = ScalarConvSink { l2: Cache::new(*cfg) };
@@ -1250,8 +1167,7 @@ mod tests {
         }
         let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
         let cfgs = [l2_cfg(2048, 1), l2_cfg(8192, 1)];
-        let ascending: Vec<&CacheConfig> = cfgs.iter().collect();
-        let mut fam = DmConventionalFamily::new(&ascending);
+        let mut fam = DmConventionalFamily::new(&cfgs);
         walk_events(&mut fam, &stream);
         let mut expected = Liveness::default();
         for cfg in &cfgs {

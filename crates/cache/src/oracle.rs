@@ -21,9 +21,9 @@
 //!   bit-identical to every engine's.
 //! * [`naive_replay_single`] / [`naive_replay_conventional`] /
 //!   [`naive_replay_exclusive`] — event-level oracles for the
-//!   miss-stream back-ends in [`filter`](crate::filter) and
-//!   [`filter_family`](crate::filter_family), built on the same naive
-//!   cache.
+//!   miss-stream back-end in [`filter_family`](crate::filter_family)
+//!   (and the single-level sink in [`filter`](crate::filter)), built on
+//!   the same naive cache.
 //! * [`lru_misses`] — a linear-scan fully-associative LRU simulation,
 //!   the ground truth for the Mattson stack-distance profiler
 //!   ([`StackDistanceProfiler`](crate::StackDistanceProfiler)).
@@ -396,7 +396,8 @@ impl MemorySystem for NaiveSystem {
 
 /// Event-level single-level oracle: every L1 miss goes off-chip; every
 /// written victim is an off-chip writeback. Must match
-/// [`replay_single`](crate::filter::replay_single) bit-for-bit.
+/// [`try_replay_single_family_segments`](crate::filter_family::try_replay_single_family_segments)
+/// bit-for-bit.
 pub fn naive_replay_single(stream: &MissStream) -> HierarchyStats {
     #[derive(Default)]
     struct Sink {
@@ -428,9 +429,9 @@ pub fn naive_replay_single(stream: &MissStream) -> HierarchyStats {
 }
 
 /// Event-level conventional-L2 oracle on the naive cache. Must match
-/// [`replay_conventional`](crate::filter::replay_conventional) (and
-/// every family engine member, including the direct-mapped threshold
-/// fast path) bit-for-bit.
+/// every member of
+/// [`try_replay_conventional_family_segments`](crate::filter_family::try_replay_conventional_family_segments)
+/// (including the direct-mapped threshold fast path) bit-for-bit.
 pub fn naive_replay_conventional(
     l2_size_bytes: u64,
     l2_ways: u32,
@@ -484,8 +485,9 @@ pub fn naive_replay_conventional(
 
 /// Event-level exclusive-L2 oracle on the naive cache, carrying the
 /// per-L1-set fill-dirty mirror the event stream cannot encode. Must
-/// match [`replay_exclusive`](crate::filter::replay_exclusive) and the
-/// exclusive family engine bit-for-bit.
+/// match every member of
+/// [`try_replay_exclusive_family_segments`](crate::filter_family::try_replay_exclusive_family_segments)
+/// bit-for-bit.
 pub fn naive_replay_exclusive(
     l2_size_bytes: u64,
     l2_ways: u32,
@@ -674,8 +676,12 @@ mod tests {
     }
 
     #[test]
-    fn naive_event_oracles_match_scalar_backends() {
-        use crate::filter::{replay_conventional, replay_exclusive, replay_single, L1FrontEnd};
+    fn naive_event_oracles_match_the_family_back_end() {
+        use crate::filter::L1FrontEnd;
+        use crate::filter_family::{
+            try_replay_conventional_family_segments, try_replay_exclusive_family_segments,
+            try_replay_single_family_segments,
+        };
         let mut fe = L1FrontEnd::new(dm(1024));
         let refs = stream(40_000, 64 * 1024);
         for r in &refs[..10_000] {
@@ -686,17 +692,22 @@ mod tests {
             fe.access(*r);
         }
         let s = fe.finish("oracle-test");
-        assert_eq!(naive_replay_single(&s), replay_single(&s));
+        let one = std::slice::from_ref(&s);
+        assert_eq!(
+            try_replay_single_family_segments(one, 1).unwrap()[0][0],
+            naive_replay_single(&s)
+        );
         for repl in ReplacementKind::ALL {
             for ways in [1u32, 2, 8] {
+                let l2 = [cfg(4096, ways, repl)];
                 assert_eq!(
                     naive_replay_conventional(4096, ways, repl, &s),
-                    replay_conventional(cfg(4096, ways, repl), &s),
+                    try_replay_conventional_family_segments(&l2, one).unwrap()[0][0],
                     "conventional {repl} {ways}-way"
                 );
                 assert_eq!(
                     naive_replay_exclusive(4096, ways, repl, &s),
-                    replay_exclusive(cfg(4096, ways, repl), &s),
+                    try_replay_exclusive_family_segments(&l2, one).unwrap()[0][0],
                     "exclusive {repl} {ways}-way"
                 );
             }

@@ -403,8 +403,9 @@ pub fn miss_ratio_error(a: &HierarchyStats, b: &HierarchyStats) -> f64 {
 mod tests {
     use super::*;
     use crate::config::{Associativity, ReplacementKind};
-    use crate::filter::{replay_conventional, replay_single, L1FrontEnd};
+    use crate::filter::L1FrontEnd;
     use crate::hierarchy::MemorySystem;
+    use crate::oracle::{naive_replay_conventional, naive_replay_single};
     use tlc_trace::spec::SpecBenchmark;
     use tlc_trace::InstructionSource;
 
@@ -415,6 +416,11 @@ mod tests {
     fn l2_cfg(bytes: u64, ways: u32, repl: ReplacementKind) -> CacheConfig {
         let assoc = if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
         CacheConfig::new(bytes, 16, assoc, repl).unwrap()
+    }
+
+    /// Replayed ground truth: the naive event-level oracle.
+    fn oracle_conventional(cfg: CacheConfig, stream: &MissStream) -> HierarchyStats {
+        naive_replay_conventional(cfg.size_bytes(), cfg.ways(), cfg.replacement(), stream)
     }
 
     fn capture_spec(b: SpecBenchmark, l1_bytes: u64, warm: u64, n: u64) -> MissStream {
@@ -437,7 +443,7 @@ mod tests {
         for sets in [128u64, 256, 512] {
             let cfg = l2_cfg(sets * 16, 1, ReplacementKind::PseudoRandom);
             let got = profile.predict_conventional(&stream, &cfg);
-            let want = replay_conventional(cfg, &stream);
+            let want = oracle_conventional(cfg, &stream);
             assert_eq!(
                 (got.l2_hits, got.l2_misses),
                 (want.l2_hits, want.l2_misses),
@@ -451,7 +457,11 @@ mod tests {
         for warm in [0u64, 1_500] {
             let stream = capture_spec(SpecBenchmark::Tomcatv, 2048, warm, 6_000);
             let profile = ReuseProfile::capture(&stream, &[]);
-            assert_eq!(profile.predict_single(&stream), replay_single(&stream), "warm={warm}");
+            assert_eq!(
+                profile.predict_single(&stream),
+                naive_replay_single(&stream),
+                "warm={warm}"
+            );
         }
     }
 
@@ -478,7 +488,7 @@ mod tests {
             let cfg = CacheConfig::new(lines * 16, 16, Associativity::Full, ReplacementKind::Lru)
                 .unwrap();
             let got = profile.predict_conventional(&stream, &cfg);
-            let want = replay_conventional(cfg, &stream);
+            let want = oracle_conventional(cfg, &stream);
             assert_eq!(got, want, "FA-LRU must be exact at {lines} lines with no victims");
         }
     }
@@ -491,7 +501,7 @@ mod tests {
             for (bytes, ways) in [(4096u64, 2u32), (8192, 4), (32768, 8)] {
                 let cfg = l2_cfg(bytes, ways, ReplacementKind::Lru);
                 let got = profile.predict_conventional(&stream, &cfg);
-                let want = replay_conventional(cfg, &stream);
+                let want = oracle_conventional(cfg, &stream);
                 let err = miss_ratio_error(&got, &want);
                 assert!(
                     err <= MISS_RATIO_EPSILON,
@@ -595,7 +605,7 @@ mod tests {
                         ReplacementKind::PseudoRandom,
                     ).unwrap();
                     let got = profile.predict_conventional(&stream, &cfg);
-                    let want = replay_conventional(cfg, &stream);
+                    let want = oracle_conventional(cfg, &stream);
                     prop_assert_eq!(
                         (got.l2_hits, got.l2_misses),
                         (want.l2_hits, want.l2_misses),

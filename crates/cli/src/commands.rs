@@ -12,8 +12,8 @@ use tlc_core::experiment::{simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
     default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
-    try_sweep_filtered_arena_threads, try_sweep_predict_arena_threads, try_sweep_sampled_threads,
-    try_sweep_streaming_threads, try_sweep_threads, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
+    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_streaming_threads,
+    try_sweep_threads, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
 };
 use tlc_core::sampling::{capture_phase_slices, sample_source, PhaseSample, SampleOptions};
 use tlc_core::tpi::tpi_ns;
@@ -40,7 +40,8 @@ pub fn usage() -> String {
      \u{20} sweep      sweep the paper's configuration space on one workload\n\
      \u{20}            --workload gcc1 [--offchip 50] [--ways 4] [--policy ...] [--csv] [--instr N]\n\
      \u{20}            [--l2-repl lru|fifo|pseudo-random|tree-plru|srrip]  L2 replacement policy\n\
-     \u{20}            [--engine auto|streaming|arena|filtered|family|predict] [--threads N]\n\
+     \u{20}            [--engine auto|streaming|arena|family|predict] [--threads N]\n\
+     \u{20}                                  (filtered is an alias of family)\n\
      \u{20}            [--metrics out.json]  write a tlc-run-manifest/2 document\n\
      \u{20}            [--trace-out t.json]  Chrome trace-event timeline (open in ui.perfetto.dev)\n\
      \u{20}            [--progress]          live configs-done/ETA/events-per-second ticker on stderr\n\
@@ -239,26 +240,21 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     if threads == 0 {
         return Err(ArgError("--threads must be at least 1".into()));
     }
-    let engine = args.get("engine").unwrap_or("auto").to_string();
-    if !["auto", "streaming", "arena", "filtered", "family", "predict"].contains(&engine.as_str()) {
-        return Err(ArgError(format!(
-            "unknown engine {engine:?}; choose auto, streaming, arena, filtered, family or \
-             predict"
-        )));
-    }
+    let requested = args.get("engine").unwrap_or("auto");
+    let engine = Engine::parse(requested)?;
     match &input {
         SweepInput::Trace { sample: Some(_), .. }
-            if !["auto", "family"].contains(&engine.as_str()) =>
+            if !matches!(engine, Engine::Auto | Engine::Family) =>
         {
             return Err(ArgError(format!(
-                "--sample replays phases through the family engine; --engine {engine} does not \
-                 apply"
+                "--sample replays phases through the family engine; --engine {requested} does \
+                 not apply"
             )));
         }
-        SweepInput::Trace { .. } if engine == "streaming" => {
+        SweepInput::Trace { .. } if engine == Engine::Streaming => {
             return Err(ArgError(
                 "--engine streaming regenerates a synthetic workload; a --trace sweep always \
-                 replays the captured stream (use auto, arena, filtered, family or predict)"
+                 replays the captured stream (use auto, arena, family or predict)"
                     .into(),
             ));
         }
@@ -271,6 +267,12 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     // One observability epoch per sweep: counters and spans drained by
     // this run's manifest must not include a previous run's.
     tlc_obs::reset();
+    if requested == "filtered" {
+        tlc_obs::record_event(
+            "engine.alias",
+            "--engine filtered is an alias of family; sweeping with the family engine".into(),
+        );
+    }
     let ticker = args.flag("progress").then(|| ProgressTicker::start(configs.len()));
     let start = std::time::Instant::now();
     // Trace decode problems surface *during* capture (the reader parks
@@ -284,27 +286,21 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                     let _span = tlc_obs::PhaseSpan::enter(name);
                     capture_benchmark(benchmark, budget)
                 };
-                match engine.as_str() {
+                match engine {
                     // The default heuristic: family-batched miss-stream
                     // filtering over a captured arena, streaming when the
                     // capture would be enormous.
-                    "auto" => {
+                    Engine::Auto => {
                         try_sweep_threads(&configs, benchmark, budget, &timing, &area, threads)
                     }
-                    "streaming" => try_sweep_streaming_threads(
+                    Engine::Streaming => try_sweep_streaming_threads(
                         &configs, benchmark, budget, &timing, &area, threads,
                     ),
-                    "arena" => {
+                    Engine::Arena => {
                         let arena = capture("arena_capture");
                         try_sweep_arena_threads(&configs, &arena, budget, &timing, &area, threads)
                     }
-                    "filtered" => {
-                        let arena = capture("arena_capture");
-                        try_sweep_filtered_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        )
-                    }
-                    "family" => {
+                    Engine::Family => {
                         let arena = capture("arena_capture");
                         try_sweep_family_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
@@ -314,13 +310,12 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                     // group answers every conventional point; exclusive
                     // members stay on replay. ε-accurate, not bit-identical
                     // (see docs/models.md).
-                    "predict" => {
+                    Engine::Predict => {
                         let arena = capture("arena_capture");
                         try_sweep_predict_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
                         )
                     }
-                    _ => unreachable!("engine validated above"),
                 }
             }
             SweepInput::Trace { mut reader, sample: Some(sample) } => {
@@ -371,20 +366,20 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                         instructions: arena.len().saturating_sub(budget.warmup_instructions),
                         warmup_instructions: budget.warmup_instructions,
                     };
-                    match engine.as_str() {
-                        "arena" => try_sweep_arena_threads(
+                    match engine {
+                        Engine::Arena => try_sweep_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
                         ),
-                        "filtered" => try_sweep_filtered_arena_threads(
+                        Engine::Predict => try_sweep_predict_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
                         ),
-                        "predict" => try_sweep_predict_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        ),
-                        // auto == family for a captured trace.
-                        _ => try_sweep_family_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        ),
+                        // auto == family for a captured trace (streaming
+                        // was rejected above).
+                        Engine::Auto | Engine::Family | Engine::Streaming => {
+                            try_sweep_family_arena_threads(
+                                &configs, &arena, budget, &timing, &area, threads,
+                            )
+                        }
                     }
                 }
             }
@@ -406,7 +401,7 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         RunMeta {
             command: "sweep".to_string(),
             benchmark: bench_name.clone(),
-            engine,
+            engine: engine.name().to_string(),
             threads: threads as u64,
             configs: configs.len() as u64,
             config_space_hash: config_space_hash(&configs),
@@ -442,6 +437,52 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     out.push('\n');
     out.push_str(&envelope_table("best performance envelope:", &points));
     Ok(out)
+}
+
+/// A `tlc sweep --engine` choice, parsed once up front.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Engine {
+    /// Family replay over a captured arena, streaming when the capture
+    /// would be enormous.
+    Auto,
+    /// Regenerate the workload per configuration.
+    Streaming,
+    /// Replay a captured arena per configuration.
+    Arena,
+    /// Miss-stream filtering with family-batched L2 replay.
+    Family,
+    /// Analytical reuse-distance prediction (ε-accurate).
+    Predict,
+}
+
+impl Engine {
+    /// Parses an `--engine` value; `filtered` is an alias of `family`.
+    fn parse(name: &str) -> Result<Engine, ArgError> {
+        Ok(match name {
+            "auto" => Engine::Auto,
+            "streaming" => Engine::Streaming,
+            "arena" => Engine::Arena,
+            "family" | "filtered" => Engine::Family,
+            "predict" => Engine::Predict,
+            other => {
+                return Err(ArgError(format!(
+                    "unknown engine {other:?}; choose auto, streaming, arena, family or predict \
+                     (filtered is an alias of family)"
+                )))
+            }
+        })
+    }
+
+    /// The canonical name recorded in run manifests.
+    fn name(self) -> &'static str {
+        match self {
+            Engine::Auto => "auto",
+            Engine::Streaming => "streaming",
+            Engine::Arena => "arena",
+            Engine::Family => "family",
+            Engine::Predict => "predict",
+        }
+    }
 }
 
 /// Deterministic identity of a swept configuration space: FNV-1a 64
@@ -1185,7 +1226,7 @@ mod tests {
         ])
         .expect("audit");
         assert!(out.contains("clean"));
-        assert!(out.contains("streaming/dyn/arena/filtered/family/predict"));
+        assert!(out.contains("streaming/dyn/arena/family/predict"));
         let doc: tlc_core::audit::AuditReport =
             serde_json::from_str(&std::fs::read_to_string(&json).expect("json written"))
                 .expect("valid report json");
@@ -1360,7 +1401,7 @@ mod tests {
             "--engine",
         ];
         let mut outputs = Vec::new();
-        for engine in ["auto", "streaming", "arena", "filtered", "family"] {
+        for engine in ["auto", "streaming", "arena", "family"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(engine);
             outputs.push(run(&argv).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
@@ -1368,6 +1409,25 @@ mod tests {
         for o in &outputs[1..] {
             assert_eq!(&outputs[0], o, "engines must produce identical sweeps");
         }
+        // `filtered` is an alias of `family`: identical output, a
+        // manifest that names the family engine, and an alias event.
+        let path = std::env::temp_dir().join("tlc_cli_test_alias_manifest.json");
+        let _ = std::fs::remove_file(&path);
+        let mut argv: Vec<&str> = base.to_vec();
+        argv.extend(["filtered", "--metrics", path.to_str().expect("utf8 path")]);
+        let alias = run(&argv).expect("filtered alias sweep");
+        assert_eq!(alias, outputs[3], "the filtered alias must print the family sweep");
+        let json = std::fs::read_to_string(&path).expect("manifest written");
+        let manifest = RunManifest::from_json(&json).expect("manifest parses");
+        assert_eq!(manifest.engine, "family");
+        if tlc_obs::ENABLED {
+            assert!(
+                manifest.events.iter().any(|e| e.kind == "engine.alias"),
+                "the alias must be announced: {:?}",
+                manifest.events
+            );
+        }
+        let _ = std::fs::remove_file(&path);
         let mut argv: Vec<&str> = base.to_vec();
         argv.push("warp");
         let err = run(&argv).expect_err("unknown engine must be rejected");

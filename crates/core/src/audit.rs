@@ -1,21 +1,21 @@
 //! `tlc audit` — randomized differential fuzzing of the sweep engines.
 //!
-//! The repository's soundness argument is that five engines — streaming
+//! The repository's soundness argument is that four engines — streaming
 //! ([`simulate_source`](crate::experiment::simulate_source)), the legacy
 //! trait-object path
 //! ([`simulate_source_dyn`](crate::experiment::simulate_source_dyn)), the
 //! devirtualized arena replay
-//! ([`simulate_arena`](crate::experiment::simulate_arena)), miss-stream
-//! filtering ([`simulate_filtered`](crate::experiment::simulate_filtered))
-//! and the family-batched back-ends
-//! ([`simulate_family`](crate::experiment::simulate_family), including the
+//! ([`simulate_arena`](crate::experiment::simulate_arena)), and the
+//! miss-stream L2 back-end
+//! ([`simulate_family`](crate::experiment::simulate_family): a family of
+//! one per sampled configuration, batched sibling families, and the
 //! direct-mapped threshold fast path) — are *bit-identical*. This module
 //! stops that from being "engines agreeing with themselves": every sampled
 //! case is also run through the deliberately-naive reference oracle
 //! ([`tlc_cache::NaiveSystem`], [`tlc_cache::oracle`]) and the Mattson
 //! stack-distance oracles ([`tlc_cache::StackDistanceProfiler`],
 //! [`tlc_cache::NestedDmProfiler`]), which predict the same counters from
-//! first principles. The sixth engine — the analytical predictor
+//! first principles. The fifth engine — the analytical predictor
 //! ([`simulate_predicted`](crate::experiment::simulate_predicted)) — is
 //! deliberately *not* bit-identical; it is audited against its own
 //! tolerance contract instead (`predict-vs-family`,
@@ -31,8 +31,8 @@
 //! for `tests/corpus_replay.rs` to replay forever after.
 
 use crate::experiment::{
-    simulate_arena, simulate_source_dyn, simulate_source_on, try_build_system_kind,
-    try_capture_miss_stream, try_simulate_filtered, SimBudget,
+    l2_config, simulate_arena, simulate_family, simulate_source_dyn, simulate_source_on,
+    try_build_system_kind, try_capture_miss_stream, SimBudget,
 };
 use crate::machine::{L2Policy, L2Spec, MachineConfig};
 use crate::runner::try_sweep_arena_threads;
@@ -327,11 +327,9 @@ fn event_paths_diverge(events: &[MissEvent], case: &SampledCase) -> bool {
     engine_vs_naive_on_stream(&case.cfg, &stream).is_some()
 }
 
-/// Runs the scalar engine back-end and the naive event oracle on one
-/// stream; `Some(detail)` on disagreement.
-/// Replays one corpus entry's event trace through the scalar filtered
-/// engine and the naive event-level oracle, returning the divergence
-/// detail if they disagree (`None` = the engines agree).
+/// Replays one corpus entry's event trace through the L2 back-end (a
+/// family of one) and the naive event-level oracle, returning the
+/// divergence detail if they disagree (`None` = the engines agree).
 ///
 /// `tests/corpus_replay.rs` drives this over every `.evt`/`.json` pair
 /// in `tests/corpus/`: entries with `expect_divergence: false` pin a
@@ -356,8 +354,12 @@ pub fn replay_corpus_entry(meta: &CorpusEntryMeta, events: EventArena) -> Option
     engine_vs_naive_on_stream(&cfg, &stream)
 }
 
+/// Runs the L2 back-end (a family of one) and the naive event oracle on
+/// one stream; `Some(detail)` on disagreement, `None` when they agree or
+/// the L2 geometry is invalid (nothing to compare).
 fn engine_vs_naive_on_stream(cfg: &MachineConfig, stream: &MissStream) -> Option<String> {
-    let engine = try_simulate_filtered(cfg, stream).ok()?;
+    l2_config(cfg).ok()?;
+    let engine = simulate_family(std::slice::from_ref(cfg), stream)[0];
     let naive = match cfg.l2 {
         None => naive_replay_single(stream),
         Some(spec) => match spec.policy {
@@ -529,41 +531,42 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
         try_capture_miss_stream(cfg.l1_size_bytes, cfg.line_bytes, &arena, budget, usize::MAX)
             .expect("sampled L1 geometries are valid")
             .expect("unbounded capture succeeds");
-    let filtered = try_simulate_filtered(cfg, &stream).expect("sampled L2 geometries are valid");
-    let diverged = filtered != oracle;
-    ledger.tally("filtered-vs-oracle", diverged);
+    let one = simulate_family(std::slice::from_ref(cfg), &stream)[0];
+    let diverged = one != oracle;
+    ledger.tally("family-vs-oracle", diverged);
     if diverged {
-        let corpus = shrink_and_archive(case, case_index, "filtered-vs-oracle", &stream, opts);
+        let corpus = shrink_and_archive(case, case_index, "family-vs-oracle", &stream, opts);
         ledger.record(
             case_index,
-            "filtered-vs-oracle",
+            "family-vs-oracle",
             case,
-            format!("engine {filtered:?} != oracle {oracle:?}"),
+            format!("engine {one:?} != oracle {oracle:?}"),
             corpus,
         );
     }
 
-    // The family engine must reproduce the scalar back-end for every
-    // sibling, through the deduplicated fan-out.
+    // Batching invariance: every sibling of a batched family (through
+    // the deduplicated fan-out) must equal its own family of one.
     let siblings = family_siblings(cfg);
-    let family = crate::experiment::simulate_family(&siblings, &stream);
+    let family = simulate_family(&siblings, &stream);
     let mut family_diverged = false;
     for (member, got) in siblings.iter().zip(&family) {
-        let want = try_simulate_filtered(member, &stream).expect("sibling geometry is valid");
+        let want = simulate_family(std::slice::from_ref(member), &stream)[0];
         if *got != want {
             family_diverged = true;
-            let corpus = shrink_and_archive(case, case_index, "family-vs-filtered", &stream, opts);
+            let corpus =
+                shrink_and_archive(case, case_index, "family-batching-invariance", &stream, opts);
             ledger.record(
                 case_index,
-                "family-vs-filtered",
+                "family-batching-invariance",
                 case,
-                format!("family member {} got {got:?}, scalar back-end {want:?}", member.label()),
+                format!("family member {} got {got:?}, family of one {want:?}", member.label()),
                 corpus,
             );
             break;
         }
     }
-    ledger.tally("family-vs-filtered", family_diverged);
+    ledger.tally("family-batching-invariance", family_diverged);
 
     // The analytical predictor against the family-replayed ground truth
     // it advertises a tolerance contract for. Exclusive samples and
@@ -642,7 +645,7 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
                 .iter()
                 .map(|&s| MachineConfig { l2: Some(L2Spec { size_bytes: s, ..spec }), ..*cfg })
                 .collect();
-            let measured = crate::experiment::simulate_family(&dm_cfgs, &stream);
+            let measured = simulate_family(&dm_cfgs, &stream);
             let diverged = predicted
                 .iter()
                 .zip(&measured)
@@ -878,9 +881,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         requested_seconds: opts.seconds,
         elapsed_seconds: started.elapsed().as_secs_f64(),
         cases,
-        engines: ["streaming", "dyn", "arena", "filtered", "family", "predict"]
-            .map(String::from)
-            .to_vec(),
+        engines: ["streaming", "dyn", "arena", "family", "predict"].map(String::from).to_vec(),
         checks: ledger.checks,
         divergences: ledger.divergences,
     }
@@ -896,7 +897,8 @@ mod tests {
         let a = run_audit(&opts);
         assert_eq!(a.cases, 24);
         assert!(a.is_clean(), "divergences: {:#?}", a.divergences);
-        assert!(a.checks.iter().any(|c| c.name == "filtered-vs-oracle" && c.runs == 24));
+        assert!(a.checks.iter().any(|c| c.name == "family-vs-oracle" && c.runs == 24));
+        assert!(a.checks.iter().any(|c| c.name == "family-batching-invariance" && c.runs == 24));
         assert!(a.checks.iter().any(|c| c.name == "config-edge-typed-errors"));
         assert!(
             a.checks.iter().any(|c| c.name == "predict-vs-family" && c.runs > 0),

@@ -6,11 +6,10 @@
 //! combine everything into TPI — producing one [`DesignPoint`], the
 //! (area, TPI) dot of the paper's figures.
 
-use crate::machine::{L2Policy, MachineConfig, MachineTiming};
+use crate::machine::{L2Policy, L2Spec, MachineConfig, MachineTiming};
 use crate::tpi;
 use serde::{Deserialize, Serialize};
 use tlc_area::AreaModel;
-use tlc_cache::filter::{replay_conventional, replay_exclusive, replay_single};
 use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind};
 use tlc_timing::TimingModel;
 use tlc_trace::arena::{ChunkView, FLAG_NONE, FLAG_STORE};
@@ -340,7 +339,7 @@ pub fn simulate_arena(
 /// caches **once**, and only the events the L2 would observe are kept.
 ///
 /// Mirrors [`simulate_arena`]'s warm-up split and early-exhaustion
-/// contract, so [`simulate_filtered`] on the result is bit-identical to
+/// contract, so [`simulate_family`] on the result is bit-identical to
 /// [`simulate_arena`] on the full arena. Returns `None` when the packed
 /// event stream outgrows `byte_limit` (checked between chunks; an L1 so
 /// small that most references miss could otherwise approach the arena's
@@ -486,69 +485,16 @@ pub fn capture_miss_stream_segments(
     Some(segments)
 }
 
-/// As [`simulate_arena`], replaying a captured [`MissStream`] through the
-/// configuration's L2 back-end only — the miss-stream filtering fast
-/// path. Bit-identical to the arena engine when `stream` was captured
-/// with the same budget from the same arena.
-///
-/// # Panics
-///
-/// Panics if `cfg`'s L1 size or line size differs from the stream's (the
-/// stream encodes one specific L1 front-end).
-pub fn simulate_filtered(cfg: &MachineConfig, stream: &MissStream) -> HierarchyStats {
-    try_simulate_filtered(cfg, stream).expect("valid L2 configuration")
-}
-
-/// As [`simulate_filtered`], returning the configuration error instead
-/// of panicking on an invalid L2 geometry (the audit sampler's path).
-/// The L1/line mismatch panics remain — those are contract violations,
-/// not sampleable geometry.
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`](tlc_cache::ConfigError) describing the
-/// invalid L2 geometry.
-///
-/// # Panics
-///
-/// Panics if `cfg`'s L1 size or line size differs from the stream's.
-pub fn try_simulate_filtered(
-    cfg: &MachineConfig,
-    stream: &MissStream,
-) -> Result<HierarchyStats, tlc_cache::ConfigError> {
-    assert_eq!(cfg.l1_size_bytes, stream.l1_size_bytes(), "stream captured for a different L1");
-    assert_eq!(cfg.line_bytes, stream.line_bytes(), "stream captured for a different line size");
-    Ok(match l2_config(cfg)? {
-        None => replay_single(stream),
-        Some(l2) => match cfg.l2.expect("l2_config returned Some").policy {
-            L2Policy::Conventional => replay_conventional(l2, stream),
-            L2Policy::Exclusive => replay_exclusive(l2, stream),
-        },
-    })
-}
-
-/// As [`evaluate_arena`], through the miss-stream filtering engine
-/// ([`simulate_filtered`]): the L1 cost was paid once at capture, so this
-/// touches only the L1-miss events. Bit-identical to [`evaluate_arena`]
-/// when `stream` came from [`capture_miss_stream`] over the same arena
-/// and budget.
-pub fn evaluate_filtered(
-    cfg: &MachineConfig,
-    stream: &MissStream,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> DesignPoint {
-    let stats = simulate_filtered(cfg, stream);
-    design_point(cfg, stream.name().to_string(), stats, timing, area)
-}
-
-/// As [`simulate_filtered`] over a whole *family* of configurations in
-/// one pass: every member must share the stream's L1 and line size plus
-/// one L2 policy and associativity (or all be single-level), and the
-/// event stream is decoded exactly once for all of them
+/// Replays a captured [`MissStream`] through a whole *family* of
+/// configurations in one pass — the miss-stream filtering engine. Every
+/// member must share the stream's L1 and line size plus one L2 policy
+/// and associativity (or all be single-level), and the event stream is
+/// decoded exactly once for all of them
 /// ([`tlc_cache::filter_family`]). Returns one statistics record per
 /// member of `cfgs`, in input order, each bit-identical to
-/// [`simulate_filtered`] on that member.
+/// [`simulate_arena`] on that member when `stream` was captured with the
+/// same budget from the same arena. A single configuration is a family
+/// of one (`std::slice::from_ref(cfg)`).
 ///
 /// Members that differ only in off-chip latency or L1 cell kind — or
 /// that repeat an L2 size outright — share one simulated L2 internally:
@@ -558,60 +504,17 @@ pub fn evaluate_filtered(
 /// # Panics
 ///
 /// Panics if `cfgs` mix L2 policies, associativities, L1 sizes, or line
-/// sizes, or if any member's L1 geometry differs from the stream's.
+/// sizes, if any member's L1 geometry differs from the stream's, or if
+/// an L2 geometry is invalid.
 pub fn simulate_family(cfgs: &[MachineConfig], stream: &MissStream) -> Vec<HierarchyStats> {
-    use tlc_cache::filter_family::{
-        replay_conventional_family, replay_exclusive_family, replay_single_family,
-    };
-    use tlc_cache::{Associativity, CacheConfig};
-    if cfgs.is_empty() {
-        return Vec::new();
-    }
-    for cfg in cfgs {
-        assert_eq!(cfg.l1_size_bytes, stream.l1_size_bytes(), "stream captured for a different L1");
-        assert_eq!(
-            cfg.line_bytes,
-            stream.line_bytes(),
-            "stream captured for a different line size"
-        );
-    }
-    let family = cfgs[0].l2.map(|s| (s.policy, s.ways, s.repl));
-    assert!(
-        cfgs.iter().all(|c| c.l2.map(|s| (s.policy, s.ways, s.repl)) == family),
-        "a family shares one L2 policy, associativity, and replacement"
-    );
-    let Some((policy, ways, repl)) = family else {
-        return replay_single_family(stream, cfgs.len());
-    };
-    // Deduplicate by L2 capacity; duplicate sizes share one simulation.
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut size_of: Vec<usize> = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let sz = cfg.l2.expect("two-level family").size_bytes;
-        let k = sizes.iter().position(|&s| s == sz).unwrap_or_else(|| {
-            sizes.push(sz);
-            sizes.len() - 1
-        });
-        size_of.push(k);
-    }
-    let assoc = if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
-    let l2_cfgs: Vec<CacheConfig> = sizes
-        .iter()
-        .map(|&sz| {
-            CacheConfig::new(sz, stream.line_bytes(), assoc, repl).expect("valid L2 configuration")
-        })
-        .collect();
-    let per_size = match policy {
-        L2Policy::Conventional => replay_conventional_family(&l2_cfgs, stream),
-        L2Policy::Exclusive => replay_exclusive_family(&l2_cfgs, stream),
-    };
-    size_of.into_iter().map(|k| per_size[k]).collect()
+    simulate_family_segments(cfgs, std::slice::from_ref(stream)).pop().expect("one segment")
 }
 
-/// As [`evaluate_filtered`] over a whole family in one pass
-/// ([`simulate_family`]): one event decode serves every member, and each
-/// member still gets its own timing/area derivation. Returns one
-/// [`DesignPoint`] per member of `cfgs`, in input order.
+/// As [`simulate_family`], adding each member's timing/area derivation:
+/// one event decode serves every member. Returns one [`DesignPoint`] per
+/// member of `cfgs`, in input order; bit-identical to
+/// [`evaluate_arena`] when `stream` came from [`capture_miss_stream`]
+/// over the same arena and budget.
 pub fn evaluate_family(
     cfgs: &[MachineConfig],
     stream: &MissStream,
@@ -632,45 +535,53 @@ pub fn evaluate_family(
 /// once and persists across segments, so each segment's warm-up prefix
 /// refreshes stale state instead of filling a cold cache. Returns
 /// per-segment, per-member statistics (`out[segment][member]`, members
-/// in `cfgs` input order); a lone segment reproduces [`simulate_family`]
-/// bit-for-bit.
+/// in `cfgs` input order); a lone segment is exactly [`simulate_family`].
+///
+/// This is the one replay core of both: it validates the family,
+/// deduplicates the members by L2 capacity, replays the segments once
+/// through the [`filter_family`](tlc_cache::filter_family) back-end,
+/// and fans the per-size statistics back out.
 ///
 /// # Panics
 ///
-/// As [`simulate_family`], plus if `segments` is empty or segments
-/// disagree on L1 geometry.
+/// As [`simulate_family`], plus with the typed
+/// [`FamilyError`](tlc_cache::filter_family::FamilyError)'s message if
+/// `segments` is empty or segments disagree on L1 geometry.
 pub fn simulate_family_segments(
     cfgs: &[MachineConfig],
     segments: &[MissStream],
 ) -> Vec<Vec<HierarchyStats>> {
     use tlc_cache::filter_family::{
-        replay_conventional_family_segments, replay_exclusive_family_segments,
-        replay_single_family_segments,
+        try_replay_conventional_family_segments, try_replay_exclusive_family_segments,
+        try_replay_single_family_segments,
     };
-    use tlc_cache::{Associativity, CacheConfig};
-    assert!(!segments.is_empty(), "need at least one segment");
-    if cfgs.is_empty() {
-        return vec![Vec::new(); segments.len()];
+    let or_panic =
+        |r: Result<_, tlc_cache::filter_family::FamilyError>| r.unwrap_or_else(|e| panic!("{e}"));
+    let Some(first) = cfgs.first() else {
+        // Nothing to replay: an empty family only validates the segments.
+        return or_panic(try_replay_conventional_family_segments(&[], segments));
+    };
+    if let Some(seg) = segments.first() {
+        for cfg in cfgs {
+            assert_eq!(
+                cfg.l1_size_bytes,
+                seg.l1_size_bytes(),
+                "stream captured for a different L1"
+            );
+            assert_eq!(
+                cfg.line_bytes,
+                seg.line_bytes(),
+                "stream captured for a different line size"
+            );
+        }
     }
-    for cfg in cfgs {
-        assert_eq!(
-            cfg.l1_size_bytes,
-            segments[0].l1_size_bytes(),
-            "segments captured for a different L1"
-        );
-        assert_eq!(
-            cfg.line_bytes,
-            segments[0].line_bytes(),
-            "segments captured for a different line size"
-        );
-    }
-    let family = cfgs[0].l2.map(|s| (s.policy, s.ways, s.repl));
+    let key = |c: &MachineConfig| c.l2.map(|s| (s.policy, s.ways, s.repl));
     assert!(
-        cfgs.iter().all(|c| c.l2.map(|s| (s.policy, s.ways, s.repl)) == family),
+        cfgs.iter().all(|c| key(c) == key(first)),
         "a family shares one L2 policy, associativity, and replacement"
     );
-    let Some((policy, ways, repl)) = family else {
-        return replay_single_family_segments(segments, cfgs.len());
+    let Some(spec) = first.l2 else {
+        return or_panic(try_replay_single_family_segments(segments, cfgs.len()));
     };
     // Deduplicate by L2 capacity; duplicate sizes share one simulation.
     let mut sizes: Vec<u64> = Vec::new();
@@ -683,18 +594,17 @@ pub fn simulate_family_segments(
         });
         size_of.push(k);
     }
-    let assoc = if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
-    let l2_cfgs: Vec<CacheConfig> = sizes
+    let l2_cfgs: Vec<tlc_cache::CacheConfig> = sizes
         .iter()
-        .map(|&sz| {
-            CacheConfig::new(sz, segments[0].line_bytes(), assoc, repl)
-                .expect("valid L2 configuration")
+        .map(|&size_bytes| {
+            let member = MachineConfig { l2: Some(L2Spec { size_bytes, ..spec }), ..*first };
+            l2_config(&member).expect("valid L2 configuration").expect("two-level family")
         })
         .collect();
-    let per_size = match policy {
-        L2Policy::Conventional => replay_conventional_family_segments(&l2_cfgs, segments),
-        L2Policy::Exclusive => replay_exclusive_family_segments(&l2_cfgs, segments),
-    };
+    let per_size = or_panic(match spec.policy {
+        L2Policy::Conventional => try_replay_conventional_family_segments(&l2_cfgs, segments),
+        L2Policy::Exclusive => try_replay_exclusive_family_segments(&l2_cfgs, segments),
+    });
     per_size.into_iter().map(|row| size_of.iter().map(|&k| row[k]).collect()).collect()
 }
 
@@ -1009,8 +919,18 @@ mod tests {
         }
     }
 
+    /// One configuration through the replay back-end: a family of one.
+    fn family_of_one(
+        cfg: &MachineConfig,
+        stream: &MissStream,
+        tm: &TimingModel,
+        am: &AreaModel,
+    ) -> DesignPoint {
+        evaluate_family(std::slice::from_ref(cfg), stream, tm, am).remove(0)
+    }
+
     #[test]
-    fn filtered_evaluation_is_bit_identical_to_arena_evaluation() {
+    fn family_of_one_evaluation_is_bit_identical_to_arena_evaluation() {
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
@@ -1026,13 +946,13 @@ mod tests {
             MachineConfig::two_level(4, 8, 1, L2Policy::Exclusive, 200.0),
         ] {
             let via_arena = evaluate_arena(&cfg, &arena, budget, &tm, &am);
-            let via_stream = evaluate_filtered(&cfg, &stream, &tm, &am);
+            let via_stream = family_of_one(&cfg, &stream, &tm, &am);
             assert_eq!(via_arena, via_stream, "{}", cfg.label());
         }
     }
 
     #[test]
-    fn family_evaluation_is_bit_identical_to_filtered_evaluation() {
+    fn family_evaluation_matches_families_of_one() {
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
@@ -1046,7 +966,7 @@ mod tests {
                     .to_vec();
                 let family = evaluate_family(&cfgs, &stream, &tm, &am);
                 for (cfg, got) in cfgs.iter().zip(&family) {
-                    let want = evaluate_filtered(cfg, &stream, &tm, &am);
+                    let want = family_of_one(cfg, &stream, &tm, &am);
                     assert_eq!(*got, want, "{policy:?} ways={ways} {}", cfg.label());
                 }
             }
@@ -1055,12 +975,12 @@ mod tests {
         let singles = [MachineConfig::single_level(4, 50.0), MachineConfig::single_level(4, 200.0)];
         let family = evaluate_family(&singles, &stream, &tm, &am);
         for (cfg, got) in singles.iter().zip(&family) {
-            assert_eq!(*got, evaluate_filtered(cfg, &stream, &tm, &am), "{}", cfg.label());
+            assert_eq!(*got, family_of_one(cfg, &stream, &tm, &am), "{}", cfg.label());
         }
     }
 
     #[test]
-    fn predicted_evaluation_matches_filtered_within_epsilon() {
+    fn predicted_evaluation_matches_replay_within_epsilon() {
         use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
@@ -1078,7 +998,7 @@ mod tests {
         let predicted = evaluate_predicted(&cfgs, &stream, &tm, &am);
         assert_eq!(predicted.len(), cfgs.len());
         for (cfg, got) in cfgs.iter().zip(&predicted) {
-            let truth = evaluate_filtered(cfg, &stream, &tm, &am);
+            let truth = family_of_one(cfg, &stream, &tm, &am);
             assert_eq!(got.label, truth.label);
             assert_eq!(got.workload, truth.workload);
             assert_eq!(got.area_rbe, truth.area_rbe);
@@ -1127,12 +1047,19 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "different L1")]
-    fn filtered_rejects_mismatched_l1() {
+    fn family_rejects_mismatched_l1() {
         let budget = SimBudget { instructions: 2_000, warmup_instructions: 500 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
         let stream = capture_miss_stream(1024, 16, &arena, budget, usize::MAX).unwrap();
         let cfg = MachineConfig::single_level(8, 50.0);
-        let _ = simulate_filtered(&cfg, &stream);
+        let _ = simulate_family(&[cfg], &stream);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one segment")]
+    fn family_segments_reject_an_empty_segment_list() {
+        let cfg = MachineConfig::two_level(1, 8, 4, L2Policy::Conventional, 50.0);
+        let _ = simulate_family_segments(&[cfg], &[]);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 use crate::configspace::unique_configs;
 use crate::experiment::{
     capture_benchmark, capture_miss_stream, capture_miss_stream_segments, evaluate, evaluate_arena,
-    evaluate_dyn, evaluate_family, evaluate_filtered, evaluate_predicted, simulate_family_segments,
-    DesignPoint, SimBudget,
+    evaluate_dyn, evaluate_family, evaluate_predicted, simulate_family_segments, DesignPoint,
+    SimBudget,
 };
 use crate::machine::{L2Policy, MachineConfig};
 use crate::sampling::PhaseSlice;
@@ -127,7 +127,7 @@ pub fn arena_bytes_for(budget: SimBudget) -> usize {
 }
 
 /// Upper bound on one captured miss stream's packed size before the
-/// filtered sweep falls back to plain arena replay for that L1 group.
+/// family sweep falls back to plain arena replay for that L1 group.
 /// Matches [`ARENA_BYTES_LIMIT`]; in practice a miss stream is 1–10% of
 /// the arena (Table 1 miss rates), so the bound only trips for L1s small
 /// enough that most references miss.
@@ -141,7 +141,7 @@ pub type L1Key = (u64, u64);
 
 /// Groups configuration indices by their L1 front-end, in order of first
 /// appearance. Each entry is `(key, indices into configs)`; every index
-/// appears exactly once. This is the capture schedule of the filtered
+/// appears exactly once. This is the capture schedule of the family
 /// sweep: one L1 simulation per returned group.
 pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
     let mut groups: Vec<(L1Key, Vec<usize>)> = Vec::new();
@@ -279,35 +279,7 @@ pub fn try_sweep_arena_threads(
     )
 }
 
-/// The miss-stream filtering sweep: configurations are grouped by L1
-/// front-end ([`l1_groups`]), the arena is replayed through each distinct
-/// L1 **once** to capture its miss/victim event stream, and every
-/// configuration then replays only its group's events through its L2
-/// back-end. Bit-identical to [`sweep_arena_threads`]; the L1 work —
-/// which the arena path repeats for every configuration sharing an L1 —
-/// is paid once per group.
-///
-/// Groups of one configuration skip the capture (it cannot pay for
-/// itself), and a group whose event stream would exceed
-/// [`MISS_STREAM_BYTES_LIMIT`] falls back to plain arena replay, so the
-/// sweep's memory stays bounded by the same reasoning as the 1 GiB arena
-/// bound. Results are returned in input order.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_filtered_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_filtered_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// Phase A of the filtered and family sweeps: one miss-stream capture
+/// Phase A of the family and predict sweeps: one miss-stream capture
 /// per L1 group that will amortise it, with a `group[...]` phase span
 /// per capture and fallback events for the groups that opt out
 /// (singletons, byte-limited streams).
@@ -353,68 +325,140 @@ fn try_capture_group_streams(
     )
 }
 
-/// As [`sweep_filtered_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`] naming the L1 group or configuration.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn try_sweep_filtered_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
-    let groups = l1_groups(configs);
-    // Phase A: one L1 capture per group that will amortise it.
-    let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    let mut stream_of = vec![None; configs.len()];
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        for &i in idxs {
-            stream_of[i] = streams[g].as_ref();
-        }
-    }
-    // Phase B: fan the configurations over the captured streams.
-    let _span = obs_span!("fan_out");
-    try_run_indexed(
-        configs.len(),
-        threads,
-        |i| match stream_of[i] {
-            Some(stream) => evaluate_filtered(&configs[i], stream, timing, area),
-            None => evaluate_arena(&configs[i], arena, budget, timing, area),
-        },
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
+/// One parallel work unit of the family, sampled, and predict sweeps.
+/// `S` is what a captured L1 group hands its units: one miss stream, or
+/// the stitched segments of a sampled capture.
+enum Unit<S> {
+    /// A family chunk sharing one L2 policy, associativity, and
+    /// replacement, replaying its group's capture once for every member.
+    Family { src: S, members: Vec<usize> },
+    /// One configuration whose group has no capture (a singleton or a
+    /// byte-limited group), evaluated on its own.
+    Alone { idx: usize },
 }
 
-/// One parallel work unit of the family sweep: a family chunk replaying
-/// one captured stream for several configurations at once, or a single
-/// configuration falling back to arena replay.
-enum FamilyUnit<'a> {
-    Family { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
-    Arena { idx: usize },
+impl<S> Unit<S> {
+    /// The unit a worker panic is attributed to.
+    fn sweep_unit(&self, configs: &[MachineConfig]) -> SweepUnit {
+        match self {
+            Unit::Family { members, .. } => {
+                let first = &configs[members[0]];
+                SweepUnit::FamilyChunk {
+                    l1_size_bytes: first.l1_size_bytes,
+                    line_bytes: first.line_bytes,
+                    members: members.clone(),
+                }
+            }
+            Unit::Alone { idx } => SweepUnit::Config { index: *idx, label: configs[*idx].label() },
+        }
+    }
+}
+
+/// Plans a sweep's replay units from its L1 groups and each group's
+/// capture (`None`: every member of the group stands alone), returning
+/// one list of units per group.
+///
+/// Each captured group is partitioned into families by
+/// `(policy, ways, repl)`, in first-appearance order within the group.
+/// When `threads > 1`, a family larger than `max(2, ⌈replayed /
+/// threads⌉)` is chunked so one dominant group cannot serialise the
+/// sweep (each chunk still shares one decode among its members; a
+/// single-threaded sweep keeps every family whole). `replayed` counts
+/// family members plus `extra`, the members a caller evaluates outside
+/// the families but wants counted in each worker's share.
+fn plan_units<S: Copy>(
+    configs: &[MachineConfig],
+    groups: &[(L1Key, Vec<usize>)],
+    sources: &[Option<S>],
+    threads: usize,
+    extra: usize,
+) -> Vec<Vec<Unit<S>>> {
+    type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
+    let mut replayed = extra;
+    let mut planned: Vec<Vec<Unit<S>>> = Vec::with_capacity(groups.len());
+    for ((_, idxs), src) in groups.iter().zip(sources) {
+        let Some(src) = *src else {
+            planned.push(idxs.iter().map(|&idx| Unit::Alone { idx }).collect());
+            continue;
+        };
+        let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
+        for &i in idxs {
+            let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
+            match fams.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, v)) => v.push(i),
+                None => fams.push((key, vec![i])),
+            }
+        }
+        replayed += fams.iter().map(|(_, members)| members.len()).sum::<usize>();
+        planned.push(fams.into_iter().map(|(_, members)| Unit::Family { src, members }).collect());
+    }
+    if threads > 1 && replayed > 0 {
+        let cap = replayed.div_ceil(threads).max(2);
+        for units in &mut planned {
+            let mut chunked = Vec::with_capacity(units.len());
+            for unit in units.drain(..) {
+                match unit {
+                    Unit::Family { src, members } if members.len() > cap => {
+                        for chunk in members.chunks(cap) {
+                            chunked.push(Unit::Family { src, members: chunk.to_vec() });
+                        }
+                    }
+                    other => chunked.push(other),
+                }
+            }
+            *units = chunked;
+        }
+    }
+    planned
+}
+
+/// Phase B of the family, sampled, and predict sweeps: fans the units out
+/// under a `fan_out` span (each returns `(input index, point)` pairs) and
+/// scatters the points back to input order. `unit_of` names the unit a
+/// worker panic is attributed to.
+fn try_fan_out<U: Sync>(
+    configs: &[MachineConfig],
+    units: &[U],
+    threads: usize,
+    unit_of: impl Fn(&U) -> SweepUnit + Sync,
+    eval: impl Fn(&U) -> Vec<(usize, DesignPoint)> + Sync,
+) -> Result<Vec<DesignPoint>, SweepError> {
+    let evaluated = {
+        let _span = obs_span!("fan_out");
+        try_run_indexed(units.len(), threads, |u| eval(&units[u]), |u| unit_of(&units[u]))?
+    };
+    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
+    for (i, p) in evaluated.into_iter().flatten() {
+        slots[i] = Some(p);
+    }
+    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
+}
+
+/// The configurations at `members`, in order.
+fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineConfig> {
+    members.iter().map(|&i| configs[i]).collect()
 }
 
 /// The family-batched sweep: configurations are grouped by L1 front-end
-/// ([`l1_groups`]) and captured exactly as in
-/// [`sweep_filtered_arena_threads`]; each captured group is then
-/// partitioned into *families* sharing one L2 policy and associativity
-/// (in the paper's spaces, a family is "one L1, every L2 capacity"), and
-/// each family replays its group's events **once** for all of its
-/// members ([`evaluate_family`]). Bit-identical to
-/// [`sweep_filtered_arena_threads`]; the event decode — which the
-/// filtered path repeats for every configuration — is paid once per
-/// family.
+/// ([`l1_groups`]), the arena is replayed through each distinct L1
+/// **once** to capture its miss/victim event stream, each captured group
+/// is partitioned into *families* sharing one L2 policy and
+/// associativity (in the paper's spaces, a family is "one L1, every L2
+/// capacity"), and each family replays its group's events **once** for
+/// all of its members ([`evaluate_family`]). Bit-identical to
+/// [`sweep_arena_threads`]: the L1 work — which the arena path repeats
+/// for every configuration — is paid once per group, and the event
+/// decode once per family.
 ///
 /// Parallelism runs across (group × family) units; when one family holds
 /// more than its fair share of the space, it is chunked so a dominant
 /// group cannot serialise a multi-threaded sweep (a single-threaded
-/// sweep keeps every family whole for maximal sharing). Singleton L1
-/// groups and byte-limited captures fall back exactly as in the filtered
-/// sweep. Results are returned in input order.
+/// sweep keeps every family whole for maximal sharing). Groups of one
+/// configuration skip the capture (it cannot pay for itself), and a group
+/// whose event stream would exceed [`MISS_STREAM_BYTES_LIMIT`] falls back
+/// to plain arena replay, so the sweep's memory stays bounded by the same
+/// reasoning as the 1 GiB arena bound. Results are returned in input
+/// order.
 ///
 /// # Panics
 ///
@@ -447,97 +491,27 @@ pub fn try_sweep_family_arena_threads(
 ) -> Result<Vec<DesignPoint>, SweepError> {
     assert!(threads > 0, "need at least one worker thread");
     let groups = l1_groups(configs);
-    // Phase A: one L1 capture per group that will amortise it.
     let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    // Partition each captured group into families, preserving
-    // first-appearance order within the group.
-    let mut units: Vec<FamilyUnit> = Vec::new();
-    let mut family_members = 0usize;
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        match streams[g].as_ref() {
-            Some(stream) => {
-                type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
-                let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-                for &i in idxs {
-                    let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
-                    match fams.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, v)) => v.push(i),
-                        None => fams.push((key, vec![i])),
-                    }
-                }
-                for (_, members) in fams {
-                    family_members += members.len();
-                    units.push(FamilyUnit::Family { stream, members });
-                }
+    let sources: Vec<Option<&tlc_cache::MissStream>> = streams.iter().map(Option::as_ref).collect();
+    let units: Vec<_> =
+        plan_units(configs, &groups, &sources, threads, 0).into_iter().flatten().collect();
+    try_fan_out(
+        configs,
+        &units,
+        threads,
+        |u| u.sweep_unit(configs),
+        |unit| match unit {
+            Unit::Family { src: stream, members } => {
+                let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
+                let points =
+                    evaluate_family(&member_configs(configs, members), stream, timing, area);
+                members.iter().copied().zip(points).collect()
             }
-            None => units.extend(idxs.iter().map(|&i| FamilyUnit::Arena { idx: i })),
-        }
-    }
-    // Chunk oversized families so one dominant group cannot serialise a
-    // multi-threaded sweep; the batching win degrades gracefully (each
-    // chunk still shares one decode among its members).
-    if threads > 1 && family_members > 0 {
-        let cap = family_members.div_ceil(threads).max(2);
-        let mut chunked = Vec::with_capacity(units.len());
-        for unit in units {
-            match unit {
-                FamilyUnit::Family { stream, members } if members.len() > cap => {
-                    for chunk in members.chunks(cap) {
-                        chunked.push(FamilyUnit::Family { stream, members: chunk.to_vec() });
-                    }
-                }
-                other => chunked.push(other),
+            Unit::Alone { idx } => {
+                vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
             }
-        }
-        units = chunked;
-    }
-    // Phase B: fan the units out; each returns (input index, point) pairs.
-    let evaluated = {
-        let _span = obs_span!("fan_out");
-        try_run_indexed(
-            units.len(),
-            threads,
-            |u| match &units[u] {
-                FamilyUnit::Family { stream, members } => {
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-                    let points = evaluate_family(&cfgs, stream, timing, area);
-                    members.iter().copied().zip(points).collect::<Vec<_>>()
-                }
-                FamilyUnit::Arena { idx } => {
-                    vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
-                }
-            },
-            |u| match &units[u] {
-                FamilyUnit::Family { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::FamilyChunk {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                FamilyUnit::Arena { idx } => {
-                    SweepUnit::Config { index: *idx, label: configs[*idx].label() }
-                }
-            },
-        )?
-    };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for batch in evaluated {
-        for (i, p) in batch {
-            slots[i] = Some(p);
-        }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
-}
-
-/// One parallel work unit of the sampled sweep: a family walking every
-/// stitched segment of its L1 group, or a single configuration falling
-/// back to cold per-slice arena replay (byte-limited capture).
-enum SampledUnit<'a> {
-    Family { segments: &'a [tlc_cache::MissStream], members: Vec<usize> },
-    Cold { idx: usize },
+        },
+    )
 }
 
 /// The sampled sweep with **stitched warming**: configurations are
@@ -619,145 +593,59 @@ pub fn try_sweep_sampled_threads(
             |g| SweepUnit::L1Group { l1_size_bytes: groups[g].0 .0, line_bytes: groups[g].0 .1 },
         )?
     };
-    // Partition each captured group into families exactly as the family
-    // sweep does; byte-limited groups fall back per configuration.
-    let mut units: Vec<SampledUnit> = Vec::new();
-    let mut family_members = 0usize;
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        match captured[g].as_deref() {
-            Some(segments) => {
-                type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
-                let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-                for &i in idxs {
-                    let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
-                    match fams.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, v)) => v.push(i),
-                        None => fams.push((key, vec![i])),
-                    }
-                }
-                for (_, members) in fams {
-                    family_members += members.len();
-                    units.push(SampledUnit::Family { segments, members });
-                }
-            }
-            None => units.extend(idxs.iter().map(|&i| SampledUnit::Cold { idx: i })),
-        }
-    }
-    // Chunk oversized families so one dominant group cannot serialise a
-    // multi-threaded sweep (same policy as the family sweep).
-    if threads > 1 && family_members > 0 {
-        let cap = family_members.div_ceil(threads).max(2);
-        let mut chunked = Vec::with_capacity(units.len());
-        for unit in units {
-            match unit {
-                SampledUnit::Family { segments, members } if members.len() > cap => {
-                    for chunk in members.chunks(cap) {
-                        chunked.push(SampledUnit::Family { segments, members: chunk.to_vec() });
-                    }
-                }
-                other => chunked.push(other),
-            }
-        }
-        units = chunked;
-    }
-    // Phase B: fan the units out; each returns (input index, point)
-    // pairs with the per-phase statistics already recombined.
-    let evaluated = {
-        let _span = obs_span!("fan_out");
-        try_run_indexed(
-            units.len(),
-            threads,
-            |u| match &units[u] {
-                SampledUnit::Family { segments, members } => {
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let per_seg = simulate_family_segments(&cfgs, segments);
-                    obs_count!(
-                        Counter::RunnerConfigsCompleted,
-                        (members.len() * segments.len()) as u64
-                    );
-                    members
-                        .iter()
-                        .enumerate()
-                        .map(|(m, &i)| {
-                            let parts: Vec<(f64, tlc_cache::HierarchyStats)> = per_seg
-                                .iter()
-                                .zip(slices)
-                                .map(|(row, slice)| (slice.weight, row[m]))
-                                .collect();
-                            let stats = crate::sampling::combine_weighted(&parts);
-                            (
-                                i,
-                                crate::experiment::design_point_untracked(
-                                    &configs[i],
-                                    workload.clone(),
-                                    stats,
-                                    timing,
-                                    area,
-                                ),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                }
-                SampledUnit::Cold { idx } => {
-                    // No stitched segments: replay each slice cold (its
-                    // warm-up prefix is the only warming). Each
-                    // `evaluate_arena` ticks one completion, keeping the
-                    // configs × phases manifest invariant.
-                    let cfg = &configs[*idx];
-                    let parts: Vec<(f64, tlc_cache::HierarchyStats)> = slices
-                        .iter()
-                        .map(|slice| {
-                            (
-                                slice.weight,
-                                evaluate_arena(cfg, &slice.arena, slice.budget, timing, area).stats,
-                            )
-                        })
-                        .collect();
-                    let stats = crate::sampling::combine_weighted(&parts);
-                    vec![(
-                        *idx,
-                        crate::experiment::design_point_untracked(
-                            cfg,
-                            workload.clone(),
-                            stats,
-                            timing,
-                            area,
-                        ),
-                    )]
-                }
-            },
-            |u| match &units[u] {
-                SampledUnit::Family { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::FamilyChunk {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                SampledUnit::Cold { idx } => {
-                    SweepUnit::Config { index: *idx, label: configs[*idx].label() }
-                }
-            },
-        )?
+    let sources: Vec<Option<&[tlc_cache::MissStream]>> =
+        captured.iter().map(Option::as_deref).collect();
+    let units: Vec<_> =
+        plan_units(configs, &groups, &sources, threads, 0).into_iter().flatten().collect();
+    // Phase B: each unit's per-phase statistics are recombined before
+    // the timing/area derivation.
+    let point = |cfg: &MachineConfig, parts: &[(f64, tlc_cache::HierarchyStats)]| {
+        let stats = crate::sampling::combine_weighted(parts);
+        crate::experiment::design_point_untracked(cfg, workload.clone(), stats, timing, area)
     };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for batch in evaluated {
-        for (i, p) in batch {
-            slots[i] = Some(p);
-        }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
-}
-
-/// One parallel work unit of the predict sweep: a whole group answered
-/// analytically from one profiling pass, a family chunk replaying the
-/// members the model cannot cover, or a single configuration falling
-/// back to arena replay.
-enum PredictUnit<'a> {
-    Predict { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
-    Family { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
-    Arena { idx: usize },
+    try_fan_out(
+        configs,
+        &units,
+        threads,
+        |u| u.sweep_unit(configs),
+        |unit| match unit {
+            Unit::Family { src: segments, members } => {
+                let per_seg = simulate_family_segments(&member_configs(configs, members), segments);
+                obs_count!(
+                    Counter::RunnerConfigsCompleted,
+                    (members.len() * segments.len()) as u64
+                );
+                members
+                    .iter()
+                    .enumerate()
+                    .map(|(m, &i)| {
+                        let parts: Vec<(f64, tlc_cache::HierarchyStats)> = per_seg
+                            .iter()
+                            .zip(slices)
+                            .map(|(row, slice)| (slice.weight, row[m]))
+                            .collect();
+                        (i, point(&configs[i], &parts))
+                    })
+                    .collect()
+            }
+            Unit::Alone { idx } => {
+                // No stitched segments: replay each slice cold (its warm-up
+                // prefix is the only warming). Each `evaluate_arena` ticks
+                // one completion, keeping the configs × phases manifest
+                // invariant.
+                let cfg = &configs[*idx];
+                let parts: Vec<(f64, tlc_cache::HierarchyStats)> = slices
+                    .iter()
+                    .map(|slice| {
+                        let stats =
+                            evaluate_arena(cfg, &slice.arena, slice.budget, timing, area).stats;
+                        (slice.weight, stats)
+                    })
+                    .collect();
+                vec![(*idx, point(cfg, &parts))]
+            }
+        },
+    )
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
@@ -812,122 +700,77 @@ pub fn try_sweep_predict_arena_threads(
 ) -> Result<Vec<DesignPoint>, SweepError> {
     assert!(threads > 0, "need at least one worker thread");
     let groups = l1_groups(configs);
-    // Phase A: one L1 capture per group that will amortise it.
     let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    // Partition each captured group: everything inside the prediction
-    // model (single-level, direct-mapped, and LRU/pseudo-random
-    // conventional members, any mix of sizes and ways) forms one predict
-    // unit sharing one profiling pass; exclusive members and policies
-    // without a closed form stay on family-batched replay.
+    let sources: Vec<Option<&tlc_cache::MissStream>> = streams.iter().map(Option::as_ref).collect();
+    // Each captured group's predictable members form one profiling unit;
+    // the rest are planned as the family sweep plans them, with the
+    // members of uncaptured groups counted toward the chunk share since
+    // they replay too.
+    let mut profiled: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
+    let mut replayed: Vec<(L1Key, Vec<usize>)> = Vec::with_capacity(groups.len());
+    let mut alone = 0usize;
+    for ((key, idxs), src) in groups.iter().zip(&sources) {
+        if src.is_none() {
+            alone += idxs.len();
+        }
+        let (predictable, rest): (Vec<usize>, Vec<usize>) = idxs.iter().partition(|&&i| {
+            src.is_some() && crate::experiment::config_is_predictable(&configs[i])
+        });
+        profiled.push(predictable);
+        replayed.push((*key, rest));
+    }
+    let planned = plan_units(configs, &replayed, &sources, threads, alone);
+    // Within each group, its profiling unit runs ahead of its replays.
     let mut units: Vec<PredictUnit> = Vec::new();
-    let mut replay_members = 0usize;
-    for (g, (_, idxs)) in groups.iter().enumerate() {
-        match streams[g].as_ref() {
-            Some(stream) => {
-                let (predictable, replayed): (Vec<usize>, Vec<usize>) = idxs
-                    .iter()
-                    .partition(|&&i| crate::experiment::config_is_predictable(&configs[i]));
-                if !predictable.is_empty() {
-                    units.push(PredictUnit::Predict { stream, members: predictable });
-                }
-                type FamilyKey = (L2Policy, u32, tlc_cache::ReplacementKind);
-                let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-                for i in replayed {
-                    let s = configs[i].l2.expect("unpredictable members are two-level");
-                    let key = (s.policy, s.ways, s.repl);
-                    match fams.iter_mut().find(|(k, _)| *k == key) {
-                        Some((_, v)) => v.push(i),
-                        None => fams.push((key, vec![i])),
-                    }
-                }
-                for (_, members) in fams {
-                    replay_members += members.len();
-                    units.push(PredictUnit::Family { stream, members });
-                }
-            }
-            None => {
-                replay_members += idxs.len();
-                units.extend(idxs.iter().map(|&i| PredictUnit::Arena { idx: i }));
+    for ((members, src), replays) in profiled.into_iter().zip(&sources).zip(planned) {
+        if let (Some(stream), false) = (src, members.is_empty()) {
+            units.push(PredictUnit::Profile { stream, members });
+        }
+        units.extend(replays.into_iter().map(PredictUnit::Replay));
+    }
+    let unit_of = |unit: &PredictUnit| match unit {
+        PredictUnit::Profile { members, .. } => {
+            let first = &configs[members[0]];
+            SweepUnit::PredictGroup {
+                l1_size_bytes: first.l1_size_bytes,
+                line_bytes: first.line_bytes,
+                members: members.clone(),
             }
         }
-    }
-    // Chunk oversized replay families exactly as the family engine does.
-    // Predict units are never chunked: splitting one would repeat its
-    // profiling pass, and the per-member cost after the pass is tiny.
-    if threads > 1 && replay_members > 0 {
-        let cap = replay_members.div_ceil(threads).max(2);
-        let mut chunked = Vec::with_capacity(units.len());
-        for unit in units {
-            match unit {
-                PredictUnit::Family { stream, members } if members.len() > cap => {
-                    for chunk in members.chunks(cap) {
-                        chunked.push(PredictUnit::Family { stream, members: chunk.to_vec() });
-                    }
-                }
-                other => chunked.push(other),
-            }
-        }
-        units = chunked;
-    }
-    // Phase B: fan the units out; each returns (input index, point) pairs.
-    let evaluated = {
-        let _span = obs_span!("fan_out");
-        try_run_indexed(
-            units.len(),
-            threads,
-            |u| match &units[u] {
-                PredictUnit::Predict { stream, members } => {
-                    let first = &configs[members[0]];
-                    let span = PhaseSpan::enter_with("predict_group", || {
-                        format!("{}B/{}B", first.l1_size_bytes, first.line_bytes)
-                    });
-                    span.add_items(members.len() as u64);
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let points = evaluate_predicted(&cfgs, stream, timing, area);
-                    members.iter().copied().zip(points).collect::<Vec<_>>()
-                }
-                PredictUnit::Family { stream, members } => {
-                    obs_count!(Counter::PredictConfigsReplayed, members.len() as u64);
-                    let cfgs: Vec<MachineConfig> = members.iter().map(|&i| configs[i]).collect();
-                    let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-                    let points = evaluate_family(&cfgs, stream, timing, area);
-                    members.iter().copied().zip(points).collect::<Vec<_>>()
-                }
-                PredictUnit::Arena { idx } => {
-                    obs_count!(Counter::PredictConfigsReplayed, 1);
-                    vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
-                }
-            },
-            |u| match &units[u] {
-                PredictUnit::Predict { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::PredictGroup {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                PredictUnit::Family { members, .. } => {
-                    let first = &configs[members[0]];
-                    SweepUnit::FamilyChunk {
-                        l1_size_bytes: first.l1_size_bytes,
-                        line_bytes: first.line_bytes,
-                        members: members.clone(),
-                    }
-                }
-                PredictUnit::Arena { idx } => {
-                    SweepUnit::Config { index: *idx, label: configs[*idx].label() }
-                }
-            },
-        )?
+        PredictUnit::Replay(unit) => unit.sweep_unit(configs),
     };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for batch in evaluated {
-        for (i, p) in batch {
-            slots[i] = Some(p);
+    try_fan_out(configs, &units, threads, unit_of, |unit| match unit {
+        PredictUnit::Profile { stream, members } => {
+            let first = &configs[members[0]];
+            let span = PhaseSpan::enter_with("predict_group", || {
+                format!("{}B/{}B", first.l1_size_bytes, first.line_bytes)
+            });
+            span.add_items(members.len() as u64);
+            let points =
+                evaluate_predicted(&member_configs(configs, members), stream, timing, area);
+            members.iter().copied().zip(points).collect()
         }
-    }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
+        PredictUnit::Replay(Unit::Family { src: stream, members }) => {
+            obs_count!(Counter::PredictConfigsReplayed, members.len() as u64);
+            let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
+            let points = evaluate_family(&member_configs(configs, members), stream, timing, area);
+            members.iter().copied().zip(points).collect()
+        }
+        PredictUnit::Replay(Unit::Alone { idx }) => {
+            obs_count!(Counter::PredictConfigsReplayed, 1);
+            vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
+        }
+    })
+}
+
+/// One parallel work unit of the predict sweep.
+enum PredictUnit<'a> {
+    /// A captured group's predictable members, answered from one
+    /// reuse-distance profiling pass; never chunked, since splitting it
+    /// would repeat the pass.
+    Profile { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
+    /// A member or family chunk the model cannot cover, replayed exactly.
+    Replay(Unit<&'a tlc_cache::MissStream>),
 }
 
 /// The regenerate-per-configuration sweep: each evaluation rebuilds the
@@ -1268,31 +1111,11 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sweep_matches_arena_sweep() {
-        let tm = TimingModel::paper();
-        let am = AreaModel::new();
-        // Mixed space: singles, conventional, exclusive — shared L1s.
-        let mut opts = SpaceOptions::baseline();
-        let mut configs = single_level_configs(&opts)[..3].to_vec();
-        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
-        opts.l2_policy = crate::machine::L2Policy::Exclusive;
-        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
-        let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
-        let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let plain = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
-        for threads in [1, 3] {
-            let filtered =
-                sweep_filtered_arena_threads(&configs, &arena, budget, &tm, &am, threads);
-            assert_eq!(plain, filtered, "filtered sweep diverged at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn family_sweep_matches_filtered_sweep() {
+    fn family_sweep_matches_arena_sweep() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         // Mixed space: singles, conventional, exclusive, and a second
-        // associativity — several families per L1 group.
+        // associativity — several families per shared L1 group.
         let mut opts = SpaceOptions::baseline();
         let mut configs = single_level_configs(&opts)[..3].to_vec();
         configs.extend_from_slice(&two_level_configs(&opts)[..6]);
@@ -1302,11 +1125,53 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let filtered = sweep_filtered_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let plain = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
         for threads in [1, 3] {
             let family = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads);
-            assert_eq!(filtered, family, "family sweep diverged at {threads} threads");
+            assert_eq!(plain, family, "family sweep diverged at {threads} threads");
         }
+    }
+
+    #[test]
+    fn plan_units_keeps_the_chunking_schedule() {
+        // Group 0: six exclusive members on one L1 (one family); group 1:
+        // a lone single-level config whose group has no capture.
+        let mut configs: Vec<MachineConfig> = [2u64, 4, 8, 16, 32, 64]
+            .map(|l2| MachineConfig::two_level(1, l2, 4, L2Policy::Exclusive, 50.0))
+            .to_vec();
+        configs.push(MachineConfig::single_level(8, 50.0));
+        let groups = l1_groups(&configs);
+        let sources = [Some(()), None];
+        let shape = |planned: Vec<Vec<Unit<()>>>| -> Vec<Vec<(char, Vec<usize>)>> {
+            planned
+                .iter()
+                .map(|units| {
+                    units
+                        .iter()
+                        .map(|u| match u {
+                            Unit::Family { members, .. } => ('F', members.clone()),
+                            Unit::Alone { idx } => ('A', vec![*idx]),
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        // Single-threaded: families stay whole.
+        let whole = plan_units(&configs, &groups, &sources, 1, 0);
+        assert_eq!(shape(whole), [vec![('F', vec![0, 1, 2, 3, 4, 5])], vec![('A', vec![6])]]);
+        // Two threads: chunks of max(2, ⌈6/2⌉) = 3 family members.
+        let family = plan_units(&configs, &groups, &sources, 2, 0);
+        assert_eq!(
+            shape(family),
+            [vec![('F', vec![0, 1, 2]), ('F', vec![3, 4, 5])], vec![('A', vec![6])]]
+        );
+        // The predict sweep counts its lone member toward the share:
+        // chunks of max(2, ⌈7/2⌉) = 4.
+        let predict = plan_units(&configs, &groups, &sources, 2, 1);
+        assert_eq!(
+            shape(predict),
+            [vec![('F', vec![0, 1, 2, 3]), ('F', vec![4, 5])], vec![('A', vec![6])]]
+        );
     }
 
     #[test]
@@ -1400,7 +1265,7 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sweep_handles_singleton_groups() {
+    fn family_sweep_handles_singleton_groups() {
         // Every config has a distinct L1: all groups are singletons, so
         // the whole sweep takes the arena fallback path.
         let tm = TimingModel::paper();
@@ -1410,13 +1275,13 @@ mod tests {
         let budget = SimBudget { instructions: 8_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
         let plain = sweep_arena_threads(configs, &arena, budget, &tm, &am, 1);
-        let filtered = sweep_filtered_arena_threads(configs, &arena, budget, &tm, &am, 2);
-        assert_eq!(plain, filtered);
+        let family = sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2);
+        assert_eq!(plain, family);
     }
 
     #[test]
     fn tight_byte_limit_falls_back_to_arena_replay() {
-        // A zero byte limit rejects every capture; the filtered sweep
+        // A zero byte limit rejects every capture; the family sweep
         // must still return bit-identical results via the fallback.
         let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);

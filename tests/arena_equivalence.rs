@@ -11,17 +11,19 @@
 
 use proptest::prelude::*;
 use tlc_area::AreaModel;
-use tlc_cache::filter::{replay_conventional, replay_exclusive, MissStream};
-use tlc_cache::filter_family::{replay_conventional_family, replay_exclusive_family};
+use tlc_cache::filter::MissStream;
+use tlc_cache::filter_family::{
+    try_replay_conventional_family_segments, try_replay_exclusive_family_segments,
+};
 use tlc_cache::{
-    naive_replay_conventional, naive_replay_exclusive, Associativity, CacheConfig, L1FrontEnd,
-    MemorySystem, ReplacementKind,
+    naive_replay_conventional, naive_replay_exclusive, Associativity, CacheConfig, HierarchyStats,
+    L1FrontEnd, MemorySystem, ReplacementKind,
 };
 use tlc_core::experiment::{
     capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_dyn,
-    evaluate_family, evaluate_filtered, SimBudget,
+    evaluate_family, DesignPoint, SimBudget,
 };
-use tlc_core::runner::{sweep_arena_threads, sweep_filtered_arena_threads};
+use tlc_core::runner::{sweep_arena_threads, sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -37,6 +39,30 @@ fn hierarchy_kinds() -> [MachineConfig; 3] {
         MachineConfig::two_level(4, 64, 4, L2Policy::Conventional, 50.0),
         MachineConfig::two_level(4, 64, 4, L2Policy::Exclusive, 50.0),
     ]
+}
+
+/// One configuration through the miss-stream back-end: a family of one.
+fn family_of_one(
+    cfg: &MachineConfig,
+    stream: &MissStream,
+    tm: &TimingModel,
+    am: &AreaModel,
+) -> DesignPoint {
+    evaluate_family(std::slice::from_ref(cfg), stream, tm, am).remove(0)
+}
+
+/// One whole stream through a conventional L2 family.
+fn conventional_family(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
+    try_replay_conventional_family_segments(cfgs, std::slice::from_ref(stream))
+        .expect("valid family")
+        .remove(0)
+}
+
+/// One whole stream through an exclusive L2 family.
+fn exclusive_family(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
+    try_replay_exclusive_family_segments(cfgs, std::slice::from_ref(stream))
+        .expect("valid family")
+        .remove(0)
 }
 
 /// Every benchmark × every hierarchy kind: the arena replay and both
@@ -93,10 +119,10 @@ fn chunk_size_does_not_change_results() {
 
 /// Miss-stream filtering equivalence: for every benchmark, every
 /// hierarchy kind (single-level, conventional/inclusive-tending,
-/// exclusive victim-swap) and several (L1, L2) geometry pairs, the
-/// filtered engine — L1 simulated once per front-end, L2 replaying only
-/// the captured events — must produce the same `DesignPoint` bit for bit
-/// as both the arena engine and the legacy dyn engine.
+/// exclusive victim-swap) and several (L1, L2) geometry pairs, a family
+/// of one — L1 simulated once per front-end, L2 replaying only the
+/// captured events — must produce the same `DesignPoint` bit for bit as
+/// both the arena engine and the legacy dyn engine.
 #[test]
 fn filtered_equivalence() {
     let tm = TimingModel::paper();
@@ -117,7 +143,7 @@ fn filtered_equivalence() {
                 }
             }
             for cfg in &configs {
-                let filtered = evaluate_filtered(cfg, &stream, &tm, &am);
+                let filtered = family_of_one(cfg, &stream, &tm, &am);
                 let replayed = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
                 assert_eq!(
                     filtered,
@@ -140,10 +166,10 @@ fn filtered_equivalence() {
 }
 
 /// Family-batched equivalence: for every benchmark, evaluating a whole
-/// L2-size family in one pass over the miss stream must reproduce the
-/// per-config filtered engine's `DesignPoint`s — stats and `tpi_ns` —
-/// bit for bit, for single-level, conventional (set-associative and
-/// direct-mapped fast path) and exclusive families alike.
+/// L2-size family in one pass over the miss stream must reproduce each
+/// member's own family of one — stats and `tpi_ns` — bit for bit, for
+/// single-level, conventional (set-associative and direct-mapped fast
+/// path) and exclusive families alike.
 #[test]
 fn family_equivalence() {
     let tm = TimingModel::paper();
@@ -171,11 +197,11 @@ fn family_equivalence() {
             for family in &families {
                 let batched = evaluate_family(family, &stream, &tm, &am);
                 for (cfg, got) in family.iter().zip(&batched) {
-                    let want = evaluate_filtered(cfg, &stream, &tm, &am);
+                    let want = family_of_one(cfg, &stream, &tm, &am);
                     assert_eq!(
                         &want,
                         got,
-                        "{} on {}: family-batched engine diverged from filtered",
+                        "{} on {}: family-batched engine diverged from its family of one",
                         benchmark.name(),
                         cfg.label()
                     );
@@ -185,14 +211,13 @@ fn family_equivalence() {
     }
 }
 
-/// Every replacement policy through every L2 engine: for each
+/// Every replacement policy through the L2 back-end: for each
 /// [`ReplacementKind`] (including SRRIP) and both set-associative and
-/// direct-mapped geometries, the family-batched engine must reproduce
-/// the scalar filtered engine bit for bit, and both must match the
-/// hand-verifiable naive oracle — on conventional and exclusive
-/// hierarchies alike.
+/// direct-mapped geometries, every member of a batched family must match
+/// its own family of one and the hand-verifiable naive oracle — on
+/// conventional and exclusive hierarchies alike.
 #[test]
-fn replacement_policies_agree_family_scalar_and_oracle() {
+fn replacement_policies_agree_family_and_oracle() {
     for benchmark in [SpecBenchmark::Li, SpecBenchmark::Doduc] {
         let arena = capture_benchmark(benchmark, BUDGET);
         let stream = capture_miss_stream(2 * 1024, 16, &arena, BUDGET, usize::MAX)
@@ -203,20 +228,20 @@ fn replacement_policies_agree_family_scalar_and_oracle() {
                     .iter()
                     .map(|&kb| CacheConfig::new(kb * 1024, 16, assoc, repl).expect("valid L2"))
                     .collect();
-                let conv = replay_conventional_family(&cfgs, &stream);
-                let excl = replay_exclusive_family(&cfgs, &stream);
+                let conv = conventional_family(&cfgs, &stream);
+                let excl = exclusive_family(&cfgs, &stream);
                 for (cfg, (fam_conv, fam_excl)) in cfgs.iter().zip(conv.iter().zip(&excl)) {
                     let label = format!("{benchmark:?} {repl} {assoc:?} {}B", cfg.size_bytes());
-                    let scalar = replay_conventional(*cfg, &stream);
-                    assert_eq!(&scalar, fam_conv, "{label}: conventional family vs scalar");
+                    let one = conventional_family(std::slice::from_ref(cfg), &stream)[0];
+                    assert_eq!(&one, fam_conv, "{label}: conventional family vs family of one");
                     let oracle =
                         naive_replay_conventional(cfg.size_bytes(), cfg.ways(), repl, &stream);
-                    assert_eq!(scalar, oracle, "{label}: conventional engine vs naive oracle");
-                    let scalar = replay_exclusive(*cfg, &stream);
-                    assert_eq!(&scalar, fam_excl, "{label}: exclusive family vs scalar");
+                    assert_eq!(one, oracle, "{label}: conventional engine vs naive oracle");
+                    let one = exclusive_family(std::slice::from_ref(cfg), &stream)[0];
+                    assert_eq!(&one, fam_excl, "{label}: exclusive family vs family of one");
                     let oracle =
                         naive_replay_exclusive(cfg.size_bytes(), cfg.ways(), repl, &stream);
-                    assert_eq!(scalar, oracle, "{label}: exclusive engine vs naive oracle");
+                    assert_eq!(one, oracle, "{label}: exclusive engine vs naive oracle");
                 }
             }
         }
@@ -226,7 +251,7 @@ fn replacement_policies_agree_family_scalar_and_oracle() {
 /// Non-baseline policies survive the full `DesignPoint` pipeline: a
 /// machine configured with FIFO, tree-PLRU, or SRRIP L2 replacement
 /// must produce identical points from the generator-driven, arena,
-/// filtered, and family-batched engines — and single-level machines
+/// family-of-one, and family-batched engines — and single-level machines
 /// (where the knob is inert) ride along in the same mixed family list.
 #[test]
 fn replacement_policies_agree_across_design_point_engines() {
@@ -247,18 +272,18 @@ fn replacement_policies_agree_across_design_point_engines() {
             let family = vec![with_repl(base, repl), with_repl(base, repl), with_repl(base, repl)];
             let batched = evaluate_family(&family, &stream, &tm, &am);
             for (cfg, got) in family.iter().zip(&batched) {
-                let filtered = evaluate_filtered(cfg, &stream, &tm, &am);
+                let one = family_of_one(cfg, &stream, &tm, &am);
                 assert_eq!(
-                    &filtered,
+                    &one,
                     got,
-                    "{repl} on {}: family-batched engine diverged from filtered",
+                    "{repl} on {}: family-batched engine diverged from its family of one",
                     cfg.label()
                 );
                 let replayed = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
                 assert_eq!(
-                    filtered,
+                    one,
                     replayed,
-                    "{repl} on {}: filtered engine diverged from arena replay",
+                    "{repl} on {}: family of one diverged from arena replay",
                     cfg.label()
                 );
                 let generated = evaluate(cfg, benchmark, BUDGET, &tm, &am);
@@ -273,8 +298,9 @@ fn replacement_policies_agree_across_design_point_engines() {
     }
 }
 
-/// The filtered sweep is a drop-in replacement for the arena sweep:
-/// same mixed configuration list, any thread count, identical output.
+/// The miss-stream filtered sweep (the family engine; `filtered` is its
+/// CLI alias) is a drop-in replacement for the arena sweep: same mixed
+/// configuration list, any thread count, identical output.
 #[test]
 fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
     let tm = TimingModel::paper();
@@ -290,8 +316,8 @@ fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
     let arena = capture_benchmark(SpecBenchmark::Doduc, BUDGET);
     let reference = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
     for threads in [1usize, 2, 5] {
-        let filtered = sweep_filtered_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
-        assert_eq!(reference, filtered, "threads={threads} changed the filtered sweep");
+        let family = sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
+        assert_eq!(reference, family, "threads={threads} changed the family sweep");
     }
 }
 
@@ -433,7 +459,7 @@ proptest! {
                     .expect("valid DM L2")
             })
             .collect();
-        let stats = replay_conventional_family(&cfgs, &stream);
+        let stats = conventional_family(&cfgs, &stream);
         for (small, large) in stats.iter().zip(&stats[1..]) {
             prop_assert!(
                 large.l2_misses <= small.l2_misses,

@@ -94,7 +94,7 @@ fn synthetic_corpus_entry_round_trips_and_agrees() {
 
     let meta = CorpusEntryMeta {
         schema: CORPUS_ENTRY_SCHEMA.to_string(),
-        check: "filtered-vs-oracle".to_string(),
+        check: "family-vs-oracle".to_string(),
         l1_size_bytes: 1024,
         line_bytes: 16,
         warmup_events: 0,

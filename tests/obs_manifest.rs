@@ -1,8 +1,7 @@
 //! Observability acceptance tests: the `tlc-obs` counters and span
-//! trees wired through the sweep pipeline must (a) agree between the
-//! scalar filtered engine and the family-batched engine — the counters
-//! are *measurements of the simulated machine*, so batching must not
-//! change them; (b) nest worker spans under the spawning phase across
+//! trees wired through the sweep pipeline must (a) agree between whole
+//! and chunked families — the counters are *measurements of the
+//! simulated machine*, so batching must not change them; (b) nest worker spans under the spawning phase across
 //! thread boundaries; (c) propagate worker panics as structured
 //! [`SweepError`]s naming the failing unit; and (d) roll up into a
 //! `tlc-run-manifest/2` document whose arithmetic invariants hold,
@@ -13,10 +12,7 @@
 use std::sync::Mutex;
 use tlc_area::AreaModel;
 use tlc_core::experiment::{capture_benchmark, SimBudget};
-use tlc_core::runner::{
-    try_sweep_arena_threads, try_sweep_family_arena_threads, try_sweep_filtered_arena_threads,
-    SweepUnit,
-};
+use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads, SweepUnit};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_obs::manifest::{build_span_tree, RunManifest, RunMeta};
 use tlc_obs::Counter;
@@ -56,46 +52,64 @@ fn measure(sweep: impl FnOnce()) -> [u64; Counter::COUNT] {
     tlc_obs::counters().snapshot()
 }
 
-/// The family-batched engine must report the *same* counter totals as
-/// the scalar filtered engine over the same space: events decoded, L1
-/// hits/misses, L2 probes/hits/misses, writebacks, LFSR draws and
-/// exclusive swaps are all facts about the simulated machine, not about
-/// how the sweep batches its work.
+/// A space with one dominant family: on a shared 2KB L1, a
+/// single-level config, seven conventional 4-way (LFSR-drawing) L2
+/// sizes, two direct-mapped ones, and an exclusive pair. With two
+/// threads the seven-member family exceeds its fair share
+/// (⌈12 / 2⌉ = 6 members) and is chunked.
+fn chunky_space() -> Vec<MachineConfig> {
+    let mut configs = vec![MachineConfig::single_level(2, 50.0)];
+    for l2_kb in [4u64, 8, 16, 32, 64, 128, 256] {
+        configs.push(MachineConfig::two_level(2, l2_kb, 4, L2Policy::Conventional, 50.0));
+    }
+    for (l2_kb, ways, policy) in [(16, 1, L2Policy::Conventional), (64, 1, L2Policy::Conventional)]
+        .into_iter()
+        .chain([(16, 4, L2Policy::Exclusive), (64, 4, L2Policy::Exclusive)])
+    {
+        configs.push(MachineConfig::two_level(2, l2_kb, ways, policy, 50.0));
+    }
+    configs
+}
+
+/// Whole families (one thread) and chunked families (two threads) must
+/// report the *same* counter totals over the same space: events decoded,
+/// L1 hits/misses, L2 probes/hits/misses, writebacks, LFSR draws,
+/// exclusive swaps and liveness are all facts about the simulated
+/// machine, not about how the sweep batches its work.
 #[test]
-fn family_and_filtered_engines_report_identical_counters() {
+fn whole_and_chunked_families_report_identical_counters() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     if !tlc_obs::ENABLED {
         return; // nothing to measure in the no-op build
     }
     let tm = TimingModel::paper();
     let am = AreaModel::new();
-    let configs = mixed_space();
+    let configs = chunky_space();
     let arena = capture();
-    let scalar = measure(|| {
-        try_sweep_filtered_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1)
-            .expect("filtered sweep succeeds");
+    let whole = measure(|| {
+        try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1)
+            .expect("whole-family sweep succeeds");
     });
-    let family = measure(|| {
+    let chunked = measure(|| {
         try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 2)
-            .expect("family sweep succeeds");
+            .expect("chunked-family sweep succeeds");
     });
     for c in Counter::ALL {
         // `l2.events_replayed` measures engine *work*, not the machine:
-        // the family engine decodes each family's stream once instead of
-        // once per member, so fewer replays is exactly the batching win.
+        // each chunk decodes its family's stream again.
         if c == Counter::L2EventsReplayed {
             continue;
         }
         assert_eq!(
-            scalar[c as usize],
-            family[c as usize],
-            "counter {} diverged between filtered and family engines",
+            whole[c as usize],
+            chunked[c as usize],
+            "counter {} diverged between whole and chunked families",
             c.name()
         );
     }
     assert!(
-        family[Counter::L2EventsReplayed as usize] < scalar[Counter::L2EventsReplayed as usize],
-        "family batching must replay fewer events than per-config filtering"
+        chunked[Counter::L2EventsReplayed as usize] > whole[Counter::L2EventsReplayed as usize],
+        "chunked families replay their stream once per chunk"
     );
     // And the totals are live: a space this size must decode events,
     // probe the L2s, and draw from the LFSR for the 4-way L2s.
@@ -108,7 +122,7 @@ fn family_and_filtered_engines_report_identical_counters() {
         Counter::L2ExclusiveSwaps,
         Counter::L2Writebacks,
     ] {
-        assert!(family[c as usize] > 0, "counter {} stayed zero", c.name());
+        assert!(chunked[c as usize] > 0, "counter {} stayed zero", c.name());
     }
 }
 

@@ -168,7 +168,7 @@ def check_audit_report(doc):
     if doc["elapsed_seconds"] < 0:
         fail("negative elapsed_seconds")
     engines = doc["engines"]
-    expected = ["streaming", "dyn", "arena", "filtered", "family", "predict"]
+    expected = ["streaming", "dyn", "arena", "family", "predict"]
     if sorted(engines) != sorted(expected):
         fail(f"unexpected engine list {engines!r}")
 
