@@ -36,6 +36,22 @@
 //! at position `t` reprobed at distance `d`). Both terms reduce to a
 //! signed histogram accumulated in the single pass.
 //!
+//! ## Solve
+//!
+//! The solve walks the distance histogram once, at O(1) per distance
+//! for any associativity. With `n = d − 1`, `p = 1/s`, `q = 1 − p`, the
+//! CDF `F(n) = P[Bin(n, p) <= a − 1]` (the hit probability) and the
+//! boundary term `b(n) = P[Bin(n, p) = a − 1]` obey
+//! `F(n + 1) = F(n) − p·b(n)` and
+//! `b(n + 1) = b(n) · q · (n + 1) / (n + 2 − a)`, starting from
+//! `F(a − 1) = 1`, `b(a − 1) = p^(a − 1)`. That start underflows f64 at
+//! large `s` and `a`, so `b` is carried as a mantissa plus a coarse
+//! exponent and read as zero while it cannot move `F`; `F` is clamped
+//! at 0. The walk stops once `F` drops below `1e-12` or, past the pmf's
+//! mode, once `b` drops below `2^-600` (what `F` then holds is rounding
+//! residue). The tests keep the earlier truncated-pmf walk (O(a) per
+//! distance) as a differential reference.
+//!
 //! ## Soundness domain and ε contract
 //!
 //! Replay remains ground truth. Prediction is *exact* for single-level
@@ -72,6 +88,76 @@ pub const MISS_RATIO_EPSILON: f64 = 0.16;
 /// Hit probabilities below this are treated as zero: the incremental
 /// binomial tail is abandoned once it can no longer move a count.
 const NEGLIGIBLE_HIT_PROB: f64 = 1e-12;
+
+/// Past its mode, a pmf term below this means the CDF it bounds is far
+/// below [`NEGLIGIBLE_HIT_PROB`]: the walk stops rather than carry
+/// rounding residue in `F` (or step `b` through subnormals).
+const TAIL_CUTOFF: f64 = pow2(-600);
+
+/// Exponent step of [`Scaled`]: one step keeps a carried mantissa well
+/// inside f64's normal range on either side.
+const SCALE_STEP: i32 = 300;
+
+/// `2^e` for `e` in f64's normal exponent range.
+const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// A non-negative value `mant · 2^(−SCALE_STEP · shift)`: the binomial
+/// pmf term `b` starts at `p^(a−1)`, which underflows f64 (2^−5100 at
+/// 2^20 sets and 256 ways), yet must keep its exact ratio to later
+/// terms as the walk multiplies it back up.
+#[derive(Debug, Clone, Copy)]
+struct Scaled {
+    mant: f64,
+    shift: u32,
+    /// `2^(−SCALE_STEP · shift)`, or 0 from `shift == 2` on: there the
+    /// value is below 2^−300 and cannot move a CDF still above
+    /// [`NEGLIGIBLE_HIT_PROB`].
+    scale: f64,
+}
+
+impl Scaled {
+    /// `x^k` for `x` in `(0, 1]`.
+    fn pow(x: f64, k: usize) -> Self {
+        let mut s = Scaled { mant: 1.0, shift: 0, scale: 1.0 };
+        for _ in 0..k {
+            s.mant *= x;
+            if s.mant < pow2(-SCALE_STEP) {
+                s.mant *= pow2(SCALE_STEP);
+                s.shift += 1;
+            }
+        }
+        s.scale = Self::scale_of(s.shift);
+        s
+    }
+
+    fn scale_of(shift: u32) -> f64 {
+        match shift {
+            0 => 1.0,
+            1 => pow2(-SCALE_STEP),
+            _ => 0.0,
+        }
+    }
+
+    /// The value as a plain f64 (0 while it is negligible).
+    #[inline]
+    fn value(self) -> f64 {
+        self.mant * self.scale
+    }
+
+    #[inline]
+    fn mul(&mut self, r: f64) {
+        self.mant *= r;
+        // Only reachable from shift >= 2: the value itself never
+        // exceeds 1.
+        if self.mant > pow2(SCALE_STEP) {
+            self.mant *= pow2(-SCALE_STEP);
+            self.shift -= 1;
+            self.scale = Self::scale_of(self.shift);
+        }
+    }
+}
 
 /// Sentinel "clean at every capacity" dirty floor.
 const CLEAN: u64 = u64::MAX;
@@ -243,8 +329,10 @@ impl EventSink for ReuseProfiler {
 pub struct ReuseProfile {
     accesses: u64,
     written_victims: u64,
-    hist: Vec<u64>,
-    victim_hist: Vec<i64>,
+    /// The profiler's `hist` and `victim_hist` as f64, padded to one
+    /// length so the solve walks them in lockstep.
+    hist: Vec<f64>,
+    victim_hist: Vec<f64>,
     dm_set_counts: Vec<u64>,
     /// `(hits, misses)` per entry of `dm_set_counts`, measured window.
     dm_counters: Vec<(u64, u64)>,
@@ -267,11 +355,16 @@ impl ReuseProfile {
         walk_events(&mut p, stream);
         p.flush_resident_dirty();
         let dm_counters = p.dm.as_ref().map(|dm| dm.counters()).unwrap_or_default();
+        let max_d = p.hist.len().max(p.victim_hist.len());
+        let mut hist: Vec<f64> = p.hist.iter().map(|&h| h as f64).collect();
+        let mut victim_hist: Vec<f64> = p.victim_hist.iter().map(|&v| v as f64).collect();
+        hist.resize(max_d, 0.0);
+        victim_hist.resize(max_d, 0.0);
         ReuseProfile {
             accesses: p.accesses,
             written_victims: p.written_victims,
-            hist: p.hist,
-            victim_hist: p.victim_hist,
+            hist,
+            victim_hist,
             dm_set_counts: dm_set_counts.to_vec(),
             dm_counters,
         }
@@ -285,61 +378,45 @@ impl ReuseProfile {
 
     /// Expected hits `Σ_d hist[d] · P_hit(d)` and the writeback
     /// correction `Σ_x V[x] · P_hit(x)` for an `s × a` geometry, in one
-    /// incremental-binomial walk over the histograms.
+    /// walk over the histograms at O(1) per distance (see the module
+    /// docs for the recurrence and its underflow handling).
     fn hit_sums(&self, sets: u64, ways: u32) -> (f64, f64) {
         let a = ways as usize;
-        let max_d = self.hist.len().max(self.victim_hist.len());
-        // One set: the binomial is deterministic (every intervening
-        // line lands in the probed set), so distance d hits iff d ≤ a —
-        // the exact Mattson column, in O(a) instead of O(max_d · a).
-        if sets == 1 {
-            let hits: f64 =
-                self.hist.iter().take(max_d.min(a + 1)).skip(1).map(|&h| h as f64).sum();
-            let wb: f64 =
-                self.victim_hist.iter().take(max_d.min(a + 1)).skip(1).map(|&v| v as f64).sum();
-            return (hits, wb);
+        let max_d = self.hist.len();
+        // At most a - 1 lines intervene before distance a, so every
+        // d <= a hits whatever the set count. With one set the binomial
+        // is deterministic and those are the only hits: the exact
+        // Mattson column.
+        let sure = max_d.min(if sets == 1 { a + 1 } else { a });
+        let mut hits: f64 = self.hist[..sure].iter().skip(1).sum();
+        let mut wb: f64 = self.victim_hist[..sure].iter().skip(1).sum();
+        let mut steps = sure.saturating_sub(1) as u64;
+        if sets > 1 {
+            let p = 1.0 / sets as f64;
+            let q = 1.0 - p;
+            // F = P[Bin(n, p) <= a - 1] and b = P[Bin(n, p) = a - 1] for
+            // the n = d - 1 lines intervening at distance d, from n = a - 1.
+            let mut f = 1.0;
+            let mut b = Scaled::pow(p, a - 1);
+            let mut n = a as f64 - 1.0;
+            // Past the pmf's mode, b only shrinks; once it is below
+            // TAIL_CUTOFF there, the true F is far under
+            // NEGLIGIBLE_HIT_PROB and whatever F is left is rounding.
+            let mode = n * sets as f64;
+            for (&h, &v) in self.hist[sure..].iter().zip(&self.victim_hist[sure..]) {
+                steps += 1;
+                hits += h * f;
+                wb += v * f;
+                let bv = b.value();
+                if f < NEGLIGIBLE_HIT_PROB || (n > mode && bv < TAIL_CUTOFF) {
+                    break;
+                }
+                f = (f - p * bv).max(0.0);
+                b.mul(q * (n + 1.0) / (n + 2.0 - a as f64));
+                n += 1.0;
+            }
         }
-        // The truncated pmf only loses mass once Bin(d − 1, 1/s) can
-        // reach a, and the intervening-lines-in-set count is monotone in
-        // d, so the mass escaped by the end of the walk is exactly
-        // P[Bin(max_d − 1, 1/s) ≥ a]. When a sits far enough above the
-        // mean μ = (max_d − 1)/s — the Chernoff bound below keeps that
-        // tail under ~1e−9 — every phit on the walk is 1 − O(1e−9):
-        // each probe hits and each victim interval completes, and the
-        // whole walk collapses to two histogram sums. This is what makes
-        // predicting large caches O(hist) instead of O(max_d · a).
-        let mu = (max_d as f64 - 1.0) / sets as f64;
-        if a as f64 - 1.0 >= mu + 21.0 * (1.0 + mu.sqrt()) {
-            let hits: f64 = self.hist.iter().skip(1).map(|&h| h as f64).sum();
-            let wb: f64 = self.victim_hist.iter().skip(1).map(|&v| v as f64).sum();
-            return (hits, wb);
-        }
-        let p = 1.0 / sets as f64;
-        let q = 1.0 - p;
-        // pmf of Binomial(d - 1, 1/s) truncated to 0..a; the mass that
-        // escapes past a - 1 is permanently lost (a miss at distance d
-        // stays a miss at every larger one).
-        let mut pmf = vec![0.0f64; a];
-        pmf[0] = 1.0;
-        let mut phit = 1.0;
-        let mut hits = 0.0;
-        let mut wb = 0.0;
-        for d in 1..max_d {
-            if let Some(&h) = self.hist.get(d) {
-                hits += h as f64 * phit;
-            }
-            if let Some(&v) = self.victim_hist.get(d) {
-                wb += v as f64 * phit;
-            }
-            if phit < NEGLIGIBLE_HIT_PROB {
-                break;
-            }
-            for k in (1..a).rev() {
-                pmf[k] = pmf[k] * q + pmf[k - 1] * p;
-            }
-            pmf[0] *= q;
-            phit = pmf.iter().sum();
-        }
+        tlc_obs::obs_count!(tlc_obs::Counter::PredictSolveSteps, steps);
         (hits, wb)
     }
 
@@ -357,10 +434,20 @@ impl ReuseProfile {
         l2_cfg: &CacheConfig,
     ) -> HierarchyStats {
         assert_eq!(l2_cfg.line_bytes(), stream.line_bytes(), "L1 and L2 must share a line size");
+        let sums = self.hit_sums(l2_cfg.num_sets(), l2_cfg.ways());
+        self.assemble(stream, l2_cfg, sums)
+    }
+
+    /// Rounds solved `(hits, writeback correction)` sums into the
+    /// statistics of `l2_cfg` over `stream`'s L1 counters.
+    fn assemble(
+        &self,
+        stream: &MissStream,
+        l2_cfg: &CacheConfig,
+        (hits_f, wb_corr): (f64, f64),
+    ) -> HierarchyStats {
         let sets = l2_cfg.num_sets();
-        let ways = l2_cfg.ways();
-        let (hits_f, wb_corr) = self.hit_sums(sets, ways);
-        let l2_hits = if ways == 1 {
+        let l2_hits = if l2_cfg.ways() == 1 {
             let i = self
                 .dm_set_counts
                 .iter()
@@ -434,6 +521,123 @@ mod tests {
             fe.access_instruction(&w.next_instruction_opt().unwrap());
         }
         fe.finish(b.name())
+    }
+
+    /// The solve before the binomial-CDF recurrence, kept as the
+    /// differential reference: the pmf of Bin(d − 1, 1/s) truncated to
+    /// `0..a`, advanced term by term and re-summed at every distance
+    /// (O(a) per step).
+    fn pmf_walk_hit_sums(profile: &ReuseProfile, sets: u64, ways: u32) -> (f64, f64) {
+        let a = ways as usize;
+        let max_d = profile.hist.len();
+        if sets == 1 {
+            let hits: f64 = profile.hist.iter().take(max_d.min(a + 1)).skip(1).sum();
+            let wb: f64 = profile.victim_hist.iter().take(max_d.min(a + 1)).skip(1).sum();
+            return (hits, wb);
+        }
+        let p = 1.0 / sets as f64;
+        let q = 1.0 - p;
+        let mut pmf = vec![0.0f64; a];
+        pmf[0] = 1.0;
+        let mut phit = 1.0;
+        let mut hits = 0.0;
+        let mut wb = 0.0;
+        for d in 1..max_d {
+            hits += profile.hist[d] * phit;
+            wb += profile.victim_hist[d] * phit;
+            if phit < NEGLIGIBLE_HIT_PROB {
+                break;
+            }
+            for k in (1..a).rev() {
+                pmf[k] = pmf[k] * q + pmf[k - 1] * p;
+            }
+            pmf[0] *= q;
+            phit = pmf.iter().sum();
+        }
+        (hits, wb)
+    }
+
+    /// Asserts the recurrence agrees with the pmf walk to within
+    /// 1e-9 per probe on both sums.
+    fn assert_matches_pmf_walk(profile: &ReuseProfile, sets: u64, ways: u32) {
+        let (hits, wb) = profile.hit_sums(sets, ways);
+        let (want_hits, want_wb) = pmf_walk_hit_sums(profile, sets, ways);
+        let tol = 1e-9 * profile.accesses.max(1) as f64;
+        assert!(
+            (hits - want_hits).abs() <= tol && (wb - want_wb).abs() <= tol,
+            "{sets} sets × {ways} ways: recurrence ({hits}, {wb}) vs pmf walk \
+             ({want_hits}, {want_wb}), tolerance {tol}"
+        );
+    }
+
+    /// A profile with every distance in `1..max_d` populated, a few
+    /// thousand probes per distance and signed victim coefficients.
+    fn dense_profile(max_d: usize) -> ReuseProfile {
+        let hist: Vec<f64> =
+            (0..max_d).map(|d| if d == 0 { 0.0 } else { (d * 7919 % 4001) as f64 }).collect();
+        let victim_hist: Vec<f64> = (0..max_d).map(|d| (d % 7) as f64 - 3.0).collect();
+        ReuseProfile {
+            accesses: hist.iter().sum::<f64>() as u64,
+            written_victims: 0,
+            hist,
+            victim_hist,
+            dm_set_counts: Vec::new(),
+            dm_counters: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn recurrence_survives_an_underflowing_first_term() {
+        // p^(a−1) = 2^−5100 at 2^20 sets × 256 ways, and 2^−1530 at 64
+        // sets, whose walk also crosses the pmf's mode (n ≈ 16 320) and
+        // its far tail inside max_d.
+        let profile = dense_profile(120_000);
+        for (sets, ways) in [(1u64 << 20, 256u32), (64, 256), (1024, 256), (3, 200), (5, 1)] {
+            assert_matches_pmf_walk(&profile, sets, ways);
+        }
+        let all: f64 = profile.hist.iter().sum();
+        assert_eq!(profile.hit_sums(1 << 20, 256).0, all, "P_hit stays 1 far below the mode");
+        assert!(profile.hit_sums(64, 256).0 < 0.5 * all, "the tail past the mode misses");
+    }
+
+    #[test]
+    fn recurrence_matches_pmf_walk_on_long_reuse_distances() {
+        // 110 000 distinct lines, then every third one again in a
+        // scrambled order: reuse distances spread up to ~1.1e5.
+        let n = 110_000u64;
+        let mut events: Vec<(u64, Option<(u64, bool)>)> =
+            (0..n).map(|l| (l, (l % 5 == 0).then_some((l / 2, l % 10 == 0)))).collect();
+        events.extend((0..n / 3).map(|i| ((i * 7_919) % n, None)));
+        let stream = properties::synthetic(&events, 0);
+        let profile = ReuseProfile::capture(&stream, &[]);
+        assert!(profile.hist.len() >= 100_000, "max_d = {}", profile.hist.len());
+        for (sets, ways) in [(2u64, 1u32), (256, 4), (512, 64), (1 << 20, 256), (4096, 16)] {
+            assert_matches_pmf_walk(&profile, sets, ways);
+        }
+    }
+
+    #[test]
+    fn rounded_stats_match_pmf_walk_on_the_equivalence_grid() {
+        // The benchmark × geometry grid and budget of
+        // tests/predict_equivalence.rs.
+        for b in SpecBenchmark::ALL {
+            for l1_kb in [2u64, 4] {
+                let stream = capture_spec(b, l1_kb * 1024, 3_000, 12_000);
+                let profile = ReuseProfile::capture(&stream, &[1024, 4096]);
+                for l2_kb in [16u64, 64] {
+                    for ways in [1u32, 2, 4, 8] {
+                        let cfg = l2_cfg(l2_kb * 1024, ways, ReplacementKind::PseudoRandom);
+                        let reference = pmf_walk_hit_sums(&profile, cfg.num_sets(), ways);
+                        assert_eq!(
+                            profile.predict_conventional(&stream, &cfg),
+                            profile.assemble(&stream, &cfg, reference),
+                            "{} L1 {l1_kb}KB, L2 {l2_kb}KB {ways}-way",
+                            b.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -558,7 +762,7 @@ mod tests {
         use tlc_trace::{AccessKind, MissEvent, VictimLine};
 
         /// Builds a synthetic miss stream from `(line, victim)` pairs.
-        fn synthetic(events: &[(u64, Option<(u64, bool)>)], warm: usize) -> MissStream {
+        pub(super) fn synthetic(events: &[(u64, Option<(u64, bool)>)], warm: usize) -> MissStream {
             let mut arena = EventArena::new();
             for &(line, victim) in events {
                 arena.push(MissEvent {
@@ -579,6 +783,25 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// The O(1)-per-distance recurrence agrees with the O(a)
+            /// pmf walk on arbitrary streams and geometries, set counts
+            /// drawn log-uniformly from 2..2^21.
+            #[test]
+            fn recurrence_matches_pmf_walk(
+                raw in prop::collection::vec((0u64..2_000, 0u64..2_000, any::<bool>()), 1..3_000),
+                octave in 1u32..21,
+                offset in any::<u64>(),
+                ways in 1u32..=256,
+            ) {
+                let events: Vec<(u64, Option<(u64, bool)>)> = raw
+                    .iter()
+                    .map(|&(line, v, w)| (line, (v % 3 != 0).then_some((v, w))))
+                    .collect();
+                let profile = ReuseProfile::capture(&synthetic(&events, 0), &[]);
+                let sets = (1u64 << octave) + offset % (1u64 << octave);
+                assert_matches_pmf_walk(&profile, sets, ways);
+            }
 
             /// Predicted direct-mapped hit/miss counts equal the exact
             /// replayed counts on arbitrary streams — 1-way prediction

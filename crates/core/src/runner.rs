@@ -92,24 +92,42 @@ impl std::fmt::Display for SweepUnit {
     }
 }
 
-/// A worker panic propagated as a value instead of aborting the sweep's
-/// caller with a bare `expect`. Returned by the `try_sweep_*` variants;
-/// the panicking wrappers re-raise it with this context in the message.
+/// Why a `try_sweep_*` call produced no results: a request it cannot
+/// run, or a worker panic propagated as a value instead of aborting the
+/// caller. The panicking wrappers re-raise it with this context in the
+/// message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepError {
-    /// The unit being executed when the panic fired.
-    pub unit: SweepUnit,
-    /// The panic payload, stringified.
-    pub payload: String,
+pub enum SweepError {
+    /// The request asked for zero worker threads.
+    NoThreads,
+    /// A worker panicked.
+    Worker {
+        /// The unit being executed when the panic fired.
+        unit: SweepUnit,
+        /// The panic payload, stringified.
+        payload: String,
+    },
 }
 
 impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}: {}", self.unit, self.payload)
+        match self {
+            SweepError::NoThreads => f.write_str("need at least one worker thread"),
+            SweepError::Worker { unit, payload } => write!(f, "{unit}: {payload}"),
+        }
     }
 }
 
 impl std::error::Error for SweepError {}
+
+/// The thread-count check every `try_sweep_*` entry point makes before
+/// doing any work.
+fn require_threads(threads: usize) -> Result<(), SweepError> {
+    if threads == 0 {
+        return Err(SweepError::NoThreads);
+    }
+    Ok(())
+}
 
 /// Upper bound on the arena capture size before [`sweep`] falls back to
 /// the streaming path: 1 GiB ≈ 63 M instructions at 17 bytes per packed
@@ -198,9 +216,10 @@ pub fn sweep_threads(
 /// [`SweepError`] (naming the L1 group or configuration that failed)
 /// instead of aborting the caller.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `threads` is zero.
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if a worker panics.
 pub fn try_sweep_threads(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -209,7 +228,7 @@ pub fn try_sweep_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
+    require_threads(threads)?;
     if configs.len() <= 1 || arena_bytes_for(budget) > ARENA_BYTES_LIMIT {
         obs_count!(Counter::RunnerFallbackStreaming, 1);
         obs_event!(
@@ -229,11 +248,12 @@ pub fn try_sweep_threads(
 }
 
 /// Unwraps a `try_sweep_*` result for the infallible entry points,
-/// re-raising the worker panic with its unit context.
-fn expect_sweep(r: Result<Vec<DesignPoint>, SweepError>) -> Vec<DesignPoint> {
+/// re-raising a worker panic with its unit context.
+fn expect_sweep<T>(r: Result<T, SweepError>) -> T {
     match r {
         Ok(v) => v,
-        Err(e) => panic!("sweep worker thread panicked at {e}"),
+        Err(e @ SweepError::Worker { .. }) => panic!("sweep worker thread panicked at {e}"),
+        Err(e) => panic!("{e}"),
     }
 }
 
@@ -259,9 +279,10 @@ pub fn sweep_arena_threads(
 /// As [`sweep_arena_threads`], reporting a worker panic as a
 /// structured [`SweepError`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `threads` is zero.
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if a worker panics.
 pub fn try_sweep_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -478,9 +499,10 @@ pub fn sweep_family_arena_threads(
 /// structured [`SweepError`] naming the L1 group, family chunk, or
 /// configuration that failed.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `threads` is zero.
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if a worker panics.
 pub fn try_sweep_family_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -489,7 +511,7 @@ pub fn try_sweep_family_arena_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
+    require_threads(threads)?;
     let groups = l1_groups(configs);
     let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
     let sources: Vec<Option<&tlc_cache::MissStream>> = streams.iter().map(Option::as_ref).collect();
@@ -551,9 +573,14 @@ pub fn sweep_sampled_threads(
 /// As [`sweep_sampled_threads`], reporting a worker panic as a
 /// structured [`SweepError`].
 ///
+/// # Errors
+///
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if a worker panics.
+///
 /// # Panics
 ///
-/// Panics if `threads` is zero or `slices` is empty.
+/// Panics if `slices` is empty.
 pub fn try_sweep_sampled_threads(
     configs: &[MachineConfig],
     slices: &[PhaseSlice],
@@ -561,7 +588,7 @@ pub fn try_sweep_sampled_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
+    require_threads(threads)?;
     assert!(!slices.is_empty(), "need at least one phase slice");
     let workload = slices[0].arena.name().to_string();
     let groups = l1_groups(configs);
@@ -687,9 +714,10 @@ pub fn sweep_predict_arena_threads(
 /// structured [`SweepError`] naming the L1 group, predict group, family
 /// chunk, or configuration that failed.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `threads` is zero.
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if a worker panics.
 pub fn try_sweep_predict_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -698,7 +726,7 @@ pub fn try_sweep_predict_arena_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    assert!(threads > 0, "need at least one worker thread");
+    require_threads(threads)?;
     let groups = l1_groups(configs);
     let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
     let sources: Vec<Option<&tlc_cache::MissStream>> = streams.iter().map(Option::as_ref).collect();
@@ -795,9 +823,10 @@ pub fn sweep_streaming_threads(
 /// As [`sweep_streaming_threads`], reporting a worker panic as a
 /// structured [`SweepError`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `threads` is zero.
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if a worker panics.
 pub fn try_sweep_streaming_threads(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -900,14 +929,14 @@ where
     F: Fn(usize) -> T + Sync,
     U: Fn(usize) -> SweepUnit + Sync,
 {
-    assert!(threads > 0, "need at least one worker thread");
+    require_threads(threads)?;
     if n == 0 {
         return Ok(Vec::new());
     }
     let threads = threads.min(n);
     let caught = |i: usize| {
         catch_unwind(AssertUnwindSafe(|| eval(i)))
-            .map_err(|p| SweepError { unit: unit_of(i), payload: payload_string(p) })
+            .map_err(|p| SweepError::Worker { unit: unit_of(i), payload: payload_string(p) })
     };
     if threads == 1 {
         // Run on the calling thread: spawning a worker is not only
@@ -991,10 +1020,7 @@ where
     F: Fn(usize) -> T + Sync,
     U: Fn(usize) -> SweepUnit + Sync,
 {
-    match try_run_indexed(n, threads, eval, unit_of) {
-        Ok(v) => v,
-        Err(e) => panic!("sweep worker thread panicked at {e}"),
-    }
+    expect_sweep(try_run_indexed(n, threads, eval, unit_of))
 }
 
 #[cfg(test)]
@@ -1338,8 +1364,9 @@ mod tests {
                 |i| SweepUnit::Config { index: i, label: format!("unit-{i}") },
             );
             let e = r.expect_err("a panicking worker must produce Err, not a panic");
-            assert!(e.payload.contains("injected failure"), "payload: {}", e.payload);
-            assert!(matches!(e.unit, SweepUnit::Config { index, .. } if index >= 2));
+            let SweepError::Worker { unit, payload } = e else { panic!("expected Worker: {e}") };
+            assert!(payload.contains("injected failure"), "payload: {payload}");
+            assert!(matches!(unit, SweepUnit::Config { index, .. } if index >= 2));
         }
     }
 
@@ -1354,7 +1381,65 @@ mod tests {
             |i| SweepUnit::Config { index: i, label: String::new() },
         );
         let e = r.expect_err("expected structured error");
-        assert!(e.payload.contains("boom"));
+        assert!(matches!(e, SweepError::Worker { payload, .. } if payload.contains("boom")));
+    }
+
+    /// A small mixed space and a captured arena for the zero-thread
+    /// checks, which must return before touching either.
+    fn zero_thread_inputs() -> (Vec<MachineConfig>, TraceArena, SimBudget) {
+        let budget = SimBudget { instructions: 2_000, warmup_instructions: 500 };
+        let mut configs = single_level_configs(&SpaceOptions::baseline())[..2].to_vec();
+        configs.extend_from_slice(&two_level_configs(&SpaceOptions::baseline())[..2]);
+        (configs, capture_benchmark(SpecBenchmark::Li, budget), budget)
+    }
+
+    #[test]
+    fn try_sweep_threads_rejects_zero_threads() {
+        let (configs, _, budget) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let r = try_sweep_threads(&configs, SpecBenchmark::Li, budget, &tm, &am, 0);
+        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
+    }
+
+    #[test]
+    fn try_sweep_arena_threads_rejects_zero_threads() {
+        let (configs, arena, budget) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let r = try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 0);
+        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
+    }
+
+    #[test]
+    fn try_sweep_family_arena_threads_rejects_zero_threads() {
+        let (configs, arena, budget) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let r = try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 0);
+        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
+    }
+
+    #[test]
+    fn try_sweep_predict_arena_threads_rejects_zero_threads() {
+        let (configs, arena, budget) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let r = try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 0);
+        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
+    }
+
+    #[test]
+    fn try_sweep_streaming_threads_rejects_zero_threads() {
+        let (configs, _, budget) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let r = try_sweep_streaming_threads(&configs, SpecBenchmark::Li, budget, &tm, &am, 0);
+        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
+    }
+
+    #[test]
+    fn try_sweep_sampled_threads_rejects_zero_threads() {
+        let (configs, arena, budget) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let slices = [PhaseSlice { arena, budget, weight: 1.0, representative: 0 }];
+        let r = try_sweep_sampled_threads(&configs, &slices, &tm, &am, 0);
+        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
     }
 
     #[test]

@@ -119,6 +119,9 @@ pub enum Counter {
     PredictEventsProfiled,
     /// L1 groups profiled into reuse-distance histograms.
     PredictGroupsProfiled,
+    /// Reuse distances walked by analytical solves, summed over every
+    /// predicted design point (`predict.solve_ns` ÷ this is ns per step).
+    PredictSolveSteps,
     /// Fixed-length intervals a sampled trace was sliced into.
     SampleIntervals,
     /// Representative phases selected (and replayed) by phase sampling.
@@ -140,7 +143,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (size of the [`CounterSet`] array).
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 33;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -169,6 +172,7 @@ impl Counter {
         Counter::PredictConfigsReplayed,
         Counter::PredictEventsProfiled,
         Counter::PredictGroupsProfiled,
+        Counter::PredictSolveSteps,
         Counter::SampleIntervals,
         Counter::SamplePhases,
         Counter::SampleIntervalsSkipped,
@@ -206,6 +210,7 @@ impl Counter {
             Counter::PredictConfigsReplayed => "predict.configs_replayed",
             Counter::PredictEventsProfiled => "predict.events_profiled",
             Counter::PredictGroupsProfiled => "predict.groups_profiled",
+            Counter::PredictSolveSteps => "predict.solve_steps",
             Counter::SampleIntervals => "sample.intervals",
             Counter::SamplePhases => "sample.phases",
             Counter::SampleIntervalsSkipped => "sample.intervals_skipped",

@@ -12,7 +12,9 @@
 use std::sync::Mutex;
 use tlc_area::AreaModel;
 use tlc_core::experiment::{capture_benchmark, SimBudget};
-use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads, SweepUnit};
+use tlc_core::runner::{
+    try_sweep_arena_threads, try_sweep_family_arena_threads, SweepError, SweepUnit,
+};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_obs::manifest::{build_span_tree, RunManifest, RunMeta};
 use tlc_obs::Counter;
@@ -198,16 +200,18 @@ fn worker_panic_is_reported_as_structured_error() {
     for threads in [1usize, 2] {
         let err = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)
             .expect_err("invalid config must fail the sweep");
-        match &err.unit {
+        let SweepError::Worker { unit, payload } = &err else {
+            panic!("expected a worker panic, got {err:?}")
+        };
+        match unit {
             SweepUnit::Config { index, .. } => {
                 assert_eq!(*index, bad_index, "error must name the failing config")
             }
             other => panic!("expected Config unit, got {other:?}"),
         }
         assert!(
-            err.payload.contains("valid L1"),
-            "payload must carry the panic message, got: {}",
-            err.payload
+            payload.contains("valid L1"),
+            "payload must carry the panic message, got: {payload}"
         );
         let rendered = err.to_string();
         assert!(rendered.contains(&format!("config #{bad_index}")), "got: {rendered}");

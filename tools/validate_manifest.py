@@ -321,6 +321,15 @@ def check_manifest(doc):
                 )
             if predicted > 0 and counter("predict.groups_profiled") == 0:
                 fail("points were predicted but no L1 group was profiled")
+            # A solve walks at most one step per reuse distance, and no
+            # distance exceeds the events of the profiled stream.
+            steps = counter("predict.solve_steps")
+            if steps > predicted * counter("predict.events_profiled"):
+                fail(
+                    f"predict.solve_steps ({steps}) exceeds configs_predicted "
+                    f"({predicted}) × events_profiled "
+                    f"({counter('predict.events_profiled')})"
+                )
 
     sampled = ""
     if doc["command"] == "sweep" and counters.get("sample.phases", 0) > 0:
