@@ -24,7 +24,9 @@ use tlc_timing::{DetailedTimingModel, EnergyModel, TimingModel};
 use tlc_trace::compact::import_to_compact;
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::specfile::WorkloadSpec;
-use tlc_trace::{ImportFormat, InstructionSource, TraceArena, TraceReader, TraceStats};
+use tlc_trace::{
+    batch_buffer, ImportFormat, InstructionSource, TraceArena, TraceReader, TraceStats,
+};
 
 /// Top-level usage text.
 pub fn usage() -> String {
@@ -1102,24 +1104,34 @@ fn cmd_trace_info(args: &ArgMap) -> Result<String, ArgError> {
     let mut rows: Vec<IntervalRow> = Vec::new();
     let mut current =
         IntervalRow { instructions: 0, data_refs: 0, regions: std::collections::BTreeSet::new() };
-    while let Some(rec) = reader.try_next().map_err(|e| ArgError(format!("{path}: {e}")))? {
-        stats.record_instruction(&rec);
-        current.instructions += 1;
-        current.regions.insert(rec.fetch.raw() >> 12);
-        if let Some(d) = rec.data {
-            current.data_refs += 1;
-            current.regions.insert(d.addr.raw() >> 12);
+    let mut batch = batch_buffer();
+    loop {
+        let got = reader.next_batch(&mut batch);
+        for rec in &batch[..got] {
+            stats.record_instruction(rec);
+            current.instructions += 1;
+            current.regions.insert(rec.fetch.raw() >> 12);
+            if let Some(d) = rec.data {
+                current.data_refs += 1;
+                current.regions.insert(d.addr.raw() >> 12);
+            }
+            if current.instructions == interval {
+                rows.push(std::mem::replace(
+                    &mut current,
+                    IntervalRow {
+                        instructions: 0,
+                        data_refs: 0,
+                        regions: std::collections::BTreeSet::new(),
+                    },
+                ));
+            }
         }
-        if current.instructions == interval {
-            rows.push(std::mem::replace(
-                &mut current,
-                IntervalRow {
-                    instructions: 0,
-                    data_refs: 0,
-                    regions: std::collections::BTreeSet::new(),
-                },
-            ));
+        if got < batch.len() {
+            break;
         }
+    }
+    if let Some(e) = reader.take_error() {
+        return Err(ArgError(format!("{path}: {e}")));
     }
     if current.instructions > 0 {
         rows.push(current);

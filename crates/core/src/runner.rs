@@ -100,6 +100,8 @@ impl std::fmt::Display for SweepUnit {
 pub enum SweepError {
     /// The request asked for zero worker threads.
     NoThreads,
+    /// A sampled sweep was handed no phase slices to replay.
+    NoSlices,
     /// A worker panicked.
     Worker {
         /// The unit being executed when the panic fired.
@@ -113,6 +115,7 @@ impl std::fmt::Display for SweepError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SweepError::NoThreads => f.write_str("need at least one worker thread"),
+            SweepError::NoSlices => f.write_str("need at least one phase slice"),
             SweepError::Worker { unit, payload } => write!(f, "{unit}: {payload}"),
         }
     }
@@ -575,12 +578,9 @@ pub fn sweep_sampled_threads(
 ///
 /// # Errors
 ///
-/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::NoThreads`] if `threads` is zero and
+/// [`SweepError::NoSlices`] if `slices` is empty, both before any work;
 /// [`SweepError::Worker`] if a worker panics.
-///
-/// # Panics
-///
-/// Panics if `slices` is empty.
 pub fn try_sweep_sampled_threads(
     configs: &[MachineConfig],
     slices: &[PhaseSlice],
@@ -589,7 +589,9 @@ pub fn try_sweep_sampled_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    assert!(!slices.is_empty(), "need at least one phase slice");
+    if slices.is_empty() {
+        return Err(SweepError::NoSlices);
+    }
     let workload = slices[0].arena.name().to_string();
     let groups = l1_groups(configs);
     // Phase A: one stitched capture per L1 group — a single front-end
@@ -1440,6 +1442,21 @@ mod tests {
         let slices = [PhaseSlice { arena, budget, weight: 1.0, representative: 0 }];
         let r = try_sweep_sampled_threads(&configs, &slices, &tm, &am, 0);
         assert_eq!(r.unwrap_err(), SweepError::NoThreads);
+    }
+
+    #[test]
+    fn try_sweep_sampled_threads_rejects_empty_slices() {
+        let (configs, _, _) = zero_thread_inputs();
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let r = try_sweep_sampled_threads(&configs, &[], &tm, &am, 2);
+        assert_eq!(r.unwrap_err(), SweepError::NoSlices);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one phase slice")]
+    fn sweep_sampled_threads_panics_on_empty_slices() {
+        let (configs, _, _) = zero_thread_inputs();
+        sweep_sampled_threads(&configs, &[], &TimingModel::paper(), &AreaModel::new(), 2);
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::experiment::SimBudget;
 use serde::{Deserialize, Serialize};
 use tlc_cache::HierarchyStats;
 use tlc_obs::{obs_count, Counter};
-use tlc_trace::{InstructionSource, TraceArena};
+use tlc_trace::{batch_buffer, InstructionSource, TraceArena};
 
 /// Schema tag of the persisted phase-selection JSON.
 pub const PHASE_SAMPLE_SCHEMA: &str = "tlc-phase-sample/1";
@@ -367,17 +367,24 @@ pub fn sample_source<S: InstructionSource + ?Sized>(
     let mut current = vec![0.0f64; SIGNATURE_DIMS];
     let mut in_interval = 0u64;
     let mut instructions = 0u64;
-    while let Some(rec) = source.next_instruction_opt() {
-        current[region_bucket(rec.fetch.raw() >> REGION_SHIFT)] += 1.0;
-        if let Some(d) = rec.data {
-            current[region_bucket(d.addr.raw() >> REGION_SHIFT)] += 1.0;
+    let mut batch = batch_buffer();
+    loop {
+        let got = source.next_batch(&mut batch);
+        for rec in &batch[..got] {
+            current[region_bucket(rec.fetch.raw() >> REGION_SHIFT)] += 1.0;
+            if let Some(d) = rec.data {
+                current[region_bucket(d.addr.raw() >> REGION_SHIFT)] += 1.0;
+            }
+            in_interval += 1;
+            if in_interval == opts.interval {
+                sigs.push(std::mem::replace(&mut current, vec![0.0f64; SIGNATURE_DIMS]));
+                lengths.push(in_interval);
+                in_interval = 0;
+            }
         }
-        in_interval += 1;
-        instructions += 1;
-        if in_interval == opts.interval {
-            sigs.push(std::mem::replace(&mut current, vec![0.0f64; SIGNATURE_DIMS]));
-            lengths.push(in_interval);
-            in_interval = 0;
+        instructions += got as u64;
+        if got < batch.len() {
+            break;
         }
     }
     if in_interval > 0 {
@@ -490,6 +497,7 @@ pub fn capture_phase_slices<S: InstructionSource + ?Sized>(
     obs_count!(Counter::SampleIntervalsSkipped, sample.intervals - sample.phases.len() as u64);
     let mut slices = Vec::with_capacity(sample.phases.len());
     let mut pos = 0u64; // stream position of the next unread record
+    let mut batch = batch_buffer();
     for phase in &sample.phases {
         let slice_start = phase.representative * sample.interval;
         let slice_len = sample.interval.min(sample.instructions - slice_start);
@@ -497,15 +505,15 @@ pub fn capture_phase_slices<S: InstructionSource + ?Sized>(
         let prefix = slice_start - capture_start;
         // Skip the stream forward to the capture start (no replay cost,
         // just decode).
-        let mut skipped = 0u64;
         while pos < capture_start {
-            if source.next_instruction_opt().is_none() {
+            let asked =
+                usize::try_from(capture_start - pos).map_or(batch.len(), |n| n.min(batch.len()));
+            let got = source.next_batch(&mut batch[..asked]);
+            pos += got as u64;
+            if got < asked {
                 break;
             }
-            pos += 1;
-            skipped += 1;
         }
-        let _ = skipped;
         let arena = TraceArena::capture(source, prefix + slice_len);
         pos += arena.len();
         let measured = arena.len().saturating_sub(prefix);

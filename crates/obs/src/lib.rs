@@ -63,6 +63,11 @@ pub enum Counter {
     TraceBytesPacked,
     /// Chunks the arena was split into.
     TraceChunks,
+    /// Records decoded from `TLCTRC01` streams.
+    TraceRecordsDecoded,
+    /// `TLCTRC01` payload bytes consumed by decoding (header excluded;
+    /// at least 2 per record, the minimum record size).
+    TraceBytesDecoded,
     /// References decoded by L1 front-ends (instruction fetches that
     /// survived the same-line filter, plus data references).
     FilterEventsDecoded,
@@ -143,13 +148,15 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (size of the [`CounterSet`] array).
-    pub const COUNT: usize = 33;
+    pub const COUNT: usize = 35;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::TraceInstructions,
         Counter::TraceBytesPacked,
         Counter::TraceChunks,
+        Counter::TraceRecordsDecoded,
+        Counter::TraceBytesDecoded,
         Counter::FilterEventsDecoded,
         Counter::FilterL1Hits,
         Counter::FilterL1Misses,
@@ -188,6 +195,8 @@ impl Counter {
             Counter::TraceInstructions => "trace.instructions",
             Counter::TraceBytesPacked => "trace.bytes_packed",
             Counter::TraceChunks => "trace.chunks",
+            Counter::TraceRecordsDecoded => "trace.records_decoded",
+            Counter::TraceBytesDecoded => "trace.bytes_decoded",
             Counter::FilterEventsDecoded => "filter.events_decoded",
             Counter::FilterL1Hits => "filter.l1_hits",
             Counter::FilterL1Misses => "filter.l1_misses",

@@ -69,6 +69,19 @@ impl Chunk {
     fn len(&self) -> usize {
         self.fetch.len()
     }
+
+    fn push_all(&mut self, recs: &[InstructionRecord]) {
+        for rec in recs {
+            self.fetch.push(rec.fetch.raw());
+            let (addr, flag) = match rec.data {
+                None => (0, FLAG_NONE),
+                Some(d) if d.kind == crate::record::AccessKind::Store => (d.addr.raw(), FLAG_STORE),
+                Some(d) => (d.addr.raw(), FLAG_LOAD),
+            };
+            self.data_addr.push(addr);
+            self.flags.push(flag);
+        }
+    }
 }
 
 /// A borrowed, read-only view of one arena chunk's packed columns.
@@ -149,32 +162,21 @@ impl TraceArena {
         let name = source.source_name().to_string();
         let mut chunks = Vec::new();
         let mut captured = 0u64;
+        let mut batch = crate::source::batch_buffer();
         'outer: while captured < len {
             let want = usize::try_from((len - captured).min(chunk_len as u64))
                 .expect("chunk fits in usize");
             let mut chunk = Chunk::with_capacity(want);
-            for _ in 0..want {
-                let Some(rec) = source.next_instruction_opt() else {
+            while chunk.len() < want {
+                let asked = (want - chunk.len()).min(batch.len());
+                let got = source.next_batch(&mut batch[..asked]);
+                chunk.push_all(&batch[..got]);
+                if got < asked {
                     if chunk.len() > 0 {
                         captured += chunk.len() as u64;
                         chunks.push(chunk);
                     }
                     break 'outer;
-                };
-                chunk.fetch.push(rec.fetch.raw());
-                match rec.data {
-                    None => {
-                        chunk.data_addr.push(0);
-                        chunk.flags.push(FLAG_NONE);
-                    }
-                    Some(d) => {
-                        chunk.data_addr.push(d.addr.raw());
-                        chunk.flags.push(if d.kind == crate::record::AccessKind::Store {
-                            FLAG_STORE
-                        } else {
-                            FLAG_LOAD
-                        });
-                    }
                 }
             }
             captured += chunk.len() as u64;

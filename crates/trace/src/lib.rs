@@ -65,7 +65,7 @@ pub use compact::{CompactTraceWriter, ImportFormat, TraceReader};
 pub use events::{EventArena, EventChunkView, MissEvent, VictimLine};
 pub use io::TraceIoError;
 pub use record::{AccessKind, InstructionRecord, MemRef};
-pub use source::{InstructionSource, ReplaySource};
+pub use source::{batch_buffer, InstructionSource, ReplaySource, BATCH_LEN};
 pub use stats::{TraceStats, TraceSummary};
 pub use timeslice::TimeSliced;
 pub use workload::Workload;

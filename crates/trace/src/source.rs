@@ -3,10 +3,22 @@
 //!
 //! Synthetic [`Workload`](crate::Workload)s are infinite; recorded traces
 //! ([`ReplaySource`]) end. The harness treats both uniformly through
-//! `next_instruction() -> Option<InstructionRecord>`.
+//! `next_instruction_opt() -> Option<InstructionRecord>`, or pulls many
+//! records per call through [`InstructionSource::next_batch`].
 
-use crate::record::InstructionRecord;
+use crate::addr::Addr;
+use crate::record::{InstructionRecord, MemRef};
 use crate::workload::Workload;
+
+/// Records per [`InstructionSource::next_batch`] call in the streaming
+/// consumers (24 KiB of records: stays cache-resident).
+pub const BATCH_LEN: usize = 1024;
+
+/// A zeroed buffer of [`BATCH_LEN`] records for
+/// [`InstructionSource::next_batch`].
+pub fn batch_buffer() -> Vec<InstructionRecord> {
+    vec![InstructionRecord::fetch_only(Addr::new(0)); BATCH_LEN]
+}
 
 /// A stream of instructions for the simulator. Implemented by the
 /// synthetic workloads (never exhausts) and by trace replays (finite).
@@ -14,6 +26,24 @@ pub trait InstructionSource: Send {
     /// Produces the next instruction, or `None` when the source is
     /// exhausted.
     fn next_instruction_opt(&mut self) -> Option<InstructionRecord>;
+
+    /// Fills the front of `out` with the next records and returns how
+    /// many it wrote: exactly the records `out.len()` calls of
+    /// [`next_instruction_opt`](Self::next_instruction_opt) would yield,
+    /// in order. A count below `out.len()` means the source ended (for a
+    /// [`TraceReader`](crate::TraceReader), possibly at a parked decode
+    /// error), so a consumer stops at the first short batch.
+    fn next_batch(&mut self, out: &mut [InstructionRecord]) -> usize {
+        for (n, slot) in out.iter_mut().enumerate() {
+            let Some(rec) = self.next_instruction_opt() else { return n };
+            // Stored field by field: a whole-record copy also moves the
+            // padding after the data kind, which compiles to overlapping
+            // partial stores that stall store forwarding on every record.
+            let data = rec.data.map(|d| MemRef { addr: d.addr, kind: d.kind });
+            *slot = InstructionRecord { fetch: rec.fetch, data };
+        }
+        out.len()
+    }
 
     /// A short name for reports.
     fn source_name(&self) -> &str;
@@ -87,6 +117,13 @@ impl InstructionSource for ReplaySource {
             self.position += 1;
         }
         r
+    }
+
+    fn next_batch(&mut self, out: &mut [InstructionRecord]) -> usize {
+        let n = out.len().min(self.remaining());
+        out[..n].copy_from_slice(&self.records[self.position..self.position + n]);
+        self.position += n;
+        n
     }
 
     fn source_name(&self) -> &str {

@@ -280,6 +280,16 @@ def check_manifest(doc):
     if multi > live:
         fail(f"l2.multi_hit ({multi}) > l2.live_fills ({live})")
 
+    # Every TLCTRC01 record is a control byte plus at least one varint
+    # byte. Manifests from before the decode counters read as zero.
+    records_decoded = counters.get("trace.records_decoded", 0)
+    bytes_decoded = counters.get("trace.bytes_decoded", 0)
+    if bytes_decoded < 2 * records_decoded:
+        fail(
+            f"trace.bytes_decoded ({bytes_decoded}) < 2 × trace.records_decoded "
+            f"({records_decoded})"
+        )
+
     if doc["command"] == "sweep":
         done = counter("runner.configs_completed")
         phases = counters.get("sample.phases", 0)
