@@ -19,7 +19,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tlc_area::AreaModel;
 use tlc_core::configspace::{full_space, SpaceOptions, L2_SIZES_KB};
 use tlc_core::experiment::{capture_benchmark, capture_miss_stream, evaluate_family, SimBudget};
-use tlc_core::runner::sweep_family_arena_threads;
+use tlc_core::runner::try_sweep_family_arena_threads;
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -71,7 +71,10 @@ fn bench_family(c: &mut Criterion) {
     let twolevel: Vec<MachineConfig> = space.into_iter().filter(|c| c.l2.is_some()).collect();
     group.throughput(Throughput::Elements(refs * twolevel.len() as u64));
     group.bench_function(BenchmarkId::new("family_sweep_twolevel", twolevel.len()), |b| {
-        b.iter(|| sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, 1))
+        b.iter(|| {
+            try_sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, 1)
+                .expect("sweep")
+        })
     });
     group.finish();
 }

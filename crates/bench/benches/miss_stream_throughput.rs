@@ -22,7 +22,7 @@ use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{
     capture_benchmark, capture_miss_stream, evaluate_arena, evaluate_family, SimBudget,
 };
-use tlc_core::runner::{default_threads, sweep_arena_threads, sweep_family_arena_threads};
+use tlc_core::runner::{default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -73,10 +73,16 @@ fn bench_miss_stream(c: &mut Criterion) {
     let twolevel: Vec<MachineConfig> = space.into_iter().filter(|c| c.l2.is_some()).collect();
     group.throughput(Throughput::Elements(refs * twolevel.len() as u64));
     group.bench_function(BenchmarkId::new("arena_sweep_twolevel", twolevel.len()), |b| {
-        b.iter(|| sweep_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads))
+        b.iter(|| {
+            try_sweep_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads)
+                .expect("sweep")
+        })
     });
     group.bench_function(BenchmarkId::new("family_sweep_twolevel", twolevel.len()), |b| {
-        b.iter(|| sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads))
+        b.iter(|| {
+            try_sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads)
+                .expect("sweep")
+        })
     });
     group.finish();
 }

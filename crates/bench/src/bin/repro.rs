@@ -14,7 +14,7 @@ use tlc_bench::Harness;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, SimBudget};
 use tlc_core::report::points_csv;
-use tlc_core::runner::sweep_arena_threads;
+use tlc_core::runner::try_sweep_family_arena_threads;
 use tlc_core::L2Policy;
 use tlc_obs::manifest::{build_span_tree, span_line, RunManifest, RunMeta};
 use tlc_trace::spec::SpecBenchmark;
@@ -27,8 +27,8 @@ fn usage() -> ! {
          exhibits: {}\n\
          csv: writes the full design-space scatter (50ns & 200ns, conventional &\n\
        \u{20}     exclusive) for every workload as CSV files for external plotting\n\
-         bench-sweep: times the streaming vs arena sweep engines over the full\n\
-       \u{20}     space and writes a machine-readable comparison",
+         bench-sweep: times the arena, family, predict and sampled sweep engines\n\
+       \u{20}     and writes a machine-readable comparison",
         ALL_IDS.join(" ")
     );
     std::process::exit(2);
@@ -37,7 +37,8 @@ fn usage() -> ! {
 /// Dumps the design-space scatters as CSV files into `dir`.
 ///
 /// Each benchmark's stream is captured into a [`tlc_trace::TraceArena`]
-/// once and shared by all four (off-chip latency × L2 policy) sweeps.
+/// once and shared by all four (off-chip latency × L2 policy) sweeps,
+/// each run by the family engine.
 fn dump_csv(dir: &std::path::Path, harness: &Harness) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     for b in SpecBenchmark::ALL {
@@ -52,14 +53,15 @@ fn dump_csv(dir: &std::path::Path, harness: &Harness) -> std::io::Result<()> {
                     ..SpaceOptions::baseline()
                 };
                 let configs = full_space(&opts);
-                let points = sweep_arena_threads(
+                let points = try_sweep_family_arena_threads(
                     &configs,
                     &arena,
                     harness.budget,
                     &harness.timing,
                     &harness.area,
                     harness.threads,
-                );
+                )
+                .map_err(std::io::Error::other)?;
                 let name = format!("{}_{}ns_{}.csv", b.name(), offchip as u32, policy_name);
                 let path = dir.join(&name);
                 std::fs::write(&path, points_csv(&points))?;

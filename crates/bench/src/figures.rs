@@ -12,7 +12,7 @@ use tlc_cache::{Associativity, CacheConfig, DuplicationReport, ExclusiveTwoLevel
 use tlc_core::configspace::{full_space, single_level_configs, SpaceOptions};
 use tlc_core::envelope::{envelope_at, mean_improvement};
 use tlc_core::report::{envelope_of, envelope_table, points_table};
-use tlc_core::runner::sweep_threads;
+use tlc_core::runner::try_sweep_threads;
 use tlc_core::{DesignPoint, L2Policy, MachineConfig};
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{Addr, MemRef};
@@ -118,7 +118,8 @@ fn sweep_points(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
 ) -> Vec<DesignPoint> {
-    sweep_threads(configs, benchmark, h.budget, &h.timing, &h.area, h.threads)
+    try_sweep_threads(configs, benchmark, h.budget, &h.timing, &h.area, h.threads)
+        .expect("exhibit sweep")
 }
 
 /// Appends the two-envelope comparison (best overall vs single-level

@@ -1,21 +1,16 @@
-//! Machine-readable sweep-engine benchmark: legacy vs streaming vs arena
-//! vs family-batched miss-stream replay vs analytical prediction.
+//! Machine-readable sweep-engine benchmark: arena replay vs
+//! family-batched miss-stream replay vs analytical prediction vs phase
+//! sampling.
 //!
-//! Times five engines over the same configuration space:
+//! Times three engines over the same configuration space:
 //!
-//! 1. **legacy** — regenerate per configuration, `Box<dyn MemorySystem>`
-//!    dispatch (the engine every sweep used before this one; the speedup
-//!    baseline);
-//! 2. **streaming** — regenerate per configuration, devirtualized
-//!    [`SystemKind`](tlc_cache::SystemKind) dispatch (the memory-lean
-//!    fallback);
-//! 3. **arena** — capture once, replay the packed buffer per
+//! 1. **arena** — capture once, replay the packed buffer per
 //!    configuration;
-//! 4. **family** — capture once, simulate each distinct L1 once over the
+//! 2. **family** — capture once, simulate each distinct L1 once over the
 //!    arena, then replay its miss-stream events once per (L1, policy,
 //!    ways) family, driving every L2 size at once (the sweep fast path;
 //!    `filtered` is its CLI alias);
-//! 5. **predict** — one reuse-distance profiling pass per L1 group
+//! 3. **predict** — one reuse-distance profiling pass per L1 group
 //!    answers every conventional L2 point analytically (exclusive
 //!    members replay through the family engine). The only engine that
 //!    is *approximate*: the report records whether it met its ε
@@ -24,14 +19,15 @@
 //!    against family replay on 90- and 450-point conventional spaces
 //!    (acceptance bar: ≥ 5× at 450).
 //!
-//! The four replay engines must produce bit-identical design points.
-//! Because the family engine's whole advantage is on configurations
-//! that *share* an L1, the report also times the arena and family
-//! engines on the two-level subset of the space in isolation
-//! (`twolevel_*` fields) — their ratio is the "simulate the L1 once and
-//! decode the events once per family" win with the single-level legs
-//! excluded (`twolevel_family_speedup`; acceptance bar: a total of ≥ 3×
-//! at one thread).
+//! The two replay engines must produce bit-identical design points
+//! (`identical`; that arena replay equals per-configuration generation
+//! is pinned by `tests/arena_equivalence.rs`). Because the family
+//! engine's whole advantage is on configurations that *share* an L1, the
+//! report also times the arena and family engines on the two-level
+//! subset of the space in isolation (`twolevel_*` fields) — their ratio
+//! is the "simulate the L1 once and decode the events once per family"
+//! win with the single-level legs excluded (`twolevel_family_speedup`;
+//! acceptance bar: a total of ≥ 3× at one thread).
 //!
 //! A final section (`sampled_scaling`) times the second approximate
 //! path: SimPoint-style phase sampling with stitched warming
@@ -51,8 +47,8 @@ use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, DesignPoint, SimBudget};
 use tlc_core::runner::{
-    sweep_arena_threads, sweep_dyn_threads, sweep_family_arena_threads,
-    sweep_predict_arena_threads, sweep_sampled_threads, sweep_streaming_threads,
+    try_sweep_arena_threads, try_sweep_family_arena_threads, try_sweep_predict_arena_threads,
+    try_sweep_sampled_threads,
 };
 use tlc_core::sampling::{
     capture_phase_slices, sample_source, SampleOptions, SAMPLED_MISS_RATIO_EPSILON,
@@ -92,10 +88,6 @@ impl SweepBenchConfig {
 pub struct SweepBenchRow {
     /// Benchmark name.
     pub benchmark: String,
-    /// Wall-clock seconds for the legacy (regenerate + vtable) sweep.
-    pub legacy_s: f64,
-    /// Wall-clock seconds for the devirtualized streaming sweep.
-    pub streaming_s: f64,
     /// Wall-clock seconds to capture the arena.
     pub capture_s: f64,
     /// Wall-clock seconds for the arena-replay sweep.
@@ -116,13 +108,6 @@ pub struct SweepBenchRow {
     pub family_events_replayed: u64,
     /// Arena resident size in bytes.
     pub arena_bytes: u64,
-    /// `legacy_s / (capture_s + replay_s)` — the arena engine's speedup.
-    pub speedup: f64,
-    /// `streaming_s / (capture_s + replay_s)`.
-    pub speedup_vs_streaming: f64,
-    /// `legacy_s / (capture_s + family_s)` — the family engine's
-    /// headline speedup.
-    pub speedup_family: f64,
     /// Wall-clock seconds for the arena engine on the two-level subset
     /// of the space only.
     pub twolevel_arena_s: f64,
@@ -138,9 +123,6 @@ pub struct SweepBenchRow {
     /// replay through the family engine; arena capture not included, as
     /// for `replay_s`).
     pub predict_s: f64,
-    /// `legacy_s / (capture_s + predict_s)` — the predict engine's
-    /// headline speedup.
-    pub speedup_predict: f64,
     /// Whether the predicted design points met the accuracy contract
     /// against the family replay: single-level and exclusive members
     /// bit-identical, direct-mapped hit/miss counts exact, and
@@ -148,8 +130,8 @@ pub struct SweepBenchRow {
     /// `tlc_cache::MISS_RATIO_EPSILON`. (The predict engine is the one
     /// engine excluded from `identical`.)
     pub predict_within_epsilon: bool,
-    /// Whether all four replay engines produced bit-identical design
-    /// points.
+    /// Whether the family engine reproduced arena replay bit-for-bit,
+    /// on the whole space and on the two-level subset.
     pub identical: bool,
 }
 
@@ -227,19 +209,10 @@ pub struct SweepBenchReport {
     pub threads: u64,
     /// Per-benchmark comparisons.
     pub benchmarks: Vec<SweepBenchRow>,
-    /// Total wall-clock seconds for all legacy sweeps.
-    pub total_legacy_s: f64,
-    /// Total wall-clock seconds for all streaming sweeps.
-    pub total_streaming_s: f64,
     /// Total wall-clock seconds for all captures plus replay sweeps.
     pub total_arena_s: f64,
     /// Total wall-clock seconds for all captures plus family sweeps.
     pub total_family_s: f64,
-    /// `total_legacy_s / total_arena_s` — the arena engine's speedup.
-    pub total_speedup: f64,
-    /// `total_legacy_s / total_family_s` — the family engine's headline
-    /// speedup.
-    pub total_speedup_family: f64,
     /// Total two-level-subset seconds for the arena engine.
     pub total_twolevel_arena_s: f64,
     /// Total two-level-subset seconds for the family engine.
@@ -250,9 +223,6 @@ pub struct SweepBenchReport {
     pub total_twolevel_family_speedup: f64,
     /// Total wall-clock seconds for all captures plus predict sweeps.
     pub total_predict_s: f64,
-    /// `total_legacy_s / total_predict_s` — the predict engine's
-    /// headline speedup.
-    pub total_speedup_predict: f64,
     /// Whether every benchmark's predicted points met the ε contract.
     pub all_predict_within_epsilon: bool,
     /// Benchmark used for the predict-vs-family scaling comparison.
@@ -365,37 +335,30 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
     let mut rows = Vec::new();
     for b in SpecBenchmark::ALL {
         eprintln!("# bench-sweep: {} ({} configs)...", b.name(), cfg.configs.len());
-        let t0 = Instant::now();
-        let legacy = sweep_dyn_threads(&cfg.configs, b, cfg.budget, &timing, &area, cfg.threads);
-        let legacy_s = t0.elapsed().as_secs_f64();
-
-        let t1 = Instant::now();
-        let streamed =
-            sweep_streaming_threads(&cfg.configs, b, cfg.budget, &timing, &area, cfg.threads);
-        let streaming_s = t1.elapsed().as_secs_f64();
-
         let t2 = Instant::now();
         let arena = capture_benchmark(b, cfg.budget);
         let capture_s = t2.elapsed().as_secs_f64();
 
         let t3 = Instant::now();
         let replayed =
-            sweep_arena_threads(&cfg.configs, &arena, cfg.budget, &timing, &area, cfg.threads);
+            try_sweep_arena_threads(&cfg.configs, &arena, cfg.budget, &timing, &area, cfg.threads)
+                .expect("bench sweep");
         let replay_s = t3.elapsed().as_secs_f64();
 
         // Per-phase attribution for the family engine: discard spans the
-        // earlier engines accumulated, then drain exactly this run's.
+        // arena engine accumulated, then drain exactly this run's.
         let _ = tlc_obs::take_spans();
         let events_before = tlc_obs::counters().get(tlc_obs::Counter::L2EventsReplayed);
         let t4b = Instant::now();
-        let family = sweep_family_arena_threads(
+        let family = try_sweep_family_arena_threads(
             &cfg.configs,
             &arena,
             cfg.budget,
             &timing,
             &area,
             cfg.threads,
-        );
+        )
+        .expect("bench sweep");
         let family_s = t4b.elapsed().as_secs_f64();
         let family_spans = build_span_tree(tlc_obs::take_spans());
         let family_events_replayed =
@@ -405,29 +368,36 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         // with the unshared single-level legs excluded.
         let t5 = Instant::now();
         let twolevel_arena =
-            sweep_arena_threads(&twolevel, &arena, cfg.budget, &timing, &area, cfg.threads);
+            try_sweep_arena_threads(&twolevel, &arena, cfg.budget, &timing, &area, cfg.threads)
+                .expect("bench sweep");
         let twolevel_arena_s = t5.elapsed().as_secs_f64();
 
         let t7 = Instant::now();
-        let twolevel_family =
-            sweep_family_arena_threads(&twolevel, &arena, cfg.budget, &timing, &area, cfg.threads);
+        let twolevel_family = try_sweep_family_arena_threads(
+            &twolevel,
+            &arena,
+            cfg.budget,
+            &timing,
+            &area,
+            cfg.threads,
+        )
+        .expect("bench sweep");
         let twolevel_family_s = t7.elapsed().as_secs_f64();
 
         let t8 = Instant::now();
-        let predicted = sweep_predict_arena_threads(
+        let predicted = try_sweep_predict_arena_threads(
             &cfg.configs,
             &arena,
             cfg.budget,
             &timing,
             &area,
             cfg.threads,
-        );
+        )
+        .expect("bench sweep");
         let predict_s = t8.elapsed().as_secs_f64();
 
         rows.push(SweepBenchRow {
             benchmark: b.name().to_string(),
-            legacy_s,
-            streaming_s,
             capture_s,
             replay_s,
             family_s,
@@ -435,19 +405,12 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
             family_fanout_s: span_wall_s(&family_spans, "fan_out"),
             family_events_replayed,
             arena_bytes: arena.bytes() as u64,
-            speedup: legacy_s / (capture_s + replay_s),
-            speedup_vs_streaming: streaming_s / (capture_s + replay_s),
-            speedup_family: legacy_s / (capture_s + family_s),
             twolevel_arena_s,
             twolevel_family_s,
             twolevel_family_speedup: twolevel_arena_s / twolevel_family_s,
             predict_s,
-            speedup_predict: legacy_s / (capture_s + predict_s),
             predict_within_epsilon: predict_contract_ok(&cfg.configs, &predicted, &family),
-            identical: legacy == replayed
-                && streamed == replayed
-                && family == replayed
-                && twolevel_family == twolevel_arena,
+            identical: family == replayed && twolevel_family == twolevel_arena,
         });
     }
     // Predict-vs-family scaling: the same conventional space at growing
@@ -466,24 +429,26 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         );
         let space = predict_scaling_space(n);
         let tf = Instant::now();
-        let fam = sweep_family_arena_threads(
+        let fam = try_sweep_family_arena_threads(
             &space,
             &scaling_arena,
             cfg.budget,
             &timing,
             &area,
             cfg.threads,
-        );
+        )
+        .expect("bench sweep");
         let family_s = tf.elapsed().as_secs_f64();
         let tp = Instant::now();
-        let pred = sweep_predict_arena_threads(
+        let pred = try_sweep_predict_arena_threads(
             &space,
             &scaling_arena,
             cfg.budget,
             &timing,
             &area,
             cfg.threads,
-        );
+        )
+        .expect("bench sweep");
         let predict_s = tp.elapsed().as_secs_f64();
         scaling_within_epsilon &= predict_contract_ok(&space, &pred, &fam);
         predict_scaling.push(PredictScalingPoint {
@@ -497,13 +462,14 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
     // Sampled-vs-full: a stream 8× longer than the per-benchmark rows',
     // swept once in full (arena capture + family replay) and once
     // through phase sampling. Both sides are timed end to end from the
-    // same in-memory records, so the sampled figure pays for its two
-    // extra decode passes (interval signatures, slice capture) — the
-    // honest cost of the pipeline a user runs with `tlc sweep --trace
-    // FILE --sample phases.json`. The interval is budget/10, giving 80
-    // intervals of which K = 5 representatives replay: a 16× reduction
-    // in simulated instructions that the decode overhead erodes to the
-    // reported speedup.
+    // same in-memory records, each source built outside its timed window
+    // so neither side pays for copying them, and the sampled figure pays
+    // for its two extra decode passes (interval signatures, slice
+    // capture) — the honest cost of the pipeline a user runs with `tlc
+    // sweep --trace FILE --sample phases.json`. The interval is
+    // budget/10, giving 80 intervals of which K = 5 representatives
+    // replay: a 16× reduction in simulated instructions that the decode
+    // overhead erodes to the reported speedup.
     let sampled_benchmark = SpecBenchmark::Eqntott;
     let sampled_stream = cfg.budget.instructions * 8;
     let sampled_opts =
@@ -516,35 +482,30 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
     );
     let records = sampled_benchmark.workload().take_instructions(sampled_stream as usize);
 
+    let mut full_source = ReplaySource::new(sampled_benchmark.name(), records.clone());
     let tf = Instant::now();
-    let full_arena = TraceArena::capture(
-        &mut ReplaySource::new(sampled_benchmark.name(), records.clone()),
-        sampled_stream,
-    );
+    let full_arena = TraceArena::capture(&mut full_source, sampled_stream);
     let full_budget = SimBudget { instructions: sampled_stream, warmup_instructions: 0 };
-    let sampled_truth = sweep_family_arena_threads(
+    let sampled_truth = try_sweep_family_arena_threads(
         &sampled_space,
         &full_arena,
         full_budget,
         &timing,
         &area,
         cfg.threads,
-    );
+    )
+    .expect("bench sweep");
     let sampled_full_s = tf.elapsed().as_secs_f64();
-    drop(full_arena);
+    drop((full_arena, full_source));
 
+    let mut signature_source = ReplaySource::new(sampled_benchmark.name(), records.clone());
+    let mut slice_source = ReplaySource::new(sampled_benchmark.name(), records);
     let ts = Instant::now();
-    let sample = sample_source(
-        &mut ReplaySource::new(sampled_benchmark.name(), records.clone()),
-        &sampled_opts,
-    );
-    let slices = capture_phase_slices(
-        &mut ReplaySource::new(sampled_benchmark.name(), records),
-        &sample,
-        sampled_warm,
-    );
+    let sample = sample_source(&mut signature_source, &sampled_opts);
+    let slices = capture_phase_slices(&mut slice_source, &sample, sampled_warm);
     let sampled_points =
-        sweep_sampled_threads(&sampled_space, &slices, &timing, &area, cfg.threads);
+        try_sweep_sampled_threads(&sampled_space, &slices, &timing, &area, cfg.threads)
+            .expect("bench sweep");
     let sampled_s = ts.elapsed().as_secs_f64();
 
     let replayed_instructions: u64 =
@@ -570,23 +531,18 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         within_epsilon: max_miss_ratio_error <= SAMPLED_MISS_RATIO_EPSILON,
     };
 
-    let total_legacy_s: f64 = rows.iter().map(|r| r.legacy_s).sum();
-    let total_streaming_s: f64 = rows.iter().map(|r| r.streaming_s).sum();
     let total_arena_s: f64 = rows.iter().map(|r| r.capture_s + r.replay_s).sum();
     let total_family_s: f64 = rows.iter().map(|r| r.capture_s + r.family_s).sum();
     let total_twolevel_arena_s: f64 = rows.iter().map(|r| r.twolevel_arena_s).sum();
     let total_twolevel_family_s: f64 = rows.iter().map(|r| r.twolevel_family_s).sum();
     let total_predict_s: f64 = rows.iter().map(|r| r.capture_s + r.predict_s).sum();
     SweepBenchReport {
-        schema: "tlc-sweep-bench/7".to_string(),
+        schema: "tlc-sweep-bench/8".to_string(),
         configs: cfg.configs.len() as u64,
         measured_instructions: cfg.budget.instructions,
         warmup_instructions: cfg.budget.warmup_instructions,
         threads: cfg.threads as u64,
-        total_speedup: total_legacy_s / total_arena_s,
-        total_speedup_family: total_legacy_s / total_family_s,
         total_twolevel_family_speedup: total_twolevel_arena_s / total_twolevel_family_s,
-        total_speedup_predict: total_legacy_s / total_predict_s,
         all_predict_within_epsilon: scaling_within_epsilon
             && rows.iter().all(|r| r.predict_within_epsilon),
         predict_scaling_benchmark: scaling_benchmark.name().to_string(),
@@ -595,8 +551,6 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         all_identical: rows.iter().all(|r| r.identical),
         obs_enabled: tlc_obs::ENABLED,
         benchmarks: rows,
-        total_legacy_s,
-        total_streaming_s,
         total_arena_s,
         total_family_s,
         total_predict_s,
@@ -646,7 +600,7 @@ mod tests {
         let report = run_sweep_benchmark(&cfg);
         assert_eq!(report.benchmarks.len(), 7);
         assert!(report.all_identical, "engines must agree bit-for-bit");
-        assert!(report.total_streaming_s > 0.0 && report.total_arena_s > 0.0);
+        assert!(report.total_arena_s > 0.0);
         assert!(report.total_family_s > 0.0 && report.total_twolevel_family_s > 0.0);
         if tlc_obs::ENABLED {
             assert!(
@@ -670,7 +624,10 @@ mod tests {
         assert!(s.full_s > 0.0 && s.sampled_s > 0.0 && s.speedup > 0.0);
         assert!(s.max_miss_ratio_error.is_finite());
         let json = serde_json::to_string_pretty(&report).expect("serialises");
-        assert!(json.contains("\"schema\": \"tlc-sweep-bench/7\""));
+        assert!(json.contains("\"schema\": \"tlc-sweep-bench/8\""));
+        for gone in ["legacy", "streaming", "\"speedup_family\"", "total_speedup\""] {
+            assert!(!json.contains(gone), "deleted column {gone} is back");
+        }
         assert!(!json.contains("filtered"), "the filtered engine is an alias of family");
         assert!(json.contains("\"family_s\""));
         assert!(json.contains("\"family_l1_capture_s\""));

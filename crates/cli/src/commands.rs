@@ -12,8 +12,8 @@ use tlc_core::experiment::{simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
     default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
-    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_streaming_threads,
-    try_sweep_threads, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
+    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_threads,
+    ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
 };
 use tlc_core::sampling::{capture_phase_slices, sample_source, PhaseSample, SampleOptions};
 use tlc_core::tpi::tpi_ns;
@@ -42,7 +42,7 @@ pub fn usage() -> String {
      \u{20} sweep      sweep the paper's configuration space on one workload\n\
      \u{20}            --workload gcc1 [--offchip 50] [--ways 4] [--policy ...] [--csv] [--instr N]\n\
      \u{20}            [--l2-repl lru|fifo|pseudo-random|tree-plru|srrip]  L2 replacement policy\n\
-     \u{20}            [--engine auto|streaming|arena|family|predict] [--threads N]\n\
+     \u{20}            [--engine auto|arena|family|predict] [--threads N]\n\
      \u{20}                                  (filtered is an alias of family)\n\
      \u{20}            [--metrics out.json]  write a tlc-run-manifest/2 document\n\
      \u{20}            [--trace-out t.json]  Chrome trace-event timeline (open in ui.perfetto.dev)\n\
@@ -253,13 +253,6 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                  not apply"
             )));
         }
-        SweepInput::Trace { .. } if engine == Engine::Streaming => {
-            return Err(ArgError(
-                "--engine streaming regenerates a synthetic workload; a --trace sweep always \
-                 replays the captured stream (use auto, arena, family or predict)"
-                    .into(),
-            ));
-        }
         _ => {}
     }
     let metrics_path = args.get("metrics").map(str::to_string);
@@ -290,14 +283,11 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                 };
                 match engine {
                     // The default heuristic: family-batched miss-stream
-                    // filtering over a captured arena, streaming when the
-                    // capture would be enormous.
+                    // filtering over a captured arena, per-config
+                    // regeneration when the capture would be enormous.
                     Engine::Auto => {
                         try_sweep_threads(&configs, benchmark, budget, &timing, &area, threads)
                     }
-                    Engine::Streaming => try_sweep_streaming_threads(
-                        &configs, benchmark, budget, &timing, &area, threads,
-                    ),
                     Engine::Arena => {
                         let arena = capture("arena_capture");
                         try_sweep_arena_threads(&configs, &arena, budget, &timing, &area, threads)
@@ -375,13 +365,10 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                         Engine::Predict => try_sweep_predict_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
                         ),
-                        // auto == family for a captured trace (streaming
-                        // was rejected above).
-                        Engine::Auto | Engine::Family | Engine::Streaming => {
-                            try_sweep_family_arena_threads(
-                                &configs, &arena, budget, &timing, &area, threads,
-                            )
-                        }
+                        // auto == family for a captured trace.
+                        Engine::Auto | Engine::Family => try_sweep_family_arena_threads(
+                            &configs, &arena, budget, &timing, &area, threads,
+                        ),
                     }
                 }
             }
@@ -444,11 +431,8 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
 /// A `tlc sweep --engine` choice, parsed once up front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
-    /// Family replay over a captured arena, streaming when the capture
-    /// would be enormous.
+    /// Family replay over a captured arena, else per-config regeneration.
     Auto,
-    /// Regenerate the workload per configuration.
-    Streaming,
     /// Replay a captured arena per configuration.
     Arena,
     /// Miss-stream filtering with family-batched L2 replay.
@@ -462,14 +446,13 @@ impl Engine {
     fn parse(name: &str) -> Result<Engine, ArgError> {
         Ok(match name {
             "auto" => Engine::Auto,
-            "streaming" => Engine::Streaming,
             "arena" => Engine::Arena,
             "family" | "filtered" => Engine::Family,
             "predict" => Engine::Predict,
             other => {
                 return Err(ArgError(format!(
-                    "unknown engine {other:?}; choose auto, streaming, arena, family or predict \
-                     (filtered is an alias of family)"
+                    "unknown engine {other:?}; choose auto, arena, family or predict (filtered \
+                     is an alias of family)"
                 )))
             }
         })
@@ -479,7 +462,6 @@ impl Engine {
     fn name(self) -> &'static str {
         match self {
             Engine::Auto => "auto",
-            Engine::Streaming => "streaming",
             Engine::Arena => "arena",
             Engine::Family => "family",
             Engine::Predict => "predict",
@@ -544,9 +526,9 @@ impl ProgressTicker {
                 } else {
                     String::new()
                 };
-                // The arena/streaming engines feed neither filter nor
-                // replay counters; leave throughput off rather than
-                // reporting a misleading zero.
+                // The arena engine and auto's regeneration fallback feed
+                // neither filter nor replay counters; leave throughput
+                // off rather than reporting a misleading zero.
                 let rate = if events > 0 {
                     format!(", {:.1} M events/s", events as f64 / elapsed / 1e6)
                 } else {
@@ -1413,7 +1395,7 @@ mod tests {
             "--engine",
         ];
         let mut outputs = Vec::new();
-        for engine in ["auto", "streaming", "arena", "family"] {
+        for engine in ["auto", "arena", "family"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(engine);
             outputs.push(run(&argv).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
@@ -1428,7 +1410,7 @@ mod tests {
         let mut argv: Vec<&str> = base.to_vec();
         argv.extend(["filtered", "--metrics", path.to_str().expect("utf8 path")]);
         let alias = run(&argv).expect("filtered alias sweep");
-        assert_eq!(alias, outputs[3], "the filtered alias must print the family sweep");
+        assert_eq!(alias, outputs[2], "the filtered alias must print the family sweep");
         let json = std::fs::read_to_string(&path).expect("manifest written");
         let manifest = RunManifest::from_json(&json).expect("manifest parses");
         assert_eq!(manifest.engine, "family");
@@ -1440,10 +1422,14 @@ mod tests {
             );
         }
         let _ = std::fs::remove_file(&path);
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.push("warp");
-        let err = run(&argv).expect_err("unknown engine must be rejected");
-        assert!(format!("{err:?}").contains("unknown engine"));
+        // `streaming` was removed, not aliased: it is as unknown as `warp`.
+        for bad in ["warp", "streaming"] {
+            let mut argv: Vec<&str> = base.to_vec();
+            argv.push(bad);
+            let err = run(&argv).expect_err("unknown engine must be rejected").0;
+            assert!(err.contains(&format!("unknown engine {bad:?}")), "{err}");
+            assert!(err.contains("choose auto, arena, family or predict"), "{err}");
+        }
     }
 
     #[test]

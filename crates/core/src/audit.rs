@@ -1,9 +1,10 @@
 //! `tlc audit` — randomized differential fuzzing of the sweep engines.
 //!
 //! The repository's soundness argument is that four engines — streaming
-//! ([`simulate_source`](crate::experiment::simulate_source)), the legacy
-//! trait-object path
-//! ([`simulate_source_dyn`](crate::experiment::simulate_source_dyn)), the
+//! ([`simulate_source`](crate::experiment::simulate_source)), the
+//! trait-object path (the same protocol,
+//! [`simulate_source_on`](crate::experiment::simulate_source_on), on a
+//! [`build_system`](crate::experiment::build_system) box), the
 //! devirtualized arena replay
 //! ([`simulate_arena`](crate::experiment::simulate_arena)), and the
 //! miss-stream L2 back-end
@@ -31,7 +32,7 @@
 //! for `tests/corpus_replay.rs` to replay forever after.
 
 use crate::experiment::{
-    l2_config, simulate_arena, simulate_family, simulate_source_dyn, simulate_source_on,
+    build_system, l2_config, simulate_arena, simulate_family, simulate_source_on,
     try_build_system_kind, try_capture_miss_stream, SimBudget,
 };
 use crate::machine::{L2Policy, L2Spec, MachineConfig};
@@ -477,7 +478,8 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
     let mut streaming_sys = try_build_system_kind(cfg).expect("sampled geometry is valid");
     let streaming =
         simulate_source_on(&mut streaming_sys, &mut replay_source(case, &records), budget);
-    let dyn_stats = simulate_source_dyn(cfg, &mut replay_source(case, &records), budget);
+    let dyn_stats =
+        simulate_source_on(&mut *build_system(cfg), &mut replay_source(case, &records), budget);
     for (name, got) in [("streaming-vs-oracle", streaming), ("dyn-vs-oracle", dyn_stats)] {
         let diverged = got != oracle;
         ledger.tally(name, diverged);

@@ -87,43 +87,6 @@ pub fn full_space(opts: &SpaceOptions) -> Vec<MachineConfig> {
     v
 }
 
-/// Deduplicates a configuration list, preserving first-appearance order.
-///
-/// Returns `(unique, occurrence)` where `unique` holds each distinct
-/// configuration once and `occurrence[i]` is the index into `unique` of
-/// `configs[i]` — so per-unique results fan back out to input order with
-/// `occurrence.iter().map(|&u| results[u])`. Overlapping figure families
-/// (e.g. the single-level leg shared by the conventional and exclusive
-/// variants of [`full_space`]) otherwise evaluate the same point twice.
-///
-/// Comparison is exact: the dedup key covers every [`MachineConfig`]
-/// field, with the `f64` off-chip latency keyed by its bit pattern
-/// (`to_bits`) so the whole tuple is hashable — two configurations
-/// compare equal exactly when their keys do. A `HashMap` from key to
-/// unique index keeps the pass O(n) even for the concatenated
-/// many-figure spaces.
-pub fn unique_configs(configs: &[MachineConfig]) -> (Vec<MachineConfig>, Vec<usize>) {
-    use std::collections::HashMap;
-    type Key = (u64, CellKind, Option<L2Spec>, u64, u64);
-    let mut seen: HashMap<Key, usize> = HashMap::with_capacity(configs.len());
-    let mut unique: Vec<MachineConfig> = Vec::new();
-    let mut occurrence = Vec::with_capacity(configs.len());
-    for cfg in configs {
-        // Exhaustive destructuring: adding a `MachineConfig` field breaks
-        // this binding at compile time, forcing the key to be extended —
-        // a hand-picked field tuple would silently alias distinct
-        // configurations instead.
-        let MachineConfig { l1_size_bytes, l1_cell, l2, offchip_ns, line_bytes } = *cfg;
-        let key: Key = (l1_size_bytes, l1_cell, l2, offchip_ns.to_bits(), line_bytes);
-        let u = *seen.entry(key).or_insert_with(|| {
-            unique.push(*cfg);
-            unique.len() - 1
-        });
-        occurrence.push(u);
-    }
-    (unique, occurrence)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,68 +118,6 @@ mod tests {
         // The victim-cache regime is excluded.
         assert!(!labels.contains(&"4:4".to_string()));
         assert!(!labels.contains(&"8:4".to_string()));
-    }
-
-    #[test]
-    fn unique_configs_dedups_and_maps_back() {
-        let base = full_space(&SpaceOptions::baseline());
-        let mut doubled = base.clone();
-        doubled.extend(base.iter().copied());
-        let (unique, occurrence) = unique_configs(&doubled);
-        assert_eq!(unique, base, "dedup keeps first-appearance order");
-        assert_eq!(occurrence.len(), doubled.len());
-        for (i, &u) in occurrence.iter().enumerate() {
-            assert_eq!(unique[u], doubled[i], "occurrence {i} maps to the wrong unique entry");
-        }
-    }
-
-    #[test]
-    fn unique_configs_keeps_distinct_variants_apart() {
-        // The exclusive variant shares its single-level leg with the
-        // baseline but not its two-level points.
-        let mut opts = SpaceOptions::baseline();
-        let conv = full_space(&opts);
-        opts.l2_policy = L2Policy::Exclusive;
-        let excl = full_space(&opts);
-        let mut both = conv.clone();
-        both.extend(excl.iter().copied());
-        let (unique, _) = unique_configs(&both);
-        let singles = single_level_configs(&SpaceOptions::baseline()).len();
-        assert_eq!(unique.len(), both.len() - singles, "only the single-level leg overlaps");
-    }
-
-    #[test]
-    fn unique_configs_distinguishes_every_field() {
-        // Regression for the hand-picked key tuple: each variant differs
-        // from the base in exactly one `MachineConfig` field, so none may
-        // alias under dedup.
-        let base = MachineConfig::two_level(4, 64, 4, L2Policy::Conventional, 50.0);
-        let variants = [
-            MachineConfig { l1_size_bytes: 8 * 1024, ..base },
-            MachineConfig { l1_cell: CellKind::DualPorted, ..base },
-            MachineConfig {
-                l2: Some(L2Spec { policy: L2Policy::Exclusive, ..base.l2.unwrap() }),
-                ..base
-            },
-            MachineConfig {
-                l2: Some(L2Spec { repl: ReplacementKind::Srrip, ..base.l2.unwrap() }),
-                ..base
-            },
-            MachineConfig { offchip_ns: 51.0, ..base },
-            MachineConfig { line_bytes: 32, ..base },
-        ];
-        let mut all = vec![base];
-        all.extend(variants);
-        let (unique, occurrence) = unique_configs(&all);
-        assert_eq!(unique.len(), all.len(), "a one-field change must defeat dedup");
-        assert_eq!(occurrence, (0..all.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn unique_configs_empty_input() {
-        let (unique, occurrence) = unique_configs(&[]);
-        assert!(unique.is_empty());
-        assert!(occurrence.is_empty());
     }
 
     #[test]

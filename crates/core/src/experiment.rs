@@ -221,40 +221,6 @@ pub fn simulate_source_on<S: InstructionSource + ?Sized, M: MemorySystem + ?Size
     *sys.stats()
 }
 
-/// The pre-arena reference engine: drives the stream through the open
-/// [`MemorySystem`] trait object from [`build_system`], exactly as every
-/// evaluation did before the sweep engine existed — one virtual call per
-/// reference, regenerating the stream per invocation. Kept (rather than
-/// deleted) so the sweep benchmark has a stable baseline to measure the
-/// arena path against and so equivalence tests can pin the new engines
-/// to the old one bit-for-bit.
-pub fn simulate_source_dyn<S: InstructionSource + ?Sized>(
-    cfg: &MachineConfig,
-    source: &mut S,
-    budget: SimBudget,
-) -> HierarchyStats {
-    let mut sys = build_system(cfg);
-    drive(&mut *sys, source, budget.warmup_instructions);
-    sys.reset_stats();
-    drive(&mut *sys, source, budget.instructions);
-    *sys.stats()
-}
-
-/// As [`evaluate`], through the pre-arena reference engine
-/// ([`simulate_source_dyn`]). Bit-identical results, vtable-dispatch
-/// speed; used as the sweep benchmark's baseline.
-pub fn evaluate_dyn(
-    cfg: &MachineConfig,
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> DesignPoint {
-    let mut workload = benchmark.workload();
-    let stats = simulate_source_dyn(cfg, &mut workload, budget);
-    design_point(cfg, benchmark.name().to_string(), stats, timing, area)
-}
-
 /// Replays one arena chunk's packed columns through the system. This is
 /// the sweep's innermost loop: slice iteration, static dispatch (the
 /// caller monomorphizes it per concrete system type), no RNG, no
@@ -914,8 +880,9 @@ mod tests {
             let generated = evaluate(&cfg, SpecBenchmark::Espresso, budget, &tm, &am);
             let replayed = evaluate_arena(&cfg, &arena, budget, &tm, &am);
             assert_eq!(generated, replayed, "{}", cfg.label());
-            let legacy = evaluate_dyn(&cfg, SpecBenchmark::Espresso, budget, &tm, &am);
-            assert_eq!(legacy, replayed, "legacy engine diverged for {}", cfg.label());
+            let mut workload = SpecBenchmark::Espresso.workload();
+            let legacy = simulate_source_on(&mut *build_system(&cfg), &mut workload, budget);
+            assert_eq!(legacy, replayed.stats, "legacy engine diverged for {}", cfg.label());
         }
     }
 

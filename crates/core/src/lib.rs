@@ -51,7 +51,7 @@ pub mod tpi;
 
 pub use experiment::{
     capture_benchmark, capture_miss_stream, config_is_predictable, evaluate, evaluate_arena,
-    evaluate_dyn, evaluate_family, DesignPoint, SimBudget,
+    evaluate_family, DesignPoint, SimBudget,
 };
 pub use machine::{L2Policy, L2Spec, MachineConfig, MachineTiming};
 pub use sampling::{

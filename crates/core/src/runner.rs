@@ -7,29 +7,35 @@
 //! instruction, times millions of instructions, times dozens of
 //! configurations). The sweeps here instead capture each benchmark's
 //! stream once into a shared [`TraceArena`] and fan the configurations
-//! out over a thread pool, each worker replaying the packed buffer
-//! through the devirtualized fast path
-//! ([`evaluate_arena`]).
+//! out over a thread pool.
 //!
-//! Both decompositions produce bit-identical [`DesignPoint`]s: the arena
-//! holds exactly the stream the seeded generator would produce, and the
-//! replay issues references in the same order. [`sweep`] picks the arena
-//! path automatically unless the budget would make the capture enormous
-//! (see [`ARENA_BYTES_LIMIT`]); [`sweep_streaming_threads`] keeps the
-//! regenerate-per-configuration path available for comparison and for
-//! memory-constrained hosts.
+//! There is one `Result`-returning entry point per engine:
+//!
+//! - [`try_sweep_arena_threads`]: each configuration replays the arena
+//!   through the devirtualized fast path ([`evaluate_arena`]);
+//! - [`try_sweep_family_arena_threads`]: one L1 capture per front-end
+//!   group, one L2 walk per family — bit-identical to the arena engine;
+//! - [`try_sweep_predict_arena_threads`]: one reuse-distance profile per
+//!   L1 group, within the documented ε of replay;
+//! - [`try_sweep_sampled_threads`]: stitched replay of phase slices;
+//! - [`try_sweep_threads`] (`auto`): captures and runs the family engine,
+//!   or regenerates the stream per configuration when the capture cannot
+//!   pay for itself or would exceed [`ARENA_BYTES_LIMIT`].
+//!
+//! Every engine that claims bit-identity produces the same
+//! [`DesignPoint`]s: the arena holds exactly the stream the seeded
+//! generator would produce, and the replay issues references in the same
+//! order. [`sweep`] is the default-threads convenience over `auto`.
 
-use crate::configspace::unique_configs;
 use crate::experiment::{
     capture_benchmark, capture_miss_stream, capture_miss_stream_segments, evaluate, evaluate_arena,
-    evaluate_dyn, evaluate_family, evaluate_predicted, simulate_family_segments, DesignPoint,
-    SimBudget,
+    evaluate_family, evaluate_predicted, simulate_family_segments, DesignPoint, SimBudget,
 };
 use crate::machine::{L2Policy, MachineConfig};
 use crate::sampling::PhaseSlice;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use tlc_area::AreaModel;
 use tlc_obs::{obs_count, obs_event, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
 use tlc_timing::TimingModel;
@@ -94,8 +100,7 @@ impl std::fmt::Display for SweepUnit {
 
 /// Why a `try_sweep_*` call produced no results: a request it cannot
 /// run, or a worker panic propagated as a value instead of aborting the
-/// caller. The panicking wrappers re-raise it with this context in the
-/// message.
+/// caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// The request asked for zero worker threads.
@@ -132,9 +137,10 @@ fn require_threads(threads: usize) -> Result<(), SweepError> {
     Ok(())
 }
 
-/// Upper bound on the arena capture size before [`sweep`] falls back to
-/// the streaming path: 1 GiB ≈ 63 M instructions at 17 bytes per packed
-/// record, far beyond the standard 2 M-instruction budget.
+/// Upper bound on the arena capture size before [`try_sweep_threads`]
+/// falls back to per-configuration regeneration: 1 GiB ≈ 63 M
+/// instructions at 17 bytes per packed record, far beyond the standard
+/// 2 M-instruction budget.
 pub const ARENA_BYTES_LIMIT: usize = 1 << 30;
 
 /// Packed bytes per captured instruction (fetch `u64` + data `u64` +
@@ -176,8 +182,13 @@ pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
     groups
 }
 
-/// Evaluates every configuration on `benchmark`, in parallel. Results are
-/// returned in the same order as `configs`.
+/// Evaluates every configuration on `benchmark` on [`default_threads`]
+/// workers ([`try_sweep_threads`]). Results are returned in the same
+/// order as `configs`.
+///
+/// # Panics
+///
+/// Panics if a worker panics, naming the unit that failed.
 pub fn sweep(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -185,44 +196,34 @@ pub fn sweep(
     timing: &TimingModel,
     area: &AreaModel,
 ) -> Vec<DesignPoint> {
-    sweep_threads(configs, benchmark, budget, timing, area, default_threads())
+    try_sweep_threads(configs, benchmark, budget, timing, area, default_threads())
+        .unwrap_or_else(|e| panic!("sweep worker thread panicked at {e}"))
 }
 
-/// Number of worker threads used by [`sweep`].
+/// Number of worker threads used by [`sweep`]: the host's available
+/// parallelism, or 4 if it cannot be read. The count is resolved once,
+/// at first use, and fixed for the rest of the process; the query reads
+/// cgroup files on Linux and costs microseconds per call.
 pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
-/// As [`sweep`], with an explicit thread count (tests use 1 or 2).
+/// The `auto` engine: evaluates every configuration on `benchmark` on
+/// `threads` workers, in input order.
 ///
 /// Captures the benchmark's stream once and hands it to the
-/// family-batched engine ([`sweep_family_arena_threads`]), unless the
+/// family-batched engine ([`try_sweep_family_arena_threads`]), unless the
 /// capture would exceed [`ARENA_BYTES_LIMIT`] (or there is only one
-/// configuration, where a capture cannot pay for itself) — then it
-/// streams instead. Either way the results are identical.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_threads(configs, benchmark, budget, timing, area, threads))
-}
-
-/// As [`sweep_threads`], reporting a worker panic as a structured
-/// [`SweepError`] (naming the L1 group or configuration that failed)
-/// instead of aborting the caller.
+/// configuration, where a capture cannot pay for itself) — then each
+/// configuration regenerates the stream itself ([`evaluate`]). Either
+/// way the results are identical.
 ///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics.
+/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
+/// family chunk, or configuration that failed.
 pub fn try_sweep_threads(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -236,11 +237,17 @@ pub fn try_sweep_threads(
         obs_count!(Counter::RunnerFallbackStreaming, 1);
         obs_event!(
             "engine.fallback_streaming",
-            "{} configs, predicted arena {} B: streaming replay",
+            "{} configs, predicted arena {} B: per-config regeneration",
             configs.len(),
             arena_bytes_for(budget)
         );
-        return try_sweep_streaming_threads(configs, benchmark, budget, timing, area, threads);
+        let _span = obs_span!("fan_out");
+        return try_run_indexed(
+            configs.len(),
+            threads,
+            |i| evaluate(&configs[i], benchmark, budget, timing, area),
+            |i| SweepUnit::Config { index: i, label: configs[i].label() },
+        );
     }
     obs_event!("engine.selected", "family-batched arena engine, {} configs", configs.len());
     let arena = {
@@ -250,42 +257,15 @@ pub fn try_sweep_threads(
     try_sweep_family_arena_threads(configs, &arena, budget, timing, area, threads)
 }
 
-/// Unwraps a `try_sweep_*` result for the infallible entry points,
-/// re-raising a worker panic with its unit context.
-fn expect_sweep<T>(r: Result<T, SweepError>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e @ SweepError::Worker { .. }) => panic!("sweep worker thread panicked at {e}"),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Evaluates every configuration against an already-captured arena, in
 /// parallel, in input order. Callers that sweep the same benchmark
 /// several times (e.g. per off-chip latency or per L2 policy) capture
 /// once and call this directly.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// As [`sweep_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`].
-///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics.
+/// [`SweepError::Worker`] if a worker panics, naming the configuration.
 pub fn try_sweep_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -470,7 +450,7 @@ fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineCo
 /// associativity (in the paper's spaces, a family is "one L1, every L2
 /// capacity"), and each family replays its group's events **once** for
 /// all of its members ([`evaluate_family`]). Bit-identical to
-/// [`sweep_arena_threads`]: the L1 work — which the arena path repeats
+/// [`try_sweep_arena_threads`]: the L1 work — which the arena path repeats
 /// for every configuration — is paid once per group, and the event
 /// decode once per family.
 ///
@@ -484,28 +464,11 @@ fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineCo
 /// reasoning as the 1 GiB arena bound. Results are returned in input
 /// order.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_family_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_family_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// As [`sweep_family_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`] naming the L1 group, family chunk, or
-/// configuration that failed.
-///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics.
+/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
+/// family chunk, or configuration that failed.
 pub fn try_sweep_family_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -560,27 +523,12 @@ pub fn try_sweep_family_arena_threads(
 /// evaluation; the recombination itself is untracked, so a sampled sweep
 /// reports `configs × phases` completions in its manifest.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero, `slices` is empty, or a worker panics.
-pub fn sweep_sampled_threads(
-    configs: &[MachineConfig],
-    slices: &[PhaseSlice],
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_sampled_threads(configs, slices, timing, area, threads))
-}
-
-/// As [`sweep_sampled_threads`], reporting a worker panic as a
-/// structured [`SweepError`].
-///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero and
 /// [`SweepError::NoSlices`] if `slices` is empty, both before any work;
-/// [`SweepError::Worker`] if a worker panics.
+/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
+/// family chunk, or configuration that failed.
 pub fn try_sweep_sampled_threads(
     configs: &[MachineConfig],
     slices: &[PhaseSlice],
@@ -678,7 +626,7 @@ pub fn try_sweep_sampled_threads(
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
-/// captured exactly as in [`sweep_family_arena_threads`], but each
+/// captured exactly as in [`try_sweep_family_arena_threads`], but each
 /// captured group's single-level and conventional members are answered
 /// by **one** reuse-distance profiling pass
 /// ([`evaluate_predicted`]) — O(events) per L1 group, independent of how
@@ -698,28 +646,11 @@ pub fn try_sweep_sampled_threads(
 /// `predict.configs_replayed` counters record the split. Results are
 /// returned in input order.
 ///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_predict_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_predict_arena_threads(configs, arena, budget, timing, area, threads))
-}
-
-/// As [`sweep_predict_arena_threads`], reporting a worker panic as a
-/// structured [`SweepError`] naming the L1 group, predict group, family
-/// chunk, or configuration that failed.
-///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics.
+/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
+/// predict group, family chunk, or configuration that failed.
 pub fn try_sweep_predict_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -801,105 +732,6 @@ enum PredictUnit<'a> {
     Profile { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
     /// A member or family chunk the model cannot cover, replayed exactly.
     Replay(Unit<&'a tlc_cache::MissStream>),
-}
-
-/// The regenerate-per-configuration sweep: each evaluation rebuilds the
-/// benchmark's seeded generator and streams it from scratch. Kept public
-/// as the memory-lean fallback and as the reference the arena path is
-/// tested against.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_streaming_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    expect_sweep(try_sweep_streaming_threads(configs, benchmark, budget, timing, area, threads))
-}
-
-/// As [`sweep_streaming_threads`], reporting a worker panic as a
-/// structured [`SweepError`].
-///
-/// # Errors
-///
-/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics.
-pub fn try_sweep_streaming_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    let _span = obs_span!("fan_out");
-    try_run_indexed(
-        configs.len(),
-        threads,
-        |i| evaluate(&configs[i], benchmark, budget, timing, area),
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
-}
-
-/// The pre-arena baseline sweep: regenerates the stream per
-/// configuration *and* dispatches every reference through the
-/// `Box<dyn MemorySystem>` engine, exactly as `sweep` worked before the
-/// trace arena. Kept for the sweep benchmark (the speedup baseline) and
-/// for equivalence testing; new code should use [`sweep`].
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_dyn_threads(
-    configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<DesignPoint> {
-    run_indexed(
-        configs.len(),
-        threads,
-        |i| evaluate_dyn(&configs[i], benchmark, budget, timing, area),
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
-}
-
-/// Sweeps `configs` across several benchmarks, capturing each
-/// benchmark's stream exactly once. Returns one result vector per
-/// benchmark, in benchmark order, each in `configs` order.
-///
-/// Duplicate configurations — common when overlapping figure families
-/// are concatenated — are evaluated once per benchmark
-/// ([`unique_configs`]) and their results fanned back out to every
-/// occurrence, so the output is position-for-position what a naive
-/// per-config sweep would return.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn sweep_matrix(
-    configs: &[MachineConfig],
-    benchmarks: &[SpecBenchmark],
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Vec<Vec<DesignPoint>> {
-    let (unique, occurrence) = unique_configs(configs);
-    benchmarks
-        .iter()
-        .map(|&b| {
-            let row = sweep_threads(&unique, b, budget, timing, area, threads);
-            occurrence.iter().map(|&u| row[u].clone()).collect()
-        })
-        .collect()
 }
 
 /// Stringifies a panic payload (the common `&str`/`String` cases).
@@ -1014,17 +846,6 @@ where
     Ok(slots.into_iter().map(|s| s.expect("every slot filled")).collect())
 }
 
-/// As [`try_run_indexed`], re-raising a worker panic with its unit
-/// context for the infallible sweep entry points.
-fn run_indexed<T, F, U>(n: usize, threads: usize, eval: F, unit_of: U) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    U: Fn(usize) -> SweepUnit + Sync,
-{
-    expect_sweep(try_run_indexed(n, threads, eval, unit_of))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1037,8 +858,10 @@ mod tests {
         let configs = single_level_configs(&SpaceOptions::baseline());
         let configs = &configs[..4];
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
-        let serial = sweep_threads(configs, SpecBenchmark::Eqntott, budget, &tm, &am, 1);
-        let parallel = sweep_threads(configs, SpecBenchmark::Eqntott, budget, &tm, &am, 4);
+        let serial =
+            try_sweep_threads(configs, SpecBenchmark::Eqntott, budget, &tm, &am, 1).expect("sweep");
+        let parallel =
+            try_sweep_threads(configs, SpecBenchmark::Eqntott, budget, &tm, &am, 4).expect("sweep");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.label, p.label);
@@ -1054,10 +877,30 @@ mod tests {
         let mut configs = single_level_configs(&SpaceOptions::baseline())[..2].to_vec();
         configs.extend_from_slice(&two_level_configs(&SpaceOptions::baseline())[..2]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
-        let streamed = sweep_streaming_threads(&configs, SpecBenchmark::Gcc1, budget, &tm, &am, 2);
+        let streamed: Vec<DesignPoint> = configs
+            .iter()
+            .map(|cfg| evaluate(cfg, SpecBenchmark::Gcc1, budget, &tm, &am))
+            .collect();
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let replayed = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let replayed =
+            try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
         assert_eq!(streamed, replayed, "arena sweep must be bit-identical to streaming");
+    }
+
+    #[test]
+    fn one_config_auto_sweep_regenerates_and_matches_arena() {
+        // A single configuration takes the auto engine's per-config
+        // regeneration fallback; it must equal the arena replay.
+        let tm = TimingModel::paper();
+        let am = AreaModel::new();
+        let configs = [MachineConfig::two_level(4, 64, 4, L2Policy::Exclusive, 50.0)];
+        let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
+        let auto =
+            try_sweep_threads(&configs, SpecBenchmark::Gcc1, budget, &tm, &am, 2).expect("sweep");
+        let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
+        let replayed =
+            try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
+        assert_eq!(auto, replayed);
     }
 
     #[test]
@@ -1068,29 +911,9 @@ mod tests {
         let configs = &configs[..5];
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
-        let one = sweep_arena_threads(configs, &arena, budget, &tm, &am, 1);
-        let many = sweep_arena_threads(configs, &arena, budget, &tm, &am, 5);
+        let one = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 1).expect("sweep");
+        let many = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 5).expect("sweep");
         assert_eq!(one, many);
-    }
-
-    #[test]
-    fn matrix_groups_by_benchmark_in_order() {
-        let tm = TimingModel::paper();
-        let am = AreaModel::new();
-        let configs = single_level_configs(&SpaceOptions::baseline());
-        let configs = &configs[..2];
-        let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
-        let benchmarks = [SpecBenchmark::Li, SpecBenchmark::Espresso];
-        let matrix = sweep_matrix(configs, &benchmarks, budget, &tm, &am, 2);
-        assert_eq!(matrix.len(), 2);
-        for (row, b) in matrix.iter().zip(&benchmarks) {
-            assert_eq!(row.len(), configs.len());
-            for p in row {
-                assert_eq!(p.workload, b.name());
-            }
-            // Each row matches its individual sweep exactly.
-            assert_eq!(row, &sweep_threads(configs, *b, budget, &tm, &am, 2));
-        }
     }
 
     #[test]
@@ -1100,7 +923,8 @@ mod tests {
         let configs = single_level_configs(&SpaceOptions::baseline());
         let configs = &configs[..3];
         let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
-        let points = sweep_threads(configs, SpecBenchmark::Li, budget, &tm, &am, 3);
+        let points =
+            try_sweep_threads(configs, SpecBenchmark::Li, budget, &tm, &am, 3).expect("sweep");
         let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, vec!["1:0", "2:0", "4:0"]);
     }
@@ -1109,7 +933,8 @@ mod tests {
     fn empty_space_is_fine() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
-        let points = sweep_threads(&[], SpecBenchmark::Li, SimBudget::quick(), &tm, &am, 2);
+        let points = try_sweep_threads(&[], SpecBenchmark::Li, SimBudget::quick(), &tm, &am, 2)
+            .expect("sweep");
         assert!(points.is_empty());
     }
 
@@ -1153,9 +978,11 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let plain = sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let plain = try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
         for threads in [1, 3] {
-            let family = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads);
+            let family =
+                try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads)
+                    .expect("sweep");
             assert_eq!(plain, family, "family sweep diverged at {threads} threads");
         }
     }
@@ -1219,10 +1046,12 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let truth = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2);
+        let truth =
+            try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
         for threads in [1, 3] {
             let predicted =
-                sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, threads);
+                try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, threads)
+                    .expect("sweep");
             assert_eq!(predicted.len(), configs.len());
             for ((cfg, got), want) in configs.iter().zip(&predicted).zip(&truth) {
                 assert_eq!(got.label, want.label, "order must be preserved");
@@ -1269,8 +1098,10 @@ mod tests {
         assert!(configs.len() >= 6);
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let one = sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 1);
-        let many = sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 4);
+        let one =
+            try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 1).expect("sweep");
+        let many =
+            try_sweep_predict_arena_threads(&configs, &arena, budget, &tm, &am, 4).expect("sweep");
         assert_eq!(one, many);
     }
 
@@ -1287,8 +1118,10 @@ mod tests {
         assert!(configs.len() >= 8, "1KB L1 pairs with every L2 size");
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let serial = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 1);
-        let chunked = sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 4);
+        let serial =
+            try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 1).expect("sweep");
+        let chunked =
+            try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 4).expect("sweep");
         assert_eq!(serial, chunked);
     }
 
@@ -1302,8 +1135,9 @@ mod tests {
         let configs = &configs[..3];
         let budget = SimBudget { instructions: 8_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let plain = sweep_arena_threads(configs, &arena, budget, &tm, &am, 1);
-        let family = sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2);
+        let plain = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 1).expect("sweep");
+        let family =
+            try_sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2).expect("sweep");
         assert_eq!(plain, family);
     }
 
@@ -1315,26 +1149,6 @@ mod tests {
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
         assert!(capture_miss_stream(1024, 16, &arena, budget, 0).is_none());
         assert!(capture_miss_stream(1024, 16, &arena, budget, usize::MAX).is_some());
-    }
-
-    #[test]
-    fn matrix_dedups_duplicate_configs() {
-        let tm = TimingModel::paper();
-        let am = AreaModel::new();
-        let base = single_level_configs(&SpaceOptions::baseline());
-        // Same config three times plus a distinct one, shuffled.
-        let configs = [base[0], base[1], base[0], base[0]];
-        let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
-        let matrix = sweep_matrix(&configs, &[SpecBenchmark::Espresso], budget, &tm, &am, 2);
-        let row = &matrix[0];
-        assert_eq!(row.len(), 4, "results fan back out to input positions");
-        assert_eq!(row[0], row[2]);
-        assert_eq!(row[0], row[3]);
-        assert_eq!(row[0].label, base[0].label());
-        assert_eq!(row[1].label, base[1].label());
-        // Identical to the undeduplicated sweep.
-        let direct = sweep_threads(&configs, SpecBenchmark::Espresso, budget, &tm, &am, 2);
-        assert_eq!(*row, direct);
     }
 
     #[test]
@@ -1428,14 +1242,6 @@ mod tests {
     }
 
     #[test]
-    fn try_sweep_streaming_threads_rejects_zero_threads() {
-        let (configs, _, budget) = zero_thread_inputs();
-        let (tm, am) = (TimingModel::paper(), AreaModel::new());
-        let r = try_sweep_streaming_threads(&configs, SpecBenchmark::Li, budget, &tm, &am, 0);
-        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
-    }
-
-    #[test]
     fn try_sweep_sampled_threads_rejects_zero_threads() {
         let (configs, arena, budget) = zero_thread_inputs();
         let (tm, am) = (TimingModel::paper(), AreaModel::new());
@@ -1450,21 +1256,5 @@ mod tests {
         let (tm, am) = (TimingModel::paper(), AreaModel::new());
         let r = try_sweep_sampled_threads(&configs, &[], &tm, &am, 2);
         assert_eq!(r.unwrap_err(), SweepError::NoSlices);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one phase slice")]
-    fn sweep_sampled_threads_panics_on_empty_slices() {
-        let (configs, _, _) = zero_thread_inputs();
-        sweep_sampled_threads(&configs, &[], &TimingModel::paper(), &AreaModel::new(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn rejects_zero_threads() {
-        let tm = TimingModel::paper();
-        let am = AreaModel::new();
-        let configs = single_level_configs(&SpaceOptions::baseline());
-        let _ = sweep_threads(&configs[..1], SpecBenchmark::Li, SimBudget::quick(), &tm, &am, 0);
     }
 }

@@ -111,7 +111,9 @@ pub enum Counter {
     RunnerFallbackSingleton,
     /// Miss streams abandoned because they outgrew the byte limit.
     RunnerFallbackByteLimit,
-    /// Whole sweeps demoted from arena capture to streaming replay.
+    /// Whole `auto` sweeps that regenerate the stream per configuration
+    /// instead of capturing an arena (one configuration, or a capture
+    /// over the arena byte limit).
     RunnerFallbackStreaming,
     /// Design points answered analytically by the reuse-distance
     /// predictor (no event replay).

@@ -5,9 +5,8 @@
 //! the arena is chunked or how many worker threads replay it.
 //!
 //! These are the acceptance tests for the sweep engine's central claim:
-//! the ≥3× speedup (see `crates/bench/benches/sweep_throughput.rs` and
-//! `BENCH_sweep.json`) is a pure engine optimisation, not a change to
-//! the simulated machine.
+//! the speedup recorded in `BENCH_sweep.json` is a pure engine
+//! optimisation, not a change to the simulated machine.
 
 use proptest::prelude::*;
 use tlc_area::AreaModel;
@@ -20,16 +19,22 @@ use tlc_cache::{
     L1FrontEnd, MemorySystem, ReplacementKind,
 };
 use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_dyn,
-    evaluate_family, DesignPoint, SimBudget,
+    build_system, capture_benchmark, capture_miss_stream, evaluate, evaluate_arena,
+    evaluate_family, simulate_source_on, DesignPoint, SimBudget,
 };
-use tlc_core::runner::{sweep_arena_threads, sweep_family_arena_threads};
+use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{AccessKind, Addr, LineAddr, MemRef, MissEvent, TraceArena, VictimLine};
 
 const BUDGET: SimBudget = SimBudget { instructions: 12_000, warmup_instructions: 3_000 };
+
+/// `cfg` on `benchmark`'s regenerated stream through the boxed
+/// `dyn MemorySystem` path, under the same warm-up/measure protocol.
+fn dyn_stats(cfg: &MachineConfig, benchmark: SpecBenchmark) -> HierarchyStats {
+    simulate_source_on(&mut *build_system(cfg), &mut benchmark.workload(), BUDGET)
+}
 
 /// One configuration per `SystemKind` variant: single-level, conventional
 /// two-level, and exclusive two-level.
@@ -84,9 +89,9 @@ fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
                 benchmark.name(),
                 cfg.label()
             );
-            let legacy = evaluate_dyn(&cfg, benchmark, BUDGET, &tm, &am);
+            let legacy = dyn_stats(&cfg, benchmark);
             assert_eq!(
-                generated,
+                generated.stats,
                 legacy,
                 "{} on {}: devirtualised engine diverged from the dyn path",
                 benchmark.name(),
@@ -152,9 +157,9 @@ fn filtered_equivalence() {
                     benchmark.name(),
                     cfg.label()
                 );
-                let legacy = evaluate_dyn(cfg, benchmark, BUDGET, &tm, &am);
+                let legacy = dyn_stats(cfg, benchmark);
                 assert_eq!(
-                    filtered,
+                    filtered.stats,
                     legacy,
                     "{} on {}: filtered engine diverged from the dyn engine",
                     benchmark.name(),
@@ -314,9 +319,10 @@ fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
         ])
         .collect();
     let arena = capture_benchmark(SpecBenchmark::Doduc, BUDGET);
-    let reference = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
+    let reference = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).expect("sweep");
     for threads in [1usize, 2, 5] {
-        let family = sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
+        let family = try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)
+            .expect("sweep");
         assert_eq!(reference, family, "threads={threads} changed the family sweep");
     }
 }
@@ -486,9 +492,10 @@ fn thread_count_does_not_change_design_points() {
         ])
         .collect();
     let arena = capture_benchmark(SpecBenchmark::Eqntott, BUDGET);
-    let serial = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
+    let serial = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).expect("sweep");
     for threads in [2usize, 3, 8] {
-        let parallel = sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads);
+        let parallel =
+            try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads).expect("sweep");
         assert_eq!(serial, parallel, "threads={threads} changed the sweep");
     }
 }

@@ -17,7 +17,7 @@ use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
 use tlc_core::experiment::{
     capture_benchmark, capture_miss_stream, evaluate_family, evaluate_predicted, SimBudget,
 };
-use tlc_core::runner::{sweep_family_arena_threads, try_sweep_predict_arena_threads};
+use tlc_core::runner::{try_sweep_family_arena_threads, try_sweep_predict_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -121,7 +121,8 @@ fn predict_sweep_contract_holds_across_benchmarks_and_threads() {
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
             MachineConfig::two_level(2, 64, 8, L2Policy::Conventional, 50.0),
         ];
-        let truth = sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1);
+        let truth =
+            try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).expect("sweep");
         for threads in [1usize, 4] {
             let swept =
                 try_sweep_predict_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)

@@ -7,14 +7,14 @@
 //! Ground truth is the family engine replaying the entire captured
 //! stream with no warm-up discard; the sampled run sees exactly the same
 //! stream through `sample_source` + `capture_phase_slices` +
-//! `sweep_sampled_threads` (stitched warming). Parameters follow the
+//! `try_sweep_sampled_threads` (stitched warming). Parameters follow the
 //! module docs' guidance: the interval (40K instructions) delivers L1
 //! miss counts comparable to the largest L2's line count, the warm-up
 //! refresh is half an interval, and K = 5 over 12 intervals.
 
 use two_level_cache::area::AreaModel;
 use two_level_cache::cache::miss_ratio_error;
-use two_level_cache::study::runner::{sweep_family_arena_threads, sweep_sampled_threads};
+use two_level_cache::study::runner::{try_sweep_family_arena_threads, try_sweep_sampled_threads};
 use two_level_cache::study::sampling::{
     capture_phase_slices, sample_source, SampleOptions, SAMPLED_MISS_RATIO_EPSILON,
 };
@@ -41,7 +41,15 @@ fn full_points(benchmark: SpecBenchmark, configs: &[MachineConfig]) -> Vec<Desig
     let mut source = ReplaySource::new(benchmark.name(), records);
     let arena = TraceArena::capture(&mut source, STREAM_LEN);
     let budget = SimBudget { instructions: STREAM_LEN, warmup_instructions: 0 };
-    sweep_family_arena_threads(configs, &arena, budget, &TimingModel::paper(), &AreaModel::new(), 2)
+    try_sweep_family_arena_threads(
+        configs,
+        &arena,
+        budget,
+        &TimingModel::paper(),
+        &AreaModel::new(),
+        2,
+    )
+    .expect("sweep")
 }
 
 /// Sampled reconstruction of the same stream.
@@ -56,7 +64,8 @@ fn sampled_points(
     sample.validate().expect("valid selection");
     let slices =
         capture_phase_slices(&mut ReplaySource::new(benchmark.name(), records), &sample, warmup);
-    sweep_sampled_threads(configs, &slices, &TimingModel::paper(), &AreaModel::new(), 2)
+    try_sweep_sampled_threads(configs, &slices, &TimingModel::paper(), &AreaModel::new(), 2)
+        .expect("sweep")
 }
 
 #[test]
