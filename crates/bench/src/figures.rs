@@ -11,6 +11,7 @@ use tlc_area::{CacheGeometry, CellKind};
 use tlc_cache::{Associativity, CacheConfig, DuplicationReport, ExclusiveTwoLevel, MemorySystem};
 use tlc_core::configspace::{full_space, single_level_configs, SpaceOptions};
 use tlc_core::envelope::{envelope_at, mean_improvement};
+use tlc_core::experiment::simulate_source_on;
 use tlc_core::report::{envelope_of, envelope_table, points_table};
 use tlc_core::runner::try_sweep_threads;
 use tlc_core::{DesignPoint, L2Policy, MachineConfig};
@@ -806,17 +807,9 @@ pub fn policy_ablation(h: &Harness) -> String {
         ];
         let mut cells = Vec::new();
         for sys in &mut systems {
-            let mut w = SpecBenchmark::Gcc1.workload();
-            for _ in 0..h.budget.warmup_instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            sys.reset_stats();
-            for _ in 0..h.budget.instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            cells.push(format!("{} misses", sys.stats().l2_misses));
+            let stats =
+                simulate_source_on(&mut **sys, &mut SpecBenchmark::Gcc1.workload(), h.budget);
+            cells.push(format!("{} misses", stats.l2_misses));
         }
         let _ = writeln!(out, "{:>5}K {:>24} {:>24} {:>24}", l2_kb, cells[0], cells[1], cells[2]);
     }
@@ -907,17 +900,7 @@ pub fn replacement_ablation(h: &Harness) -> String {
             let l2 =
                 CacheConfig::new(64 * 1024, 16, Associativity::SetAssoc(4), repl).expect("valid");
             let mut sys = ConventionalTwoLevel::new(l1, l2);
-            let mut w = b.workload();
-            for _ in 0..h.budget.warmup_instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            sys.reset_stats();
-            for _ in 0..h.budget.instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            cells.push(sys.stats().l2_misses);
+            cells.push(simulate_source_on(&mut sys, &mut b.workload(), h.budget).l2_misses);
         }
         let _ = writeln!(
             out,
@@ -959,33 +942,11 @@ pub fn victim_cache_study(h: &Harness) -> String {
     for b in SpecBenchmark::ALL {
         let mut cells = Vec::new();
         // Baseline: plain single-level.
-        {
-            let mut sys = SingleLevel::new(l1);
-            let mut w = b.workload();
-            for _ in 0..h.budget.warmup_instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            sys.reset_stats();
-            for _ in 0..h.budget.instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            cells.push(sys.stats().l2_misses);
-        }
+        let mut sys = SingleLevel::new(l1);
+        cells.push(simulate_source_on(&mut sys, &mut b.workload(), h.budget).l2_misses);
         for buffer_lines in [2u64, 4, 8, 16] {
             let mut sys = VictimCacheSystem::new(l1, buffer_lines).expect("valid buffer");
-            let mut w = b.workload();
-            for _ in 0..h.budget.warmup_instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            sys.reset_stats();
-            for _ in 0..h.budget.instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            cells.push(sys.stats().l2_misses);
+            cells.push(simulate_source_on(&mut sys, &mut b.workload(), h.budget).l2_misses);
         }
         let _ = writeln!(
             out,
@@ -1307,17 +1268,7 @@ pub fn prefetch_study(h: &Harness) -> String {
     let l1 = CacheConfig::paper(4 * 1024, Associativity::Direct).expect("valid");
     for b in SpecBenchmark::ALL {
         let drive = |sys: &mut dyn MemorySystem| {
-            let mut w = b.workload();
-            for _ in 0..h.budget.warmup_instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            sys.reset_stats();
-            for _ in 0..h.budget.instructions {
-                let i = w.next_instruction();
-                sys.access_instruction(&i);
-            }
-            sys.stats().l2_misses
+            simulate_source_on(sys, &mut b.workload(), h.budget).l2_misses
         };
         let plain = drive(&mut SingleLevel::new(l1));
         let victim = drive(&mut VictimCacheSystem::new(l1, 8).expect("valid"));
@@ -1369,17 +1320,8 @@ pub fn l1_associativity_study(h: &Harness) -> String {
                     if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
                 let l1 = CacheConfig::new(kb * 1024, 16, assoc, ReplacementKind::PseudoRandom)
                     .expect("valid");
-                let mut sys = SingleLevel::new(l1);
-                let mut w = b.workload();
-                for _ in 0..h.budget.warmup_instructions {
-                    let i = w.next_instruction();
-                    sys.access_instruction(&i);
-                }
-                sys.reset_stats();
-                for _ in 0..h.budget.instructions {
-                    let i = w.next_instruction();
-                    sys.access_instruction(&i);
-                }
+                let stats =
+                    simulate_source_on(&mut SingleLevel::new(l1), &mut b.workload(), h.budget);
                 // Timing: an L1 of this associativity sets the cycle.
                 let geom =
                     CacheGeometry { size_bytes: kb * 1024, line_bytes: 16, ways, addr_bits: 32 };
@@ -1397,7 +1339,7 @@ pub fn l1_associativity_study(h: &Harness) -> String {
                     issue_factor: 1.0,
                     refill_transfers: 2,
                 };
-                let tpi = tpi_ns(sys.stats(), &mt);
+                let tpi = tpi_ns(&stats, &mt);
                 let _ = writeln!(
                     out,
                     "{:>9} {:>5}K {:>6} {:>10.2} {:>10.4} {:>9.2}",
@@ -1405,7 +1347,7 @@ pub fn l1_associativity_study(h: &Harness) -> String {
                     kb,
                     ways,
                     t.cycle_ns,
-                    sys.stats().l1_miss_rate(),
+                    stats.l1_miss_rate(),
                     tpi
                 );
             }

@@ -628,7 +628,7 @@ mod tests {
         for gone in ["legacy", "streaming", "\"speedup_family\"", "total_speedup\""] {
             assert!(!json.contains(gone), "deleted column {gone} is back");
         }
-        assert!(!json.contains("filtered"), "the filtered engine is an alias of family");
+        assert!(!json.contains("filtered"), "there is no filtered engine");
         assert!(json.contains("\"family_s\""));
         assert!(json.contains("\"family_l1_capture_s\""));
         assert!(json.contains("\"family_fanout_s\""));

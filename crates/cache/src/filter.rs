@@ -26,7 +26,7 @@
 //! them the recorded bit *is* the dirty bit.
 //!
 //! This module holds the front-end, the captured stream, the event walk
-//! every back-end shares ([`walk_events`]), and the single-level sink
+//! every back-end shares (`walk_events`), and the single-level sink
 //! (every L1 miss goes off-chip — no L2 state at all). The conventional
 //! and exclusive L2 back-ends live in
 //! [`filter_family`](crate::filter_family): one family-batched,

@@ -7,7 +7,7 @@
 //! associativity), so "one L1 miss stream, every L2 size" is the only
 //! replay shape a sweep needs. One decode of each event fans into N
 //! structure-of-arrays L2 states — per-configuration slot arrays,
-//! counters, a per-member replacement bank ([`ReplBank`](crate::cache))
+//! counters, a per-member replacement bank (`ReplBank`)
 //! holding the policy words (LRU/FIFO stamps, PLRU tree bits, SRRIP
 //! RRPVs) alongside the `(line<<1)|dirty` slot words, and crucially a
 //! **per-configuration [`Lfsr16`]**, so pseudo-random replacement draws

@@ -72,7 +72,7 @@ pub enum ReplState {
     },
     /// SRRIP-HP: one 2-bit re-reference prediction value per way.
     Srrip {
-        /// Per-way RRPV (0 = near-immediate, [`SRRIP_MAX_RRPV`] = distant).
+        /// Per-way RRPV (0 = near-immediate, `SRRIP_MAX_RRPV` = distant).
         rrpv: Box<[u8]>,
     },
 }

@@ -8,7 +8,7 @@ use tlc_cache::{ReplacementKind, StackDistanceProfiler};
 use tlc_core::audit::{run_audit, AuditOptions};
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::capture_benchmark;
-use tlc_core::experiment::{simulate_source, SimBudget};
+use tlc_core::experiment::{l1_config, l2_config, simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
     default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
@@ -43,7 +43,6 @@ pub fn usage() -> String {
      \u{20}            --workload gcc1 [--offchip 50] [--ways 4] [--policy ...] [--csv] [--instr N]\n\
      \u{20}            [--l2-repl lru|fifo|pseudo-random|tree-plru|srrip]  L2 replacement policy\n\
      \u{20}            [--engine auto|arena|family|predict] [--threads N]\n\
-     \u{20}                                  (filtered is an alias of family)\n\
      \u{20}            [--metrics out.json]  write a tlc-run-manifest/2 document\n\
      \u{20}            [--trace-out t.json]  Chrome trace-event timeline (open in ui.perfetto.dev)\n\
      \u{20}            [--progress]          live configs-done/ETA/events-per-second ticker on stderr\n\
@@ -108,9 +107,37 @@ fn parse_l2_repl(args: &ArgMap) -> Result<ReplacementKind, ArgError> {
     }
 }
 
+/// `--offchip`: the off-chip access time in ns, finite and non-negative.
+fn parse_offchip(args: &ArgMap) -> Result<f64, ArgError> {
+    let ns: f64 = args.get_or("offchip", 50.0)?;
+    if !ns.is_finite() || ns < 0.0 {
+        return Err(ArgError(format!(
+            "--offchip must be a finite, non-negative ns count, got {ns}"
+        )));
+    }
+    Ok(ns)
+}
+
+/// Rejects a configuration the simulator cannot build — a bad L1 or L2
+/// geometry is an argument error, never a panic inside the engines.
+fn check_config(cfg: &MachineConfig) -> Result<(), ArgError> {
+    l1_config(cfg).map_err(|e| ArgError(format!("configuration {}: L1 {e}", cfg.label())))?;
+    l2_config(cfg).map_err(|e| ArgError(format!("configuration {}: L2 {e}", cfg.label())))?;
+    Ok(())
+}
+
+/// `--instr`: the measured instruction count; an empty measurement
+/// window has no defined TPI.
+fn parse_instr(args: &ArgMap, default: u64) -> Result<u64, ArgError> {
+    match args.get_or("instr", default)? {
+        0 => Err(ArgError("--instr must be at least 1: nothing would be measured".into())),
+        n => Ok(n),
+    }
+}
+
 fn parse_machine(args: &ArgMap) -> Result<MachineConfig, ArgError> {
     let l1: u64 = args.get_or("l1", 8)?;
-    let offchip: f64 = args.get_or("offchip", 50.0)?;
+    let offchip = parse_offchip(args)?;
     let l2: u64 = args.get_or("l2", 0)?;
     let ways: u32 = args.get_or("ways", 4)?;
     let policy = match args.get("policy").unwrap_or("conventional") {
@@ -130,12 +157,13 @@ fn parse_machine(args: &ArgMap) -> Result<MachineConfig, ArgError> {
     if args.flag("dual") {
         cfg = cfg.with_l1_cell(CellKind::DualPorted);
     }
+    check_config(&cfg)?;
     Ok(cfg)
 }
 
 fn parse_budget(args: &ArgMap) -> Result<SimBudget, ArgError> {
     let mut b = SimBudget::standard();
-    b.instructions = args.get_or("instr", b.instructions)?;
+    b.instructions = parse_instr(args, b.instructions)?;
     b.warmup_instructions = args.get_or("warmup", b.warmup_instructions)?;
     Ok(b)
 }
@@ -214,14 +242,14 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
             // Trace mode defaults to the whole stream with no warm-up
             // discard; in sampled mode --warmup primes each slice instead.
             let budget = SimBudget {
-                instructions: args.get_or("instr", u64::MAX)?,
+                instructions: parse_instr(args, u64::MAX)?,
                 warmup_instructions: args.get_or("warmup", 0)?,
             };
             (SweepInput::Trace { reader: Box::new(reader), sample }, name, budget)
         }
     };
     let ways: u32 = args.get_or("ways", 4)?;
-    let offchip: f64 = args.get_or("offchip", 50.0)?;
+    let offchip = parse_offchip(args)?;
     let policy = match args.get("policy").unwrap_or("conventional") {
         "conventional" => L2Policy::Conventional,
         "exclusive" => L2Policy::Exclusive,
@@ -258,16 +286,11 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     let metrics_path = args.get("metrics").map(str::to_string);
     let trace_out_path = args.get("trace-out").map(str::to_string);
     let configs = full_space(&opts);
+    configs.iter().try_for_each(check_config)?;
 
     // One observability epoch per sweep: counters and spans drained by
     // this run's manifest must not include a previous run's.
     tlc_obs::reset();
-    if requested == "filtered" {
-        tlc_obs::record_event(
-            "engine.alias",
-            "--engine filtered is an alias of family; sweeping with the family engine".into(),
-        );
-    }
     let ticker = args.flag("progress").then(|| ProgressTicker::start(configs.len()));
     let start = std::time::Instant::now();
     // Trace decode problems surface *during* capture (the reader parks
@@ -339,6 +362,14 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                 };
                 if let Some(e) = reader.take_error() {
                     trace_error = Some(e.to_string());
+                }
+                if trace_error.is_none() && arena.len() <= budget.warmup_instructions {
+                    trace_error = Some(format!(
+                        "{bench_name} holds {} instructions: nothing left to measure after \
+                         --warmup {}",
+                        arena.len(),
+                        budget.warmup_instructions
+                    ));
                 }
                 if trace_error.is_none()
                     && budget.instructions == u64::MAX
@@ -442,17 +473,16 @@ enum Engine {
 }
 
 impl Engine {
-    /// Parses an `--engine` value; `filtered` is an alias of `family`.
+    /// Parses an `--engine` value.
     fn parse(name: &str) -> Result<Engine, ArgError> {
         Ok(match name {
             "auto" => Engine::Auto,
             "arena" => Engine::Arena,
-            "family" | "filtered" => Engine::Family,
+            "family" => Engine::Family,
             "predict" => Engine::Predict,
             other => {
                 return Err(ArgError(format!(
-                    "unknown engine {other:?}; choose auto, arena, family or predict (filtered \
-                     is an alias of family)"
+                    "unknown engine {other:?}; choose auto, arena, family or predict"
                 )))
             }
         })
@@ -1403,27 +1433,9 @@ mod tests {
         for o in &outputs[1..] {
             assert_eq!(&outputs[0], o, "engines must produce identical sweeps");
         }
-        // `filtered` is an alias of `family`: identical output, a
-        // manifest that names the family engine, and an alias event.
-        let path = std::env::temp_dir().join("tlc_cli_test_alias_manifest.json");
-        let _ = std::fs::remove_file(&path);
-        let mut argv: Vec<&str> = base.to_vec();
-        argv.extend(["filtered", "--metrics", path.to_str().expect("utf8 path")]);
-        let alias = run(&argv).expect("filtered alias sweep");
-        assert_eq!(alias, outputs[2], "the filtered alias must print the family sweep");
-        let json = std::fs::read_to_string(&path).expect("manifest written");
-        let manifest = RunManifest::from_json(&json).expect("manifest parses");
-        assert_eq!(manifest.engine, "family");
-        if tlc_obs::ENABLED {
-            assert!(
-                manifest.events.iter().any(|e| e.kind == "engine.alias"),
-                "the alias must be announced: {:?}",
-                manifest.events
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-        // `streaming` was removed, not aliased: it is as unknown as `warp`.
-        for bad in ["warp", "streaming"] {
+        // `streaming` and `filtered` were removed, not aliased: they are
+        // as unknown as `warp`.
+        for bad in ["warp", "streaming", "filtered"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(bad);
             let err = run(&argv).expect_err("unknown engine must be rejected").0;

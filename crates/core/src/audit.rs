@@ -2,14 +2,11 @@
 //!
 //! The repository's soundness argument is that four engines — streaming
 //! ([`simulate_source`](crate::experiment::simulate_source)), the
-//! trait-object path (the same protocol,
-//! [`simulate_source_on`](crate::experiment::simulate_source_on), on a
-//! [`build_system`](crate::experiment::build_system) box), the
-//! devirtualized arena replay
-//! ([`simulate_arena`](crate::experiment::simulate_arena)), and the
-//! miss-stream L2 back-end
-//! ([`simulate_family`](crate::experiment::simulate_family): a family of
-//! one per sampled configuration, batched sibling families, and the
+//! trait-object path (the same protocol, [`simulate_source_on`], on a
+//! [`build_system`] box), the devirtualized arena replay
+//! ([`simulate_arena`]), and the miss-stream L2 back-end
+//! ([`simulate_family`]: a family of one per sampled configuration,
+//! batched sibling families, and the
 //! direct-mapped threshold fast path) — are *bit-identical*. This module
 //! stops that from being "engines agreeing with themselves": every sampled
 //! case is also run through the deliberately-naive reference oracle
@@ -32,8 +29,8 @@
 //! for `tests/corpus_replay.rs` to replay forever after.
 
 use crate::experiment::{
-    build_system, l2_config, simulate_arena, simulate_family, simulate_source_on,
-    try_build_system_kind, try_capture_miss_stream, SimBudget,
+    build_system, capture_miss_stream, l2_config, simulate_arena, simulate_family,
+    simulate_source_on, try_build_system_kind, SimBudget,
 };
 use crate::machine::{L2Policy, L2Spec, MachineConfig};
 use crate::runner::try_sweep_arena_threads;
@@ -529,10 +526,8 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
     }
 
     // Engines 4+5 need a captured miss stream (direct-mapped L1 front-end).
-    let stream =
-        try_capture_miss_stream(cfg.l1_size_bytes, cfg.line_bytes, &arena, budget, usize::MAX)
-            .expect("sampled L1 geometries are valid")
-            .expect("unbounded capture succeeds");
+    let stream = capture_miss_stream(cfg.l1_size_bytes, cfg.line_bytes, &arena, budget, usize::MAX)
+        .expect("unbounded capture succeeds");
     let one = simulate_family(std::slice::from_ref(cfg), &stream)[0];
     let diverged = one != oracle;
     ledger.tally("family-vs-oracle", diverged);

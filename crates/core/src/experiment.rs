@@ -242,16 +242,30 @@ fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize
     }
 }
 
-/// The chunk walk of [`simulate_arena`], monomorphized per concrete
-/// system type so every `access` call in the replay loop is a direct,
-/// inlinable call.
-fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: SimBudget) {
+/// The warm-up/measure protocol over one *window* of a captured arena —
+/// the chunk walk behind [`simulate_arena`] and every miss-stream
+/// capture. Replays up to `budget.warmup_instructions` records, resets
+/// statistics at the warm-up boundary (splitting the chunk it falls in),
+/// then replays up to `budget.instructions` more. A window that ends
+/// inside warm-up measures nothing. `fits` is asked once before each
+/// chunk is replayed; the walk stops and returns `false` on the first
+/// `false`. Monomorphized per concrete system type, so every `access` in
+/// the replay loop is a direct, inlinable call.
+fn walk_window<M: MemorySystem>(
+    sys: &mut M,
+    arena: &TraceArena,
+    budget: SimBudget,
+    fits: impl Fn(&M) -> bool,
+) -> bool {
     let warm = budget.warmup_instructions;
     let total = warm.saturating_add(budget.instructions);
     let mut pos = 0u64; // arena-global index of the next record
     for chunk in arena.chunks() {
         if pos >= total {
             break;
+        }
+        if !fits(sys) {
+            return false;
         }
         let take = (chunk.len() as u64).min(total - pos);
         if pos >= warm {
@@ -277,6 +291,7 @@ fn replay_arena_on<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: Sim
         // nothing was measured.
         sys.reset_stats();
     }
+    true
 }
 
 /// As [`simulate_source`], replaying a captured [`TraceArena`] through
@@ -292,11 +307,61 @@ pub fn simulate_arena(
 ) -> HierarchyStats {
     let mut sys = build_system_kind(cfg);
     match &mut sys {
-        SystemKind::Single(s) => replay_arena_on(s, arena, budget),
-        SystemKind::Conventional(s) => replay_arena_on(s, arena, budget),
-        SystemKind::Exclusive(s) => replay_arena_on(s, arena, budget),
-    }
+        SystemKind::Single(s) => walk_window(s, arena, budget, |_| true),
+        SystemKind::Conventional(s) => walk_window(s, arena, budget, |_| true),
+        SystemKind::Exclusive(s) => walk_window(s, arena, budget, |_| true),
+    };
     *sys.stats()
+}
+
+/// The one L1 capture: a single direct-mapped front-end walks every
+/// window in order and keeps only the events the L2 would observe.
+/// One window is packaged whole ([`L1FrontEnd::finish`]). Several
+/// windows are stitched: [`L1FrontEnd::take_stream`] cuts one segment
+/// per window while the L1 contents carry over, so window `k` starts
+/// from the state window `k-1` left behind. Returns `None` once the
+/// packed segments together outgrow `byte_limit` (checked between
+/// chunks).
+///
+/// # Panics
+///
+/// Panics on an invalid L1 geometry.
+pub(crate) fn capture_windows(
+    l1_size_bytes: u64,
+    line_bytes: u64,
+    windows: &[(&TraceArena, SimBudget)],
+    byte_limit: usize,
+) -> Option<Vec<MissStream>> {
+    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
+    let l1 = CacheConfig::new(
+        l1_size_bytes,
+        line_bytes,
+        Associativity::Direct,
+        ReplacementKind::PseudoRandom,
+    )
+    .expect("valid L1 configuration");
+    let mut fe = L1FrontEnd::new(l1);
+    let mut segments = Vec::with_capacity(windows.len());
+    let mut banked = 0usize;
+    for &(arena, budget) in windows {
+        if !walk_window(&mut fe, arena, budget, |fe| banked + fe.event_bytes() <= byte_limit) {
+            return None;
+        }
+        if windows.len() > 1 {
+            let seg = fe.take_stream(arena.name());
+            banked += seg.bytes();
+            segments.push(seg);
+        }
+    }
+    // Stitched segments are all banked by now; a lone window's stream is
+    // still inside the front-end.
+    if banked + fe.event_bytes() > byte_limit {
+        return None;
+    }
+    if let [(arena, _)] = windows {
+        segments.push(fe.finish(arena.name()));
+    }
+    Some(segments)
 }
 
 /// Captures the miss/victim event stream of one L1 front-end (shared by
@@ -304,12 +369,16 @@ pub fn simulate_arena(
 /// trace arena: the arena is replayed through split direct-mapped L1
 /// caches **once**, and only the events the L2 would observe are kept.
 ///
-/// Mirrors [`simulate_arena`]'s warm-up split and early-exhaustion
+/// Follows [`simulate_arena`]'s warm-up split and early-exhaustion
 /// contract, so [`simulate_family`] on the result is bit-identical to
 /// [`simulate_arena`] on the full arena. Returns `None` when the packed
 /// event stream outgrows `byte_limit` (checked between chunks; an L1 so
 /// small that most references miss could otherwise approach the arena's
 /// own footprint) — callers fall back to the arena engine.
+///
+/// # Panics
+///
+/// Panics on an invalid L1 geometry.
 pub fn capture_miss_stream(
     l1_size_bytes: u64,
     line_bytes: u64,
@@ -317,75 +386,18 @@ pub fn capture_miss_stream(
     budget: SimBudget,
     byte_limit: usize,
 ) -> Option<MissStream> {
-    try_capture_miss_stream(l1_size_bytes, line_bytes, arena, budget, byte_limit)
-        .expect("valid L1 configuration")
-}
-
-/// As [`capture_miss_stream`], returning the configuration error instead
-/// of panicking on an invalid L1 geometry (the audit sampler's path).
-///
-/// # Errors
-///
-/// Returns the [`ConfigError`](tlc_cache::ConfigError) describing the
-/// invalid L1 geometry.
-pub fn try_capture_miss_stream(
-    l1_size_bytes: u64,
-    line_bytes: u64,
-    arena: &TraceArena,
-    budget: SimBudget,
-    byte_limit: usize,
-) -> Result<Option<MissStream>, tlc_cache::ConfigError> {
-    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
-    let l1 = CacheConfig::new(
-        l1_size_bytes,
-        line_bytes,
-        Associativity::Direct,
-        ReplacementKind::PseudoRandom,
-    )?;
-    let mut fe = L1FrontEnd::new(l1);
-    let warm = budget.warmup_instructions;
-    let total = warm.saturating_add(budget.instructions);
-    let mut pos = 0u64;
-    for chunk in arena.chunks() {
-        if pos >= total {
-            break;
-        }
-        if fe.event_bytes() > byte_limit {
-            return Ok(None);
-        }
-        let take = (chunk.len() as u64).min(total - pos);
-        if pos >= warm {
-            replay_chunk(&mut fe, chunk, 0, take as usize);
-        } else if pos + take <= warm {
-            replay_chunk(&mut fe, chunk, 0, take as usize);
-            if pos + take == warm {
-                fe.reset_stats();
-            }
-        } else {
-            let split = (warm - pos) as usize;
-            replay_chunk(&mut fe, chunk, 0, split);
-            fe.reset_stats();
-            replay_chunk(&mut fe, chunk, split, take as usize);
-        }
-        pos += take;
-    }
-    if pos <= warm {
-        fe.reset_stats();
-    }
-    if fe.event_bytes() > byte_limit {
-        return Ok(None);
-    }
-    Ok(Some(fe.finish(arena.name())))
+    capture_windows(l1_size_bytes, line_bytes, &[(arena, budget)], byte_limit)
+        .map(|mut segments| segments.pop().expect("one window"))
 }
 
 /// Stitched-warming capture for a sampled sweep: **one** L1 front-end
 /// replays every representative [`PhaseSlice`](crate::sampling::PhaseSlice)
-/// in trace order, and [`L1FrontEnd::take_stream`] cuts a [`MissStream`]
-/// segment per slice — so slice `k` starts from the (stale) L1 contents
-/// slice `k-1` left behind, and each slice's warm-up prefix refreshes
-/// that state before its counters reset at the slice's own warm-up
-/// boundary. Feeding the segments to [`simulate_family_segments`]
-/// extends the stitching to the L2 side.
+/// in trace order and cuts a [`MissStream`] segment per slice — so slice
+/// `k` starts from the (stale) L1 contents slice `k-1` left behind, and
+/// each slice's warm-up prefix refreshes that state before its counters
+/// reset at the slice's own warm-up boundary. Feeding the segments to
+/// [`simulate_family_segments`] extends the stitching to the L2 side. A
+/// single slice yields exactly [`capture_miss_stream`]'s stream.
 ///
 /// Returns `None` when the packed segments collectively outgrow
 /// `byte_limit` (checked between chunks) — callers fall back to cold
@@ -400,55 +412,9 @@ pub fn capture_miss_stream_segments(
     slices: &[crate::sampling::PhaseSlice],
     byte_limit: usize,
 ) -> Option<Vec<MissStream>> {
-    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
-    let l1 = CacheConfig::new(
-        l1_size_bytes,
-        line_bytes,
-        Associativity::Direct,
-        ReplacementKind::PseudoRandom,
-    )
-    .expect("valid L1 configuration");
-    let mut fe = L1FrontEnd::new(l1);
-    let mut segments = Vec::with_capacity(slices.len());
-    let mut banked = 0usize;
-    for slice in slices {
-        let warm = slice.budget.warmup_instructions;
-        let total = warm.saturating_add(slice.budget.instructions);
-        let mut pos = 0u64;
-        for chunk in slice.arena.chunks() {
-            if pos >= total {
-                break;
-            }
-            if banked + fe.event_bytes() > byte_limit {
-                return None;
-            }
-            let take = (chunk.len() as u64).min(total - pos);
-            if pos >= warm {
-                replay_chunk(&mut fe, chunk, 0, take as usize);
-            } else if pos + take <= warm {
-                replay_chunk(&mut fe, chunk, 0, take as usize);
-                if pos + take == warm {
-                    fe.reset_stats();
-                }
-            } else {
-                let split = (warm - pos) as usize;
-                replay_chunk(&mut fe, chunk, 0, split);
-                fe.reset_stats();
-                replay_chunk(&mut fe, chunk, split, take as usize);
-            }
-            pos += take;
-        }
-        if pos <= warm {
-            fe.reset_stats();
-        }
-        let seg = fe.take_stream(slice.arena.name());
-        banked += seg.bytes();
-        segments.push(seg);
-    }
-    if banked > byte_limit {
-        return None;
-    }
-    Some(segments)
+    let windows: Vec<(&TraceArena, SimBudget)> =
+        slices.iter().map(|s| (&s.arena, s.budget)).collect();
+    capture_windows(l1_size_bytes, line_bytes, &windows, byte_limit)
 }
 
 /// Replays a captured [`MissStream`] through a whole *family* of
@@ -690,19 +656,18 @@ fn design_point(
     timing: &TimingModel,
     area: &AreaModel,
 ) -> DesignPoint {
-    // Every engine funnels finished evaluations through here, so this
-    // is the one completion tick the progress ticker and the manifest's
-    // `runner.configs_completed` invariant rely on. (Sampled sweeps tick
-    // once per phase through the per-phase engine runs, then build the
-    // recombined point via `design_point_untracked` — the manifest
-    // invariant there is configs × phases.)
+    // The completion tick the progress ticker and the manifest's
+    // `runner.configs_completed` invariant rely on. (The runner's window
+    // evaluator ticks once per member × window itself and builds its
+    // recombined points via `design_point_untracked` — for a sampled
+    // sweep the manifest invariant is configs × phases.)
     tlc_obs::obs_count!(tlc_obs::Counter::RunnerConfigsCompleted, 1);
     design_point_untracked(cfg, workload, stats, timing, area)
 }
 
 /// Derives a [`DesignPoint`] from already-aggregated statistics without
-/// registering a completion tick — the recombination step of a sampled
-/// sweep, whose per-phase engine runs already ticked.
+/// registering a completion tick — the recombination step of the
+/// runner's window evaluator, which ticks per member × window itself.
 pub(crate) fn design_point_untracked(
     cfg: &MachineConfig,
     workload: String,

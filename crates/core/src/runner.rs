@@ -22,21 +22,33 @@
 //!   or regenerates the stream per configuration when the capture cannot
 //!   pay for itself or would exceed [`ARENA_BYTES_LIMIT`].
 //!
+//! The family, sampled and predict engines run one pipeline over
+//! *windows*. A window is an arena, its warm-up/measure [`SimBudget`]
+//! split and a weight: a whole-trace sweep is one window of weight 1, a
+//! sampled sweep one window per phase slice. One capture phase walks
+//! each L1 group's front-end across every window (one stream segment per
+//! window), and one unit evaluator replays a family over the segments —
+//! or a lone configuration over the windows — and recombines the
+//! per-window statistics by weight. The predict engine answers its
+//! predictable members from the captured stream and hands the rest to
+//! the same evaluator.
+//!
 //! Every engine that claims bit-identity produces the same
 //! [`DesignPoint`]s: the arena holds exactly the stream the seeded
 //! generator would produce, and the replay issues references in the same
 //! order. [`sweep`] is the default-threads convenience over `auto`.
 
 use crate::experiment::{
-    capture_benchmark, capture_miss_stream, capture_miss_stream_segments, evaluate, evaluate_arena,
-    evaluate_family, evaluate_predicted, simulate_family_segments, DesignPoint, SimBudget,
+    capture_benchmark, capture_windows, design_point_untracked, evaluate, evaluate_arena,
+    evaluate_predicted, simulate_arena, simulate_family_segments, DesignPoint, SimBudget,
 };
 use crate::machine::{L2Policy, MachineConfig};
-use crate::sampling::PhaseSlice;
+use crate::sampling::{combine_weighted, PhaseSlice};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use tlc_area::AreaModel;
+use tlc_cache::{HierarchyStats, MissStream};
 use tlc_obs::{obs_count, obs_event, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -283,23 +295,38 @@ pub fn try_sweep_arena_threads(
     )
 }
 
-/// Phase A of the family and predict sweeps: one miss-stream capture
-/// per L1 group that will amortise it, with a `group[...]` phase span
-/// per capture and fallback events for the groups that opt out
-/// (singletons, byte-limited streams).
-fn try_capture_group_streams(
-    groups: &[(L1Key, Vec<usize>)],
-    arena: &TraceArena,
+/// One measured window of a sweep: an arena, the warm-up/measure split
+/// replayed over it, and the weight its statistics carry in the
+/// recombined point. A whole-trace sweep is one window of weight 1; a
+/// sampled sweep has one window per phase slice.
+#[derive(Clone, Copy)]
+struct Window<'a> {
+    arena: &'a TraceArena,
     budget: SimBudget,
+    weight: f64,
+}
+
+/// Phase A of every captured sweep: one miss-stream capture per L1
+/// group across all `windows` (one segment per window), with a
+/// `group[...]` phase span per capture and fallback events for the
+/// groups that opt out. With one window, a group of one configuration
+/// skips the capture, which cannot pay for itself. With several, every
+/// group captures: the capture is what carries L1 state from one window
+/// to the next, and the uncaptured fallback replays each window cold.
+fn try_capture_groups(
+    groups: &[(L1Key, Vec<usize>)],
+    windows: &[Window<'_>],
     threads: usize,
-) -> Result<Vec<Option<tlc_cache::MissStream>>, SweepError> {
+) -> Result<Vec<Option<Vec<MissStream>>>, SweepError> {
     let _span = obs_span!("l1_capture");
+    let arena_budgets: Vec<(&TraceArena, SimBudget)> =
+        windows.iter().map(|w| (w.arena, w.budget)).collect();
     try_run_indexed(
         groups.len(),
         threads,
         |g| {
             let (key, idxs) = &groups[g];
-            if idxs.len() < 2 {
+            if windows.len() == 1 && idxs.len() < 2 {
                 obs_count!(Counter::RunnerFallbackSingleton, 1);
                 obs_event!(
                     "fallback.singleton",
@@ -312,18 +339,18 @@ fn try_capture_group_streams(
             let span = PhaseSpan::enter_with("group", || format!("{}B/{}B", key.0, key.1));
             span.add_items(idxs.len() as u64);
             let _t = HistTimer::start(Hist::CaptureL1GroupNs);
-            let stream = capture_miss_stream(key.0, key.1, arena, budget, MISS_STREAM_BYTES_LIMIT);
-            if stream.is_none() {
+            let segments = capture_windows(key.0, key.1, &arena_budgets, MISS_STREAM_BYTES_LIMIT);
+            if segments.is_none() {
                 obs_count!(Counter::RunnerFallbackByteLimit, 1);
                 obs_event!(
                     "fallback.byte_limit",
-                    "L1 group {}B/{}B miss stream exceeded {} B; plain arena replay",
+                    "L1 group {}B/{}B miss stream exceeded {} B; per-config arena replay",
                     key.0,
                     key.1,
                     MISS_STREAM_BYTES_LIMIT
                 );
             }
-            stream
+            segments
         },
         |g| SweepUnit::L1Group { l1_size_bytes: groups[g].0 .0, line_bytes: groups[g].0 .1 },
     )
@@ -342,6 +369,14 @@ enum Unit<S> {
 }
 
 impl<S> Unit<S> {
+    /// The input indices the unit evaluates.
+    fn members(&self) -> &[usize] {
+        match self {
+            Unit::Family { members, .. } => members,
+            Unit::Alone { idx } => std::slice::from_ref(idx),
+        }
+    }
+
     /// The unit a worker panic is attributed to.
     fn sweep_unit(&self, configs: &[MachineConfig]) -> SweepUnit {
         match self {
@@ -443,13 +478,79 @@ fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineCo
     members.iter().map(|&i| configs[i]).collect()
 }
 
+/// Phase B of every captured sweep: evaluates one unit over all
+/// `windows`, returning `(input index, point)` pairs. A family replays
+/// its group's segments once for every member
+/// ([`simulate_family_segments`]); a lone configuration replays each
+/// window on its own ([`simulate_arena`]). Each member's per-window
+/// statistics are recombined by window weight
+/// ([`combine_weighted`](crate::sampling::combine_weighted), exact for a
+/// single window of weight 1) before the timing/area derivation.
+/// `runner.configs_completed` ticks once per member × window.
+fn eval_unit(
+    configs: &[MachineConfig],
+    windows: &[Window<'_>],
+    unit: &Unit<&[MissStream]>,
+    timing: &TimingModel,
+    area: &AreaModel,
+) -> Vec<(usize, DesignPoint)> {
+    let per_window: Vec<Vec<HierarchyStats>> = match unit {
+        Unit::Family { src: segments, members } => {
+            let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
+            simulate_family_segments(&member_configs(configs, members), segments)
+        }
+        Unit::Alone { idx } => windows
+            .iter()
+            .map(|w| vec![simulate_arena(&configs[*idx], w.arena, w.budget)])
+            .collect(),
+    };
+    let members = unit.members();
+    obs_count!(Counter::RunnerConfigsCompleted, (members.len() * windows.len()) as u64);
+    let workload = windows[0].arena.name();
+    members
+        .iter()
+        .enumerate()
+        .map(|(m, &i)| {
+            let parts: Vec<(f64, HierarchyStats)> =
+                per_window.iter().zip(windows).map(|(row, w)| (w.weight, row[m])).collect();
+            let stats = combine_weighted(&parts);
+            (i, design_point_untracked(&configs[i], workload.to_string(), stats, timing, area))
+        })
+        .collect()
+}
+
+/// The family sweep over `windows`: one capture per L1 group
+/// ([`try_capture_groups`]), the group's families planned into units
+/// ([`plan_units`]), and every unit evaluated by [`eval_unit`].
+fn try_sweep_windows(
+    configs: &[MachineConfig],
+    windows: &[Window<'_>],
+    timing: &TimingModel,
+    area: &AreaModel,
+    threads: usize,
+) -> Result<Vec<DesignPoint>, SweepError> {
+    let groups = l1_groups(configs);
+    let captured = try_capture_groups(&groups, windows, threads)?;
+    let sources: Vec<Option<&[MissStream]>> = captured.iter().map(Option::as_deref).collect();
+    let units: Vec<_> =
+        plan_units(configs, &groups, &sources, threads, 0).into_iter().flatten().collect();
+    try_fan_out(
+        configs,
+        &units,
+        threads,
+        |u| u.sweep_unit(configs),
+        |u| eval_unit(configs, windows, u, timing, area),
+    )
+}
+
 /// The family-batched sweep: configurations are grouped by L1 front-end
 /// ([`l1_groups`]), the arena is replayed through each distinct L1
 /// **once** to capture its miss/victim event stream, each captured group
 /// is partitioned into *families* sharing one L2 policy and
 /// associativity (in the paper's spaces, a family is "one L1, every L2
 /// capacity"), and each family replays its group's events **once** for
-/// all of its members ([`evaluate_family`]). Bit-identical to
+/// all of its members
+/// ([`simulate_family_segments`] over one segment). Bit-identical to
 /// [`try_sweep_arena_threads`]: the L1 work — which the arena path repeats
 /// for every configuration — is paid once per group, and the event
 /// decode once per family.
@@ -478,41 +579,23 @@ pub fn try_sweep_family_arena_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    let groups = l1_groups(configs);
-    let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    let sources: Vec<Option<&tlc_cache::MissStream>> = streams.iter().map(Option::as_ref).collect();
-    let units: Vec<_> =
-        plan_units(configs, &groups, &sources, threads, 0).into_iter().flatten().collect();
-    try_fan_out(
-        configs,
-        &units,
-        threads,
-        |u| u.sweep_unit(configs),
-        |unit| match unit {
-            Unit::Family { src: stream, members } => {
-                let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-                let points =
-                    evaluate_family(&member_configs(configs, members), stream, timing, area);
-                members.iter().copied().zip(points).collect()
-            }
-            Unit::Alone { idx } => {
-                vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
-            }
-        },
-    )
+    try_sweep_windows(configs, &[Window { arena, budget, weight: 1.0 }], timing, area, threads)
 }
 
-/// The sampled sweep with **stitched warming**: configurations are
+/// The sampled sweep with **stitched warming**: the family sweep with
+/// one window per representative [`PhaseSlice`]. Configurations are
 /// grouped by L1 front-end ([`l1_groups`]) and each group's front-end
-/// replays every representative [`PhaseSlice`] in trace order
-/// ([`capture_miss_stream_segments`]) — L1 contents persist across the
-/// gaps between slices, and each slice's warm-up prefix refreshes them.
-/// Each family then walks the per-slice segments through **one**
-/// persistent set of L2 states ([`simulate_family_segments`]), so the
-/// L2 arrays, LFSRs, and exclusive mirrors inherit stale state instead
-/// of restarting cold at every slice. Per-phase measured statistics are
-/// recombined with [`crate::sampling::combine_weighted`] into one
-/// whole-trace estimate per configuration.
+/// replays every slice in trace order (as
+/// [`capture_miss_stream_segments`](crate::experiment::capture_miss_stream_segments)
+/// does) — L1 contents persist across the gaps between slices, and each
+/// slice's warm-up prefix refreshes them. Each family then walks the
+/// per-slice segments through **one** persistent set of L2 states
+/// ([`simulate_family_segments`]), so the L2 arrays, LFSRs, and
+/// exclusive mirrors inherit stale state instead of restarting cold at
+/// every slice. Per-phase measured statistics are recombined with
+/// [`combine_weighted`] into one whole-trace estimate per configuration.
+/// With two or more slices every L1 group captures, singletons
+/// included; only a byte-limited group replays each slice cold.
 ///
 /// Reconstruction accuracy is bounded by
 /// [`crate::sampling::SAMPLED_MISS_RATIO_EPSILON`] (see the
@@ -540,89 +623,11 @@ pub fn try_sweep_sampled_threads(
     if slices.is_empty() {
         return Err(SweepError::NoSlices);
     }
-    let workload = slices[0].arena.name().to_string();
-    let groups = l1_groups(configs);
-    // Phase A: one stitched capture per L1 group — a single front-end
-    // replays every slice sequentially so L1 state carries across them.
-    let captured: Vec<Option<Vec<tlc_cache::MissStream>>> = {
-        let _span = obs_span!("l1_capture");
-        try_run_indexed(
-            groups.len(),
-            threads,
-            |g| {
-                let (key, idxs) = &groups[g];
-                let span = PhaseSpan::enter_with("group", || format!("{}B/{}B", key.0, key.1));
-                span.add_items(idxs.len() as u64);
-                let segs =
-                    capture_miss_stream_segments(key.0, key.1, slices, MISS_STREAM_BYTES_LIMIT);
-                if segs.is_none() {
-                    obs_count!(Counter::RunnerFallbackByteLimit, 1);
-                    obs_event!(
-                        "fallback.byte_limit",
-                        "L1 group {}B/{}B phase segments exceeded {} B; cold per-slice replay",
-                        key.0,
-                        key.1,
-                        MISS_STREAM_BYTES_LIMIT
-                    );
-                }
-                segs
-            },
-            |g| SweepUnit::L1Group { l1_size_bytes: groups[g].0 .0, line_bytes: groups[g].0 .1 },
-        )?
-    };
-    let sources: Vec<Option<&[tlc_cache::MissStream]>> =
-        captured.iter().map(Option::as_deref).collect();
-    let units: Vec<_> =
-        plan_units(configs, &groups, &sources, threads, 0).into_iter().flatten().collect();
-    // Phase B: each unit's per-phase statistics are recombined before
-    // the timing/area derivation.
-    let point = |cfg: &MachineConfig, parts: &[(f64, tlc_cache::HierarchyStats)]| {
-        let stats = crate::sampling::combine_weighted(parts);
-        crate::experiment::design_point_untracked(cfg, workload.clone(), stats, timing, area)
-    };
-    try_fan_out(
-        configs,
-        &units,
-        threads,
-        |u| u.sweep_unit(configs),
-        |unit| match unit {
-            Unit::Family { src: segments, members } => {
-                let per_seg = simulate_family_segments(&member_configs(configs, members), segments);
-                obs_count!(
-                    Counter::RunnerConfigsCompleted,
-                    (members.len() * segments.len()) as u64
-                );
-                members
-                    .iter()
-                    .enumerate()
-                    .map(|(m, &i)| {
-                        let parts: Vec<(f64, tlc_cache::HierarchyStats)> = per_seg
-                            .iter()
-                            .zip(slices)
-                            .map(|(row, slice)| (slice.weight, row[m]))
-                            .collect();
-                        (i, point(&configs[i], &parts))
-                    })
-                    .collect()
-            }
-            Unit::Alone { idx } => {
-                // No stitched segments: replay each slice cold (its warm-up
-                // prefix is the only warming). Each `evaluate_arena` ticks
-                // one completion, keeping the configs × phases manifest
-                // invariant.
-                let cfg = &configs[*idx];
-                let parts: Vec<(f64, tlc_cache::HierarchyStats)> = slices
-                    .iter()
-                    .map(|slice| {
-                        let stats =
-                            evaluate_arena(cfg, &slice.arena, slice.budget, timing, area).stats;
-                        (slice.weight, stats)
-                    })
-                    .collect();
-                vec![(*idx, point(cfg, &parts))]
-            }
-        },
-    )
+    let windows: Vec<Window<'_>> = slices
+        .iter()
+        .map(|s| Window { arena: &s.arena, budget: s.budget, weight: s.weight })
+        .collect();
+    try_sweep_windows(configs, &windows, timing, area, threads)
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
@@ -660,9 +665,10 @@ pub fn try_sweep_predict_arena_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
+    let windows = [Window { arena, budget, weight: 1.0 }];
     let groups = l1_groups(configs);
-    let streams = try_capture_group_streams(&groups, arena, budget, threads)?;
-    let sources: Vec<Option<&tlc_cache::MissStream>> = streams.iter().map(Option::as_ref).collect();
+    let captured = try_capture_groups(&groups, &windows, threads)?;
+    let sources: Vec<Option<&[MissStream]>> = captured.iter().map(Option::as_deref).collect();
     // Each captured group's predictable members form one profiling unit;
     // the rest are planned as the family sweep plans them, with the
     // members of uncaptured groups counted toward the chunk share since
@@ -684,8 +690,8 @@ pub fn try_sweep_predict_arena_threads(
     // Within each group, its profiling unit runs ahead of its replays.
     let mut units: Vec<PredictUnit> = Vec::new();
     for ((members, src), replays) in profiled.into_iter().zip(&sources).zip(planned) {
-        if let (Some(stream), false) = (src, members.is_empty()) {
-            units.push(PredictUnit::Profile { stream, members });
+        if let (Some(segments), false) = (src, members.is_empty()) {
+            units.push(PredictUnit::Profile { stream: &segments[0], members });
         }
         units.extend(replays.into_iter().map(PredictUnit::Replay));
     }
@@ -711,15 +717,9 @@ pub fn try_sweep_predict_arena_threads(
                 evaluate_predicted(&member_configs(configs, members), stream, timing, area);
             members.iter().copied().zip(points).collect()
         }
-        PredictUnit::Replay(Unit::Family { src: stream, members }) => {
-            obs_count!(Counter::PredictConfigsReplayed, members.len() as u64);
-            let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-            let points = evaluate_family(&member_configs(configs, members), stream, timing, area);
-            members.iter().copied().zip(points).collect()
-        }
-        PredictUnit::Replay(Unit::Alone { idx }) => {
-            obs_count!(Counter::PredictConfigsReplayed, 1);
-            vec![(*idx, evaluate_arena(&configs[*idx], arena, budget, timing, area))]
+        PredictUnit::Replay(unit) => {
+            obs_count!(Counter::PredictConfigsReplayed, unit.members().len() as u64);
+            eval_unit(configs, &windows, unit, timing, area)
         }
     })
 }
@@ -729,9 +729,9 @@ enum PredictUnit<'a> {
     /// A captured group's predictable members, answered from one
     /// reuse-distance profiling pass; never chunked, since splitting it
     /// would repeat the pass.
-    Profile { stream: &'a tlc_cache::MissStream, members: Vec<usize> },
+    Profile { stream: &'a MissStream, members: Vec<usize> },
     /// A member or family chunk the model cannot cover, replayed exactly.
-    Replay(Unit<&'a tlc_cache::MissStream>),
+    Replay(Unit<&'a [MissStream]>),
 }
 
 /// Stringifies a panic payload (the common `&str`/`String` cases).
@@ -850,6 +850,7 @@ where
 mod tests {
     use super::*;
     use crate::configspace::{single_level_configs, two_level_configs, SpaceOptions};
+    use crate::experiment::capture_miss_stream;
 
     #[test]
     fn parallel_matches_serial() {

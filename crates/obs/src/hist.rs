@@ -30,19 +30,22 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Hist {
-    /// Wall ns per family-chunk replay (one sample per
-    /// `evaluate_family` call in the family and predict sweeps).
+    /// Wall ns per family-chunk replay (one sample per family unit the
+    /// runner's replay evaluator runs, in the family, sampled and
+    /// predict sweeps alike).
     ReplayFamilyChunkNs,
     /// Wall ns per analytically-solved design point in the predict
     /// engine (profile lookup + model evaluation, no replay).
     PredictSolveNs,
     /// Wall ns per phase-slice segment replayed through a family
-    /// back-end in sampled sweeps.
+    /// back-end in sampled sweeps of two or more slices (a one-slice
+    /// capture is a whole stream).
     SampleSliceReplayNs,
     /// Work units claimed per worker per fan-out (a *distribution* over
     /// workers: a wide spread is queue imbalance).
     RunnerWorkerItems,
-    /// Wall ns per L1-group miss-stream capture.
+    /// Wall ns per L1-group miss-stream capture (every segment of a
+    /// sampled sweep's group in one sample).
     CaptureL1GroupNs,
 }
 

@@ -7,8 +7,8 @@
 //!
 //! * [`CompactTraceWriter`] / [`write_compact_trace`] — encoding;
 //! * [`TraceReader`] — a streaming block decoder that implements
-//!   [`InstructionSource`](crate::InstructionSource), so a trace file can
-//!   feed [`TraceArena::capture`](crate::TraceArena::capture)
+//!   [`InstructionSource`], so a trace file can feed
+//!   [`TraceArena::capture`](crate::TraceArena::capture)
 //!   chunk-by-chunk under a bounded memory budget without ever holding
 //!   the decoded stream in memory;
 //! * [`import_to_compact`] — a streaming importer that converts the
@@ -50,10 +50,10 @@
 //! records buffered before it still decode.
 //!
 //! Streaming consumers pull records with
-//! [`InstructionSource::next_batch`](crate::InstructionSource::next_batch),
-//! which decodes a whole batch in one inlined loop. A batch shorter than
-//! asked means the stream ended — cleanly, or at a decode error the
-//! reader parks for [`TraceReader::take_error`].
+//! [`InstructionSource::next_batch`], which decodes a whole batch in one
+//! inlined loop. A batch shorter than asked means the stream ended —
+//! cleanly, or at a decode error the reader parks for
+//! [`TraceReader::take_error`].
 
 use crate::addr::Addr;
 use crate::io::{self, TraceIoError};

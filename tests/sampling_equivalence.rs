@@ -13,10 +13,16 @@
 //! refresh is half an interval, and K = 5 over 12 intervals.
 
 use two_level_cache::area::AreaModel;
-use two_level_cache::cache::miss_ratio_error;
-use two_level_cache::study::runner::{try_sweep_family_arena_threads, try_sweep_sampled_threads};
+use two_level_cache::cache::{miss_ratio_error, HierarchyStats};
+use two_level_cache::study::experiment::{
+    capture_miss_stream, capture_miss_stream_segments, simulate_arena, simulate_family_segments,
+};
+use two_level_cache::study::runner::{
+    l1_groups, try_sweep_family_arena_threads, try_sweep_sampled_threads,
+};
 use two_level_cache::study::sampling::{
-    capture_phase_slices, sample_source, SampleOptions, SAMPLED_MISS_RATIO_EPSILON,
+    capture_phase_slices, combine_weighted, sample_source, PhaseSlice, SampleOptions,
+    SAMPLED_MISS_RATIO_EPSILON,
 };
 use two_level_cache::study::{DesignPoint, L2Policy, MachineConfig, SimBudget};
 use two_level_cache::timing::TimingModel;
@@ -125,4 +131,75 @@ fn sampled_sweep_is_deterministic_in_the_seed() {
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.stats, y.stats, "same seed must reproduce the sweep exactly");
     }
+}
+
+/// `n` records of `benchmark` starting at record `from`, as one phase
+/// slice of `weight` with a `warmup`-record prefix.
+fn slice_of(
+    benchmark: SpecBenchmark,
+    from: usize,
+    n: usize,
+    warmup: u64,
+    weight: f64,
+) -> PhaseSlice {
+    let records = benchmark.workload().take_instructions(from + n).split_off(from);
+    let arena = TraceArena::capture(&mut ReplaySource::new(benchmark.name(), records), n as u64);
+    let budget = SimBudget { instructions: n as u64 - warmup, warmup_instructions: warmup };
+    PhaseSlice { arena, budget, weight, representative: 0 }
+}
+
+#[test]
+fn one_slice_segment_capture_equals_whole_stream_capture() {
+    let slice = slice_of(SpecBenchmark::Gcc1, 0, 25_000, 5_000, 1.0);
+    let whole = capture_miss_stream(4 * 1024, 16, &slice.arena, slice.budget, usize::MAX)
+        .expect("unbounded capture");
+    let mut segments =
+        capture_miss_stream_segments(4 * 1024, 16, std::slice::from_ref(&slice), usize::MAX)
+            .expect("unbounded capture");
+    assert_eq!(segments.len(), 1);
+    let seg = segments.pop().unwrap();
+    assert!(!whole.is_empty());
+    assert_eq!(seg.events().collect::<Vec<_>>(), whole.events().collect::<Vec<_>>());
+    assert_eq!(seg.warmup_events(), whole.warmup_events());
+    assert_eq!(seg.l1_stats(), whole.l1_stats());
+    assert_eq!((seg.l1_size_bytes(), seg.line_bytes()), (whole.l1_size_bytes(), 16));
+}
+
+#[test]
+fn multi_slice_sweep_stitches_every_l1_group_including_singletons() {
+    // A 256KB single-level point is alone in its L1 group; with several
+    // slices it must still be captured (the capture carries L1 state
+    // from slice to slice), so the sweep equals per-group stitched
+    // capture + family replay + weighted recombination.
+    let configs = vec![
+        MachineConfig::single_level(256, 50.0),
+        MachineConfig::two_level(4, 32, 4, L2Policy::Conventional, 50.0),
+        MachineConfig::two_level(4, 64, 4, L2Policy::Conventional, 50.0),
+        MachineConfig::two_level(4, 64, 4, L2Policy::Exclusive, 50.0),
+    ];
+    let slices = [
+        slice_of(SpecBenchmark::Li, 0, 20_000, 2_000, 2.5),
+        slice_of(SpecBenchmark::Li, 40_000, 20_000, 2_000, 1.5),
+        slice_of(SpecBenchmark::Li, 90_000, 20_000, 2_000, 1.0),
+    ];
+    let swept =
+        try_sweep_sampled_threads(&configs, &slices, &TimingModel::paper(), &AreaModel::new(), 2)
+            .expect("sweep");
+    for ((l1_size_bytes, line_bytes), idxs) in l1_groups(&configs) {
+        let segments = capture_miss_stream_segments(l1_size_bytes, line_bytes, &slices, usize::MAX)
+            .expect("unbounded capture");
+        for i in idxs {
+            let per_slice = simulate_family_segments(std::slice::from_ref(&configs[i]), &segments);
+            let parts: Vec<(f64, HierarchyStats)> =
+                per_slice.iter().zip(&slices).map(|(row, s)| (s.weight, row[0])).collect();
+            assert_eq!(swept[i].stats, combine_weighted(&parts), "{}", configs[i].label());
+        }
+    }
+    // Replaying each slice cold gives a different answer for the 256KB
+    // L1, so the equality above really pins the capture.
+    let cold: Vec<(f64, HierarchyStats)> = slices
+        .iter()
+        .map(|s| (s.weight, simulate_arena(&configs[0], &s.arena, s.budget)))
+        .collect();
+    assert_ne!(swept[0].stats, combine_weighted(&cold), "cold replay must differ from stitched");
 }
