@@ -20,11 +20,12 @@
 //! two conflicting lines *split across the levels*, giving a limited form
 //! of associativity on top of the capacity gain.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, Evicted};
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::{AccessKind, MemRef};
+use tlc_trace::MemRef;
 
 /// Split L1 I/D caches over a unified L2 with the exclusive (victim-swap)
 /// policy of §8.
@@ -56,18 +57,9 @@ use tlc_trace::{AccessKind, MemRef};
 /// ```
 #[derive(Debug)]
 pub struct ExclusiveTwoLevel {
-    l1i: Cache,
-    l1d: Cache,
+    l1: SplitL1,
     l2: Cache,
-    line_bytes: u64,
     stats: HierarchyStats,
-    /// Line of the most recent instruction fetch (`u64::MAX` when unknown
-    /// or the filter is disabled). The last fetched line is resident in
-    /// L1I by construction — a hit left it in place, both miss paths fill
-    /// it — so a repeat fetch is a guaranteed L1 hit, resolved without
-    /// probing the array. Only maintained for a direct-mapped L1I, where
-    /// a repeat hit has no replacement side effects to reproduce.
-    last_fetch: u64,
 }
 
 impl ExclusiveTwoLevel {
@@ -80,23 +72,20 @@ impl ExclusiveTwoLevel {
     pub fn new(l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> Self {
         assert_eq!(l1_cfg.line_bytes(), l2_cfg.line_bytes(), "L1 and L2 must share a line size");
         ExclusiveTwoLevel {
-            l1i: Cache::new(l1_cfg),
-            l1d: Cache::new(l1_cfg),
+            l1: SplitL1::new(l1_cfg),
             l2: Cache::new(l2_cfg),
-            line_bytes: l1_cfg.line_bytes(),
             stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
         }
     }
 
     /// The instruction cache.
     pub fn l1i(&self) -> &Cache {
-        &self.l1i
+        self.l1.l1i()
     }
 
     /// The data cache.
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        self.l1.l1d()
     }
 
     /// The unified second-level cache.
@@ -104,30 +93,14 @@ impl ExclusiveTwoLevel {
         &self.l2
     }
 
-    /// Sends an L1 victim to the L2. `freed_slot` is the slot the
-    /// requested line is vacating when the miss hit in L2 (the swap
-    /// target when the victim maps to the same set).
-    fn send_victim_to_l2(
-        &mut self,
-        victim: crate::cache::Evicted,
-        freed_slot: Option<crate::cache::Slot>,
-    ) {
+    /// Sends an L1 victim to the L2 when it does not swap into the slot
+    /// the requested line is leaving (that swap is inline in `access`).
+    fn send_victim_to_l2(&mut self, victim: Evicted) {
         if self.l2.merge_if_present(victim.line, victim.dirty) {
             // Figure 21-b: the victim's L2 copy already exists — the write
             // back "leaves the second-level cache unchanged" apart from
             // the dirty bit.
             return;
-        }
-        if let Some(slot) = freed_slot {
-            if self.l2.set_index(victim.line) == slot.set {
-                // Figure 21-a: the victim takes the way the requested line
-                // is leaving — the swap that produces exclusion. The line
-                // displaced here is the requested line itself, which now
-                // lives in L1, so nothing goes off-chip.
-                let displaced = self.l2.fill_at(victim.line, victim.dirty, slot);
-                debug_assert!(displaced.is_some(), "swap should displace the requested line");
-                return;
-            }
         }
         // Victim inserted into its own set; a genuine L2 eviction may
         // result.
@@ -142,39 +115,17 @@ impl ExclusiveTwoLevel {
 impl MemorySystem for ExclusiveTwoLevel {
     #[inline]
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let is_fetch = r.kind == AccessKind::InstrFetch;
-        if is_fetch {
-            self.stats.instructions += 1;
-            if line.0 == self.last_fetch {
-                self.l1i.note_filtered_hit();
-                return ServiceLevel::L1;
-            }
-            if self.l1i.is_direct_mapped() {
-                self.last_fetch = line.0;
-            }
-            if self.l1i.access(line, false) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1i_misses += 1;
-        } else {
-            self.stats.data_refs += 1;
-            if self.l1d.access(line, is_write) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1d_misses += 1;
-        }
-
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
+            return ServiceLevel::L1;
+        };
+        let line = miss.line;
         if self.l2.access(line, false) {
             self.stats.l2_hits += 1;
             // The requested line moves (logically) from L2 to L1; its slot
             // is the swap target for the L1 victim.
-            let (_dirty, slot) =
+            let (l2_dirty, slot) =
                 self.l2.extract(line).expect("L2 hit implies the line is extractable");
-            let l1 = if is_fetch { &mut self.l1i } else { &mut self.l1d };
-            let victim = l1.fill_after_miss(line, is_write || _dirty);
-            match victim {
+            match self.l1.fill(miss, miss.write || l2_dirty) {
                 Some(v) => {
                     // Re-install the requested line in L2 only if the
                     // victim does not land in its slot; physically the
@@ -182,29 +133,29 @@ impl MemorySystem for ExclusiveTwoLevel {
                     // or may not overwrite it. We model "stays in L2" by
                     // re-inserting when the victim goes elsewhere.
                     if self.l2.set_index(v.line) == slot.set && !self.l2.contains(v.line) {
-                        // Swap: victim takes the requested line's way;
-                        // requested line now only in L1 (exclusion).
+                        // Figure 21-a swap: victim takes the requested
+                        // line's way; requested line now only in L1
+                        // (exclusion).
                         self.l2.fill_at(v.line, v.dirty, slot);
                     } else {
                         // Requested line keeps its L2 copy (inclusion for
                         // it); victim handled separately.
-                        self.l2.fill_at(line, _dirty, slot);
-                        self.send_victim_to_l2(v, None);
+                        self.l2.fill_at(line, l2_dirty, slot);
+                        self.send_victim_to_l2(v);
                     }
                 }
                 None => {
                     // Cold L1 slot: nothing to send back; the requested
                     // line keeps its L2 copy.
-                    self.l2.fill_at(line, _dirty, slot);
+                    self.l2.fill_at(line, l2_dirty, slot);
                 }
             }
             ServiceLevel::L2
         } else {
             self.stats.l2_misses += 1;
             // Off-chip refill goes straight to L1, bypassing L2 (§8).
-            let l1 = if is_fetch { &mut self.l1i } else { &mut self.l1d };
-            if let Some(v) = l1.fill_after_miss(line, is_write) {
-                self.send_victim_to_l2(v, None);
+            if let Some(v) = self.l1.fill(miss, miss.write) {
+                self.send_victim_to_l2(v);
             }
             ServiceLevel::Memory
         }
@@ -216,24 +167,18 @@ impl MemorySystem for ExclusiveTwoLevel {
 
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.l2.reset_stats();
     }
 
     fn invalidate_line(&mut self, line: tlc_trace::LineAddr) -> u32 {
-        self.last_fetch = u64::MAX; // the filtered line may be the target
-        let mut purged = 0;
-        purged += self.l1i.invalidate(line) as u32;
-        purged += self.l1d.invalidate(line) as u32;
-        purged += self.l2.invalidate(line) as u32;
-        purged
+        self.l1.invalidate(line) + self.l2.invalidate(line) as u32
     }
 
     fn describe(&self) -> String {
         format!(
             "exclusive two-level: split L1 {} / unified L2 {}",
-            self.l1i.config(),
+            self.l1.config(),
             self.l2.config()
         )
     }

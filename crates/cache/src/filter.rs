@@ -4,10 +4,11 @@
 //! ## Why this is sound
 //!
 //! Every hierarchy in this crate fills the requested line into the L1 on
-//! *every* L1 miss — whether the line came from the L2 or from off-chip
-//! ([`SingleLevel`](crate::SingleLevel),
-//! [`ConventionalTwoLevel`](crate::ConventionalTwoLevel), and the
-//! exclusive policy's two miss paths all do). The L1's *contents
+//! *every* L1 miss — whether the line came from the L2 or from off-chip.
+//! That holds by construction: all of them, this module's front-end
+//! included, share one crate-private split L1 (`SplitL1`) whose lookup
+//! hands each miss back to the hierarchy and whose fill is the only way
+//! a line enters the L1. The L1's *contents
 //! trajectory* (which tags occupy which sets, and hence which accesses
 //! miss and which victims are displaced) is therefore completely
 //! determined by the reference stream and the L1 geometry — never by the
@@ -38,15 +39,15 @@
 //! pins the back-end to the arena engine and to the naive oracle across
 //! every benchmark.
 
-use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
 use tlc_trace::events::{
     EventArena, EventChunkView, EVENT_HAS_VICTIM, EVENT_KIND_FETCH, EVENT_KIND_MASK,
     EVENT_VICTIM_WRITTEN,
 };
-use tlc_trace::{AccessKind, LineAddr, MemRef, MissEvent, VictimLine};
+use tlc_trace::{LineAddr, MemRef, MissEvent, VictimLine};
 
 /// The L1 side of a decomposed hierarchy: split direct-mapped I/D caches
 /// that record one [`MissEvent`] per L1 miss into an [`EventArena`].
@@ -64,15 +65,10 @@ use tlc_trace::{AccessKind, LineAddr, MemRef, MissEvent, VictimLine};
 /// component on top (see the module docs).
 #[derive(Debug)]
 pub struct L1FrontEnd {
-    l1i: Cache,
-    l1d: Cache,
-    line_bytes: u64,
+    /// The same L1 (same-line fetch filter included) as every monolithic
+    /// hierarchy; a filtered repeat fetch emits no event.
+    l1: SplitL1,
     stats: HierarchyStats,
-    /// Same-line fetch filter, identical to the monolithic hierarchies
-    /// (see [`SingleLevel`](crate::SingleLevel)): the last fetched line
-    /// is resident by construction, so a repeat fetch is a guaranteed
-    /// hit — and emits no event.
-    last_fetch: u64,
     events: EventArena,
     warmup_events: u64,
     /// Lifetime reference count (instrumented builds only; stays 0 and
@@ -91,14 +87,11 @@ impl L1FrontEnd {
     /// it: a victim and its displacer share the single way of one set, so
     /// the exclusive back-end can mirror fill-dirty state per set.
     pub fn new(l1_cfg: CacheConfig) -> Self {
-        let l1i = Cache::new(l1_cfg);
-        assert!(l1i.is_direct_mapped(), "miss-stream filtering requires a direct-mapped L1");
+        let l1 = SplitL1::new(l1_cfg);
+        assert!(l1.l1i().is_direct_mapped(), "miss-stream filtering requires a direct-mapped L1");
         L1FrontEnd {
-            l1i,
-            l1d: Cache::new(l1_cfg),
-            line_bytes: l1_cfg.line_bytes(),
+            l1,
             stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
             events: EventArena::new(),
             warmup_events: 0,
             total_refs: 0,
@@ -132,8 +125,8 @@ impl L1FrontEnd {
             events: self.events,
             warmup_events: self.warmup_events,
             l1_stats: self.stats,
-            l1_size_bytes: self.l1i.config().size_bytes(),
-            line_bytes: self.line_bytes,
+            l1_size_bytes: self.l1.config().size_bytes(),
+            line_bytes: self.l1.config().line_bytes(),
             stitched: false,
         }
     }
@@ -158,16 +151,15 @@ impl L1FrontEnd {
         let warmup_events = std::mem::take(&mut self.warmup_events);
         let l1_stats = self.stats;
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.total_refs = 0;
         MissStream {
             name: name.to_string(),
             events,
             warmup_events,
             l1_stats,
-            l1_size_bytes: self.l1i.config().size_bytes(),
-            line_bytes: self.line_bytes,
+            l1_size_bytes: self.l1.config().size_bytes(),
+            line_bytes: self.l1.config().line_bytes(),
             stitched: true,
         }
     }
@@ -179,32 +171,13 @@ impl MemorySystem for L1FrontEnd {
         if tlc_obs::ENABLED {
             self.total_refs += 1;
         }
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let is_fetch = r.kind == AccessKind::InstrFetch;
-        let victim = if is_fetch {
-            self.stats.instructions += 1;
-            if line.0 == self.last_fetch {
-                self.l1i.note_filtered_hit();
-                return ServiceLevel::L1;
-            }
-            self.last_fetch = line.0;
-            if self.l1i.access(line, false) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1i_misses += 1;
-            self.l1i.fill_after_miss(line, false)
-        } else {
-            self.stats.data_refs += 1;
-            if self.l1d.access(line, is_write) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1d_misses += 1;
-            self.l1d.fill_after_miss(line, is_write)
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
+            return ServiceLevel::L1;
         };
+        let victim = self.l1.fill(miss, miss.write);
         self.events.push(MissEvent {
             kind: r.kind,
-            line,
+            line: miss.line,
             victim: victim.map(|v| VictimLine { line: v.line, written: v.dirty }),
         });
         ServiceLevel::Memory
@@ -219,13 +192,12 @@ impl MemorySystem for L1FrontEnd {
     /// warm-up events to warm their L2 state).
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.warmup_events = self.events.len();
     }
 
     fn describe(&self) -> String {
-        format!("L1 miss-stream front-end: split L1 {}", self.l1i.config())
+        format!("L1 miss-stream front-end: split L1 {}", self.l1.config())
     }
 }
 

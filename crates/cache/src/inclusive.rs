@@ -21,8 +21,9 @@
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::{AccessKind, MemRef};
+use tlc_trace::MemRef;
 
 /// Split L1 I/D caches over a unified L2 with **enforced** inclusion
 /// (back-invalidation on L2 evictions).
@@ -45,10 +46,8 @@ use tlc_trace::{AccessKind, MemRef};
 /// ```
 #[derive(Debug)]
 pub struct InclusiveTwoLevel {
-    l1i: Cache,
-    l1d: Cache,
+    l1: SplitL1,
     l2: Cache,
-    line_bytes: u64,
     stats: HierarchyStats,
     back_invalidations: u64,
 }
@@ -68,10 +67,8 @@ impl InclusiveTwoLevel {
             "an inclusive L2 must be at least as large as one L1"
         );
         InclusiveTwoLevel {
-            l1i: Cache::new(l1_cfg),
-            l1d: Cache::new(l1_cfg),
+            l1: SplitL1::new(l1_cfg),
             l2: Cache::new(l2_cfg),
-            line_bytes: l1_cfg.line_bytes(),
             stats: HierarchyStats::default(),
             back_invalidations: 0,
         }
@@ -79,12 +76,12 @@ impl InclusiveTwoLevel {
 
     /// The instruction cache.
     pub fn l1i(&self) -> &Cache {
-        &self.l1i
+        self.l1.l1i()
     }
 
     /// The data cache.
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        self.l1.l1d()
     }
 
     /// The unified second-level cache.
@@ -101,16 +98,9 @@ impl InclusiveTwoLevel {
     /// Evicts `line` from the L2 domain: invalidate any L1 copies
     /// (merging their dirty state into the writeback decision).
     fn back_invalidate(&mut self, line: tlc_trace::LineAddr, l2_dirty: bool) {
-        let mut dirty = l2_dirty;
-        if let Some((d, _)) = self.l1i.extract(line) {
-            self.back_invalidations += 1;
-            dirty |= d;
-        }
-        if let Some((d, _)) = self.l1d.extract(line) {
-            self.back_invalidations += 1;
-            dirty |= d;
-        }
-        if dirty {
+        let (copies, l1_dirty) = self.l1.extract(line);
+        self.back_invalidations += u64::from(copies);
+        if l2_dirty || l1_dirty {
             self.stats.offchip_writebacks += 1;
         }
     }
@@ -119,28 +109,14 @@ impl InclusiveTwoLevel {
 impl MemorySystem for InclusiveTwoLevel {
     #[inline]
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let (l1, miss_ctr) = match r.kind {
-            AccessKind::InstrFetch => {
-                self.stats.instructions += 1;
-                (&mut self.l1i, &mut self.stats.l1i_misses)
-            }
-            AccessKind::Load | AccessKind::Store => {
-                self.stats.data_refs += 1;
-                (&mut self.l1d, &mut self.stats.l1d_misses)
-            }
-        };
-        if l1.access(line, is_write) {
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
             return ServiceLevel::L1;
-        }
-        *miss_ctr += 1;
-
-        let l2_hit = self.l2.access(line, false);
+        };
+        let l2_hit = self.l2.access(miss.line, false);
         if !l2_hit {
             self.stats.l2_misses += 1;
             // Fill the L2 first; its victim must be purged from the L1s.
-            if let Some(v2) = self.l2.fill_after_miss(line, false) {
+            if let Some(v2) = self.l2.fill_after_miss(miss.line, false) {
                 self.back_invalidate(v2.line, v2.dirty);
             }
         } else {
@@ -148,8 +124,7 @@ impl MemorySystem for InclusiveTwoLevel {
         }
         // Fill the L1. The victim's data lives on in the L2 (inclusion),
         // so a dirty victim just updates its L2 copy.
-        let l1 = if r.kind == AccessKind::InstrFetch { &mut self.l1i } else { &mut self.l1d };
-        if let Some(v) = l1.fill_after_miss(line, is_write) {
+        if let Some(v) = self.l1.fill(miss, miss.write) {
             if v.dirty {
                 // Inclusion guarantees the copy exists unless this very
                 // fill displaced it; fall back to off-chip then.
@@ -172,23 +147,18 @@ impl MemorySystem for InclusiveTwoLevel {
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
         self.back_invalidations = 0;
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.l2.reset_stats();
     }
 
     fn invalidate_line(&mut self, line: tlc_trace::LineAddr) -> u32 {
-        let mut purged = 0;
-        purged += self.l1i.invalidate(line) as u32;
-        purged += self.l1d.invalidate(line) as u32;
-        purged += self.l2.invalidate(line) as u32;
-        purged
+        self.l1.invalidate(line) + self.l2.invalidate(line) as u32
     }
 
     fn describe(&self) -> String {
         format!(
             "inclusive two-level: split L1 {} / unified L2 {} (back-invalidating)",
-            self.l1i.config(),
+            self.l1.config(),
             self.l2.config()
         )
     }

@@ -13,10 +13,16 @@
 //! * [`VictimCacheSystem`] — the degenerate `y < x` case, a shared
 //!   fully-associative victim buffer (Jouppi 1990, referenced in §8);
 //!
-//! plus replacement policies (LRU, FIFO, the paper's pseudo-random,
-//! tree-PLRU, and SRRIP), per-fill block-liveness statistics
-//! ([`Liveness`]), 3C miss classification ([`MissClassifier`]), and
-//! content auditing ([`DuplicationReport`]).
+//! plus [`InclusiveTwoLevel`], [`StreamBufferSystem`] and the miss-stream
+//! front-end [`L1FrontEnd`]. All seven share one first level: a
+//! crate-private split L1 (equal-size I/D caches, write-allocate, with a
+//! same-line fetch filter) that every miss refills, so each organisation
+//! holds only the logic of what sits behind it.
+//!
+//! The crate also has replacement policies (LRU, FIFO, the paper's
+//! pseudo-random, tree-PLRU, and SRRIP), per-fill block-liveness
+//! statistics ([`Liveness`]), 3C miss classification
+//! ([`MissClassifier`]), and content auditing ([`DuplicationReport`]).
 //!
 //! ## Quick start
 //!
@@ -53,6 +59,7 @@ pub mod filter;
 pub mod filter_family;
 mod hierarchy;
 mod inclusive;
+mod l1;
 mod mattson;
 pub mod oracle;
 pub mod predict;

@@ -18,9 +18,10 @@
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
 use std::collections::VecDeque;
-use tlc_trace::{AccessKind, LineAddr, MemRef};
+use tlc_trace::{LineAddr, MemRef};
 
 /// One stream buffer: a FIFO of prefetched line addresses.
 #[derive(Debug, Clone)]
@@ -117,11 +118,9 @@ impl BufferPool {
 /// ```
 #[derive(Debug)]
 pub struct StreamBufferSystem {
-    l1i: Cache,
-    l1d: Cache,
+    l1: SplitL1,
     i_pool: BufferPool,
     d_pool: BufferPool,
-    line_bytes: u64,
     stats: HierarchyStats,
     prefetches: u64,
 }
@@ -137,11 +136,9 @@ impl StreamBufferSystem {
         assert!(buffers > 0, "need at least one stream buffer");
         assert!(depth > 0, "buffers need at least one entry");
         StreamBufferSystem {
-            l1i: Cache::new(l1_cfg),
-            l1d: Cache::new(l1_cfg),
+            l1: SplitL1::new(l1_cfg),
             i_pool: BufferPool::new(buffers, depth),
             d_pool: BufferPool::new(buffers, depth),
-            line_bytes: l1_cfg.line_bytes(),
             stats: HierarchyStats::default(),
             prefetches: 0,
         }
@@ -149,12 +146,12 @@ impl StreamBufferSystem {
 
     /// The instruction cache.
     pub fn l1i(&self) -> &Cache {
-        &self.l1i
+        self.l1.l1i()
     }
 
     /// The data cache.
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        self.l1.l1d()
     }
 
     /// Lines prefetched from memory (bandwidth cost of the buffers).
@@ -165,32 +162,15 @@ impl StreamBufferSystem {
 
 impl MemorySystem for StreamBufferSystem {
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let is_instr = r.kind == AccessKind::InstrFetch;
-        {
-            let (l1, miss_ctr) = if is_instr {
-                self.stats.instructions += 1;
-                (&mut self.l1i, &mut self.stats.l1i_misses)
-            } else {
-                self.stats.data_refs += 1;
-                (&mut self.l1d, &mut self.stats.l1d_misses)
-            };
-            if l1.access(line, is_write) {
-                return ServiceLevel::L1;
-            }
-            *miss_ctr += 1;
-        }
-        let (l1, pool) = if is_instr {
-            (&mut self.l1i, &mut self.i_pool)
-        } else {
-            (&mut self.l1d, &mut self.d_pool)
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
+            return ServiceLevel::L1;
         };
-        let hit = pool.lookup(line, &mut self.prefetches);
+        let pool = if miss.fetch { &mut self.i_pool } else { &mut self.d_pool };
+        let hit = pool.lookup(miss.line, &mut self.prefetches);
         if !hit {
-            pool.allocate(line, &mut self.prefetches);
+            pool.allocate(miss.line, &mut self.prefetches);
         }
-        if let Some(v) = l1.fill(line, is_write) {
+        if let Some(v) = self.l1.fill(miss, miss.write) {
             if v.dirty {
                 self.stats.offchip_writebacks += 1;
             }
@@ -211,18 +191,17 @@ impl MemorySystem for StreamBufferSystem {
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
         self.prefetches = 0;
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
     }
 
     fn invalidate_line(&mut self, line: LineAddr) -> u32 {
-        self.l1i.invalidate(line) as u32 + self.l1d.invalidate(line) as u32
+        self.l1.invalidate(line)
     }
 
     fn describe(&self) -> String {
         format!(
             "stream-buffer: split L1 {} + {}x{}-line buffers per side",
-            self.l1i.config(),
+            self.l1.config(),
             self.i_pool.buffers.len(),
             self.i_pool.depth
         )

@@ -4,8 +4,9 @@
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::{AccessKind, MemRef};
+use tlc_trace::MemRef;
 
 /// Split L1 instruction/data caches with no on-chip second level.
 ///
@@ -32,72 +33,36 @@ use tlc_trace::{AccessKind, MemRef};
 /// ```
 #[derive(Debug)]
 pub struct SingleLevel {
-    l1i: Cache,
-    l1d: Cache,
-    line_bytes: u64,
+    l1: SplitL1,
     stats: HierarchyStats,
-    /// Line of the most recent instruction fetch (`u64::MAX` when unknown
-    /// or the filter is disabled). Sequential fetch streams mostly stay
-    /// within one line, and the last fetched line is resident by
-    /// construction — a hit left it in place, a miss filled it — so a
-    /// repeat fetch is a guaranteed L1 hit. Only maintained for a
-    /// direct-mapped L1I, where a repeat hit has no replacement side
-    /// effects to reproduce.
-    last_fetch: u64,
 }
 
 impl SingleLevel {
     /// Builds the system; instruction and data caches share `l1_cfg`
     /// (the paper studies split caches *of equal size*, §2.1).
     pub fn new(l1_cfg: CacheConfig) -> Self {
-        SingleLevel {
-            l1i: Cache::new(l1_cfg),
-            l1d: Cache::new(l1_cfg),
-            line_bytes: l1_cfg.line_bytes(),
-            stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
-        }
+        SingleLevel { l1: SplitL1::new(l1_cfg), stats: HierarchyStats::default() }
     }
 
     /// The instruction cache.
     pub fn l1i(&self) -> &Cache {
-        &self.l1i
+        self.l1.l1i()
     }
 
     /// The data cache.
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        self.l1.l1d()
     }
 }
 
 impl MemorySystem for SingleLevel {
     #[inline]
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let (cache, miss_ctr) = match r.kind {
-            AccessKind::InstrFetch => {
-                self.stats.instructions += 1;
-                if line.0 == self.last_fetch {
-                    self.l1i.note_filtered_hit();
-                    return ServiceLevel::L1;
-                }
-                if self.l1i.is_direct_mapped() {
-                    self.last_fetch = line.0;
-                }
-                (&mut self.l1i, &mut self.stats.l1i_misses)
-            }
-            AccessKind::Load | AccessKind::Store => {
-                self.stats.data_refs += 1;
-                (&mut self.l1d, &mut self.stats.l1d_misses)
-            }
-        };
-        if cache.access(line, is_write) {
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
             return ServiceLevel::L1;
-        }
-        *miss_ctr += 1;
+        };
         self.stats.l2_misses += 1; // off-chip demand fetch
-        if let Some(ev) = cache.fill_after_miss(line, is_write) {
+        if let Some(ev) = self.l1.fill(miss, miss.write) {
             if ev.dirty {
                 self.stats.offchip_writebacks += 1;
             }
@@ -111,20 +76,16 @@ impl MemorySystem for SingleLevel {
 
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
     }
 
     fn invalidate_line(&mut self, line: tlc_trace::LineAddr) -> u32 {
-        self.last_fetch = u64::MAX; // the filtered line may be the target
-        let mut purged = 0;
-        purged += self.l1i.invalidate(line) as u32;
-        purged += self.l1d.invalidate(line) as u32;
-        purged
+        self.l1.invalidate(line)
     }
 
     fn describe(&self) -> String {
-        format!("single-level: split L1 {} + {}", self.l1i.config(), self.l1d.config())
+        let cfg = self.l1.config();
+        format!("single-level: split L1 {cfg} + {cfg}")
     }
 }
 

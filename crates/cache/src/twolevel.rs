@@ -12,8 +12,9 @@
 use crate::cache::Cache;
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::{AccessKind, MemRef};
+use tlc_trace::MemRef;
 
 /// Split L1 I/D caches over a unified L2, conventional fill policy.
 ///
@@ -34,18 +35,9 @@ use tlc_trace::{AccessKind, MemRef};
 /// ```
 #[derive(Debug)]
 pub struct ConventionalTwoLevel {
-    l1i: Cache,
-    l1d: Cache,
+    l1: SplitL1,
     l2: Cache,
-    line_bytes: u64,
     stats: HierarchyStats,
-    /// Line of the most recent instruction fetch (`u64::MAX` when unknown
-    /// or the filter is disabled). The last fetched line is resident by
-    /// construction — a hit left it in place, a miss filled it — so a
-    /// repeat fetch is a guaranteed L1 hit, resolved without probing the
-    /// array. Only maintained for a direct-mapped L1I, where a repeat hit
-    /// has no replacement side effects to reproduce.
-    last_fetch: u64,
 }
 
 impl ConventionalTwoLevel {
@@ -59,87 +51,54 @@ impl ConventionalTwoLevel {
     pub fn new(l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> Self {
         assert_eq!(l1_cfg.line_bytes(), l2_cfg.line_bytes(), "L1 and L2 must share a line size");
         ConventionalTwoLevel {
-            l1i: Cache::new(l1_cfg),
-            l1d: Cache::new(l1_cfg),
+            l1: SplitL1::new(l1_cfg),
             l2: Cache::new(l2_cfg),
-            line_bytes: l1_cfg.line_bytes(),
             stats: HierarchyStats::default(),
-            last_fetch: u64::MAX,
         }
     }
 
     /// The instruction cache.
     pub fn l1i(&self) -> &Cache {
-        &self.l1i
+        self.l1.l1i()
     }
 
     /// The data cache.
     pub fn l1d(&self) -> &Cache {
-        &self.l1d
+        self.l1.l1d()
     }
 
     /// The unified second-level cache.
     pub fn l2(&self) -> &Cache {
         &self.l2
     }
-
-    /// Writes an L1 victim back: updates the L2 copy when present,
-    /// otherwise counts an off-chip writeback (dirty victims only).
-    fn retire_l1_victim(&mut self, victim: crate::cache::Evicted) {
-        if !victim.dirty {
-            return;
-        }
-        // Merge dirty into the existing L2 copy in one scan.
-        if !self.l2.merge_if_present(victim.line, true) {
-            self.stats.offchip_writebacks += 1;
-        }
-    }
 }
 
 impl MemorySystem for ConventionalTwoLevel {
     #[inline]
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let is_fetch = r.kind == AccessKind::InstrFetch;
-        if is_fetch {
-            self.stats.instructions += 1;
-            if line.0 == self.last_fetch {
-                self.l1i.note_filtered_hit();
-                return ServiceLevel::L1;
-            }
-            if self.l1i.is_direct_mapped() {
-                self.last_fetch = line.0;
-            }
-            if self.l1i.access(line, false) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1i_misses += 1;
-        } else {
-            self.stats.data_refs += 1;
-            if self.l1d.access(line, is_write) {
-                return ServiceLevel::L1;
-            }
-            self.stats.l1d_misses += 1;
-        }
-
-        let level = if self.l2.access(line, false) {
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
+            return ServiceLevel::L1;
+        };
+        let level = if self.l2.access(miss.line, false) {
             // L2 hit: refill L1 from L2.
             self.stats.l2_hits += 1;
             ServiceLevel::L2
         } else {
             // L2 miss: fetch off-chip, fill both levels.
             self.stats.l2_misses += 1;
-            if let Some(v2) = self.l2.fill_after_miss(line, false) {
+            if let Some(v2) = self.l2.fill_after_miss(miss.line, false) {
                 if v2.dirty {
                     self.stats.offchip_writebacks += 1;
                 }
             }
             ServiceLevel::Memory
         };
-        let l1 = if is_fetch { &mut self.l1i } else { &mut self.l1d };
-        if let Some(v) = l1.fill_after_miss(line, is_write) {
-            self.retire_l1_victim(v);
+        // A dirty L1 victim updates its L2 copy when one exists (merging
+        // the dirty bit in one scan) and otherwise goes off-chip.
+        if let Some(v) = self.l1.fill(miss, miss.write) {
+            if v.dirty && !self.l2.merge_if_present(v.line, true) {
+                self.stats.offchip_writebacks += 1;
+            }
         }
         level
     }
@@ -150,24 +109,18 @@ impl MemorySystem for ConventionalTwoLevel {
 
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.l2.reset_stats();
     }
 
     fn invalidate_line(&mut self, line: tlc_trace::LineAddr) -> u32 {
-        self.last_fetch = u64::MAX; // the filtered line may be the target
-        let mut purged = 0;
-        purged += self.l1i.invalidate(line) as u32;
-        purged += self.l1d.invalidate(line) as u32;
-        purged += self.l2.invalidate(line) as u32;
-        purged
+        self.l1.invalidate(line) + self.l2.invalidate(line) as u32
     }
 
     fn describe(&self) -> String {
         format!(
             "conventional two-level: split L1 {} / unified L2 {}",
-            self.l1i.config(),
+            self.l1.config(),
             self.l2.config()
         )
     }

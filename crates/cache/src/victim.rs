@@ -11,8 +11,9 @@
 use crate::cache::Cache;
 use crate::config::{Associativity, CacheConfig, ConfigError, ReplacementKind};
 use crate::hierarchy::{MemorySystem, ServiceLevel};
+use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::{AccessKind, MemRef};
+use tlc_trace::MemRef;
 
 /// Split direct-mapped L1 caches plus a small shared fully-associative
 /// victim buffer.
@@ -39,10 +40,8 @@ use tlc_trace::{AccessKind, MemRef};
 /// ```
 #[derive(Debug)]
 pub struct VictimCacheSystem {
-    l1i: Cache,
-    l1d: Cache,
+    l1: SplitL1,
     buffer: Cache,
-    line_bytes: u64,
     stats: HierarchyStats,
 }
 
@@ -61,10 +60,8 @@ impl VictimCacheSystem {
             ReplacementKind::Lru,
         )?;
         Ok(VictimCacheSystem {
-            l1i: Cache::new(l1_cfg),
-            l1d: Cache::new(l1_cfg),
+            l1: SplitL1::new(l1_cfg),
             buffer: Cache::new(buffer_cfg),
-            line_bytes: l1_cfg.line_bytes(),
             stats: HierarchyStats::default(),
         })
     }
@@ -73,51 +70,32 @@ impl VictimCacheSystem {
     pub fn buffer(&self) -> &Cache {
         &self.buffer
     }
-
-    fn stash_victim(&mut self, victim: crate::cache::Evicted) {
-        if let Some(ev) = self.buffer.fill(victim.line, victim.dirty) {
-            if ev.dirty {
-                self.stats.offchip_writebacks += 1;
-            }
-        }
-    }
 }
 
 impl MemorySystem for VictimCacheSystem {
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        let line = r.addr.line(self.line_bytes);
-        let is_write = r.kind == AccessKind::Store;
-        let (l1, miss_ctr) = match r.kind {
-            AccessKind::InstrFetch => {
-                self.stats.instructions += 1;
-                (&mut self.l1i, &mut self.stats.l1i_misses)
+        let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
+            return ServiceLevel::L1;
+        };
+        // A buffer hit swaps the line with the L1 victim.
+        let (level, dirty) = match self.buffer.extract(miss.line) {
+            Some((dirty, _slot)) => {
+                self.stats.l2_hits += 1;
+                (ServiceLevel::L2, dirty)
             }
-            AccessKind::Load | AccessKind::Store => {
-                self.stats.data_refs += 1;
-                (&mut self.l1d, &mut self.stats.l1d_misses)
+            None => {
+                self.stats.l2_misses += 1;
+                (ServiceLevel::Memory, false)
             }
         };
-        if l1.access(line, is_write) {
-            return ServiceLevel::L1;
-        }
-        *miss_ctr += 1;
-
-        if let Some((dirty, _slot)) = self.buffer.extract(line) {
-            // Buffer hit: swap with the L1 victim.
-            self.stats.l2_hits += 1;
-            let l1 = if r.kind == AccessKind::InstrFetch { &mut self.l1i } else { &mut self.l1d };
-            if let Some(v) = l1.fill(line, is_write || dirty) {
-                self.stash_victim(v);
+        if let Some(v) = self.l1.fill(miss, miss.write || dirty) {
+            if let Some(ev) = self.buffer.fill(v.line, v.dirty) {
+                if ev.dirty {
+                    self.stats.offchip_writebacks += 1;
+                }
             }
-            ServiceLevel::L2
-        } else {
-            self.stats.l2_misses += 1;
-            let l1 = if r.kind == AccessKind::InstrFetch { &mut self.l1i } else { &mut self.l1d };
-            if let Some(v) = l1.fill(line, is_write) {
-                self.stash_victim(v);
-            }
-            ServiceLevel::Memory
         }
+        level
     }
 
     fn stats(&self) -> &HierarchyStats {
@@ -126,23 +104,18 @@ impl MemorySystem for VictimCacheSystem {
 
     fn reset_stats(&mut self) {
         self.stats = HierarchyStats::default();
-        self.l1i.reset_stats();
-        self.l1d.reset_stats();
+        self.l1.reset_stats();
         self.buffer.reset_stats();
     }
 
     fn invalidate_line(&mut self, line: tlc_trace::LineAddr) -> u32 {
-        let mut purged = 0;
-        purged += self.l1i.invalidate(line) as u32;
-        purged += self.l1d.invalidate(line) as u32;
-        purged += self.buffer.invalidate(line) as u32;
-        purged
+        self.l1.invalidate(line) + self.buffer.invalidate(line) as u32
     }
 
     fn describe(&self) -> String {
         format!(
             "victim-cache: split L1 {} + {}-line shared victim buffer",
-            self.l1i.config(),
+            self.l1.config(),
             self.buffer.config().lines()
         )
     }

@@ -1,18 +1,21 @@
 //! Integration tests of the full L2 fill-policy spectrum (extension
 //! exhibit `policies`): enforced inclusion vs conventional vs exclusive
-//! on real workloads, plus the energy and future-work extension models
+//! on real workloads, the shared split L1 in front of every
+//! organisation, plus the energy and future-work extension models
 //! driven end-to-end through the facade API.
 
 use two_level_cache::area::{AreaModel, CacheGeometry, CellKind};
 use two_level_cache::cache::{
     Associativity, CacheConfig, ConventionalTwoLevel, DuplicationReport, ExclusiveTwoLevel,
-    InclusiveTwoLevel, MemorySystem,
+    HierarchyStats, InclusiveTwoLevel, L1FrontEnd, MemorySystem, ServiceLevel, SingleLevel,
+    StreamBufferSystem, VictimCacheSystem,
 };
 use two_level_cache::study::energy::energy_per_instruction;
 use two_level_cache::study::future::{tpi_extended, FutureWorkModel};
 use two_level_cache::study::{evaluate, L2Policy, MachineConfig, MachineTiming, SimBudget};
 use two_level_cache::timing::{EnergyModel, TimingModel};
 use two_level_cache::trace::spec::SpecBenchmark;
+use two_level_cache::trace::{Addr, MemRef};
 
 fn drive<M: MemorySystem + ?Sized>(sys: &mut M, benchmark: SpecBenchmark, instructions: u64) {
     let mut w = benchmark.workload();
@@ -59,6 +62,64 @@ fn inclusion_invariant_holds_on_real_workload() {
         rep.duplicated as f64 >= 0.95 * (rep.l1i_lines + rep.l1d_lines) as f64,
         "inclusive hierarchy should duplicate every L1 line: {rep}"
     );
+}
+
+fn l1_counts(st: &HierarchyStats) -> (u64, u64, u64, u64) {
+    (st.instructions, st.data_refs, st.l1i_misses, st.l1d_misses)
+}
+
+#[test]
+fn every_hierarchy_refills_the_l1_on_every_miss() {
+    // The L1's miss sequence must not depend on what sits behind it —
+    // the premise of miss-stream filtering. Every organisation except
+    // the back-invalidating inclusive one must therefore see exactly the
+    // single-level L1 counts on the same stream.
+    let l1 = CacheConfig::paper(4 * 1024, Associativity::Direct).expect("valid");
+    let l2 = CacheConfig::paper(16 * 1024, Associativity::SetAssoc(4)).expect("valid");
+    let n = 100_000;
+    let mut single = SingleLevel::new(l1);
+    drive(&mut single, SpecBenchmark::Gcc1, n);
+    let reference = l1_counts(single.stats());
+    assert!(reference.2 > 0 && reference.3 > 0, "stream must miss on both sides");
+
+    let mut others: Vec<Box<dyn MemorySystem>> = vec![
+        Box::new(ConventionalTwoLevel::new(l1, l2)),
+        Box::new(ExclusiveTwoLevel::new(l1, l2)),
+        Box::new(VictimCacheSystem::new(l1, 4).expect("valid")),
+        Box::new(StreamBufferSystem::new(l1, 2, 4)),
+        Box::new(L1FrontEnd::new(l1)),
+    ];
+    for sys in &mut others {
+        drive(sys.as_mut(), SpecBenchmark::Gcc1, n);
+        assert_eq!(l1_counts(sys.stats()), reference, "{}", sys.describe());
+    }
+
+    // Back-invalidation only ever removes L1 lines, so inclusion sees the
+    // same references and at least as many L1 misses.
+    let mut incl = InclusiveTwoLevel::new(l1, l2);
+    drive(&mut incl, SpecBenchmark::Gcc1, n);
+    let got = l1_counts(incl.stats());
+    assert_eq!((got.0, got.1), (reference.0, reference.1));
+    assert!(got.2 >= reference.2 && got.3 >= reference.3, "{got:?} vs {reference:?}");
+    assert!(incl.back_invalidations() > 0, "the L2 must have back-invalidated something");
+}
+
+#[test]
+fn back_invalidated_fetch_line_leaves_the_l1() {
+    // 4-line L1s over a 4-line direct-mapped inclusive L2: a load that
+    // maps to the fetched line's L2 set evicts it there, and inclusion
+    // then purges it from the L1I. The next fetch of that line must go
+    // past the L1, not be resolved by the same-line fetch filter.
+    let l1 = CacheConfig::paper(64, Associativity::Direct).expect("valid");
+    let l2 = CacheConfig::paper(64, Associativity::Direct).expect("valid");
+    let mut sys = InclusiveTwoLevel::new(l1, l2);
+    assert_eq!(sys.access(MemRef::fetch(Addr::new(0x000))), ServiceLevel::Memory);
+    assert_eq!(sys.access(MemRef::fetch(Addr::new(0x004))), ServiceLevel::L1);
+    sys.access(MemRef::load(Addr::new(0x040)));
+    assert_eq!(sys.back_invalidations(), 1);
+    assert!(!sys.l1i().contains(Addr::new(0x000).line(16)));
+    assert_eq!(sys.access(MemRef::fetch(Addr::new(0x008))), ServiceLevel::Memory);
+    assert_eq!(sys.stats().l1i_misses, 2);
 }
 
 #[test]
