@@ -160,9 +160,8 @@ fn main() {
     let mut all_spans = Vec::new();
     let exhibit_ids = ids.clone();
     for id in ids {
-        let start = std::time::Instant::now();
         let report = {
-            let _span = tlc_obs::PhaseSpan::enter_with("exhibit", || id.clone());
+            let _span = tlc_obs::PhaseSpan::enter_with("exhibit", &id);
             run(&id, &harness)
         };
         match report {
@@ -174,15 +173,10 @@ fn main() {
                 // incrementally so each exhibit's spans print as it
                 // finishes; the records feed the manifest at the end.
                 let spans = tlc_obs::take_spans();
-                if spans.is_empty() {
-                    // Uninstrumented build: fall back to wall-clock only.
-                    eprintln!("# {id} done in {:.1}s", start.elapsed().as_secs_f64());
-                } else {
-                    for node in build_span_tree(spans.clone()) {
-                        print_span(&node, 0);
-                    }
-                    all_spans.extend(spans);
+                for node in build_span_tree(spans.clone()) {
+                    print_span(&node, 0);
                 }
+                all_spans.extend(spans);
             }
             None => {
                 eprintln!("unknown exhibit id: {id}");

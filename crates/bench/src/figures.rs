@@ -1051,7 +1051,7 @@ pub fn sensitivity_study(h: &Harness) -> String {
 /// (on-chip lines evicted from the board are purged on-chip).
 pub fn board_cache_study(h: &Harness) -> String {
     use tlc_cache::{effective_offchip_ns, BoardCache};
-    use tlc_core::experiment::build_system;
+    use tlc_core::experiment::build_system_kind;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -1068,7 +1068,7 @@ pub fn board_cache_study(h: &Harness) -> String {
     let cfg = MachineConfig::two_level(8, 64, 4, L2Policy::Conventional, 50.0);
     for b in [SpecBenchmark::Gcc1, SpecBenchmark::Tomcatv, SpecBenchmark::Espresso] {
         for board_kb in [256u64, 1024, 4096] {
-            let mut sys = build_system(&cfg);
+            let mut sys = build_system_kind(&cfg);
             let mut board = BoardCache::new(board_kb * 1024, 2, 16).expect("valid board");
             let mut purged = 0u64;
             let mut w = b.workload();

@@ -97,14 +97,13 @@ pub struct SweepBenchRow {
     /// not included, as for `replay_s`).
     pub family_s: f64,
     /// Of `family_s`, the wall seconds spent in the per-L1-group capture
-    /// phase (the `l1_capture` span). Zero when the build carries no
-    /// instrumentation (`obs_enabled` false in the report header).
+    /// phase (the `l1_capture` span).
     pub family_l1_capture_s: f64,
     /// Of `family_s`, the wall seconds spent fanning families over their
-    /// miss streams (the `fan_out` span). Zero when uninstrumented.
+    /// miss streams (the `fan_out` span).
     pub family_fanout_s: f64,
     /// Miss-stream events replayed by the family sweep (the
-    /// `l2.events_replayed` counter delta). Zero when uninstrumented.
+    /// `l2.events_replayed` counter delta).
     pub family_events_replayed: u64,
     /// Arena resident size in bytes.
     pub arena_bytes: u64,
@@ -234,8 +233,9 @@ pub struct SweepBenchReport {
     pub sampled_scaling: SampledScalingReport,
     /// Whether every benchmark's replay engines agreed bit-for-bit.
     pub all_identical: bool,
-    /// Whether the producing build carried live instrumentation (the
-    /// per-phase `family_*` columns are all zero when this is false).
+    /// Whether the producing build carried live instrumentation: always
+    /// `true` today; kept so reports from older no-op builds (whose
+    /// per-phase `family_*` columns are all zero) still parse.
     pub obs_enabled: bool,
 }
 
@@ -549,7 +549,7 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         predict_scaling,
         sampled_scaling,
         all_identical: rows.iter().all(|r| r.identical),
-        obs_enabled: tlc_obs::ENABLED,
+        obs_enabled: true,
         benchmarks: rows,
         total_arena_s,
         total_family_s,
@@ -602,12 +602,10 @@ mod tests {
         assert!(report.all_identical, "engines must agree bit-for-bit");
         assert!(report.total_arena_s > 0.0);
         assert!(report.total_family_s > 0.0 && report.total_twolevel_family_s > 0.0);
-        if tlc_obs::ENABLED {
-            assert!(
-                report.benchmarks.iter().all(|r| r.family_events_replayed > 0),
-                "instrumented builds must attribute family events"
-            );
-        }
+        assert!(
+            report.benchmarks.iter().all(|r| r.family_events_replayed > 0),
+            "the family sweep must attribute its replayed events"
+        );
         assert!(report.all_predict_within_epsilon, "predicted points must meet the ε contract");
         assert_eq!(report.predict_scaling.len(), 2);
         assert_eq!(report.predict_scaling[0].configs, 90);

@@ -179,8 +179,7 @@ impl ReplBank {
 ///
 /// Only demand hits ([`Cache::access`]) count as re-references; dirty
 /// write-back merges refresh replacement state but are not reuse.
-/// Tallies are lifetime (warm-up included), like
-/// [`Cache::lfsr_draws`] — and all-zero in uninstrumented builds.
+/// Tallies are lifetime (warm-up included).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Liveness {
     /// Fill generations started.
@@ -216,20 +215,16 @@ impl LiveTally {
     /// Starts a generation.
     #[inline]
     pub(crate) fn fill(&mut self) {
-        if tlc_obs::ENABLED {
-            self.fills += 1;
-        }
+        self.fills += 1;
     }
 
     /// Ends a generation that saw `hits` demand hits.
     #[inline]
     pub(crate) fn retire(&mut self, hits: u8) {
-        if tlc_obs::ENABLED {
-            if hits == 0 {
-                self.dead += 1;
-            } else if hits >= 2 {
-                self.multi += 1;
-            }
+        if hits == 0 {
+            self.dead += 1;
+        } else if hits >= 2 {
+            self.multi += 1;
         }
     }
 
@@ -296,13 +291,8 @@ pub struct Cache {
     set_shift: u32,
     lfsr: Lfsr16,
     stats: CacheStats,
-    /// Lifetime pseudo-random victim draws (instrumented builds only;
-    /// stays 0 otherwise). Never reset — the LFSR itself never is, so
-    /// warm-up draws are part of the count.
-    lfsr_draws: u64,
     /// Per-line demand-hit counts since the line's last fill, saturating
-    /// at 255 (instrumented builds only; empty otherwise). Indexed like
-    /// `ways`.
+    /// at 255. Indexed like `ways`.
     hit_counts: Vec<u8>,
     /// Departed-generation liveness tallies (see [`Liveness`]).
     live: LiveTally,
@@ -322,12 +312,7 @@ impl Cache {
             set_shift: num_sets.trailing_zeros(),
             lfsr: Lfsr16::default(),
             stats: CacheStats::default(),
-            lfsr_draws: 0,
-            hit_counts: if tlc_obs::ENABLED {
-                vec![0; num_sets as usize * stride]
-            } else {
-                Vec::new()
-            },
+            hit_counts: vec![0; num_sets as usize * stride],
             live: LiveTally::default(),
         }
     }
@@ -342,15 +327,8 @@ impl Cache {
         &self.stats
     }
 
-    /// Lifetime pseudo-random victim draws (always 0 in uninstrumented
-    /// builds, and for non-random replacement).
-    pub fn lfsr_draws(&self) -> u64 {
-        self.lfsr_draws
-    }
-
     /// Lifetime block-liveness statistics, classifying still-resident
-    /// lines by their hits so far (see [`Liveness`]; all-zero in
-    /// uninstrumented builds).
+    /// lines by their hits so far (see [`Liveness`]).
     pub fn liveness(&self) -> Liveness {
         self.live.snapshot(
             self.ways.iter().zip(&self.hit_counts).filter(|(w, _)| w.valid).map(|(_, &h)| h),
@@ -418,10 +396,8 @@ impl Cache {
             if w.valid && w.tag == tag {
                 w.dirty |= is_write;
                 self.stats.hits += 1;
-                if tlc_obs::ENABLED {
-                    let c = &mut self.hit_counts[set as usize];
-                    *c = c.saturating_add(1);
-                }
+                let c = &mut self.hit_counts[set as usize];
+                *c = c.saturating_add(1);
                 return true;
             }
             return false;
@@ -439,10 +415,8 @@ impl Cache {
         if let Some(way) = hit {
             self.repl.touch(set as usize, self.stride, way, self.cfg.ways());
             self.stats.hits += 1;
-            if tlc_obs::ENABLED {
-                let c = &mut self.hit_counts[base + way as usize];
-                *c = c.saturating_add(1);
-            }
+            let c = &mut self.hit_counts[base + way as usize];
+            *c = c.saturating_add(1);
             return true;
         }
         false
@@ -490,13 +464,11 @@ impl Cache {
             let w = &mut self.ways[set as usize];
             let old = *w;
             *w = Way { tag, valid: true, dirty };
-            if tlc_obs::ENABLED {
-                self.live.fill();
-                if old.valid {
-                    self.live.retire(self.hit_counts[set as usize]);
-                }
-                self.hit_counts[set as usize] = 0;
+            self.live.fill();
+            if old.valid {
+                self.live.retire(self.hit_counts[set as usize]);
             }
+            self.hit_counts[set as usize] = 0;
             if old.valid {
                 self.stats.evictions += 1;
                 if old.dirty {
@@ -512,24 +484,17 @@ impl Cache {
         if let Some(i) = (0..self.stride).find(|&i| !self.ways[base + i].valid) {
             self.ways[base + i] = Way { tag, valid: true, dirty };
             self.repl.filled(set as usize, self.stride, i as u32, ways);
-            if tlc_obs::ENABLED {
-                self.live.fill();
-                self.hit_counts[base + i] = 0;
-            }
+            self.live.fill();
+            self.hit_counts[base + i] = 0;
             return None;
-        }
-        if tlc_obs::ENABLED && matches!(self.repl, ReplBank::Random) {
-            self.lfsr_draws += 1;
         }
         let victim_way = self.repl.victim(set as usize, self.stride, ways, &mut self.lfsr);
         let v = self.ways[base + victim_way as usize];
         self.ways[base + victim_way as usize] = Way { tag, valid: true, dirty };
         self.repl.filled(set as usize, self.stride, victim_way, ways);
-        if tlc_obs::ENABLED {
-            self.live.fill();
-            self.live.retire(self.hit_counts[base + victim_way as usize]);
-            self.hit_counts[base + victim_way as usize] = 0;
-        }
+        self.live.fill();
+        self.live.retire(self.hit_counts[base + victim_way as usize]);
+        self.hit_counts[base + victim_way as usize] = 0;
         self.stats.evictions += 1;
         if v.dirty {
             self.stats.dirty_evictions += 1;
@@ -599,13 +564,11 @@ impl Cache {
         let old = self.ways[base + slot.way as usize];
         self.ways[base + slot.way as usize] = Way { tag, valid: true, dirty };
         self.repl.filled(set as usize, self.stride, slot.way, self.cfg.ways());
-        if tlc_obs::ENABLED {
-            self.live.fill();
-            if old.valid {
-                self.live.retire(self.hit_counts[base + slot.way as usize]);
-            }
-            self.hit_counts[base + slot.way as usize] = 0;
+        self.live.fill();
+        if old.valid {
+            self.live.retire(self.hit_counts[base + slot.way as usize]);
         }
+        self.hit_counts[base + slot.way as usize] = 0;
         if old.valid && old.tag != tag {
             self.stats.evictions += 1;
             if old.dirty {
@@ -627,10 +590,8 @@ impl Cache {
             if w.valid && w.tag == tag {
                 let dirty = w.dirty;
                 *w = Way::default();
-                if tlc_obs::ENABLED {
-                    self.live.retire(self.hit_counts[base + i]);
-                    self.hit_counts[base + i] = 0;
-                }
+                self.live.retire(self.hit_counts[base + i]);
+                self.hit_counts[base + i] = 0;
                 return Some((dirty, Slot { set, way: i as u32 }));
             }
         }
@@ -645,13 +606,11 @@ impl Cache {
     /// Drops all contents (statistics are preserved; resident lines'
     /// liveness generations end here).
     pub fn flush(&mut self) {
-        if tlc_obs::ENABLED {
-            for (w, c) in self.ways.iter().zip(self.hit_counts.iter_mut()) {
-                if w.valid {
-                    self.live.retire(*c);
-                }
-                *c = 0;
+        for (w, c) in self.ways.iter().zip(self.hit_counts.iter_mut()) {
+            if w.valid {
+                self.live.retire(*c);
             }
+            *c = 0;
         }
         for w in &mut self.ways {
             *w = Way::default();
@@ -861,9 +820,6 @@ mod tests {
 
     #[test]
     fn liveness_classifies_generations() {
-        if !tlc_obs::ENABLED {
-            return;
-        }
         let mut c = dm_cache(16);
         c.fill(line(1), false);
         c.access(line(1), false);
@@ -878,9 +834,6 @@ mod tests {
 
     #[test]
     fn liveness_invariant_across_extract_and_fill_at() {
-        if !tlc_obs::ENABLED {
-            return;
-        }
         let mut c = sa_cache(32, 2, ReplacementKind::Lru);
         c.fill(line(0), false);
         c.access(line(0), false);

@@ -71,8 +71,7 @@ pub struct L1FrontEnd {
     stats: HierarchyStats,
     events: EventArena,
     warmup_events: u64,
-    /// Lifetime reference count (instrumented builds only; stays 0 and
-    /// costs nothing otherwise). Flushed to `filter.*` counters by
+    /// Lifetime reference count, flushed to `filter.*` counters by
     /// [`L1FrontEnd::finish`].
     total_refs: u64,
 }
@@ -168,9 +167,7 @@ impl L1FrontEnd {
 impl MemorySystem for L1FrontEnd {
     #[inline]
     fn access(&mut self, r: MemRef) -> ServiceLevel {
-        if tlc_obs::ENABLED {
-            self.total_refs += 1;
-        }
+        self.total_refs += 1;
         let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
             return ServiceLevel::L1;
         };

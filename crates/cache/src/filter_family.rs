@@ -178,16 +178,15 @@ struct L2State {
     hits: u64,
     misses: u64,
     writebacks: u64,
-    /// Lifetime LFSR victim draws (instrumented builds only; only
-    /// pseudo-random members ever draw). Not touched by
-    /// [`L2State::reset_counters`] — the LFSR itself is never reset,
-    /// matching the scalar [`Cache`](crate::Cache) count.
+    /// Lifetime LFSR victim draws (only pseudo-random members ever
+    /// draw). Not touched by [`L2State::reset_counters`] — the LFSR
+    /// itself is never reset.
     lfsr_draws: u64,
-    /// Lifetime fig-21a swaps (instrumented exclusive families only;
-    /// lifetime for the same reason as `lfsr_draws`).
+    /// Lifetime fig-21a swaps (exclusive families only; lifetime for the
+    /// same reason as `lfsr_draws`).
     swaps: u64,
     /// Per-slot demand-hit counts since the slot's last fill, saturating
-    /// at 255 (instrumented builds only; empty otherwise).
+    /// at 255.
     hit_counts: Vec<u8>,
     /// Departed fill-generation tallies (see
     /// [`Liveness`](crate::Liveness)); lifetime, like `lfsr_draws`.
@@ -207,7 +206,7 @@ impl L2State {
             writebacks: 0,
             lfsr_draws: 0,
             swaps: 0,
-            hit_counts: if tlc_obs::ENABLED { vec![0; lines] } else { Vec::new() },
+            hit_counts: vec![0; lines],
             live: crate::cache::LiveTally::default(),
         }
     }
@@ -218,13 +217,11 @@ impl L2State {
         self.writebacks = 0;
     }
 
-    /// Counts a demand hit on the slot at `idx` (no-op uninstrumented).
+    /// Counts a demand hit on the slot at `idx`.
     #[inline]
     fn note_hit(&mut self, idx: usize) {
-        if tlc_obs::ENABLED {
-            let c = &mut self.hit_counts[idx];
-            *c = c.saturating_add(1);
-        }
+        let c = &mut self.hit_counts[idx];
+        *c = c.saturating_add(1);
     }
 
     /// Lifetime liveness, classifying still-resident slots by their hits
@@ -253,7 +250,7 @@ impl L2State {
             self.repl.filled(set, ways, i as u32, ways as u32);
             i
         } else {
-            if tlc_obs::ENABLED && matches!(self.repl, ReplBank::Random) {
+            if matches!(self.repl, ReplBank::Random) {
                 self.lfsr_draws += 1;
             }
             let w = self.repl.victim(set, ways, ways as u32, &mut self.lfsr);
@@ -261,13 +258,11 @@ impl L2State {
             w as usize
         };
         let old = self.slots[base + way];
-        if tlc_obs::ENABLED {
-            self.live.fill();
-            if old != INVALID {
-                self.live.retire(self.hit_counts[base + way]);
-            }
-            self.hit_counts[base + way] = 0;
+        self.live.fill();
+        if old != INVALID {
+            self.live.retire(self.hit_counts[base + way]);
         }
+        self.hit_counts[base + way] = 0;
         if old != INVALID && old & 1 == 1 {
             self.writebacks += 1;
         }
@@ -444,10 +439,8 @@ impl<const W: usize> EventSink for ExclusiveFamily<W> {
                 // counted), and free the slot.
                 let dirty = st.slots[base + hw] & 1;
                 st.slots[base + hw] = INVALID;
-                if tlc_obs::ENABLED {
-                    st.live.retire(st.hit_counts[base + hw]);
-                    st.hit_counts[base + hw] = 0;
-                }
+                st.live.retire(st.hit_counts[base + hw]);
+                st.hit_counts[base + hw] = 0;
                 mirror[set] = dirty == 1;
                 match victim {
                     Some((vl, vdirty)) => {
@@ -456,18 +449,14 @@ impl<const W: usize> EventSink for ExclusiveFamily<W> {
                         {
                             // Figure 21-a swap: the victim takes the
                             // requested line's way (`fill_at(vline)`).
-                            if tlc_obs::ENABLED {
-                                st.swaps += 1;
-                                st.live.fill();
-                            }
+                            st.swaps += 1;
+                            st.live.fill();
                             st.slots[base + hw] = (vl << 1) | vdirty as u64;
                             st.repl.filled(l2_set, ways, hw as u32, ways as u32);
                         } else {
                             // `fill_at(line)` back into its freed way,
                             // then send the victim separately.
-                            if tlc_obs::ENABLED {
-                                st.live.fill();
-                            }
+                            st.live.fill();
                             st.slots[base + hw] = (l << 1) | dirty;
                             st.repl.filled(l2_set, ways, hw as u32, ways as u32);
                             if !st.merge_if_present(ways, vl, vdirty) {
@@ -476,9 +465,7 @@ impl<const W: usize> EventSink for ExclusiveFamily<W> {
                         }
                     }
                     None => {
-                        if tlc_obs::ENABLED {
-                            st.live.fill();
-                        }
+                        st.live.fill();
                         st.slots[base + hw] = (l << 1) | dirty;
                         st.repl.filled(l2_set, ways, hw as u32, ways as u32);
                     }
@@ -535,8 +522,7 @@ struct DmConventionalFamily {
     vic_hist: Vec<u64>,
     /// Dirty evictions on install, per size.
     evict_wb: Vec<u64>,
-    /// Per size: per-set demand-hit counts since the slot's last install
-    /// (instrumented builds only; empty otherwise).
+    /// Per size: per-set demand-hit counts since the slot's last install.
     hit_counts: Vec<Vec<u8>>,
     /// Per size: departed fill-generation tallies.
     live: Vec<crate::cache::LiveTally>,
@@ -555,11 +541,7 @@ impl DmConventionalFamily {
             hit_hist: vec![0; k + 1],
             vic_hist: vec![0; k + 1],
             evict_wb: vec![0; k],
-            hit_counts: if tlc_obs::ENABLED {
-                cfgs_ascending.iter().map(|c| vec![0; c.num_sets() as usize]).collect()
-            } else {
-                Vec::new()
-            },
+            hit_counts: cfgs_ascending.iter().map(|c| vec![0; c.num_sets() as usize]).collect(),
             live: vec![crate::cache::LiveTally::default(); k],
         }
     }
@@ -578,9 +560,6 @@ impl DmConventionalFamily {
     /// Family-total liveness: each member's tallies snapshotted over its
     /// residents, then summed (the obs counters aggregate members).
     fn liveness_total(&self) -> Liveness {
-        if !tlc_obs::ENABLED {
-            return Liveness::default();
-        }
         let mut total = Liveness::default();
         for (k, live) in self.live.iter().enumerate() {
             total.merge(
@@ -603,13 +582,11 @@ impl EventSink for DmConventionalFamily {
         let l = line.0;
         let t = self.threshold(l);
         self.hit_hist[t] += 1;
-        if tlc_obs::ENABLED {
-            // Sizes at or above the threshold hit: a demand hit on each
-            // member's resident generation.
-            for k in t..self.set_masks.len() {
-                let c = &mut self.hit_counts[k][(l & self.set_masks[k]) as usize];
-                *c = c.saturating_add(1);
-            }
+        // Sizes at or above the threshold hit: a demand hit on each
+        // member's resident generation.
+        for k in t..self.set_masks.len() {
+            let c = &mut self.hit_counts[k][(l & self.set_masks[k]) as usize];
+            *c = c.saturating_add(1);
         }
         for k in 0..t {
             let idx = (l & self.set_masks[k]) as usize;
@@ -617,13 +594,11 @@ impl EventSink for DmConventionalFamily {
             if slot != INVALID && slot & 1 == 1 {
                 self.evict_wb[k] += 1;
             }
-            if tlc_obs::ENABLED {
-                self.live[k].fill();
-                if slot != INVALID {
-                    self.live[k].retire(self.hit_counts[k][idx]);
-                }
-                self.hit_counts[k][idx] = 0;
+            self.live[k].fill();
+            if slot != INVALID {
+                self.live[k].retire(self.hit_counts[k][idx]);
             }
+            self.hit_counts[k][idx] = 0;
             self.slots[k][idx] = l << 1;
         }
         if let Some((vline, written)) = victim {
@@ -656,7 +631,7 @@ trait Family: EventSink {
     fn member_counters(&self) -> Vec<(u64, u64, u64)>;
 
     /// Lifetime `(lfsr_draws, swaps, liveness)` summed over the members
-    /// (instrumented builds only) — never reset, like the LFSR itself.
+    /// — never reset, like the LFSR itself.
     fn lifetime(&self) -> (u64, u64, Liveness);
 }
 
@@ -762,9 +737,7 @@ fn replay_segments<F: Family>(mut fam: F, segments: &[MissStream]) -> Vec<Vec<Hi
                 .collect(),
         );
     }
-    if tlc_obs::ENABLED {
-        flush_l2_counters(segments, &out, fam.lifetime());
-    }
+    flush_l2_counters(segments, &out, fam.lifetime());
     out
 }
 
@@ -1140,9 +1113,6 @@ mod tests {
 
     #[test]
     fn family_liveness_matches_scalar_cache() {
-        if !tlc_obs::ENABLED {
-            return;
-        }
         let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
             let cfgs = [l2_policy_cfg(4096, 4, repl), l2_policy_cfg(16384, 4, repl)];
@@ -1162,9 +1132,6 @@ mod tests {
 
     #[test]
     fn dm_family_liveness_matches_scalar_caches() {
-        if !tlc_obs::ENABLED {
-            return;
-        }
         let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
         let cfgs = [l2_cfg(2048, 1), l2_cfg(8192, 1)];
         let mut fam = DmConventionalFamily::new(&cfgs);

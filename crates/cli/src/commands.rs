@@ -510,8 +510,7 @@ fn config_space_hash(configs: &[MachineConfig]) -> String {
 
 /// The `--progress` stderr ticker: a sampling thread reading the global
 /// counters every 200 ms, reporting configs done, elapsed/ETA, and
-/// event throughput. In uninstrumented builds the counters never move,
-/// so it prints one notice and exits instead of ticking zeros.
+/// event throughput.
 struct ProgressTicker {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: std::thread::JoinHandle<()>,
@@ -523,10 +522,6 @@ impl ProgressTicker {
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let seen = stop.clone();
         let handle = std::thread::spawn(move || {
-            if !tlc_obs::ENABLED {
-                eprintln!("# progress: this build has instrumentation disabled; no live counters");
-                return;
-            }
             let start = std::time::Instant::now();
             while !seen.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(200));
@@ -592,10 +587,6 @@ impl AuditTicker {
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let seen = stop.clone();
         let handle = std::thread::spawn(move || {
-            if !tlc_obs::ENABLED {
-                eprintln!("# progress: this build has instrumentation disabled; no live counters");
-                return;
-            }
             let start = std::time::Instant::now();
             while !seen.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(200));
@@ -1250,7 +1241,7 @@ mod tests {
         ])
         .expect("audit");
         assert!(out.contains("clean"));
-        assert!(out.contains("streaming/dyn/arena/family/predict"));
+        assert!(out.contains("streaming/arena/family/predict"));
         let doc: tlc_core::audit::AuditReport =
             serde_json::from_str(&std::fs::read_to_string(&json).expect("json written"))
                 .expect("valid report json");
@@ -1471,16 +1462,10 @@ mod tests {
         let json = std::fs::read_to_string(&path).expect("manifest written");
         let manifest = RunManifest::from_json(&json).expect("manifest parses");
         assert_eq!(manifest.engine, "predict");
-        if tlc_obs::ENABLED {
-            let predicted = manifest.counter("predict.configs_predicted").unwrap_or(0);
-            let replayed = manifest.counter("predict.configs_replayed").unwrap_or(0);
-            assert_eq!(
-                predicted + replayed,
-                manifest.configs,
-                "every config is predicted or replayed"
-            );
-            assert!(predicted > 0, "the conventional space must be predicted");
-        }
+        let predicted = manifest.counter("predict.configs_predicted").unwrap_or(0);
+        let replayed = manifest.counter("predict.configs_replayed").unwrap_or(0);
+        assert_eq!(predicted + replayed, manifest.configs, "every config is predicted or replayed");
+        assert!(predicted > 0, "the conventional space must be predicted");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1513,15 +1498,13 @@ mod tests {
         assert_eq!(manifest.engine, "family");
         assert_eq!(manifest.threads, 2);
         assert_eq!(manifest.config_space_hash.len(), 16);
-        if tlc_obs::ENABLED {
-            assert_eq!(
-                manifest.counter("runner.configs_completed"),
-                Some(manifest.configs),
-                "every design point must be counted"
-            );
-            assert!(!manifest.spans.is_empty(), "span tree must be captured");
-            assert!(manifest.spans.iter().any(|s| s.name == "sweep"), "root sweep span missing");
-        }
+        assert_eq!(
+            manifest.counter("runner.configs_completed"),
+            Some(manifest.configs),
+            "every design point must be counted"
+        );
+        assert!(!manifest.spans.is_empty(), "span tree must be captured");
+        assert!(manifest.spans.iter().any(|s| s.name == "sweep"), "root sweep span missing");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1593,17 +1576,15 @@ mod tests {
             RunManifest::from_json(&std::fs::read_to_string(&manifest_path).expect("manifest"))
                 .expect("manifest parses");
         manifest.validate().expect("sampled-run invariants hold");
-        if tlc_obs::ENABLED {
-            assert_eq!(manifest.counter("sample.intervals"), Some(1));
-            assert_eq!(manifest.counter("sample.phases"), Some(1));
-            assert_eq!(manifest.counter("sample.intervals_skipped"), Some(0));
-            assert!(manifest.counter("sample.events_replayed").unwrap_or(0) > 0);
-            assert_eq!(
-                manifest.counter("runner.configs_completed"),
-                Some(manifest.configs),
-                "one phase -> one engine run per config"
-            );
-        }
+        assert_eq!(manifest.counter("sample.intervals"), Some(1));
+        assert_eq!(manifest.counter("sample.phases"), Some(1));
+        assert_eq!(manifest.counter("sample.intervals_skipped"), Some(0));
+        assert!(manifest.counter("sample.events_replayed").unwrap_or(0) > 0);
+        assert_eq!(
+            manifest.counter("runner.configs_completed"),
+            Some(manifest.configs),
+            "one phase -> one engine run per config"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1678,35 +1659,31 @@ mod tests {
         let doc: serde_json::Value = serde_json::from_str(&trace).expect("trace parses");
         let events =
             doc.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents array present");
-        if tlc_obs::ENABLED {
-            // At least the sweep root span must show up as a complete event.
+        // At least the sweep root span must show up as a complete event.
+        assert!(
+            events.iter().any(|e| {
+                e.get("ph").and_then(|p| p.as_str()) == Some("X")
+                    && e.get("name").and_then(|n| n.as_str()) == Some("sweep")
+            }),
+            "root sweep X event missing from {trace}"
+        );
+        // Distribution sections of the tentpole: >= 3 histograms
+        // populated by a plain family sweep, monotone quantiles, and
+        // a believable peak-RSS reading.
+        let populated: Vec<_> = manifest.histograms.iter().filter(|h| h.count > 0).collect();
+        assert!(
+            populated.len() >= 3,
+            "want >= 3 populated histograms, got {:?}",
+            populated.iter().map(|h| h.name.as_str()).collect::<Vec<_>>()
+        );
+        for h in &populated {
             assert!(
-                events.iter().any(|e| {
-                    e.get("ph").and_then(|p| p.as_str()) == Some("X")
-                        && e.get("name").and_then(|n| n.as_str()) == Some("sweep")
-                }),
-                "root sweep X event missing from {trace}"
+                h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.max,
+                "{}: quantiles not monotone",
+                h.name
             );
-            // Distribution sections of the tentpole: >= 3 histograms
-            // populated by a plain family sweep, monotone quantiles, and
-            // a believable peak-RSS reading.
-            let populated: Vec<_> = manifest.histograms.iter().filter(|h| h.count > 0).collect();
-            assert!(
-                populated.len() >= 3,
-                "want >= 3 populated histograms, got {:?}",
-                populated.iter().map(|h| h.name.as_str()).collect::<Vec<_>>()
-            );
-            for h in &populated {
-                assert!(
-                    h.p50 <= h.p90 && h.p90 <= h.p99 && h.p99 <= h.max,
-                    "{}: quantiles not monotone",
-                    h.name
-                );
-            }
-            assert!(manifest.memory.peak_rss_bytes > 0, "peak RSS must be read from procfs");
-        } else {
-            assert!(events.is_empty(), "uninstrumented build must emit an empty timeline");
         }
+        assert!(manifest.memory.peak_rss_bytes > 0, "peak RSS must be read from procfs");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1755,9 +1732,7 @@ mod tests {
             shown.contains("sweep li") && shown.contains("engine=family"),
             "show renders the manifest: {shown}"
         );
-        if tlc_obs::ENABLED {
-            assert!(shown.contains("# memory peak_rss="), "show includes memory: {shown}");
-        }
+        assert!(shown.contains("# memory peak_rss="), "show includes memory: {shown}");
         // Idempotent re-add, and prefix loads resolve.
         assert!(run(&["runs", "add", base, "--dir", reg]).expect("re-add").contains(&id));
         assert!(run(&["runs", "show", &id[..12], "--dir", reg]).is_ok());

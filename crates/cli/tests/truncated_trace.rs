@@ -1,6 +1,8 @@
 //! A `TLCTRC01` file cut inside a record must fail every command that
 //! reads it — `trace info`, `trace sample` and `sweep --trace` — with a
 //! non-zero exit naming the truncation and the cut record's offset.
+//! So must a raw binary address list that ends inside an address word,
+//! when `trace import` converts it.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -46,5 +48,30 @@ fn truncated_trace_fails_info_sample_and_sweep() {
         assert!(!out.status.success(), "{args:?} must fail on a cut trace");
         assert!(stderr.contains(&expected), "{args:?}: stderr {stderr:?} lacks {expected:?}");
     }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn raw_address_list_with_a_partial_word_fails_import() {
+    let dir = std::env::temp_dir().join(format!("tlc-truncated-addr-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut bytes: Vec<u8> = (0..10u64).flat_map(|i| (0x1000 + 64 * i).to_le_bytes()).collect();
+    bytes.extend_from_slice(&[0xaa, 0xbb, 0xcc]);
+    let input = dir.join("cut.bin");
+    std::fs::write(&input, &bytes).unwrap();
+    let output = dir.join("out.trc");
+    let args = [
+        "trace",
+        "import",
+        input.to_str().unwrap(),
+        output.to_str().unwrap(),
+        "--format",
+        "addr-bin",
+    ];
+    let out = tlc(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a trailing partial address word must fail the import");
+    let expected = "truncated trace at byte offset 80";
+    assert!(stderr.contains(expected), "stderr {stderr:?} lacks {expected:?}");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,19 +1,17 @@
 //! `tlc audit` — randomized differential fuzzing of the sweep engines.
 //!
-//! The repository's soundness argument is that four engines — streaming
+//! The repository's soundness argument is that three engines — streaming
 //! ([`simulate_source`](crate::experiment::simulate_source)), the
-//! trait-object path (the same protocol, [`simulate_source_on`], on a
-//! [`build_system`] box), the devirtualized arena replay
-//! ([`simulate_arena`]), and the miss-stream L2 back-end
-//! ([`simulate_family`]: a family of one per sampled configuration,
-//! batched sibling families, and the
-//! direct-mapped threshold fast path) — are *bit-identical*. This module
+//! devirtualized arena replay ([`simulate_arena`]), and the miss-stream
+//! L2 back-end ([`simulate_family`]: a family of one per sampled
+//! configuration, batched sibling families, and the direct-mapped
+//! threshold fast path) — are *bit-identical*. This module
 //! stops that from being "engines agreeing with themselves": every sampled
 //! case is also run through the deliberately-naive reference oracle
 //! ([`tlc_cache::NaiveSystem`], [`tlc_cache::oracle`]) and the Mattson
 //! stack-distance oracles ([`tlc_cache::StackDistanceProfiler`],
 //! [`tlc_cache::NestedDmProfiler`]), which predict the same counters from
-//! first principles. The fifth engine — the analytical predictor
+//! first principles. The fourth engine — the analytical predictor
 //! ([`simulate_predicted`](crate::experiment::simulate_predicted)) — is
 //! deliberately *not* bit-identical; it is audited against its own
 //! tolerance contract instead (`predict-vs-family`,
@@ -29,11 +27,11 @@
 //! for `tests/corpus_replay.rs` to replay forever after.
 
 use crate::experiment::{
-    build_system, capture_miss_stream, l2_config, simulate_arena, simulate_family,
-    simulate_source_on, try_build_system_kind, SimBudget,
+    capture_miss_stream, l2_config, simulate_arena, simulate_family, simulate_source_on,
+    try_build_system_kind, SimBudget,
 };
 use crate::machine::{L2Policy, L2Spec, MachineConfig};
-use crate::runner::try_sweep_arena_threads;
+use crate::runner::try_sweep_family_arena_threads;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -470,28 +468,24 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
     };
     let oracle = simulate_source_on(&mut naive, &mut replay_source(case, &records), budget);
 
-    // Engine 1+2: streaming enum dispatch and the legacy trait-object
-    // path. The streaming system is kept for the content check below.
+    // Engine 1: streaming enum dispatch. The streaming system is kept
+    // for the content check below.
     let mut streaming_sys = try_build_system_kind(cfg).expect("sampled geometry is valid");
     let streaming =
         simulate_source_on(&mut streaming_sys, &mut replay_source(case, &records), budget);
-    let dyn_stats =
-        simulate_source_on(&mut *build_system(cfg), &mut replay_source(case, &records), budget);
-    for (name, got) in [("streaming-vs-oracle", streaming), ("dyn-vs-oracle", dyn_stats)] {
-        let diverged = got != oracle;
-        ledger.tally(name, diverged);
-        if diverged {
-            ledger.record(
-                case_index,
-                name,
-                case,
-                format!("engine {got:?} != oracle {oracle:?}"),
-                None,
-            );
-        }
+    let diverged = streaming != oracle;
+    ledger.tally("streaming-vs-oracle", diverged);
+    if diverged {
+        ledger.record(
+            case_index,
+            "streaming-vs-oracle",
+            case,
+            format!("engine {streaming:?} != oracle {oracle:?}"),
+            None,
+        );
     }
 
-    // Engine 3: devirtualized arena replay, plus chunk-size invariance.
+    // Engine 2: devirtualized arena replay, plus chunk-size invariance.
     let arena =
         TraceArena::capture_chunked(&mut replay_source(case, &records), u64::MAX, case.chunk_len);
     let arena_stats = simulate_arena(cfg, &arena, budget);
@@ -525,7 +519,7 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
         );
     }
 
-    // Engines 4+5 need a captured miss stream (direct-mapped L1 front-end).
+    // Engines 3+4 need a captured miss stream (direct-mapped L1 front-end).
     let stream = capture_miss_stream(cfg.l1_size_bytes, cfg.line_bytes, &arena, budget, usize::MAX)
         .expect("unbounded capture succeeds");
     let one = simulate_family(std::slice::from_ref(cfg), &stream)[0];
@@ -760,7 +754,8 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
         }
     }
 
-    // Thread invariance: the parallel sweep must return the same
+    // Thread invariance: the parallel family sweep, whose work units
+    // (`plan_units`) are cut by the thread count, must return the same
     // statistics as the single-threaded one, in input order. Sampled on
     // every fourth case (spawning threads dominates small replays).
     // Skipped when the measured run is empty: TPI is undefined there
@@ -770,8 +765,9 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
     if case_index % 4 == 1 && oracle.instructions > 0 {
         let timing = TimingModel::paper();
         let area = AreaModel::new();
-        let seq = try_sweep_arena_threads(&siblings, &arena, budget, &timing, &area, 1);
-        let par = try_sweep_arena_threads(&siblings, &arena, budget, &timing, &area, case.threads);
+        let seq = try_sweep_family_arena_threads(&siblings, &arena, budget, &timing, &area, 1);
+        let par =
+            try_sweep_family_arena_threads(&siblings, &arena, budget, &timing, &area, case.threads);
         let diverged = match (&seq, &par) {
             (Ok(a), Ok(b)) => {
                 a.len() != b.len() || a.iter().zip(b).any(|(x, y)| x.stats != y.stats)
@@ -878,7 +874,7 @@ pub fn run_audit(opts: &AuditOptions) -> AuditReport {
         requested_seconds: opts.seconds,
         elapsed_seconds: started.elapsed().as_secs_f64(),
         cases,
-        engines: ["streaming", "dyn", "arena", "family", "predict"].map(String::from).to_vec(),
+        engines: ["streaming", "arena", "family", "predict"].map(String::from).to_vec(),
         checks: ledger.checks,
         divergences: ledger.divergences,
     }

@@ -148,17 +148,6 @@ pub fn build_system_kind(cfg: &MachineConfig) -> SystemKind {
     try_build_system_kind(cfg).expect("valid L1/L2 configuration")
 }
 
-/// Builds the simulated memory system for a configuration behind the
-/// open [`MemorySystem`] trait (the extension surface; sweeps use
-/// [`build_system_kind`]).
-///
-/// # Panics
-///
-/// As [`build_system_kind`].
-pub fn build_system(cfg: &MachineConfig) -> Box<dyn MemorySystem + Send> {
-    Box::new(build_system_kind(cfg))
-}
-
 /// Drives up to `limit` instructions from `source` through `sys`,
 /// returning how many were actually executed (less than `limit` only
 /// when the source exhausted).
@@ -846,7 +835,7 @@ mod tests {
             let replayed = evaluate_arena(&cfg, &arena, budget, &tm, &am);
             assert_eq!(generated, replayed, "{}", cfg.label());
             let mut workload = SpecBenchmark::Espresso.workload();
-            let legacy = simulate_source_on(&mut *build_system(&cfg), &mut workload, budget);
+            let legacy = simulate_source_on(&mut build_system_kind(&cfg), &mut workload, budget);
             assert_eq!(legacy, replayed.stats, "legacy engine diverged for {}", cfg.label());
         }
     }
@@ -1042,18 +1031,5 @@ mod tests {
         let arena =
             TraceArena::capture(&mut ReplaySource::new("tiny", records[..500].to_vec()), u64::MAX);
         assert_eq!(simulate_arena(&cfg, &arena, budget), HierarchyStats::default());
-    }
-
-    #[test]
-    fn build_system_kind_matches_trait_object_builder() {
-        for cfg in [
-            MachineConfig::single_level(4, 50.0),
-            MachineConfig::two_level(2, 16, 4, L2Policy::Conventional, 50.0),
-            MachineConfig::two_level(2, 16, 4, L2Policy::Exclusive, 200.0),
-        ] {
-            let kind = build_system_kind(&cfg);
-            let boxed = build_system(&cfg);
-            assert_eq!(kind.describe(), boxed.describe(), "{}", cfg.label());
-        }
     }
 }

@@ -16,11 +16,12 @@
 //! latency tolerance), so it upper-bounds what §10's "non-blocking loads"
 //! could deliver; the paper's blocking model is the lower bound.
 
-use crate::experiment::SimBudget;
+use crate::experiment::{build_system_kind, SimBudget};
 use crate::machine::{MachineConfig, MachineTiming};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use tlc_area::AreaModel;
+use tlc_cache::MemorySystem;
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::InstructionSource;
@@ -64,7 +65,7 @@ pub fn estimate_overlap(
         (t.offchip_rounded_ns + t.l1_cycle_ns) / t.l1_cycle_ns
     };
 
-    let mut sys = crate::experiment::build_system(cfg);
+    let mut sys = build_system_kind(cfg);
     let mut workload = benchmark.workload();
     for _ in 0..budget.warmup_instructions {
         if let Some(rec) = workload.next_instruction_opt() {

@@ -336,7 +336,7 @@ fn try_capture_groups(
                 );
                 return None;
             }
-            let span = PhaseSpan::enter_with("group", || format!("{}B/{}B", key.0, key.1));
+            let span = PhaseSpan::enter_with("group", &format!("{}B/{}B", key.0, key.1));
             span.add_items(idxs.len() as u64);
             let _t = HistTimer::start(Hist::CaptureL1GroupNs);
             let segments = capture_windows(key.0, key.1, &arena_budgets, MISS_STREAM_BYTES_LIMIT);
@@ -709,9 +709,8 @@ pub fn try_sweep_predict_arena_threads(
     try_fan_out(configs, &units, threads, unit_of, |unit| match unit {
         PredictUnit::Profile { stream, members } => {
             let first = &configs[members[0]];
-            let span = PhaseSpan::enter_with("predict_group", || {
-                format!("{}B/{}B", first.l1_size_bytes, first.line_bytes)
-            });
+            let label = format!("{}B/{}B", first.l1_size_bytes, first.line_bytes);
+            let span = PhaseSpan::enter_with("predict_group", &label);
             span.add_items(members.len() as u64);
             let points =
                 evaluate_predicted(&member_configs(configs, members), stream, timing, area);
@@ -777,7 +776,7 @@ where
         // pointless serialisation, it is measurably slow — a fresh
         // thread starts with a cold allocator heap, so every
         // configuration's cache arrays page-fault from scratch.
-        let span = PhaseSpan::enter_with("worker", || "0".to_string());
+        let span = PhaseSpan::enter_with("worker", "0");
         span.add_items(n as u64);
         obs_hist!(Hist::RunnerWorkerItems, n as u64);
         return (0..n).map(caught).collect();

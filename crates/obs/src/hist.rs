@@ -17,12 +17,10 @@
 //! bucket upper edge is within one bucket width of the exact sample
 //! (see [`HistSnapshot::quantile`]). The full `u64` range maps to
 //! [`NUM_BUCKETS`] = 976 buckets (~7.6 KiB of atomics per histogram).
-//!
-//! With the `enabled` feature off, [`record`] is a no-op, [`HistTimer`]
-//! is a zero-sized type with no `Drop`, and [`snapshot_all`] returns
-//! nothing — the same zero-overhead contract as the counters.
 
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Every histogram the pipeline can record into. Discriminants index
 /// the global histogram array; [`Hist::name`] gives the dotted name
@@ -168,161 +166,117 @@ impl HistSnapshot {
     }
 }
 
-#[cfg(feature = "enabled")]
-mod live_hist {
-    use super::{bucket_of, Hist, HistBucket, HistSnapshot, NUM_BUCKETS};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::time::Instant;
+/// One lock-free histogram: relaxed atomic buckets plus exact
+/// count/sum/max. Threads record concurrently into the same
+/// atomics, so "merging" per-thread recordings is the identity.
+struct AtomicHistogram {
+    buckets: [AtomicU64; NUM_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    max: AtomicU64,
+}
 
-    /// One lock-free histogram: relaxed atomic buckets plus exact
-    /// count/sum/max. Threads record concurrently into the same
-    /// atomics, so "merging" per-thread recordings is the identity.
-    pub struct AtomicHistogram {
-        buckets: [AtomicU64; NUM_BUCKETS],
-        count: AtomicU64,
-        sum: AtomicU64,
-        max: AtomicU64,
-    }
-
-    impl AtomicHistogram {
-        #[allow(clippy::declare_interior_mutable_const)] // repeat-init seed
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-
-        const fn new() -> AtomicHistogram {
-            AtomicHistogram {
-                buckets: [Self::ZERO; NUM_BUCKETS],
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                max: AtomicU64::new(0),
-            }
-        }
-
-        #[inline]
-        fn record(&self, v: u64) {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-
-        fn snapshot(&self, name: &str) -> HistSnapshot {
-            let buckets = self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter_map(|(i, b)| {
-                    let count = b.load(Ordering::Relaxed);
-                    (count > 0).then(|| HistBucket {
-                        index: i as u32,
-                        floor: super::bucket_floor(i),
-                        count,
-                    })
-                })
-                .collect();
-            HistSnapshot {
-                name: name.to_string(),
-                count: self.count.load(Ordering::Relaxed),
-                sum: self.sum.load(Ordering::Relaxed),
-                max: self.max.load(Ordering::Relaxed),
-                buckets,
-            }
-        }
-
-        fn reset(&self) {
-            for b in &self.buckets {
-                b.store(0, Ordering::Relaxed);
-            }
-            self.count.store(0, Ordering::Relaxed);
-            self.sum.store(0, Ordering::Relaxed);
-            self.max.store(0, Ordering::Relaxed);
-        }
-    }
-
+impl AtomicHistogram {
     #[allow(clippy::declare_interior_mutable_const)] // repeat-init seed
-    const EMPTY: AtomicHistogram = AtomicHistogram::new();
-    static HISTS: [AtomicHistogram; Hist::COUNT] = [EMPTY; Hist::COUNT];
+    const ZERO: AtomicU64 = AtomicU64::new(0);
 
-    /// Records one sample (lock-free; safe from any thread).
+    const fn new() -> AtomicHistogram {
+        AtomicHistogram {
+            buckets: [Self::ZERO; NUM_BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
+
     #[inline]
-    pub fn record(h: Hist, v: u64) {
-        HISTS[h as usize].record(v);
+    fn record(&self, v: u64) {
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Snapshots every histogram, in [`Hist::ALL`] order (empty ones
-    /// included; filter on `count` if needed). Call after worker
-    /// threads join — a mid-recording snapshot can catch a sample
-    /// between its bucket and count increments.
-    pub fn snapshot_all() -> Vec<HistSnapshot> {
-        Hist::ALL.iter().map(|&h| HISTS[h as usize].snapshot(h.name())).collect()
-    }
-
-    /// Zeroes every histogram.
-    pub fn reset_hists() {
-        for h in &HISTS {
-            h.reset();
+    fn snapshot(&self, name: &str) -> HistSnapshot {
+        let buckets = self
+            .buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(i, b)| {
+                let count = b.load(Ordering::Relaxed);
+                (count > 0).then(|| HistBucket { index: i as u32, floor: bucket_floor(i), count })
+            })
+            .collect();
+        HistSnapshot {
+            name: name.to_string(),
+            count: self.count.load(Ordering::Relaxed),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+            buckets,
         }
     }
 
-    /// RAII duration probe: records the wall ns between construction
-    /// and drop into `hist`.
-    #[must_use = "a timer measures the region it is alive for"]
-    pub struct HistTimer {
-        hist: Hist,
-        start: Instant,
-    }
-
-    impl HistTimer {
-        /// Starts timing into `hist`.
-        #[inline]
-        pub fn start(hist: Hist) -> HistTimer {
-            HistTimer { hist, start: Instant::now() }
+    fn reset(&self) {
+        for b in &self.buckets {
+            b.store(0, Ordering::Relaxed);
         }
-    }
-
-    impl Drop for HistTimer {
-        fn drop(&mut self) {
-            record(self.hist, self.start.elapsed().as_nanos() as u64);
-        }
+        self.count.store(0, Ordering::Relaxed);
+        self.sum.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod live_hist {
-    use super::{Hist, HistSnapshot};
+#[allow(clippy::declare_interior_mutable_const)] // repeat-init seed
+const EMPTY: AtomicHistogram = AtomicHistogram::new();
+static HISTS: [AtomicHistogram; Hist::COUNT] = [EMPTY; Hist::COUNT];
 
-    /// No-op.
-    #[inline(always)]
-    pub fn record(_h: Hist, _v: u64) {}
+/// Records one sample (lock-free; safe from any thread).
+#[inline]
+pub fn record(h: Hist, v: u64) {
+    HISTS[h as usize].record(v);
+}
 
-    /// Always empty in uninstrumented builds.
-    #[inline(always)]
-    pub fn snapshot_all() -> Vec<HistSnapshot> {
-        Vec::new()
-    }
+/// Snapshots every histogram, in [`Hist::ALL`] order (empty ones
+/// included; filter on `count` if needed). Call after worker
+/// threads join — a mid-recording snapshot can catch a sample
+/// between its bucket and count increments.
+pub fn snapshot_all() -> Vec<HistSnapshot> {
+    Hist::ALL.iter().map(|&h| HISTS[h as usize].snapshot(h.name())).collect()
+}
 
-    /// No-op.
-    #[inline(always)]
-    pub fn reset_hists() {}
-
-    /// Zero-sized no-op timer: no fields, no `Drop`, so constructing
-    /// and dropping one compiles to nothing.
-    #[must_use = "a timer measures the region it is alive for"]
-    pub struct HistTimer;
-
-    impl HistTimer {
-        /// No-op.
-        #[inline(always)]
-        pub fn start(_hist: Hist) -> HistTimer {
-            HistTimer
-        }
+/// Zeroes every histogram.
+pub fn reset_hists() {
+    for h in &HISTS {
+        h.reset();
     }
 }
 
-pub use live_hist::{record, reset_hists, snapshot_all, HistTimer};
+/// RAII duration probe: records the wall ns between construction
+/// and drop into `hist`.
+#[must_use = "a timer measures the region it is alive for"]
+pub struct HistTimer {
+    hist: Hist,
+    start: Instant,
+}
+
+impl HistTimer {
+    /// Starts timing into `hist`.
+    #[inline]
+    pub fn start(hist: Hist) -> HistTimer {
+        HistTimer { hist, start: Instant::now() }
+    }
+}
+
+impl Drop for HistTimer {
+    fn drop(&mut self) {
+        record(self.hist, self.start.elapsed().as_nanos() as u64);
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn hist_names_match_all_order() {
@@ -387,115 +341,86 @@ mod tests {
         );
     }
 
-    #[cfg(not(feature = "enabled"))]
-    mod disabled {
-        use super::super::*;
+    // Histograms are process-global; serialize tests touching them.
+    static LOCK: Mutex<()> = Mutex::new(());
 
-        #[test]
-        fn timer_is_zero_sized_and_inert() {
-            assert_eq!(std::mem::size_of::<HistTimer>(), 0);
-            let t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-            drop(t);
-            record(Hist::ReplayFamilyChunkNs, 42);
-            assert!(snapshot_all().is_empty());
+    #[test]
+    fn concurrent_recording_merges_identically_to_serial() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Deterministic value stream, split across 4 threads vs
+        // recorded serially: the snapshots must be identical (the
+        // "merge" is threads sharing one atomic array).
+        let values: Vec<u64> =
+            (0..8_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17)).collect();
+        reset_hists();
+        for &v in &values {
+            record(Hist::SampleSliceReplayNs, v);
         }
-
-        #[test]
-        fn obs_hist_macro_does_not_evaluate_arguments() {
-            fn boom() -> u64 {
-                panic!("hist args must be unevaluated")
+        let serial = snapshot_all();
+        reset_hists();
+        std::thread::scope(|s| {
+            for chunk in values.chunks(values.len() / 4) {
+                s.spawn(move || {
+                    for &v in chunk {
+                        record(Hist::SampleSliceReplayNs, v);
+                    }
+                });
             }
-            crate::obs_hist!(Hist::PredictSolveNs, boom());
-            assert!(snapshot_all().is_empty());
-        }
+        });
+        let concurrent = snapshot_all();
+        assert_eq!(serial, concurrent, "thread interleaving must not change the histogram");
+        reset_hists();
     }
 
-    #[cfg(feature = "enabled")]
-    mod enabled {
-        use super::super::*;
-        use std::sync::Mutex;
-
-        // Histograms are process-global; serialize tests touching them.
-        static LOCK: Mutex<()> = Mutex::new(());
-
-        #[test]
-        fn concurrent_recording_merges_identically_to_serial() {
-            let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            // Deterministic value stream, split across 4 threads vs
-            // recorded serially: the snapshots must be identical (the
-            // "merge" is threads sharing one atomic array).
-            let values: Vec<u64> =
-                (0..8_000u64).map(|i| i.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17)).collect();
-            reset_hists();
-            for &v in &values {
-                record(Hist::SampleSliceReplayNs, v);
-            }
-            let serial = snapshot_all();
-            reset_hists();
-            std::thread::scope(|s| {
-                for chunk in values.chunks(values.len() / 4) {
-                    s.spawn(move || {
-                        for &v in chunk {
-                            record(Hist::SampleSliceReplayNs, v);
-                        }
-                    });
-                }
-            });
-            let concurrent = snapshot_all();
-            assert_eq!(serial, concurrent, "thread interleaving must not change the histogram");
-            reset_hists();
+    #[test]
+    fn quantile_error_is_bounded_by_bucket_width() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // Known sorted sample set: compare each reported quantile
+        // against the exact order statistic.
+        let mut values: Vec<u64> = (0..1_000u64).map(|i| i * i + 17).collect();
+        reset_hists();
+        for &v in &values {
+            record(Hist::PredictSolveNs, v);
         }
-
-        #[test]
-        fn quantile_error_is_bounded_by_bucket_width() {
-            let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            // Known sorted sample set: compare each reported quantile
-            // against the exact order statistic.
-            let mut values: Vec<u64> = (0..1_000u64).map(|i| i * i + 17).collect();
-            reset_hists();
-            for &v in &values {
-                record(Hist::PredictSolveNs, v);
-            }
-            values.sort_unstable();
-            let snap = snapshot_all()
-                .into_iter()
-                .find(|s| s.name == "predict.solve_ns")
-                .expect("snapshot present");
-            assert_eq!(snap.count, values.len() as u64);
-            assert_eq!(snap.max, *values.last().unwrap());
-            for q in [0.5, 0.9, 0.99, 1.0] {
-                let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
-                let exact = values[rank - 1];
-                let got = snap.quantile(q);
-                let b = bucket_of(exact);
-                let width = bucket_hi(b) - bucket_floor(b);
-                assert!(
-                    got >= exact.saturating_sub(width) && got <= exact + width,
-                    "q{q}: got {got}, exact {exact}, bucket width {width}"
-                );
-            }
-            // Monotone across the quantile range.
-            let qs: Vec<u64> = (0..=20).map(|k| snap.quantile(k as f64 / 20.0)).collect();
-            assert!(qs.windows(2).all(|w| w[0] <= w[1]), "quantiles must be monotone: {qs:?}");
-            assert!(snap.quantile(1.0) <= snap.max);
-            reset_hists();
+        values.sort_unstable();
+        let snap = snapshot_all()
+            .into_iter()
+            .find(|s| s.name == "predict.solve_ns")
+            .expect("snapshot present");
+        assert_eq!(snap.count, values.len() as u64);
+        assert_eq!(snap.max, *values.last().unwrap());
+        for q in [0.5, 0.9, 0.99, 1.0] {
+            let rank = ((q * values.len() as f64).ceil() as usize).clamp(1, values.len());
+            let exact = values[rank - 1];
+            let got = snap.quantile(q);
+            let b = bucket_of(exact);
+            let width = bucket_hi(b) - bucket_floor(b);
+            assert!(
+                got >= exact.saturating_sub(width) && got <= exact + width,
+                "q{q}: got {got}, exact {exact}, bucket width {width}"
+            );
         }
+        // Monotone across the quantile range.
+        let qs: Vec<u64> = (0..=20).map(|k| snap.quantile(k as f64 / 20.0)).collect();
+        assert!(qs.windows(2).all(|w| w[0] <= w[1]), "quantiles must be monotone: {qs:?}");
+        assert!(snap.quantile(1.0) <= snap.max);
+        reset_hists();
+    }
 
-        #[test]
-        fn timer_records_elapsed_time() {
-            let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            reset_hists();
-            {
-                let _t = HistTimer::start(Hist::CaptureL1GroupNs);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-            }
-            let snap = snapshot_all()
-                .into_iter()
-                .find(|s| s.name == "capture.l1_group_ns")
-                .expect("snapshot present");
-            assert_eq!(snap.count, 1);
-            assert!(snap.max >= 2_000_000, "timed at least the 2 ms sleep, got {} ns", snap.max);
-            reset_hists();
+    #[test]
+    fn timer_records_elapsed_time() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        reset_hists();
+        {
+            let _t = HistTimer::start(Hist::CaptureL1GroupNs);
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
+        let snap = snapshot_all()
+            .into_iter()
+            .find(|s| s.name == "capture.l1_group_ns")
+            .expect("snapshot present");
+        assert_eq!(snap.count, 1);
+        assert!(snap.max >= 2_000_000, "timed at least the 2 ms sleep, got {} ns", snap.max);
+        reset_hists();
     }
 }

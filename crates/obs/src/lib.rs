@@ -3,18 +3,14 @@
 //! The simulator's hot loops (trace capture, L1 filtering, family L2
 //! fan-out) run hundreds of millions of iterations per sweep, so the
 //! usual logging approaches are off the table: even a branch on a
-//! runtime flag per event is measurable. This crate therefore follows
-//! the kernel-tracepoint model instead:
-//!
-//! * With the `enabled` feature **off** (the default), every probe
-//!   compiles away. [`ENABLED`] is `const false`, the [`obs_count!`]
-//!   and [`obs_event!`] macros expand to `if false { .. }` blocks the
-//!   optimizer deletes (arguments are never evaluated), and
-//!   [`PhaseSpan`] is a zero-sized type with no `Drop` impl.
-//! * With `enabled` **on**, counters are relaxed atomics in one global
-//!   [`CounterSet`], and [`PhaseSpan`] records wall/CPU time into a
-//!   process-global span list, maintaining a thread-local path stack so
-//!   spans nest correctly even across scoped worker threads.
+//! runtime flag per event is measurable. Instrumentation is therefore
+//! always compiled in, with no flag to test, and its probes sit at
+//! phase boundaries rather than in the per-event loops (see
+//! `docs/observability.md` for its measured cost). Counters are
+//! relaxed atomics in one global [`CounterSet`], and [`PhaseSpan`]
+//! records wall/CPU time into a process-global span list, maintaining a
+//! thread-local path stack so spans nest correctly even across scoped
+//! worker threads.
 //!
 //! Hot-path discipline: probes in per-event code must be *flushed
 //! totals* (one `obs_count!` per chunk/replay pass, accumulated in a
@@ -26,9 +22,7 @@
 //! for Perfetto, and the [`registry`] module persists manifests under
 //! `.tlc/runs/` and diffs them run-over-run.
 //!
-//! The [`manifest`] module (always compiled, so `--metrics` keeps
-//! working in uninstrumented builds — it just reports
-//! `"instrumentation": false`) assembles counters + spans + events +
+//! The [`manifest`] module assembles counters + spans + events +
 //! histograms + memory accounting into a versioned `tlc-run-manifest/2`
 //! JSON document.
 #![warn(missing_docs)]
@@ -40,9 +34,10 @@ pub mod trace_export;
 
 pub use hist::{Hist, HistTimer};
 
-/// `true` iff this build carries live instrumentation (`enabled`
-/// feature). A `const` so `if ENABLED { .. }` folds away entirely.
-pub const ENABLED: bool = cfg!(feature = "enabled");
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::time::Instant;
 
 /// Cap on retained span records. A big sweep can close millions of
 /// fine-grained spans; beyond this the *oldest* are overwritten (ring
@@ -262,370 +257,253 @@ pub struct ObsEventRecord {
     pub detail: String,
 }
 
-#[cfg(feature = "enabled")]
-mod live {
-    use super::{Counter, ObsEventRecord, SpanRecord};
-    use std::cell::{Cell, RefCell};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Mutex, OnceLock};
-    use std::time::Instant;
+/// Process-global array of relaxed atomic counters.
+pub struct CounterSet {
+    vals: [AtomicU64; Counter::COUNT],
+}
 
-    /// Process-global array of relaxed atomic counters.
-    pub struct CounterSet {
-        vals: [AtomicU64; Counter::COUNT],
+impl CounterSet {
+    #[allow(clippy::declare_interior_mutable_const)] // repeat-init seed
+    const ZERO: AtomicU64 = AtomicU64::new(0);
+
+    /// Empty set, usable in statics.
+    pub const fn new() -> Self {
+        CounterSet { vals: [Self::ZERO; Counter::COUNT] }
     }
 
-    impl CounterSet {
-        #[allow(clippy::declare_interior_mutable_const)] // repeat-init seed
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-
-        /// Empty set, usable in statics.
-        pub const fn new() -> Self {
-            CounterSet { vals: [Self::ZERO; Counter::COUNT] }
-        }
-
-        /// Adds `n` to `c` (relaxed; totals only, no ordering implied).
-        #[inline]
-        pub fn add(&self, c: Counter, n: u64) {
-            self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
-        }
-
-        /// Current value of `c`.
-        pub fn get(&self, c: Counter) -> u64 {
-            self.vals[c as usize].load(Ordering::Relaxed)
-        }
-
-        /// Snapshot of all counters, in [`Counter::ALL`] order.
-        pub fn snapshot(&self) -> [u64; Counter::COUNT] {
-            let mut out = [0u64; Counter::COUNT];
-            for (slot, c) in out.iter_mut().zip(Counter::ALL) {
-                *slot = self.get(c);
-            }
-            out
-        }
-
-        /// Zeroes every counter.
-        pub fn reset(&self) {
-            for v in &self.vals {
-                v.store(0, Ordering::Relaxed);
-            }
-        }
+    /// Adds `n` to `c` (relaxed; totals only, no ordering implied).
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        self.vals[c as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    impl Default for CounterSet {
-        fn default() -> Self {
-            Self::new()
-        }
+    /// Current value of `c`.
+    pub fn get(&self, c: Counter) -> u64 {
+        self.vals[c as usize].load(Ordering::Relaxed)
     }
 
-    use super::SPAN_RING_CAPACITY;
-
-    /// Fixed-capacity overwrite-oldest buffer of span records.
-    struct SpanRing {
-        buf: Vec<SpanRecord>,
-        /// Next write position once `buf` is full (oldest record).
-        next: usize,
-        dropped: u64,
+    /// Snapshot of all counters, in [`Counter::ALL`] order.
+    pub fn snapshot(&self) -> [u64; Counter::COUNT] {
+        let mut out = [0u64; Counter::COUNT];
+        for (slot, c) in out.iter_mut().zip(Counter::ALL) {
+            *slot = self.get(c);
+        }
+        out
     }
 
-    impl SpanRing {
-        const fn new() -> SpanRing {
-            SpanRing { buf: Vec::new(), next: 0, dropped: 0 }
+    /// Zeroes every counter.
+    pub fn reset(&self) {
+        for v in &self.vals {
+            v.store(0, Ordering::Relaxed);
         }
+    }
+}
 
-        fn push(&mut self, rec: SpanRecord) {
-            if self.buf.len() < SPAN_RING_CAPACITY {
-                self.buf.push(rec);
-            } else {
-                self.buf[self.next] = rec;
-                self.next = (self.next + 1) % SPAN_RING_CAPACITY;
-                self.dropped += 1;
-            }
-        }
+impl Default for CounterSet {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
-        /// Drains in oldest-first order and resets.
-        fn take(&mut self) -> Vec<SpanRecord> {
-            let mut out = std::mem::take(&mut self.buf);
-            out.rotate_left(self.next);
-            self.next = 0;
-            out
+/// Fixed-capacity overwrite-oldest buffer of span records.
+struct SpanRing {
+    buf: Vec<SpanRecord>,
+    /// Next write position once `buf` is full (oldest record).
+    next: usize,
+    dropped: u64,
+}
+
+impl SpanRing {
+    const fn new() -> SpanRing {
+        SpanRing { buf: Vec::new(), next: 0, dropped: 0 }
+    }
+
+    fn push(&mut self, rec: SpanRecord) {
+        if self.buf.len() < SPAN_RING_CAPACITY {
+            self.buf.push(rec);
+        } else {
+            self.buf[self.next] = rec;
+            self.next = (self.next + 1) % SPAN_RING_CAPACITY;
+            self.dropped += 1;
         }
     }
 
-    static COUNTERS: CounterSet = CounterSet::new();
-    static SPANS: Mutex<SpanRing> = Mutex::new(SpanRing::new());
-    static EVENTS: Mutex<Vec<ObsEventRecord>> = Mutex::new(Vec::new());
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+    /// Drains in oldest-first order and resets.
+    fn take(&mut self) -> Vec<SpanRecord> {
+        let mut out = std::mem::take(&mut self.buf);
+        out.rotate_left(self.next);
+        self.next = 0;
+        out
+    }
+}
 
-    thread_local! {
-        static PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
-        static TID: Cell<u64> = const { Cell::new(0) };
+static COUNTERS: CounterSet = CounterSet::new();
+static SPANS: Mutex<SpanRing> = Mutex::new(SpanRing::new());
+static EVENTS: Mutex<Vec<ObsEventRecord>> = Mutex::new(Vec::new());
+static EPOCH: OnceLock<Instant> = OnceLock::new();
+static NEXT_TID: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    static PATH: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static TID: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The global counter set.
+pub fn counters() -> &'static CounterSet {
+    &COUNTERS
+}
+
+fn epoch() -> Instant {
+    *EPOCH.get_or_init(Instant::now)
+}
+
+fn thread_id() -> u64 {
+    TID.with(|t| {
+        if t.get() == 0 {
+            t.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
+        }
+        t.get()
+    })
+}
+
+/// Thread CPU time in ns from `/proc/thread-self/schedstat`
+/// (first field). `None` where procfs is unavailable.
+fn thread_cpu_ns() -> Option<u64> {
+    let s = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+    s.split_whitespace().next()?.parse().ok()
+}
+
+/// RAII phase span: times the region between construction and drop
+/// and records it under the thread's current span path.
+pub struct PhaseSpan {
+    path: Vec<String>,
+    saved: Vec<String>,
+    start: Instant,
+    start_ns: u64,
+    cpu0: Option<u64>,
+    items: Cell<u64>,
+}
+
+impl PhaseSpan {
+    fn enter_path(path: Vec<String>, saved: Vec<String>) -> PhaseSpan {
+        let start = Instant::now();
+        PhaseSpan {
+            path,
+            saved,
+            start,
+            start_ns: start.duration_since(epoch()).as_nanos() as u64,
+            cpu0: thread_cpu_ns(),
+            items: Cell::new(0),
+        }
     }
 
-    /// The global counter set.
-    pub fn counters() -> &'static CounterSet {
-        &COUNTERS
+    /// Opens a span named `name` nested under the thread's current
+    /// span (if any).
+    pub fn enter(name: &str) -> PhaseSpan {
+        Self::enter_with(name, "")
     }
 
-    fn epoch() -> Instant {
-        *EPOCH.get_or_init(Instant::now)
-    }
-
-    fn thread_id() -> u64 {
-        TID.with(|t| {
-            if t.get() == 0 {
-                t.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
-            }
-            t.get()
+    /// Like [`PhaseSpan::enter`], with a label: the path segment
+    /// becomes `name[label]`.
+    pub fn enter_with(name: &str, label: &str) -> PhaseSpan {
+        PATH.with(|p| {
+            let saved = p.borrow().clone();
+            let mut path = saved.clone();
+            path.push(segment(name, label));
+            *p.borrow_mut() = path.clone();
+            Self::enter_path(path, saved)
         })
     }
 
-    /// Thread CPU time in ns from `/proc/thread-self/schedstat`
-    /// (first field). `None` where procfs is unavailable.
-    fn thread_cpu_ns() -> Option<u64> {
-        let s = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-        s.split_whitespace().next()?.parse().ok()
+    /// Opens a span on *this* thread nested under an explicit
+    /// parent path (for worker threads, whose thread-local stack
+    /// starts empty). `parent` usually comes from
+    /// [`current_path`] captured on the spawning thread.
+    pub fn enter_under(parent: &[String], name: &str, label: &str) -> PhaseSpan {
+        PATH.with(|p| {
+            let saved = p.borrow().clone();
+            let mut path = parent.to_vec();
+            path.push(segment(name, label));
+            *p.borrow_mut() = path.clone();
+            Self::enter_path(path, saved)
+        })
     }
 
-    /// RAII phase span: times the region between construction and drop
-    /// and records it under the thread's current span path.
-    pub struct PhaseSpan {
-        path: Vec<String>,
-        saved: Vec<String>,
-        start: Instant,
-        start_ns: u64,
-        cpu0: Option<u64>,
-        items: Cell<u64>,
-    }
-
-    impl PhaseSpan {
-        fn enter_path(path: Vec<String>, saved: Vec<String>) -> PhaseSpan {
-            let start = Instant::now();
-            PhaseSpan {
-                path,
-                saved,
-                start,
-                start_ns: start.duration_since(epoch()).as_nanos() as u64,
-                cpu0: thread_cpu_ns(),
-                items: Cell::new(0),
-            }
-        }
-
-        /// Opens a span named `name` nested under the thread's current
-        /// span (if any).
-        pub fn enter(name: &str) -> PhaseSpan {
-            Self::enter_with(name, String::new)
-        }
-
-        /// Like [`PhaseSpan::enter`], with a lazily-built label: the
-        /// path segment becomes `name[label]`. The closure only runs in
-        /// instrumented builds.
-        pub fn enter_with(name: &str, label: impl FnOnce() -> String) -> PhaseSpan {
-            PATH.with(|p| {
-                let saved = p.borrow().clone();
-                let mut path = saved.clone();
-                path.push(segment(name, &label()));
-                *p.borrow_mut() = path.clone();
-                Self::enter_path(path, saved)
-            })
-        }
-
-        /// Opens a span on *this* thread nested under an explicit
-        /// parent path (for worker threads, whose thread-local stack
-        /// starts empty). `parent` usually comes from
-        /// [`current_path`] captured on the spawning thread.
-        pub fn enter_under(parent: &[String], name: &str, label: &str) -> PhaseSpan {
-            PATH.with(|p| {
-                let saved = p.borrow().clone();
-                let mut path = parent.to_vec();
-                path.push(segment(name, label));
-                *p.borrow_mut() = path.clone();
-                Self::enter_path(path, saved)
-            })
-        }
-
-        /// Attributes `n` work items to this span (e.g. configs
-        /// evaluated by a worker) — the manifest surfaces per-span
-        /// item counts so queue imbalance is visible.
-        pub fn add_items(&self, n: u64) {
-            self.items.set(self.items.get() + n);
-        }
-    }
-
-    fn segment(name: &str, label: &str) -> String {
-        if label.is_empty() {
-            name.to_string()
-        } else {
-            format!("{name}[{label}]")
-        }
-    }
-
-    impl Drop for PhaseSpan {
-        fn drop(&mut self) {
-            let wall_ns = self.start.elapsed().as_nanos() as u64;
-            let cpu_ns = match (self.cpu0, thread_cpu_ns()) {
-                (Some(a), Some(b)) => Some(b.saturating_sub(a)),
-                _ => None,
-            };
-            let rec = SpanRecord {
-                path: std::mem::take(&mut self.path),
-                thread: thread_id(),
-                start_ns: self.start_ns,
-                wall_ns,
-                cpu_ns,
-                items: self.items.get(),
-            };
-            PATH.with(|p| *p.borrow_mut() = std::mem::take(&mut self.saved));
-            SPANS.lock().unwrap().push(rec);
-        }
-    }
-
-    /// Spans overwritten by the ring buffer since the last [`reset`]
-    /// (not cleared by [`take_spans`], so the manifest can report it
-    /// after draining).
-    pub fn spans_dropped() -> u64 {
-        SPANS.lock().unwrap().dropped
-    }
-
-    /// The current thread's open span path (for handing to
-    /// [`PhaseSpan::enter_under`] on spawned workers).
-    pub fn current_path() -> Vec<String> {
-        PATH.with(|p| p.borrow().clone())
-    }
-
-    /// Drains and returns all retained spans, oldest first. If the ring
-    /// overflowed, the oldest spans are gone — check [`spans_dropped`].
-    pub fn take_spans() -> Vec<SpanRecord> {
-        SPANS.lock().unwrap().take()
-    }
-
-    /// Records a point event.
-    pub fn record_event(kind: &str, detail: String) {
-        EVENTS.lock().unwrap().push(ObsEventRecord { kind: kind.to_string(), detail });
-    }
-
-    /// Drains and returns all recorded point events.
-    pub fn take_events() -> Vec<ObsEventRecord> {
-        std::mem::take(&mut EVENTS.lock().unwrap())
-    }
-
-    /// Clears counters, spans, events, and histograms (test isolation
-    /// and run-to-run separation in long-lived processes).
-    pub fn reset() {
-        COUNTERS.reset();
-        *SPANS.lock().unwrap() = SpanRing::new();
-        EVENTS.lock().unwrap().clear();
-        crate::hist::reset_hists();
+    /// Attributes `n` work items to this span (e.g. configs
+    /// evaluated by a worker) — the manifest surfaces per-span
+    /// item counts so queue imbalance is visible.
+    pub fn add_items(&self, n: u64) {
+        self.items.set(self.items.get() + n);
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-mod live {
-    use super::{Counter, ObsEventRecord, SpanRecord};
-
-    /// No-op stand-in: a zero-sized type whose methods vanish.
-    pub struct CounterSet;
-
-    impl CounterSet {
-        /// No-op.
-        #[inline(always)]
-        pub fn add(&self, _c: Counter, _n: u64) {}
-
-        /// Always zero.
-        #[inline(always)]
-        pub fn get(&self, _c: Counter) -> u64 {
-            0
-        }
-
-        /// All zeroes.
-        #[inline(always)]
-        pub fn snapshot(&self) -> [u64; Counter::COUNT] {
-            [0; Counter::COUNT]
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn reset(&self) {}
+fn segment(name: &str, label: &str) -> String {
+    if label.is_empty() {
+        name.to_string()
+    } else {
+        format!("{name}[{label}]")
     }
-
-    static COUNTERS: CounterSet = CounterSet;
-
-    /// The (inert) global counter set.
-    #[inline(always)]
-    pub fn counters() -> &'static CounterSet {
-        &COUNTERS
-    }
-
-    /// Zero-sized no-op span: no fields, no `Drop`, so constructing
-    /// and dropping one compiles to nothing.
-    #[must_use = "a span times the region it is alive for"]
-    pub struct PhaseSpan;
-
-    impl PhaseSpan {
-        /// No-op.
-        #[inline(always)]
-        pub fn enter(_name: &str) -> PhaseSpan {
-            PhaseSpan
-        }
-
-        /// No-op; the label closure is never called.
-        #[inline(always)]
-        pub fn enter_with(_name: &str, _label: impl FnOnce() -> String) -> PhaseSpan {
-            PhaseSpan
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn enter_under(_parent: &[String], _name: &str, _label: &str) -> PhaseSpan {
-            PhaseSpan
-        }
-
-        /// No-op.
-        #[inline(always)]
-        pub fn add_items(&self, _n: u64) {}
-    }
-
-    /// Always empty in uninstrumented builds.
-    #[inline(always)]
-    pub fn current_path() -> Vec<String> {
-        Vec::new()
-    }
-
-    /// Always empty in uninstrumented builds.
-    #[inline(always)]
-    pub fn take_spans() -> Vec<SpanRecord> {
-        Vec::new()
-    }
-
-    /// Always zero in uninstrumented builds.
-    #[inline(always)]
-    pub fn spans_dropped() -> u64 {
-        0
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn record_event(_kind: &str, _detail: String) {}
-
-    /// Always empty in uninstrumented builds.
-    #[inline(always)]
-    pub fn take_events() -> Vec<ObsEventRecord> {
-        Vec::new()
-    }
-
-    /// No-op.
-    #[inline(always)]
-    pub fn reset() {}
 }
 
-pub use live::{
-    counters, current_path, record_event, reset, spans_dropped, take_events, take_spans,
-    CounterSet, PhaseSpan,
-};
+impl Drop for PhaseSpan {
+    fn drop(&mut self) {
+        let wall_ns = self.start.elapsed().as_nanos() as u64;
+        let cpu_ns = match (self.cpu0, thread_cpu_ns()) {
+            (Some(a), Some(b)) => Some(b.saturating_sub(a)),
+            _ => None,
+        };
+        let rec = SpanRecord {
+            path: std::mem::take(&mut self.path),
+            thread: thread_id(),
+            start_ns: self.start_ns,
+            wall_ns,
+            cpu_ns,
+            items: self.items.get(),
+        };
+        PATH.with(|p| *p.borrow_mut() = std::mem::take(&mut self.saved));
+        SPANS.lock().unwrap().push(rec);
+    }
+}
 
-/// Bumps a [`Counter`] by `n`. Compiles to nothing (arguments
-/// unevaluated) when the `enabled` feature is off.
+/// Spans overwritten by the ring buffer since the last [`reset`]
+/// (not cleared by [`take_spans`], so the manifest can report it
+/// after draining).
+pub fn spans_dropped() -> u64 {
+    SPANS.lock().unwrap().dropped
+}
+
+/// The current thread's open span path (for handing to
+/// [`PhaseSpan::enter_under`] on spawned workers).
+pub fn current_path() -> Vec<String> {
+    PATH.with(|p| p.borrow().clone())
+}
+
+/// Drains and returns all retained spans, oldest first. If the ring
+/// overflowed, the oldest spans are gone — check [`spans_dropped`].
+pub fn take_spans() -> Vec<SpanRecord> {
+    SPANS.lock().unwrap().take()
+}
+
+/// Records a point event.
+pub fn record_event(kind: &str, detail: String) {
+    EVENTS.lock().unwrap().push(ObsEventRecord { kind: kind.to_string(), detail });
+}
+
+/// Drains and returns all recorded point events.
+pub fn take_events() -> Vec<ObsEventRecord> {
+    std::mem::take(&mut EVENTS.lock().unwrap())
+}
+
+/// Clears counters, spans, events, and histograms (test isolation
+/// and run-to-run separation in long-lived processes).
+pub fn reset() {
+    COUNTERS.reset();
+    *SPANS.lock().unwrap() = SpanRing::new();
+    EVENTS.lock().unwrap().clear();
+    crate::hist::reset_hists();
+}
+
+/// Bumps a [`Counter`] by `n`.
 ///
 /// ```
 /// tlc_obs::obs_count!(tlc_obs::Counter::TraceChunks, 4);
@@ -633,14 +511,11 @@ pub use live::{
 #[macro_export]
 macro_rules! obs_count {
     ($c:expr, $n:expr) => {
-        if $crate::ENABLED {
-            $crate::counters().add($c, $n);
-        }
+        $crate::counters().add($c, $n)
     };
 }
 
 /// Records a point event with a `format!`-style detail message.
-/// Compiles to nothing (no formatting) when `enabled` is off.
 ///
 /// ```
 /// tlc_obs::obs_event!("fallback.byte_limit", "l1={}B", 8192);
@@ -648,13 +523,11 @@ macro_rules! obs_count {
 #[macro_export]
 macro_rules! obs_event {
     ($kind:expr, $($arg:tt)*) => {
-        if $crate::ENABLED {
-            $crate::record_event($kind, format!($($arg)*));
-        }
+        $crate::record_event($kind, format!($($arg)*))
     };
 }
 
-/// Opens a [`PhaseSpan`] (zero-sized no-op when `enabled` is off).
+/// Opens a [`PhaseSpan`].
 /// Bind the result — `let _span = obs_span!("fan_out");` — so it
 /// lives for the region being timed.
 #[macro_export]
@@ -664,9 +537,8 @@ macro_rules! obs_span {
     };
 }
 
-/// Records one sample into a [`Hist`]. Compiles to nothing (arguments
-/// unevaluated) when the `enabled` feature is off. For durations,
-/// prefer [`HistTimer::start`].
+/// Records one sample into a [`Hist`]. For durations, prefer
+/// [`HistTimer::start`].
 ///
 /// ```
 /// tlc_obs::obs_hist!(tlc_obs::Hist::RunnerWorkerItems, 12);
@@ -674,15 +546,17 @@ macro_rules! obs_span {
 #[macro_export]
 macro_rules! obs_hist {
     ($h:expr, $v:expr) => {
-        if $crate::ENABLED {
-            $crate::hist::record($h, $v);
-        }
+        $crate::hist::record($h, $v)
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // Counters/spans are process-global; serialize tests touching
+    // them.
+    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn counter_names_match_all_order() {
@@ -692,127 +566,82 @@ mod tests {
         }
     }
 
-    // With the crate built featureless (the default for its own test
-    // target even when the workspace enables obs elsewhere), the span
-    // must be a true ZST and all probes inert.
-    #[cfg(not(feature = "enabled"))]
-    mod disabled {
-        use super::super::*;
-
-        #[test]
-        fn span_is_zero_sized_and_inert() {
-            assert!(!ENABLED);
-            assert_eq!(std::mem::size_of::<PhaseSpan>(), 0);
-            let s = PhaseSpan::enter_with("phase", || unreachable!("label must be lazy"));
-            s.add_items(10);
-            drop(s);
-            assert!(take_spans().is_empty());
-        }
-
-        #[test]
-        fn counters_and_events_are_inert() {
-            obs_count!(Counter::TraceChunks, 7);
-            assert_eq!(counters().get(Counter::TraceChunks), 0);
-            assert_eq!(counters().snapshot(), [0; Counter::COUNT]);
-            // Argument side effects must not run when disabled.
-            fn boom() -> u64 {
-                panic!("event args must be unevaluated")
-            }
-            obs_event!("kind", "{}", boom());
-            assert!(take_events().is_empty());
-            assert!(current_path().is_empty());
-        }
+    #[test]
+    fn counters_accumulate_and_reset() {
+        let _g = LOCK.lock().unwrap();
+        reset();
+        obs_count!(Counter::L2Probes, 3);
+        obs_count!(Counter::L2Probes, 4);
+        assert_eq!(counters().get(Counter::L2Probes), 7);
+        reset();
+        assert_eq!(counters().get(Counter::L2Probes), 0);
     }
 
-    #[cfg(feature = "enabled")]
-    mod enabled {
-        use super::super::*;
-        use std::sync::Mutex;
-
-        // Counters/spans are process-global; serialize tests touching
-        // them.
-        static LOCK: Mutex<()> = Mutex::new(());
-
-        #[test]
-        fn counters_accumulate_and_reset() {
-            let _g = LOCK.lock().unwrap();
-            reset();
-            obs_count!(Counter::L2Probes, 3);
-            obs_count!(Counter::L2Probes, 4);
-            assert_eq!(counters().get(Counter::L2Probes), 7);
-            reset();
-            assert_eq!(counters().get(Counter::L2Probes), 0);
-        }
-
-        #[test]
-        fn spans_nest_on_one_thread() {
-            let _g = LOCK.lock().unwrap();
-            reset();
+    #[test]
+    fn spans_nest_on_one_thread() {
+        let _g = LOCK.lock().unwrap();
+        reset();
+        {
+            let outer = PhaseSpan::enter("outer");
+            outer.add_items(2);
             {
-                let outer = PhaseSpan::enter("outer");
-                outer.add_items(2);
-                {
-                    let _inner = PhaseSpan::enter_with("inner", || "x".to_string());
+                let _inner = PhaseSpan::enter_with("inner", "x");
+            }
+            assert_eq!(current_path(), vec!["outer".to_string()]);
+        }
+        let mut spans = take_spans();
+        spans.sort_by_key(|s| s.path.len());
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].path, ["outer"]);
+        assert_eq!(spans[0].items, 2);
+        assert_eq!(spans[1].path, ["outer", "inner[x]"]);
+        assert!(spans[1].wall_ns <= spans[0].wall_ns);
+    }
+
+    #[test]
+    fn enter_under_nests_across_threads() {
+        let _g = LOCK.lock().unwrap();
+        reset();
+        {
+            let _root = PhaseSpan::enter("root");
+            let parent = current_path();
+            std::thread::scope(|scope| {
+                for w in 0..2u64 {
+                    let parent = parent.clone();
+                    scope.spawn(move || {
+                        let s = PhaseSpan::enter_under(&parent, "worker", &w.to_string());
+                        s.add_items(1);
+                    });
                 }
-                assert_eq!(current_path(), vec!["outer".to_string()]);
-            }
-            let mut spans = take_spans();
-            spans.sort_by_key(|s| s.path.len());
-            assert_eq!(spans.len(), 2);
-            assert_eq!(spans[0].path, ["outer"]);
-            assert_eq!(spans[0].items, 2);
-            assert_eq!(spans[1].path, ["outer", "inner[x]"]);
-            assert!(spans[1].wall_ns <= spans[0].wall_ns);
+            });
         }
+        let spans = take_spans();
+        assert_eq!(spans.len(), 3);
+        let workers: Vec<_> = spans.iter().filter(|s| s.path.len() == 2).collect();
+        assert_eq!(workers.len(), 2);
+        for w in &workers {
+            assert_eq!(w.path[0], "root");
+            assert!(w.path[1].starts_with("worker["));
+        }
+        // Distinct threads got distinct ids.
+        assert_ne!(workers[0].thread, workers[1].thread);
+    }
 
-        #[test]
-        fn enter_under_nests_across_threads() {
-            let _g = LOCK.lock().unwrap();
-            reset();
-            {
-                let _root = PhaseSpan::enter("root");
-                let parent = current_path();
-                std::thread::scope(|scope| {
-                    for w in 0..2u64 {
-                        let parent = parent.clone();
-                        scope.spawn(move || {
-                            let s = PhaseSpan::enter_under(&parent, "worker", &w.to_string());
-                            s.add_items(1);
-                        });
-                    }
-                });
-            }
-            let spans = take_spans();
-            assert_eq!(spans.len(), 3);
-            let workers: Vec<_> = spans.iter().filter(|s| s.path.len() == 2).collect();
-            assert_eq!(workers.len(), 2);
-            for w in &workers {
-                assert_eq!(w.path[0], "root");
-                assert!(w.path[1].starts_with("worker["));
-            }
-            // Distinct threads got distinct ids.
-            assert_ne!(workers[0].thread, workers[1].thread);
+    #[test]
+    fn span_ring_overwrites_oldest_and_counts_drops() {
+        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        reset();
+        let extra = 5usize;
+        for i in 0..SPAN_RING_CAPACITY + extra {
+            let _s = PhaseSpan::enter_with("s", &i.to_string());
         }
-
-        #[test]
-        fn span_ring_overwrites_oldest_and_counts_drops() {
-            let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-            reset();
-            let extra = 5usize;
-            for i in 0..SPAN_RING_CAPACITY + extra {
-                let _s = PhaseSpan::enter_with("s", || i.to_string());
-            }
-            assert_eq!(spans_dropped(), extra as u64);
-            let spans = take_spans();
-            assert_eq!(spans.len(), SPAN_RING_CAPACITY);
-            // Oldest `extra` spans were overwritten; order is preserved.
-            assert_eq!(spans[0].path, [format!("s[{extra}]")]);
-            assert_eq!(
-                spans.last().unwrap().path,
-                [format!("s[{}]", SPAN_RING_CAPACITY + extra - 1)]
-            );
-            reset();
-            assert_eq!(spans_dropped(), 0);
-        }
+        assert_eq!(spans_dropped(), extra as u64);
+        let spans = take_spans();
+        assert_eq!(spans.len(), SPAN_RING_CAPACITY);
+        // Oldest `extra` spans were overwritten; order is preserved.
+        assert_eq!(spans[0].path, [format!("s[{extra}]")]);
+        assert_eq!(spans.last().unwrap().path, [format!("s[{}]", SPAN_RING_CAPACITY + extra - 1)]);
+        reset();
+        assert_eq!(spans_dropped(), 0);
     }
 }

@@ -11,11 +11,10 @@
 //! count). The new fields deserialize with defaults, so `/1` documents
 //! still parse — but [`RunManifest::validate`] only accepts `/2`.
 //!
-//! This module is compiled regardless of the `enabled` feature so
-//! `--metrics` always produces a document; uninstrumented builds mark
-//! it `"instrumentation": false` and carry empty counters/spans (the
-//! `memory` RSS fields are real either way — they come from procfs,
-//! not from probes).
+//! Every build is instrumented, so `instrumentation` is always written
+//! `true`; the field stays in the schema so documents from older,
+//! uninstrumented builds (`false`, empty counters and spans) still
+//! parse, but [`RunManifest::validate`] rejects them.
 
 use crate::hist::{HistBucket, HistSnapshot};
 use crate::{Counter, ObsEventRecord, SpanRecord};
@@ -97,8 +96,7 @@ impl HistogramSummary {
 
 /// Memory accounting for the run. RSS figures come from
 /// `/proc/self/status` at manifest-collection time (0 where procfs is
-/// unavailable); the byte totals come from counters and are 0 in
-/// uninstrumented builds.
+/// unavailable); the byte totals come from counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemorySection {
     /// Process peak resident set size in bytes (`VmHWM`).
@@ -188,16 +186,18 @@ pub struct RunManifest {
     pub config_space_hash: String,
     /// End-to-end wall time in seconds.
     pub wall_s: f64,
-    /// Whether the producing build carried live instrumentation.
+    /// Whether the producing build carried live instrumentation
+    /// (always `true` today; `false` in documents from older no-op
+    /// builds).
     pub instrumentation: bool,
     /// Counter totals (all counters, [`Counter::ALL`] order).
     pub counters: Vec<CounterTotal>,
-    /// Aggregated span tree (empty when uninstrumented).
+    /// Aggregated span tree.
     pub spans: Vec<SpanNode>,
     /// Point events in record order (fallbacks, errors).
     pub events: Vec<ObsEventRecord>,
     /// Latency histogram summaries, one per `Hist`, in `Hist::ALL`
-    /// order (empty when uninstrumented; absent in `/1` documents).
+    /// order (absent in `/1` documents).
     #[serde(default = "Vec::new")]
     pub histograms: Vec<HistogramSummary>,
     /// Memory accounting (all-zero in `/1` documents).
@@ -244,7 +244,7 @@ impl RunManifest {
             configs: meta.configs,
             config_space_hash: meta.config_space_hash,
             wall_s: meta.wall_s,
-            instrumentation: crate::ENABLED,
+            instrumentation: true,
             counters,
             spans: build_span_tree(spans),
             events,
@@ -270,7 +270,9 @@ impl RunManifest {
     /// Checks structural and arithmetic invariants:
     ///
     /// * `schema` matches [`SCHEMA`];
-    /// * when instrumented: `filter.events_decoded` ==
+    /// * `instrumentation` is `true` (the all-zero counters of an older
+    ///   no-op build prove nothing);
+    /// * `filter.events_decoded` ==
     ///   `filter.l1_hits + filter.l1_misses`, `l2.probes` ==
     ///   `l2.hits + l2.misses`, and for sweeps
     ///   `runner.configs_completed` == `configs` (times the phase count
@@ -311,7 +313,9 @@ impl RunManifest {
             ));
         }
         if !self.instrumentation {
-            return Ok(()); // counters are all zero by construction
+            return Err(
+                "instrumentation is false: only instrumented manifests are accepted".to_string()
+            );
         }
         let get =
             |name: &str| self.counter(name).ok_or_else(|| format!("missing counter {name:?}"));
@@ -612,21 +616,18 @@ mod tests {
     #[test]
     fn validate_checks_schema_and_invariants() {
         let mut m = RunManifest::from_parts(meta(), Vec::new(), Vec::new(), [0; Counter::COUNT]);
-        // Uninstrumented (or all-zero) manifests validate trivially.
+        // All-zero counters over zero configs satisfy every invariant.
         assert!(m.validate().is_ok());
         m.schema = "bogus".to_string();
         assert!(m.validate().unwrap_err().contains("schema"));
+        m.schema = SCHEMA.to_string();
+        m.instrumentation = false;
+        assert!(m.validate().unwrap_err().contains("instrumentation is false"));
     }
 
     #[test]
     fn validate_rejects_broken_counter_arithmetic() {
         let mut m = RunManifest::from_parts(meta(), Vec::new(), Vec::new(), [0; Counter::COUNT]);
-        if !m.instrumentation {
-            // Invariants are only enforced on instrumented manifests;
-            // force the flag so the arithmetic paths are exercised in
-            // featureless builds of this crate too.
-            m.instrumentation = true;
-        }
         let set = |m: &mut RunManifest, name: &str, v: u64| {
             m.counters.iter_mut().find(|c| c.name == name).unwrap().value = v;
         };
@@ -727,13 +728,9 @@ mod tests {
     #[test]
     fn manifest_carries_histograms_in_hist_all_order() {
         let m = RunManifest::from_parts(meta(), Vec::new(), Vec::new(), [0; Counter::COUNT]);
-        if crate::ENABLED {
-            let names: Vec<_> = m.histograms.iter().map(|h| h.name.as_str()).collect();
-            let expected: Vec<_> = crate::Hist::ALL.iter().map(|h| h.name()).collect();
-            assert_eq!(names, expected);
-        } else {
-            assert!(m.histograms.is_empty());
-        }
+        let names: Vec<_> = m.histograms.iter().map(|h| h.name.as_str()).collect();
+        let expected: Vec<_> = crate::Hist::ALL.iter().map(|h| h.name()).collect();
+        assert_eq!(names, expected);
     }
 
     #[test]

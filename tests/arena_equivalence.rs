@@ -19,8 +19,8 @@ use tlc_cache::{
     L1FrontEnd, MemorySystem, ReplacementKind,
 };
 use tlc_core::experiment::{
-    build_system, capture_benchmark, capture_miss_stream, evaluate, evaluate_arena,
-    evaluate_family, simulate_source_on, DesignPoint, SimBudget,
+    capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_family,
+    simulate_source, DesignPoint, SimBudget,
 };
 use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads};
 use tlc_core::{L2Policy, MachineConfig};
@@ -29,12 +29,6 @@ use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{AccessKind, Addr, LineAddr, MemRef, MissEvent, TraceArena, VictimLine};
 
 const BUDGET: SimBudget = SimBudget { instructions: 12_000, warmup_instructions: 3_000 };
-
-/// `cfg` on `benchmark`'s regenerated stream through the boxed
-/// `dyn MemorySystem` path, under the same warm-up/measure protocol.
-fn dyn_stats(cfg: &MachineConfig, benchmark: SpecBenchmark) -> HierarchyStats {
-    simulate_source_on(&mut *build_system(cfg), &mut benchmark.workload(), BUDGET)
-}
 
 /// One configuration per `SystemKind` variant: single-level, conventional
 /// two-level, and exclusive two-level.
@@ -70,9 +64,9 @@ fn exclusive_family(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyS
         .remove(0)
 }
 
-/// Every benchmark × every hierarchy kind: the arena replay and both
-/// generator-driven engines (monomorphised and the legacy vtable path)
-/// must agree on the entire `DesignPoint` — stats, `tpi_ns`, CPI, label.
+/// Every benchmark × every hierarchy kind: the arena replay must match
+/// the generator-driven engine on the entire `DesignPoint` — stats,
+/// `tpi_ns`, CPI, label.
 #[test]
 fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
     let tm = TimingModel::paper();
@@ -86,14 +80,6 @@ fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
                 generated,
                 replayed,
                 "{} on {}: arena replay diverged from generation",
-                benchmark.name(),
-                cfg.label()
-            );
-            let legacy = dyn_stats(&cfg, benchmark);
-            assert_eq!(
-                generated.stats,
-                legacy,
-                "{} on {}: devirtualised engine diverged from the dyn path",
                 benchmark.name(),
                 cfg.label()
             );
@@ -127,7 +113,8 @@ fn chunk_size_does_not_change_results() {
 /// exclusive victim-swap) and several (L1, L2) geometry pairs, a family
 /// of one — L1 simulated once per front-end, L2 replaying only the
 /// captured events — must produce the same `DesignPoint` bit for bit as
-/// both the arena engine and the legacy dyn engine.
+/// both the arena engine and the per-access engine on the regenerated
+/// stream.
 #[test]
 fn filtered_equivalence() {
     let tm = TimingModel::paper();
@@ -157,11 +144,11 @@ fn filtered_equivalence() {
                     benchmark.name(),
                     cfg.label()
                 );
-                let legacy = dyn_stats(cfg, benchmark);
+                let streamed = simulate_source(cfg, &mut benchmark.workload(), BUDGET);
                 assert_eq!(
                     filtered.stats,
-                    legacy,
-                    "{} on {}: filtered engine diverged from the dyn engine",
+                    streamed,
+                    "{} on {}: filtered engine diverged from the per-access engine",
                     benchmark.name(),
                     cfg.label()
                 );

@@ -81,9 +81,6 @@ fn chunky_space() -> Vec<MachineConfig> {
 #[test]
 fn whole_and_chunked_families_report_identical_counters() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    if !tlc_obs::ENABLED {
-        return; // nothing to measure in the no-op build
-    }
     let tm = TimingModel::paper();
     let am = AreaModel::new();
     let configs = chunky_space();
@@ -135,9 +132,6 @@ fn whole_and_chunked_families_report_identical_counters() {
 #[test]
 fn worker_spans_nest_under_spawning_phase_across_threads() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    if !tlc_obs::ENABLED {
-        return;
-    }
     let tm = TimingModel::paper();
     let am = AreaModel::new();
     let configs = mixed_space();
@@ -242,18 +236,16 @@ fn collected_manifest_validates_and_round_trips() {
         wall_s: 0.0,
     });
     manifest.validate().expect("manifest invariants hold");
-    if tlc_obs::ENABLED {
-        assert_eq!(
-            manifest.counter("runner.configs_completed"),
-            Some(configs.len() as u64),
-            "every design point must be counted"
-        );
-        let decoded = manifest.counter("filter.events_decoded").expect("counter present");
-        let hits = manifest.counter("filter.l1_hits").expect("counter present");
-        let misses = manifest.counter("filter.l1_misses").expect("counter present");
-        assert_eq!(hits + misses, decoded);
-        assert!(!manifest.spans.is_empty(), "span tree captured");
-    }
+    assert_eq!(
+        manifest.counter("runner.configs_completed"),
+        Some(configs.len() as u64),
+        "every design point must be counted"
+    );
+    let decoded = manifest.counter("filter.events_decoded").expect("counter present");
+    let hits = manifest.counter("filter.l1_hits").expect("counter present");
+    let misses = manifest.counter("filter.l1_misses").expect("counter present");
+    assert_eq!(hits + misses, decoded);
+    assert!(!manifest.spans.is_empty(), "span tree captured");
     let back = RunManifest::from_json(&manifest.to_json()).expect("round-trips");
     assert_eq!(back.schema, manifest.schema);
     assert_eq!(back.counters.len(), manifest.counters.len());
@@ -284,13 +276,8 @@ fn family_sweep_manifest_carries_distributions_and_memory() {
         wall_s: 0.0,
     });
     manifest.validate().expect("manifest invariants hold");
-    // The memory section reads procfs regardless of the probe feature.
     assert!(manifest.memory.peak_rss_bytes > 0, "peak RSS must be read from /proc/self/status");
     assert!(manifest.memory.current_rss_bytes <= manifest.memory.peak_rss_bytes);
-    if !tlc_obs::ENABLED {
-        assert!(manifest.histograms.iter().all(|h| h.count == 0));
-        return;
-    }
     let populated: Vec<&str> =
         manifest.histograms.iter().filter(|h| h.count > 0).map(|h| h.name.as_str()).collect();
     assert!(populated.len() >= 3, "want >= 3 populated histograms, got {populated:?}");
