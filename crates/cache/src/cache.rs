@@ -6,11 +6,24 @@
 //! needs: [`Cache::extract`] (remove a line, reclaiming its way) and
 //! [`Cache::fill_at`] (install into a specific way), which together
 //! implement the swap of the paper's §8.
+//!
+//! It is the only cache array in the crate: every L1, every per-access
+//! L2 and every member of a family replay
+//! ([`filter_family`](crate::filter_family)) is a `Cache`.
 
 use crate::config::CacheConfig;
 use crate::replacement::{Lfsr16, SRRIP_LONG_RRPV, SRRIP_MAX_RRPV};
 use crate::stats::CacheStats;
 use tlc_trace::LineAddr;
+
+/// The empty slot word. Slots hold `(line << 1) | dirty`, so one shifted
+/// compare, `slot >> 1 == line`, tests "valid and matching". That is
+/// sound because `EMPTY >> 1` (`2^63 - 1`) is no line: [`CacheConfig`]
+/// requires lines of at least 4 bytes, so a line derived from a 64-bit
+/// address fits in 62 bits, and
+/// [`MissStream::from_parts`](crate::MissStream::from_parts) rejects
+/// stream input beyond that bound.
+pub(crate) const EMPTY: u64 = u64::MAX;
 
 /// A line evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,26 +44,19 @@ pub struct Slot {
     pub way: u32,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-}
-
 /// Replacement state for *all* sets, held as flat per-policy arrays
 /// rather than one [`ReplState`](crate::replacement::ReplState) per set.
-/// Keeping the tag array and the
-/// replacement metadata in contiguous allocations (instead of a
-/// `Box<[Way]>` plus a boxed stamp array per set) removes two pointer
-/// chases from every access — the difference is measurable across the
-/// millions of probes a design-space sweep performs.
+/// Keeping the slot array and the
+/// replacement metadata in contiguous allocations (instead of boxed
+/// per-set ways and stamps) removes two pointer chases from every
+/// access — the difference is measurable across the millions of probes
+/// a design-space sweep performs.
 ///
 /// The state machines are bit-compatible with
 /// [`ReplState`](crate::replacement::ReplState): same stamp sequences,
 /// same LFSR consumption, same PLRU bit layout.
 #[derive(Debug)]
-pub(crate) enum ReplBank {
+enum ReplBank {
     /// LRU / FIFO: per-way stamps and a per-set clock.
     Stamped { stamps: Vec<u32>, clock: Vec<u32>, refresh_on_touch: bool },
     /// Pseudo-random: stateless, victims come from the cache-global LFSR.
@@ -62,8 +68,13 @@ pub(crate) enum ReplBank {
 }
 
 impl ReplBank {
-    pub(crate) fn new(kind: crate::config::ReplacementKind, num_sets: usize, ways: usize) -> Self {
+    fn new(kind: crate::config::ReplacementKind, num_sets: usize, ways: usize) -> Self {
         use crate::config::ReplacementKind;
+        if ways == 1 {
+            // A 1-way set has no replacement choice: its victim is way 0
+            // under every policy, so the bank is never consulted.
+            return ReplBank::Random;
+        }
         match kind {
             ReplacementKind::Lru => ReplBank::Stamped {
                 stamps: vec![0; num_sets * ways],
@@ -86,8 +97,8 @@ impl ReplBank {
     }
 
     /// Notifies the bank that `way` of `set` was referenced (hit).
-    #[inline]
-    pub(crate) fn touch(&mut self, set: usize, stride: usize, way: u32, ways: u32) {
+    #[inline(always)]
+    fn touch(&mut self, set: usize, stride: usize, way: u32, ways: u32) {
         match self {
             ReplBank::Stamped { stamps, clock, refresh_on_touch } => {
                 if *refresh_on_touch {
@@ -102,8 +113,8 @@ impl ReplBank {
     }
 
     /// Notifies the bank that `way` of `set` was just filled.
-    #[inline]
-    pub(crate) fn filled(&mut self, set: usize, stride: usize, way: u32, ways: u32) {
+    #[inline(always)]
+    fn filled(&mut self, set: usize, stride: usize, way: u32, ways: u32) {
         match self {
             ReplBank::Stamped { stamps, clock, .. } => {
                 clock[set] += 1;
@@ -118,13 +129,7 @@ impl ReplBank {
     /// Chooses a victim way in `set`. Mutable because SRRIP ages the
     /// set's RRPVs until one reaches the eviction value.
     #[inline]
-    pub(crate) fn victim(
-        &mut self,
-        set: usize,
-        stride: usize,
-        ways: u32,
-        lfsr: &mut Lfsr16,
-    ) -> u32 {
+    fn victim(&mut self, set: usize, stride: usize, ways: u32, lfsr: &mut Lfsr16) -> u32 {
         match self {
             ReplBank::Stamped { stamps, .. } => {
                 let mut best = 0u32;
@@ -213,13 +218,13 @@ pub(crate) struct LiveTally {
 
 impl LiveTally {
     /// Starts a generation.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn fill(&mut self) {
         self.fills += 1;
     }
 
     /// Ends a generation that saw `hits` demand hits.
-    #[inline]
+    #[inline(always)]
     pub(crate) fn retire(&mut self, hits: u8) {
         if hits == 0 {
             self.dead += 1;
@@ -263,6 +268,14 @@ fn tree_point_away(bits: &mut u64, ways: u32, way: u32) {
 
 /// One level of cache. See the module docs.
 ///
+/// The array is set-major, one packed `u64` per way: `(line << 1) |
+/// dirty`, or `u64::MAX` when empty. Eight bytes per way is half the
+/// footprint of a `{tag, valid, dirty}` struct, so a probe of a 4-way
+/// set touches 32 bytes; and the whole line is stored, so an eviction
+/// reports its victim without rebuilding it from tag and set bits. The
+/// policy words (LRU/FIFO stamps, PLRU tree bits, SRRIP RRPVs) sit
+/// beside it in flat per-policy arrays.
+///
 /// # Examples
 ///
 /// ```
@@ -282,17 +295,17 @@ fn tree_point_away(bits: &mut u64, ways: u32, way: u32) {
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// All ways of all sets, set-major: `ways[set * stride + way]`.
-    ways: Vec<Way>,
+    /// All ways of all sets, set-major: `slots[set * stride + way]`, each
+    /// `(line << 1) | dirty` or [`EMPTY`].
+    slots: Vec<u64>,
     repl: ReplBank,
     /// Ways per set.
     stride: usize,
     set_mask: u64,
-    set_shift: u32,
     lfsr: Lfsr16,
     stats: CacheStats,
     /// Per-line demand-hit counts since the line's last fill, saturating
-    /// at 255. Indexed like `ways`.
+    /// at 255. Indexed like `slots`.
     hit_counts: Vec<u8>,
     /// Departed-generation liveness tallies (see [`Liveness`]).
     live: LiveTally,
@@ -305,11 +318,10 @@ impl Cache {
         let stride = cfg.ways() as usize;
         Cache {
             cfg,
-            ways: vec![Way::default(); num_sets as usize * stride],
+            slots: vec![EMPTY; num_sets as usize * stride],
             repl: ReplBank::new(cfg.replacement(), num_sets as usize, stride),
             stride,
             set_mask: num_sets - 1,
-            set_shift: num_sets.trailing_zeros(),
             lfsr: Lfsr16::default(),
             stats: CacheStats::default(),
             hit_counts: vec![0; num_sets as usize * stride],
@@ -331,7 +343,7 @@ impl Cache {
     /// lines by their hits so far (see [`Liveness`]).
     pub fn liveness(&self) -> Liveness {
         self.live.snapshot(
-            self.ways.iter().zip(&self.hit_counts).filter(|(w, _)| w.valid).map(|(_, &h)| h),
+            self.slots.iter().zip(&self.hit_counts).filter(|(&s, _)| s != EMPTY).map(|(_, &h)| h),
         )
     }
 
@@ -341,40 +353,47 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    #[inline]
-    fn split(&self, line: LineAddr) -> (u64, u64) {
-        (line.0 & self.set_mask, line.0 >> self.set_shift)
-    }
-
-    #[inline]
-    fn join(&self, set: u64, tag: u64) -> LineAddr {
-        LineAddr((tag << self.set_shift) | set)
-    }
-
     /// Set index of a line in this cache.
-    #[inline]
+    #[inline(always)]
     pub fn set_index(&self, line: LineAddr) -> u64 {
         line.0 & self.set_mask
     }
 
-    /// The ways of `set` as a slice.
-    #[inline]
-    fn set_ways(&self, set: u64) -> &[Way] {
-        let base = set as usize * self.stride;
-        &self.ways[base..base + self.stride]
+    /// The way of the set starting at slot `base` that holds `line`.
+    #[inline(always)]
+    fn find(&self, base: usize, line: LineAddr) -> Option<usize> {
+        self.scan(base, |s| s >> 1 == line.0)
+    }
+
+    /// The first way of the set starting at slot `base` whose word
+    /// satisfies `pick`. The common widths scan a fixed-length array the
+    /// compiler unrolls; the width branch is the same on every call.
+    #[inline(always)]
+    fn scan(&self, base: usize, pick: impl Fn(u64) -> bool) -> Option<usize> {
+        #[inline(always)]
+        fn fixed<const N: usize>(set: &[u64], pick: impl Fn(u64) -> bool) -> Option<usize> {
+            let set: &[u64; N] = set.try_into().expect("set of N ways");
+            set.iter().position(|&s| pick(s))
+        }
+        let set = &self.slots[base..base + self.stride];
+        match self.stride {
+            2 => fixed::<2>(set, pick),
+            4 => fixed::<4>(set, pick),
+            8 => fixed::<8>(set, pick),
+            _ => set.iter().position(|&s| pick(s)),
+        }
     }
 
     /// Looks a line up **without** touching statistics or replacement
     /// state.
+    #[inline(always)]
     pub fn probe(&self, line: LineAddr) -> Option<Slot> {
-        let (set, tag) = self.split(line);
-        self.set_ways(set)
-            .iter()
-            .position(|w| w.valid && w.tag == tag)
-            .map(|way| Slot { set, way: way as u32 })
+        let set = self.set_index(line);
+        self.find(set as usize * self.stride, line).map(|way| Slot { set, way: way as u32 })
     }
 
     /// Whether the line is present.
+    #[inline(always)]
     pub fn contains(&self, line: LineAddr) -> bool {
         self.probe(line).is_some()
     }
@@ -387,39 +406,92 @@ impl Cache {
     /// swap, bypass, …).
     #[inline]
     pub fn access(&mut self, line: LineAddr, is_write: bool) -> bool {
-        self.stats.accesses += 1;
-        let (set, tag) = self.split(line);
-        // Direct-mapped fast path: one tag compare, and no replacement
-        // bookkeeping (a 1-way set's victim is way 0 under every policy).
         if self.stride == 1 {
-            let w = &mut self.ways[set as usize];
-            if w.valid && w.tag == tag {
-                w.dirty |= is_write;
-                self.stats.hits += 1;
-                let c = &mut self.hit_counts[set as usize];
-                *c = c.saturating_add(1);
-                return true;
-            }
-            return false;
+            self.access_slot(line, is_write).is_some()
+        } else {
+            self.access_assoc(line, is_write)
         }
+    }
+
+    /// The set-associative half of [`Cache::access`], kept out of line.
+    #[inline(never)]
+    fn access_assoc(&mut self, line: LineAddr, is_write: bool) -> bool {
+        self.access_slot(line, is_write).is_some()
+    }
+
+    /// [`Cache::access`], returning the hit's slot.
+    ///
+    /// Inlining policy: the L2 steps call this and the other
+    /// `#[inline(always)]` primitives once per family member and event,
+    /// so they must inline whole. The public [`Cache::access`] and
+    /// [`Cache::fill_after_miss`] serve the L1s, which are direct-mapped
+    /// in every hierarchy the paper studies: they inline the one-way path
+    /// only and call the set-associative one out of line, which keeps the
+    /// L1 loops small.
+    #[inline(always)]
+    pub(crate) fn access_slot(&mut self, line: LineAddr, is_write: bool) -> Option<Slot> {
+        self.stats.accesses += 1;
+        let set = self.set_index(line);
         let base = set as usize * self.stride;
-        let mut hit = None;
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.dirty |= is_write;
-                hit = Some(i as u32);
-                break;
+        // Direct-mapped fast path: one compare, and no replacement
+        // bookkeeping (a 1-way set's victim is way 0 under every policy).
+        let way = if self.stride == 1 {
+            if self.slots[base] >> 1 != line.0 {
+                return None;
             }
+            0
+        } else {
+            let way = self.find(base, line)?;
+            self.repl.touch(set as usize, self.stride, way as u32, self.stride as u32);
+            way
+        };
+        self.slots[base + way] |= is_write as u64;
+        self.stats.hits += 1;
+        let c = &mut self.hit_counts[base + way];
+        *c = c.saturating_add(1);
+        Some(Slot { set, way: way as u32 })
+    }
+
+    /// A demand read that hands a hit line over to the caller: exactly
+    /// [`Cache::access`]`(line, false)` followed, on a hit, by
+    /// [`Cache::extract`]`(line)`, in one scan. The exclusive L2's hit
+    /// path.
+    #[inline(always)]
+    pub(crate) fn access_extract(&mut self, line: LineAddr) -> Option<(bool, Slot)> {
+        let slot = self.access_slot(line, false)?;
+        Some((self.vacate(slot.set as usize * self.stride + slot.way as usize), slot))
+    }
+
+    /// Empties the slot at `idx`, ending its fill generation; returns its
+    /// dirty bit.
+    #[inline(always)]
+    fn vacate(&mut self, idx: usize) -> bool {
+        let dirty = self.slots[idx] & 1 == 1;
+        self.slots[idx] = EMPTY;
+        self.live.retire(std::mem::take(&mut self.hit_counts[idx]));
+        dirty
+    }
+
+    /// Writes `line` into the slot at `idx`, starting a fill generation
+    /// and ending the one it displaces. Returns the displaced line if the
+    /// slot held a different one.
+    #[inline(always)]
+    fn install(&mut self, idx: usize, line: LineAddr, dirty: bool) -> Option<Evicted> {
+        debug_assert!(line.0 < EMPTY >> 1, "line {:#x} does not fit a slot word", line.0);
+        let old = std::mem::replace(&mut self.slots[idx], (line.0 << 1) | dirty as u64);
+        self.live.fill();
+        let hits = std::mem::take(&mut self.hit_counts[idx]);
+        if old == EMPTY {
+            return None;
         }
-        if let Some(way) = hit {
-            self.repl.touch(set as usize, self.stride, way, self.cfg.ways());
-            self.stats.hits += 1;
-            let c = &mut self.hit_counts[base + way as usize];
-            *c = c.saturating_add(1);
-            return true;
+        self.live.retire(hits);
+        if old >> 1 == line.0 {
+            return None;
         }
-        false
+        let dirty = old & 1 == 1;
+        self.stats.evictions += 1;
+        self.stats.dirty_evictions += dirty as u64;
+        Some(Evicted { line: LineAddr(old >> 1), dirty })
     }
 
     /// Installs `line`, choosing a victim by the replacement policy when
@@ -429,19 +501,10 @@ impl Cache {
     /// the dirty bit (callers normally `access` first, so double-insertion
     /// indicates the hierarchy already holds the line elsewhere).
     pub fn fill(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
-        let (set, tag) = self.split(line);
-        let ways = self.cfg.ways();
-        let base = set as usize * self.stride;
-        // Already present: merge dirty, refresh replacement.
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.dirty |= dirty;
-                self.repl.touch(set as usize, self.stride, i as u32, ways);
-                return None;
-            }
+        if self.merge_if_present(line, dirty) {
+            return None;
         }
-        self.fill_after_miss(line, dirty)
+        self.fill_absent(line, dirty)
     }
 
     /// As [`Cache::fill`], for callers that already know `line` is absent
@@ -454,52 +517,43 @@ impl Cache {
     /// identical to [`Cache::fill`] on an absent line.
     #[inline]
     pub fn fill_after_miss(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
+        if self.stride == 1 {
+            self.fill_absent(line, dirty)
+        } else {
+            self.fill_assoc(line, dirty)
+        }
+    }
+
+    /// The set-associative half of [`Cache::fill_after_miss`], kept out
+    /// of line.
+    #[inline(never)]
+    fn fill_assoc(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
+        self.fill_absent(line, dirty)
+    }
+
+    /// [`Cache::fill_after_miss`] for the L2 steps (see
+    /// [`Cache::access_slot`] for the inlining policy).
+    #[inline(always)]
+    pub(crate) fn fill_absent(&mut self, line: LineAddr, dirty: bool) -> Option<Evicted> {
         debug_assert!(!self.contains(line), "fill_after_miss: line already present");
-        let (set, tag) = self.split(line);
+        let set = self.set_index(line) as usize;
+        let base = set * self.stride;
         // Direct-mapped fast path: the victim is the set's only way under
         // every policy, so skip the free scan and replacement bookkeeping
         // (including the pseudo-random LFSR draw, whose value could only
         // ever select way 0 here).
         if self.stride == 1 {
-            let w = &mut self.ways[set as usize];
-            let old = *w;
-            *w = Way { tag, valid: true, dirty };
-            self.live.fill();
-            if old.valid {
-                self.live.retire(self.hit_counts[set as usize]);
-            }
-            self.hit_counts[set as usize] = 0;
-            if old.valid {
-                self.stats.evictions += 1;
-                if old.dirty {
-                    self.stats.dirty_evictions += 1;
-                }
-                return Some(Evicted { line: self.join(set, old.tag), dirty: old.dirty });
-            }
-            return None;
+            return self.install(base, line, dirty);
         }
-        let ways = self.cfg.ways();
-        let base = set as usize * self.stride;
-        // Free way if any.
-        if let Some(i) = (0..self.stride).find(|&i| !self.ways[base + i].valid) {
-            self.ways[base + i] = Way { tag, valid: true, dirty };
-            self.repl.filled(set as usize, self.stride, i as u32, ways);
-            self.live.fill();
-            self.hit_counts[base + i] = 0;
-            return None;
-        }
-        let victim_way = self.repl.victim(set as usize, self.stride, ways, &mut self.lfsr);
-        let v = self.ways[base + victim_way as usize];
-        self.ways[base + victim_way as usize] = Way { tag, valid: true, dirty };
-        self.repl.filled(set as usize, self.stride, victim_way, ways);
-        self.live.fill();
-        self.live.retire(self.hit_counts[base + victim_way as usize]);
-        self.hit_counts[base + victim_way as usize] = 0;
-        self.stats.evictions += 1;
-        if v.dirty {
-            self.stats.dirty_evictions += 1;
-        }
-        Some(Evicted { line: self.join(set, v.tag), dirty: v.dirty })
+        // A free way if any; otherwise the policy's victim (one LFSR draw
+        // for pseudo-random).
+        let ways = self.stride as u32;
+        let way = match self.scan(base, |s| s == EMPTY) {
+            Some(free) => free as u32,
+            None => self.repl.victim(set, self.stride, ways, &mut self.lfsr),
+        };
+        self.repl.filled(set, self.stride, way, ways);
+        self.install(base + way as usize, line, dirty)
     }
 
     /// If `line` is present, merges `dirty` into it and refreshes its
@@ -509,24 +563,22 @@ impl Cache {
     ///
     /// Equivalent to `if self.contains(line) { self.fill(line, dirty); true }`
     /// in one scan instead of two; the hierarchies use it to merge dirty
-    /// L1 victims back into L2 on the write-back path.
-    #[inline]
+    /// L1 victims back into L2 on the write-back path. A merge is not a
+    /// demand hit: the liveness tallies don't move.
+    #[inline(always)]
     pub fn merge_if_present(&mut self, line: LineAddr, dirty: bool) -> bool {
-        let (set, tag) = self.split(line);
-        let base = set as usize * self.stride;
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                w.dirty |= dirty;
-                self.repl.touch(set as usize, self.stride, i as u32, self.cfg.ways());
-                return true;
-            }
-        }
-        false
+        let set = self.set_index(line) as usize;
+        let base = set * self.stride;
+        let Some(way) = self.find(base, line) else {
+            return false;
+        };
+        self.slots[base + way] |= dirty as u64;
+        self.repl.touch(set, self.stride, way as u32, self.stride as u32);
+        true
     }
 
     /// Whether every set holds a single way.
-    #[inline]
+    #[inline(always)]
     pub fn is_direct_mapped(&self) -> bool {
         self.stride == 1
     }
@@ -539,7 +591,7 @@ impl Cache {
     /// have done anyway: the line is resident, and either the cache is
     /// direct-mapped (no replacement bookkeeping on hits) or the policy's
     /// touch is a no-op for a repeat of the most recent reference.
-    #[inline]
+    #[inline(always)]
     pub fn note_filtered_hit(&mut self) {
         self.stats.accesses += 1;
         self.stats.hits += 1;
@@ -556,46 +608,20 @@ impl Cache {
     ///
     /// Panics if `slot.set` does not match the line's set index in this
     /// cache, or `slot.way` is out of range.
+    #[inline(always)]
     pub fn fill_at(&mut self, line: LineAddr, dirty: bool, slot: Slot) -> Option<Evicted> {
-        let (set, tag) = self.split(line);
-        assert_eq!(set, slot.set, "fill_at: slot set does not match line");
+        assert_eq!(self.set_index(line), slot.set, "fill_at: slot set does not match line");
         assert!((slot.way as usize) < self.stride, "fill_at: way out of range");
-        let base = set as usize * self.stride;
-        let old = self.ways[base + slot.way as usize];
-        self.ways[base + slot.way as usize] = Way { tag, valid: true, dirty };
-        self.repl.filled(set as usize, self.stride, slot.way, self.cfg.ways());
-        self.live.fill();
-        if old.valid {
-            self.live.retire(self.hit_counts[base + slot.way as usize]);
-        }
-        self.hit_counts[base + slot.way as usize] = 0;
-        if old.valid && old.tag != tag {
-            self.stats.evictions += 1;
-            if old.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some(Evicted { line: self.join(set, old.tag), dirty: old.dirty })
-        } else {
-            None
-        }
+        let set = slot.set as usize;
+        self.repl.filled(set, self.stride, slot.way, self.stride as u32);
+        self.install(set * self.stride + slot.way as usize, line, dirty)
     }
 
     /// Removes `line` from the cache, returning its dirty bit and the slot
     /// it occupied. The slot becomes free.
     pub fn extract(&mut self, line: LineAddr) -> Option<(bool, Slot)> {
-        let (set, tag) = self.split(line);
-        let base = set as usize * self.stride;
-        for i in 0..self.stride {
-            let w = &mut self.ways[base + i];
-            if w.valid && w.tag == tag {
-                let dirty = w.dirty;
-                *w = Way::default();
-                self.live.retire(self.hit_counts[base + i]);
-                self.hit_counts[base + i] = 0;
-                return Some((dirty, Slot { set, way: i as u32 }));
-            }
-        }
-        None
+        let slot = self.probe(line)?;
+        Some((self.vacate(slot.set as usize * self.stride + slot.way as usize), slot))
     }
 
     /// Invalidates `line` if present; returns whether it was present.
@@ -606,27 +632,22 @@ impl Cache {
     /// Drops all contents (statistics are preserved; resident lines'
     /// liveness generations end here).
     pub fn flush(&mut self) {
-        for (w, c) in self.ways.iter().zip(self.hit_counts.iter_mut()) {
-            if w.valid {
-                self.live.retire(*c);
+        for idx in 0..self.slots.len() {
+            if self.slots[idx] != EMPTY {
+                self.vacate(idx);
             }
-            *c = 0;
-        }
-        for w in &mut self.ways {
-            *w = Way::default();
         }
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> u64 {
-        self.ways.iter().filter(|w| w.valid).count() as u64
+        self.slots.iter().filter(|&&s| s != EMPTY).count() as u64
     }
 
-    /// Iterates over all resident lines (for auditors and tests).
+    /// Iterates over all resident lines, set by set (for auditors and
+    /// tests).
     pub fn iter_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.ways.chunks(self.stride).enumerate().flat_map(move |(set, ways)| {
-            ways.iter().filter(|w| w.valid).map(move |w| self.join(set as u64, w.tag))
-        })
+        self.slots.iter().filter(|&&s| s != EMPTY).map(|&s| LineAddr(s >> 1))
     }
 }
 

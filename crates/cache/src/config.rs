@@ -71,6 +71,12 @@ impl fmt::Display for ReplacementKind {
     }
 }
 
+/// Shortest line [`CacheConfig::new`] accepts. With lines of at least 4
+/// bytes a line number derived from a 64-bit address fits in 62 bits,
+/// which the [`Cache`](crate::Cache) slot word `(line << 1) | dirty`
+/// needs.
+const MIN_LINE_BYTES: u64 = 4;
+
 /// Error building a [`CacheConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
@@ -93,6 +99,9 @@ pub enum ConfigError {
     BadWays(u32),
     /// Tree-PLRU requires a power-of-two way count ≤ 64.
     PlruWays(u32),
+    /// Lines shorter than 4 bytes: the line number of a 64-bit address
+    /// would not fit the cache's packed slot word.
+    LineTooShort(u64),
 }
 
 impl fmt::Display for ConfigError {
@@ -110,6 +119,9 @@ impl fmt::Display for ConfigError {
             ConfigError::BadWays(w) => write!(f, "invalid way count {w}"),
             ConfigError::PlruWays(w) => {
                 write!(f, "tree-PLRU needs a power-of-two way count <= 64, got {w}")
+            }
+            ConfigError::LineTooShort(b) => {
+                write!(f, "line size must be at least {MIN_LINE_BYTES} bytes, got {b}")
             }
         }
     }
@@ -146,8 +158,9 @@ impl CacheConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if sizes are not powers of two, the cache
-    /// is smaller than one line per way, or the way count is invalid.
+    /// Returns a [`ConfigError`] if sizes are not powers of two, lines are
+    /// shorter than 4 bytes, the cache is smaller than one line per way,
+    /// or the way count is invalid.
     pub fn new(
         size_bytes: u64,
         line_bytes: u64,
@@ -159,6 +172,9 @@ impl CacheConfig {
         }
         if !line_bytes.is_power_of_two() {
             return Err(ConfigError::NotPowerOfTwo { what: "line size", value: line_bytes });
+        }
+        if line_bytes < MIN_LINE_BYTES {
+            return Err(ConfigError::LineTooShort(line_bytes));
         }
         let lines = size_bytes / line_bytes;
         if lines == 0 {
@@ -302,6 +318,18 @@ mod tests {
             CacheConfig::new(8, 16, Associativity::Direct, ReplacementKind::Lru),
             Err(ConfigError::TooSmall { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_lines_shorter_than_four_bytes() {
+        for line in [1u64, 2] {
+            assert_eq!(
+                CacheConfig::new(1024, line, Associativity::Direct, ReplacementKind::Lru),
+                Err(ConfigError::LineTooShort(line))
+            );
+        }
+        assert!(CacheConfig::new(1024, 4, Associativity::Direct, ReplacementKind::Lru).is_ok());
+        assert!(ConfigError::LineTooShort(2).to_string().contains("at least 4 bytes"));
     }
 
     #[test]

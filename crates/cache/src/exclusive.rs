@@ -19,16 +19,135 @@
 //! A mapping conflict in a direct-mapped L2 therefore resolves with the
 //! two conflicting lines *split across the levels*, giving a limited form
 //! of associativity on top of the capacity gain.
+//!
+//! The protocol is written once, in `exclusive_step`: the per-access
+//! hierarchy calls it after each L1 refill, and the family back-end
+//! ([`filter_family`](crate::filter_family)) calls it once per member on
+//! each replayed miss event.
+//!
+//! ## The fill-dirty mirror
+//!
+//! An L1-miss/L2-hit hands the L1 the L2 copy's dirty bit, so one bit of
+//! L1 state depends on the L2. The step keeps it out of the L1: the L1
+//! marks a line dirty on a store only, exactly as in every other
+//! hierarchy and in a captured miss stream, and an [`ExclusiveState`]
+//! beside the L2 mirrors, per direct-mapped L1 set, "the resident was
+//! filled from a dirty L2 copy". A victim's dirty bit is its store bit
+//! or its set's mirror entry, read before the refill overwrites the
+//! entry (victim and refill share the set by construction). So the L1's
+//! contents, victims and store bits never depend on the L2, which is
+//! what lets one L1 capture serve every exclusive L2 (see
+//! [`filter`](crate::filter)).
 
 use crate::cache::{Cache, Evicted};
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::MemRef;
+use tlc_trace::{LineAddr, MemRef};
+
+/// The exclusive protocol's state beside its L2 array: the per-L1-set
+/// fill-dirty mirror (see the module docs) and the swap count.
+#[derive(Debug, Clone)]
+pub(crate) struct ExclusiveState {
+    /// "The resident was filled from a dirty L2 copy", per L1I set.
+    mirror_i: Vec<bool>,
+    /// Same, per L1D set.
+    mirror_d: Vec<bool>,
+    l1_set_mask: u64,
+    /// Lifetime Figure 21-a swaps (never reset).
+    swaps: u64,
+}
+
+impl ExclusiveState {
+    /// The state for a direct-mapped L1 of `l1_sets` sets per side.
+    pub(crate) fn new(l1_sets: usize) -> Self {
+        ExclusiveState {
+            mirror_i: vec![false; l1_sets],
+            mirror_d: vec![false; l1_sets],
+            l1_set_mask: l1_sets as u64 - 1,
+            swaps: 0,
+        }
+    }
+
+    /// Figure 21-a swaps so far.
+    pub(crate) fn swaps(&self) -> u64 {
+        self.swaps
+    }
+}
+
+/// The exclusive L2 protocol for one L1 miss on `line` (an instruction
+/// fetch when `fetch`), after the L1 refill displaced `victim` with its
+/// store-only dirty bit.
+///
+/// On an L2 hit the line leaves the L2 for the L1, and the victim takes
+/// its way when it maps to the same L2 set and has no copy there — the
+/// swap of Figure 21-a. Otherwise the line keeps its L2 copy (Figure
+/// 21-b) and the victim goes to its own set. On an L2 miss the line
+/// comes from off-chip straight into the L1 and only the victim enters
+/// the L2. Counts `stats`' L2 fields and returns whether the L2 hit.
+#[inline(always)]
+pub(crate) fn exclusive_step(
+    l2: &mut Cache,
+    ex: &mut ExclusiveState,
+    stats: &mut HierarchyStats,
+    fetch: bool,
+    line: LineAddr,
+    victim: Option<Evicted>,
+) -> bool {
+    let set = (line.0 & ex.l1_set_mask) as usize;
+    let mirror = if fetch { &mut ex.mirror_i } else { &mut ex.mirror_d };
+    let victim = victim.map(|v| Evicted { line: v.line, dirty: v.dirty || mirror[set] });
+    let Some((dirty, slot)) = l2.access_extract(line) else {
+        stats.l2_misses += 1;
+        // The off-chip refill bypasses the L2: no dirty bit comes with it.
+        mirror[set] = false;
+        if let Some(v) = victim {
+            send_victim(l2, stats, v);
+        }
+        return false;
+    };
+    stats.l2_hits += 1;
+    mirror[set] = dirty;
+    match victim {
+        Some(v) if l2.set_index(v.line) == slot.set && !l2.contains(v.line) => {
+            // Figure 21-a: the victim takes the requested line's way; the
+            // line now lives in the L1 only (exclusion).
+            ex.swaps += 1;
+            l2.fill_at(v.line, v.dirty, slot);
+        }
+        _ => {
+            // The line keeps its L2 copy (inclusion for it); a victim goes
+            // to its own set.
+            l2.fill_at(line, dirty, slot);
+            if let Some(v) = victim {
+                send_victim(l2, stats, v);
+            }
+        }
+    }
+    true
+}
+
+/// Writes an L1 victim into the L2 outside the swap: an existing copy
+/// only takes the dirty bit (Figure 21-b: the write-back "leaves the
+/// second-level cache unchanged"); otherwise the victim is inserted into
+/// its own set, where a dirty L2 eviction goes off-chip.
+#[inline(always)]
+fn send_victim(l2: &mut Cache, stats: &mut HierarchyStats, v: Evicted) {
+    if !l2.merge_if_present(v.line, v.dirty)
+        && l2.fill_absent(v.line, v.dirty).is_some_and(|ev| ev.dirty)
+    {
+        stats.offchip_writebacks += 1;
+    }
+}
 
 /// Split L1 I/D caches over a unified L2 with the exclusive (victim-swap)
 /// policy of §8.
+///
+/// The L1 caches hold store-only dirty bits, as in every hierarchy; the
+/// dirty bit a line brings up from the L2 lives in the fill-dirty mirror
+/// (see the module docs), so [`ExclusiveTwoLevel::l1d`]'s
+/// `dirty_evictions` counts stored-to victims only.
 ///
 /// # Examples
 ///
@@ -59,6 +178,7 @@ use tlc_trace::MemRef;
 pub struct ExclusiveTwoLevel {
     l1: SplitL1,
     l2: Cache,
+    ex: ExclusiveState,
     stats: HierarchyStats,
 }
 
@@ -68,12 +188,17 @@ impl ExclusiveTwoLevel {
     ///
     /// # Panics
     ///
-    /// Panics if the configurations disagree on line size.
+    /// Panics if the configurations disagree on line size, or if `l1_cfg`
+    /// is not direct-mapped: the fill-dirty mirror (see the module docs)
+    /// relies on a victim and its displacer sharing one L1 way, as the
+    /// paper's design space always has (§2.1).
     pub fn new(l1_cfg: CacheConfig, l2_cfg: CacheConfig) -> Self {
         assert_eq!(l1_cfg.line_bytes(), l2_cfg.line_bytes(), "L1 and L2 must share a line size");
+        assert_eq!(l1_cfg.ways(), 1, "the exclusive hierarchy requires a direct-mapped L1");
         ExclusiveTwoLevel {
             l1: SplitL1::new(l1_cfg),
             l2: Cache::new(l2_cfg),
+            ex: ExclusiveState::new(l1_cfg.num_sets() as usize),
             stats: HierarchyStats::default(),
         }
     }
@@ -92,24 +217,6 @@ impl ExclusiveTwoLevel {
     pub fn l2(&self) -> &Cache {
         &self.l2
     }
-
-    /// Sends an L1 victim to the L2 when it does not swap into the slot
-    /// the requested line is leaving (that swap is inline in `access`).
-    fn send_victim_to_l2(&mut self, victim: Evicted) {
-        if self.l2.merge_if_present(victim.line, victim.dirty) {
-            // Figure 21-b: the victim's L2 copy already exists — the write
-            // back "leaves the second-level cache unchanged" apart from
-            // the dirty bit.
-            return;
-        }
-        // Victim inserted into its own set; a genuine L2 eviction may
-        // result.
-        if let Some(ev) = self.l2.fill_after_miss(victim.line, victim.dirty) {
-            if ev.dirty {
-                self.stats.offchip_writebacks += 1;
-            }
-        }
-    }
 }
 
 impl MemorySystem for ExclusiveTwoLevel {
@@ -118,45 +225,17 @@ impl MemorySystem for ExclusiveTwoLevel {
         let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
             return ServiceLevel::L1;
         };
-        let line = miss.line;
-        if self.l2.access(line, false) {
-            self.stats.l2_hits += 1;
-            // The requested line moves (logically) from L2 to L1; its slot
-            // is the swap target for the L1 victim.
-            let (l2_dirty, slot) =
-                self.l2.extract(line).expect("L2 hit implies the line is extractable");
-            match self.l1.fill(miss, miss.write || l2_dirty) {
-                Some(v) => {
-                    // Re-install the requested line in L2 only if the
-                    // victim does not land in its slot; physically the
-                    // hardware reads the line out and the victim write may
-                    // or may not overwrite it. We model "stays in L2" by
-                    // re-inserting when the victim goes elsewhere.
-                    if self.l2.set_index(v.line) == slot.set && !self.l2.contains(v.line) {
-                        // Figure 21-a swap: victim takes the requested
-                        // line's way; requested line now only in L1
-                        // (exclusion).
-                        self.l2.fill_at(v.line, v.dirty, slot);
-                    } else {
-                        // Requested line keeps its L2 copy (inclusion for
-                        // it); victim handled separately.
-                        self.l2.fill_at(line, l2_dirty, slot);
-                        self.send_victim_to_l2(v);
-                    }
-                }
-                None => {
-                    // Cold L1 slot: nothing to send back; the requested
-                    // line keeps its L2 copy.
-                    self.l2.fill_at(line, l2_dirty, slot);
-                }
-            }
+        let victim = self.l1.fill(miss, miss.write);
+        if exclusive_step(
+            &mut self.l2,
+            &mut self.ex,
+            &mut self.stats,
+            miss.fetch,
+            miss.line,
+            victim,
+        ) {
             ServiceLevel::L2
         } else {
-            self.stats.l2_misses += 1;
-            // Off-chip refill goes straight to L1, bypassing L2 (§8).
-            if let Some(v) = self.l1.fill(miss, miss.write) {
-                self.send_victim_to_l2(v);
-            }
             ServiceLevel::Memory
         }
     }
@@ -360,6 +439,15 @@ mod tests {
             CacheConfig::new(512, 32, Associativity::Direct, crate::config::ReplacementKind::Lru)
                 .unwrap();
         let _ = ExclusiveTwoLevel::new(l1, l2);
+    }
+
+    #[test]
+    #[should_panic(expected = "direct-mapped L1")]
+    fn rejects_associative_l1() {
+        let _ = ExclusiveTwoLevel::new(
+            CacheConfig::paper(1024, Associativity::SetAssoc(2)).unwrap(),
+            CacheConfig::paper(8192, Associativity::SetAssoc(4)).unwrap(),
+        );
     }
 
     #[test]

@@ -16,15 +16,18 @@
 //! end ([`L1FrontEnd`]), record the miss/victim events ([`MissStream`]),
 //! and replay only those events through each L2 configuration.
 //!
-//! One subtlety: in the exclusive hierarchy an L1 fill's *dirty bit* does
-//! depend on L2 state (an L1-miss/L2-hit fills with `is_write || dirty`,
-//! where `dirty` came out of the L2 extract). The front-end therefore
-//! records only the L2-independent, store-only component
-//! ([`VictimLine::written`](tlc_trace::VictimLine)); the exclusive
-//! back-end reconstructs the exact dirty bit with a per-L1-set mirror
-//! (see [`filter_family`](crate::filter_family)). The conventional and
-//! single-level hierarchies fill the L1 with `is_write` only, so for
-//! them the recorded bit *is* the dirty bit.
+//! One subtlety: in the exclusive hierarchy the true dirty bit of an L1
+//! line does depend on L2 state (an L1-miss/L2-hit hands up the L2
+//! copy's dirty bit). That bit never enters the L1: the one exclusive L2
+//! step (`exclusive_step`, shared by
+//! [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel) and the family
+//! back-end) keeps it in a per-L1-set mirror beside the L2 and ORs it
+//! into the victim's store-only bit. So every L1 marks lines dirty on a
+//! store only, and the front-end's recorded
+//! [`VictimLine::written`](tlc_trace::VictimLine) is exactly what that
+//! step consumes, in the per-access hierarchy as in a replay. For the
+//! conventional and single-level hierarchies the recorded bit *is* the
+//! dirty bit.
 //!
 //! This module holds the front-end, the captured stream, the event walk
 //! every back-end shares (`walk_events`), and the single-level sink
@@ -32,14 +35,15 @@
 //! and exclusive L2 back-ends live in
 //! [`filter_family`](crate::filter_family): one family-batched,
 //! segment-stitching replay serves every L2 configuration, a single
-//! configuration being a family of one. The L2's replacement state
-//! (including its pseudo-random LFSR) is driven by exactly the same call
-//! sequence as in the monolithic hierarchies, so every statistic is
-//! bit-identical — the equivalence suite in `tests/arena_equivalence.rs`
-//! pins the back-end to the arena engine and to the naive oracle across
-//! every benchmark.
+//! configuration being a family of one. Each member is a
+//! [`Cache`](crate::Cache) driven by the same L2 step as the monolithic
+//! hierarchy, so its replacement state (including its pseudo-random
+//! LFSR) evolves identically and every statistic is bit-identical — the
+//! equivalence suite in `tests/arena_equivalence.rs` pins the back-end
+//! to the arena engine and to the naive oracle across every benchmark.
 
 use crate::config::CacheConfig;
+use crate::filter_family::FamilyError;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
@@ -59,10 +63,9 @@ use tlc_trace::{LineAddr, MemRef, MissEvent, VictimLine};
 /// bookmarks the warm-up boundary in the event stream, so back-ends can
 /// reset their counters at the same instant.
 ///
-/// Statistics follow the store-only dirty convention: the L1 fills with
-/// `is_write`, matching the single-level and conventional hierarchies
-/// bit-for-bit; the exclusive back-end layers the L2-dependent dirty
-/// component on top (see the module docs).
+/// Statistics follow the store-only dirty convention every hierarchy's
+/// L1 uses: the L1 fills with `is_write`; the exclusive L2 step layers
+/// the L2-dependent dirty component on top (see the module docs).
 #[derive(Debug)]
 pub struct L1FrontEnd {
     /// The same L1 (same-line fetch filter included) as every monolithic
@@ -84,7 +87,7 @@ impl L1FrontEnd {
     /// Panics if `l1_cfg` is not direct-mapped. The paper's design space
     /// only has direct-mapped L1s (§2.1), and the decomposition relies on
     /// it: a victim and its displacer share the single way of one set, so
-    /// the exclusive back-end can mirror fill-dirty state per set.
+    /// the exclusive L2 step can mirror fill-dirty state per set.
     pub fn new(l1_cfg: CacheConfig) -> Self {
         let l1 = SplitL1::new(l1_cfg);
         assert!(l1.l1i().is_direct_mapped(), "miss-stream filtering requires a direct-mapped L1");
@@ -224,6 +227,13 @@ impl MissStream {
     /// metadata a trace file carries. `l1_stats` may be zeroed when only
     /// the L2-side counters matter (as in corpus divergence checks).
     ///
+    /// # Errors
+    ///
+    /// [`FamilyError::LineOutOfRange`] if an event's line or victim word
+    /// exceeds `u64::MAX / line_bytes`: no 64-bit address has such a line,
+    /// and replaying one could alias the empty slot of a
+    /// [`Cache`](crate::Cache).
+    ///
     /// # Panics
     ///
     /// Panics unless `l1_size_bytes` and `line_bytes` are powers of two
@@ -235,7 +245,7 @@ impl MissStream {
         l1_stats: HierarchyStats,
         l1_size_bytes: u64,
         line_bytes: u64,
-    ) -> Self {
+    ) -> Result<Self, FamilyError> {
         assert!(
             l1_size_bytes.is_power_of_two()
                 && line_bytes.is_power_of_two()
@@ -243,7 +253,19 @@ impl MissStream {
             "L1 geometry must be powers of two with at least one line"
         );
         assert!(warmup_events <= events.len(), "warm-up boundary outside the stream");
-        MissStream {
+        let max_line = u64::MAX / line_bytes;
+        let mut first = 0u64;
+        for chunk in events.chunks() {
+            // A chunk's victim word is zero where it has no victim.
+            for (i, (&l, &v)) in chunk.line.iter().zip(chunk.victim).enumerate() {
+                if l.max(v) > max_line {
+                    let event = first + i as u64;
+                    return Err(FamilyError::LineOutOfRange { event, line: l.max(v), max_line });
+                }
+            }
+            first += chunk.len() as u64;
+        }
+        Ok(MissStream {
             name: name.to_string(),
             events,
             warmup_events,
@@ -251,7 +273,7 @@ impl MissStream {
             l1_size_bytes,
             line_bytes,
             stitched: false,
-        }
+        })
     }
 
     /// The captured workload's name (e.g. `"gcc1"`).
@@ -302,8 +324,7 @@ impl MissStream {
         self.events.iter()
     }
 
-    /// L1 sets per side (for the exclusive back-end's fill-dirty mirror
-    /// in [`filter_family`](crate::filter_family)).
+    /// L1 sets per side (for the exclusive L2 step's fill-dirty mirror).
     pub(crate) fn l1_sets(&self) -> usize {
         (self.l1_size_bytes / self.line_bytes) as usize
     }

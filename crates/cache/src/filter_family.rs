@@ -6,15 +6,11 @@
 //! *capacity* (§2.1: L2 from 2×L1 up to 256KB, same 16B lines, same
 //! associativity), so "one L1 miss stream, every L2 size" is the only
 //! replay shape a sweep needs. One decode of each event fans into N
-//! structure-of-arrays L2 states — per-configuration slot arrays,
-//! counters, a per-member replacement bank (`ReplBank`)
-//! holding the policy words (LRU/FIFO stamps, PLRU tree bits, SRRIP
-//! RRPVs) alongside the `(line<<1)|dirty` slot words, and crucially a
-//! **per-configuration [`Lfsr16`]**, so pseudo-random replacement draws
-//! happen in exactly the order a standalone
-//! [`ConventionalTwoLevel`](crate::ConventionalTwoLevel) or
-//! [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel) would make them and
-//! every statistic stays bit-identical.
+//! members, each a [`Cache`] — the array, replacement bank and
+//! pseudo-random LFSR a standalone hierarchy's L2 uses — and each member
+//! takes the event through the same L2 step as the per-access hierarchy:
+//! `conventional_step` of [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)
+//! or `exclusive_step` of [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel).
 //!
 //! There is exactly one entry point per hierarchy kind:
 //!
@@ -35,28 +31,21 @@
 //!
 //! Each member's L2 observes the same event sequence it would see alone:
 //! the batched loop applies one event to every member before moving on,
-//! and members never share mutable state. Replacement state is a replica
-//! of the scalar [`Cache`](crate::Cache)'s: the same `ReplBank` state
-//! machines, driven by the same touch/fill/victim call sequence the
-//! monolithic hierarchies issue — so stamp clocks, tree bits, and RRPVs
-//! evolve identically, and the only stateful randomness (the
-//! pseudo-random LFSR, consulted *only* when a set-associative fill finds
-//! no free way) is carried per member with the same seed as a fresh
-//! `Cache`. Members may even mix replacement policies: each bank is
-//! built from its own member's configuration.
+//! and members never share mutable state. A member *is* the standalone
+//! hierarchy's L2 — one [`Cache`], LFSR included, seeded like any fresh
+//! `Cache` — stepped by the same protocol code, so stamp clocks, tree
+//! bits, RRPVs and pseudo-random draws evolve identically by
+//! construction. Members may even mix replacement policies: each cache
+//! is built from its own member's configuration.
 //!
-//! The exclusive hierarchy has one L2-dependent bit of L1 state: an
-//! L1-miss/L2-hit fills the L1 line dirty if the extracted L2 copy was
-//! dirty, and the event stream records only the store-only component
-//! ([`VictimLine::written`](tlc_trace::VictimLine)). The exclusive
-//! back-end therefore keeps a per-L1-set mirror (one bool per set per
-//! side, the L1 being direct-mapped) of "the current resident was filled
-//! from a dirty L2 extract"; a victim's true dirty bit is
-//! `written || mirror[set]`, read before the new fill overwrites the
-//! entry (victim and filled line share the set by construction). The
-//! mirror must be per member — its entries come out of the member's own
-//! L2 extracts, whose dirty bits depend on L2 capacity (see
-//! `docs/models.md`).
+//! The exclusive step keeps the one L2-dependent bit of L1 state, the
+//! fill-dirty bit of an L1-miss/L2-hit, in a per-L1-set mirror beside
+//! the L2 (see [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)'s module
+//! docs), so the L1 a stream was captured through holds exactly the
+//! store-only dirty bits the stream records
+//! ([`VictimLine::written`](tlc_trace::VictimLine)). The mirror is per
+//! member: its entries come out of the member's own L2 extracts, whose
+//! dirty bits depend on L2 capacity (see `docs/models.md`).
 //!
 //! ## The direct-mapped fast path
 //!
@@ -68,16 +57,16 @@
 //! accumulate into per-threshold histograms instead of per-member
 //! counters — see `DmConventionalFamily` for the invariant. Replacement
 //! policy is irrelevant at one way per set, so the fast path serves every
-//! [`ReplacementKind`](crate::ReplacementKind).
+//! [`ReplacementKind`].
 //!
 //! ## Segments
 //!
-//! The family state — slot arrays, replacement banks, LFSRs, exclusive
-//! mirrors — is built **once** and persists across segments: segment `k`
-//! starts from the (stale) contents segment `k-1` left behind, its
-//! warm-up prefix refreshes that state, and its counters reset at its own
-//! warm-up boundary. This is the L2 half of stitched warming for sampled
-//! sweeps; each segment cut by
+//! The family state — member caches, exclusive mirrors — is built
+//! **once** and persists across segments: segment `k` starts from the
+//! (stale) contents segment `k-1` left behind, its warm-up prefix
+//! refreshes that state, and its counters reset at its own warm-up
+//! boundary. This is the L2 half of stitched warming for sampled sweeps;
+//! each segment cut by
 //! [`L1FrontEnd::take_stream`](crate::L1FrontEnd::take_stream) is timed
 //! into the `sample.slice_replay_ns` histogram.
 //!
@@ -86,20 +75,15 @@
 //! An unsupported family or segment shape surfaces as a typed
 //! [`FamilyError`]; nothing in this module panics on caller input.
 
-use crate::cache::{Liveness, ReplBank};
-use crate::config::CacheConfig;
+use crate::cache::{Cache, Evicted, LiveTally, Liveness, EMPTY};
+use crate::config::{CacheConfig, ReplacementKind};
+use crate::exclusive::{exclusive_step, ExclusiveState};
 use crate::filter::{replay_single, walk_events, EventSink, MissStream};
-use crate::replacement::Lfsr16;
 use crate::stats::HierarchyStats;
+use crate::twolevel::conventional_step;
 use std::error::Error;
 use std::fmt;
 use tlc_trace::LineAddr;
-
-/// Slot encoding: `(line << 1) | dirty`, with `u64::MAX` as the invalid
-/// sentinel. `INVALID >> 1` is `2^63 - 1`, which can never equal a real
-/// line address (lines are byte addresses divided by the line size), so
-/// a single shifted compare tests "valid and tag matches".
-const INVALID: u64 = u64::MAX;
 
 /// Why a family or its segments cannot be replayed.
 ///
@@ -114,8 +98,7 @@ pub enum FamilyError {
         /// The stream's line size in bytes.
         stream: u64,
     },
-    /// Members disagree on associativity; the batched set scans
-    /// monomorphise on a single way count.
+    /// Members disagree on associativity: a family shares one way count.
     MixedWays {
         /// The first member's way count.
         first: u32,
@@ -133,6 +116,17 @@ pub enum FamilyError {
         expected: (u64, u64),
         /// The disagreeing segment's `(L1 bytes, line bytes)`.
         found: (u64, u64),
+    },
+    /// A stream event names a line beyond the last line of the 64-bit
+    /// address space (see [`MissStream::from_parts`]).
+    LineOutOfRange {
+        /// Index of the offending event.
+        event: u64,
+        /// The out-of-range line or victim word.
+        line: u64,
+        /// The largest line a 64-bit address has at the stream's line
+        /// size, `u64::MAX / line_bytes`.
+        max_line: u64,
     },
 }
 
@@ -154,338 +148,128 @@ impl fmt::Display for FamilyError {
                  through a {}B L1 with {}B lines (segments must share one L1 front-end)",
                 found.0, found.1, expected.0, expected.1
             ),
+            FamilyError::LineOutOfRange { event, line, max_line } => write!(
+                f,
+                "event {event} names line {line:#x}, beyond the last line of the 64-bit \
+                 address space ({max_line:#x})"
+            ),
         }
     }
 }
 
 impl Error for FamilyError {}
 
-/// One member's L2 array plus its private replacement bank, counters,
-/// liveness tallies, and LFSR.
-///
-/// Slots are set-major (`slots[set * ways + way]`), matching
-/// [`Cache`](crate::Cache)'s layout, but hold one packed `u64` per way
-/// instead of a 16-byte `Way` struct: half the memory touched per probe.
-/// The policy words live in the member's [`ReplBank`] — the same state
-/// machines the scalar cache uses, so bit-compatibility holds by
-/// construction.
+/// One family member: its L2 and that L2's counters for the current
+/// segment. The cache's own statistics are never reset, so they are
+/// lifetime totals.
 #[derive(Debug)]
-struct L2State {
-    slots: Vec<u64>,
-    set_mask: u64,
-    repl: ReplBank,
-    lfsr: Lfsr16,
-    hits: u64,
-    misses: u64,
-    writebacks: u64,
-    /// Lifetime LFSR victim draws (only pseudo-random members ever
-    /// draw). Not touched by [`L2State::reset_counters`] — the LFSR
-    /// itself is never reset.
-    lfsr_draws: u64,
-    /// Lifetime fig-21a swaps (exclusive families only; lifetime for the
-    /// same reason as `lfsr_draws`).
-    swaps: u64,
-    /// Per-slot demand-hit counts since the slot's last fill, saturating
-    /// at 255.
-    hit_counts: Vec<u8>,
-    /// Departed fill-generation tallies (see
-    /// [`Liveness`](crate::Liveness)); lifetime, like `lfsr_draws`.
-    live: crate::cache::LiveTally,
+struct Member {
+    l2: Cache,
+    stats: HierarchyStats,
 }
 
-impl L2State {
+impl Member {
     fn new(cfg: &CacheConfig) -> Self {
-        let lines = cfg.lines() as usize;
-        L2State {
-            slots: vec![INVALID; lines],
-            set_mask: cfg.num_sets() - 1,
-            repl: ReplBank::new(cfg.replacement(), cfg.num_sets() as usize, cfg.ways() as usize),
-            lfsr: Lfsr16::default(),
-            hits: 0,
-            misses: 0,
-            writebacks: 0,
-            lfsr_draws: 0,
-            swaps: 0,
-            hit_counts: vec![0; lines],
-            live: crate::cache::LiveTally::default(),
-        }
+        Member { l2: Cache::new(*cfg), stats: HierarchyStats::default() }
     }
 
-    fn reset_counters(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.writebacks = 0;
+    fn counters(&self) -> (u64, u64, u64) {
+        (self.stats.l2_hits, self.stats.l2_misses, self.stats.offchip_writebacks)
     }
 
-    /// Counts a demand hit on the slot at `idx`.
-    #[inline]
-    fn note_hit(&mut self, idx: usize) {
-        let c = &mut self.hit_counts[idx];
-        *c = c.saturating_add(1);
-    }
-
-    /// Lifetime liveness, classifying still-resident slots by their hits
-    /// so far — the member-level analogue of
-    /// [`Cache::liveness`](crate::Cache::liveness).
-    fn liveness(&self) -> Liveness {
-        self.live.snapshot(
-            self.slots.iter().zip(&self.hit_counts).filter(|(&s, _)| s != INVALID).map(|(_, &h)| h),
-        )
-    }
-
-    /// Replica of
-    /// [`Cache::fill_after_miss`](crate::Cache::fill_after_miss) for any
-    /// policy: a 1-way set fills its only way with no replacement
-    /// bookkeeping; otherwise a free way is taken first (no draw), else
-    /// the bank picks a victim (one LFSR draw for pseudo-random members)
-    /// — exactly the scalar call order, so stamp clocks and RRPVs match.
-    /// Counts a dirty eviction as an off-chip writeback.
-    #[inline]
-    fn fill_after_miss(&mut self, ways: usize, line: u64, dirty: bool) {
-        let set = (line & self.set_mask) as usize;
-        let base = set * ways;
-        let way = if ways == 1 {
-            0
-        } else if let Some(i) = (0..ways).find(|&i| self.slots[base + i] == INVALID) {
-            self.repl.filled(set, ways, i as u32, ways as u32);
-            i
+    /// Lifetime LFSR victim draws. A pseudo-random set-associative L2
+    /// draws exactly once per eviction: a fill into a free way draws
+    /// nothing, and the exclusive swap's `fill_at` only reuses the way its
+    /// hit just vacated, so it evicts nothing.
+    fn lfsr_draws(&self) -> u64 {
+        let cfg = self.l2.config();
+        if cfg.replacement() == ReplacementKind::PseudoRandom && cfg.ways() > 1 {
+            self.l2.stats().evictions
         } else {
-            if matches!(self.repl, ReplBank::Random) {
-                self.lfsr_draws += 1;
-            }
-            let w = self.repl.victim(set, ways, ways as u32, &mut self.lfsr);
-            self.repl.filled(set, ways, w, ways as u32);
-            w as usize
-        };
-        let old = self.slots[base + way];
-        self.live.fill();
-        if old != INVALID {
-            self.live.retire(self.hit_counts[base + way]);
+            0
         }
-        self.hit_counts[base + way] = 0;
-        if old != INVALID && old & 1 == 1 {
-            self.writebacks += 1;
-        }
-        self.slots[base + way] = (line << 1) | dirty as u64;
-    }
-
-    /// Replica of
-    /// [`Cache::merge_if_present`](crate::Cache::merge_if_present):
-    /// merge the dirty bit into a resident copy and refresh its
-    /// replacement state, reporting whether one was found. A write-back
-    /// merge is not a demand hit, so the liveness tallies don't move.
-    #[inline]
-    fn merge_if_present(&mut self, ways: usize, line: u64, dirty: bool) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let base = set * ways;
-        for i in 0..ways {
-            if self.slots[base + i] >> 1 == line {
-                self.slots[base + i] |= dirty as u64;
-                self.repl.touch(set, ways, i as u32, ways as u32);
-                return true;
-            }
-        }
-        false
     }
 }
 
-/// Shared geometry of a family: the associativity every member agrees on
-/// (validated by [`FamilyWays::try_of`]).
-#[derive(Debug, Clone, Copy)]
-struct FamilyWays {
-    ways: usize,
-}
-
-impl FamilyWays {
-    /// Validates that every member shares the stream's line size and one
-    /// associativity. Replacement policies may differ per member — each
-    /// member carries its own [`ReplBank`].
-    fn try_of(l2_cfgs: &[CacheConfig], stream: &MissStream) -> Result<FamilyWays, FamilyError> {
-        let ways = l2_cfgs[0].ways();
-        for cfg in l2_cfgs {
-            if cfg.line_bytes() != stream.line_bytes() {
-                return Err(FamilyError::LineSize {
-                    member: cfg.line_bytes(),
-                    stream: stream.line_bytes(),
-                });
-            }
-            if cfg.ways() != ways {
-                return Err(FamilyError::MixedWays { first: ways, other: cfg.ways() });
-            }
+/// Validates that every member shares the stream's line size and one
+/// associativity, returning that way count. Replacement policies may
+/// differ per member — each member is its own [`Cache`].
+fn family_ways(l2_cfgs: &[CacheConfig], stream: &MissStream) -> Result<u32, FamilyError> {
+    let ways = l2_cfgs[0].ways();
+    for cfg in l2_cfgs {
+        if cfg.line_bytes() != stream.line_bytes() {
+            return Err(FamilyError::LineSize {
+                member: cfg.line_bytes(),
+                stream: stream.line_bytes(),
+            });
         }
-        Ok(FamilyWays { ways: ways as usize })
+        if cfg.ways() != ways {
+            return Err(FamilyError::MixedWays { first: ways, other: cfg.ways() });
+        }
     }
+    Ok(ways)
 }
 
-/// Batched conventional back-end, one [`L2State`] per member: per event,
-/// each member issues the monolithic
-/// [`ConventionalTwoLevel`](crate::ConventionalTwoLevel) miss path's L2
-/// calls — probe, fill on a miss, then merge a written L1 victim.
-///
-/// `W` is the compile-time associativity — the hot set scans unroll for
-/// the common widths (2/4/8-way); `W = 0` selects the dynamic fallback
-/// that reads the width from [`FamilyWays`] at run time.
+/// Batched conventional back-end: each event takes every member through
+/// [`ConventionalTwoLevel`](crate::ConventionalTwoLevel)'s L2 step.
 #[derive(Debug)]
-struct ConventionalFamily<const W: usize> {
-    states: Vec<L2State>,
-    fw: FamilyWays,
+struct ConventionalFamily {
+    members: Vec<Member>,
 }
 
-impl<const W: usize> ConventionalFamily<W> {
-    fn new(l2_cfgs: &[CacheConfig], fw: FamilyWays) -> Self {
-        ConventionalFamily { states: l2_cfgs.iter().map(L2State::new).collect(), fw }
+impl ConventionalFamily {
+    fn new(l2_cfgs: &[CacheConfig]) -> Self {
+        ConventionalFamily { members: l2_cfgs.iter().map(Member::new).collect() }
     }
 }
 
-impl<const W: usize> EventSink for ConventionalFamily<W> {
+impl EventSink for ConventionalFamily {
     #[inline]
     fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let l = line.0;
-        let ways = if W == 0 { self.fw.ways } else { W };
-        for st in &mut self.states {
-            let set = (l & st.set_mask) as usize;
-            let base = set * ways;
-            let hit = (0..ways).find(|&i| st.slots[base + i] >> 1 == l);
-            if let Some(hw) = hit {
-                // `access(line, false)`: the dirty-merge of `false` is a
-                // no-op, but the policy touch is not (LRU/PLRU/SRRIP all
-                // promote on hits).
-                st.hits += 1;
-                if ways > 1 {
-                    st.repl.touch(set, ways, hw as u32, ways as u32);
-                }
-                st.note_hit(base + hw);
-            } else {
-                st.misses += 1;
-                st.fill_after_miss(ways, l, false);
-            }
-            if let Some((vline, written)) = victim {
-                if written && !st.merge_if_present(ways, vline.0, true) {
-                    st.writebacks += 1;
-                }
-            }
+        let victim = victim.map(|(line, dirty)| Evicted { line, dirty });
+        for m in &mut self.members {
+            conventional_step(&mut m.l2, &mut m.stats, line, victim);
         }
     }
 
     fn reset_counters(&mut self) {
-        for st in &mut self.states {
-            st.reset_counters();
+        for m in &mut self.members {
+            m.stats = HierarchyStats::default();
         }
     }
 }
 
-/// One member of the batched exclusive back-end, mirroring
-/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)'s extract/swap
-/// sequence. The per-L1-set fill-dirty mirror is carried **per member**: a mirror entry records whether the member's own L2
-/// extract was dirty, which depends on that member's capacity (see the
-/// module docs).
+/// Batched exclusive back-end: each event takes every member through
+/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel)'s L2 step, with the
+/// member's own fill-dirty mirror (see the module docs).
 #[derive(Debug)]
-struct ExclusiveFamilyMember {
-    l2: L2State,
-    /// "Current resident was filled from a dirty L2 extract", per L1I set.
-    mirror_i: Vec<bool>,
-    /// Same, per L1D set.
-    mirror_d: Vec<bool>,
+struct ExclusiveFamily {
+    members: Vec<Member>,
+    /// `states[k]`: member `k`'s mirror and swap count.
+    states: Vec<ExclusiveState>,
 }
 
-#[derive(Debug)]
-struct ExclusiveFamily<const W: usize> {
-    members: Vec<ExclusiveFamilyMember>,
-    fw: FamilyWays,
-    l1_set_mask: u64,
-}
-
-impl<const W: usize> ExclusiveFamily<W> {
-    fn new(l2_cfgs: &[CacheConfig], fw: FamilyWays, l1_sets: usize) -> Self {
+impl ExclusiveFamily {
+    fn new(l2_cfgs: &[CacheConfig], l1_sets: usize) -> Self {
         ExclusiveFamily {
-            members: l2_cfgs
-                .iter()
-                .map(|cfg| ExclusiveFamilyMember {
-                    l2: L2State::new(cfg),
-                    mirror_i: vec![false; l1_sets],
-                    mirror_d: vec![false; l1_sets],
-                })
-                .collect(),
-            fw,
-            l1_set_mask: l1_sets as u64 - 1,
+            members: l2_cfgs.iter().map(Member::new).collect(),
+            states: vec![ExclusiveState::new(l1_sets); l2_cfgs.len()],
         }
     }
 }
 
-impl<const W: usize> EventSink for ExclusiveFamily<W> {
+impl EventSink for ExclusiveFamily {
     #[inline]
     fn consume(&mut self, fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let l = line.0;
-        let ways = if W == 0 { self.fw.ways } else { W };
-        let set = (l & self.l1_set_mask) as usize;
-        for m in &mut self.members {
-            let mirror = if fetch { &mut m.mirror_i } else { &mut m.mirror_d };
-            // Read the victim's fill-dirty component BEFORE the new fill
-            // overwrites the set's mirror entry.
-            let victim = victim.map(|(vline, written)| (vline.0, written || mirror[set]));
-            let st = &mut m.l2;
-            let l2_set = (l & st.set_mask) as usize;
-            let base = l2_set * ways;
-            let hit_way = (0..ways).find(|&w| st.slots[base + w] >> 1 == l);
-            if let Some(hw) = hit_way {
-                // `access`: count the hit, touch, bump the hit count...
-                st.hits += 1;
-                if ways > 1 {
-                    st.repl.touch(l2_set, ways, hw as u32, ways as u32);
-                }
-                st.note_hit(base + hw);
-                // ...then `extract`: read the dirty bit, end the slot's
-                // fill generation (its hits include the one just
-                // counted), and free the slot.
-                let dirty = st.slots[base + hw] & 1;
-                st.slots[base + hw] = INVALID;
-                st.live.retire(st.hit_counts[base + hw]);
-                st.hit_counts[base + hw] = 0;
-                mirror[set] = dirty == 1;
-                match victim {
-                    Some((vl, vdirty)) => {
-                        if (vl & st.set_mask) == (l & st.set_mask)
-                            && !st.slots[base..base + ways].iter().any(|&s| s >> 1 == vl)
-                        {
-                            // Figure 21-a swap: the victim takes the
-                            // requested line's way (`fill_at(vline)`).
-                            st.swaps += 1;
-                            st.live.fill();
-                            st.slots[base + hw] = (vl << 1) | vdirty as u64;
-                            st.repl.filled(l2_set, ways, hw as u32, ways as u32);
-                        } else {
-                            // `fill_at(line)` back into its freed way,
-                            // then send the victim separately.
-                            st.live.fill();
-                            st.slots[base + hw] = (l << 1) | dirty;
-                            st.repl.filled(l2_set, ways, hw as u32, ways as u32);
-                            if !st.merge_if_present(ways, vl, vdirty) {
-                                st.fill_after_miss(ways, vl, vdirty);
-                            }
-                        }
-                    }
-                    None => {
-                        st.live.fill();
-                        st.slots[base + hw] = (l << 1) | dirty;
-                        st.repl.filled(l2_set, ways, hw as u32, ways as u32);
-                    }
-                }
-            } else {
-                st.misses += 1;
-                // Off-chip refill bypasses the L2: no fill-dirty component.
-                mirror[set] = false;
-                if let Some((vl, vdirty)) = victim {
-                    if !st.merge_if_present(ways, vl, vdirty) {
-                        st.fill_after_miss(ways, vl, vdirty);
-                    }
-                }
-            }
+        let victim = victim.map(|(line, dirty)| Evicted { line, dirty });
+        for (m, ex) in self.members.iter_mut().zip(&mut self.states) {
+            exclusive_step(&mut m.l2, ex, &mut m.stats, fetch, line, victim);
         }
     }
 
     fn reset_counters(&mut self) {
         for m in &mut self.members {
-            m.l2.reset_counters();
+            m.stats = HierarchyStats::default();
         }
     }
 }
@@ -525,7 +309,7 @@ struct DmConventionalFamily {
     /// Per size: per-set demand-hit counts since the slot's last install.
     hit_counts: Vec<Vec<u8>>,
     /// Per size: departed fill-generation tallies.
-    live: Vec<crate::cache::LiveTally>,
+    live: Vec<LiveTally>,
 }
 
 impl DmConventionalFamily {
@@ -536,13 +320,13 @@ impl DmConventionalFamily {
         let k = cfgs_ascending.len();
         DmConventionalFamily {
             order,
-            slots: cfgs_ascending.iter().map(|c| vec![INVALID; c.num_sets() as usize]).collect(),
+            slots: cfgs_ascending.iter().map(|c| vec![EMPTY; c.num_sets() as usize]).collect(),
             set_masks: cfgs_ascending.iter().map(|c| c.num_sets() - 1).collect(),
             hit_hist: vec![0; k + 1],
             vic_hist: vec![0; k + 1],
             evict_wb: vec![0; k],
             hit_counts: cfgs_ascending.iter().map(|c| vec![0; c.num_sets() as usize]).collect(),
-            live: vec![crate::cache::LiveTally::default(); k],
+            live: vec![LiveTally::default(); k],
         }
     }
 
@@ -567,7 +351,7 @@ impl DmConventionalFamily {
                     self.slots[k]
                         .iter()
                         .zip(&self.hit_counts[k])
-                        .filter(|(&s, _)| s != INVALID)
+                        .filter(|(&s, _)| s != EMPTY)
                         .map(|(_, &h)| h),
                 ),
             );
@@ -591,11 +375,11 @@ impl EventSink for DmConventionalFamily {
         for k in 0..t {
             let idx = (l & self.set_masks[k]) as usize;
             let slot = self.slots[k][idx];
-            if slot != INVALID && slot & 1 == 1 {
+            if slot != EMPTY && slot & 1 == 1 {
                 self.evict_wb[k] += 1;
             }
             self.live[k].fill();
-            if slot != INVALID {
+            if slot != EMPTY {
                 self.live[k].retire(self.hit_counts[k][idx]);
             }
             self.hit_counts[k][idx] = 0;
@@ -635,35 +419,34 @@ trait Family: EventSink {
     fn lifetime(&self) -> (u64, u64, Liveness);
 }
 
-impl<const W: usize> Family for ConventionalFamily<W> {
+/// Sums `(lfsr_draws, liveness)` over `members`.
+fn members_lifetime(members: &[Member]) -> (u64, Liveness) {
+    let mut live = Liveness::default();
+    for m in members {
+        live.merge(m.l2.liveness());
+    }
+    (members.iter().map(Member::lfsr_draws).sum(), live)
+}
+
+impl Family for ConventionalFamily {
     fn member_counters(&self) -> Vec<(u64, u64, u64)> {
-        self.states.iter().map(|st| (st.hits, st.misses, st.writebacks)).collect()
+        self.members.iter().map(Member::counters).collect()
     }
 
     fn lifetime(&self) -> (u64, u64, Liveness) {
-        let mut live = Liveness::default();
-        for st in &self.states {
-            live.merge(st.liveness());
-        }
-        (self.states.iter().map(|st| st.lfsr_draws).sum(), 0, live)
+        let (draws, live) = members_lifetime(&self.members);
+        (draws, 0, live)
     }
 }
 
-impl<const W: usize> Family for ExclusiveFamily<W> {
+impl Family for ExclusiveFamily {
     fn member_counters(&self) -> Vec<(u64, u64, u64)> {
-        self.members.iter().map(|m| (m.l2.hits, m.l2.misses, m.l2.writebacks)).collect()
+        self.members.iter().map(Member::counters).collect()
     }
 
     fn lifetime(&self) -> (u64, u64, Liveness) {
-        let mut live = Liveness::default();
-        for m in &self.members {
-            live.merge(m.l2.liveness());
-        }
-        (
-            self.members.iter().map(|m| m.l2.lfsr_draws).sum(),
-            self.members.iter().map(|m| m.l2.swaps).sum(),
-            live,
-        )
+        let (draws, live) = members_lifetime(&self.members);
+        (draws, self.states.iter().map(ExclusiveState::swaps).sum(), live)
     }
 }
 
@@ -794,22 +577,17 @@ pub fn try_replay_conventional_family_segments(
     if l2_cfgs.is_empty() {
         return Ok(vec![Vec::new(); segments.len()]);
     }
-    let fw = FamilyWays::try_of(l2_cfgs, &segments[0])?;
-    // Monomorphise the common associativities so the set scans unroll.
-    Ok(match fw.ways {
-        1 => replay_segments(DmConventionalFamily::new(l2_cfgs), segments),
-        2 => replay_segments(ConventionalFamily::<2>::new(l2_cfgs, fw), segments),
-        4 => replay_segments(ConventionalFamily::<4>::new(l2_cfgs, fw), segments),
-        8 => replay_segments(ConventionalFamily::<8>::new(l2_cfgs, fw), segments),
-        _ => replay_segments(ConventionalFamily::<0>::new(l2_cfgs, fw), segments),
+    Ok(if family_ways(l2_cfgs, &segments[0])? == 1 {
+        replay_segments(DmConventionalFamily::new(l2_cfgs), segments)
+    } else {
+        replay_segments(ConventionalFamily::new(l2_cfgs), segments)
     })
 }
 
 /// As [`try_replay_conventional_family_segments`] for a family of
 /// exclusive (victim-swap) L2s, each member bit-identical to
-/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel): persistent slot
-/// arrays, replacement banks, per-member fill-dirty mirrors, and LFSRs
-/// stitch across segments.
+/// [`ExclusiveTwoLevel`](crate::ExclusiveTwoLevel): member caches and
+/// their fill-dirty mirrors stitch across segments.
 ///
 /// # Errors
 ///
@@ -822,16 +600,8 @@ pub fn try_replay_exclusive_family_segments(
     if l2_cfgs.is_empty() {
         return Ok(vec![Vec::new(); segments.len()]);
     }
-    let fw = FamilyWays::try_of(l2_cfgs, &segments[0])?;
-    let sets = segments[0].l1_sets();
-    // Monomorphise the common associativities so the set scans unroll.
-    Ok(match fw.ways {
-        1 => replay_segments(ExclusiveFamily::<1>::new(l2_cfgs, fw, sets), segments),
-        2 => replay_segments(ExclusiveFamily::<2>::new(l2_cfgs, fw, sets), segments),
-        4 => replay_segments(ExclusiveFamily::<4>::new(l2_cfgs, fw, sets), segments),
-        8 => replay_segments(ExclusiveFamily::<8>::new(l2_cfgs, fw, sets), segments),
-        _ => replay_segments(ExclusiveFamily::<0>::new(l2_cfgs, fw, sets), segments),
-    })
+    family_ways(l2_cfgs, &segments[0])?;
+    Ok(replay_segments(ExclusiveFamily::new(l2_cfgs, segments[0].l1_sets()), segments))
 }
 
 /// Per-segment single-level statistics for `members` configurations:
@@ -860,11 +630,11 @@ pub fn try_replay_single_family_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Cache;
-    use crate::config::{Associativity, ReplacementKind};
+    use crate::config::Associativity;
     use crate::filter::L1FrontEnd;
     use crate::hierarchy::MemorySystem;
     use crate::oracle::{naive_replay_conventional, naive_replay_exclusive};
+    use crate::twolevel::ConventionalTwoLevel;
     use tlc_trace::spec::SpecBenchmark;
     use tlc_trace::InstructionSource;
 
@@ -947,7 +717,7 @@ mod tests {
         let conv_stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         let excl_stream = capture(SpecBenchmark::Li, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
-            for ways in [2u32, 4] {
+            for ways in [2u32, 4, 8, 16] {
                 let cfgs: Vec<CacheConfig> =
                     [2048u64, 8192, 32768].map(|b| l2_policy_cfg(b, ways, repl)).to_vec();
                 let conv = conventional(&cfgs, &conv_stream);
@@ -1090,40 +860,24 @@ mod tests {
         assert!(want.to_string().contains("one L1 front-end"), "got: {want}");
     }
 
-    /// Drives a plain [`Cache`] with the conventional back-end's exact
-    /// call order — the reference for the family's liveness tallies.
-    struct ScalarConvSink {
-        l2: Cache,
-    }
-
-    impl EventSink for ScalarConvSink {
-        fn consume(&mut self, _f: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-            if !self.l2.access(line, false) {
-                self.l2.fill_after_miss(line, false);
-            }
-            if let Some((vl, written)) = victim {
-                if written {
-                    self.l2.merge_if_present(vl, true);
-                }
-            }
-        }
-
-        fn reset_counters(&mut self) {}
-    }
-
     #[test]
-    fn family_liveness_matches_scalar_cache() {
+    fn family_liveness_matches_per_access_hierarchy() {
+        // The same 10k instructions, once through a per-access hierarchy
+        // and once captured and replayed: the L2 sees the same step
+        // sequence either way, warm-up included.
         let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
             let cfgs = [l2_policy_cfg(4096, 4, repl), l2_policy_cfg(16384, 4, repl)];
-            let fw = FamilyWays::try_of(&cfgs, &stream).unwrap();
-            let mut fam = ConventionalFamily::<4>::new(&cfgs, fw);
+            let mut fam = ConventionalFamily::new(&cfgs);
             walk_events(&mut fam, &stream);
-            for (cfg, st) in cfgs.iter().zip(&fam.states) {
-                let mut scalar = ScalarConvSink { l2: Cache::new(*cfg) };
-                walk_events(&mut scalar, &stream);
-                let got = st.liveness();
-                assert_eq!(got, scalar.l2.liveness(), "{repl} {cfg}");
+            for (cfg, m) in cfgs.iter().zip(&fam.members) {
+                let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), *cfg);
+                let mut w = SpecBenchmark::Gcc1.workload();
+                for _ in 0..10_000 {
+                    sys.access_instruction(&w.next_instruction_opt().unwrap());
+                }
+                let got = m.l2.liveness();
+                assert_eq!(got, sys.l2().liveness(), "{repl} {cfg}");
                 assert_eq!(got.fills, got.dead_on_arrival + got.live_fills, "{repl} {cfg}");
                 assert!(got.multi_hit <= got.live_fills, "{repl} {cfg}");
             }
@@ -1136,12 +890,8 @@ mod tests {
         let cfgs = [l2_cfg(2048, 1), l2_cfg(8192, 1)];
         let mut fam = DmConventionalFamily::new(&cfgs);
         walk_events(&mut fam, &stream);
-        let mut expected = Liveness::default();
-        for cfg in &cfgs {
-            let mut scalar = ScalarConvSink { l2: Cache::new(*cfg) };
-            walk_events(&mut scalar, &stream);
-            expected.merge(scalar.l2.liveness());
-        }
-        assert_eq!(fam.liveness_total(), expected);
+        let mut scalar = ConventionalFamily::new(&cfgs);
+        walk_events(&mut scalar, &stream);
+        assert_eq!(fam.liveness_total(), members_lifetime(&scalar.members).1);
     }
 }

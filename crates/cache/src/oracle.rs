@@ -648,7 +648,7 @@ mod tests {
     #[test]
     fn naive_conventional_matches_monolithic() {
         for repl in ReplacementKind::ALL {
-            for ways in [1u32, 2, 4] {
+            for ways in [1u32, 2, 4, 8, 16] {
                 let mut real = ConventionalTwoLevel::new(dm(1024), cfg(8192, ways, repl));
                 let mut naive = NaiveSystem::conventional(1024, 16, 8192, ways, repl);
                 for r in stream(30_000, 64 * 1024) {
@@ -663,7 +663,7 @@ mod tests {
     #[test]
     fn naive_exclusive_matches_monolithic() {
         for repl in ReplacementKind::ALL {
-            for ways in [1u32, 2, 4] {
+            for ways in [1u32, 2, 4, 8, 16] {
                 let mut real = ExclusiveTwoLevel::new(dm(1024), cfg(8192, ways, repl));
                 let mut naive = NaiveSystem::exclusive(1024, 16, 8192, ways, repl);
                 for r in stream(30_000, 64 * 1024) {

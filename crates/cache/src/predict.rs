@@ -779,6 +779,7 @@ mod tests {
                 1024,
                 16,
             )
+            .expect("synthetic lines are in range")
         }
 
         proptest! {

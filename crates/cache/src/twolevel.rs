@@ -8,13 +8,50 @@
 //! back-invalidate L1 (the paper's standard scheme is demand-inclusive,
 //! not enforced-inclusive); a dirty L1 victim updates its L2 copy when one
 //! exists and otherwise goes off-chip.
+//!
+//! That L2 protocol is written once, in `conventional_step`: the
+//! per-access hierarchy calls it after each L1 refill, and the family
+//! back-end ([`filter_family`](crate::filter_family)) calls it once per
+//! member on each replayed miss event.
 
-use crate::cache::Cache;
+use crate::cache::{Cache, Evicted};
 use crate::config::CacheConfig;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
-use tlc_trace::MemRef;
+use tlc_trace::{LineAddr, MemRef};
+
+/// The conventional L2 protocol for one L1 miss on `line`, after the L1
+/// refill displaced `victim`: a demand probe of the L2, an off-chip fill
+/// of the L2 on a miss, then the write-back of a dirty victim into its
+/// L2 copy, or off-chip when it has none. Counts `stats`' L2 fields and
+/// returns whether the L2 hit.
+///
+/// The L1 refill never depends on the L2 here (it is marked dirty by a
+/// store only), so running it first changes nothing.
+#[inline(always)]
+pub(crate) fn conventional_step(
+    l2: &mut Cache,
+    stats: &mut HierarchyStats,
+    line: LineAddr,
+    victim: Option<Evicted>,
+) -> bool {
+    let hit = l2.access_slot(line, false).is_some();
+    if hit {
+        stats.l2_hits += 1;
+    } else {
+        stats.l2_misses += 1;
+        if l2.fill_absent(line, false).is_some_and(|ev| ev.dirty) {
+            stats.offchip_writebacks += 1;
+        }
+    }
+    if let Some(v) = victim {
+        if v.dirty && !l2.merge_if_present(v.line, true) {
+            stats.offchip_writebacks += 1;
+        }
+    }
+    hit
+}
 
 /// Split L1 I/D caches over a unified L2, conventional fill policy.
 ///
@@ -79,28 +116,12 @@ impl MemorySystem for ConventionalTwoLevel {
         let Some(miss) = self.l1.lookup(r, &mut self.stats) else {
             return ServiceLevel::L1;
         };
-        let level = if self.l2.access(miss.line, false) {
-            // L2 hit: refill L1 from L2.
-            self.stats.l2_hits += 1;
+        let victim = self.l1.fill(miss, miss.write);
+        if conventional_step(&mut self.l2, &mut self.stats, miss.line, victim) {
             ServiceLevel::L2
         } else {
-            // L2 miss: fetch off-chip, fill both levels.
-            self.stats.l2_misses += 1;
-            if let Some(v2) = self.l2.fill_after_miss(miss.line, false) {
-                if v2.dirty {
-                    self.stats.offchip_writebacks += 1;
-                }
-            }
             ServiceLevel::Memory
-        };
-        // A dirty L1 victim updates its L2 copy when one exists (merging
-        // the dirty bit in one scan) and otherwise goes off-chip.
-        if let Some(v) = self.l1.fill(miss, miss.write) {
-            if v.dirty && !self.l2.merge_if_present(v.line, true) {
-                self.stats.offchip_writebacks += 1;
-            }
         }
-        level
     }
 
     fn stats(&self) -> &HierarchyStats {

@@ -1415,14 +1415,18 @@ mod tests {
             "--csv",
             "--engine",
         ];
-        let mut outputs = Vec::new();
-        for engine in ["auto", "arena", "family"] {
-            let mut argv: Vec<&str> = base.to_vec();
-            argv.push(engine);
-            outputs.push(run(&argv).unwrap_or_else(|e| panic!("engine {engine}: {e:?}")));
-        }
-        for o in &outputs[1..] {
-            assert_eq!(&outputs[0], o, "engines must produce identical sweeps");
+        // Exclusive too: there arena runs the per-access hierarchy and
+        // family the batched replay, through the same L2 step.
+        for policy in ["conventional", "exclusive"] {
+            let mut outputs = Vec::new();
+            for engine in ["auto", "arena", "family"] {
+                let mut argv: Vec<&str> = base.to_vec();
+                argv.extend([engine, "--policy", policy]);
+                outputs.push(run(&argv).unwrap_or_else(|e| panic!("{policy} {engine}: {e:?}")));
+            }
+            for o in &outputs[1..] {
+                assert_eq!(&outputs[0], o, "{policy}: engines must produce identical sweeps");
+            }
         }
         // `streaming` and `filtered` were removed, not aliased: they are
         // as unknown as `warp`.

@@ -38,6 +38,7 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::time::Instant;
 use tlc_area::AreaModel;
+use tlc_cache::filter_family::FamilyError;
 use tlc_cache::oracle::{
     lru_misses, naive_replay_conventional, naive_replay_exclusive, naive_replay_single,
 };
@@ -306,32 +307,41 @@ fn replay_source(case: &SampledCase, records: &[InstructionRecord]) -> ReplaySou
 }
 
 /// Replays the shrunk candidate through the engine and naive back-ends,
-/// reporting whether they still disagree — the `ddmin` predicate.
+/// reporting whether they still disagree — the `ddmin` predicate. The
+/// events come from a capture, so their lines are always in range.
 fn event_paths_diverge(events: &[MissEvent], case: &SampledCase) -> bool {
     let mut arena = EventArena::new();
     for e in events {
         arena.push(*e);
     }
-    let stream = MissStream::from_parts(
+    MissStream::from_parts(
         "shrink",
         arena,
         0,
         HierarchyStats::default(),
         case.cfg.l1_size_bytes,
         case.cfg.line_bytes,
-    );
-    engine_vs_naive_on_stream(&case.cfg, &stream).is_some()
+    )
+    .is_ok_and(|stream| engine_vs_naive_on_stream(&case.cfg, &stream).is_some())
 }
 
 /// Replays one corpus entry's event trace through the L2 back-end (a
 /// family of one) and the naive event-level oracle, returning the
-/// divergence detail if they disagree (`None` = the engines agree).
+/// divergence detail if they disagree (`Ok(None)` = the engines agree).
 ///
 /// `tests/corpus_replay.rs` drives this over every `.evt`/`.json` pair
 /// in `tests/corpus/`: entries with `expect_divergence: false` pin a
 /// fixed bug (must agree forever), entries with `true` document a
 /// benign divergence (must keep reproducing exactly as noted).
-pub fn replay_corpus_entry(meta: &CorpusEntryMeta, events: EventArena) -> Option<String> {
+///
+/// # Errors
+///
+/// [`FamilyError::LineOutOfRange`] if an event names a line no address
+/// at the entry's line size has: such a trace is rejected, not replayed.
+pub fn replay_corpus_entry(
+    meta: &CorpusEntryMeta,
+    events: EventArena,
+) -> Result<Option<String>, FamilyError> {
     let stream = MissStream::from_parts(
         "corpus",
         events,
@@ -339,7 +349,7 @@ pub fn replay_corpus_entry(meta: &CorpusEntryMeta, events: EventArena) -> Option
         HierarchyStats::default(),
         meta.l1_size_bytes,
         meta.line_bytes,
-    );
+    )?;
     let cfg = MachineConfig {
         l1_size_bytes: meta.l1_size_bytes,
         l1_cell: tlc_area::CellKind::SinglePorted,
@@ -347,7 +357,7 @@ pub fn replay_corpus_entry(meta: &CorpusEntryMeta, events: EventArena) -> Option
         offchip_ns: 50.0,
         line_bytes: meta.line_bytes,
     };
-    engine_vs_naive_on_stream(&cfg, &stream)
+    Ok(engine_vs_naive_on_stream(&cfg, &stream))
 }
 
 /// Runs the L2 back-end (a family of one) and the naive event oracle on

@@ -451,8 +451,8 @@ pub fn evaluate_family(
 
 /// As [`simulate_family`] over a *stitched* sequence of segments (one
 /// per representative phase slice, from
-/// [`capture_miss_stream_segments`]): the family's L2 state — slot
-/// arrays, per-member LFSRs, exclusive fill-dirty mirrors — is built
+/// [`capture_miss_stream_segments`]): the family's L2 state — member
+/// caches with their LFSRs, exclusive fill-dirty mirrors — is built
 /// once and persists across segments, so each segment's warm-up prefix
 /// refreshes stale state instead of filling a cold cache. Returns
 /// per-segment, per-member statistics (`out[segment][member]`, members

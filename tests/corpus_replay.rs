@@ -53,7 +53,8 @@ fn every_corpus_entry_replays_as_documented() {
     for (stem, meta, events) in load_corpus() {
         assert_eq!(meta.schema, CORPUS_ENTRY_SCHEMA, "{stem}: unknown sidecar schema");
         assert!(!meta.note.is_empty(), "{stem}: sidecar must explain itself");
-        let divergence = replay_corpus_entry(&meta, events);
+        let divergence = replay_corpus_entry(&meta, events)
+            .unwrap_or_else(|e| panic!("{stem}: the trace is not replayable: {e}"));
         if meta.expect_divergence {
             assert!(
                 divergence.is_some(),
@@ -107,7 +108,62 @@ fn synthetic_corpus_entry_round_trips_and_agrees() {
         note: "synthetic pipeline check; engines agree".to_string(),
         expect_divergence: false,
     };
-    assert_eq!(replay_corpus_entry(&meta, decoded), None);
+    assert_eq!(replay_corpus_entry(&meta, decoded), Ok(None));
+}
+
+/// A `.evt` file can carry any 64-bit line word, but no address has a
+/// line above `u64::MAX / line_bytes`. Such an entry is rejected, not
+/// replayed: `u64::MAX >> 1` is the line an empty cache slot decodes
+/// to, so replaying it as a cold load reported an L2 hit in an empty
+/// cache, in every family back-end.
+#[test]
+fn out_of_range_line_words_are_rejected_not_replayed() {
+    use tlc_cache::filter_family::FamilyError;
+    let max_line = u64::MAX / 16;
+    let entry = |line: u64, victim: Option<u64>| {
+        let mut events = EventArena::new();
+        events.push(MissEvent {
+            kind: AccessKind::Load,
+            line: LineAddr(line),
+            victim: victim.map(|v| VictimLine { line: LineAddr(v), written: true }),
+        });
+        events
+    };
+    for policy in [tlc_core::L2Policy::Conventional, tlc_core::L2Policy::Exclusive] {
+        for ways in [1u32, 4] {
+            let meta = CorpusEntryMeta {
+                schema: CORPUS_ENTRY_SCHEMA.to_string(),
+                check: "family-vs-oracle".to_string(),
+                l1_size_bytes: 1024,
+                line_bytes: 16,
+                warmup_events: 0,
+                l2: Some(tlc_core::L2Spec {
+                    size_bytes: 4096,
+                    ways,
+                    policy,
+                    repl: tlc_cache::ReplacementKind::PseudoRandom,
+                }),
+                note: "out-of-range line words".to_string(),
+                expect_divergence: false,
+            };
+            for (line, victim) in [(u64::MAX >> 1, None), (max_line + 1, None), (1, Some(u64::MAX))]
+            {
+                let bad = line.max(victim.unwrap_or(0));
+                assert_eq!(
+                    replay_corpus_entry(&meta, entry(line, victim)),
+                    Err(FamilyError::LineOutOfRange { event: 0, line: bad, max_line }),
+                    "{policy:?} {ways}-way line {line:#x}"
+                );
+            }
+            // The last line of the address space is a cold miss like any
+            // other, in the engine and in the oracle alike.
+            assert_eq!(
+                replay_corpus_entry(&meta, entry(max_line, Some(max_line - 1))),
+                Ok(None),
+                "{policy:?} {ways}-way"
+            );
+        }
+    }
 }
 
 /// The acceptance bar for archived witnesses: re-running the shrinker
