@@ -5,13 +5,13 @@
 //!
 //! 1. `capture_miss_stream` — the one-time cost of running the L1 over
 //!    the arena and packing its miss/victim events;
-//! 2. a family of one (`evaluate_family`) vs `evaluate_arena` — the
+//! 2. a family of one (`simulate_family`) vs `simulate_arena` — the
 //!    per-configuration cost with and without the L1 in the loop (the
 //!    miss-stream back-end touches only the events, typically a small
 //!    fraction of the references);
-//! 3. the end-to-end family sweep vs the arena sweep over the two-level
-//!    design space, where every configuration shares one of a few L1
-//!    front-ends.
+//! 3. the end-to-end family sweep vs a per-access `simulate_arena` loop
+//!    over the two-level design space, both on one thread, where every
+//!    configuration shares one of a few L1 front-ends.
 //!
 //! For the committed machine-readable comparison, see `BENCH_sweep.json`
 //! (regenerate with `repro bench-sweep <path>`).
@@ -20,9 +20,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use tlc_area::AreaModel;
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate_arena, evaluate_family, SimBudget,
+    capture_benchmark, capture_miss_stream, simulate_arena, simulate_family, SimBudget,
 };
-use tlc_core::runner::{default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads};
+use tlc_core::runner::try_sweep_family_arena_threads;
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -32,7 +32,6 @@ const BUDGET: SimBudget = SimBudget { instructions: 120_000, warmup_instructions
 fn bench_miss_stream(c: &mut Criterion) {
     let timing = TimingModel::paper();
     let area = AreaModel::new();
-    let threads = default_threads();
     let arena = capture_benchmark(SpecBenchmark::Espresso, BUDGET);
     let refs = BUDGET.warmup_instructions + BUDGET.instructions;
 
@@ -56,10 +55,10 @@ fn bench_miss_stream(c: &mut Criterion) {
         ("exclusive", MachineConfig::two_level(4, 64, 4, L2Policy::Exclusive, 50.0)),
     ] {
         group.bench_function(BenchmarkId::new("arena_per_config", label), |b| {
-            b.iter(|| evaluate_arena(&cfg, &arena, BUDGET, &timing, &area))
+            b.iter(|| simulate_arena(&cfg, &arena, BUDGET))
         });
         group.bench_function(BenchmarkId::new("family_of_one_per_config", label), |b| {
-            b.iter(|| evaluate_family(std::slice::from_ref(&cfg), &stream, &timing, &area))
+            b.iter(|| simulate_family(std::slice::from_ref(&cfg), &stream))
         });
     }
 
@@ -73,14 +72,11 @@ fn bench_miss_stream(c: &mut Criterion) {
     let twolevel: Vec<MachineConfig> = space.into_iter().filter(|c| c.l2.is_some()).collect();
     group.throughput(Throughput::Elements(refs * twolevel.len() as u64));
     group.bench_function(BenchmarkId::new("arena_sweep_twolevel", twolevel.len()), |b| {
-        b.iter(|| {
-            try_sweep_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads)
-                .expect("sweep")
-        })
+        b.iter(|| twolevel.iter().map(|c| simulate_arena(c, &arena, BUDGET)).collect::<Vec<_>>())
     });
     group.bench_function(BenchmarkId::new("family_sweep_twolevel", twolevel.len()), |b| {
         b.iter(|| {
-            try_sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, threads)
+            try_sweep_family_arena_threads(&twolevel, &arena, BUDGET, &timing, &area, 1)
                 .expect("sweep")
         })
     });

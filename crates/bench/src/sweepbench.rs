@@ -1,15 +1,16 @@
-//! Machine-readable sweep-engine benchmark: arena replay vs
+//! Machine-readable sweep-engine benchmark: per-access arena replay vs
 //! family-batched miss-stream replay vs analytical prediction vs phase
 //! sampling.
 //!
-//! Times three engines over the same configuration space:
+//! Times the sweep engines over the same configuration space, against
+//! one baseline:
 //!
-//! 1. **arena** — capture once, replay the packed buffer per
-//!    configuration;
+//! 1. **arena** (the baseline, not an engine) — capture once, replay the
+//!    packed buffer through every configuration's own per-access
+//!    hierarchy ([`simulate_arena`]), fanned over the same thread count;
 //! 2. **family** — capture once, simulate each distinct L1 once over the
 //!    arena, then replay its miss-stream events once per (L1, policy,
-//!    ways) family, driving every L2 size at once (the sweep fast path;
-//!    `filtered` is its CLI alias);
+//!    ways) family, driving every L2 size at once (the sweep engine);
 //! 3. **predict** — one reuse-distance profiling pass per L1 group
 //!    answers every conventional L2 point analytically (exclusive
 //!    members replay through the family engine). The only engine that
@@ -19,11 +20,12 @@
 //!    against family replay on 90- and 450-point conventional spaces
 //!    (acceptance bar: ≥ 5× at 450).
 //!
-//! The two replay engines must produce bit-identical design points
-//! (`identical`; that arena replay equals per-configuration generation
-//! is pinned by `tests/arena_equivalence.rs`). Because the family
-//! engine's whole advantage is on configurations that *share* an L1, the
-//! report also times the arena and family engines on the two-level
+//! The family engine must reproduce the baseline's statistics bit for
+//! bit (`identical`; that arena replay equals per-configuration
+//! generation is pinned by `tests/arena_equivalence.rs`). Because the
+//! family engine's whole advantage is on configurations that *share* an
+//! L1, the report also times the baseline and the family engine on the
+//! two-level
 //! subset of the space in isolation (`twolevel_*` fields) — their ratio
 //! is the "simulate the L1 once and decode the events once per family"
 //! win with the single-level legs excluded (`twolevel_family_speedup`;
@@ -43,12 +45,12 @@
 use crate::Harness;
 use serde::Serialize;
 use std::time::Instant;
+use tlc_cache::HierarchyStats;
 use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
 use tlc_core::configspace::{full_space, SpaceOptions};
-use tlc_core::experiment::{capture_benchmark, DesignPoint, SimBudget};
+use tlc_core::experiment::{capture_benchmark, simulate_arena, DesignPoint, SimBudget};
 use tlc_core::runner::{
-    try_sweep_arena_threads, try_sweep_family_arena_threads, try_sweep_predict_arena_threads,
-    try_sweep_sampled_threads,
+    try_sweep_family_arena_threads, try_sweep_predict_arena_threads, try_sweep_sampled_threads,
 };
 use tlc_core::sampling::{
     capture_phase_slices, sample_source, SampleOptions, SAMPLED_MISS_RATIO_EPSILON,
@@ -90,7 +92,7 @@ pub struct SweepBenchRow {
     pub benchmark: String,
     /// Wall-clock seconds to capture the arena.
     pub capture_s: f64,
-    /// Wall-clock seconds for the arena-replay sweep.
+    /// Wall-clock seconds for the per-access arena-replay baseline.
     pub replay_s: f64,
     /// Wall-clock seconds for the family-batched sweep (per-L1 capture
     /// plus one event pass per (L1, policy, ways) family; arena capture
@@ -107,15 +109,15 @@ pub struct SweepBenchRow {
     pub family_events_replayed: u64,
     /// Arena resident size in bytes.
     pub arena_bytes: u64,
-    /// Wall-clock seconds for the arena engine on the two-level subset
-    /// of the space only.
+    /// Wall-clock seconds for the per-access baseline on the two-level
+    /// subset of the space only.
     pub twolevel_arena_s: f64,
     /// Wall-clock seconds for the family engine on the two-level subset
     /// only.
     pub twolevel_family_s: f64,
     /// `twolevel_arena_s / twolevel_family_s` — the speedup miss-stream
-    /// filtering plus family batching buys over arena replay where L1s
-    /// are shared.
+    /// filtering plus family batching buys over per-access arena replay
+    /// where L1s are shared.
     pub twolevel_family_speedup: f64,
     /// Wall-clock seconds for the analytical predict sweep (per-L1
     /// profiling pass plus closed-form evaluation; exclusive members
@@ -129,8 +131,9 @@ pub struct SweepBenchRow {
     /// `tlc_cache::MISS_RATIO_EPSILON`. (The predict engine is the one
     /// engine excluded from `identical`.)
     pub predict_within_epsilon: bool,
-    /// Whether the family engine reproduced arena replay bit-for-bit,
-    /// on the whole space and on the two-level subset.
+    /// Whether the family engine reproduced the per-access baseline's
+    /// statistics bit-for-bit, on the whole space and on the two-level
+    /// subset.
     pub identical: bool,
 }
 
@@ -212,12 +215,12 @@ pub struct SweepBenchReport {
     pub total_arena_s: f64,
     /// Total wall-clock seconds for all captures plus family sweeps.
     pub total_family_s: f64,
-    /// Total two-level-subset seconds for the arena engine.
+    /// Total two-level-subset seconds for the per-access baseline.
     pub total_twolevel_arena_s: f64,
     /// Total two-level-subset seconds for the family engine.
     pub total_twolevel_family_s: f64,
     /// `total_twolevel_arena_s / total_twolevel_family_s` — the
-    /// two-level speedup of the family engine over arena replay (the
+    /// two-level speedup of the family engine over per-access replay (the
     /// acceptance bar: ≥ 3× at one thread).
     pub total_twolevel_family_speedup: f64,
     /// Total wall-clock seconds for all captures plus predict sweeps.
@@ -231,7 +234,8 @@ pub struct SweepBenchReport {
     pub predict_scaling: Vec<PredictScalingPoint>,
     /// Phase-sampling vs full-replay comparison on a long stream.
     pub sampled_scaling: SampledScalingReport,
-    /// Whether every benchmark's replay engines agreed bit-for-bit.
+    /// Whether every benchmark's family engine agreed with the baseline
+    /// bit-for-bit.
     pub all_identical: bool,
     /// Whether the producing build carried live instrumentation: always
     /// `true` today; kept so reports from older no-op builds (whose
@@ -326,6 +330,48 @@ fn span_wall_s(nodes: &[SpanNode], name: &str) -> f64 {
     walk(nodes, name) as f64 / 1e9
 }
 
+/// The per-access baseline: every configuration replays the whole arena
+/// through its own hierarchy ([`simulate_arena`]), on `threads` workers
+/// claiming configurations one at a time (on the calling thread when
+/// `threads` is 1). Statistics in input order.
+fn per_access_sweep(
+    configs: &[MachineConfig],
+    arena: &TraceArena,
+    budget: SimBudget,
+    threads: usize,
+) -> Vec<HierarchyStats> {
+    if threads <= 1 {
+        return configs.iter().map(|c| simulate_arena(c, arena, budget)).collect();
+    }
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut slots = vec![HierarchyStats::default(); configs.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(configs.len()))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        let Some(cfg) = configs.get(i) else { break mine };
+                        mine.push((i, simulate_arena(cfg, arena, budget)));
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            for (i, stats) in w.join().expect("per-access worker") {
+                slots[i] = stats;
+            }
+        }
+    });
+    slots
+}
+
+/// Whether every point's statistics equal the baseline's, in order.
+fn same_stats(points: &[DesignPoint], baseline: &[HierarchyStats]) -> bool {
+    points.len() == baseline.len() && points.iter().zip(baseline).all(|(p, s)| p.stats == *s)
+}
+
 /// Runs the comparison over all seven benchmarks.
 pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
     let timing = tlc_timing::TimingModel::paper();
@@ -340,13 +386,11 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         let capture_s = t2.elapsed().as_secs_f64();
 
         let t3 = Instant::now();
-        let replayed =
-            try_sweep_arena_threads(&cfg.configs, &arena, cfg.budget, &timing, &area, cfg.threads)
-                .expect("bench sweep");
+        let replayed = per_access_sweep(&cfg.configs, &arena, cfg.budget, cfg.threads);
         let replay_s = t3.elapsed().as_secs_f64();
 
-        // Per-phase attribution for the family engine: discard spans the
-        // arena engine accumulated, then drain exactly this run's.
+        // Per-phase attribution for the family engine: discard spans
+        // accumulated so far, then drain exactly this run's.
         let _ = tlc_obs::take_spans();
         let events_before = tlc_obs::counters().get(tlc_obs::Counter::L2EventsReplayed);
         let t4b = Instant::now();
@@ -367,9 +411,7 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
         // The two-level subset in isolation: the family engine's win
         // with the unshared single-level legs excluded.
         let t5 = Instant::now();
-        let twolevel_arena =
-            try_sweep_arena_threads(&twolevel, &arena, cfg.budget, &timing, &area, cfg.threads)
-                .expect("bench sweep");
+        let twolevel_arena = per_access_sweep(&twolevel, &arena, cfg.budget, cfg.threads);
         let twolevel_arena_s = t5.elapsed().as_secs_f64();
 
         let t7 = Instant::now();
@@ -410,7 +452,8 @@ pub fn run_sweep_benchmark(cfg: &SweepBenchConfig) -> SweepBenchReport {
             twolevel_family_speedup: twolevel_arena_s / twolevel_family_s,
             predict_s,
             predict_within_epsilon: predict_contract_ok(&cfg.configs, &predicted, &family),
-            identical: family == replayed && twolevel_family == twolevel_arena,
+            identical: same_stats(&family, &replayed)
+                && same_stats(&twolevel_family, &twolevel_arena),
         });
     }
     // Predict-vs-family scaling: the same conventional space at growing
@@ -574,9 +617,8 @@ mod tests {
     #[test]
     fn comparison_runs_and_engines_agree() {
         // A deliberately tiny instance: 3 configs, short budget. Two of
-        // them must share an L1 (same size, differing L2) so the family
-        // path — and its event attribution — actually engages rather
-        // than every group falling back as a singleton.
+        // them share an L1 (same size, differing L2), so one family
+        // batches more than one member.
         let mut cfg = SweepBenchConfig::from_harness(&Harness::quick());
         let shared_l1: Vec<MachineConfig> = {
             let first = cfg

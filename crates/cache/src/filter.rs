@@ -40,7 +40,8 @@
 //! hierarchy, so its replacement state (including its pseudo-random
 //! LFSR) evolves identically and every statistic is bit-identical — the
 //! equivalence suite in `tests/arena_equivalence.rs` pins the back-end
-//! to the arena engine and to the naive oracle across every benchmark.
+//! to per-access arena replay and to the naive oracle across every
+//! benchmark.
 
 use crate::config::CacheConfig;
 use crate::filter_family::FamilyError;
@@ -229,15 +230,14 @@ impl MissStream {
     ///
     /// # Errors
     ///
-    /// [`FamilyError::LineOutOfRange`] if an event's line or victim word
-    /// exceeds `u64::MAX / line_bytes`: no 64-bit address has such a line,
-    /// and replaying one could alias the empty slot of a
-    /// [`Cache`](crate::Cache).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `l1_size_bytes` and `line_bytes` are powers of two
-    /// with at least one line, and `warmup_events` is within the stream.
+    /// - [`FamilyError::L1Geometry`] unless `l1_size_bytes` and
+    ///   `line_bytes` are powers of two with at least one line;
+    /// - [`FamilyError::WarmupOutOfRange`] if `warmup_events` exceeds the
+    ///   stream's event count;
+    /// - [`FamilyError::LineOutOfRange`] if an event's line or victim
+    ///   word exceeds `u64::MAX / line_bytes`: no 64-bit address has such
+    ///   a line, and replaying one could alias the empty slot of a
+    ///   [`Cache`](crate::Cache).
     pub fn from_parts(
         name: &str,
         events: EventArena,
@@ -246,13 +246,15 @@ impl MissStream {
         l1_size_bytes: u64,
         line_bytes: u64,
     ) -> Result<Self, FamilyError> {
-        assert!(
-            l1_size_bytes.is_power_of_two()
-                && line_bytes.is_power_of_two()
-                && l1_size_bytes >= line_bytes,
-            "L1 geometry must be powers of two with at least one line"
-        );
-        assert!(warmup_events <= events.len(), "warm-up boundary outside the stream");
+        if !(l1_size_bytes.is_power_of_two()
+            && line_bytes.is_power_of_two()
+            && l1_size_bytes >= line_bytes)
+        {
+            return Err(FamilyError::L1Geometry { l1_size_bytes, line_bytes });
+        }
+        if warmup_events > events.len() {
+            return Err(FamilyError::WarmupOutOfRange { warmup_events, events: events.len() });
+        }
         let max_line = u64::MAX / line_bytes;
         let mut first = 0u64;
         for chunk in events.chunks() {
@@ -349,7 +351,7 @@ pub(crate) trait EventSink {
 }
 
 /// Walks the packed event stream through `sink`, resetting its counters
-/// at the warm-up boundary exactly where the arena engine resets the
+/// at the warm-up boundary exactly where per-access arena replay resets the
 /// monolithic hierarchy's statistics (including the mid-chunk split and
 /// the exhausted-inside-warm-up reset).
 pub(crate) fn walk_events<S: EventSink>(sink: &mut S, stream: &MissStream) {

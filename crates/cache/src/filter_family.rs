@@ -128,6 +128,23 @@ pub enum FamilyError {
         /// size, `u64::MAX / line_bytes`.
         max_line: u64,
     },
+    /// A stream's L1 geometry cannot come from a front-end: the L1 or
+    /// line size is not a power of two, or the L1 holds less than one
+    /// line (see [`MissStream::from_parts`]).
+    L1Geometry {
+        /// The L1 capacity in bytes.
+        l1_size_bytes: u64,
+        /// The line size in bytes.
+        line_bytes: u64,
+    },
+    /// A stream's warm-up boundary lies past its last event (see
+    /// [`MissStream::from_parts`]).
+    WarmupOutOfRange {
+        /// The warm-up boundary, in events.
+        warmup_events: u64,
+        /// The events the stream holds.
+        events: u64,
+    },
 }
 
 impl fmt::Display for FamilyError {
@@ -152,6 +169,15 @@ impl fmt::Display for FamilyError {
                 f,
                 "event {event} names line {line:#x}, beyond the last line of the 64-bit \
                  address space ({max_line:#x})"
+            ),
+            FamilyError::L1Geometry { l1_size_bytes, line_bytes } => write!(
+                f,
+                "a {l1_size_bytes}B L1 with {line_bytes}B lines is no L1 geometry: sizes must be \
+                 powers of two with at least one line"
+            ),
+            FamilyError::WarmupOutOfRange { warmup_events, events } => write!(
+                f,
+                "warm-up boundary at event {warmup_events} lies outside the {events}-event stream"
             ),
         }
     }

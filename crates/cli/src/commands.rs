@@ -11,8 +11,8 @@ use tlc_core::experiment::capture_benchmark;
 use tlc_core::experiment::{l1_config, l2_config, simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
-    default_threads, try_sweep_arena_threads, try_sweep_family_arena_threads,
-    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_threads,
+    arena_bytes_for, default_threads, try_sweep_family_arena_threads,
+    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_threads, SweepError,
     ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
 };
 use tlc_core::sampling::{capture_phase_slices, sample_source, PhaseSample, SampleOptions};
@@ -42,7 +42,7 @@ pub fn usage() -> String {
      \u{20} sweep      sweep the paper's configuration space on one workload\n\
      \u{20}            --workload gcc1 [--offchip 50] [--ways 4] [--policy ...] [--csv] [--instr N]\n\
      \u{20}            [--l2-repl lru|fifo|pseudo-random|tree-plru|srrip]  L2 replacement policy\n\
-     \u{20}            [--engine auto|arena|family|predict] [--threads N]\n\
+     \u{20}            [--engine auto|family|predict] [--threads N]\n\
      \u{20}            [--metrics out.json]  write a tlc-run-manifest/2 document\n\
      \u{20}            [--trace-out t.json]  Chrome trace-event timeline (open in ui.perfetto.dev)\n\
      \u{20}            [--progress]          live configs-done/ETA/events-per-second ticker on stderr\n\
@@ -283,6 +283,18 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         }
         _ => {}
     }
+    // Predict profiles a captured arena; a workload budget past the arena
+    // bound is refused before anything is generated.
+    if let (SweepInput::Bench(_), Engine::Predict) = (&input, engine) {
+        if arena_bytes_for(budget) > ARENA_BYTES_LIMIT {
+            return Err(ArgError(format!(
+                "--engine predict: a {} MiB arena exceeds the {} MiB arena budget; lower \
+                 --instr/--warmup or use --engine auto",
+                arena_bytes_for(budget) >> 20,
+                ARENA_BYTES_LIMIT >> 20
+            )));
+        }
+    }
     let metrics_path = args.get("metrics").map(str::to_string);
     let trace_out_path = args.get("trace-out").map(str::to_string);
     let configs = full_space(&opts);
@@ -299,40 +311,26 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     let result = {
         let _span = tlc_obs::obs_span!("sweep");
         match input {
-            SweepInput::Bench(benchmark) => {
-                let capture = |name: &'static str| {
-                    let _span = tlc_obs::PhaseSpan::enter(name);
-                    capture_benchmark(benchmark, budget)
-                };
-                match engine {
-                    // The default heuristic: family-batched miss-stream
-                    // filtering over a captured arena, per-config
-                    // regeneration when the capture would be enormous.
-                    Engine::Auto => {
-                        try_sweep_threads(&configs, benchmark, budget, &timing, &area, threads)
-                    }
-                    Engine::Arena => {
-                        let arena = capture("arena_capture");
-                        try_sweep_arena_threads(&configs, &arena, budget, &timing, &area, threads)
-                    }
-                    Engine::Family => {
-                        let arena = capture("arena_capture");
-                        try_sweep_family_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        )
-                    }
-                    // Analytical prediction: one reuse-distance pass per L1
-                    // group answers every conventional point; exclusive
-                    // members stay on replay. ε-accurate, not bit-identical
-                    // (see docs/models.md).
-                    Engine::Predict => {
-                        let arena = capture("arena_capture");
-                        try_sweep_predict_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        )
-                    }
+            SweepInput::Bench(benchmark) => match engine {
+                // Family replay over a captured arena, or over one
+                // regenerated stream per L1 group past the arena bound.
+                Engine::Auto | Engine::Family => {
+                    try_sweep_threads(&configs, benchmark, budget, &timing, &area, threads)
                 }
-            }
+                // Analytical prediction: one reuse-distance pass per L1
+                // group answers every conventional point; exclusive
+                // members stay on replay. ε-accurate, not bit-identical
+                // (see docs/models.md).
+                Engine::Predict => {
+                    let arena = {
+                        let _span = tlc_obs::PhaseSpan::enter("arena_capture");
+                        capture_benchmark(benchmark, budget)
+                    };
+                    try_sweep_predict_arena_threads(
+                        &configs, &arena, budget, &timing, &area, threads,
+                    )
+                }
+            },
             SweepInput::Trace { mut reader, sample: Some(sample) } => {
                 // Sampled sweep: capture only the representative slices,
                 // sweep each with the family engine, recombine weighted.
@@ -390,9 +388,6 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
                         warmup_instructions: budget.warmup_instructions,
                     };
                     match engine {
-                        Engine::Arena => try_sweep_arena_threads(
-                            &configs, &arena, budget, &timing, &area, threads,
-                        ),
                         Engine::Predict => try_sweep_predict_arena_threads(
                             &configs, &arena, budget, &timing, &area, threads,
                         ),
@@ -409,7 +404,9 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         t.stop();
     }
     if let Err(e) = &result {
-        tlc_obs::record_event("worker.panic", e.to_string());
+        let kind =
+            if matches!(e, SweepError::Worker { .. }) { "worker.panic" } else { "sweep.error" };
+        tlc_obs::record_event(kind, e.to_string());
     }
     // Drain the raw spans once: the Perfetto timeline consumes them
     // per-instance, the manifest aggregates the same records into its
@@ -432,8 +429,8 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         tlc_obs::counters().snapshot(),
     );
     // The manifest is written even when the sweep failed — the recorded
-    // fallbacks and the worker.panic event are exactly what a post-mortem
-    // needs.
+    // engine selection and the worker.panic or sweep.error event are
+    // exactly what a post-mortem needs.
     if let Some(path) = &metrics_path {
         std::fs::write(path, manifest.to_json())
             .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
@@ -444,7 +441,10 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     if let Some(e) = trace_error {
         return Err(ArgError(e));
     }
-    let points = result.map_err(|e| ArgError(format!("sweep worker thread panicked at {e}")))?;
+    let points = result.map_err(|e| match e {
+        SweepError::Worker { .. } => ArgError(format!("sweep worker thread panicked at {e}")),
+        e => ArgError(e.to_string()),
+    })?;
     if args.flag("csv") {
         return Ok(points_csv(&points));
     }
@@ -462,10 +462,9 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
 /// A `tlc sweep --engine` choice, parsed once up front.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Engine {
-    /// Family replay over a captured arena, else per-config regeneration.
+    /// The default: family replay, the same call as `Family` (named
+    /// apart in run manifests).
     Auto,
-    /// Replay a captured arena per configuration.
-    Arena,
     /// Miss-stream filtering with family-batched L2 replay.
     Family,
     /// Analytical reuse-distance prediction (ε-accurate).
@@ -477,12 +476,11 @@ impl Engine {
     fn parse(name: &str) -> Result<Engine, ArgError> {
         Ok(match name {
             "auto" => Engine::Auto,
-            "arena" => Engine::Arena,
             "family" => Engine::Family,
             "predict" => Engine::Predict,
             other => {
                 return Err(ArgError(format!(
-                    "unknown engine {other:?}; choose auto, arena, family or predict"
+                    "unknown engine {other:?}; choose auto, family or predict"
                 )))
             }
         })
@@ -492,7 +490,6 @@ impl Engine {
     fn name(self) -> &'static str {
         match self {
             Engine::Auto => "auto",
-            Engine::Arena => "arena",
             Engine::Family => "family",
             Engine::Predict => "predict",
         }
@@ -551,9 +548,9 @@ impl ProgressTicker {
                 } else {
                     String::new()
                 };
-                // The arena engine and auto's regeneration fallback feed
-                // neither filter nor replay counters; leave throughput
-                // off rather than reporting a misleading zero.
+                // Before the first capture finishes no filter or replay
+                // counter has moved; leave throughput off rather than
+                // reporting a misleading zero.
                 let rate = if events > 0 {
                     format!(", {:.1} M events/s", events as f64 / elapsed / 1e6)
                 } else {
@@ -1185,8 +1182,13 @@ fn cmd_trace_info(args: &ArgMap) -> Result<String, ArgError> {
 
 /// Dispatches a full command line (without argv\[0\]).
 pub fn dispatch(raw: Vec<String>) -> Result<String, ArgError> {
-    let flags = ["csv", "dual", "detailed", "quick", "progress"];
+    let flags = ["csv", "dual", "detailed", "quick", "progress", "help"];
     let args = ArgMap::parse(raw, &flags)?;
+    // `--help` anywhere on the line, a subcommand's included, asks for
+    // the usage text instead of running anything.
+    if args.flag("help") {
+        return Ok(usage());
+    }
     let cmd = args.positional(0).unwrap_or("help");
     match cmd {
         "evaluate" => cmd_evaluate(&args),
@@ -1199,7 +1201,7 @@ pub fn dispatch(raw: Vec<String>) -> Result<String, ArgError> {
         "runs" => cmd_runs(&args),
         "trace" => cmd_trace(&args),
         "list" => Ok(cmd_list()),
-        "help" | "--help" | "-h" => Ok(usage()),
+        "help" | "-h" => Ok(usage()),
         other => Err(ArgError(format!("unknown command {other:?}\n\n{}", usage()))),
     }
 }
@@ -1208,10 +1210,12 @@ pub fn dispatch(raw: Vec<String>) -> Result<String, ArgError> {
 mod tests {
     use super::*;
 
+    /// cmd_sweep resets the process-global obs counters, and every
+    /// evaluation ticks them, so nothing that evaluates may run
+    /// concurrently inside this test binary.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     fn run(args: &[&str]) -> Result<String, ArgError> {
-        // cmd_sweep resets the process-global obs counters, so commands
-        // must not run concurrently inside this test binary.
-        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
         let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
         dispatch(args.iter().map(|s| s.to_string()).collect())
     }
@@ -1219,6 +1223,8 @@ mod tests {
     #[test]
     fn help_and_list() {
         assert!(run(&["help"]).expect("help").contains("usage"));
+        assert_eq!(run(&["--help"]).expect("--help"), usage());
+        assert_eq!(run(&["sweep", "--workload", "li", "--help"]).expect("sweep --help"), usage());
         let l = run(&["list"]).expect("list");
         for b in SpecBenchmark::ALL {
             assert!(l.contains(b.name()));
@@ -1415,27 +1421,41 @@ mod tests {
             "--csv",
             "--engine",
         ];
-        // Exclusive too: there arena runs the per-access hierarchy and
-        // family the batched replay, through the same L2 step.
-        for policy in ["conventional", "exclusive"] {
-            let mut outputs = Vec::new();
-            for engine in ["auto", "arena", "family"] {
+        // Both policies, each against an independent reference: every
+        // point through its own per-access hierarchy on the regenerated
+        // stream.
+        let budget = SimBudget { instructions: 4000, warmup_instructions: 1000 };
+        let (timing, area) = (TimingModel::paper(), AreaModel::new());
+        for (policy, l2_policy) in
+            [("conventional", L2Policy::Conventional), ("exclusive", L2Policy::Exclusive)]
+        {
+            let opts = SpaceOptions { l2_policy, ..SpaceOptions::baseline() };
+            let reference: Vec<_> = {
+                let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+                full_space(&opts)
+                    .iter()
+                    .map(|cfg| evaluate(cfg, SpecBenchmark::Li, budget, &timing, &area))
+                    .collect()
+            };
+            for engine in ["auto", "family"] {
                 let mut argv: Vec<&str> = base.to_vec();
                 argv.extend([engine, "--policy", policy]);
-                outputs.push(run(&argv).unwrap_or_else(|e| panic!("{policy} {engine}: {e:?}")));
-            }
-            for o in &outputs[1..] {
-                assert_eq!(&outputs[0], o, "{policy}: engines must produce identical sweeps");
+                let out = run(&argv).unwrap_or_else(|e| panic!("{policy} {engine}: {e:?}"));
+                assert_eq!(
+                    out,
+                    points_csv(&reference),
+                    "{policy} {engine}: diverged from evaluate"
+                );
             }
         }
-        // `streaming` and `filtered` were removed, not aliased: they are
-        // as unknown as `warp`.
-        for bad in ["warp", "streaming", "filtered"] {
+        // `streaming`, `filtered` and `arena` were removed, not aliased:
+        // they are as unknown as `warp`.
+        for bad in ["warp", "streaming", "filtered", "arena"] {
             let mut argv: Vec<&str> = base.to_vec();
             argv.push(bad);
             let err = run(&argv).expect_err("unknown engine must be rejected").0;
             assert!(err.contains(&format!("unknown engine {bad:?}")), "{err}");
-            assert!(err.contains("choose auto, arena, family or predict"), "{err}");
+            assert!(err.contains("choose auto, family or predict"), "{err}");
         }
     }
 

@@ -69,3 +69,21 @@ fn sweep_rejects_an_empty_measurement_window() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn sweep_rejects_the_removed_arena_engine() {
+    assert_rejected(
+        &["sweep", "--workload", "li", "--engine", "arena"],
+        "unknown engine \"arena\"; choose auto, family or predict",
+    );
+}
+
+#[test]
+fn predict_sweep_refuses_an_arena_past_its_budget() {
+    // 70 M instructions (+ the default warm-up) need a ~1.1 GiB arena:
+    // refused before any capture, so this returns at once.
+    assert_rejected(
+        &["sweep", "--workload", "li", "--engine", "predict", "--instr", "70000000"],
+        "exceeds the 1024 MiB arena budget",
+    );
+}

@@ -336,8 +336,12 @@ fn event_paths_diverge(events: &[MissEvent], case: &SampledCase) -> bool {
 ///
 /// # Errors
 ///
-/// [`FamilyError::LineOutOfRange`] if an event names a line no address
-/// at the entry's line size has: such a trace is rejected, not replayed.
+/// Whatever [`MissStream::from_parts`] rejects: a sidecar geometry no
+/// front-end has ([`FamilyError::L1Geometry`]), a warm-up boundary past
+/// the trace ([`FamilyError::WarmupOutOfRange`]), or an event naming a
+/// line no address at the entry's line size has
+/// ([`FamilyError::LineOutOfRange`]). Such an entry is rejected, not
+/// replayed.
 pub fn replay_corpus_entry(
     meta: &CorpusEntryMeta,
     events: EventArena,

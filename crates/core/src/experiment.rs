@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 use tlc_area::AreaModel;
 use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind};
 use tlc_timing::TimingModel;
-use tlc_trace::arena::{ChunkView, FLAG_NONE, FLAG_STORE};
+use tlc_trace::arena::{ChunkView, DEFAULT_CHUNK_LEN, FLAG_NONE, FLAG_STORE};
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{Addr, InstructionSource, MemRef, TraceArena, Workload};
 
@@ -303,6 +303,24 @@ pub fn simulate_arena(
     *sys.stats()
 }
 
+/// A split direct-mapped L1 front-end for one L1 group.
+///
+/// # Panics
+///
+/// Panics on an invalid L1 geometry.
+fn front_end(l1_size_bytes: u64, line_bytes: u64) -> L1FrontEnd {
+    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
+    L1FrontEnd::new(
+        CacheConfig::new(
+            l1_size_bytes,
+            line_bytes,
+            Associativity::Direct,
+            ReplacementKind::PseudoRandom,
+        )
+        .expect("valid L1 configuration"),
+    )
+}
+
 /// The one L1 capture: a single direct-mapped front-end walks every
 /// window in order and keeps only the events the L2 would observe.
 /// One window is packaged whole ([`L1FrontEnd::finish`]). Several
@@ -321,15 +339,7 @@ pub(crate) fn capture_windows(
     windows: &[(&TraceArena, SimBudget)],
     byte_limit: usize,
 ) -> Option<Vec<MissStream>> {
-    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
-    let l1 = CacheConfig::new(
-        l1_size_bytes,
-        line_bytes,
-        Associativity::Direct,
-        ReplacementKind::PseudoRandom,
-    )
-    .expect("valid L1 configuration");
-    let mut fe = L1FrontEnd::new(l1);
+    let mut fe = front_end(l1_size_bytes, line_bytes);
     let mut segments = Vec::with_capacity(windows.len());
     let mut banked = 0usize;
     for &(arena, budget) in windows {
@@ -353,6 +363,40 @@ pub(crate) fn capture_windows(
     Some(segments)
 }
 
+/// As [`capture_miss_stream`] over `benchmark`'s seeded generator
+/// instead of a captured arena: the front-end walks a fresh
+/// [`SpecBenchmark::workload`] for `budget`, so the stream is the one an
+/// arena of that budget would have yielded, and no arena is ever held.
+/// Returns `None` once the packed stream outgrows `byte_limit` (checked
+/// every arena-chunk's worth of instructions).
+///
+/// # Panics
+///
+/// Panics on an invalid L1 geometry.
+pub(crate) fn capture_regenerated(
+    l1_size_bytes: u64,
+    line_bytes: u64,
+    benchmark: SpecBenchmark,
+    budget: SimBudget,
+    byte_limit: usize,
+) -> Option<MissStream> {
+    let mut fe = front_end(l1_size_bytes, line_bytes);
+    let mut source = benchmark.workload();
+    for (measure, mut left) in [(false, budget.warmup_instructions), (true, budget.instructions)] {
+        if measure {
+            fe.reset_stats();
+        }
+        // One arena chunk's worth per limit check; the generator never
+        // runs dry.
+        while left > 0 && fe.event_bytes() <= byte_limit {
+            let block = left.min(DEFAULT_CHUNK_LEN as u64);
+            drive(&mut fe, &mut source, block);
+            left -= block;
+        }
+    }
+    (fe.event_bytes() <= byte_limit).then(|| fe.finish(source.name()))
+}
+
 /// Captures the miss/victim event stream of one L1 front-end (shared by
 /// every configuration with this `l1_size_bytes`/`line_bytes`) from a
 /// trace arena: the arena is replayed through split direct-mapped L1
@@ -363,7 +407,8 @@ pub(crate) fn capture_windows(
 /// [`simulate_arena`] on the full arena. Returns `None` when the packed
 /// event stream outgrows `byte_limit` (checked between chunks; an L1 so
 /// small that most references miss could otherwise approach the arena's
-/// own footprint) — callers fall back to the arena engine.
+/// own footprint); the sweep runner reports that as
+/// [`SweepError::MissStreamTooLarge`](crate::runner::SweepError::MissStreamTooLarge).
 ///
 /// # Panics
 ///
@@ -389,8 +434,7 @@ pub fn capture_miss_stream(
 /// single slice yields exactly [`capture_miss_stream`]'s stream.
 ///
 /// Returns `None` when the packed segments collectively outgrow
-/// `byte_limit` (checked between chunks) — callers fall back to cold
-/// per-slice replay.
+/// `byte_limit` (checked between chunks).
 ///
 /// # Panics
 ///
@@ -433,9 +477,9 @@ pub fn simulate_family(cfgs: &[MachineConfig], stream: &MissStream) -> Vec<Hiera
 
 /// As [`simulate_family`], adding each member's timing/area derivation:
 /// one event decode serves every member. Returns one [`DesignPoint`] per
-/// member of `cfgs`, in input order; bit-identical to
-/// [`evaluate_arena`] when `stream` came from [`capture_miss_stream`]
-/// over the same arena and budget.
+/// member of `cfgs`, in input order; bit-identical to [`evaluate`] when
+/// `stream` came from [`capture_miss_stream`] over that benchmark's
+/// arena at the same budget.
 pub fn evaluate_family(
     cfgs: &[MachineConfig],
     stream: &MissStream,
@@ -680,9 +724,10 @@ pub(crate) fn design_point_untracked(
 }
 
 /// Full §2 pipeline for one (configuration, benchmark) pair, generating
-/// the benchmark's stream on the fly. Sweeps over many configurations
-/// should capture the stream once ([`capture_benchmark`]) and use
-/// [`evaluate_arena`] instead.
+/// the benchmark's stream on the fly through the per-access hierarchy.
+/// Sweeps over many configurations go through the
+/// [`runner`](crate::runner), which captures each L1 front-end's miss
+/// stream once and replays it per L2 family.
 pub fn evaluate(
     cfg: &MachineConfig,
     benchmark: SpecBenchmark,
@@ -700,21 +745,6 @@ pub fn evaluate(
 pub fn capture_benchmark(benchmark: SpecBenchmark, budget: SimBudget) -> TraceArena {
     let len = budget.warmup_instructions.saturating_add(budget.instructions);
     TraceArena::capture(&mut benchmark.workload(), len)
-}
-
-/// As [`evaluate`], replaying a captured arena through the fast path.
-/// Produces a bit-identical [`DesignPoint`] when `arena` was captured
-/// from the benchmark's stream with at least a `budget`'s worth of
-/// instructions (see [`capture_benchmark`]).
-pub fn evaluate_arena(
-    cfg: &MachineConfig,
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> DesignPoint {
-    let stats = simulate_arena(cfg, arena, budget);
-    design_point(cfg, arena.name().to_string(), stats, timing, area)
 }
 
 #[cfg(test)]
@@ -832,11 +862,11 @@ mod tests {
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
         ] {
             let generated = evaluate(&cfg, SpecBenchmark::Espresso, budget, &tm, &am);
-            let replayed = evaluate_arena(&cfg, &arena, budget, &tm, &am);
-            assert_eq!(generated, replayed, "{}", cfg.label());
+            let replayed = simulate_arena(&cfg, &arena, budget);
+            assert_eq!(generated.stats, replayed, "{}", cfg.label());
             let mut workload = SpecBenchmark::Espresso.workload();
             let legacy = simulate_source_on(&mut build_system_kind(&cfg), &mut workload, budget);
-            assert_eq!(legacy, replayed.stats, "legacy engine diverged for {}", cfg.label());
+            assert_eq!(legacy, replayed, "legacy engine diverged for {}", cfg.label());
         }
     }
 
@@ -851,7 +881,7 @@ mod tests {
     }
 
     #[test]
-    fn family_of_one_evaluation_is_bit_identical_to_arena_evaluation() {
+    fn family_of_one_evaluation_is_bit_identical_to_generator_evaluation() {
         let (tm, am) = models();
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
@@ -866,9 +896,9 @@ mod tests {
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
             MachineConfig::two_level(4, 8, 1, L2Policy::Exclusive, 200.0),
         ] {
-            let via_arena = evaluate_arena(&cfg, &arena, budget, &tm, &am);
+            let generated = evaluate(&cfg, SpecBenchmark::Gcc1, budget, &tm, &am);
             let via_stream = family_of_one(&cfg, &stream, &tm, &am);
-            assert_eq!(via_arena, via_stream, "{}", cfg.label());
+            assert_eq!(generated, via_stream, "{}", cfg.label());
         }
     }
 

@@ -50,8 +50,8 @@ pub mod sampling;
 pub mod tpi;
 
 pub use experiment::{
-    capture_benchmark, capture_miss_stream, config_is_predictable, evaluate, evaluate_arena,
-    evaluate_family, DesignPoint, SimBudget,
+    capture_benchmark, capture_miss_stream, config_is_predictable, evaluate, evaluate_family,
+    DesignPoint, SimBudget,
 };
 pub use machine::{L2Policy, L2Spec, MachineConfig, MachineTiming};
 pub use sampling::{

@@ -1,46 +1,47 @@
 //! Parallel sweeps over the configuration space.
 //!
-//! Every (configuration, benchmark) evaluation is independent, which
-//! makes the sweep embarrassingly parallel — but the naive decomposition
-//! regenerates the benchmark's synthetic stream once *per configuration*
-//! (two virtual generator calls plus up to three RNG draws per
-//! instruction, times millions of instructions, times dozens of
-//! configurations). The sweeps here instead capture each benchmark's
-//! stream once into a shared [`TraceArena`] and fan the configurations
-//! out over a thread pool.
+//! Every (configuration, benchmark) evaluation is independent, but most
+//! of the work is shared: configurations with the same L1 front-end see
+//! the same L1 miss stream, and configurations that also share an L2
+//! policy, associativity and replacement policy form a *family* that one
+//! walk of that stream can drive at every L2 size at once. Every exact
+//! point is therefore a family replay: one miss-stream capture per L1
+//! group, one replay per family, fanned over a thread pool — a group or
+//! family of one configuration included.
 //!
 //! There is one `Result`-returning entry point per engine:
 //!
-//! - [`try_sweep_arena_threads`]: each configuration replays the arena
-//!   through the devirtualized fast path ([`evaluate_arena`]);
-//! - [`try_sweep_family_arena_threads`]: one L1 capture per front-end
-//!   group, one L2 walk per family — bit-identical to the arena engine;
+//! - [`try_sweep_family_arena_threads`]: exact family replay over an
+//!   already-captured arena;
 //! - [`try_sweep_predict_arena_threads`]: one reuse-distance profile per
 //!   L1 group, within the documented ε of replay;
 //! - [`try_sweep_sampled_threads`]: stitched replay of phase slices;
-//! - [`try_sweep_threads`] (`auto`): captures and runs the family engine,
-//!   or regenerates the stream per configuration when the capture cannot
-//!   pay for itself or would exceed [`ARENA_BYTES_LIMIT`].
+//! - [`try_sweep_threads`] (`auto`): family replay from a benchmark,
+//!   over one captured arena, or — past [`ARENA_BYTES_LIMIT`] — over one
+//!   freshly regenerated stream per L1 group.
 //!
-//! The family, sampled and predict engines run one pipeline over
-//! *windows*. A window is an arena, its warm-up/measure [`SimBudget`]
-//! split and a weight: a whole-trace sweep is one window of weight 1, a
-//! sampled sweep one window per phase slice. One capture phase walks
-//! each L1 group's front-end across every window (one stream segment per
-//! window), and one unit evaluator replays a family over the segments —
-//! or a lone configuration over the windows — and recombines the
-//! per-window statistics by weight. The predict engine answers its
-//! predictable members from the captured stream and hands the rest to
-//! the same evaluator.
+//! All of them run one pipeline. A capture phase walks each L1 group's
+//! front-end over its *feed* — the windows of captured arenas, or the
+//! regenerated benchmark stream — cutting one stream segment per window
+//! (a window is an arena and its warm-up/measure [`SimBudget`] split: a
+//! whole-trace sweep is one window, a sampled sweep one window per phase
+//! slice). One unit evaluator then replays a family over its group's
+//! segments and recombines the per-window statistics by window weight.
+//! The predict engine answers its predictable members from the captured
+//! stream and hands the rest to the same evaluator. A miss stream that
+//! outgrows [`MISS_STREAM_BYTES_LIMIT`] is an error
+//! ([`SweepError::MissStreamTooLarge`]), never a silent switch to
+//! another engine.
 //!
-//! Every engine that claims bit-identity produces the same
-//! [`DesignPoint`]s: the arena holds exactly the stream the seeded
-//! generator would produce, and the replay issues references in the same
-//! order. [`sweep`] is the default-threads convenience over `auto`.
+//! The exact engines produce the [`DesignPoint`]s
+//! [`evaluate`](crate::experiment::evaluate) would: the arena holds
+//! exactly the stream the seeded generator produces, and the replay
+//! issues references in the same order. [`sweep`] is the default-threads
+//! convenience over `auto`.
 
 use crate::experiment::{
-    capture_benchmark, capture_windows, design_point_untracked, evaluate, evaluate_arena,
-    evaluate_predicted, simulate_arena, simulate_family_segments, DesignPoint, SimBudget,
+    capture_benchmark, capture_regenerated, capture_windows, design_point_untracked,
+    evaluate_predicted, simulate_family_segments, DesignPoint, SimBudget,
 };
 use crate::machine::{L2Policy, MachineConfig};
 use crate::sampling::{combine_weighted, PhaseSlice};
@@ -58,13 +59,6 @@ use tlc_trace::TraceArena;
 /// identifies where in the pipeline the failure sits.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepUnit {
-    /// Evaluation of one configuration.
-    Config {
-        /// Index into the sweep's input `configs`.
-        index: usize,
-        /// The configuration's display label.
-        label: String,
-    },
     /// Miss-stream capture for one L1 front-end group.
     L1Group {
         /// The group's L1 capacity in bytes.
@@ -72,7 +66,7 @@ pub enum SweepUnit {
         /// The group's line size in bytes.
         line_bytes: u64,
     },
-    /// Family-batched replay of several configurations at once.
+    /// Family-batched replay of one or more configurations at once.
     FamilyChunk {
         /// The family's L1 capacity in bytes.
         l1_size_bytes: u64,
@@ -96,7 +90,6 @@ pub enum SweepUnit {
 impl std::fmt::Display for SweepUnit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepUnit::Config { index, label } => write!(f, "config #{index} ({label})"),
             SweepUnit::L1Group { l1_size_bytes, line_bytes } => {
                 write!(f, "L1 group {l1_size_bytes}B/{line_bytes}B capture")
             }
@@ -111,14 +104,24 @@ impl std::fmt::Display for SweepUnit {
 }
 
 /// Why a `try_sweep_*` call produced no results: a request it cannot
-/// run, or a worker panic propagated as a value instead of aborting the
-/// caller.
+/// run, a capture too large to hold, or a worker panic propagated as a
+/// value instead of aborting the caller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// The request asked for zero worker threads.
     NoThreads,
     /// A sampled sweep was handed no phase slices to replay.
     NoSlices,
+    /// An L1 group's captured miss stream outgrew
+    /// [`MISS_STREAM_BYTES_LIMIT`]; the capture was abandoned.
+    MissStreamTooLarge {
+        /// The group's L1 capacity in bytes.
+        l1_size_bytes: u64,
+        /// The group's line size in bytes.
+        line_bytes: u64,
+        /// The byte limit the stream exceeded.
+        limit_bytes: usize,
+    },
     /// A worker panicked.
     Worker {
         /// The unit being executed when the panic fired.
@@ -133,6 +136,11 @@ impl std::fmt::Display for SweepError {
         match self {
             SweepError::NoThreads => f.write_str("need at least one worker thread"),
             SweepError::NoSlices => f.write_str("need at least one phase slice"),
+            SweepError::MissStreamTooLarge { l1_size_bytes, line_bytes, limit_bytes } => write!(
+                f,
+                "L1 group {l1_size_bytes}B/{line_bytes}B: miss stream exceeds \
+                 MISS_STREAM_BYTES_LIMIT ({limit_bytes} B); sweep a shorter window"
+            ),
             SweepError::Worker { unit, payload } => write!(f, "{unit}: {payload}"),
         }
     }
@@ -150,9 +158,9 @@ fn require_threads(threads: usize) -> Result<(), SweepError> {
 }
 
 /// Upper bound on the arena capture size before [`try_sweep_threads`]
-/// falls back to per-configuration regeneration: 1 GiB ≈ 63 M
-/// instructions at 17 bytes per packed record, far beyond the standard
-/// 2 M-instruction budget.
+/// stops capturing one and regenerates the stream once per L1 group
+/// instead: 1 GiB ≈ 63 M instructions at 17 bytes per packed record, far
+/// beyond the standard 2 M-instruction budget.
 pub const ARENA_BYTES_LIMIT: usize = 1 << 30;
 
 /// Packed bytes per captured instruction (fetch `u64` + data `u64` +
@@ -165,11 +173,11 @@ pub fn arena_bytes_for(budget: SimBudget) -> usize {
     usize::try_from(records).unwrap_or(usize::MAX).saturating_mul(ARENA_BYTES_PER_RECORD)
 }
 
-/// Upper bound on one captured miss stream's packed size before the
-/// family sweep falls back to plain arena replay for that L1 group.
-/// Matches [`ARENA_BYTES_LIMIT`]; in practice a miss stream is 1–10% of
-/// the arena (Table 1 miss rates), so the bound only trips for L1s small
-/// enough that most references miss.
+/// Upper bound on one L1 group's captured miss stream (all of its
+/// segments together) before the sweep fails with
+/// [`SweepError::MissStreamTooLarge`]. Matches [`ARENA_BYTES_LIMIT`]; in
+/// practice a miss stream is 1–10% of the arena (Table 1 miss rates), so
+/// the bound only trips for L1s small enough that most references miss.
 pub const MISS_STREAM_BYTES_LIMIT: usize = ARENA_BYTES_LIMIT;
 
 /// The key identifying one L1 front-end for miss-stream filtering:
@@ -180,8 +188,8 @@ pub type L1Key = (u64, u64);
 
 /// Groups configuration indices by their L1 front-end, in order of first
 /// appearance. Each entry is `(key, indices into configs)`; every index
-/// appears exactly once. This is the capture schedule of the family
-/// sweep: one L1 simulation per returned group.
+/// appears exactly once. This is the capture schedule of every sweep:
+/// one L1 simulation per returned group.
 pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
     let mut groups: Vec<(L1Key, Vec<usize>)> = Vec::new();
     for (i, cfg) in configs.iter().enumerate() {
@@ -200,7 +208,7 @@ pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
 ///
 /// # Panics
 ///
-/// Panics if a worker panics, naming the unit that failed.
+/// Panics if the sweep fails, naming the unit that failed.
 pub fn sweep(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -209,7 +217,7 @@ pub fn sweep(
     area: &AreaModel,
 ) -> Vec<DesignPoint> {
     try_sweep_threads(configs, benchmark, budget, timing, area, default_threads())
-        .unwrap_or_else(|e| panic!("sweep worker thread panicked at {e}"))
+        .unwrap_or_else(|e| panic!("sweep failed: {e}"))
 }
 
 /// Number of worker threads used by [`sweep`]: the host's available
@@ -222,20 +230,21 @@ pub fn default_threads() -> usize {
 }
 
 /// The `auto` engine: evaluates every configuration on `benchmark` on
-/// `threads` workers, in input order.
+/// `threads` workers, in input order, by family replay.
 ///
-/// Captures the benchmark's stream once and hands it to the
-/// family-batched engine ([`try_sweep_family_arena_threads`]), unless the
-/// capture would exceed [`ARENA_BYTES_LIMIT`] (or there is only one
-/// configuration, where a capture cannot pay for itself) — then each
-/// configuration regenerates the stream itself ([`evaluate`]). Either
-/// way the results are identical.
+/// Captures the benchmark's stream once and hands it to
+/// [`try_sweep_family_arena_threads`]. When that arena would exceed
+/// [`ARENA_BYTES_LIMIT`], no arena is captured: each L1 group's
+/// front-end walks its own freshly regenerated stream instead (one
+/// generation per L1 group) and feeds the same family replay. Either way
+/// the results are identical.
 ///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
-/// family chunk, or configuration that failed.
+/// [`SweepError::MissStreamTooLarge`] if an L1 group's miss stream
+/// outgrows [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
+/// worker panics, naming the L1 group or family chunk that failed.
 pub fn try_sweep_threads(
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
@@ -245,23 +254,22 @@ pub fn try_sweep_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    if configs.len() <= 1 || arena_bytes_for(budget) > ARENA_BYTES_LIMIT {
-        obs_count!(Counter::RunnerFallbackStreaming, 1);
+    if arena_bytes_for(budget) > ARENA_BYTES_LIMIT {
         obs_event!(
-            "engine.fallback_streaming",
-            "{} configs, predicted arena {} B: per-config regeneration",
+            "engine.selected",
+            "family engine over one regenerated stream per L1 group, {} configs (predicted \
+             arena {} B)",
             configs.len(),
             arena_bytes_for(budget)
         );
-        let _span = obs_span!("fan_out");
-        return try_run_indexed(
-            configs.len(),
-            threads,
-            |i| evaluate(&configs[i], benchmark, budget, timing, area),
-            |i| SweepUnit::Config { index: i, label: configs[i].label() },
-        );
+        let feed = Feed::Regenerated(benchmark, budget);
+        return try_sweep_feed(configs, feed, &[1.0], timing, area, threads);
     }
-    obs_event!("engine.selected", "family-batched arena engine, {} configs", configs.len());
+    obs_event!(
+        "engine.selected",
+        "family engine over one captured arena, {} configs",
+        configs.len()
+    );
     let arena = {
         let _span = obs_span!("arena_capture");
         capture_benchmark(benchmark, budget)
@@ -269,192 +277,110 @@ pub fn try_sweep_threads(
     try_sweep_family_arena_threads(configs, &arena, budget, timing, area, threads)
 }
 
-/// Evaluates every configuration against an already-captured arena, in
-/// parallel, in input order. Callers that sweep the same benchmark
-/// several times (e.g. per off-chip latency or per L2 policy) capture
-/// once and call this directly.
-///
-/// # Errors
-///
-/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics, naming the configuration.
-pub fn try_sweep_arena_threads(
-    configs: &[MachineConfig],
-    arena: &TraceArena,
-    budget: SimBudget,
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    let _span = obs_span!("fan_out");
-    try_run_indexed(
-        configs.len(),
-        threads,
-        |i| evaluate_arena(&configs[i], arena, budget, timing, area),
-        |i| SweepUnit::Config { index: i, label: configs[i].label() },
-    )
-}
-
-/// One measured window of a sweep: an arena, the warm-up/measure split
-/// replayed over it, and the weight its statistics carry in the
-/// recombined point. A whole-trace sweep is one window of weight 1; a
-/// sampled sweep has one window per phase slice.
+/// What every L1 group's front-end walks in a sweep's capture phase.
 #[derive(Clone, Copy)]
-struct Window<'a> {
-    arena: &'a TraceArena,
-    budget: SimBudget,
-    weight: f64,
+enum Feed<'a> {
+    /// Captured arenas, one `(arena, warm-up/measure split)` window each,
+    /// walked in order (one stream segment per window).
+    Arenas(&'a [(&'a TraceArena, SimBudget)]),
+    /// The benchmark's seeded generator for one window of `budget`,
+    /// regenerated afresh for every group.
+    Regenerated(SpecBenchmark, SimBudget),
 }
 
-/// Phase A of every captured sweep: one miss-stream capture per L1
-/// group across all `windows` (one segment per window), with a
-/// `group[...]` phase span per capture and fallback events for the
-/// groups that opt out. With one window, a group of one configuration
-/// skips the capture, which cannot pay for itself. With several, every
-/// group captures: the capture is what carries L1 state from one window
-/// to the next, and the uncaptured fallback replays each window cold.
+/// Phase A of every sweep: one miss-stream capture per L1 group over
+/// `feed`, with a `group[...]` phase span per capture. Every group
+/// captures, a group of one configuration included. A group whose
+/// stream outgrows `byte_limit` fails the sweep with
+/// [`SweepError::MissStreamTooLarge`].
 fn try_capture_groups(
     groups: &[(L1Key, Vec<usize>)],
-    windows: &[Window<'_>],
+    feed: Feed<'_>,
+    byte_limit: usize,
     threads: usize,
-) -> Result<Vec<Option<Vec<MissStream>>>, SweepError> {
+) -> Result<Vec<Vec<MissStream>>, SweepError> {
     let _span = obs_span!("l1_capture");
-    let arena_budgets: Vec<(&TraceArena, SimBudget)> =
-        windows.iter().map(|w| (w.arena, w.budget)).collect();
     try_run_indexed(
         groups.len(),
         threads,
         |g| {
-            let (key, idxs) = &groups[g];
-            if windows.len() == 1 && idxs.len() < 2 {
-                obs_count!(Counter::RunnerFallbackSingleton, 1);
-                obs_event!(
-                    "fallback.singleton",
-                    "L1 group {}B/{}B has a single config; plain arena replay",
-                    key.0,
-                    key.1
-                );
-                return None;
-            }
-            let span = PhaseSpan::enter_with("group", &format!("{}B/{}B", key.0, key.1));
+            let (&(l1, line), idxs) = (&groups[g].0, &groups[g].1);
+            let span = PhaseSpan::enter_with("group", &format!("{l1}B/{line}B"));
             span.add_items(idxs.len() as u64);
             let _t = HistTimer::start(Hist::CaptureL1GroupNs);
-            let segments = capture_windows(key.0, key.1, &arena_budgets, MISS_STREAM_BYTES_LIMIT);
-            if segments.is_none() {
-                obs_count!(Counter::RunnerFallbackByteLimit, 1);
-                obs_event!(
-                    "fallback.byte_limit",
-                    "L1 group {}B/{}B miss stream exceeded {} B; per-config arena replay",
-                    key.0,
-                    key.1,
-                    MISS_STREAM_BYTES_LIMIT
-                );
+            match feed {
+                Feed::Arenas(windows) => capture_windows(l1, line, windows, byte_limit),
+                Feed::Regenerated(benchmark, budget) => {
+                    capture_regenerated(l1, line, benchmark, budget, byte_limit).map(|s| vec![s])
+                }
             }
-            segments
+            .ok_or(SweepError::MissStreamTooLarge {
+                l1_size_bytes: l1,
+                line_bytes: line,
+                limit_bytes: byte_limit,
+            })
         },
         |g| SweepUnit::L1Group { l1_size_bytes: groups[g].0 .0, line_bytes: groups[g].0 .1 },
-    )
+    )?
+    .into_iter()
+    .collect()
 }
 
-/// One parallel work unit of the family, sampled, and predict sweeps.
-/// `S` is what a captured L1 group hands its units: one miss stream, or
-/// the stitched segments of a sampled capture.
-enum Unit<S> {
-    /// A family chunk sharing one L2 policy, associativity, and
-    /// replacement, replaying its group's capture once for every member.
-    Family { src: S, members: Vec<usize> },
-    /// One configuration whose group has no capture (a singleton or a
-    /// byte-limited group), evaluated on its own.
-    Alone { idx: usize },
+/// One parallel work unit of every sweep: a family chunk sharing one L2
+/// policy, associativity, and replacement, replaying its group's
+/// captured segments once for every member.
+struct Unit<'a> {
+    segments: &'a [MissStream],
+    members: Vec<usize>,
 }
 
-impl<S> Unit<S> {
-    /// The input indices the unit evaluates.
-    fn members(&self) -> &[usize] {
-        match self {
-            Unit::Family { members, .. } => members,
-            Unit::Alone { idx } => std::slice::from_ref(idx),
-        }
-    }
-
+impl Unit<'_> {
     /// The unit a worker panic is attributed to.
-    fn sweep_unit(&self, configs: &[MachineConfig]) -> SweepUnit {
-        match self {
-            Unit::Family { members, .. } => {
-                let first = &configs[members[0]];
-                SweepUnit::FamilyChunk {
-                    l1_size_bytes: first.l1_size_bytes,
-                    line_bytes: first.line_bytes,
-                    members: members.clone(),
-                }
-            }
-            Unit::Alone { idx } => SweepUnit::Config { index: *idx, label: configs[*idx].label() },
+    fn sweep_unit(&self) -> SweepUnit {
+        SweepUnit::FamilyChunk {
+            l1_size_bytes: self.segments[0].l1_size_bytes(),
+            line_bytes: self.segments[0].line_bytes(),
+            members: self.members.clone(),
         }
     }
 }
 
-/// Plans a sweep's replay units from its L1 groups and each group's
-/// capture (`None`: every member of the group stands alone), returning
-/// one list of units per group.
+/// Plans a sweep's replay units from its L1 groups, returning one list
+/// of member chunks per group.
 ///
-/// Each captured group is partitioned into families by
-/// `(policy, ways, repl)`, in first-appearance order within the group.
-/// When `threads > 1`, a family larger than `max(2, ⌈replayed /
-/// threads⌉)` is chunked so one dominant group cannot serialise the
-/// sweep (each chunk still shares one decode among its members; a
-/// single-threaded sweep keeps every family whole). `replayed` counts
-/// family members plus `extra`, the members a caller evaluates outside
-/// the families but wants counted in each worker's share.
-fn plan_units<S: Copy>(
+/// Each group is partitioned into families by `(policy, ways, repl)`, in
+/// first-appearance order within the group. When `threads > 1`, a family
+/// larger than `max(2, ⌈members / threads⌉)` is chunked so one dominant
+/// group cannot serialise the sweep (each chunk still shares one decode
+/// among its members; a single-threaded sweep keeps every family whole).
+fn plan_units(
     configs: &[MachineConfig],
     groups: &[(L1Key, Vec<usize>)],
-    sources: &[Option<S>],
     threads: usize,
-    extra: usize,
-) -> Vec<Vec<Unit<S>>> {
+) -> Vec<Vec<Vec<usize>>> {
     type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
-    let mut replayed = extra;
-    let mut planned: Vec<Vec<Unit<S>>> = Vec::with_capacity(groups.len());
-    for ((_, idxs), src) in groups.iter().zip(sources) {
-        let Some(src) = *src else {
-            planned.push(idxs.iter().map(|&idx| Unit::Alone { idx }).collect());
-            continue;
-        };
-        let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
-        for &i in idxs {
-            let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
-            match fams.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, v)) => v.push(i),
-                None => fams.push((key, vec![i])),
-            }
-        }
-        replayed += fams.iter().map(|(_, members)| members.len()).sum::<usize>();
-        planned.push(fams.into_iter().map(|(_, members)| Unit::Family { src, members }).collect());
-    }
-    if threads > 1 && replayed > 0 {
-        let cap = replayed.div_ceil(threads).max(2);
-        for units in &mut planned {
-            let mut chunked = Vec::with_capacity(units.len());
-            for unit in units.drain(..) {
-                match unit {
-                    Unit::Family { src, members } if members.len() > cap => {
-                        for chunk in members.chunks(cap) {
-                            chunked.push(Unit::Family { src, members: chunk.to_vec() });
-                        }
-                    }
-                    other => chunked.push(other),
+    let members: usize = groups.iter().map(|(_, idxs)| idxs.len()).sum();
+    let cap = if threads > 1 { members.div_ceil(threads).max(2) } else { usize::MAX };
+    groups
+        .iter()
+        .map(|(_, idxs)| {
+            let mut fams: Vec<(FamilyKey, Vec<usize>)> = Vec::new();
+            for &i in idxs {
+                let key = configs[i].l2.map(|s| (s.policy, s.ways, s.repl));
+                match fams.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, v)) => v.push(i),
+                    None => fams.push((key, vec![i])),
                 }
             }
-            *units = chunked;
-        }
-    }
-    planned
+            fams.iter().flat_map(|(_, fam)| fam.chunks(cap).map(<[usize]>::to_vec)).collect()
+        })
+        .collect()
 }
 
-/// Phase B of the family, sampled, and predict sweeps: fans the units out
-/// under a `fan_out` span (each returns `(input index, point)` pairs) and
-/// scatters the points back to input order. `unit_of` names the unit a
-/// worker panic is attributed to.
+/// Phase B of every sweep: fans the units out under a `fan_out` span
+/// (each returns `(input index, point)` pairs) and scatters the points
+/// back to input order. `unit_of` names the unit a worker panic is
+/// attributed to.
 fn try_fan_out<U: Sync>(
     configs: &[MachineConfig],
     units: &[U],
@@ -478,98 +404,85 @@ fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineCo
     members.iter().map(|&i| configs[i]).collect()
 }
 
-/// Phase B of every captured sweep: evaluates one unit over all
-/// `windows`, returning `(input index, point)` pairs. A family replays
-/// its group's segments once for every member
-/// ([`simulate_family_segments`]); a lone configuration replays each
-/// window on its own ([`simulate_arena`]). Each member's per-window
-/// statistics are recombined by window weight
+/// Phase B of every sweep: replays one family unit over its group's
+/// segments ([`simulate_family_segments`]), returning `(input index,
+/// point)` pairs. Each member's per-window statistics are recombined by
+/// the window `weights`
 /// ([`combine_weighted`](crate::sampling::combine_weighted), exact for a
 /// single window of weight 1) before the timing/area derivation.
 /// `runner.configs_completed` ticks once per member × window.
 fn eval_unit(
     configs: &[MachineConfig],
-    windows: &[Window<'_>],
-    unit: &Unit<&[MissStream]>,
+    weights: &[f64],
+    unit: &Unit<'_>,
     timing: &TimingModel,
     area: &AreaModel,
 ) -> Vec<(usize, DesignPoint)> {
-    let per_window: Vec<Vec<HierarchyStats>> = match unit {
-        Unit::Family { src: segments, members } => {
-            let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
-            simulate_family_segments(&member_configs(configs, members), segments)
-        }
-        Unit::Alone { idx } => windows
-            .iter()
-            .map(|w| vec![simulate_arena(&configs[*idx], w.arena, w.budget)])
-            .collect(),
+    let per_window = {
+        let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
+        simulate_family_segments(&member_configs(configs, &unit.members), unit.segments)
     };
-    let members = unit.members();
-    obs_count!(Counter::RunnerConfigsCompleted, (members.len() * windows.len()) as u64);
-    let workload = windows[0].arena.name();
-    members
+    obs_count!(Counter::RunnerConfigsCompleted, (unit.members.len() * weights.len()) as u64);
+    let workload = unit.segments[0].name();
+    unit.members
         .iter()
         .enumerate()
         .map(|(m, &i)| {
             let parts: Vec<(f64, HierarchyStats)> =
-                per_window.iter().zip(windows).map(|(row, w)| (w.weight, row[m])).collect();
+                per_window.iter().zip(weights).map(|(row, &w)| (w, row[m])).collect();
             let stats = combine_weighted(&parts);
             (i, design_point_untracked(&configs[i], workload.to_string(), stats, timing, area))
         })
         .collect()
 }
 
-/// The family sweep over `windows`: one capture per L1 group
-/// ([`try_capture_groups`]), the group's families planned into units
-/// ([`plan_units`]), and every unit evaluated by [`eval_unit`].
-fn try_sweep_windows(
+/// The family sweep over `feed`: one capture per L1 group
+/// ([`try_capture_groups`]), each group's families planned into units
+/// ([`plan_units`]), and every unit evaluated by [`eval_unit`] with the
+/// per-window `weights`.
+fn try_sweep_feed(
     configs: &[MachineConfig],
-    windows: &[Window<'_>],
+    feed: Feed<'_>,
+    weights: &[f64],
     timing: &TimingModel,
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     let groups = l1_groups(configs);
-    let captured = try_capture_groups(&groups, windows, threads)?;
-    let sources: Vec<Option<&[MissStream]>> = captured.iter().map(Option::as_deref).collect();
-    let units: Vec<_> =
-        plan_units(configs, &groups, &sources, threads, 0).into_iter().flatten().collect();
-    try_fan_out(
-        configs,
-        &units,
-        threads,
-        |u| u.sweep_unit(configs),
-        |u| eval_unit(configs, windows, u, timing, area),
-    )
+    let captured = try_capture_groups(&groups, feed, MISS_STREAM_BYTES_LIMIT, threads)?;
+    let units: Vec<Unit<'_>> = plan_units(configs, &groups, threads)
+        .into_iter()
+        .zip(&captured)
+        .flat_map(|(chunks, segments)| chunks.into_iter().map(|members| Unit { segments, members }))
+        .collect();
+    try_fan_out(configs, &units, threads, Unit::sweep_unit, |u| {
+        eval_unit(configs, weights, u, timing, area)
+    })
 }
 
 /// The family-batched sweep: configurations are grouped by L1 front-end
 /// ([`l1_groups`]), the arena is replayed through each distinct L1
-/// **once** to capture its miss/victim event stream, each captured group
-/// is partitioned into *families* sharing one L2 policy and
-/// associativity (in the paper's spaces, a family is "one L1, every L2
-/// capacity"), and each family replays its group's events **once** for
-/// all of its members
-/// ([`simulate_family_segments`] over one segment). Bit-identical to
-/// [`try_sweep_arena_threads`]: the L1 work — which the arena path repeats
-/// for every configuration — is paid once per group, and the event
-/// decode once per family.
+/// **once** to capture its miss/victim event stream, each group is
+/// partitioned into *families* sharing one L2 policy and associativity
+/// (in the paper's spaces, a family is "one L1, every L2 capacity"), and
+/// each family replays its group's events **once** for all of its
+/// members ([`simulate_family_segments`] over one segment). Every
+/// statistic is bit-identical to simulating each configuration on its
+/// own ([`simulate_arena`](crate::experiment::simulate_arena)): the L1
+/// work is paid once per group, and the event decode once per family.
 ///
 /// Parallelism runs across (group × family) units; when one family holds
 /// more than its fair share of the space, it is chunked so a dominant
 /// group cannot serialise a multi-threaded sweep (a single-threaded
-/// sweep keeps every family whole for maximal sharing). Groups of one
-/// configuration skip the capture (it cannot pay for itself), and a group
-/// whose event stream would exceed [`MISS_STREAM_BYTES_LIMIT`] falls back
-/// to plain arena replay, so the sweep's memory stays bounded by the same
-/// reasoning as the 1 GiB arena bound. Results are returned in input
-/// order.
+/// sweep keeps every family whole for maximal sharing). Results are
+/// returned in input order.
 ///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
-/// family chunk, or configuration that failed.
+/// [`SweepError::MissStreamTooLarge`] if an L1 group's miss stream
+/// outgrows [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
+/// worker panics, naming the L1 group or family chunk that failed.
 pub fn try_sweep_family_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -579,7 +492,7 @@ pub fn try_sweep_family_arena_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    try_sweep_windows(configs, &[Window { arena, budget, weight: 1.0 }], timing, area, threads)
+    try_sweep_feed(configs, Feed::Arenas(&[(arena, budget)]), &[1.0], timing, area, threads)
 }
 
 /// The sampled sweep with **stitched warming**: the family sweep with
@@ -594,8 +507,6 @@ pub fn try_sweep_family_arena_threads(
 /// exclusive mirrors inherit stale state instead of restarting cold at
 /// every slice. Per-phase measured statistics are recombined with
 /// [`combine_weighted`] into one whole-trace estimate per configuration.
-/// With two or more slices every L1 group captures, singletons
-/// included; only a byte-limited group replays each slice cold.
 ///
 /// Reconstruction accuracy is bounded by
 /// [`crate::sampling::SAMPLED_MISS_RATIO_EPSILON`] (see the
@@ -610,8 +521,9 @@ pub fn try_sweep_family_arena_threads(
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero and
 /// [`SweepError::NoSlices`] if `slices` is empty, both before any work;
-/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
-/// family chunk, or configuration that failed.
+/// [`SweepError::MissStreamTooLarge`] if an L1 group's segments together
+/// outgrow [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
+/// worker panics, naming the L1 group or family chunk that failed.
 pub fn try_sweep_sampled_threads(
     configs: &[MachineConfig],
     slices: &[PhaseSlice],
@@ -623,17 +535,16 @@ pub fn try_sweep_sampled_threads(
     if slices.is_empty() {
         return Err(SweepError::NoSlices);
     }
-    let windows: Vec<Window<'_>> = slices
-        .iter()
-        .map(|s| Window { arena: &s.arena, budget: s.budget, weight: s.weight })
-        .collect();
-    try_sweep_windows(configs, &windows, timing, area, threads)
+    let windows: Vec<(&TraceArena, SimBudget)> =
+        slices.iter().map(|s| (&s.arena, s.budget)).collect();
+    let weights: Vec<f64> = slices.iter().map(|s| s.weight).collect();
+    try_sweep_feed(configs, Feed::Arenas(&windows), &weights, timing, area, threads)
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
 /// captured exactly as in [`try_sweep_family_arena_threads`], but each
-/// captured group's single-level and conventional members are answered
-/// by **one** reuse-distance profiling pass
+/// group's single-level and conventional members are answered by
+/// **one** reuse-distance profiling pass
 /// ([`evaluate_predicted`]) — O(events) per L1 group, independent of how
 /// many L2 points the group sweeps — instead of one replay per
 /// associativity family.
@@ -646,16 +557,17 @@ pub fn try_sweep_sampled_threads(
 /// replay and remain bit-identical: exclusive hierarchies and
 /// set-associative members with FIFO, tree-PLRU, or SRRIP replacement
 /// (see [`config_is_predictable`](crate::config_is_predictable)) go
-/// through the family engine, and singleton or byte-limited L1 groups
-/// fall back to plain arena replay. The `predict.configs_predicted` /
+/// through the family engine. The `predict.configs_predicted` /
 /// `predict.configs_replayed` counters record the split. Results are
 /// returned in input order.
 ///
 /// # Errors
 ///
 /// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::Worker`] if a worker panics, naming the L1 group,
-/// predict group, family chunk, or configuration that failed.
+/// [`SweepError::MissStreamTooLarge`] if an L1 group's miss stream
+/// outgrows [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
+/// worker panics, naming the L1 group, predict group, or family chunk
+/// that failed.
 pub fn try_sweep_predict_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -665,51 +577,42 @@ pub fn try_sweep_predict_arena_threads(
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    let windows = [Window { arena, budget, weight: 1.0 }];
+    let windows = [(arena, budget)];
     let groups = l1_groups(configs);
-    let captured = try_capture_groups(&groups, &windows, threads)?;
-    let sources: Vec<Option<&[MissStream]>> = captured.iter().map(Option::as_deref).collect();
-    // Each captured group's predictable members form one profiling unit;
-    // the rest are planned as the family sweep plans them, with the
-    // members of uncaptured groups counted toward the chunk share since
-    // they replay too.
+    let captured =
+        try_capture_groups(&groups, Feed::Arenas(&windows), MISS_STREAM_BYTES_LIMIT, threads)?;
+    // Each group's predictable members form one profiling unit; the rest
+    // are planned as the family sweep plans them.
     let mut profiled: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
     let mut replayed: Vec<(L1Key, Vec<usize>)> = Vec::with_capacity(groups.len());
-    let mut alone = 0usize;
-    for ((key, idxs), src) in groups.iter().zip(&sources) {
-        if src.is_none() {
-            alone += idxs.len();
-        }
-        let (predictable, rest): (Vec<usize>, Vec<usize>) = idxs.iter().partition(|&&i| {
-            src.is_some() && crate::experiment::config_is_predictable(&configs[i])
-        });
+    for (key, idxs) in &groups {
+        let (predictable, rest) =
+            idxs.iter().partition(|&&i| crate::experiment::config_is_predictable(&configs[i]));
         profiled.push(predictable);
         replayed.push((*key, rest));
     }
-    let planned = plan_units(configs, &replayed, &sources, threads, alone);
+    let planned = plan_units(configs, &replayed, threads);
     // Within each group, its profiling unit runs ahead of its replays.
     let mut units: Vec<PredictUnit> = Vec::new();
-    for ((members, src), replays) in profiled.into_iter().zip(&sources).zip(planned) {
-        if let (Some(segments), false) = (src, members.is_empty()) {
+    for ((members, segments), replays) in profiled.into_iter().zip(&captured).zip(planned) {
+        if !members.is_empty() {
             units.push(PredictUnit::Profile { stream: &segments[0], members });
         }
-        units.extend(replays.into_iter().map(PredictUnit::Replay));
+        units.extend(
+            replays.into_iter().map(|members| PredictUnit::Replay(Unit { segments, members })),
+        );
     }
     let unit_of = |unit: &PredictUnit| match unit {
-        PredictUnit::Profile { members, .. } => {
-            let first = &configs[members[0]];
-            SweepUnit::PredictGroup {
-                l1_size_bytes: first.l1_size_bytes,
-                line_bytes: first.line_bytes,
-                members: members.clone(),
-            }
-        }
-        PredictUnit::Replay(unit) => unit.sweep_unit(configs),
+        PredictUnit::Profile { stream, members } => SweepUnit::PredictGroup {
+            l1_size_bytes: stream.l1_size_bytes(),
+            line_bytes: stream.line_bytes(),
+            members: members.clone(),
+        },
+        PredictUnit::Replay(unit) => unit.sweep_unit(),
     };
     try_fan_out(configs, &units, threads, unit_of, |unit| match unit {
         PredictUnit::Profile { stream, members } => {
-            let first = &configs[members[0]];
-            let label = format!("{}B/{}B", first.l1_size_bytes, first.line_bytes);
+            let label = format!("{}B/{}B", stream.l1_size_bytes(), stream.line_bytes());
             let span = PhaseSpan::enter_with("predict_group", &label);
             span.add_items(members.len() as u64);
             let points =
@@ -717,20 +620,20 @@ pub fn try_sweep_predict_arena_threads(
             members.iter().copied().zip(points).collect()
         }
         PredictUnit::Replay(unit) => {
-            obs_count!(Counter::PredictConfigsReplayed, unit.members().len() as u64);
-            eval_unit(configs, &windows, unit, timing, area)
+            obs_count!(Counter::PredictConfigsReplayed, unit.members.len() as u64);
+            eval_unit(configs, &[1.0], unit, timing, area)
         }
     })
 }
 
 /// One parallel work unit of the predict sweep.
 enum PredictUnit<'a> {
-    /// A captured group's predictable members, answered from one
-    /// reuse-distance profiling pass; never chunked, since splitting it
-    /// would repeat the pass.
+    /// A group's predictable members, answered from one reuse-distance
+    /// profiling pass; never chunked, since splitting it would repeat the
+    /// pass.
     Profile { stream: &'a MissStream, members: Vec<usize> },
-    /// A member or family chunk the model cannot cover, replayed exactly.
-    Replay(Unit<&'a [MissStream]>),
+    /// A family chunk the model cannot cover, replayed exactly.
+    Replay(Unit<'a>),
 }
 
 /// Stringifies a panic payload (the common `&str`/`String` cases).
@@ -849,7 +752,18 @@ where
 mod tests {
     use super::*;
     use crate::configspace::{single_level_configs, two_level_configs, SpaceOptions};
-    use crate::experiment::capture_miss_stream;
+    use crate::experiment::{capture_miss_stream, evaluate};
+
+    /// The independent per-configuration reference: every point through
+    /// its own per-access hierarchy on the regenerated stream.
+    fn per_config(
+        configs: &[MachineConfig],
+        benchmark: SpecBenchmark,
+        budget: SimBudget,
+    ) -> Vec<DesignPoint> {
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        configs.iter().map(|cfg| evaluate(cfg, benchmark, budget, &tm, &am)).collect()
+    }
 
     #[test]
     fn parallel_matches_serial() {
@@ -871,48 +785,46 @@ mod tests {
     }
 
     #[test]
-    fn arena_sweep_matches_streaming_sweep() {
+    fn family_sweep_matches_per_config_evaluation() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         let mut configs = single_level_configs(&SpaceOptions::baseline())[..2].to_vec();
         configs.extend_from_slice(&two_level_configs(&SpaceOptions::baseline())[..2]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
-        let streamed: Vec<DesignPoint> = configs
-            .iter()
-            .map(|cfg| evaluate(cfg, SpecBenchmark::Gcc1, budget, &tm, &am))
-            .collect();
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
         let replayed =
-            try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
-        assert_eq!(streamed, replayed, "arena sweep must be bit-identical to streaming");
+            try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
+        assert_eq!(
+            per_config(&configs, SpecBenchmark::Gcc1, budget),
+            replayed,
+            "family sweep must be bit-identical to per-config evaluation"
+        );
     }
 
     #[test]
-    fn one_config_auto_sweep_regenerates_and_matches_arena() {
-        // A single configuration takes the auto engine's per-config
-        // regeneration fallback; it must equal the arena replay.
+    fn one_config_auto_sweep_matches_evaluate() {
+        // A single configuration is a family of one in a group of one.
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         let configs = [MachineConfig::two_level(4, 64, 4, L2Policy::Exclusive, 50.0)];
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let auto =
             try_sweep_threads(&configs, SpecBenchmark::Gcc1, budget, &tm, &am, 2).expect("sweep");
-        let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let replayed =
-            try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
-        assert_eq!(auto, replayed);
+        assert_eq!(auto, per_config(&configs, SpecBenchmark::Gcc1, budget));
     }
 
     #[test]
-    fn thread_count_does_not_change_arena_results() {
+    fn thread_count_does_not_change_family_results() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         let configs = two_level_configs(&SpaceOptions::baseline());
         let configs = &configs[..5];
         let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
-        let one = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 1).expect("sweep");
-        let many = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 5).expect("sweep");
+        let one =
+            try_sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 1).expect("sweep");
+        let many =
+            try_sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 5).expect("sweep");
         assert_eq!(one, many);
     }
 
@@ -964,7 +876,7 @@ mod tests {
     }
 
     #[test]
-    fn family_sweep_matches_arena_sweep() {
+    fn family_sweep_matches_per_config_reference_on_a_mixed_space() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         // Mixed space: singles, conventional, exclusive, and a second
@@ -978,7 +890,7 @@ mod tests {
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-        let plain = try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
+        let plain = per_config(&configs, SpecBenchmark::Gcc1, budget);
         for threads in [1, 3] {
             let family =
                 try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads)
@@ -990,42 +902,23 @@ mod tests {
     #[test]
     fn plan_units_keeps_the_chunking_schedule() {
         // Group 0: six exclusive members on one L1 (one family); group 1:
-        // a lone single-level config whose group has no capture.
+        // a lone single-level config, a family of one.
         let mut configs: Vec<MachineConfig> = [2u64, 4, 8, 16, 32, 64]
             .map(|l2| MachineConfig::two_level(1, l2, 4, L2Policy::Exclusive, 50.0))
             .to_vec();
         configs.push(MachineConfig::single_level(8, 50.0));
         let groups = l1_groups(&configs);
-        let sources = [Some(()), None];
-        let shape = |planned: Vec<Vec<Unit<()>>>| -> Vec<Vec<(char, Vec<usize>)>> {
-            planned
-                .iter()
-                .map(|units| {
-                    units
-                        .iter()
-                        .map(|u| match u {
-                            Unit::Family { members, .. } => ('F', members.clone()),
-                            Unit::Alone { idx } => ('A', vec![*idx]),
-                        })
-                        .collect()
-                })
-                .collect()
-        };
         // Single-threaded: families stay whole.
-        let whole = plan_units(&configs, &groups, &sources, 1, 0);
-        assert_eq!(shape(whole), [vec![('F', vec![0, 1, 2, 3, 4, 5])], vec![('A', vec![6])]]);
-        // Two threads: chunks of max(2, ⌈6/2⌉) = 3 family members.
-        let family = plan_units(&configs, &groups, &sources, 2, 0);
+        assert_eq!(plan_units(&configs, &groups, 1), [vec![vec![0, 1, 2, 3, 4, 5]], vec![vec![6]]]);
+        // Two threads: chunks of max(2, ⌈7/2⌉) = 4 members.
         assert_eq!(
-            shape(family),
-            [vec![('F', vec![0, 1, 2]), ('F', vec![3, 4, 5])], vec![('A', vec![6])]]
+            plan_units(&configs, &groups, 2),
+            [vec![vec![0, 1, 2, 3], vec![4, 5]], vec![vec![6]]]
         );
-        // The predict sweep counts its lone member toward the share:
-        // chunks of max(2, ⌈7/2⌉) = 4.
-        let predict = plan_units(&configs, &groups, &sources, 2, 1);
+        // Eight threads: the floor of two members per chunk.
         assert_eq!(
-            shape(predict),
-            [vec![('F', vec![0, 1, 2, 3]), ('F', vec![4, 5])], vec![('A', vec![6])]]
+            plan_units(&configs, &groups, 8),
+            [vec![vec![0, 1], vec![2, 3], vec![4, 5]], vec![vec![6]]]
         );
     }
 
@@ -1127,28 +1020,84 @@ mod tests {
 
     #[test]
     fn family_sweep_handles_singleton_groups() {
-        // Every config has a distinct L1: all groups are singletons, so
-        // the whole sweep takes the arena fallback path.
+        // Every config has a distinct L1: all groups are singletons, each
+        // captured and replayed as a family of one.
         let tm = TimingModel::paper();
         let am = AreaModel::new();
         let configs = single_level_configs(&SpaceOptions::baseline());
-        let configs = &configs[..3];
+        let mut configs = configs[..3].to_vec();
+        configs.push(MachineConfig::two_level(16, 64, 4, L2Policy::Exclusive, 50.0));
         let budget = SimBudget { instructions: 8_000, warmup_instructions: 2_000 };
         let arena = capture_benchmark(SpecBenchmark::Li, budget);
-        let plain = try_sweep_arena_threads(configs, &arena, budget, &tm, &am, 1).expect("sweep");
-        let family =
-            try_sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 2).expect("sweep");
-        assert_eq!(plain, family);
+        let plain = per_config(&configs, SpecBenchmark::Li, budget);
+        for threads in [1, 2] {
+            let family =
+                try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, threads)
+                    .expect("sweep");
+            assert_eq!(plain, family, "{threads} threads");
+        }
     }
 
     #[test]
-    fn tight_byte_limit_falls_back_to_arena_replay() {
-        // A zero byte limit rejects every capture; the family sweep
-        // must still return bit-identical results via the fallback.
+    fn over_limit_capture_is_a_typed_error() {
+        // A zero byte limit rejects every capture: the sweep fails naming
+        // the first L1 group, from an arena and a regenerated feed alike.
         let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
         let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
         assert!(capture_miss_stream(1024, 16, &arena, budget, 0).is_none());
         assert!(capture_miss_stream(1024, 16, &arena, budget, usize::MAX).is_some());
+        let configs = [MachineConfig::single_level(1, 50.0), MachineConfig::single_level(2, 50.0)];
+        let groups = l1_groups(&configs);
+        let want =
+            SweepError::MissStreamTooLarge { l1_size_bytes: 1024, line_bytes: 16, limit_bytes: 0 };
+        for feed in
+            [Feed::Arenas(&[(&arena, budget)]), Feed::Regenerated(SpecBenchmark::Tomcatv, budget)]
+        {
+            for threads in [1, 2] {
+                let err =
+                    try_capture_groups(&groups, feed, 0, threads).expect_err("over the limit");
+                assert_eq!(err, want);
+                assert!(err.to_string().contains("MISS_STREAM_BYTES_LIMIT"), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn regenerated_capture_matches_arena_capture() {
+        // One generation per L1 group yields the arena's streams event for
+        // event, and the family replay over them the same points.
+        let tm = TimingModel::paper();
+        let am = AreaModel::new();
+        let mut opts = SpaceOptions::baseline();
+        let mut configs = single_level_configs(&opts)[..3].to_vec();
+        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
+        opts.l2_policy = L2Policy::Exclusive;
+        configs.extend_from_slice(&two_level_configs(&opts)[..4]);
+        let groups = l1_groups(&configs);
+        for budget in [
+            SimBudget { instructions: 9_000, warmup_instructions: 3_000 },
+            SimBudget { instructions: 70_000, warmup_instructions: 0 },
+        ] {
+            let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
+            let windows = [(&arena, budget)];
+            let from_arena = try_capture_groups(&groups, Feed::Arenas(&windows), usize::MAX, 2)
+                .expect("capture");
+            let regenerated = Feed::Regenerated(SpecBenchmark::Gcc1, budget);
+            let from_source =
+                try_capture_groups(&groups, regenerated, usize::MAX, 2).expect("capture");
+            for (a, r) in from_arena.iter().zip(&from_source) {
+                let (a, r) = (&a[0], &r[0]);
+                assert_eq!(a.name(), r.name());
+                assert_eq!(a.l1_size_bytes(), r.l1_size_bytes());
+                assert_eq!(a.warmup_events(), r.warmup_events());
+                assert_eq!(a.l1_stats(), r.l1_stats());
+                assert!(a.events().eq(r.events()), "{}B L1: events diverged", a.l1_size_bytes());
+            }
+            let want = try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2)
+                .expect("sweep");
+            let got = try_sweep_feed(&configs, regenerated, &[1.0], &tm, &am, 2).expect("sweep");
+            assert_eq!(want, got);
+        }
     }
 
     #[test]
@@ -1177,12 +1126,16 @@ mod tests {
                     }
                     i
                 },
-                |i| SweepUnit::Config { index: i, label: format!("unit-{i}") },
+                |i| SweepUnit::FamilyChunk {
+                    l1_size_bytes: 1024,
+                    line_bytes: 16,
+                    members: vec![i],
+                },
             );
             let e = r.expect_err("a panicking worker must produce Err, not a panic");
             let SweepError::Worker { unit, payload } = e else { panic!("expected Worker: {e}") };
             assert!(payload.contains("injected failure"), "payload: {payload}");
-            assert!(matches!(unit, SweepUnit::Config { index, .. } if index >= 2));
+            assert!(matches!(unit, SweepUnit::FamilyChunk { members, .. } if members[0] >= 2));
         }
     }
 
@@ -1194,7 +1147,7 @@ mod tests {
             16,
             8,
             |i| -> usize { panic!("boom {i}") },
-            |i| SweepUnit::Config { index: i, label: String::new() },
+            |i| SweepUnit::L1Group { l1_size_bytes: 1024 << i, line_bytes: 16 },
         );
         let e = r.expect_err("expected structured error");
         assert!(matches!(e, SweepError::Worker { payload, .. } if payload.contains("boom")));
@@ -1214,14 +1167,6 @@ mod tests {
         let (configs, _, budget) = zero_thread_inputs();
         let (tm, am) = (TimingModel::paper(), AreaModel::new());
         let r = try_sweep_threads(&configs, SpecBenchmark::Li, budget, &tm, &am, 0);
-        assert_eq!(r.unwrap_err(), SweepError::NoThreads);
-    }
-
-    #[test]
-    fn try_sweep_arena_threads_rejects_zero_threads() {
-        let (configs, arena, budget) = zero_thread_inputs();
-        let (tm, am) = (TimingModel::paper(), AreaModel::new());
-        let r = try_sweep_arena_threads(&configs, &arena, budget, &tm, &am, 0);
         assert_eq!(r.unwrap_err(), SweepError::NoThreads);
     }
 

@@ -101,20 +101,12 @@ pub enum Counter {
     L2MultiHit,
     /// Design points fully evaluated (TPI + area computed).
     RunnerConfigsCompleted,
-    /// L1 groups too small to amortise miss-stream capture, demoted to
-    /// plain arena replay.
-    RunnerFallbackSingleton,
-    /// Miss streams abandoned because they outgrew the byte limit.
-    RunnerFallbackByteLimit,
-    /// Whole `auto` sweeps that regenerate the stream per configuration
-    /// instead of capturing an arena (one configuration, or a capture
-    /// over the arena byte limit).
-    RunnerFallbackStreaming,
     /// Design points answered analytically by the reuse-distance
     /// predictor (no event replay).
     PredictConfigsPredicted,
-    /// Design points the predict engine fell back to event replay for
-    /// (exclusive hierarchies, uncaptured groups).
+    /// Design points the predict engine replays exactly instead
+    /// (exclusive hierarchies and replacement policies outside the
+    /// model).
     PredictConfigsReplayed,
     /// Events walked by reuse-distance profiling passes (one per stream
     /// event per profiled group).
@@ -145,7 +137,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (size of the [`CounterSet`] array).
-    pub const COUNT: usize = 35;
+    pub const COUNT: usize = 32;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -169,9 +161,6 @@ impl Counter {
         Counter::L2LiveFills,
         Counter::L2MultiHit,
         Counter::RunnerConfigsCompleted,
-        Counter::RunnerFallbackSingleton,
-        Counter::RunnerFallbackByteLimit,
-        Counter::RunnerFallbackStreaming,
         Counter::PredictConfigsPredicted,
         Counter::PredictConfigsReplayed,
         Counter::PredictEventsProfiled,
@@ -209,9 +198,6 @@ impl Counter {
             Counter::L2LiveFills => "l2.live_fills",
             Counter::L2MultiHit => "l2.multi_hit",
             Counter::RunnerConfigsCompleted => "runner.configs_completed",
-            Counter::RunnerFallbackSingleton => "runner.fallback_singleton",
-            Counter::RunnerFallbackByteLimit => "runner.fallback_byte_limit",
-            Counter::RunnerFallbackStreaming => "runner.fallback_streaming",
             Counter::PredictConfigsPredicted => "predict.configs_predicted",
             Counter::PredictConfigsReplayed => "predict.configs_replayed",
             Counter::PredictEventsProfiled => "predict.events_profiled",
@@ -247,11 +233,10 @@ pub struct SpanRecord {
     pub items: u64,
 }
 
-/// A recorded point event (fallbacks, engine selections, worker
-/// errors); `kind` is a stable identifier, `detail` free text.
+/// A recorded point event (engine selections, worker errors); `kind` is a stable identifier, `detail` free text.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize, PartialEq, Eq)]
 pub struct ObsEventRecord {
-    /// Stable event kind, e.g. `"fallback.byte_limit"`.
+    /// Stable event kind, e.g. `"engine.selected"`.
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,
@@ -518,7 +503,7 @@ macro_rules! obs_count {
 /// Records a point event with a `format!`-style detail message.
 ///
 /// ```
-/// tlc_obs::obs_event!("fallback.byte_limit", "l1={}B", 8192);
+/// tlc_obs::obs_event!("engine.selected", "{} configs", 90);
 /// ```
 #[macro_export]
 macro_rules! obs_event {

@@ -2,7 +2,7 @@
 //! pipeline run (sweep or repro) carrying engine/thread metadata, a
 //! config-space hash, counter totals, a nested per-phase span tree,
 //! latency histogram summaries, a memory-accounting section, and any
-//! point events (fallbacks, worker errors).
+//! point events (engine selections, worker errors).
 //!
 //! Schema history: `/1` had counters + spans + events; `/2` adds
 //! `histograms` (log-linear latency distributions with
@@ -194,7 +194,7 @@ pub struct RunManifest {
     pub counters: Vec<CounterTotal>,
     /// Aggregated span tree.
     pub spans: Vec<SpanNode>,
-    /// Point events in record order (fallbacks, errors).
+    /// Point events in record order (engine selections, errors).
     pub events: Vec<ObsEventRecord>,
     /// Latency histogram summaries, one per `Hist`, in `Hist::ALL`
     /// order (absent in `/1` documents).

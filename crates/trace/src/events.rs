@@ -63,6 +63,9 @@ pub const EVENT_BYTES_PER_RECORD: usize = 17;
 /// [`DEFAULT_CHUNK_LEN`](crate::arena::DEFAULT_CHUNK_LEN).
 pub const DEFAULT_EVENT_CHUNK_LEN: usize = 1 << 16;
 
+/// Events a new chunk reserves room for before it grows.
+const INITIAL_CHUNK_CAPACITY: usize = 1 << 12;
+
 /// The L1 line displaced by a miss fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VictimLine {
@@ -207,7 +210,11 @@ impl EventArena {
             None => true,
         };
         if need_new {
-            self.chunks.push(EventChunk::with_capacity(self.chunk_len));
+            // A chunk starts small and grows by doubling: most streams
+            // (one per L1 group, a group of one included) fill a fraction
+            // of one chunk, and reserving all of it for each would hold
+            // memory the allocator cannot hand back between sweeps.
+            self.chunks.push(EventChunk::with_capacity(self.chunk_len.min(INITIAL_CHUNK_CAPACITY)));
         }
         let chunk = self.chunks.last_mut().expect("chunk just ensured");
         chunk.line.push(ev.line.0);

@@ -2,7 +2,10 @@
 //! must be observationally identical to the original generate-per-eval
 //! pipeline — same `HierarchyStats`, same `tpi_ns`, bit for bit — for
 //! every benchmark and every hierarchy organisation, regardless of how
-//! the arena is chunked or how many worker threads replay it.
+//! the arena is chunked or how many worker threads replay it. The
+//! independent per-configuration references are [`evaluate`] (the
+//! per-access hierarchy on the regenerated stream) and
+//! [`simulate_arena`] (the same hierarchy over the captured arena).
 //!
 //! These are the acceptance tests for the sweep engine's central claim:
 //! the speedup recorded in `BENCH_sweep.json` is a pure engine
@@ -19,10 +22,10 @@ use tlc_cache::{
     L1FrontEnd, MemorySystem, ReplacementKind,
 };
 use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate, evaluate_arena, evaluate_family,
-    simulate_source, DesignPoint, SimBudget,
+    capture_benchmark, capture_miss_stream, evaluate, evaluate_family, simulate_arena, DesignPoint,
+    SimBudget,
 };
-use tlc_core::runner::{try_sweep_arena_threads, try_sweep_family_arena_threads};
+use tlc_core::runner::try_sweep_family_arena_threads;
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -50,6 +53,13 @@ fn family_of_one(
     evaluate_family(std::slice::from_ref(cfg), stream, tm, am).remove(0)
 }
 
+/// Every configuration through [`evaluate`]: the per-config reference
+/// the family sweep must reproduce.
+fn per_config(configs: &[MachineConfig], benchmark: SpecBenchmark) -> Vec<DesignPoint> {
+    let (tm, am) = (TimingModel::paper(), AreaModel::new());
+    configs.iter().map(|cfg| evaluate(cfg, benchmark, BUDGET, &tm, &am)).collect()
+}
+
 /// One whole stream through a conventional L2 family.
 fn conventional_family(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyStats> {
     try_replay_conventional_family_segments(cfgs, std::slice::from_ref(stream))
@@ -65,8 +75,7 @@ fn exclusive_family(cfgs: &[CacheConfig], stream: &MissStream) -> Vec<HierarchyS
 }
 
 /// Every benchmark × every hierarchy kind: the arena replay must match
-/// the generator-driven engine on the entire `DesignPoint` — stats,
-/// `tpi_ns`, CPI, label.
+/// the generator-driven engine on every statistic.
 #[test]
 fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
     let tm = TimingModel::paper();
@@ -75,9 +84,9 @@ fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
         let arena = capture_benchmark(benchmark, BUDGET);
         for cfg in hierarchy_kinds() {
             let generated = evaluate(&cfg, benchmark, BUDGET, &tm, &am);
-            let replayed = evaluate_arena(&cfg, &arena, BUDGET, &tm, &am);
+            let replayed = simulate_arena(&cfg, &arena, BUDGET);
             assert_eq!(
-                generated,
+                generated.stats,
                 replayed,
                 "{} on {}: arena replay diverged from generation",
                 benchmark.name(),
@@ -92,17 +101,14 @@ fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
 /// a single statistic.
 #[test]
 fn chunk_size_does_not_change_results() {
-    let tm = TimingModel::paper();
-    let am = AreaModel::new();
     let len = BUDGET.warmup_instructions + BUDGET.instructions;
     let reference = capture_benchmark(SpecBenchmark::Li, BUDGET);
     let cfgs = hierarchy_kinds();
-    let expected: Vec<_> =
-        cfgs.iter().map(|c| evaluate_arena(c, &reference, BUDGET, &tm, &am)).collect();
+    let expected: Vec<_> = cfgs.iter().map(|c| simulate_arena(c, &reference, BUDGET)).collect();
     for chunk_len in [7usize, 64, 1 << 12, 1 << 20] {
         let arena = TraceArena::capture_chunked(&mut SpecBenchmark::Li.workload(), len, chunk_len);
         for (cfg, want) in cfgs.iter().zip(&expected) {
-            let got = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
+            let got = simulate_arena(cfg, &arena, BUDGET);
             assert_eq!(&got, want, "chunk_len={chunk_len} changed {}", cfg.label());
         }
     }
@@ -113,8 +119,8 @@ fn chunk_size_does_not_change_results() {
 /// exclusive victim-swap) and several (L1, L2) geometry pairs, a family
 /// of one — L1 simulated once per front-end, L2 replaying only the
 /// captured events — must produce the same `DesignPoint` bit for bit as
-/// both the arena engine and the per-access engine on the regenerated
-/// stream.
+/// the per-access engine on the regenerated stream, and the same
+/// statistics as the per-access engine over the arena.
 #[test]
 fn filtered_equivalence() {
     let tm = TimingModel::paper();
@@ -136,18 +142,18 @@ fn filtered_equivalence() {
             }
             for cfg in &configs {
                 let filtered = family_of_one(cfg, &stream, &tm, &am);
-                let replayed = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
+                let replayed = simulate_arena(cfg, &arena, BUDGET);
                 assert_eq!(
-                    filtered,
+                    filtered.stats,
                     replayed,
                     "{} on {}: filtered engine diverged from arena replay",
                     benchmark.name(),
                     cfg.label()
                 );
-                let streamed = simulate_source(cfg, &mut benchmark.workload(), BUDGET);
+                let generated = evaluate(cfg, benchmark, BUDGET, &tm, &am);
                 assert_eq!(
-                    filtered.stats,
-                    streamed,
+                    filtered,
+                    generated,
                     "{} on {}: filtered engine diverged from the per-access engine",
                     benchmark.name(),
                     cfg.label()
@@ -271,9 +277,9 @@ fn replacement_policies_agree_across_design_point_engines() {
                     "{repl} on {}: family-batched engine diverged from its family of one",
                     cfg.label()
                 );
-                let replayed = evaluate_arena(cfg, &arena, BUDGET, &tm, &am);
+                let replayed = simulate_arena(cfg, &arena, BUDGET);
                 assert_eq!(
-                    one,
+                    one.stats,
                     replayed,
                     "{repl} on {}: family of one diverged from arena replay",
                     cfg.label()
@@ -281,8 +287,8 @@ fn replacement_policies_agree_across_design_point_engines() {
                 let generated = evaluate(cfg, benchmark, BUDGET, &tm, &am);
                 assert_eq!(
                     generated,
-                    replayed,
-                    "{repl} on {}: arena replay diverged from generation",
+                    one,
+                    "{repl} on {}: family of one diverged from generation",
                     cfg.label()
                 );
             }
@@ -290,9 +296,9 @@ fn replacement_policies_agree_across_design_point_engines() {
     }
 }
 
-/// The miss-stream filtered sweep (the family engine; `filtered` is its
-/// CLI alias) is a drop-in replacement for the arena sweep: same mixed
-/// configuration list, any thread count, identical output.
+/// The miss-stream filtered sweep (the family engine) reproduces the
+/// per-configuration reference: same mixed configuration list —
+/// singleton L1 groups included — any thread count, identical output.
 #[test]
 fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
     let tm = TimingModel::paper();
@@ -306,7 +312,7 @@ fn filtered_sweep_matches_arena_sweep_at_any_thread_count() {
         ])
         .collect();
     let arena = capture_benchmark(SpecBenchmark::Doduc, BUDGET);
-    let reference = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).expect("sweep");
+    let reference = per_config(&configs, SpecBenchmark::Doduc);
     for threads in [1usize, 2, 5] {
         let family = try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)
             .expect("sweep");
@@ -465,8 +471,8 @@ proptest! {
 }
 
 /// Thread fan-out is a scheduling detail: a sweep over a mixed
-/// configuration list must return the same `DesignPoint`s in the same
-/// order for any worker count.
+/// configuration list must return the per-configuration reference's
+/// `DesignPoint`s in the same order for any worker count.
 #[test]
 fn thread_count_does_not_change_design_points() {
     let tm = TimingModel::paper();
@@ -479,10 +485,10 @@ fn thread_count_does_not_change_design_points() {
         ])
         .collect();
     let arena = capture_benchmark(SpecBenchmark::Eqntott, BUDGET);
-    let serial = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).expect("sweep");
-    for threads in [2usize, 3, 8] {
-        let parallel =
-            try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads).expect("sweep");
-        assert_eq!(serial, parallel, "threads={threads} changed the sweep");
+    let reference = per_config(&configs, SpecBenchmark::Eqntott);
+    for threads in [1usize, 2, 3, 8] {
+        let parallel = try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)
+            .expect("sweep");
+        assert_eq!(reference, parallel, "threads={threads} changed the sweep");
     }
 }

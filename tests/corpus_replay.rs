@@ -166,6 +166,42 @@ fn out_of_range_line_words_are_rejected_not_replayed() {
     }
 }
 
+/// A sidecar is untrusted input: a geometry no front-end has, or a
+/// warm-up boundary past the last event, is rejected with a typed error
+/// instead of panicking the replay.
+#[test]
+fn malformed_sidecars_are_rejected_not_panicking() {
+    use tlc_cache::filter_family::FamilyError;
+    let sidecar = |l1: u64, line: u64, warmup: u64| -> CorpusEntryMeta {
+        let json = format!(
+            r#"{{"schema":"{CORPUS_ENTRY_SCHEMA}","check":"family-vs-oracle",
+                "l1_size_bytes":{l1},"line_bytes":{line},"warmup_events":{warmup},
+                "l2":null,"note":"malformed","expect_divergence":false}}"#
+        );
+        serde_json::from_str(&json).expect("a well-formed sidecar document")
+    };
+    // 1000 B is no power of two; warm-up 5 of 0 events is out of range too.
+    assert_eq!(
+        replay_corpus_entry(&sidecar(1000, 16, 5), EventArena::new()),
+        Err(FamilyError::L1Geometry { l1_size_bytes: 1000, line_bytes: 16 })
+    );
+    assert_eq!(
+        replay_corpus_entry(&sidecar(1024, 24, 0), EventArena::new()),
+        Err(FamilyError::L1Geometry { l1_size_bytes: 1024, line_bytes: 24 })
+    );
+    // An L1 smaller than one line.
+    assert_eq!(
+        replay_corpus_entry(&sidecar(16, 32, 0), EventArena::new()),
+        Err(FamilyError::L1Geometry { l1_size_bytes: 16, line_bytes: 32 })
+    );
+    assert_eq!(
+        replay_corpus_entry(&sidecar(1024, 16, 5), EventArena::new()),
+        Err(FamilyError::WarmupOutOfRange { warmup_events: 5, events: 0 })
+    );
+    // The boundary at the very end is a stream that measured nothing.
+    assert_eq!(replay_corpus_entry(&sidecar(1024, 16, 0), EventArena::new()), Ok(None));
+}
+
 /// The acceptance bar for archived witnesses: re-running the shrinker
 /// on the same failing input reproduces the same minimal trace
 /// byte-for-byte (so corpus entries are stable across audit re-runs).

@@ -12,9 +12,7 @@
 use std::sync::Mutex;
 use tlc_area::AreaModel;
 use tlc_core::experiment::{capture_benchmark, SimBudget};
-use tlc_core::runner::{
-    try_sweep_arena_threads, try_sweep_family_arena_threads, SweepError, SweepUnit,
-};
+use tlc_core::runner::{try_sweep_family_arena_threads, SweepError, SweepUnit};
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_obs::manifest::{build_span_tree, RunManifest, RunMeta};
 use tlc_obs::Counter;
@@ -176,39 +174,37 @@ fn worker_spans_nest_under_spawning_phase_across_threads() {
 }
 
 /// A panic on a worker thread surfaces as a structured error naming the
-/// exact configuration, not as a bare propagated panic — and the
-/// already-dispatched healthy work does not poison the result.
+/// exact unit — here the invalid configuration's L1 group capture — not
+/// as a bare propagated panic, and the already-dispatched healthy work
+/// does not poison the result.
 #[test]
 fn worker_panic_is_reported_as_structured_error() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let tm = TimingModel::paper();
     let am = AreaModel::new();
     let mut configs = mixed_space();
-    // An L1 no cache can have: not a power of two. Construction panics
-    // inside the worker's evaluation.
+    // An L1 no cache can have: not a power of two. Building its group's
+    // front-end panics inside the worker's capture.
     let mut bad = MachineConfig::single_level(2, 50.0);
     bad.l1_size_bytes = 3000;
-    let bad_index = configs.len();
     configs.push(bad);
     let arena = capture();
     for threads in [1usize, 2] {
-        let err = try_sweep_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)
+        let err = try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)
             .expect_err("invalid config must fail the sweep");
         let SweepError::Worker { unit, payload } = &err else {
             panic!("expected a worker panic, got {err:?}")
         };
-        match unit {
-            SweepUnit::Config { index, .. } => {
-                assert_eq!(*index, bad_index, "error must name the failing config")
-            }
-            other => panic!("expected Config unit, got {other:?}"),
-        }
+        assert!(
+            matches!(unit, SweepUnit::L1Group { l1_size_bytes: 3000, .. }),
+            "error must name the failing L1 group, got {unit:?}"
+        );
         assert!(
             payload.contains("valid L1"),
             "payload must carry the panic message, got: {payload}"
         );
         let rendered = err.to_string();
-        assert!(rendered.contains(&format!("config #{bad_index}")), "got: {rendered}");
+        assert!(rendered.contains("L1 group 3000B/16B capture"), "got: {rendered}");
     }
 }
 

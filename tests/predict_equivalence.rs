@@ -15,9 +15,10 @@
 use tlc_area::AreaModel;
 use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
 use tlc_core::experiment::{
-    capture_benchmark, capture_miss_stream, evaluate_family, evaluate_predicted, SimBudget,
+    capture_benchmark, capture_miss_stream, evaluate, evaluate_family, evaluate_predicted,
+    SimBudget,
 };
-use tlc_core::runner::{try_sweep_family_arena_threads, try_sweep_predict_arena_threads};
+use tlc_core::runner::try_sweep_predict_arena_threads;
 use tlc_core::{L2Policy, MachineConfig};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -94,7 +95,7 @@ fn predicted_miss_ratios_meet_epsilon_on_all_benchmarks() {
             assert_eq!(predicted.len(), cfgs.len());
             for (cfg, got) in cfgs.iter().zip(&predicted) {
                 // Ground truth: the family engine over the singleton
-                // family, bit-identical to filtered/arena replay.
+                // family, bit-identical to per-access replay.
                 let want = &evaluate_family(std::slice::from_ref(cfg), &stream, &tm, &am)[0];
                 assert_contract(benchmark, cfg, got, want);
             }
@@ -103,10 +104,11 @@ fn predicted_miss_ratios_meet_epsilon_on_all_benchmarks() {
 }
 
 /// The predict *sweep* honours the same contract end to end on a mixed
-/// space that exercises every fallback: predictable conventional and
-/// single-level members are predicted, exclusive members are replayed
-/// bit-identically through the family engine, and ordering survives the
-/// fan-out for any thread count.
+/// space, against the independent per-configuration reference
+/// ([`evaluate`]): predictable conventional and single-level members are
+/// predicted — the one-member 2KB L1 group's included — exclusive
+/// members are replayed bit-identically through the family engine, and
+/// ordering survives the fan-out for any thread count.
 #[test]
 fn predict_sweep_contract_holds_across_benchmarks_and_threads() {
     let tm = TimingModel::paper();
@@ -121,8 +123,8 @@ fn predict_sweep_contract_holds_across_benchmarks_and_threads() {
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
             MachineConfig::two_level(2, 64, 8, L2Policy::Conventional, 50.0),
         ];
-        let truth =
-            try_sweep_family_arena_threads(&configs, &arena, BUDGET, &tm, &am, 1).expect("sweep");
+        let truth: Vec<_> =
+            configs.iter().map(|cfg| evaluate(cfg, benchmark, BUDGET, &tm, &am)).collect();
         for threads in [1usize, 4] {
             let swept =
                 try_sweep_predict_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)

@@ -167,9 +167,9 @@ fn one_slice_segment_capture_equals_whole_stream_capture() {
 
 #[test]
 fn multi_slice_sweep_stitches_every_l1_group_including_singletons() {
-    // A 256KB single-level point is alone in its L1 group; with several
-    // slices it must still be captured (the capture carries L1 state
-    // from slice to slice), so the sweep equals per-group stitched
+    // A 256KB single-level point is alone in its L1 group; it is
+    // captured like any other (the capture carries L1 state from slice
+    // to slice), so the sweep equals per-group stitched
     // capture + family replay + weighted recombination.
     let configs = vec![
         MachineConfig::single_level(256, 50.0),

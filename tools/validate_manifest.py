@@ -320,7 +320,7 @@ def check_manifest(doc):
             fail("instrumented sweep recorded no peak RSS")
         if doc["engine"] == "predict":
             # Every design point is either answered analytically or
-            # replayed through a fallback — nothing may fall through.
+            # replayed exactly — nothing may fall through.
             predicted = counter("predict.configs_predicted")
             replayed = counter("predict.configs_replayed")
             if predicted + replayed != doc["configs"]:
