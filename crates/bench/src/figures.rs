@@ -313,37 +313,44 @@ pub fn fig4(h: &Harness) -> String {
     )
 }
 
+/// The single-level points of a swept space, in sweep order.
+fn singles_of(pts: &[DesignPoint]) -> Vec<DesignPoint> {
+    pts.iter().filter(|p| p.machine.l2.is_none()).cloned().collect()
+}
+
+/// The scatter of `opts`' whole space on one workload with its two
+/// envelopes; also returns the swept points so a caller can reuse them.
 fn fig_full_scatter(
     h: &Harness,
     benchmark: SpecBenchmark,
     opts: SpaceOptions,
     title: &str,
-) -> String {
-    let all_cfgs = full_space(&opts);
-    let pts = sweep_points(h, &all_cfgs, benchmark);
-    let singles: Vec<DesignPoint> =
-        pts.iter().filter(|p| p.machine.l2.is_none()).cloned().collect();
+) -> (String, Vec<DesignPoint>) {
+    let pts = sweep_points(h, &full_space(&opts), benchmark);
+    let singles = singles_of(&pts);
     let mut out = points_table(title, &pts);
     let _ = writeln!(out);
     out.push_str(&envelope_table("best 2-level-allowed envelope:", &pts));
     out.push_str(&envelope_table("1-level-only envelope:", &singles));
     compare_envelopes(&mut out, &pts, &singles);
-    out
+    (out, pts)
 }
 
+/// The envelopes of `opts`' whole space on each workload; also returns
+/// each workload's swept points, in `workloads` order.
 fn fig_envelopes_multi(
     h: &Harness,
     workloads: &[SpecBenchmark],
     opts: SpaceOptions,
     title: &str,
-) -> String {
+) -> (String, Vec<Vec<DesignPoint>>) {
     let all_cfgs = full_space(&opts);
     let mut out = String::new();
+    let mut swept = Vec::with_capacity(workloads.len());
     let _ = writeln!(out, "{title}");
     for &b in workloads {
         let pts = sweep_points(h, &all_cfgs, b);
-        let singles: Vec<DesignPoint> =
-            pts.iter().filter(|p| p.machine.l2.is_none()).cloned().collect();
+        let singles = singles_of(&pts);
         out.push_str(&envelope_table(&format!("-- {}: best envelope --", b.name()), &pts));
         out.push_str(&envelope_table(
             &format!("-- {}: 1-level-only envelope --", b.name()),
@@ -351,8 +358,9 @@ fn fig_envelopes_multi(
         ));
         compare_envelopes(&mut out, &pts, &singles);
         let _ = writeln!(out);
+        swept.push(pts);
     }
-    out
+    (out, swept)
 }
 
 /// Figure 5: gcc1, 50ns off-chip, 4-way set-associative L2 — the full
@@ -364,6 +372,7 @@ pub fn fig5(h: &Harness) -> String {
         SpaceOptions::baseline(),
         "Figure 5: gcc1: 50ns off-chip, L2 4-way set-associative",
     )
+    .0
 }
 
 /// Figure 6: doduc and espresso, 50ns, 4-way L2 (envelopes).
@@ -374,6 +383,7 @@ pub fn fig6(h: &Harness) -> String {
         SpaceOptions::baseline(),
         "Figure 6: doduc and espresso: 50ns off-chip, L2 4-way set-associative",
     )
+    .0
 }
 
 /// Figure 7: fpppp and li, 50ns, 4-way L2 (envelopes).
@@ -384,6 +394,7 @@ pub fn fig7(h: &Harness) -> String {
         SpaceOptions::baseline(),
         "Figure 7: fpppp and li: 50ns off-chip, L2 4-way set-associative",
     )
+    .0
 }
 
 /// Figure 8: tomcatv and eqntott, 50ns, 4-way L2 (envelopes).
@@ -394,6 +405,7 @@ pub fn fig8(h: &Harness) -> String {
         SpaceOptions::baseline(),
         "Figure 8: tomcatv and eqntott: 50ns off-chip, L2 4-way set-associative",
     )
+    .0
 }
 
 /// Figure 9: gcc1, 50ns, direct-mapped L2.
@@ -405,6 +417,7 @@ pub fn fig9(h: &Harness) -> String {
         opts,
         "Figure 9: gcc1: 50ns off-chip, L2 direct-mapped",
     )
+    .0
 }
 
 /// Figures 10–16: dual-ported first-level caches (2× area, 2× issue
@@ -414,8 +427,8 @@ pub fn fig_dual(h: &Harness, benchmark: SpecBenchmark, number: u32) -> String {
     let dual_opts = SpaceOptions { l1_cell: CellKind::DualPorted, ..base_opts };
 
     let singles_base = sweep_points(h, &single_level_configs(&base_opts), benchmark);
-    let singles_dual = sweep_points(h, &single_level_configs(&dual_opts), benchmark);
     let two_level_dual = sweep_points(h, &full_space(&dual_opts), benchmark);
+    let singles_dual = singles_of(&two_level_dual);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -470,6 +483,7 @@ pub fn fig17(h: &Harness) -> String {
         opts,
         "Figure 17: gcc1: 200ns off-chip, L2 4-way set-associative",
     )
+    .0
 }
 
 /// Figures 18–20: remaining workloads at 200ns off-chip.
@@ -482,6 +496,7 @@ pub fn fig_200(h: &Harness, workloads: &[SpecBenchmark], number: u32) -> String 
         opts,
         &format!("Figure {number}: {}: 200ns off-chip, L2 4-way", names.join(" and ")),
     )
+    .0
 }
 
 /// Figure 21: exclusion vs inclusion during swapping — the deterministic
@@ -557,9 +572,8 @@ fn fig_exclusive_scatter(
 ) -> String {
     let opts = SpaceOptions { l2_policy: L2Policy::Exclusive, l2_ways, ..SpaceOptions::baseline() };
     let conv_opts = SpaceOptions { l2_policy: L2Policy::Conventional, ..opts };
-    let mut out = fig_full_scatter(h, benchmark, opts, title);
+    let (mut out, excl) = fig_full_scatter(h, benchmark, opts, title);
     // Compare against the conventional policy at identical geometry.
-    let excl = sweep_points(h, &full_space(&opts), benchmark);
     let conv = sweep_points(h, &full_space(&conv_opts), benchmark);
     let gain = mean_improvement(&envelope_of(&excl), &envelope_of(&conv));
     let _ = writeln!(
@@ -594,7 +608,7 @@ pub fn fig23(h: &Harness) -> String {
 pub fn fig_exclusive_pair(h: &Harness, workloads: &[SpecBenchmark], number: u32) -> String {
     let opts = SpaceOptions { l2_policy: L2Policy::Exclusive, ..SpaceOptions::baseline() };
     let names: Vec<&str> = workloads.iter().map(|b| b.name()).collect();
-    let mut out = fig_envelopes_multi(
+    let (mut out, swept) = fig_envelopes_multi(
         h,
         workloads,
         opts,
@@ -602,10 +616,9 @@ pub fn fig_exclusive_pair(h: &Harness, workloads: &[SpecBenchmark], number: u32)
     );
     // Exclusive-vs-conventional deltas per workload.
     let conv_opts = SpaceOptions { l2_policy: L2Policy::Conventional, ..opts };
-    for &b in workloads {
-        let excl = sweep_points(h, &full_space(&opts), b);
+    for (&b, excl) in workloads.iter().zip(&swept) {
         let conv = sweep_points(h, &full_space(&conv_opts), b);
-        let gain = mean_improvement(&envelope_of(&excl), &envelope_of(&conv));
+        let gain = mean_improvement(&envelope_of(excl), &envelope_of(&conv));
         let _ = writeln!(
             out,
             "{}: mean envelope TPI improvement of exclusive over conventional: {:.1}%",
@@ -985,8 +998,7 @@ pub fn sensitivity_study(h: &Harness) -> String {
     for offchip in [25.0f64, 50.0, 100.0, 200.0, 400.0] {
         let opts = SpaceOptions { offchip_ns: offchip, ..SpaceOptions::baseline() };
         let pts = sweep_points(h, &full_space(&opts), SpecBenchmark::Gcc1);
-        let singles: Vec<DesignPoint> =
-            pts.iter().filter(|p| p.machine.l2.is_none()).cloned().collect();
+        let singles = singles_of(&pts);
         let env = envelope_of(&pts);
         let first = env
             .iter()

@@ -30,8 +30,12 @@
 //! dirty bit.
 //!
 //! This module holds the front-end, the captured stream, the event walk
-//! every back-end shares (`walk_events`), and the single-level sink
-//! (every L1 miss goes off-chip — no L2 state at all). The conventional
+//! every back-end shares (`walk_events`: the one warm-up/measure walk
+//! [`walk_window`] over the stream's [`EventArena`], which per-access
+//! arena replay and every L1 capture take over a
+//! [`TraceArena`](tlc_trace::TraceArena) too, so both reset at the same
+//! record), and the single-level sink (every L1 miss goes off-chip — no
+//! L2 state at all). The conventional
 //! and exclusive L2 back-ends live in
 //! [`filter_family`](crate::filter_family): one family-batched,
 //! segment-stitching replay serves every L2 configuration, a single
@@ -48,11 +52,11 @@ use crate::filter_family::FamilyError;
 use crate::hierarchy::{MemorySystem, ServiceLevel};
 use crate::l1::SplitL1;
 use crate::stats::HierarchyStats;
+use tlc_trace::columns::walk_window;
 use tlc_trace::events::{
-    EventArena, EventChunkView, EVENT_HAS_VICTIM, EVENT_KIND_FETCH, EVENT_KIND_MASK,
-    EVENT_VICTIM_WRITTEN,
+    EventArena, EVENT_HAS_VICTIM, EVENT_KIND_FETCH, EVENT_KIND_MASK, EVENT_VICTIM_WRITTEN,
 };
-use tlc_trace::{LineAddr, MemRef, MissEvent, VictimLine};
+use tlc_trace::{ChunkView, LineAddr, MemRef, MissEvent, VictimLine};
 
 /// The L1 side of a decomposed hierarchy: split direct-mapped I/D caches
 /// that record one [`MissEvent`] per L1 miss into an [`EventArena`].
@@ -75,8 +79,8 @@ pub struct L1FrontEnd {
     stats: HierarchyStats,
     events: EventArena,
     warmup_events: u64,
-    /// Lifetime reference count, flushed to `filter.*` counters by
-    /// [`L1FrontEnd::finish`].
+    /// References since the last packaged segment, flushed to the
+    /// `filter.*` counters by [`L1FrontEnd::take_stream`].
     total_refs: u64,
 }
 
@@ -116,22 +120,8 @@ impl L1FrontEnd {
     /// Finishes the capture, packaging the event stream, the warm-up
     /// boundary, and the measured-window L1-side statistics into a
     /// shareable [`MissStream`] named after the captured workload.
-    pub fn finish(self, name: &str) -> MissStream {
-        // Every miss (and only a miss) pushed one event, so the
-        // hits/misses/decoded invariant holds by construction.
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterEventsDecoded, self.total_refs);
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Misses, self.events.len());
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Hits, self.total_refs - self.events.len());
-        tlc_obs::obs_count!(tlc_obs::Counter::FilterEventBytes, self.events.bytes() as u64);
-        MissStream {
-            name: name.to_string(),
-            events: self.events,
-            warmup_events: self.warmup_events,
-            l1_stats: self.stats,
-            l1_size_bytes: self.l1.config().size_bytes(),
-            line_bytes: self.l1.config().line_bytes(),
-            stitched: false,
-        }
+    pub fn finish(mut self, name: &str) -> MissStream {
+        self.take_stream(name)
     }
 
     /// Splits everything captured so far off into a [`MissStream`] —
@@ -145,15 +135,15 @@ impl L1FrontEnd {
     /// order, `take_stream` cuts a segment per slice, and the segments
     /// inherit L1 state across the gaps instead of restarting cold.
     pub fn take_stream(&mut self, name: &str) -> MissStream {
-        // Same counter flush as `finish`, scoped to this segment.
+        // Every miss (and only a miss) pushed one event, so the
+        // hits/misses/decoded invariant holds by construction.
         tlc_obs::obs_count!(tlc_obs::Counter::FilterEventsDecoded, self.total_refs);
         tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Misses, self.events.len());
         tlc_obs::obs_count!(tlc_obs::Counter::FilterL1Hits, self.total_refs - self.events.len());
         tlc_obs::obs_count!(tlc_obs::Counter::FilterEventBytes, self.events.bytes() as u64);
-        let events = std::mem::replace(&mut self.events, EventArena::new());
+        let events = std::mem::take(&mut self.events);
         let warmup_events = std::mem::take(&mut self.warmup_events);
-        let l1_stats = self.stats;
-        self.stats = HierarchyStats::default();
+        let l1_stats = std::mem::take(&mut self.stats);
         self.l1.reset_stats();
         self.total_refs = 0;
         MissStream {
@@ -163,7 +153,6 @@ impl L1FrontEnd {
             l1_stats,
             l1_size_bytes: self.l1.config().size_bytes(),
             line_bytes: self.l1.config().line_bytes(),
-            stitched: true,
         }
     }
 }
@@ -216,10 +205,6 @@ pub struct MissStream {
     l1_stats: HierarchyStats,
     l1_size_bytes: u64,
     line_bytes: u64,
-    /// Cut from a running front-end by [`L1FrontEnd::take_stream`]: one
-    /// phase slice of a stitched capture, whose replay the back-end
-    /// times into the `sample.slice_replay_ns` histogram.
-    stitched: bool,
 }
 
 impl MissStream {
@@ -259,7 +244,7 @@ impl MissStream {
         let mut first = 0u64;
         for chunk in events.chunks() {
             // A chunk's victim word is zero where it has no victim.
-            for (i, (&l, &v)) in chunk.line.iter().zip(chunk.victim).enumerate() {
+            for (i, (&l, &v)) in chunk.primary.iter().zip(chunk.secondary).enumerate() {
                 if l.max(v) > max_line {
                     let event = first + i as u64;
                     return Err(FamilyError::LineOutOfRange { event, line: l.max(v), max_line });
@@ -274,7 +259,6 @@ impl MissStream {
             l1_stats,
             l1_size_bytes,
             line_bytes,
-            stitched: false,
         })
     }
 
@@ -330,12 +314,6 @@ impl MissStream {
     pub(crate) fn l1_sets(&self) -> usize {
         (self.l1_size_bytes / self.line_bytes) as usize
     }
-
-    /// Whether this stream is a segment cut by
-    /// [`L1FrontEnd::take_stream`].
-    pub(crate) fn is_stitched(&self) -> bool {
-        self.stitched
-    }
 }
 
 /// Anything that can consume a decoded event stream: the single-level
@@ -351,47 +329,27 @@ pub(crate) trait EventSink {
 }
 
 /// Walks the packed event stream through `sink`, resetting its counters
-/// at the warm-up boundary exactly where per-access arena replay resets the
-/// monolithic hierarchy's statistics (including the mid-chunk split and
-/// the exhausted-inside-warm-up reset).
+/// at the warm-up boundary exactly where per-access arena replay resets
+/// the monolithic hierarchy's statistics: the one window walk
+/// ([`walk_window`]) over the whole stream.
 pub(crate) fn walk_events<S: EventSink>(sink: &mut S, stream: &MissStream) {
-    let warm = stream.warmup_events;
-    let mut pos = 0u64;
-    for chunk in stream.events.chunks() {
-        let len = chunk.len() as u64;
-        if pos >= warm {
-            replay_event_chunk(sink, chunk, 0, len as usize);
-        } else if pos + len <= warm {
-            replay_event_chunk(sink, chunk, 0, len as usize);
-            if pos + len == warm {
-                sink.reset_counters();
-            }
-        } else {
-            let split = (warm - pos) as usize;
-            replay_event_chunk(sink, chunk, 0, split);
-            sink.reset_counters();
-            replay_event_chunk(sink, chunk, split, len as usize);
-        }
-        pos += len;
-    }
-    if pos <= warm {
-        // Stream exhausted inside warm-up (or boundary at the very end
-        // with no measured events): nothing was measured.
-        sink.reset_counters();
-    }
+    walk_window(
+        stream.events.chunks(),
+        stream.warmup_events,
+        u64::MAX,
+        sink,
+        |_| true,
+        replay_event_chunk,
+        S::reset_counters,
+    );
 }
 
 /// The replay inner loop: slice iteration over one chunk's packed
 /// columns, statically dispatched per concrete sink.
 #[inline]
-fn replay_event_chunk<B: EventSink>(
-    back: &mut B,
-    chunk: EventChunkView<'_>,
-    start: usize,
-    end: usize,
-) {
-    let lines = &chunk.line[start..end];
-    let victims = &chunk.victim[start..end];
+fn replay_event_chunk<B: EventSink>(back: &mut B, chunk: ChunkView<'_>, start: usize, end: usize) {
+    let lines = &chunk.primary[start..end];
+    let victims = &chunk.secondary[start..end];
     let flags = &chunk.flags[start..end];
     for i in 0..lines.len() {
         let f = flags[i];

@@ -66,9 +66,9 @@
 //! (stale) contents segment `k-1` left behind, its warm-up prefix
 //! refreshes that state, and its counters reset at its own warm-up
 //! boundary. This is the L2 half of stitched warming for sampled sweeps;
-//! each segment cut by
-//! [`L1FrontEnd::take_stream`](crate::L1FrontEnd::take_stream) is timed
-//! into the `sample.slice_replay_ns` histogram.
+//! when there is more than one segment, each one's replay (a segment cut
+//! by [`L1FrontEnd::take_stream`](crate::L1FrontEnd::take_stream)) is
+//! timed into the `sample.slice_replay_ns` histogram.
 //!
 //! ## Errors instead of panics
 //!
@@ -513,11 +513,11 @@ fn check_segments(segments: &[MissStream]) -> Result<(), FamilyError> {
     Ok(())
 }
 
-/// Times one segment's replay as a phase slice when it was cut from a
-/// stitched capture (`None` otherwise, so whole-stream sweeps never
-/// record the sampled-sweep histogram).
-fn slice_timer(seg: &MissStream) -> Option<tlc_obs::HistTimer> {
-    seg.is_stitched().then(|| tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs))
+/// Times one segment's replay as a phase slice when it is one of
+/// several stitched segments (`None` for a lone stream, so whole-stream
+/// sweeps never record the sampled-sweep histogram).
+fn slice_timer(segments: &[MissStream]) -> Option<tlc_obs::HistTimer> {
+    (segments.len() > 1).then(|| tlc_obs::HistTimer::start(tlc_obs::Hist::SampleSliceReplayNs))
 }
 
 /// The one replay loop: walks every segment through `fam` in order,
@@ -531,7 +531,7 @@ fn replay_segments<F: Family>(mut fam: F, segments: &[MissStream]) -> Vec<Vec<Hi
     for seg in segments {
         fam.reset_counters();
         {
-            let _t = slice_timer(seg);
+            let _t = slice_timer(segments);
             walk_events(&mut fam, seg);
         }
         out.push(
@@ -647,7 +647,7 @@ pub fn try_replay_single_family_segments(
     Ok(segments
         .iter()
         .map(|seg| {
-            let _t = slice_timer(seg);
+            let _t = slice_timer(segments);
             vec![replay_single(seg); members]
         })
         .collect())

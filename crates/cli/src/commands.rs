@@ -303,7 +303,8 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     // One observability epoch per sweep: counters and spans drained by
     // this run's manifest must not include a previous run's.
     tlc_obs::reset();
-    let ticker = args.flag("progress").then(|| ProgressTicker::start(configs.len()));
+    let total = configs.len();
+    let ticker = args.flag("progress").then(|| Ticker::start(move |t| sweep_progress(total, t)));
     let start = std::time::Instant::now();
     // Trace decode problems surface *during* capture (the reader parks
     // them); collected here and reported after the ticker is stopped.
@@ -505,16 +506,16 @@ fn config_space_hash(configs: &[MachineConfig]) -> String {
     format!("{:016x}", fnv1a64(json.as_bytes()))
 }
 
-/// The `--progress` stderr ticker: a sampling thread reading the global
-/// counters every 200 ms, reporting configs done, elapsed/ETA, and
-/// event throughput.
-struct ProgressTicker {
+/// The `--progress` stderr ticker: a thread that, every 200 ms until
+/// stopped, prints the line `line` formats from the elapsed seconds
+/// (reading the global counters it paces against).
+struct Ticker {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: std::thread::JoinHandle<()>,
 }
 
-impl ProgressTicker {
-    fn start(total: usize) -> ProgressTicker {
+impl Ticker {
+    fn start(line: impl Fn(f64) -> String + Send + 'static) -> Ticker {
         use std::sync::atomic::Ordering;
         let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
         let seen = stop.clone();
@@ -525,43 +526,10 @@ impl ProgressTicker {
                 if seen.load(Ordering::Relaxed) {
                     break;
                 }
-                let done = tlc_obs::counters().get(Counter::RunnerConfigsCompleted);
-                let predicted = tlc_obs::counters().get(Counter::PredictConfigsPredicted);
-                let events = tlc_obs::counters().get(Counter::FilterEventsDecoded)
-                    + tlc_obs::counters().get(Counter::L2EventsReplayed);
-                let elapsed = start.elapsed().as_secs_f64();
-                // Analytically-predicted configs complete near-instantly;
-                // pacing the ETA on them would promise the replayed
-                // remainder far too soon. Extrapolate from replay-paced
-                // completions only (with no predictions this is `done`).
-                let pace_basis = done.saturating_sub(predicted);
-                let eta = if pace_basis > 0 {
-                    format!(
-                        "{:.1}s",
-                        elapsed * (total.saturating_sub(done as usize)) as f64 / pace_basis as f64
-                    )
-                } else {
-                    "?".to_string()
-                };
-                let split = if predicted > 0 {
-                    format!(" ({predicted} predicted, {pace_basis} replayed)")
-                } else {
-                    String::new()
-                };
-                // Before the first capture finishes no filter or replay
-                // counter has moved; leave throughput off rather than
-                // reporting a misleading zero.
-                let rate = if events > 0 {
-                    format!(", {:.1} M events/s", events as f64 / elapsed / 1e6)
-                } else {
-                    String::new()
-                };
-                eprintln!(
-                    "# sweep progress: {done}/{total} configs{split}, {elapsed:.1}s elapsed, eta {eta}{rate}"
-                );
+                eprintln!("{}", line(start.elapsed().as_secs_f64()));
             }
         });
-        ProgressTicker { stop, handle }
+        Ticker { stop, handle }
     }
 
     fn stop(self) {
@@ -570,42 +538,53 @@ impl ProgressTicker {
     }
 }
 
-/// The `tlc audit --progress` ticker: like [`ProgressTicker`] but paced
-/// against the audit's own counters — cases/s, elapsed against the
+/// The `tlc sweep --progress` line: configs done, elapsed/ETA, and event
+/// throughput.
+fn sweep_progress(total: usize, elapsed: f64) -> String {
+    let done = tlc_obs::counters().get(Counter::RunnerConfigsCompleted);
+    let predicted = tlc_obs::counters().get(Counter::PredictConfigsPredicted);
+    let events = tlc_obs::counters().get(Counter::FilterEventsDecoded)
+        + tlc_obs::counters().get(Counter::L2EventsReplayed);
+    // Analytically-predicted configs complete near-instantly; pacing the
+    // ETA on them would promise the replayed remainder far too soon.
+    // Extrapolate from replay-paced completions only (with no
+    // predictions this is `done`).
+    let pace_basis = done.saturating_sub(predicted);
+    let eta = if pace_basis > 0 {
+        format!(
+            "{:.1}s",
+            elapsed * (total.saturating_sub(done as usize)) as f64 / pace_basis as f64
+        )
+    } else {
+        "?".to_string()
+    };
+    let split = if predicted > 0 {
+        format!(" ({predicted} predicted, {pace_basis} replayed)")
+    } else {
+        String::new()
+    };
+    // Before the first capture finishes no filter or replay counter has
+    // moved; leave throughput off rather than reporting a misleading
+    // zero.
+    let rate = if events > 0 {
+        format!(", {:.1} M events/s", events as f64 / elapsed / 1e6)
+    } else {
+        String::new()
+    };
+    format!(
+        "# sweep progress: {done}/{total} configs{split}, {elapsed:.1}s elapsed, eta {eta}{rate}"
+    )
+}
+
+/// The `tlc audit --progress` line: cases/s, elapsed against the
 /// `--seconds` budget, and divergences found so far.
-struct AuditTicker {
-    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
-impl AuditTicker {
-    fn start(budget_s: f64) -> AuditTicker {
-        use std::sync::atomic::Ordering;
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let seen = stop.clone();
-        let handle = std::thread::spawn(move || {
-            let start = std::time::Instant::now();
-            while !seen.load(Ordering::Relaxed) {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                if seen.load(Ordering::Relaxed) {
-                    break;
-                }
-                let cases = tlc_obs::counters().get(Counter::AuditCases);
-                let divergences = tlc_obs::counters().get(Counter::AuditDivergences);
-                let elapsed = start.elapsed().as_secs_f64();
-                eprintln!(
-                    "# audit progress: {cases} cases ({:.0}/s), {elapsed:.1}s of {budget_s:.1}s budget, {divergences} divergence(s)",
-                    cases as f64 / elapsed.max(1e-9)
-                );
-            }
-        });
-        AuditTicker { stop, handle }
-    }
-
-    fn stop(self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = self.handle.join();
-    }
+fn audit_progress(budget_s: f64, elapsed: f64) -> String {
+    let cases = tlc_obs::counters().get(Counter::AuditCases);
+    let divergences = tlc_obs::counters().get(Counter::AuditDivergences);
+    format!(
+        "# audit progress: {cases} cases ({:.0}/s), {elapsed:.1}s of {budget_s:.1}s budget, {divergences} divergence(s)",
+        cases as f64 / elapsed.max(1e-9)
+    )
 }
 
 /// `tlc profile`.
@@ -791,7 +770,8 @@ pub fn cmd_audit(args: &ArgMap) -> Result<String, ArgError> {
     // The ticker paces against the `audit.cases`/`audit.divergences`
     // counters, so start them from zero for this run.
     tlc_obs::reset();
-    let ticker = args.flag("progress").then(|| AuditTicker::start(opts.seconds));
+    let budget_s = opts.seconds;
+    let ticker = args.flag("progress").then(|| Ticker::start(move |t| audit_progress(budget_s, t)));
     let report = run_audit(&opts);
     if let Some(t) = ticker {
         t.stop();

@@ -12,9 +12,10 @@ use serde::{Deserialize, Serialize};
 use tlc_area::AreaModel;
 use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind};
 use tlc_timing::TimingModel;
-use tlc_trace::arena::{ChunkView, DEFAULT_CHUNK_LEN, FLAG_NONE, FLAG_STORE};
+use tlc_trace::arena::{FLAG_NONE, FLAG_STORE};
+use tlc_trace::columns::DEFAULT_CHUNK_LEN;
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{Addr, InstructionSource, MemRef, TraceArena, Workload};
+use tlc_trace::{Addr, ChunkView, InstructionSource, MemRef, TraceArena, Workload};
 
 /// How long to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -218,8 +219,8 @@ pub fn simulate_source_on<S: InstructionSource + ?Sized, M: MemorySystem + ?Size
 /// statistics are bit-identical to the generic path.
 #[inline]
 fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize, end: usize) {
-    let fetch = &chunk.fetch[start..end];
-    let data = &chunk.data_addr[start..end];
+    let fetch = &chunk.primary[start..end];
+    let data = &chunk.secondary[start..end];
     let flags = &chunk.flags[start..end];
     for i in 0..fetch.len() {
         sys.access(MemRef::fetch(Addr::new(fetch[i])));
@@ -233,54 +234,28 @@ fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize
 
 /// The warm-up/measure protocol over one *window* of a captured arena —
 /// the chunk walk behind [`simulate_arena`] and every miss-stream
-/// capture. Replays up to `budget.warmup_instructions` records, resets
-/// statistics at the warm-up boundary (splitting the chunk it falls in),
-/// then replays up to `budget.instructions` more. A window that ends
-/// inside warm-up measures nothing. `fits` is asked once before each
-/// chunk is replayed; the walk stops and returns `false` on the first
-/// `false`. Monomorphized per concrete system type, so every `access` in
-/// the replay loop is a direct, inlinable call.
+/// capture: the one window walk ([`tlc_trace::columns::walk_window`])
+/// with `budget`'s split, resetting the system's statistics at the
+/// warm-up boundary. A window that ends inside warm-up measures nothing.
+/// `fits` is asked once before each chunk is replayed; the walk stops
+/// and returns `false` on the first `false`. Monomorphized per concrete
+/// system type, so every `access` in the replay loop is a direct,
+/// inlinable call.
 fn walk_window<M: MemorySystem>(
     sys: &mut M,
     arena: &TraceArena,
     budget: SimBudget,
     fits: impl Fn(&M) -> bool,
 ) -> bool {
-    let warm = budget.warmup_instructions;
-    let total = warm.saturating_add(budget.instructions);
-    let mut pos = 0u64; // arena-global index of the next record
-    for chunk in arena.chunks() {
-        if pos >= total {
-            break;
-        }
-        if !fits(sys) {
-            return false;
-        }
-        let take = (chunk.len() as u64).min(total - pos);
-        if pos >= warm {
-            // Entirely within measurement (reset already happened).
-            replay_chunk(sys, chunk, 0, take as usize);
-        } else if pos + take <= warm {
-            // Entirely within warm-up.
-            replay_chunk(sys, chunk, 0, take as usize);
-            if pos + take == warm {
-                sys.reset_stats();
-            }
-        } else {
-            // The warm-up boundary falls inside this chunk: split there.
-            let split = (warm - pos) as usize;
-            replay_chunk(sys, chunk, 0, split);
-            sys.reset_stats();
-            replay_chunk(sys, chunk, split, take as usize);
-        }
-        pos += take;
-    }
-    if pos <= warm {
-        // Arena exhausted inside warm-up (or zero measurement budget):
-        // nothing was measured.
-        sys.reset_stats();
-    }
-    true
+    tlc_trace::columns::walk_window(
+        arena.chunks(),
+        budget.warmup_instructions,
+        budget.instructions,
+        sys,
+        fits,
+        replay_chunk,
+        M::reset_stats,
+    )
 }
 
 /// As [`simulate_source`], replaying a captured [`TraceArena`] through
@@ -323,12 +298,11 @@ fn front_end(l1_size_bytes: u64, line_bytes: u64) -> L1FrontEnd {
 
 /// The one L1 capture: a single direct-mapped front-end walks every
 /// window in order and keeps only the events the L2 would observe.
-/// One window is packaged whole ([`L1FrontEnd::finish`]). Several
-/// windows are stitched: [`L1FrontEnd::take_stream`] cuts one segment
-/// per window while the L1 contents carry over, so window `k` starts
-/// from the state window `k-1` left behind. Returns `None` once the
-/// packed segments together outgrow `byte_limit` (checked between
-/// chunks).
+/// [`L1FrontEnd::take_stream`] cuts one segment per window while the L1
+/// contents carry over, so window `k` starts from the state window
+/// `k-1` left behind. Returns `None` once the packed segments together
+/// outgrow `byte_limit` (checked between chunks and at each window's
+/// end, before its segment is cut).
 ///
 /// # Panics
 ///
@@ -343,22 +317,13 @@ pub(crate) fn capture_windows(
     let mut segments = Vec::with_capacity(windows.len());
     let mut banked = 0usize;
     for &(arena, budget) in windows {
-        if !walk_window(&mut fe, arena, budget, |fe| banked + fe.event_bytes() <= byte_limit) {
+        let fits = |fe: &L1FrontEnd| banked + fe.event_bytes() <= byte_limit;
+        if !(walk_window(&mut fe, arena, budget, fits) && fits(&fe)) {
             return None;
         }
-        if windows.len() > 1 {
-            let seg = fe.take_stream(arena.name());
-            banked += seg.bytes();
-            segments.push(seg);
-        }
-    }
-    // Stitched segments are all banked by now; a lone window's stream is
-    // still inside the front-end.
-    if banked + fe.event_bytes() > byte_limit {
-        return None;
-    }
-    if let [(arena, _)] = windows {
-        segments.push(fe.finish(arena.name()));
+        let seg = fe.take_stream(arena.name());
+        banked += seg.bytes();
+        segments.push(seg);
     }
     Some(segments)
 }

@@ -165,7 +165,7 @@ pub const ARENA_BYTES_LIMIT: usize = 1 << 30;
 
 /// Packed bytes per captured instruction (fetch `u64` + data `u64` +
 /// flag `u8`); used to predict a capture's footprint before building it.
-pub const ARENA_BYTES_PER_RECORD: usize = 17;
+pub use tlc_trace::columns::BYTES_PER_RECORD as ARENA_BYTES_PER_RECORD;
 
 /// Predicted arena footprint in bytes for one benchmark at `budget`.
 pub fn arena_bytes_for(budget: SimBudget) -> usize {

@@ -11,13 +11,13 @@
 //!
 //! ## Memory layout
 //!
-//! Records are stored structure-of-arrays in fixed-size chunks:
-//! fetch address (`u64`), data address (`u64`), and a one-byte flag
-//! (none/load/store) — 17 bytes per instruction. A standard-budget
-//! capture (500 K warmup + 1.5 M measured) is therefore ≈ 34 MB, shared
-//! by every configuration and thread in the sweep. Chunked allocation
-//! keeps capture cost linear (no doubling copies of a multi-gigabyte
-//! `Vec`) and gives the sweep scheduler natural work granules.
+//! Records live in a [`ColumnStore`]: fetch address (primary word), data
+//! address (secondary word, zero without a data reference), and a
+//! one-byte flag (none/load/store) — 17 bytes per instruction. A
+//! standard-budget capture (500 K warmup + 1.5 M measured) is therefore
+//! ≈ 34 MB, shared by every configuration and thread in the sweep. A
+//! capture of known length reserves each chunk exactly, and the chunks
+//! are the sweep scheduler's natural work granules.
 //!
 //! ## Example
 //!
@@ -35,7 +35,8 @@
 //! ```
 
 use crate::addr::Addr;
-use crate::record::{InstructionRecord, MemRef};
+use crate::columns::{ChunkView, ColumnStore, DEFAULT_CHUNK_LEN};
+use crate::record::{AccessKind, InstructionRecord, MemRef};
 use crate::source::InstructionSource;
 
 /// Flag value for an instruction with no data reference.
@@ -45,88 +46,25 @@ pub const FLAG_LOAD: u8 = 1;
 /// Flag value for an instruction carrying a data store.
 pub const FLAG_STORE: u8 = 2;
 
-/// Instructions per chunk (64 Ki): large enough that per-chunk overhead
-/// vanishes, small enough to be a useful parallel work granule.
-pub const DEFAULT_CHUNK_LEN: usize = 1 << 16;
-
-/// One structure-of-arrays block of captured instructions.
-#[derive(Debug, Default)]
-struct Chunk {
-    fetch: Vec<u64>,
-    data_addr: Vec<u64>,
-    flags: Vec<u8>,
-}
-
-impl Chunk {
-    fn with_capacity(n: usize) -> Self {
-        Chunk {
-            fetch: Vec::with_capacity(n),
-            data_addr: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.fetch.len()
-    }
-
-    fn push_all(&mut self, recs: &[InstructionRecord]) {
-        for rec in recs {
-            self.fetch.push(rec.fetch.raw());
-            let (addr, flag) = match rec.data {
-                None => (0, FLAG_NONE),
-                Some(d) if d.kind == crate::record::AccessKind::Store => (d.addr.raw(), FLAG_STORE),
-                Some(d) => (d.addr.raw(), FLAG_LOAD),
-            };
-            self.data_addr.push(addr);
-            self.flags.push(flag);
-        }
-    }
-}
-
-/// A borrowed, read-only view of one arena chunk's packed columns.
-///
-/// The three slices always have equal length; index `i` across them
-/// describes one instruction. `data_addr[i]` is meaningful only when
-/// `flags[i] != FLAG_NONE` (it is zero otherwise).
-#[derive(Debug, Clone, Copy)]
-pub struct ChunkView<'a> {
-    /// Instruction-fetch byte addresses.
-    pub fetch: &'a [u64],
-    /// Data-reference byte addresses (zero where `flags` is `FLAG_NONE`).
-    pub data_addr: &'a [u64],
-    /// Per-instruction data-reference class: [`FLAG_NONE`],
-    /// [`FLAG_LOAD`], or [`FLAG_STORE`].
-    pub flags: &'a [u8],
-}
-
-impl ChunkView<'_> {
-    /// Instructions in this chunk.
-    pub fn len(&self) -> usize {
-        self.fetch.len()
-    }
-
-    /// Whether the chunk holds no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.fetch.is_empty()
-    }
-
-    /// Decodes one instruction (for tests and generic consumers; the
-    /// simulator fast path reads the columns directly).
-    pub fn record(&self, i: usize) -> InstructionRecord {
-        let fetch = Addr::new(self.fetch[i]);
-        let data = match self.flags[i] {
-            FLAG_NONE => None,
-            FLAG_LOAD => Some(MemRef::load(Addr::new(self.data_addr[i]))),
-            FLAG_STORE => Some(MemRef::store(Addr::new(self.data_addr[i]))),
-            other => unreachable!("corrupt arena flag {other}"),
-        };
-        InstructionRecord { fetch, data }
-    }
+/// Decodes instruction `i` of an arena chunk (for replay cursors and
+/// tests; the simulator fast path reads the columns directly).
+fn decode(chunk: ChunkView<'_>, i: usize) -> InstructionRecord {
+    let fetch = Addr::new(chunk.primary[i]);
+    let data = match chunk.flags[i] {
+        FLAG_NONE => None,
+        FLAG_LOAD => Some(MemRef::load(Addr::new(chunk.secondary[i]))),
+        FLAG_STORE => Some(MemRef::store(Addr::new(chunk.secondary[i]))),
+        other => unreachable!("corrupt arena flag {other}"),
+    };
+    InstructionRecord { fetch, data }
 }
 
 /// A benchmark's instruction stream, captured once into packed
 /// structure-of-arrays chunks and replayed arbitrarily many times.
+///
+/// Each chunk's primary column holds fetch addresses, its secondary
+/// column data addresses (zero where the flag is [`FLAG_NONE`]), and its
+/// flag column [`FLAG_NONE`], [`FLAG_LOAD`] or [`FLAG_STORE`].
 ///
 /// Arenas are immutable after capture and safely shared across threads
 /// (`&TraceArena` / `Arc<TraceArena>`); each replay is an independent
@@ -134,8 +72,7 @@ impl ChunkView<'_> {
 #[derive(Debug)]
 pub struct TraceArena {
     name: String,
-    chunks: Vec<Chunk>,
-    len: u64,
+    columns: ColumnStore,
 }
 
 impl TraceArena {
@@ -158,33 +95,29 @@ impl TraceArena {
         len: u64,
         chunk_len: usize,
     ) -> Self {
-        assert!(chunk_len > 0, "chunk_len must be positive");
         let name = source.source_name().to_string();
-        let mut chunks = Vec::new();
-        let mut captured = 0u64;
+        let mut columns = ColumnStore::new(chunk_len);
         let mut batch = crate::source::batch_buffer();
-        'outer: while captured < len {
-            let want = usize::try_from((len - captured).min(chunk_len as u64))
-                .expect("chunk fits in usize");
-            let mut chunk = Chunk::with_capacity(want);
-            while chunk.len() < want {
-                let asked = (want - chunk.len()).min(batch.len());
-                let got = source.next_batch(&mut batch[..asked]);
-                chunk.push_all(&batch[..got]);
-                if got < asked {
-                    if chunk.len() > 0 {
-                        captured += chunk.len() as u64;
-                        chunks.push(chunk);
-                    }
-                    break 'outer;
-                }
+        let mut left = len;
+        while left > 0 {
+            let asked = usize::try_from(left.min(batch.len() as u64)).expect("batch fits in usize");
+            let got = source.next_batch(&mut batch[..asked]);
+            for rec in &batch[..got] {
+                let (addr, flag) = match rec.data {
+                    None => (0, FLAG_NONE),
+                    Some(d) if d.kind == AccessKind::Store => (d.addr.raw(), FLAG_STORE),
+                    Some(d) => (d.addr.raw(), FLAG_LOAD),
+                };
+                columns.push(rec.fetch.raw(), addr, flag, left);
+                left -= 1;
             }
-            captured += chunk.len() as u64;
-            chunks.push(chunk);
+            if got < asked {
+                break;
+            }
         }
-        let arena = TraceArena { name, chunks, len: captured };
-        tlc_obs::obs_count!(tlc_obs::Counter::TraceInstructions, arena.len);
-        tlc_obs::obs_count!(tlc_obs::Counter::TraceChunks, arena.chunks.len() as u64);
+        let arena = TraceArena { name, columns };
+        tlc_obs::obs_count!(tlc_obs::Counter::TraceInstructions, arena.len());
+        tlc_obs::obs_count!(tlc_obs::Counter::TraceChunks, arena.chunks().len() as u64);
         tlc_obs::obs_count!(tlc_obs::Counter::TraceBytesPacked, arena.bytes() as u64);
         arena
     }
@@ -196,33 +129,22 @@ impl TraceArena {
 
     /// Instructions captured.
     pub fn len(&self) -> u64 {
-        self.len
+        self.columns.len()
     }
 
     /// Whether the arena holds no instructions.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.columns.is_empty()
     }
 
     /// Approximate resident size of the packed buffers, in bytes.
     pub fn bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.fetch.capacity() * std::mem::size_of::<u64>()
-                    + c.data_addr.capacity() * std::mem::size_of::<u64>()
-                    + c.flags.capacity()
-            })
-            .sum()
+        self.columns.bytes()
     }
 
     /// Iterates over the arena's chunks as packed column views.
     pub fn chunks(&self) -> impl ExactSizeIterator<Item = ChunkView<'_>> {
-        self.chunks.iter().map(|c| ChunkView {
-            fetch: &c.fetch,
-            data_addr: &c.data_addr,
-            flags: &c.flags,
-        })
+        self.columns.chunks()
     }
 
     /// A fresh replay cursor over the whole arena.
@@ -244,14 +166,9 @@ pub struct ArenaReplay<'a> {
 impl InstructionSource for ArenaReplay<'_> {
     fn next_instruction_opt(&mut self) -> Option<InstructionRecord> {
         loop {
-            let chunk = self.arena.chunks.get(self.chunk)?;
+            let chunk = self.arena.columns.chunk(self.chunk)?;
             if self.offset < chunk.len() {
-                let view = ChunkView {
-                    fetch: &chunk.fetch,
-                    data_addr: &chunk.data_addr,
-                    flags: &chunk.flags,
-                };
-                let rec = view.record(self.offset);
+                let rec = decode(chunk, self.offset);
                 self.offset += 1;
                 return Some(rec);
             }
@@ -310,10 +227,10 @@ mod tests {
         let mut replay = arena.replay();
         let mut total = 0usize;
         for view in arena.chunks() {
-            assert_eq!(view.fetch.len(), view.data_addr.len());
-            assert_eq!(view.fetch.len(), view.flags.len());
+            assert_eq!(view.primary.len(), view.secondary.len());
+            assert_eq!(view.primary.len(), view.flags.len());
             for i in 0..view.len() {
-                assert_eq!(Some(view.record(i)), replay.next_instruction_opt());
+                assert_eq!(Some(decode(view, i)), replay.next_instruction_opt());
             }
             total += view.len();
         }
@@ -343,8 +260,8 @@ mod tests {
     #[test]
     fn bytes_reflects_packed_layout() {
         let arena = TraceArena::capture_chunked(&mut SpecBenchmark::Gcc1.workload(), 4096, 1024);
-        // 17 bytes per record, exact because every chunk fills completely.
-        assert_eq!(arena.bytes(), 4096 * 17);
+        // Exact because every chunk fills completely.
+        assert_eq!(arena.bytes(), 4096 * crate::columns::BYTES_PER_RECORD);
     }
 
     #[test]
@@ -358,7 +275,6 @@ mod tests {
 
     #[test]
     fn flags_round_trip_all_kinds() {
-        use crate::record::AccessKind;
         let arena = TraceArena::capture(&mut SpecBenchmark::Gcc1.workload(), 20_000);
         let mut seen = [false; 3];
         for rec in arena.replay() {

@@ -56,7 +56,7 @@
 //! [`TraceReader::take_error`].
 
 use crate::addr::Addr;
-use crate::io::{self, TraceIoError};
+use crate::io::{self, RefDecoder, RefFormat, TraceIoError};
 use crate::record::{AccessKind, MemRef};
 use crate::source::InstructionSource;
 use crate::InstructionRecord;
@@ -714,37 +714,38 @@ impl RefFolder {
     }
 }
 
-fn parse_addr_list_line(t: &str, lineno: usize, offset: u64) -> Result<MemRef, TraceIoError> {
-    let bad = |detail: String| TraceIoError::Corrupt { offset, detail };
-    let (kind, addr_s) = match t.split_once(char::is_whitespace) {
-        Some((tag, rest)) => {
-            let kind = match tag {
-                "R" | "r" | "L" | "l" => AccessKind::Load,
-                "W" | "w" | "S" | "s" => AccessKind::Store,
-                other => {
-                    return Err(bad(format!(
-                        "unknown access tag {other:?} on address-list line {}",
-                        lineno + 1
-                    )))
-                }
-            };
-            (kind, rest.trim())
+/// Decodes `input` as the flat reference `format`, folds it into
+/// instruction records and writes them until `writer` holds `limit`
+/// records or the stream ends (a record still open at the end is written
+/// too); the first decode error stops the import.
+fn fold_refs<R: BufRead, W: Write>(
+    input: R,
+    format: RefFormat,
+    writer: &mut CompactTraceWriter<W>,
+    limit: u64,
+) -> Result<(), TraceIoError> {
+    let mut refs = RefDecoder::new(input, format)?;
+    let mut folder = RefFolder::default();
+    while writer.written() < limit {
+        let Some(r) = refs.next() else {
+            if let Some(rec) = folder.finish() {
+                writer.write(&rec)?;
+            }
+            break;
+        };
+        if let Some(rec) = folder.push(r?) {
+            writer.write(&rec)?;
         }
-        None => (AccessKind::Load, t),
-    };
-    let addr = match addr_s.strip_prefix("0x").or_else(|| addr_s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16),
-        None => addr_s.parse(),
     }
-    .map_err(|_| bad(format!("bad address {addr_s:?} on address-list line {}", lineno + 1)))?;
-    Ok(MemRef { addr: Addr::new(addr), kind })
+    Ok(())
 }
 
 /// Streams an external trace into the compact `TLCTRC01` format.
 ///
 /// Converts record-at-a-time, so input and output sizes are unbounded by
-/// memory. `limit` caps the number of instruction records written.
-/// Returns the number of records written.
+/// memory. `limit` caps the number of instruction records written; no
+/// input past the record that reaches it is read. Returns the number of
+/// records written.
 ///
 /// # Errors
 ///
@@ -752,7 +753,7 @@ fn parse_addr_list_line(t: &str, lineno: usize, offset: u64) -> Result<MemRef, T
 /// errors from either side.
 pub fn import_to_compact<R: BufRead, W: Write>(
     format: ImportFormat,
-    mut input: R,
+    input: R,
     out: W,
     limit: Option<u64>,
 ) -> Result<u64, TraceIoError> {
@@ -778,120 +779,10 @@ pub fn import_to_compact<R: BufRead, W: Write>(
                 writer.write(&rec)?;
             }
         }
-        ImportFormat::Refs => {
-            io::expect_magic(&mut input, io::BINARY_MAGIC)?;
-            let mut folder = RefFolder::default();
-            let mut index = 0u64;
-            'refs: loop {
-                let offset = 8 + index * 9;
-                let mut kind_byte = [0u8; 1];
-                match input.read_exact(&mut kind_byte) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => break,
-                    Err(e) => return Err(TraceIoError::Io(e)),
-                }
-                let kind = match kind_byte[0] {
-                    0 => AccessKind::InstrFetch,
-                    1 => AccessKind::Load,
-                    2 => AccessKind::Store,
-                    k => {
-                        return Err(TraceIoError::Corrupt {
-                            offset,
-                            detail: format!("unknown reference kind byte {k}"),
-                        })
-                    }
-                };
-                let mut addr = [0u8; 8];
-                input.read_exact(&mut addr).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        TraceIoError::Truncated {
-                            offset,
-                            detail: format!("reference record {index} cut short"),
-                        }
-                    } else {
-                        TraceIoError::Io(e)
-                    }
-                })?;
-                index += 1;
-                let r = MemRef { addr: Addr::new(u64::from_le_bytes(addr)), kind };
-                if let Some(rec) = folder.push(r) {
-                    if writer.written() >= limit {
-                        break 'refs;
-                    }
-                    writer.write(&rec)?;
-                }
-            }
-            if let Some(rec) = folder.finish() {
-                if writer.written() < limit {
-                    writer.write(&rec)?;
-                }
-            }
-        }
-        ImportFormat::Text | ImportFormat::AddrText => {
-            let mut folder = RefFolder::default();
-            let mut offset = 0u64;
-            let mut line = String::new();
-            let mut lineno = 0usize;
-            'lines: loop {
-                line.clear();
-                if input.read_line(&mut line)? == 0 {
-                    break;
-                }
-                let line_offset = offset;
-                offset += line.len() as u64;
-                let t = line.trim();
-                lineno += 1;
-                if t.is_empty() || t.starts_with('#') {
-                    continue;
-                }
-                let r = if format == ImportFormat::Text {
-                    io::parse_text_ref(t, lineno - 1, line_offset)?
-                } else {
-                    parse_addr_list_line(t, lineno - 1, line_offset)?
-                };
-                if let Some(rec) = folder.push(r) {
-                    if writer.written() >= limit {
-                        break 'lines;
-                    }
-                    writer.write(&rec)?;
-                }
-            }
-            if let Some(rec) = folder.finish() {
-                if writer.written() < limit {
-                    writer.write(&rec)?;
-                }
-            }
-        }
-        ImportFormat::AddrBinary => {
-            let mut folder = RefFolder::default();
-            let mut offset = 0u64;
-            // End of input only at a word boundary: raw address lists
-            // have no header to anchor a record boundary, so a trailing
-            // partial word is a truncation, not a clean end.
-            while writer.written() < limit && !input.fill_buf()?.is_empty() {
-                let mut addr = [0u8; 8];
-                input.read_exact(&mut addr).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        TraceIoError::Truncated {
-                            offset,
-                            detail: "partial 8-byte address word".to_string(),
-                        }
-                    } else {
-                        TraceIoError::Io(e)
-                    }
-                })?;
-                offset += 8;
-                let r = MemRef::load(Addr::new(u64::from_le_bytes(addr)));
-                if let Some(rec) = folder.push(r) {
-                    writer.write(&rec)?;
-                }
-            }
-            if let Some(rec) = folder.finish() {
-                if writer.written() < limit {
-                    writer.write(&rec)?;
-                }
-            }
-        }
+        ImportFormat::Refs => fold_refs(input, RefFormat::Binary, &mut writer, limit)?,
+        ImportFormat::Text => fold_refs(input, RefFormat::Text, &mut writer, limit)?,
+        ImportFormat::AddrText => fold_refs(input, RefFormat::AddrList, &mut writer, limit)?,
+        ImportFormat::AddrBinary => fold_refs(input, RefFormat::AddrWords, &mut writer, limit)?,
     }
     let written = writer.written();
     writer.into_inner()?;

@@ -13,11 +13,12 @@
 //!
 //! ## Memory layout
 //!
-//! Events are stored structure-of-arrays in fixed-size chunks, mirroring
-//! [`TraceArena`](crate::TraceArena): requested line (`u64`), victim line
-//! (`u64`, zero when absent), and a one-byte flag — 17 bytes per event.
-//! The flag packs the access kind (fetch/load/store) in its low two bits
-//! plus "has victim" and "victim written" bits.
+//! Events live in a [`ColumnStore`], like
+//! [`TraceArena`](crate::TraceArena)'s instructions: requested line
+//! (primary word), victim line (secondary word, zero when absent), and a
+//! one-byte flag — 17 bytes per event. The flag packs the access kind
+//! (fetch/load/store) in its low two bits plus "has victim" and "victim
+//! written" bits.
 //!
 //! ## Example
 //!
@@ -37,6 +38,7 @@
 //! ```
 
 use crate::addr::LineAddr;
+use crate::columns::{ChunkView, ColumnStore};
 use crate::record::AccessKind;
 
 /// Flag bits 0–1: the access kind that missed (instruction fetch).
@@ -55,16 +57,11 @@ pub const EVENT_HAS_VICTIM: u8 = 0b0100;
 /// the filled-from-dirty-L2 component itself).
 pub const EVENT_VICTIM_WRITTEN: u8 = 0b1000;
 
-/// Packed bytes per captured event (line `u64` + victim `u64` + flag
-/// `u8`); used to bound a capture's footprint.
-pub const EVENT_BYTES_PER_RECORD: usize = 17;
-
-/// Events per chunk (64 Ki), matching
-/// [`DEFAULT_CHUNK_LEN`](crate::arena::DEFAULT_CHUNK_LEN).
-pub const DEFAULT_EVENT_CHUNK_LEN: usize = 1 << 16;
-
-/// Events a new chunk reserves room for before it grows.
-const INITIAL_CHUNK_CAPACITY: usize = 1 << 12;
+/// Events a new chunk reserves room for before it grows by doubling:
+/// most streams (one per L1 group, a group of one included) fill a
+/// fraction of one chunk, and reserving all of it for each would hold
+/// memory the allocator cannot hand back between sweeps.
+const INITIAL_CHUNK_CAPACITY: u64 = 1 << 12;
 
 /// The L1 line displaced by a miss fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,70 +103,21 @@ impl MissEvent {
     }
 }
 
-/// One structure-of-arrays block of captured events.
-#[derive(Debug, Default)]
-struct EventChunk {
-    line: Vec<u64>,
-    victim: Vec<u64>,
-    flags: Vec<u8>,
-}
-
-impl EventChunk {
-    fn with_capacity(n: usize) -> Self {
-        EventChunk {
-            line: Vec::with_capacity(n),
-            victim: Vec::with_capacity(n),
-            flags: Vec::with_capacity(n),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.line.len()
-    }
-}
-
-/// A borrowed, read-only view of one event chunk's packed columns.
-///
-/// The three slices always have equal length; index `i` across them
-/// describes one event. `victim[i]` is meaningful only when `flags[i]`
-/// has [`EVENT_HAS_VICTIM`] set (it is zero otherwise).
-#[derive(Debug, Clone, Copy)]
-pub struct EventChunkView<'a> {
-    /// Requested (L1-filled) line addresses.
-    pub line: &'a [u64],
-    /// Victim line addresses (zero where no victim was displaced).
-    pub victim: &'a [u64],
-    /// Per-event flag bytes (kind bits plus victim bits).
-    pub flags: &'a [u8],
-}
-
-impl EventChunkView<'_> {
-    /// Events in this chunk.
-    pub fn len(&self) -> usize {
-        self.line.len()
-    }
-
-    /// Whether the chunk holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.line.is_empty()
-    }
-
-    /// Decodes one event (for tests and generic consumers; the back-end
-    /// fast paths read the columns directly).
-    pub fn record(&self, i: usize) -> MissEvent {
-        let f = self.flags[i];
-        let kind = match f & EVENT_KIND_MASK {
-            EVENT_KIND_FETCH => AccessKind::InstrFetch,
-            EVENT_KIND_LOAD => AccessKind::Load,
-            EVENT_KIND_STORE => AccessKind::Store,
-            other => unreachable!("corrupt event kind {other}"),
-        };
-        let victim = (f & EVENT_HAS_VICTIM != 0).then(|| VictimLine {
-            line: LineAddr(self.victim[i]),
-            written: f & EVENT_VICTIM_WRITTEN != 0,
-        });
-        MissEvent { kind, line: LineAddr(self.line[i]), victim }
-    }
+/// Decodes event `i` of an event chunk (for tests and generic
+/// consumers; the back-end fast paths read the columns directly).
+fn decode(chunk: ChunkView<'_>, i: usize) -> MissEvent {
+    let f = chunk.flags[i];
+    let kind = match f & EVENT_KIND_MASK {
+        EVENT_KIND_FETCH => AccessKind::InstrFetch,
+        EVENT_KIND_LOAD => AccessKind::Load,
+        EVENT_KIND_STORE => AccessKind::Store,
+        other => unreachable!("corrupt event kind {other}"),
+    };
+    let victim = (f & EVENT_HAS_VICTIM != 0).then(|| VictimLine {
+        line: LineAddr(chunk.secondary[i]),
+        written: f & EVENT_VICTIM_WRITTEN != 0,
+    });
+    MissEvent { kind, line: LineAddr(chunk.primary[i]), victim }
 }
 
 /// An L1 front-end's miss/victim event stream, captured once into packed
@@ -180,15 +128,13 @@ impl EventChunkView<'_> {
 /// reference; each replay is an independent walk over [`EventArena::chunks`].
 #[derive(Debug, Default)]
 pub struct EventArena {
-    chunks: Vec<EventChunk>,
-    chunk_len: usize,
-    len: u64,
+    columns: ColumnStore,
 }
 
 impl EventArena {
     /// An empty arena with the default chunk size.
     pub fn new() -> Self {
-        Self::with_chunk_len(DEFAULT_EVENT_CHUNK_LEN)
+        Self::default()
     }
 
     /// An empty arena with an explicit chunk size (exposed so tests can
@@ -198,66 +144,42 @@ impl EventArena {
     ///
     /// Panics if `chunk_len` is zero.
     pub fn with_chunk_len(chunk_len: usize) -> Self {
-        assert!(chunk_len > 0, "chunk_len must be positive");
-        EventArena { chunks: Vec::new(), chunk_len, len: 0 }
+        EventArena { columns: ColumnStore::new(chunk_len) }
     }
 
     /// Appends one event.
     #[inline]
     pub fn push(&mut self, ev: MissEvent) {
-        let need_new = match self.chunks.last() {
-            Some(c) => c.len() >= self.chunk_len,
-            None => true,
-        };
-        if need_new {
-            // A chunk starts small and grows by doubling: most streams
-            // (one per L1 group, a group of one included) fill a fraction
-            // of one chunk, and reserving all of it for each would hold
-            // memory the allocator cannot hand back between sweeps.
-            self.chunks.push(EventChunk::with_capacity(self.chunk_len.min(INITIAL_CHUNK_CAPACITY)));
-        }
-        let chunk = self.chunks.last_mut().expect("chunk just ensured");
-        chunk.line.push(ev.line.0);
-        chunk.victim.push(ev.victim.map_or(0, |v| v.line.0));
-        chunk.flags.push(ev.flags());
-        self.len += 1;
+        let victim = ev.victim.map_or(0, |v| v.line.0);
+        self.columns.push(ev.line.0, victim, ev.flags(), INITIAL_CHUNK_CAPACITY);
     }
 
     /// Events captured.
     pub fn len(&self) -> u64 {
-        self.len
+        self.columns.len()
     }
 
     /// Whether the arena holds no events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.columns.is_empty()
     }
 
     /// Approximate resident size of the packed buffers, in bytes.
     pub fn bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .map(|c| {
-                c.line.capacity() * std::mem::size_of::<u64>()
-                    + c.victim.capacity() * std::mem::size_of::<u64>()
-                    + c.flags.capacity()
-            })
-            .sum()
+        self.columns.bytes()
     }
 
-    /// Iterates over the arena's chunks as packed column views.
-    pub fn chunks(&self) -> impl ExactSizeIterator<Item = EventChunkView<'_>> {
-        self.chunks.iter().map(|c| EventChunkView {
-            line: &c.line,
-            victim: &c.victim,
-            flags: &c.flags,
-        })
+    /// Iterates over the arena's chunks as packed column views: the
+    /// primary column holds requested lines, the secondary column victim
+    /// lines (zero unless the flag has [`EVENT_HAS_VICTIM`]).
+    pub fn chunks(&self) -> impl ExactSizeIterator<Item = ChunkView<'_>> {
+        self.columns.chunks()
     }
 
     /// Iterates over all events in capture order (decoded; tests and
     /// generic consumers — back-ends walk [`EventArena::chunks`] instead).
     pub fn iter(&self) -> impl Iterator<Item = MissEvent> + '_ {
-        self.chunks().flat_map(|view| (0..view.len()).map(move |i| view.record(i)))
+        self.chunks().flat_map(|chunk| (0..chunk.len()).map(move |i| decode(chunk, i)))
     }
 }
 
@@ -324,7 +246,7 @@ mod tests {
             arena.push(ev(AccessKind::Load, i, None));
         }
         // One full chunk: 17 bytes per event, exact.
-        assert_eq!(arena.bytes(), 64 * EVENT_BYTES_PER_RECORD);
+        assert_eq!(arena.bytes(), 64 * crate::columns::BYTES_PER_RECORD);
     }
 
     #[test]

@@ -226,45 +226,8 @@ impl<W: Write> BinaryTraceWriter<W> {
 ///
 /// Returns a [`TraceIoError`] on a bad magic, an unknown kind byte, or a
 /// truncated record, and propagates I/O errors.
-pub fn read_binary_trace<R: Read>(mut input: R) -> Result<Vec<MemRef>, TraceIoError> {
-    expect_magic(&mut input, BINARY_MAGIC)?;
-    let mut refs = Vec::new();
-    loop {
-        let offset = 8 + refs.len() as u64 * 9;
-        // A record may legitimately be absent (clean EOF before the kind
-        // byte) but never partial: once the kind byte exists, the 8-byte
-        // address must follow.
-        let mut kind_byte = [0u8; 1];
-        match input.read_exact(&mut kind_byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(TraceIoError::Io(e)),
-        }
-        let kind = match kind_byte[0] {
-            0 => AccessKind::InstrFetch,
-            1 => AccessKind::Load,
-            2 => AccessKind::Store,
-            k => {
-                return Err(TraceIoError::Corrupt {
-                    offset,
-                    detail: format!("unknown reference kind byte {k}"),
-                })
-            }
-        };
-        let mut addr = [0u8; 8];
-        input.read_exact(&mut addr).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset,
-                    detail: format!("reference record {} cut short", refs.len()),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
-        })?;
-        refs.push(MemRef { addr: Addr::new(u64::from_le_bytes(addr)), kind });
-    }
-    Ok(refs)
+pub fn read_binary_trace<R: Read>(input: R) -> Result<Vec<MemRef>, TraceIoError> {
+    RefDecoder::new(io::BufReader::new(input), RefFormat::Binary)?.collect()
 }
 
 /// Writes references in the text format, one `K 0xADDR` line each.
@@ -283,26 +246,157 @@ pub fn write_text_trace<W: Write>(mut out: W, refs: &[MemRef]) -> io::Result<()>
 ///
 /// # Errors
 ///
-/// Returns [`TraceIoError::Corrupt`] naming the offending line number on
-/// any malformed line; blank lines and `#` comments are permitted.
+/// Returns [`TraceIoError::Corrupt`] naming the offending line number and
+/// the byte offset where that line starts on any malformed line; blank
+/// lines and `#` comments are permitted.
 pub fn read_text_trace<R: BufRead>(input: R) -> Result<Vec<MemRef>, TraceIoError> {
-    let mut refs = Vec::new();
-    let mut offset = 0u64;
-    for (lineno, line) in input.lines().enumerate() {
-        let line = line?;
-        let line_offset = offset;
-        offset += line.len() as u64 + 1;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('#') {
-            continue;
-        }
-        refs.push(parse_text_ref(t, lineno, line_offset)?);
+    RefDecoder::new(input, RefFormat::Text)?.collect()
+}
+
+/// A flat reference format [`RefDecoder`] reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RefFormat {
+    /// `TLCREF01`: the magic, then one 9-byte record per reference.
+    Binary,
+    /// `K 0xADDR` lines (`K` ∈ `I`/`L`/`S`).
+    Text,
+    /// One `[R|W] ADDR` per line, address in `0x` hex or decimal, the
+    /// tag defaulting to a read.
+    AddrList,
+    /// Raw little-endian `u64` addresses, all reads.
+    AddrWords,
+}
+
+/// The one streaming decoder of each flat reference format: yields the
+/// references in order and, on malformed input, one typed error naming
+/// its byte offset, after which it ends. Line formats skip blank lines
+/// and `#` comments, and an error's offset is where its line starts
+/// (`\r\n` terminators counted).
+#[derive(Debug)]
+pub(crate) struct RefDecoder<R> {
+    input: R,
+    format: RefFormat,
+    /// Records (binary formats) or lines (text formats) consumed.
+    count: u64,
+    /// Byte offset of the next record or line.
+    offset: u64,
+    line: String,
+    done: bool,
+}
+
+impl<R: BufRead> RefDecoder<R> {
+    /// Positions a decoder at the first reference, checking the magic of
+    /// the `TLCREF01` format.
+    pub(crate) fn new(mut input: R, format: RefFormat) -> Result<Self, TraceIoError> {
+        let offset = if format == RefFormat::Binary {
+            expect_magic(&mut input, BINARY_MAGIC)?;
+            8
+        } else {
+            0
+        };
+        Ok(RefDecoder { input, format, count: 0, offset, line: String::new(), done: false })
     }
-    Ok(refs)
+
+    fn decode(&mut self) -> Result<Option<MemRef>, TraceIoError> {
+        match self.format {
+            RefFormat::Binary => self.decode_binary(),
+            RefFormat::Text => self.decode_line(parse_text_ref),
+            RefFormat::AddrList => self.decode_line(parse_addr_list_line),
+            RefFormat::AddrWords => self.decode_word(),
+        }
+    }
+
+    fn decode_binary(&mut self) -> Result<Option<MemRef>, TraceIoError> {
+        let offset = self.offset;
+        // A record may legitimately be absent (clean EOF before the kind
+        // byte) but never partial: once the kind byte exists, the 8-byte
+        // address must follow.
+        let mut kind_byte = [0u8; 1];
+        match self.input.read_exact(&mut kind_byte) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(TraceIoError::Io(e)),
+        }
+        let kind = match kind_byte[0] {
+            0 => AccessKind::InstrFetch,
+            1 => AccessKind::Load,
+            2 => AccessKind::Store,
+            k => {
+                return Err(TraceIoError::Corrupt {
+                    offset,
+                    detail: format!("unknown reference kind byte {k}"),
+                })
+            }
+        };
+        let detail = format!("reference record {} cut short", self.count);
+        let addr = self.read_word(offset, detail)?;
+        self.count += 1;
+        self.offset += 9;
+        Ok(Some(MemRef { addr, kind }))
+    }
+
+    fn decode_line(
+        &mut self,
+        parse: fn(&str, usize, u64) -> Result<MemRef, TraceIoError>,
+    ) -> Result<Option<MemRef>, TraceIoError> {
+        loop {
+            self.line.clear();
+            let read = self.input.read_line(&mut self.line)?;
+            if read == 0 {
+                return Ok(None);
+            }
+            let (lineno, offset) = (self.count as usize, self.offset);
+            self.count += 1;
+            self.offset += read as u64;
+            let t = self.line.trim();
+            if !(t.is_empty() || t.starts_with('#')) {
+                return parse(t, lineno, offset).map(Some);
+            }
+        }
+    }
+
+    /// Raw address lists have no header to anchor a record boundary, so
+    /// the stream may end only at a word boundary: a trailing partial
+    /// word is a truncation, not a clean end.
+    fn decode_word(&mut self) -> Result<Option<MemRef>, TraceIoError> {
+        if self.input.fill_buf()?.is_empty() {
+            return Ok(None);
+        }
+        let addr = self.read_word(self.offset, "partial 8-byte address word".to_string())?;
+        self.offset += 8;
+        Ok(Some(MemRef::load(addr)))
+    }
+
+    /// Reads one little-endian address word; running out of input is a
+    /// truncation at `offset`, described by `detail`.
+    fn read_word(&mut self, offset: u64, detail: String) -> Result<Addr, TraceIoError> {
+        let mut word = [0u8; 8];
+        self.input.read_exact(&mut word).map_err(|e| {
+            if e.kind() == io::ErrorKind::UnexpectedEof {
+                TraceIoError::Truncated { offset, detail }
+            } else {
+                TraceIoError::Io(e)
+            }
+        })?;
+        Ok(Addr::new(u64::from_le_bytes(word)))
+    }
+}
+
+impl<R: BufRead> Iterator for RefDecoder<R> {
+    type Item = Result<MemRef, TraceIoError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let step = self.decode().transpose();
+        self.done = !matches!(step, Some(Ok(_)));
+        step
+    }
 }
 
 /// Parses one non-blank, non-comment `K 0xADDR` text-trace line.
-pub(crate) fn parse_text_ref(t: &str, lineno: usize, offset: u64) -> Result<MemRef, TraceIoError> {
+fn parse_text_ref(t: &str, lineno: usize, offset: u64) -> Result<MemRef, TraceIoError> {
     let bad = || TraceIoError::Corrupt {
         offset,
         detail: format!("malformed trace line {}: {t:?}", lineno + 1),
@@ -319,6 +413,33 @@ pub(crate) fn parse_text_ref(t: &str, lineno: usize, offset: u64) -> Result<MemR
     let kind = AccessKind::from_code(kind_c).ok_or_else(bad)?;
     let addr_s = addr_s.trim().strip_prefix("0x").ok_or_else(bad)?;
     let addr = u64::from_str_radix(addr_s, 16).map_err(|_| bad())?;
+    Ok(MemRef { addr: Addr::new(addr), kind })
+}
+
+/// Parses one non-blank, non-comment address-list line.
+fn parse_addr_list_line(t: &str, lineno: usize, offset: u64) -> Result<MemRef, TraceIoError> {
+    let bad = |detail: String| TraceIoError::Corrupt { offset, detail };
+    let (kind, addr_s) = match t.split_once(char::is_whitespace) {
+        Some((tag, rest)) => {
+            let kind = match tag {
+                "R" | "r" | "L" | "l" => AccessKind::Load,
+                "W" | "w" | "S" | "s" => AccessKind::Store,
+                other => {
+                    return Err(bad(format!(
+                        "unknown access tag {other:?} on address-list line {}",
+                        lineno + 1
+                    )))
+                }
+            };
+            (kind, rest.trim())
+        }
+        None => (AccessKind::Load, t),
+    };
+    let addr = match addr_s.strip_prefix("0x").or_else(|| addr_s.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => addr_s.parse(),
+    }
+    .map_err(|_| bad(format!("bad address {addr_s:?} on address-list line {}", lineno + 1)))?;
     Ok(MemRef { addr: Addr::new(addr), kind })
 }
 
@@ -457,8 +578,8 @@ pub fn write_event_trace<W: Write>(mut out: W, events: &crate::EventArena) -> io
     for chunk in events.chunks() {
         for i in 0..chunk.len() {
             out.write_all(&[chunk.flags[i]])?;
-            out.write_all(&chunk.line[i].to_le_bytes())?;
-            out.write_all(&chunk.victim[i].to_le_bytes())?;
+            out.write_all(&chunk.primary[i].to_le_bytes())?;
+            out.write_all(&chunk.secondary[i].to_le_bytes())?;
         }
     }
     out.flush()
@@ -607,6 +728,22 @@ mod tests {
             let err = read_text_trace(bad.as_bytes()).unwrap_err();
             assert!(matches!(err, TraceIoError::Corrupt { .. }), "{bad:?} should fail: {err}");
         }
+        // The offset is where the bad line starts, CRLF terminators
+        // counted, as the importer reports it for the same bytes.
+        let crlf = "I 0x1\r\nL 0x2\r\nbad\r\n";
+        match read_text_trace(crlf.as_bytes()).unwrap_err() {
+            TraceIoError::Corrupt { offset, .. } => assert_eq!(offset, 14),
+            other => panic!("expected Corrupt, got {other}"),
+        }
+        let mut out = Vec::new();
+        let err = crate::compact::import_to_compact(
+            crate::ImportFormat::Text,
+            crlf.as_bytes(),
+            &mut out,
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, TraceIoError::Corrupt { offset: 14, .. }), "{err}");
     }
 
     #[test]

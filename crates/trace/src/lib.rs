@@ -35,6 +35,10 @@
 //!   replayed by every configuration of a design-space sweep.
 //! * [`EventArena`] — an L1 front-end's miss/victim event stream,
 //!   captured once and fanned over every L2 configuration sharing it.
+//! * [`columns`] — the one chunked `(u64, u64, u8)` [`ColumnStore`] both
+//!   arenas own, each with its own record encoding, and
+//!   [`walk_window`](columns::walk_window), the one warm-up/measure walk
+//!   every replay of either arena takes.
 //! * [`spec`] — the seven SPEC'89-like presets of the paper's Table 1.
 //! * [`TraceStats`] — Table-1-style counters and footprints.
 //! * [`io`] — binary and text trace serialisation.
@@ -46,6 +50,7 @@
 
 mod addr;
 pub mod arena;
+pub mod columns;
 pub mod compact;
 pub mod events;
 pub mod gen;
@@ -60,9 +65,10 @@ mod timeslice;
 mod workload;
 
 pub use addr::{Addr, AddrRange, LineAddr};
-pub use arena::{ArenaReplay, ChunkView, TraceArena};
+pub use arena::{ArenaReplay, TraceArena};
+pub use columns::{ChunkView, ColumnStore};
 pub use compact::{CompactTraceWriter, ImportFormat, TraceReader};
-pub use events::{EventArena, EventChunkView, MissEvent, VictimLine};
+pub use events::{EventArena, MissEvent, VictimLine};
 pub use io::TraceIoError;
 pub use record::{AccessKind, InstructionRecord, MemRef};
 pub use source::{batch_buffer, InstructionSource, ReplaySource, BATCH_LEN};
