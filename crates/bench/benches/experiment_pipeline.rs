@@ -22,7 +22,7 @@ fn bench_evaluate(c: &mut Criterion) {
     ];
     for (name, cfg) in cases {
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| evaluate(&cfg, SpecBenchmark::Gcc1, budget, &timing, &area))
+            b.iter(|| evaluate(&cfg, &mut SpecBenchmark::Gcc1.workload(), budget, &timing, &area))
         });
     }
     group.finish();
@@ -40,14 +40,14 @@ fn bench_policy_ablation(c: &mut Criterion) {
     for (l1, l2) in [(4u64, 8u64), (4, 16), (4, 32), (4, 64), (4, 128)] {
         let conv = evaluate(
             &MachineConfig::two_level(l1, l2, 4, L2Policy::Conventional, 50.0),
-            SpecBenchmark::Gcc1,
+            &mut SpecBenchmark::Gcc1.workload(),
             budget,
             &timing,
             &area,
         );
         let excl = evaluate(
             &MachineConfig::two_level(l1, l2, 4, L2Policy::Exclusive, 50.0),
-            SpecBenchmark::Gcc1,
+            &mut SpecBenchmark::Gcc1.workload(),
             budget,
             &timing,
             &area,
@@ -61,7 +61,7 @@ fn bench_policy_ablation(c: &mut Criterion) {
     }
     let cfg = MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0);
     c.bench_function("ablation_exclusive_4k_32k", |b| {
-        b.iter(|| evaluate(&cfg, SpecBenchmark::Gcc1, budget, &timing, &area))
+        b.iter(|| evaluate(&cfg, &mut SpecBenchmark::Gcc1.workload(), budget, &timing, &area))
     });
 }
 

@@ -13,8 +13,12 @@ use tlc_core::configspace::{full_space, single_level_configs, SpaceOptions};
 use tlc_core::envelope::{envelope_at, mean_improvement};
 use tlc_core::experiment::simulate_source_on;
 use tlc_core::report::{envelope_of, envelope_table, points_table};
-use tlc_core::runner::try_sweep_threads;
+use tlc_core::runner::{
+    arena_bytes_for, try_run_indexed, try_sweep_family_arena_threads, try_sweep_threads, SweepUnit,
+    ARENA_BYTES_LIMIT,
+};
 use tlc_core::{DesignPoint, L2Policy, MachineConfig};
+use tlc_obs::{obs_event, obs_span};
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{Addr, MemRef};
 
@@ -66,61 +70,102 @@ pub const ALL_IDS: [&str; 41] = [
     "timingmodels",
 ];
 
-/// Runs one exhibit by id. Returns `None` for an unknown id.
-pub fn run(id: &str, h: &Harness) -> Option<String> {
+/// The function that regenerates exhibit `id`, or `None` for an id that
+/// is not in [`ALL_IDS`].
+pub fn exhibit(id: &str) -> Option<fn(&Harness) -> String> {
     Some(match id {
-        "table1" => table1(h),
-        "fig1" => fig1(h),
-        "fig2" => fig2(h),
-        "fig3" => fig3(h),
-        "fig4" => fig4(h),
-        "fig5" => fig5(h),
-        "fig6" => fig6(h),
-        "fig7" => fig7(h),
-        "fig8" => fig8(h),
-        "fig9" => fig9(h),
-        "fig10" => fig_dual(h, SpecBenchmark::Gcc1, 10),
-        "fig11" => fig_dual(h, SpecBenchmark::Espresso, 11),
-        "fig12" => fig_dual(h, SpecBenchmark::Doduc, 12),
-        "fig13" => fig_dual(h, SpecBenchmark::Fpppp, 13),
-        "fig14" => fig_dual(h, SpecBenchmark::Li, 14),
-        "fig15" => fig_dual(h, SpecBenchmark::Eqntott, 15),
-        "fig16" => fig_dual(h, SpecBenchmark::Tomcatv, 16),
-        "fig17" => fig17(h),
-        "fig18" => fig_200(h, &[SpecBenchmark::Doduc, SpecBenchmark::Espresso], 18),
-        "fig19" => fig_200(h, &[SpecBenchmark::Fpppp, SpecBenchmark::Li], 19),
-        "fig20" => fig_200(h, &[SpecBenchmark::Tomcatv, SpecBenchmark::Eqntott], 20),
-        "fig21" => fig21(),
-        "fig22" => fig22(h),
-        "fig23" => fig23(h),
-        "fig24" => fig_exclusive_pair(h, &[SpecBenchmark::Doduc, SpecBenchmark::Espresso], 24),
-        "fig25" => fig_exclusive_pair(h, &[SpecBenchmark::Fpppp, SpecBenchmark::Li], 25),
-        "fig26" => fig_exclusive_pair(h, &[SpecBenchmark::Eqntott, SpecBenchmark::Tomcatv], 26),
-        "power" => power_study(h),
-        "future" => future_study(h),
-        "policies" => policy_ablation(h),
-        "missrates" => miss_ratio_curves(h),
-        "replacement" => replacement_ablation(h),
-        "victim" => victim_cache_study(h),
-        "sensitivity" => sensitivity_study(h),
-        "board" => board_cache_study(h),
-        "multiprog" => multiprogramming_study(h),
-        "banking" => banking_study(h),
-        "prefetch" => prefetch_study(h),
-        "l1assoc" => l1_associativity_study(h),
-        "writes" => write_traffic_study(h),
-        "timingmodels" => timing_models_study(h),
+        "table1" => table1,
+        "fig1" => fig1,
+        "fig2" => fig2,
+        "fig3" => fig3,
+        "fig4" => fig4,
+        "fig5" => fig5,
+        "fig6" => fig6,
+        "fig7" => fig7,
+        "fig8" => fig8,
+        "fig9" => fig9,
+        "fig10" => |h| fig_dual(h, SpecBenchmark::Gcc1, 10),
+        "fig11" => |h| fig_dual(h, SpecBenchmark::Espresso, 11),
+        "fig12" => |h| fig_dual(h, SpecBenchmark::Doduc, 12),
+        "fig13" => |h| fig_dual(h, SpecBenchmark::Fpppp, 13),
+        "fig14" => |h| fig_dual(h, SpecBenchmark::Li, 14),
+        "fig15" => |h| fig_dual(h, SpecBenchmark::Eqntott, 15),
+        "fig16" => |h| fig_dual(h, SpecBenchmark::Tomcatv, 16),
+        "fig17" => fig17,
+        "fig18" => |h| fig_200(h, &[SpecBenchmark::Doduc, SpecBenchmark::Espresso], 18),
+        "fig19" => |h| fig_200(h, &[SpecBenchmark::Fpppp, SpecBenchmark::Li], 19),
+        "fig20" => |h| fig_200(h, &[SpecBenchmark::Tomcatv, SpecBenchmark::Eqntott], 20),
+        "fig21" => |_| fig21(),
+        "fig22" => fig22,
+        "fig23" => fig23,
+        "fig24" => |h| fig_exclusive_pair(h, &[SpecBenchmark::Doduc, SpecBenchmark::Espresso], 24),
+        "fig25" => |h| fig_exclusive_pair(h, &[SpecBenchmark::Fpppp, SpecBenchmark::Li], 25),
+        "fig26" => |h| fig_exclusive_pair(h, &[SpecBenchmark::Eqntott, SpecBenchmark::Tomcatv], 26),
+        "power" => power_study,
+        "future" => future_study,
+        "policies" => policy_ablation,
+        "missrates" => miss_ratio_curves,
+        "replacement" => replacement_ablation,
+        "victim" => victim_cache_study,
+        "sensitivity" => sensitivity_study,
+        "board" => board_cache_study,
+        "multiprog" => multiprogramming_study,
+        "banking" => banking_study,
+        "prefetch" => prefetch_study,
+        "l1assoc" => l1_associativity_study,
+        "writes" => write_traffic_study,
+        "timingmodels" => timing_models_study,
         _ => return None,
     })
 }
 
+/// Runs one exhibit by id. Returns `None` for an unknown id.
+pub fn run(id: &str, h: &Harness) -> Option<String> {
+    exhibit(id).map(|f| f(h))
+}
+
+/// One design-space sweep on `benchmark`: the family engine over an
+/// arena built from the harness's cached stream, or — past
+/// [`ARENA_BYTES_LIMIT`] — the runner's regenerating path.
 fn sweep_points(
     h: &Harness,
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
 ) -> Vec<DesignPoint> {
-    try_sweep_threads(configs, benchmark, h.budget, &h.timing, &h.area, h.threads)
-        .expect("exhibit sweep")
+    let points = if arena_bytes_for(h.budget) > ARENA_BYTES_LIMIT {
+        try_sweep_threads(configs, benchmark, h.budget, &h.timing, &h.area, h.threads)
+    } else {
+        obs_event!(
+            "engine.selected",
+            "family engine over one arena from the harness trace cache, {} configs",
+            configs.len()
+        );
+        let arena = {
+            let _span = obs_span!("arena_capture");
+            h.arena(benchmark)
+        };
+        try_sweep_family_arena_threads(configs, &arena, h.budget, &h.timing, &h.area, h.threads)
+    };
+    points.expect("exhibit sweep")
+}
+
+/// Runs a study's independent units (one workload on one system, say)
+/// on the harness's workers and returns their results in unit order, so
+/// a report assembled from them is the same at any thread count.
+fn pooled<U: Sync, T: Send>(h: &Harness, units: &[U], unit: impl Fn(&U) -> T + Sync) -> Vec<T> {
+    try_run_indexed(
+        units.len(),
+        h.threads,
+        |i| unit(&units[i]),
+        |i| SweepUnit::Task(format!("study unit {i}")),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Every `(row, column)` pair, row-major: the units of a study whose
+/// report has one line per row and one cell per column.
+fn grid<R: Copy, C: Copy>(rows: &[R], cols: &[C]) -> Vec<(R, C)> {
+    rows.iter().flat_map(|&r| cols.iter().map(move |&c| (r, c))).collect()
 }
 
 /// Appends the two-envelope comparison (best overall vs single-level
@@ -648,28 +693,29 @@ pub fn power_study(h: &Harness) -> String {
         "{:>9} {:>8} {:>12} {:>10} {:>10} {:>10} {:>8}",
         "workload", "config", "area(rbe)", "L1 eu", "L2 eu", "EPI eu", "offchip"
     );
-    for b in [SpecBenchmark::Espresso, SpecBenchmark::Gcc1, SpecBenchmark::Li] {
-        // Comparable-area pair: 64KB single-level pair vs 8KB pair + 128KB L2.
-        let configs = [
-            MachineConfig::single_level(64, 50.0),
-            MachineConfig::two_level(8, 128, 4, L2Policy::Conventional, 50.0),
-            MachineConfig::two_level(8, 128, 4, L2Policy::Exclusive, 50.0),
-        ];
-        for cfg in configs {
-            let p = tlc_core::evaluate(&cfg, b, h.budget, &h.timing, &h.area);
-            let e = energy_per_instruction(&cfg, &p.stats, &h.timing, &em);
-            let _ = writeln!(
-                out,
-                "{:>9} {:>8} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>7.1}%",
-                b.name(),
-                p.label,
-                p.area_rbe,
-                e.l1_access_eu,
-                e.l2_access_eu,
-                e.epi_eu,
-                e.offchip_fraction * 100.0,
-            );
-        }
+    let workloads = [SpecBenchmark::Espresso, SpecBenchmark::Gcc1, SpecBenchmark::Li];
+    // Comparable-area trio: 64KB single-level pair vs 8KB pair + 128KB L2.
+    let configs = [
+        MachineConfig::single_level(64, 50.0),
+        MachineConfig::two_level(8, 128, 4, L2Policy::Conventional, 50.0),
+        MachineConfig::two_level(8, 128, 4, L2Policy::Exclusive, 50.0),
+    ];
+    let rows = pooled(h, &grid(&workloads, &configs), |&(b, cfg)| {
+        let p = tlc_core::evaluate(&cfg, &mut h.replay(b), h.budget, &h.timing, &h.area);
+        let e = energy_per_instruction(&cfg, &p.stats, &h.timing, &em);
+        format!(
+            "{:>9} {:>8} {:>12.0} {:>10.1} {:>10.1} {:>10.1} {:>7.1}%\n",
+            b.name(),
+            p.label,
+            p.area_rbe,
+            e.l1_access_eu,
+            e.l2_access_eu,
+            e.epi_eu,
+            e.offchip_fraction * 100.0,
+        )
+    });
+    for workload_rows in rows.chunks(configs.len()) {
+        out.push_str(&workload_rows.concat());
         let _ = writeln!(out);
     }
     let _ = writeln!(
@@ -685,6 +731,7 @@ pub fn power_study(h: &Harness) -> String {
 pub fn future_study(h: &Harness) -> String {
     use tlc_core::future::{tpi_extended, FutureWorkModel};
     use tlc_core::machine::MachineTiming;
+    use tlc_core::overlap::estimate_overlap;
 
     let mut out = String::new();
     let _ = writeln!(
@@ -715,14 +762,11 @@ pub fn future_study(h: &Harness) -> String {
         let _ = write!(out, " {:>9}", c.label());
     }
     let _ = writeln!(out);
-    let points: Vec<_> = configs
-        .iter()
-        .map(|c| {
-            let p = tlc_core::evaluate(c, b, h.budget, &h.timing, &h.area);
-            let t = MachineTiming::derive(c, &h.timing, &h.area);
-            (p, t)
-        })
-        .collect();
+    let points = pooled(h, &configs, |c| {
+        let p = tlc_core::evaluate(c, &mut h.replay(b), h.budget, &h.timing, &h.area);
+        let t = MachineTiming::derive(c, &h.timing, &h.area);
+        (p, t)
+    });
     for (name, m) in &models {
         let _ = write!(out, "{name:>28}");
         for (p, t) in &points {
@@ -760,7 +804,6 @@ pub fn future_study(h: &Harness) -> String {
 
     // Measured (not assumed) overlap: MSHR-limited clustering of the
     // actual miss stream upper-bounds what non-blocking loads can hide.
-    use tlc_core::overlap::estimate_overlap;
     let _ = writeln!(
         out,
         "\nmeasured miss overlap for 8:128 on {} (MSHR-limited upper bound):",
@@ -771,8 +814,11 @@ pub fn future_study(h: &Harness) -> String {
         "{:>7} {:>10} {:>14} {:>14} {:>16}",
         "MSHRs", "misses", "mean gap", "clustered", "hidden latency"
     );
-    for mshrs in [1usize, 2, 4, 8] {
-        let r = estimate_overlap(&configs[3], b, h.budget, mshrs, &h.timing, &h.area);
+    let mshr_counts = [1usize, 2, 4, 8];
+    let reports = pooled(h, &mshr_counts, |&mshrs| {
+        estimate_overlap(&configs[3], &mut h.replay(b), h.budget, mshrs, &h.timing, &h.area)
+    });
+    for (mshrs, r) in mshr_counts.into_iter().zip(reports) {
         let _ = writeln!(
             out,
             "{:>7} {:>10} {:>13.1}i {:>13.1}% {:>15.1}%",
@@ -800,7 +846,7 @@ pub fn future_study(h: &Harness) -> String {
 /// at identical geometry — the full policy spectrum around the paper's
 /// §8 contribution.
 pub fn policy_ablation(h: &Harness) -> String {
-    use tlc_cache::InclusiveTwoLevel;
+    use tlc_cache::{ConventionalTwoLevel, InclusiveTwoLevel};
 
     let mut out = String::new();
     let _ = writeln!(
@@ -811,19 +857,20 @@ pub fn policy_ablation(h: &Harness) -> String {
     let _ =
         writeln!(out, "{:>6} {:>24} {:>24} {:>24}", "L2", "inclusive", "conventional", "exclusive");
     let l1 = CacheConfig::paper(4 * 1024, Associativity::Direct).expect("valid");
-    for l2_kb in [8u64, 16, 32, 64, 128] {
+    let l2_sizes_kb = [8u64, 16, 32, 64, 128];
+    type Build = fn(CacheConfig, CacheConfig) -> Box<dyn MemorySystem>;
+    let policies: [Build; 3] = [
+        |l1, l2| Box::new(InclusiveTwoLevel::new(l1, l2)),
+        |l1, l2| Box::new(ConventionalTwoLevel::new(l1, l2)),
+        |l1, l2| Box::new(ExclusiveTwoLevel::new(l1, l2)),
+    ];
+    let misses = pooled(h, &grid(&l2_sizes_kb, &policies), |&(l2_kb, build)| {
         let l2 = CacheConfig::paper(l2_kb * 1024, Associativity::SetAssoc(4)).expect("valid");
-        let mut systems: Vec<Box<dyn MemorySystem + Send>> = vec![
-            Box::new(InclusiveTwoLevel::new(l1, l2)),
-            Box::new(tlc_cache::ConventionalTwoLevel::new(l1, l2)),
-            Box::new(ExclusiveTwoLevel::new(l1, l2)),
-        ];
-        let mut cells = Vec::new();
-        for sys in &mut systems {
-            let stats =
-                simulate_source_on(&mut **sys, &mut SpecBenchmark::Gcc1.workload(), h.budget);
-            cells.push(format!("{} misses", stats.l2_misses));
-        }
+        let mut sys = build(l1, l2);
+        simulate_source_on(&mut *sys, &mut h.replay(SpecBenchmark::Gcc1), h.budget).l2_misses
+    });
+    for (l2_kb, cells) in l2_sizes_kb.iter().zip(misses.chunks(policies.len())) {
+        let cells: Vec<String> = cells.iter().map(|m| format!("{m} misses")).collect();
         let _ = writeln!(out, "{:>5}K {:>24} {:>24} {:>24}", l2_kb, cells[0], cells[1], cells[2]);
     }
     let _ = writeln!(
@@ -852,8 +899,8 @@ pub fn miss_ratio_curves(h: &Harness) -> String {
         let _ = write!(out, " {:>7}K", kb);
     }
     let _ = writeln!(out);
-    for b in SpecBenchmark::ALL {
-        let mut w = b.workload();
+    let rows = pooled(h, &SpecBenchmark::ALL, |&b| {
+        let mut w = h.replay(b);
         let mut pi = StackDistanceProfiler::new();
         let mut pd = StackDistanceProfiler::new();
         let n = h.budget.instructions.min(800_000);
@@ -864,17 +911,19 @@ pub fn miss_ratio_curves(h: &Harness) -> String {
                 pd.record(d.addr.line(16));
             }
         }
-        let _ = write!(out, "{:>9}", b.name());
+        let mut row = format!("{:>9}", b.name());
         for kb in sizes_kb {
             let lines = kb * 1024 / 16;
             // Combined miss rate per reference with split caches of this
             // size each.
             let misses = pi.misses_at_capacity(lines) + pd.misses_at_capacity(lines);
             let refs = pi.accesses() + pd.accesses();
-            let _ = write!(out, " {:>8.4}", misses as f64 / refs as f64);
+            let _ = write!(row, " {:>8.4}", misses as f64 / refs as f64);
         }
-        let _ = writeln!(out);
-    }
+        row.push('\n');
+        row
+    });
+    out.push_str(&rows.concat());
     let _ = writeln!(
         out,
         "\npaper anchors (§3, direct-mapped): espresso 0.0100 and eqntott 0.0149 at 32KB;\n\
@@ -902,19 +951,18 @@ pub fn replacement_ablation(h: &Harness) -> String {
         "workload", "LRU", "FIFO", "pseudo-random", "tree-PLRU"
     );
     let l1 = CacheConfig::paper(4 * 1024, Associativity::Direct).expect("valid");
-    for b in SpecBenchmark::ALL {
-        let mut cells = Vec::new();
-        for repl in [
-            ReplacementKind::Lru,
-            ReplacementKind::Fifo,
-            ReplacementKind::PseudoRandom,
-            ReplacementKind::TreePlru,
-        ] {
-            let l2 =
-                CacheConfig::new(64 * 1024, 16, Associativity::SetAssoc(4), repl).expect("valid");
-            let mut sys = ConventionalTwoLevel::new(l1, l2);
-            cells.push(simulate_source_on(&mut sys, &mut b.workload(), h.budget).l2_misses);
-        }
+    let policies = [
+        ReplacementKind::Lru,
+        ReplacementKind::Fifo,
+        ReplacementKind::PseudoRandom,
+        ReplacementKind::TreePlru,
+    ];
+    let misses = pooled(h, &grid(&SpecBenchmark::ALL, &policies), |&(b, repl)| {
+        let l2 = CacheConfig::new(64 * 1024, 16, Associativity::SetAssoc(4), repl).expect("valid");
+        let mut sys = ConventionalTwoLevel::new(l1, l2);
+        simulate_source_on(&mut sys, &mut h.replay(b), h.budget).l2_misses
+    });
+    for (b, cells) in SpecBenchmark::ALL.iter().zip(misses.chunks(policies.len())) {
         let _ = writeln!(
             out,
             "{:>9} {:>14} {:>14} {:>14} {:>14}",
@@ -952,15 +1000,21 @@ pub fn victim_cache_study(h: &Harness) -> String {
         "workload", "no buffer", "2 lines", "4 lines", "8 lines", "16 lines"
     );
     let l1 = CacheConfig::paper(4 * 1024, Associativity::Direct).expect("valid");
-    for b in SpecBenchmark::ALL {
-        let mut cells = Vec::new();
-        // Baseline: plain single-level.
-        let mut sys = SingleLevel::new(l1);
-        cells.push(simulate_source_on(&mut sys, &mut b.workload(), h.budget).l2_misses);
-        for buffer_lines in [2u64, 4, 8, 16] {
-            let mut sys = VictimCacheSystem::new(l1, buffer_lines).expect("valid buffer");
-            cells.push(simulate_source_on(&mut sys, &mut b.workload(), h.budget).l2_misses);
+    // Buffer sizes in lines; 0 is the plain single-level baseline.
+    let buffers = [0u64, 2, 4, 8, 16];
+    let misses = pooled(h, &grid(&SpecBenchmark::ALL, &buffers), |&(b, buffer_lines)| {
+        let mut replay = h.replay(b);
+        match buffer_lines {
+            0 => simulate_source_on(&mut SingleLevel::new(l1), &mut replay, h.budget),
+            lines => simulate_source_on(
+                &mut VictimCacheSystem::new(l1, lines).expect("valid buffer"),
+                &mut replay,
+                h.budget,
+            ),
         }
+        .l2_misses
+    });
+    for (b, cells) in SpecBenchmark::ALL.iter().zip(misses.chunks(buffers.len())) {
         let _ = writeln!(
             out,
             "{:>9} {:>12} {:>10} {:>10} {:>10} {:>10}",
@@ -1029,13 +1083,18 @@ pub fn sensitivity_study(h: &Harness) -> String {
         "{:>6} {:>10} {:>12} {:>10} | {:>10} {:>12} {:>10}",
         "line", "8:64 TPI", "missrate", "L2cyc", "32:0 TPI", "missrate", "cyc(ns)"
     );
-    for line_bytes in [16u64, 32, 64] {
-        let mut two = MachineConfig::two_level(8, 64, 4, L2Policy::Conventional, 50.0);
-        two.line_bytes = line_bytes;
-        let mut one = MachineConfig::single_level(32, 50.0);
-        one.line_bytes = line_bytes;
-        let p2 = tlc_core::evaluate(&two, SpecBenchmark::Gcc1, h.budget, &h.timing, &h.area);
-        let p1 = tlc_core::evaluate(&one, SpecBenchmark::Gcc1, h.budget, &h.timing, &h.area);
+    let line_sizes = [16u64, 32, 64];
+    // Per line size: the 8:64 two-level point, then the 32:0 one.
+    let machines = [
+        MachineConfig::two_level(8, 64, 4, L2Policy::Conventional, 50.0),
+        MachineConfig::single_level(32, 50.0),
+    ];
+    let points = pooled(h, &grid(&line_sizes, &machines), |&(line_bytes, mut cfg)| {
+        cfg.line_bytes = line_bytes;
+        tlc_core::evaluate(&cfg, &mut h.replay(SpecBenchmark::Gcc1), h.budget, &h.timing, &h.area)
+    });
+    for (line_bytes, pair) in line_sizes.iter().zip(points.chunks(machines.len())) {
+        let (p2, p1) = (&pair[0], &pair[1]);
         let _ = writeln!(
             out,
             "{:>5}B {:>10.2} {:>12.4} {:>10} | {:>10.2} {:>12.4} {:>10.2}",
@@ -1078,37 +1137,37 @@ pub fn board_cache_study(h: &Harness) -> String {
         "workload", "board", "hit ratio", "eff. ns", "inclusions", "purged lines"
     );
     let cfg = MachineConfig::two_level(8, 64, 4, L2Policy::Conventional, 50.0);
-    for b in [SpecBenchmark::Gcc1, SpecBenchmark::Tomcatv, SpecBenchmark::Espresso] {
-        for board_kb in [256u64, 1024, 4096] {
-            let mut sys = build_system_kind(&cfg);
-            let mut board = BoardCache::new(board_kb * 1024, 2, 16).expect("valid board");
-            let mut purged = 0u64;
-            let mut w = b.workload();
-            let n = h.budget.instructions.min(600_000) + h.budget.warmup_instructions;
-            for _ in 0..n {
-                let rec = w.next_instruction();
-                for r in rec.refs() {
-                    if sys.access(r) == tlc_cache::ServiceLevel::Memory {
-                        let outcome = board.access(r.addr.line(16));
-                        if let Some(evicted) = outcome.evicted {
-                            purged += sys.invalidate_line(evicted) as u64;
-                        }
+    let workloads = [SpecBenchmark::Gcc1, SpecBenchmark::Tomcatv, SpecBenchmark::Espresso];
+    let boards_kb = [256u64, 1024, 4096];
+    let rows = pooled(h, &grid(&workloads, &boards_kb), |&(b, board_kb)| {
+        let mut sys = build_system_kind(&cfg);
+        let mut board = BoardCache::new(board_kb * 1024, 2, 16).expect("valid board");
+        let mut purged = 0u64;
+        let mut w = h.replay(b);
+        let n = h.budget.instructions.min(600_000) + h.budget.warmup_instructions;
+        for _ in 0..n {
+            let rec = w.next_instruction();
+            for r in rec.refs() {
+                if sys.access(r) == tlc_cache::ServiceLevel::Memory {
+                    let outcome = board.access(r.addr.line(16));
+                    if let Some(evicted) = outcome.evicted {
+                        purged += sys.invalidate_line(evicted) as u64;
                     }
                 }
             }
-            let hit_ratio = board.stats().hit_rate();
-            let _ = writeln!(
-                out,
-                "{:>9} {:>7}K {:>12.3} {:>11.1}ns {:>14} {:>14}",
-                b.name(),
-                board_kb,
-                hit_ratio,
-                effective_offchip_ns(hit_ratio, 50.0, 200.0),
-                board.stats().evictions,
-                purged,
-            );
         }
-    }
+        let hit_ratio = board.stats().hit_rate();
+        format!(
+            "{:>9} {:>7}K {:>12.3} {:>11.1}ns {:>14} {:>14}\n",
+            b.name(),
+            board_kb,
+            hit_ratio,
+            effective_offchip_ns(hit_ratio, 50.0, 200.0),
+            board.stats().evictions,
+            purged,
+        )
+    });
+    out.push_str(&rows.concat());
     let _ = writeln!(
         out,
         "\nexpectation: a megabyte-class board cache pushes the effective service time\n\
@@ -1138,19 +1197,41 @@ pub fn multiprogramming_study(h: &Harness) -> String {
         instructions: h.budget.instructions.min(800_000),
         warmup_instructions: h.budget.warmup_instructions.min(200_000),
     };
-    for cfg in [
+    let configs = [
         MachineConfig::single_level(32, 50.0),
         MachineConfig::two_level(8, 64, 4, L2Policy::Conventional, 50.0),
-    ] {
-        let t = MachineTiming::derive(&cfg, &h.timing, &h.area);
-        // Solo baselines.
-        let solo: Vec<f64> = [SpecBenchmark::Gcc1, SpecBenchmark::Li]
-            .iter()
-            .map(|&b| {
-                let mut w = b.workload();
-                tpi_ns(&simulate_source(&cfg, &mut w, budget), &t)
-            })
-            .collect();
+    ];
+    #[derive(Clone, Copy)]
+    enum Run {
+        Solo(SpecBenchmark),
+        Sliced { quantum: u64 },
+    }
+    let solo = [SpecBenchmark::Gcc1, SpecBenchmark::Li];
+    let quanta = [2_000u64, 10_000, 50_000, 250_000];
+    // Per configuration: the solo runs, then one time-sliced run per quantum.
+    let runs: Vec<Run> = solo
+        .map(Run::Solo)
+        .into_iter()
+        .chain(quanta.map(|quantum| Run::Sliced { quantum }))
+        .collect();
+    let tpis = pooled(h, &grid(&configs, &runs), |&(cfg, run)| {
+        let stats = match run {
+            Run::Solo(b) => simulate_source(&cfg, &mut h.replay(b), budget),
+            Run::Sliced { quantum } => {
+                let mut mp = TimeSliced::new(
+                    vec![
+                        Box::new(h.replay(SpecBenchmark::Gcc1)),
+                        Box::new(h.replay(SpecBenchmark::Li)),
+                    ],
+                    quantum,
+                );
+                simulate_source(&cfg, &mut mp, budget)
+            }
+        };
+        tpi_ns(&stats, &MachineTiming::derive(&cfg, &h.timing, &h.area))
+    });
+    for (cfg, tpis) in configs.iter().zip(tpis.chunks(runs.len())) {
+        let (solo, sliced) = tpis.split_at(solo.len());
         let ideal = (solo[0] + solo[1]) / 2.0;
         let _ = writeln!(
             out,
@@ -1161,16 +1242,7 @@ pub fn multiprogramming_study(h: &Harness) -> String {
             ideal
         );
         let _ = writeln!(out, "{:>12} {:>10} {:>12}", "quantum", "TPI(ns)", "slowdown");
-        for quantum in [2_000u64, 10_000, 50_000, 250_000] {
-            let mut mp = TimeSliced::new(
-                vec![
-                    Box::new(SpecBenchmark::Gcc1.workload()),
-                    Box::new(SpecBenchmark::Li.workload()),
-                ],
-                quantum,
-            );
-            let stats = simulate_source(&cfg, &mut mp, budget);
-            let tpi = tpi_ns(&stats, &t);
+        for (quantum, tpi) in quanta.iter().zip(sliced) {
             let _ = writeln!(
                 out,
                 "{:>12} {:>10.2} {:>11.1}%",
@@ -1206,50 +1278,62 @@ pub fn banking_study(h: &Harness) -> String {
         "workload", "organisation", "conflict", "issue", "area(rbe)", "TPI(ns)"
     );
     let base = MachineConfig::single_level(32, 50.0);
-    for b in [SpecBenchmark::Espresso, SpecBenchmark::Gcc1] {
-        // Single-ported and dual-ported reference rows.
-        let plain = tlc_core::evaluate(&base, b, h.budget, &h.timing, &h.area);
-        let dual = tlc_core::evaluate(
-            &base.with_l1_cell(CellKind::DualPorted),
-            b,
-            h.budget,
-            &h.timing,
-            &h.area,
-        );
-        let _ = writeln!(
-            out,
-            "{:>9} {:>14} {:>10} {:>8.2} {:>12.0} {:>9.2}",
-            b.name(),
-            "single-port",
-            "-",
-            1.0,
-            plain.area_rbe,
-            plain.tpi_ns
-        );
-        for banks in [2u32, 4, 8] {
-            let p =
-                evaluate_banked(&base, b, h.budget, BankingParams::new(banks), &h.timing, &h.area);
-            let _ = writeln!(
-                out,
-                "{:>9} {:>12}-bank {:>9.3} {:>8.2} {:>12.0} {:>9.2}",
+    let workloads = [SpecBenchmark::Espresso, SpecBenchmark::Gcc1];
+    #[derive(Clone, Copy)]
+    enum Organisation {
+        Ported(CellKind),
+        Banked(u32),
+    }
+    // Per workload, in row order: single-ported, each bank count, then
+    // dual-ported.
+    let organisations = [
+        Organisation::Ported(CellKind::SinglePorted),
+        Organisation::Banked(2),
+        Organisation::Banked(4),
+        Organisation::Banked(8),
+        Organisation::Ported(CellKind::DualPorted),
+    ];
+    let rows = pooled(h, &grid(&workloads, &organisations), |&(b, org)| match org {
+        Organisation::Ported(cell) => {
+            let cfg = base.with_l1_cell(cell);
+            let p = tlc_core::evaluate(&cfg, &mut h.replay(b), h.budget, &h.timing, &h.area);
+            let (name, issue) = if cell == CellKind::DualPorted {
+                ("dual-port", 2.0)
+            } else {
+                ("single-port", 1.0)
+            };
+            format!(
+                "{:>9} {:>14} {:>10} {:>8.2} {:>12.0} {:>9.2}\n",
+                b.name(),
+                name,
+                "-",
+                issue,
+                p.area_rbe,
+                p.tpi_ns
+            )
+        }
+        Organisation::Banked(banks) => {
+            let p = evaluate_banked(
+                &base,
+                &mut h.replay(b),
+                h.budget,
+                BankingParams::new(banks),
+                &h.timing,
+                &h.area,
+            );
+            format!(
+                "{:>9} {:>12}-bank {:>9.3} {:>8.2} {:>12.0} {:>9.2}\n",
                 b.name(),
                 banks,
                 p.conflict_rate,
                 p.issue_factor,
                 p.area_rbe,
                 p.tpi_ns
-            );
+            )
         }
-        let _ = writeln!(
-            out,
-            "{:>9} {:>14} {:>10} {:>8.2} {:>12.0} {:>9.2}",
-            b.name(),
-            "dual-port",
-            "-",
-            2.0,
-            dual.area_rbe,
-            dual.tpi_ns
-        );
+    });
+    for workload_rows in rows.chunks(organisations.len()) {
+        out.push_str(&workload_rows.concat());
         let _ = writeln!(out);
     }
     let _ = writeln!(
@@ -1278,22 +1362,40 @@ pub fn prefetch_study(h: &Harness) -> String {
         "workload", "plain", "victim(8)", "stream(8x4)", "prefetch traffic"
     );
     let l1 = CacheConfig::paper(4 * 1024, Associativity::Direct).expect("valid");
-    for b in SpecBenchmark::ALL {
-        let drive = |sys: &mut dyn MemorySystem| {
-            simulate_source_on(sys, &mut b.workload(), h.budget).l2_misses
-        };
-        let plain = drive(&mut SingleLevel::new(l1));
-        let victim = drive(&mut VictimCacheSystem::new(l1, 8).expect("valid"));
-        let mut stream_sys = StreamBufferSystem::new(l1, 8, 4);
-        let stream = drive(&mut stream_sys);
+    #[derive(Clone, Copy)]
+    enum Organisation {
+        Plain,
+        Victim,
+        Stream,
+    }
+    // Per workload, each as (demand misses, prefetches).
+    let organisations = [Organisation::Plain, Organisation::Victim, Organisation::Stream];
+    let cells = pooled(h, &grid(&SpecBenchmark::ALL, &organisations), |&(b, org)| {
+        let mut replay = h.replay(b);
+        match org {
+            Organisation::Plain => {
+                (simulate_source_on(&mut SingleLevel::new(l1), &mut replay, h.budget).l2_misses, 0)
+            }
+            Organisation::Victim => {
+                let mut sys = VictimCacheSystem::new(l1, 8).expect("valid");
+                (simulate_source_on(&mut sys, &mut replay, h.budget).l2_misses, 0)
+            }
+            Organisation::Stream => {
+                let mut sys = StreamBufferSystem::new(l1, 8, 4);
+                let misses = simulate_source_on(&mut sys, &mut replay, h.budget).l2_misses;
+                (misses, sys.prefetches())
+            }
+        }
+    });
+    for (b, row) in SpecBenchmark::ALL.iter().zip(cells.chunks(organisations.len())) {
         let _ = writeln!(
             out,
             "{:>9} {:>10} {:>12} {:>14} {:>16}",
             b.name(),
-            plain,
-            victim,
-            stream,
-            stream_sys.prefetches(),
+            row[0].0,
+            row[1].0,
+            row[2].0,
+            row[2].1,
         );
     }
     let _ = writeln!(
@@ -1325,46 +1427,43 @@ pub fn l1_associativity_study(h: &Harness) -> String {
         "{:>9} {:>6} {:>6} {:>10} {:>10} {:>9}",
         "workload", "L1", "ways", "cycle(ns)", "missrate", "TPI(ns)"
     );
-    for b in [SpecBenchmark::Gcc1, SpecBenchmark::Li] {
-        for kb in [8u64, 32] {
-            for ways in [1u32, 2, 4] {
-                let assoc =
-                    if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
-                let l1 = CacheConfig::new(kb * 1024, 16, assoc, ReplacementKind::PseudoRandom)
-                    .expect("valid");
-                let stats =
-                    simulate_source_on(&mut SingleLevel::new(l1), &mut b.workload(), h.budget);
-                // Timing: an L1 of this associativity sets the cycle.
-                let geom =
-                    CacheGeometry { size_bytes: kb * 1024, line_bytes: 16, ways, addr_bits: 32 };
-                let t = h.timing.optimal(&geom, CellKind::SinglePorted);
-                let a = h.area.total_area(&geom, &t.org, CellKind::SinglePorted);
-                let offchip = (50.0 / t.cycle_ns).ceil() * t.cycle_ns;
-                let mt = MachineTiming {
-                    l1_cycle_ns: t.cycle_ns,
-                    l1_access_ns: t.access_ns,
-                    l2_raw_cycle_ns: 0.0,
-                    l2_raw_access_ns: 0.0,
-                    l2_cycles: 0,
-                    offchip_rounded_ns: offchip,
-                    area_rbe: 2.0 * a.value(),
-                    issue_factor: 1.0,
-                    refill_transfers: 2,
-                };
-                let tpi = tpi_ns(&stats, &mt);
-                let _ = writeln!(
-                    out,
-                    "{:>9} {:>5}K {:>6} {:>10.2} {:>10.4} {:>9.2}",
-                    b.name(),
-                    kb,
-                    ways,
-                    t.cycle_ns,
-                    stats.l1_miss_rate(),
-                    tpi
-                );
-            }
-        }
-    }
+    let workloads = [SpecBenchmark::Gcc1, SpecBenchmark::Li];
+    let sizes_kb = [8u64, 32];
+    let ways_list = [1u32, 2, 4];
+    let l1s = grid(&sizes_kb, &ways_list);
+    let rows = pooled(h, &grid(&workloads, &l1s), |&(b, (kb, ways))| {
+        let assoc = if ways == 1 { Associativity::Direct } else { Associativity::SetAssoc(ways) };
+        let l1 =
+            CacheConfig::new(kb * 1024, 16, assoc, ReplacementKind::PseudoRandom).expect("valid");
+        let stats = simulate_source_on(&mut SingleLevel::new(l1), &mut h.replay(b), h.budget);
+        // Timing: an L1 of this associativity sets the cycle.
+        let geom = CacheGeometry { size_bytes: kb * 1024, line_bytes: 16, ways, addr_bits: 32 };
+        let t = h.timing.optimal(&geom, CellKind::SinglePorted);
+        let a = h.area.total_area(&geom, &t.org, CellKind::SinglePorted);
+        let offchip = (50.0 / t.cycle_ns).ceil() * t.cycle_ns;
+        let mt = MachineTiming {
+            l1_cycle_ns: t.cycle_ns,
+            l1_access_ns: t.access_ns,
+            l2_raw_cycle_ns: 0.0,
+            l2_raw_access_ns: 0.0,
+            l2_cycles: 0,
+            offchip_rounded_ns: offchip,
+            area_rbe: 2.0 * a.value(),
+            issue_factor: 1.0,
+            refill_transfers: 2,
+        };
+        let tpi = tpi_ns(&stats, &mt);
+        format!(
+            "{:>9} {:>5}K {:>6} {:>10.2} {:>10.4} {:>9.2}\n",
+            b.name(),
+            kb,
+            ways,
+            t.cycle_ns,
+            stats.l1_miss_rate(),
+            tpi
+        )
+    });
+    out.push_str(&rows.concat());
     let _ = writeln!(
         out,
         "\nexpectation: associativity trims the miss rate at best modestly (pseudo-random\n\
@@ -1392,41 +1491,39 @@ pub fn write_traffic_study(h: &Harness) -> String {
         "{:>9} {:>9} {:>14} {:>18} {:>14}",
         "workload", "config", "stores/instr", "writebacks/instr", "WT/WB ratio"
     );
-    for b in SpecBenchmark::ALL {
-        for cfg in [
-            MachineConfig::single_level(8, 50.0),
-            MachineConfig::two_level(8, 64, 4, L2Policy::Exclusive, 50.0),
-        ] {
-            // Count stores from the stream itself.
-            let mut w = b.workload();
-            let mut stores = 0u64;
-            for _ in 0..h.budget.instructions.min(400_000) {
-                if let Some(d) = w.next_instruction().data {
-                    if d.kind == tlc_trace::AccessKind::Store {
-                        stores += 1;
-                    }
+    let configs = [
+        MachineConfig::single_level(8, 50.0),
+        MachineConfig::two_level(8, 64, 4, L2Policy::Exclusive, 50.0),
+    ];
+    let rows = pooled(h, &grid(&SpecBenchmark::ALL, &configs), |&(b, cfg)| {
+        // Count stores from the stream itself.
+        let mut w = h.replay(b);
+        let mut stores = 0u64;
+        for _ in 0..h.budget.instructions.min(400_000) {
+            if let Some(d) = w.next_instruction().data {
+                if d.kind == tlc_trace::AccessKind::Store {
+                    stores += 1;
                 }
             }
-            let n = h.budget.instructions.min(400_000) as f64;
-            let budget = tlc_core::SimBudget {
-                instructions: h.budget.instructions.min(400_000),
-                warmup_instructions: h.budget.warmup_instructions.min(100_000),
-            };
-            let mut w = b.workload();
-            let st = simulate_source(&cfg, &mut w, budget);
-            let wt = stores as f64 / n; // write-through: every store hits the bus
-            let wb = st.offchip_writebacks as f64 / st.instructions as f64;
-            let _ = writeln!(
-                out,
-                "{:>9} {:>9} {:>14.4} {:>18.4} {:>14.1}",
-                b.name(),
-                cfg.label(),
-                wt,
-                wb,
-                if wb > 0.0 { wt / wb } else { f64::INFINITY },
-            );
         }
-    }
+        let n = h.budget.instructions.min(400_000) as f64;
+        let budget = tlc_core::SimBudget {
+            instructions: h.budget.instructions.min(400_000),
+            warmup_instructions: h.budget.warmup_instructions.min(100_000),
+        };
+        let st = simulate_source(&cfg, &mut h.replay(b), budget);
+        let wt = stores as f64 / n; // write-through: every store hits the bus
+        let wb = st.offchip_writebacks as f64 / st.instructions as f64;
+        format!(
+            "{:>9} {:>9} {:>14.4} {:>18.4} {:>14.1}\n",
+            b.name(),
+            cfg.label(),
+            wt,
+            wb,
+            if wb > 0.0 { wt / wb } else { f64::INFINITY },
+        )
+    });
+    out.push_str(&rows.concat());
     let _ = writeln!(
         out,
         "\nexpectation: write-back sharply cuts bus writes wherever stores hit cached\n\
@@ -1494,18 +1591,24 @@ mod tests {
 
     #[test]
     fn dispatcher_knows_every_id() {
-        let h = Harness::quick();
-        // Only run the cheap, simulation-free exhibits here; the heavy
-        // ones are covered by integration tests and the repro binary.
-        for id in ["table1", "fig1", "fig2", "fig21"] {
-            let out = run(id, &h).expect("known id");
-            assert!(!out.is_empty());
-        }
-        assert!(run("fig99", &h).is_none());
-        assert_eq!(ALL_IDS.len(), 41);
+        // Resolving an id does not run it.
         for id in ALL_IDS {
-            assert!(ALL_IDS.contains(&id), "id list and dispatcher out of sync for {id}");
+            assert!(exhibit(id).is_some(), "{id} is listed but does not resolve");
         }
+        let unique: std::collections::BTreeSet<_> = ALL_IDS.iter().collect();
+        assert_eq!(unique.len(), ALL_IDS.len(), "an id is listed twice");
+        // Nothing else resolves: near misses of every id, and the ids the
+        // paper numbering would suggest but the paper does not have.
+        for id in ALL_IDS {
+            for miss in [format!("{id}x"), format!(" {id}"), id.to_uppercase(), id[1..].to_string()]
+            {
+                assert!(exhibit(&miss).is_none(), "{miss:?} resolves but is not listed");
+            }
+        }
+        for miss in ["", "all", "fig0", "fig27", "fig99", "table2", "table0"] {
+            assert!(exhibit(miss).is_none(), "{miss:?} resolves but is not listed");
+        }
+        assert!(run("fig99", &Harness::quick()).is_none());
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub fn cmd_evaluate(args: &ArgMap) -> Result<String, ArgError> {
     let budget = parse_budget(args)?;
     let timing = TimingModel::paper();
     let area = AreaModel::new();
-    let p = evaluate(&cfg, benchmark, budget, &timing, &area);
+    let p = evaluate(&cfg, &mut benchmark.workload(), budget, &timing, &area);
     let mut out = String::new();
     let _ = writeln!(out, "configuration : {cfg}");
     let _ = writeln!(out, "workload      : {benchmark}");
@@ -1414,7 +1414,9 @@ mod tests {
                 let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
                 full_space(&opts)
                     .iter()
-                    .map(|cfg| evaluate(cfg, SpecBenchmark::Li, budget, &timing, &area))
+                    .map(|cfg| {
+                        evaluate(cfg, &mut SpecBenchmark::Li.workload(), budget, &timing, &area)
+                    })
                     .collect()
             };
             for engine in ["auto", "family"] {

@@ -13,13 +13,13 @@
 //! Area grows by a per-bank wiring/port overhead instead of the cell
 //! doubling of §6.
 
-use crate::experiment::{simulate, SimBudget};
+use crate::experiment::{simulate_source, SimBudget};
 use crate::machine::{MachineConfig, MachineTiming};
 use crate::tpi;
 use serde::{Deserialize, Serialize};
 use tlc_area::AreaModel;
 use tlc_timing::TimingModel;
-use tlc_trace::spec::SpecBenchmark;
+use tlc_trace::{InstructionRecord, InstructionSource};
 
 /// Parameters of the banking model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,60 +61,115 @@ pub struct BankedPoint {
     pub tpi_ns: f64,
 }
 
-/// Measures the bank-conflict probability of `benchmark`'s data stream:
-/// the fraction of consecutive data-reference pairs that address the
-/// same of `banks` **word-interleaved** banks (the interleaving real
-/// banked L1s use, so sequential word runs rotate across banks).
-pub fn measure_conflict_rate(
-    benchmark: SpecBenchmark,
+/// Instructions, from the start of the stream, whose data references
+/// [`evaluate_banked`] samples for its conflict rate.
+pub const CONFLICT_SAMPLES: u64 = 100_000;
+
+/// Running bank-conflict count over consecutive data references.
+struct ConflictTally {
+    mask: u64,
+    prev: Option<u64>,
+    pairs: u64,
+    conflicts: u64,
+}
+
+impl ConflictTally {
+    fn new(banks: u32) -> Self {
+        assert!(banks.is_power_of_two() && banks >= 2, "banks must be a power of two >= 2");
+        ConflictTally { mask: u64::from(banks - 1), prev: None, pairs: 0, conflicts: 0 }
+    }
+
+    fn observe(&mut self, rec: &InstructionRecord) {
+        if let Some(d) = rec.data {
+            let bank = (d.addr.raw() >> 2) & self.mask; // word-interleaved
+            if let Some(p) = self.prev {
+                self.pairs += 1;
+                if p == bank {
+                    self.conflicts += 1;
+                }
+            }
+            self.prev = Some(bank);
+        }
+    }
+
+    fn rate(&self) -> f64 {
+        if self.pairs == 0 {
+            0.0
+        } else {
+            self.conflicts as f64 / self.pairs as f64
+        }
+    }
+}
+
+/// Measures the bank-conflict probability of the data stream in the
+/// next `samples` instructions of `source` (fewer if it ends first): the
+/// fraction of consecutive data-reference pairs that address the same
+/// of `banks` **word-interleaved** banks (the interleaving real banked
+/// L1s use, so sequential word runs rotate across banks).
+pub fn measure_conflict_rate<S: InstructionSource + ?Sized>(
+    source: &mut S,
     samples: u64,
     banks: u32,
     _line_bytes: u64,
 ) -> f64 {
-    assert!(banks.is_power_of_two() && banks >= 2, "banks must be a power of two >= 2");
-    let mut w = benchmark.workload();
-    let mask = (banks - 1) as u64;
-    let mut prev: Option<u64> = None;
-    let mut pairs = 0u64;
-    let mut conflicts = 0u64;
-    let mut emitted = 0u64;
-    while emitted < samples {
-        let rec = w.next_instruction();
-        emitted += 1;
-        if let Some(d) = rec.data {
-            let bank = (d.addr.raw() >> 2) & mask; // word-interleaved
-            if let Some(p) = prev {
-                pairs += 1;
-                if p == bank {
-                    conflicts += 1;
-                }
-            }
-            prev = Some(bank);
-        }
+    Tallied::new(source, banks, samples).finish()
+}
+
+/// Passes a source through while tallying bank conflicts over its first
+/// `left` records.
+struct Tallied<'a, S: ?Sized> {
+    source: &'a mut S,
+    tally: ConflictTally,
+    left: u64,
+}
+
+impl<'a, S: InstructionSource + ?Sized> Tallied<'a, S> {
+    fn new(source: &'a mut S, banks: u32, samples: u64) -> Self {
+        Tallied { source, tally: ConflictTally::new(banks), left: samples }
     }
-    if pairs == 0 {
-        0.0
-    } else {
-        conflicts as f64 / pairs as f64
+
+    /// Reads whatever of the sample the consumer left unread; returns the
+    /// conflict rate.
+    fn finish(mut self) -> f64 {
+        while self.left > 0 && self.next_instruction_opt().is_some() {}
+        self.tally.rate()
     }
 }
 
-/// Evaluates a banked-L1 machine: same miss behaviour as the
-/// single-ported machine (banking does not change cache contents), but
-/// `2/(1+p)` issue rate and banked area.
-pub fn evaluate_banked(
+impl<S: InstructionSource + ?Sized> InstructionSource for Tallied<'_, S> {
+    fn next_instruction_opt(&mut self) -> Option<InstructionRecord> {
+        let rec = self.source.next_instruction_opt()?;
+        if self.left > 0 {
+            self.left -= 1;
+            self.tally.observe(&rec);
+        }
+        Some(rec)
+    }
+
+    fn source_name(&self) -> &str {
+        self.source.source_name()
+    }
+}
+
+/// Evaluates a banked-L1 machine on `source`'s stream: same miss
+/// behaviour as the single-ported machine (banking does not change cache
+/// contents), but `2/(1+p)` issue rate and banked area. `p` is the
+/// conflict rate over the stream's first [`CONFLICT_SAMPLES`]
+/// instructions, tallied as the simulation reads them; a budget shorter
+/// than that reads the rest of the sample after the simulation.
+pub fn evaluate_banked<S: InstructionSource + ?Sized>(
     base: &MachineConfig,
-    benchmark: SpecBenchmark,
+    source: &mut S,
     budget: SimBudget,
     params: BankingParams,
     timing: &TimingModel,
     area: &AreaModel,
 ) -> BankedPoint {
-    let mut workload = benchmark.workload();
-    let stats = simulate(base, &mut workload, budget);
+    let mut tallied = Tallied::new(source, params.banks, CONFLICT_SAMPLES);
+    let stats = simulate_source(base, &mut tallied, budget);
+    let p = tallied.finish();
     let mut t = MachineTiming::derive(base, timing, area);
 
-    let p = measure_conflict_rate(benchmark, 100_000, params.banks, base.line_bytes);
     // Banking multiplies only the L1 areas (the L2 keeps plain cells).
     let l1_geom = base.l1_geometry();
     let l1_t = timing.optimal(&l1_geom, tlc_area::CellKind::SinglePorted);
@@ -135,11 +190,12 @@ pub fn evaluate_banked(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlc_trace::spec::SpecBenchmark;
 
     #[test]
     fn more_banks_fewer_conflicts() {
-        let p2 = measure_conflict_rate(SpecBenchmark::Gcc1, 30_000, 2, 16);
-        let p8 = measure_conflict_rate(SpecBenchmark::Gcc1, 30_000, 8, 16);
+        let p2 = measure_conflict_rate(&mut SpecBenchmark::Gcc1.workload(), 30_000, 2, 16);
+        let p8 = measure_conflict_rate(&mut SpecBenchmark::Gcc1.workload(), 30_000, 8, 16);
         assert!(p8 < p2, "8 banks {p8:.3} should conflict less than 2 banks {p2:.3}");
         assert!((0.0..=1.0).contains(&p2));
     }
@@ -148,7 +204,7 @@ mod tests {
     fn streaming_conflicts_reflect_stride_interleave() {
         // tomcatv's round-robin array sweep alternates banks heavily, so
         // its conflict rate is far below the independent-reference 1/B.
-        let p4 = measure_conflict_rate(SpecBenchmark::Tomcatv, 30_000, 4, 16);
+        let p4 = measure_conflict_rate(&mut SpecBenchmark::Tomcatv.workload(), 30_000, 4, 16);
         assert!(p4 < 0.5, "conflict rate {p4:.3} implausible");
     }
 
@@ -167,13 +223,14 @@ mod tests {
         let budget = SimBudget::quick();
         let banked = evaluate_banked(
             &base,
-            SpecBenchmark::Espresso,
+            &mut SpecBenchmark::Espresso.workload(),
             budget,
             BankingParams::new(8),
             &timing,
             &area,
         );
-        let plain = crate::evaluate(&base, SpecBenchmark::Espresso, budget, &timing, &area);
+        let plain =
+            crate::evaluate(&base, &mut SpecBenchmark::Espresso.workload(), budget, &timing, &area);
         assert!(
             banked.tpi_ns < plain.tpi_ns,
             "banked {:.2} should beat single-issue {:.2} on a low-miss workload",

@@ -95,8 +95,8 @@ mod tests {
         let budget = SimBudget::quick();
         let single = MachineConfig::single_level(64, 50.0);
         let two = MachineConfig::two_level(8, 128, 4, L2Policy::Conventional, 50.0);
-        let ps = evaluate(&single, SpecBenchmark::Espresso, budget, &tm, &am);
-        let pt = evaluate(&two, SpecBenchmark::Espresso, budget, &tm, &am);
+        let ps = evaluate(&single, &mut SpecBenchmark::Espresso.workload(), budget, &tm, &am);
+        let pt = evaluate(&two, &mut SpecBenchmark::Espresso.workload(), budget, &tm, &am);
         let es = energy_per_instruction(&single, &ps.stats, &tm, &em);
         let et = energy_per_instruction(&two, &pt.stats, &tm, &em);
         let onchip_s = es.epi_eu * (1.0 - es.offchip_fraction);

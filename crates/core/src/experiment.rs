@@ -688,21 +688,22 @@ pub(crate) fn design_point_untracked(
     }
 }
 
-/// Full §2 pipeline for one (configuration, benchmark) pair, generating
-/// the benchmark's stream on the fly through the per-access hierarchy.
+/// Full §2 pipeline for one configuration on `source`'s stream (a
+/// preset's `benchmark.workload()`, a trace, or a cached replay), driven
+/// through the per-access hierarchy under [`simulate_source`]'s
+/// warm-up/measure contract. The point is named after the source.
 /// Sweeps over many configurations go through the
 /// [`runner`](crate::runner), which captures each L1 front-end's miss
 /// stream once and replays it per L2 family.
-pub fn evaluate(
+pub fn evaluate<S: InstructionSource + ?Sized>(
     cfg: &MachineConfig,
-    benchmark: SpecBenchmark,
+    source: &mut S,
     budget: SimBudget,
     timing: &TimingModel,
     area: &AreaModel,
 ) -> DesignPoint {
-    let mut workload = benchmark.workload();
-    let stats = simulate(cfg, &mut workload, budget);
-    design_point(cfg, benchmark.name().to_string(), stats, timing, area)
+    let stats = simulate_source(cfg, source, budget);
+    design_point(cfg, source.source_name().to_string(), stats, timing, area)
 }
 
 /// Captures exactly one `budget`'s worth (warm-up + measured) of
@@ -725,7 +726,8 @@ mod tests {
     fn evaluate_produces_consistent_point() {
         let (tm, am) = models();
         let cfg = MachineConfig::two_level(4, 32, 4, L2Policy::Conventional, 50.0);
-        let p = evaluate(&cfg, SpecBenchmark::Espresso, SimBudget::quick(), &tm, &am);
+        let p =
+            evaluate(&cfg, &mut SpecBenchmark::Espresso.workload(), SimBudget::quick(), &tm, &am);
         assert_eq!(p.label, "4:32");
         assert_eq!(p.workload, "espresso");
         assert_eq!(p.stats.instructions, SimBudget::quick().instructions);
@@ -739,14 +741,14 @@ mod tests {
         let (tm, am) = models();
         let small = evaluate(
             &MachineConfig::two_level(1, 8, 4, L2Policy::Conventional, 50.0),
-            SpecBenchmark::Gcc1,
+            &mut SpecBenchmark::Gcc1.workload(),
             SimBudget::quick(),
             &tm,
             &am,
         );
         let large = evaluate(
             &MachineConfig::two_level(1, 128, 4, L2Policy::Conventional, 50.0),
-            SpecBenchmark::Gcc1,
+            &mut SpecBenchmark::Gcc1.workload(),
             SimBudget::quick(),
             &tm,
             &am,
@@ -764,14 +766,14 @@ mod tests {
         let (tm, am) = models();
         let conv = evaluate(
             &MachineConfig::two_level(4, 16, 1, L2Policy::Conventional, 50.0),
-            SpecBenchmark::Gcc1,
+            &mut SpecBenchmark::Gcc1.workload(),
             SimBudget::quick(),
             &tm,
             &am,
         );
         let excl = evaluate(
             &MachineConfig::two_level(4, 16, 1, L2Policy::Exclusive, 50.0),
-            SpecBenchmark::Gcc1,
+            &mut SpecBenchmark::Gcc1.workload(),
             SimBudget::quick(),
             &tm,
             &am,
@@ -790,8 +792,10 @@ mod tests {
         let (tm, am) = models();
         let base = MachineConfig::single_level(32, 50.0);
         let dual = base.with_l1_cell(CellKind::DualPorted);
-        let pb = evaluate(&base, SpecBenchmark::Espresso, SimBudget::quick(), &tm, &am);
-        let pd = evaluate(&dual, SpecBenchmark::Espresso, SimBudget::quick(), &tm, &am);
+        let pb =
+            evaluate(&base, &mut SpecBenchmark::Espresso.workload(), SimBudget::quick(), &tm, &am);
+        let pd =
+            evaluate(&dual, &mut SpecBenchmark::Espresso.workload(), SimBudget::quick(), &tm, &am);
         // espresso has a tiny miss rate at 32KB, so doubling the issue
         // rate should cut TPI nearly in half (modulo slower dual cycle).
         assert!(pd.tpi_ns < pb.tpi_ns * 0.75, "dual {} vs base {}", pd.tpi_ns, pb.tpi_ns);
@@ -803,8 +807,8 @@ mod tests {
     fn deterministic_across_calls() {
         let (tm, am) = models();
         let cfg = MachineConfig::two_level(2, 16, 4, L2Policy::Exclusive, 50.0);
-        let a = evaluate(&cfg, SpecBenchmark::Li, SimBudget::quick(), &tm, &am);
-        let b = evaluate(&cfg, SpecBenchmark::Li, SimBudget::quick(), &tm, &am);
+        let a = evaluate(&cfg, &mut SpecBenchmark::Li.workload(), SimBudget::quick(), &tm, &am);
+        let b = evaluate(&cfg, &mut SpecBenchmark::Li.workload(), SimBudget::quick(), &tm, &am);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.tpi_ns, b.tpi_ns);
     }
@@ -826,7 +830,8 @@ mod tests {
             MachineConfig::two_level(4, 32, 4, L2Policy::Conventional, 50.0),
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
         ] {
-            let generated = evaluate(&cfg, SpecBenchmark::Espresso, budget, &tm, &am);
+            let generated =
+                evaluate(&cfg, &mut SpecBenchmark::Espresso.workload(), budget, &tm, &am);
             let replayed = simulate_arena(&cfg, &arena, budget);
             assert_eq!(generated.stats, replayed, "{}", cfg.label());
             let mut workload = SpecBenchmark::Espresso.workload();
@@ -861,7 +866,7 @@ mod tests {
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
             MachineConfig::two_level(4, 8, 1, L2Policy::Exclusive, 200.0),
         ] {
-            let generated = evaluate(&cfg, SpecBenchmark::Gcc1, budget, &tm, &am);
+            let generated = evaluate(&cfg, &mut SpecBenchmark::Gcc1.workload(), budget, &tm, &am);
             let via_stream = family_of_one(&cfg, &stream, &tm, &am);
             assert_eq!(generated, via_stream, "{}", cfg.label());
         }

@@ -23,7 +23,6 @@ use std::collections::VecDeque;
 use tlc_area::AreaModel;
 use tlc_cache::MemorySystem;
 use tlc_timing::TimingModel;
-use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::InstructionSource;
 
 /// Result of an overlap measurement.
@@ -40,15 +39,16 @@ pub struct OverlapReport {
     pub overlap_fraction: f64,
 }
 
-/// Measures achievable miss overlap for `cfg` on `benchmark` with
-/// `mshrs` miss-status registers.
+/// Measures achievable miss overlap for `cfg` on `source`'s stream with
+/// `mshrs` miss-status registers, over `budget`'s warm-up and measured
+/// instructions.
 ///
 /// # Panics
 ///
 /// Panics if `mshrs` is zero.
-pub fn estimate_overlap(
+pub fn estimate_overlap<S: InstructionSource + ?Sized>(
     cfg: &MachineConfig,
-    benchmark: SpecBenchmark,
+    source: &mut S,
     budget: SimBudget,
     mshrs: usize,
     timing: &TimingModel,
@@ -66,9 +66,8 @@ pub fn estimate_overlap(
     };
 
     let mut sys = build_system_kind(cfg);
-    let mut workload = benchmark.workload();
     for _ in 0..budget.warmup_instructions {
-        if let Some(rec) = workload.next_instruction_opt() {
+        if let Some(rec) = source.next_instruction_opt() {
             sys.access_instruction(&rec);
         }
     }
@@ -83,7 +82,7 @@ pub fn estimate_overlap(
     let mut gap_sum = 0.0f64;
 
     for i in 0..budget.instructions {
-        let Some(rec) = workload.next_instruction_opt() else { break };
+        let Some(rec) = source.next_instruction_opt() else { break };
         let now = i as f64;
         let outcome = sys.access_instruction(&rec);
         let fetch_missed = outcome.fetch == tlc_cache::ServiceLevel::Memory;
@@ -135,6 +134,7 @@ pub fn estimate_overlap(
 mod tests {
     use super::*;
     use crate::machine::L2Policy;
+    use tlc_trace::spec::SpecBenchmark;
 
     fn models() -> (TimingModel, AreaModel) {
         (TimingModel::paper(), AreaModel::new())
@@ -144,7 +144,14 @@ mod tests {
     fn overlap_is_a_sane_fraction() {
         let (tm, am) = models();
         let cfg = MachineConfig::two_level(4, 32, 4, L2Policy::Conventional, 50.0);
-        let r = estimate_overlap(&cfg, SpecBenchmark::Gcc1, SimBudget::quick(), 4, &tm, &am);
+        let r = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Gcc1.workload(),
+            SimBudget::quick(),
+            4,
+            &tm,
+            &am,
+        );
         assert!(r.misses > 0);
         assert!((0.0..1.0).contains(&r.overlap_fraction), "{r:?}");
         assert!((0.0..=1.0).contains(&r.clustered_fraction));
@@ -155,8 +162,22 @@ mod tests {
     fn more_mshrs_never_hurt() {
         let (tm, am) = models();
         let cfg = MachineConfig::single_level(2, 50.0);
-        let r1 = estimate_overlap(&cfg, SpecBenchmark::Tomcatv, SimBudget::quick(), 1, &tm, &am);
-        let r8 = estimate_overlap(&cfg, SpecBenchmark::Tomcatv, SimBudget::quick(), 8, &tm, &am);
+        let r1 = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Tomcatv.workload(),
+            SimBudget::quick(),
+            1,
+            &tm,
+            &am,
+        );
+        let r8 = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Tomcatv.workload(),
+            SimBudget::quick(),
+            8,
+            &tm,
+            &am,
+        );
         assert!(
             r8.overlap_fraction >= r1.overlap_fraction,
             "8 MSHRs {:.3} vs 1 MSHR {:.3}",
@@ -172,7 +193,14 @@ mod tests {
         // workloads show nonzero overlap.
         let (tm, am) = models();
         let cfg = MachineConfig::single_level(2, 50.0);
-        let r = estimate_overlap(&cfg, SpecBenchmark::Tomcatv, SimBudget::quick(), 1, &tm, &am);
+        let r = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Tomcatv.workload(),
+            SimBudget::quick(),
+            1,
+            &tm,
+            &am,
+        );
         assert!(r.overlap_fraction > 0.1, "streaming misses should cluster: {r:?}");
     }
 
@@ -182,9 +210,22 @@ mod tests {
         // rare misses are isolated.
         let (tm, am) = models();
         let cfg = MachineConfig::single_level(32, 50.0);
-        let dense = estimate_overlap(&cfg, SpecBenchmark::Tomcatv, SimBudget::quick(), 8, &tm, &am);
-        let sparse =
-            estimate_overlap(&cfg, SpecBenchmark::Espresso, SimBudget::quick(), 8, &tm, &am);
+        let dense = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Tomcatv.workload(),
+            SimBudget::quick(),
+            8,
+            &tm,
+            &am,
+        );
+        let sparse = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Espresso.workload(),
+            SimBudget::quick(),
+            8,
+            &tm,
+            &am,
+        );
         assert!(
             dense.overlap_fraction > sparse.overlap_fraction,
             "tomcatv {:.3} vs espresso {:.3}",
@@ -199,6 +240,13 @@ mod tests {
     fn rejects_zero_mshrs() {
         let (tm, am) = models();
         let cfg = MachineConfig::single_level(8, 50.0);
-        let _ = estimate_overlap(&cfg, SpecBenchmark::Li, SimBudget::quick(), 0, &tm, &am);
+        let _ = estimate_overlap(
+            &cfg,
+            &mut SpecBenchmark::Li.workload(),
+            SimBudget::quick(),
+            0,
+            &tm,
+            &am,
+        );
     }
 }

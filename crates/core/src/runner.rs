@@ -85,6 +85,9 @@ pub enum SweepUnit {
         /// Indices into the sweep's input `configs`.
         members: Vec<usize>,
     },
+    /// One caller-defined unit of a [`try_run_indexed`] fan-out, named by
+    /// the caller.
+    Task(String),
 }
 
 impl std::fmt::Display for SweepUnit {
@@ -99,6 +102,7 @@ impl std::fmt::Display for SweepUnit {
             SweepUnit::PredictGroup { l1_size_bytes, line_bytes, members } => {
                 write!(f, "predict group {l1_size_bytes}B/{line_bytes}B (configs {members:?})")
             }
+            SweepUnit::Task(label) => f.write_str(label),
         }
     }
 }
@@ -648,13 +652,20 @@ fn payload_string(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Work-stealing fan-out: workers atomically claim indices `0..n`,
-/// results land back in index order. A panicking evaluation stops the
+/// results land back in index order, so the output never depends on
+/// `threads` or on which worker ran what. A panicking evaluation stops the
 /// sweep (workers drain, no new claims) and is reported as a
 /// [`SweepError`] naming the unit `unit_of(i)` describes; with several
 /// concurrent panics the first to be observed wins. Each worker gets a
 /// `worker[w]` phase span (under the caller's current span) carrying
 /// its claimed-unit count, so queue imbalance shows in the manifest.
-fn try_run_indexed<T, F, U>(
+/// One thread runs every unit on the calling thread, in order.
+///
+/// # Errors
+///
+/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
+/// [`SweepError::Worker`] if an evaluation panics.
+pub fn try_run_indexed<T, F, U>(
     n: usize,
     threads: usize,
     eval: F,
@@ -762,7 +773,10 @@ mod tests {
         budget: SimBudget,
     ) -> Vec<DesignPoint> {
         let (tm, am) = (TimingModel::paper(), AreaModel::new());
-        configs.iter().map(|cfg| evaluate(cfg, benchmark, budget, &tm, &am)).collect()
+        configs
+            .iter()
+            .map(|cfg| evaluate(cfg, &mut benchmark.workload(), budget, &tm, &am))
+            .collect()
     }
 
     #[test]

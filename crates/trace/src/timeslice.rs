@@ -13,7 +13,7 @@ use crate::record::InstructionRecord;
 use crate::source::InstructionSource;
 
 /// Round-robin multiprogramming of instruction sources. See the module
-/// docs.
+/// docs. The sources may borrow (`'a`), e.g. replays of a shared cache.
 ///
 /// # Examples
 ///
@@ -33,16 +33,16 @@ use crate::source::InstructionSource;
 /// }
 /// assert_eq!(mp.context_switches(), 4);
 /// ```
-pub struct TimeSliced {
+pub struct TimeSliced<'a> {
     name: String,
-    sources: Vec<Box<dyn InstructionSource>>,
+    sources: Vec<Box<dyn InstructionSource + 'a>>,
     quantum: u64,
     current: usize,
     issued_in_quantum: u64,
     context_switches: u64,
 }
 
-impl std::fmt::Debug for TimeSliced {
+impl std::fmt::Debug for TimeSliced<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimeSliced")
             .field("name", &self.name)
@@ -53,14 +53,14 @@ impl std::fmt::Debug for TimeSliced {
     }
 }
 
-impl TimeSliced {
+impl<'a> TimeSliced<'a> {
     /// Builds the scheduler. `quantum` is the context-switch interval in
     /// instructions.
     ///
     /// # Panics
     ///
     /// Panics if `sources` is empty or `quantum` is zero.
-    pub fn new(sources: Vec<Box<dyn InstructionSource>>, quantum: u64) -> Self {
+    pub fn new(sources: Vec<Box<dyn InstructionSource + 'a>>, quantum: u64) -> Self {
         assert!(!sources.is_empty(), "need at least one process");
         assert!(quantum > 0, "quantum must be positive");
         let name = format!(
@@ -86,7 +86,7 @@ impl TimeSliced {
     }
 }
 
-impl InstructionSource for TimeSliced {
+impl InstructionSource for TimeSliced<'_> {
     fn next_instruction_opt(&mut self) -> Option<InstructionRecord> {
         if self.issued_in_quantum >= self.quantum {
             self.issued_in_quantum = 0;

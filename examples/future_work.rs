@@ -49,7 +49,7 @@ fn main() {
     let mut best: Vec<(f64, u64)> = vec![(f64::INFINITY, 0); models.len()];
     for kb in [1u64, 2, 4, 8, 16, 32, 64, 128, 256] {
         let cfg = MachineConfig::single_level(kb, 50.0);
-        let point = evaluate(&cfg, benchmark, budget, &timing, &area);
+        let point = evaluate(&cfg, &mut benchmark.workload(), budget, &timing, &area);
         let t = MachineTiming::derive(&cfg, &timing, &area);
         print!("{kb:>5}K");
         for (i, (_, m)) in models.iter().enumerate() {

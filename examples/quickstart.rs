@@ -34,7 +34,7 @@ fn main() {
     println!("  off-chip service  : {:.2} ns after rounding", t.offchip_rounded_ns);
     println!("  chip area         : {:.0} rbe (both L1s + L2)", t.area_rbe);
 
-    let point = evaluate(&config, benchmark, SimBudget::standard(), &timing, &area);
+    let point = evaluate(&config, &mut benchmark.workload(), SimBudget::standard(), &timing, &area);
     let s = &point.stats;
     println!("\nsimulation ({} measured instructions):", s.instructions);
     println!("  L1 miss rate      : {:.4} per reference", s.l1_miss_rate());

@@ -26,7 +26,8 @@
 //! let timing = TimingModel::paper();
 //! let area = AreaModel::new();
 //! let config = MachineConfig::two_level(8, 64, 4, L2Policy::Exclusive, 50.0);
-//! let point = evaluate(&config, SpecBenchmark::Li, SimBudget::quick(), &timing, &area);
+//! let mut li = SpecBenchmark::Li.workload();
+//! let point = evaluate(&config, &mut li, SimBudget::quick(), &timing, &area);
 //! println!("{}: {:.2} ns/instruction on {:.0} rbe", point.label, point.tpi_ns, point.area_rbe);
 //! assert!(point.tpi_ns > 0.0);
 //! ```

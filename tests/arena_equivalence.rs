@@ -57,7 +57,7 @@ fn family_of_one(
 /// the family sweep must reproduce.
 fn per_config(configs: &[MachineConfig], benchmark: SpecBenchmark) -> Vec<DesignPoint> {
     let (tm, am) = (TimingModel::paper(), AreaModel::new());
-    configs.iter().map(|cfg| evaluate(cfg, benchmark, BUDGET, &tm, &am)).collect()
+    configs.iter().map(|cfg| evaluate(cfg, &mut benchmark.workload(), BUDGET, &tm, &am)).collect()
 }
 
 /// One whole stream through a conventional L2 family.
@@ -83,7 +83,7 @@ fn arena_replay_matches_generation_for_all_benchmarks_and_kinds() {
     for benchmark in SpecBenchmark::ALL {
         let arena = capture_benchmark(benchmark, BUDGET);
         for cfg in hierarchy_kinds() {
-            let generated = evaluate(&cfg, benchmark, BUDGET, &tm, &am);
+            let generated = evaluate(&cfg, &mut benchmark.workload(), BUDGET, &tm, &am);
             let replayed = simulate_arena(&cfg, &arena, BUDGET);
             assert_eq!(
                 generated.stats,
@@ -150,7 +150,7 @@ fn filtered_equivalence() {
                     benchmark.name(),
                     cfg.label()
                 );
-                let generated = evaluate(cfg, benchmark, BUDGET, &tm, &am);
+                let generated = evaluate(cfg, &mut benchmark.workload(), BUDGET, &tm, &am);
                 assert_eq!(
                     filtered,
                     generated,
@@ -284,7 +284,7 @@ fn replacement_policies_agree_across_design_point_engines() {
                     "{repl} on {}: family of one diverged from arena replay",
                     cfg.label()
                 );
-                let generated = evaluate(cfg, benchmark, BUDGET, &tm, &am);
+                let generated = evaluate(cfg, &mut benchmark.workload(), BUDGET, &tm, &am);
                 assert_eq!(
                     generated,
                     one,

@@ -134,8 +134,8 @@ fn energy_extension_end_to_end() {
     // espresso is the paper's canonical low-miss workload.
     let single = MachineConfig::single_level(64, 50.0);
     let two = MachineConfig::two_level(8, 128, 4, L2Policy::Exclusive, 50.0);
-    let ps = evaluate(&single, SpecBenchmark::Espresso, budget, &timing, &area);
-    let pt = evaluate(&two, SpecBenchmark::Espresso, budget, &timing, &area);
+    let ps = evaluate(&single, &mut SpecBenchmark::Espresso.workload(), budget, &timing, &area);
+    let pt = evaluate(&two, &mut SpecBenchmark::Espresso.workload(), budget, &timing, &area);
     let es = energy_per_instruction(&single, &ps.stats, &timing, &energy);
     let et = energy_per_instruction(&two, &pt.stats, &timing, &energy);
 
@@ -157,8 +157,8 @@ fn future_work_conjectures_end_to_end() {
 
     let big_single = MachineConfig::single_level(256, 50.0);
     let two_level = MachineConfig::two_level(8, 128, 4, L2Policy::Conventional, 50.0);
-    let pb = evaluate(&big_single, SpecBenchmark::Gcc1, budget, &timing, &area);
-    let pt = evaluate(&two_level, SpecBenchmark::Gcc1, budget, &timing, &area);
+    let pb = evaluate(&big_single, &mut SpecBenchmark::Gcc1.workload(), budget, &timing, &area);
+    let pt = evaluate(&two_level, &mut SpecBenchmark::Gcc1.workload(), budget, &timing, &area);
     let tb = MachineTiming::derive(&big_single, &timing, &area);
     let tt = MachineTiming::derive(&two_level, &timing, &area);
 
@@ -177,7 +177,7 @@ fn future_work_conjectures_end_to_end() {
     // Conjecture 2: under non-blocking overlap the two-level machine
     // still beats a same-L1 single-level machine.
     let small_single = MachineConfig::single_level(8, 50.0);
-    let pss = evaluate(&small_single, SpecBenchmark::Gcc1, budget, &timing, &area);
+    let pss = evaluate(&small_single, &mut SpecBenchmark::Gcc1.workload(), budget, &timing, &area);
     let tss = MachineTiming::derive(&small_single, &timing, &area);
     let nb = FutureWorkModel::baseline().with_miss_overlap(0.5);
     assert!(

@@ -123,8 +123,10 @@ fn predict_sweep_contract_holds_across_benchmarks_and_threads() {
             MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0),
             MachineConfig::two_level(2, 64, 8, L2Policy::Conventional, 50.0),
         ];
-        let truth: Vec<_> =
-            configs.iter().map(|cfg| evaluate(cfg, benchmark, BUDGET, &tm, &am)).collect();
+        let truth: Vec<_> = configs
+            .iter()
+            .map(|cfg| evaluate(cfg, &mut benchmark.workload(), BUDGET, &tm, &am))
+            .collect();
         for threads in [1usize, 4] {
             let swept =
                 try_sweep_predict_arena_threads(&configs, &arena, BUDGET, &tm, &am, threads)

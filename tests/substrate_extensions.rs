@@ -105,8 +105,8 @@ fn multiprogramming_inflates_misses() {
 #[test]
 fn banking_conflicts_fall_with_bank_count_on_all_workloads() {
     for b in SpecBenchmark::ALL {
-        let p2 = measure_conflict_rate(b, 20_000, 2, 16);
-        let p16 = measure_conflict_rate(b, 20_000, 16, 16);
+        let p2 = measure_conflict_rate(&mut b.workload(), 20_000, 2, 16);
+        let p16 = measure_conflict_rate(&mut b.workload(), 20_000, 16, 16);
         assert!(
             p16 <= p2 + 1e-9,
             "{b}: 16 banks ({p16:.3}) should not conflict more than 2 ({p2:.3})"
