@@ -8,13 +8,12 @@
 //! repro --list              # list exhibit ids
 //! ```
 
-use tlc_bench::figures::{run, ALL_IDS};
+use tlc_bench::figures::{run, sweep_points, ALL_IDS};
 use tlc_bench::sweepbench::{sweep_benchmark_json, SweepBenchConfig};
 use tlc_bench::Harness;
 use tlc_core::configspace::{full_space, SpaceOptions};
-use tlc_core::experiment::{capture_benchmark, SimBudget};
+use tlc_core::experiment::SimBudget;
 use tlc_core::report::points_csv;
-use tlc_core::runner::try_sweep_family_arena_threads;
 use tlc_core::L2Policy;
 use tlc_obs::manifest::{build_span_tree, span_line, RunManifest, RunMeta};
 use tlc_trace::spec::SpecBenchmark;
@@ -36,37 +35,29 @@ fn usage() -> ! {
 
 /// Dumps the design-space scatters as CSV files into `dir`.
 ///
-/// Each benchmark's stream is captured into a [`tlc_trace::TraceArena`]
-/// once and shared by all four (off-chip latency × L2 policy) sweeps,
-/// each run by the family engine.
+/// Each benchmark's four (off-chip latency × L2 policy) spaces run as one
+/// [`sweep_points`] call, so each L1 group is captured once, and the
+/// points split back into one CSV per space.
 fn dump_csv(dir: &std::path::Path, harness: &Harness) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
+    let (mut spaces, mut configs) = (Vec::new(), Vec::new());
+    for offchip in [50.0, 200.0] {
+        for (policy, policy_name) in
+            [(L2Policy::Conventional, "conventional"), (L2Policy::Exclusive, "exclusive")]
+        {
+            let opts =
+                SpaceOptions { offchip_ns: offchip, l2_policy: policy, ..SpaceOptions::baseline() };
+            let space = full_space(&opts);
+            spaces.push((format!("{}ns_{policy_name}", offchip as u32), space.len()));
+            configs.extend(space);
+        }
+    }
     for b in SpecBenchmark::ALL {
-        let arena = capture_benchmark(b, harness.budget);
-        for offchip in [50.0, 200.0] {
-            for (policy, policy_name) in
-                [(L2Policy::Conventional, "conventional"), (L2Policy::Exclusive, "exclusive")]
-            {
-                let opts = SpaceOptions {
-                    offchip_ns: offchip,
-                    l2_policy: policy,
-                    ..SpaceOptions::baseline()
-                };
-                let configs = full_space(&opts);
-                let points = try_sweep_family_arena_threads(
-                    &configs,
-                    &arena,
-                    harness.budget,
-                    &harness.timing,
-                    &harness.area,
-                    harness.threads,
-                )
-                .map_err(std::io::Error::other)?;
-                let name = format!("{}_{}ns_{}.csv", b.name(), offchip as u32, policy_name);
-                let path = dir.join(&name);
-                std::fs::write(&path, points_csv(&points))?;
-                eprintln!("# wrote {}", path.display());
-            }
+        let mut points = sweep_points(harness, &configs, b).into_iter();
+        for (space, len) in &spaces {
+            let path = dir.join(format!("{}_{space}.csv", b.name()));
+            std::fs::write(&path, points_csv(&points.by_ref().take(*len).collect::<Vec<_>>()))?;
+            eprintln!("# wrote {}", path.display());
         }
     }
     Ok(())

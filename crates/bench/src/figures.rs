@@ -126,8 +126,9 @@ pub fn run(id: &str, h: &Harness) -> Option<String> {
 
 /// One design-space sweep on `benchmark`: the family engine over an
 /// arena built from the harness's cached stream, or — past
-/// [`ARENA_BYTES_LIMIT`] — the runner's regenerating path.
-fn sweep_points(
+/// [`ARENA_BYTES_LIMIT`] — the runner's regenerating path. Panics if the
+/// sweep fails.
+pub fn sweep_points(
     h: &Harness,
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,

@@ -221,6 +221,15 @@ impl PresetReplay<'_> {
     }
 }
 
+/// Counts what a replay that stopped inside the cached window decoded.
+impl Drop for PresetReplay<'_> {
+    fn drop(&mut self) {
+        if let Replay::Cached { reader, .. } = &mut self.state {
+            reader.flush_counters();
+        }
+    }
+}
+
 impl InstructionSource for PresetReplay<'_> {
     fn next_instruction_opt(&mut self) -> Option<InstructionRecord> {
         Some(self.next_instruction())
@@ -265,6 +274,13 @@ mod tests {
 
     const SMALL: SimBudget = SimBudget { instructions: 3_000, warmup_instructions: 1_000 };
 
+    /// Held by every test here that decodes, since the decode counters
+    /// are process-global.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static DECODING: Mutex<()> = Mutex::new(());
+        DECODING.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn records(source: &mut impl InstructionSource, n: usize) -> Vec<InstructionRecord> {
         let mut out = vec![InstructionRecord::fetch_only(tlc_trace::Addr::new(0)); n];
         assert_eq!(source.next_batch(&mut out), n, "the stream never ends short");
@@ -273,6 +289,7 @@ mod tests {
 
     #[test]
     fn replay_is_the_generated_stream_for_every_preset() {
+        let _serial = serial();
         let h = Harness::quick().with_budget(SMALL);
         for b in SpecBenchmark::ALL {
             let want = b.workload().take_instructions(4_000);
@@ -288,6 +305,7 @@ mod tests {
 
     #[test]
     fn cached_arena_equals_the_captured_benchmark() {
+        let _serial = serial();
         let h = Harness::quick().with_budget(SMALL);
         for b in SpecBenchmark::ALL {
             let (got, want) = (h.arena(b), capture_benchmark(b, SMALL));
@@ -301,6 +319,7 @@ mod tests {
 
     #[test]
     fn a_changed_budget_never_serves_the_stale_window() {
+        let _serial = serial();
         let mut h = Harness::quick().with_budget(SMALL);
         let b = SpecBenchmark::Li;
         let _ = h.replay(b); // fills a 4 000-record window
@@ -316,6 +335,7 @@ mod tests {
 
     #[test]
     fn reads_past_the_cached_window_continue_the_stream() {
+        let _serial = serial();
         let h = Harness::quick().with_budget(SMALL);
         for b in [SpecBenchmark::Gcc1, SpecBenchmark::Tomcatv] {
             let want = b.workload().take_instructions(6_500);
@@ -326,5 +346,20 @@ mod tests {
             got.extend((0..501).map(|_| replay.next_instruction()));
             assert_eq!(got, want, "{b}: no short read and no gap at the window's end");
         }
+    }
+
+    #[test]
+    fn a_replay_dropped_inside_the_window_counts_what_it_decoded() {
+        let _serial = serial();
+        let decoded = || tlc_obs::counters().get(tlc_obs::Counter::TraceRecordsDecoded);
+        let h = Harness::quick().with_budget(SMALL);
+        drop(h.replay(SpecBenchmark::Espresso)); // fills the cache, decodes nothing
+        let before = decoded();
+        let mut replay = h.replay(SpecBenchmark::Espresso);
+        for _ in 0..1_234 {
+            replay.next_instruction();
+        }
+        drop(replay);
+        assert_eq!(decoded() - before, 1_234);
     }
 }

@@ -3,8 +3,8 @@
 //! The paper's argument for exclusive caching is about *content overlap*:
 //! a conventional hierarchy wastes L2 capacity on lines that are already
 //! in the L1s. [`DuplicationReport`] measures that overlap directly from
-//! cache contents, and is used by tests, examples, and the ablation
-//! benches to show the exclusive policy actually removes duplication.
+//! cache contents, and is used by tests, examples, and the `repro`
+//! exhibits to show the exclusive policy actually removes duplication.
 
 use crate::cache::Cache;
 use serde::{Deserialize, Serialize};

@@ -15,7 +15,7 @@ use tlc_timing::TimingModel;
 use tlc_trace::arena::{FLAG_NONE, FLAG_STORE};
 use tlc_trace::columns::DEFAULT_CHUNK_LEN;
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{Addr, ChunkView, InstructionSource, MemRef, TraceArena, Workload};
+use tlc_trace::{Addr, ChunkView, InstructionSource, MemRef, TraceArena};
 
 /// How long to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -168,14 +168,10 @@ fn drive<S: InstructionSource + ?Sized, M: MemorySystem + ?Sized>(
     limit
 }
 
-/// Runs `workload` through the system for `budget`, returning measured
-/// statistics (warm-up excluded).
-pub fn simulate(cfg: &MachineConfig, workload: &mut Workload, budget: SimBudget) -> HierarchyStats {
-    simulate_source(cfg, workload, budget)
-}
-
-/// As [`simulate`], for any [`InstructionSource`] — including recorded
-/// traces ([`tlc_trace::ReplaySource`]).
+/// Runs `source` through the system for `budget`, returning measured
+/// statistics (warm-up excluded). Any [`InstructionSource`] drives it: a
+/// live [`tlc_trace::Workload`] or a recorded trace
+/// ([`tlc_trace::ReplaySource`]).
 ///
 /// # Early exhaustion
 ///

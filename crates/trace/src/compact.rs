@@ -338,15 +338,8 @@ impl<R: Read> TraceReader<R> {
     pub fn new(mut input: R, name: impl Into<String>) -> Result<Self, TraceIoError> {
         io::expect_magic(&mut input, COMPACT_MAGIC)?;
         let mut version = [0u8; 1];
-        input.read_exact(&mut version).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset: 8,
-                    detail: "stream ended before the version byte".into(),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
+        io::read_full(&mut input, &mut version, 8, || {
+            "stream ended before the version byte".into()
         })?;
         if version[0] != COMPACT_VERSION {
             return Err(TraceIoError::UnknownVersion {
@@ -415,8 +408,9 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Adds the records and payload bytes decoded since the last flush to
-    /// the `trace.records_decoded` / `trace.bytes_decoded` counters.
-    fn flush_counters(&mut self) {
+    /// the `trace.records_decoded` / `trace.bytes_decoded` counters; a
+    /// consumer that stops before the end calls it to count what it read.
+    pub fn flush_counters(&mut self) {
         let (records, bytes) = (self.decoded, self.offset - HEADER_BYTES);
         tlc_obs::obs_count!(tlc_obs::Counter::TraceRecordsDecoded, records - self.counted.0);
         tlc_obs::obs_count!(tlc_obs::Counter::TraceBytesDecoded, bytes - self.counted.1);
@@ -571,11 +565,7 @@ impl<R: Read + Send> InstructionSource for TraceReader<R> {
 /// Returns a [`TraceIoError`] on any header or record violation.
 pub fn read_compact_trace<R: Read>(input: R) -> Result<Vec<InstructionRecord>, TraceIoError> {
     let mut reader = TraceReader::new(input, "compact")?;
-    let mut out = Vec::new();
-    while let Some(rec) = reader.try_next()? {
-        out.push(rec);
-    }
-    Ok(out)
+    io::collect_records(|| reader.try_next())
 }
 
 /// External formats [`import_to_compact`] can ingest.
@@ -727,13 +717,13 @@ fn fold_refs<R: BufRead, W: Write>(
     let mut refs = RefDecoder::new(input, format)?;
     let mut folder = RefFolder::default();
     while writer.written() < limit {
-        let Some(r) = refs.next() else {
+        let Some(r) = refs.next_ref()? else {
             if let Some(rec) = folder.finish() {
                 writer.write(&rec)?;
             }
             break;
         };
-        if let Some(rec) = folder.push(r?) {
+        if let Some(rec) = folder.push(r) {
             writer.write(&rec)?;
         }
     }
@@ -770,13 +760,12 @@ pub fn import_to_compact<R: BufRead, W: Write>(
             }
         }
         ImportFormat::Instr => {
-            // TLCITR01 is an in-memory archival format; whole-file decode
-            // keeps the reader single-sourced in `io`.
-            for rec in io::read_instruction_trace(input)? {
-                if writer.written() >= limit {
-                    break;
+            let mut records = io::InstrDecoder::new(input)?;
+            while writer.written() < limit {
+                match records.next_record()? {
+                    Some(rec) => writer.write(&rec)?,
+                    None => break,
                 }
-                writer.write(&rec)?;
             }
         }
         ImportFormat::Refs => fold_refs(input, RefFormat::Binary, &mut writer, limit)?,
@@ -816,15 +805,8 @@ mod reference {
             let mut shift = 0u32;
             loop {
                 let mut byte = [0u8; 1];
-                self.input.read_exact(&mut byte).map_err(|e| {
-                    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                        TraceIoError::Truncated {
-                            offset: record_offset,
-                            detail: format!("record {} cut short inside a varint", self.decoded),
-                        }
-                    } else {
-                        TraceIoError::Io(e)
-                    }
+                io::read_full(&mut self.input, &mut byte, record_offset, || {
+                    format!("record {} cut short inside a varint", self.decoded)
                 })?;
                 self.offset += 1;
                 let byte = byte[0];
@@ -1044,6 +1026,21 @@ mod tests {
         let recs = read_compact_trace(&out[..]).unwrap();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[1].data, Some(MemRef::load(Addr::new(0x20))));
+    }
+
+    #[test]
+    fn import_instr_stops_reading_at_the_limit() {
+        let recs = crate::spec::SpecBenchmark::Li.workload().take_instructions(5);
+        let mut src = Vec::new();
+        io::write_instruction_trace(&mut src, &recs).unwrap();
+        src.extend_from_slice(&[0b100; 9]); // record 5 opens with a bad flags byte
+        let mut out = Vec::new();
+        assert_eq!(import_to_compact(ImportFormat::Instr, &src[..], &mut out, Some(5)).unwrap(), 5);
+        assert_eq!(read_compact_trace(&out[..]).unwrap(), recs);
+        let err = import_to_compact(ImportFormat::Instr, &src[..], Vec::new(), None).unwrap_err();
+        assert!(
+            matches!(err, TraceIoError::Corrupt { offset, .. } if offset as usize == src.len() - 9)
+        );
     }
 
     #[test]

@@ -128,23 +128,33 @@ pub(crate) fn expect_magic<R: Read>(
     expected: &'static [u8; 8],
 ) -> Result<(), TraceIoError> {
     let mut magic = [0u8; 8];
-    input.read_exact(&mut magic).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceIoError::Truncated {
-                offset: 0,
-                detail: format!(
-                    "stream ended inside the 8-byte magic (expected {:?})",
-                    expected.escape_ascii().to_string()
-                ),
-            }
-        } else {
-            TraceIoError::Io(e)
-        }
+    read_full(input, &mut magic, 0, || {
+        format!(
+            "stream ended inside the 8-byte magic (expected {:?})",
+            expected.escape_ascii().to_string()
+        )
     })?;
     if &magic != expected {
         return Err(TraceIoError::BadMagic { found: magic, expected });
     }
     Ok(())
+}
+
+/// Fills `buf` from `input`; running out of input is a truncation at
+/// `offset`, described by `detail`.
+pub(crate) fn read_full<R: Read>(
+    input: &mut R,
+    buf: &mut [u8],
+    offset: u64,
+    detail: impl FnOnce() -> String,
+) -> Result<(), TraceIoError> {
+    input.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            TraceIoError::Truncated { offset, detail: detail() }
+        } else {
+            TraceIoError::Io(e)
+        }
+    })
 }
 
 /// Writes references to a binary trace stream.
@@ -227,7 +237,8 @@ impl<W: Write> BinaryTraceWriter<W> {
 /// Returns a [`TraceIoError`] on a bad magic, an unknown kind byte, or a
 /// truncated record, and propagates I/O errors.
 pub fn read_binary_trace<R: Read>(input: R) -> Result<Vec<MemRef>, TraceIoError> {
-    RefDecoder::new(io::BufReader::new(input), RefFormat::Binary)?.collect()
+    let mut refs = RefDecoder::new(io::BufReader::new(input), RefFormat::Binary)?;
+    collect_records(|| refs.next_ref())
 }
 
 /// Writes references in the text format, one `K 0xADDR` line each.
@@ -250,7 +261,20 @@ pub fn write_text_trace<W: Write>(mut out: W, refs: &[MemRef]) -> io::Result<()>
 /// the byte offset where that line starts on any malformed line; blank
 /// lines and `#` comments are permitted.
 pub fn read_text_trace<R: BufRead>(input: R) -> Result<Vec<MemRef>, TraceIoError> {
-    RefDecoder::new(input, RefFormat::Text)?.collect()
+    let mut refs = RefDecoder::new(input, RefFormat::Text)?;
+    collect_records(|| refs.next_ref())
+}
+
+/// Collects a decoder's records up to the end of its stream; the first
+/// decode error is the result instead.
+pub(crate) fn collect_records<T>(
+    mut next: impl FnMut() -> Result<Option<T>, TraceIoError>,
+) -> Result<Vec<T>, TraceIoError> {
+    let mut out = Vec::new();
+    while let Some(rec) = next()? {
+        out.push(rec);
+    }
+    Ok(out)
 }
 
 /// A flat reference format [`RefDecoder`] reads.
@@ -268,10 +292,10 @@ pub(crate) enum RefFormat {
 }
 
 /// The one streaming decoder of each flat reference format: yields the
-/// references in order and, on malformed input, one typed error naming
-/// its byte offset, after which it ends. Line formats skip blank lines
-/// and `#` comments, and an error's offset is where its line starts
-/// (`\r\n` terminators counted).
+/// references in order and, on malformed input, a typed error naming
+/// its byte offset. Line formats skip blank lines and `#` comments, and
+/// an error's offset is where its line starts (`\r\n` terminators
+/// counted).
 #[derive(Debug)]
 pub(crate) struct RefDecoder<R> {
     input: R,
@@ -281,7 +305,6 @@ pub(crate) struct RefDecoder<R> {
     /// Byte offset of the next record or line.
     offset: u64,
     line: String,
-    done: bool,
 }
 
 impl<R: BufRead> RefDecoder<R> {
@@ -294,10 +317,11 @@ impl<R: BufRead> RefDecoder<R> {
         } else {
             0
         };
-        Ok(RefDecoder { input, format, count: 0, offset, line: String::new(), done: false })
+        Ok(RefDecoder { input, format, count: 0, offset, line: String::new() })
     }
 
-    fn decode(&mut self) -> Result<Option<MemRef>, TraceIoError> {
+    /// The next reference, `Ok(None)` at a clean end of stream.
+    pub(crate) fn next_ref(&mut self) -> Result<Option<MemRef>, TraceIoError> {
         match self.format {
             RefFormat::Binary => self.decode_binary(),
             RefFormat::Text => self.decode_line(parse_text_ref),
@@ -308,16 +332,8 @@ impl<R: BufRead> RefDecoder<R> {
 
     fn decode_binary(&mut self) -> Result<Option<MemRef>, TraceIoError> {
         let offset = self.offset;
-        // A record may legitimately be absent (clean EOF before the kind
-        // byte) but never partial: once the kind byte exists, the 8-byte
-        // address must follow.
-        let mut kind_byte = [0u8; 1];
-        match self.input.read_exact(&mut kind_byte) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-            Err(e) => return Err(TraceIoError::Io(e)),
-        }
-        let kind = match kind_byte[0] {
+        let Some(kind_byte) = read_tag(&mut self.input)? else { return Ok(None) };
+        let kind = match kind_byte {
             0 => AccessKind::InstrFetch,
             1 => AccessKind::Load,
             2 => AccessKind::Store,
@@ -328,8 +344,9 @@ impl<R: BufRead> RefDecoder<R> {
                 })
             }
         };
-        let detail = format!("reference record {} cut short", self.count);
-        let addr = self.read_word(offset, detail)?;
+        let count = self.count;
+        let addr =
+            read_addr(&mut self.input, offset, || format!("reference record {count} cut short"))?;
         self.count += 1;
         self.offset += 9;
         Ok(Some(MemRef { addr, kind }))
@@ -362,37 +379,35 @@ impl<R: BufRead> RefDecoder<R> {
         if self.input.fill_buf()?.is_empty() {
             return Ok(None);
         }
-        let addr = self.read_word(self.offset, "partial 8-byte address word".to_string())?;
+        let addr =
+            read_addr(&mut self.input, self.offset, || "partial 8-byte address word".into())?;
         self.offset += 8;
         Ok(Some(MemRef::load(addr)))
     }
+}
 
-    /// Reads one little-endian address word; running out of input is a
-    /// truncation at `offset`, described by `detail`.
-    fn read_word(&mut self, offset: u64, detail: String) -> Result<Addr, TraceIoError> {
-        let mut word = [0u8; 8];
-        self.input.read_exact(&mut word).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated { offset, detail }
-            } else {
-                TraceIoError::Io(e)
-            }
-        })?;
-        Ok(Addr::new(u64::from_le_bytes(word)))
+/// Reads a binary record's leading tag byte. A record may be absent (a
+/// clean end of stream, `None`) but never partial: once the tag exists,
+/// the rest of the record must follow.
+fn read_tag<R: Read>(input: &mut R) -> Result<Option<u8>, TraceIoError> {
+    let mut tag = [0u8; 1];
+    match input.read_exact(&mut tag) {
+        Ok(()) => Ok(Some(tag[0])),
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(None),
+        Err(e) => Err(TraceIoError::Io(e)),
     }
 }
 
-impl<R: BufRead> Iterator for RefDecoder<R> {
-    type Item = Result<MemRef, TraceIoError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let step = self.decode().transpose();
-        self.done = !matches!(step, Some(Ok(_)));
-        step
-    }
+/// Reads one little-endian address word; running out of input is a
+/// truncation at `offset`, described by `detail`.
+fn read_addr<R: Read>(
+    input: &mut R,
+    offset: u64,
+    detail: impl FnOnce() -> String,
+) -> Result<Addr, TraceIoError> {
+    let mut word = [0u8; 8];
+    read_full(input, &mut word, offset, detail)?;
+    Ok(Addr::new(u64::from_le_bytes(word)))
 }
 
 /// Parses one non-blank, non-comment `K 0xADDR` text-trace line.
@@ -492,53 +507,51 @@ pub fn write_instruction_trace<W: Write>(
 /// Returns a [`TraceIoError`] on a bad magic, unknown flag bits, or a
 /// truncated record, and propagates I/O errors.
 pub fn read_instruction_trace<R: Read>(
-    mut input: R,
+    input: R,
 ) -> Result<Vec<crate::InstructionRecord>, TraceIoError> {
-    expect_magic(&mut input, INSTR_MAGIC)?;
-    let mut out = Vec::new();
-    let mut offset = 8u64;
-    loop {
-        let record_offset = offset;
-        let mut flags = [0u8; 1];
-        match input.read_exact(&mut flags) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(TraceIoError::Io(e)),
-        }
-        offset += 1;
-        let flags = flags[0];
+    let mut records = InstrDecoder::new(input)?;
+    collect_records(|| records.next_record())
+}
+
+/// The one streaming decoder of the `TLCITR01` instruction format.
+#[derive(Debug)]
+pub(crate) struct InstrDecoder<R> {
+    input: R,
+    /// Records decoded so far.
+    count: u64,
+    /// Byte offset of the next record.
+    offset: u64,
+}
+
+impl<R: Read> InstrDecoder<R> {
+    /// Positions a decoder at the first record, checking the magic.
+    pub(crate) fn new(mut input: R) -> Result<Self, TraceIoError> {
+        expect_magic(&mut input, INSTR_MAGIC)?;
+        Ok(InstrDecoder { input, count: 0, offset: 8 })
+    }
+
+    /// The next record, `Ok(None)` at a clean end of stream; an error
+    /// names the offset of the record it stopped in.
+    pub(crate) fn next_record(&mut self) -> Result<Option<crate::InstructionRecord>, TraceIoError> {
+        let (offset, count) = (self.offset, self.count);
+        let Some(flags) = read_tag(&mut self.input)? else { return Ok(None) };
         if flags & !0b11 != 0 {
             return Err(TraceIoError::Corrupt {
-                offset: record_offset,
+                offset,
                 detail: format!("unknown instruction-record flags {flags:#04x}"),
             });
         }
-        let truncated = |e: io::Error| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset: record_offset,
-                    detail: format!("instruction record {} cut short", out.len()),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
+        let detail = || format!("instruction record {count} cut short");
+        let fetch = read_addr(&mut self.input, offset, detail)?;
+        let data = match flags {
+            1 => Some(MemRef::load(read_addr(&mut self.input, offset, detail)?)),
+            3 => Some(MemRef::store(read_addr(&mut self.input, offset, detail)?)),
+            _ => None,
         };
-        let mut fetch = [0u8; 8];
-        input.read_exact(&mut fetch).map_err(truncated)?;
-        offset += 8;
-        let fetch = Addr::new(u64::from_le_bytes(fetch));
-        let data = if flags & 1 != 0 {
-            let mut a = [0u8; 8];
-            input.read_exact(&mut a).map_err(truncated)?;
-            offset += 8;
-            let addr = Addr::new(u64::from_le_bytes(a));
-            Some(if flags & 2 != 0 { MemRef::store(addr) } else { MemRef::load(addr) })
-        } else {
-            None
-        };
-        out.push(crate::InstructionRecord { fetch, data });
+        self.count += 1;
+        self.offset += if data.is_some() { 17 } else { 9 };
+        Ok(Some(crate::InstructionRecord { fetch, data }))
     }
-    Ok(out)
 }
 
 /// Writes an [`EventArena`](crate::EventArena) miss/victim stream: the
@@ -599,30 +612,14 @@ pub fn read_event_trace<R: Read>(mut input: R) -> Result<crate::EventArena, Trac
     use crate::{LineAddr, MissEvent, VictimLine};
     expect_magic(&mut input, EVENT_MAGIC)?;
     let mut count = [0u8; 8];
-    input.read_exact(&mut count).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            TraceIoError::Truncated {
-                offset: 8,
-                detail: "stream ended inside the event-count header".into(),
-            }
-        } else {
-            TraceIoError::Io(e)
-        }
-    })?;
+    read_full(&mut input, &mut count, 8, || "stream ended inside the event-count header".into())?;
     let count = u64::from_le_bytes(count);
     let mut arena = crate::EventArena::new();
     let mut rec = [0u8; 17];
     for i in 0..count {
         let offset = 16 + i * 17;
-        input.read_exact(&mut rec).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                TraceIoError::Truncated {
-                    offset,
-                    detail: format!("event trace truncated at record {i} of {count}"),
-                }
-            } else {
-                TraceIoError::Io(e)
-            }
+        read_full(&mut input, &mut rec, offset, || {
+            format!("event trace truncated at record {i} of {count}")
         })?;
         let flags = rec[0];
         let known = EVENT_KIND_MASK | EVENT_HAS_VICTIM | EVENT_VICTIM_WRITTEN;
