@@ -50,7 +50,8 @@ use tlc_cache::{miss_ratio_error, MISS_RATIO_EPSILON};
 use tlc_core::configspace::{full_space, SpaceOptions};
 use tlc_core::experiment::{capture_benchmark, simulate_arena, DesignPoint, SimBudget};
 use tlc_core::runner::{
-    try_sweep_family_arena_threads, try_sweep_predict_arena_threads, try_sweep_sampled_threads,
+    try_run_indexed, try_sweep_family_arena_threads, try_sweep_predict_arena_threads,
+    try_sweep_sampled_threads, SweepUnit,
 };
 use tlc_core::sampling::{
     capture_phase_slices, sample_source, SampleOptions, SAMPLED_MISS_RATIO_EPSILON,
@@ -331,40 +332,21 @@ fn span_wall_s(nodes: &[SpanNode], name: &str) -> f64 {
 }
 
 /// The per-access baseline: every configuration replays the whole arena
-/// through its own hierarchy ([`simulate_arena`]), on `threads` workers
-/// claiming configurations one at a time (on the calling thread when
-/// `threads` is 1). Statistics in input order.
+/// through its own hierarchy ([`simulate_arena`]), fanned out over
+/// `threads` workers by [`try_run_indexed`]. Statistics in input order.
 fn per_access_sweep(
     configs: &[MachineConfig],
     arena: &TraceArena,
     budget: SimBudget,
     threads: usize,
 ) -> Vec<HierarchyStats> {
-    if threads <= 1 {
-        return configs.iter().map(|c| simulate_arena(c, arena, budget)).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let mut slots = vec![HierarchyStats::default(); configs.len()];
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..threads.min(configs.len()))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        let Some(cfg) = configs.get(i) else { break mine };
-                        mine.push((i, simulate_arena(cfg, arena, budget)));
-                    }
-                })
-            })
-            .collect();
-        for w in workers {
-            for (i, stats) in w.join().expect("per-access worker") {
-                slots[i] = stats;
-            }
-        }
-    });
-    slots
+    try_run_indexed(
+        configs.len(),
+        threads,
+        |i| simulate_arena(&configs[i], arena, budget),
+        |i| SweepUnit::Task(format!("per-access config {i}")),
+    )
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Whether every point's statistics equal the baseline's, in order.

@@ -978,12 +978,24 @@ fn cmd_trace_import(args: &ArgMap) -> Result<String, ArgError> {
     let reader = std::io::BufReader::new(
         std::fs::File::open(input).map_err(|e| ArgError(format!("cannot open {input}: {e}")))?,
     );
+    // Import into a sibling `OUT.part` and rename it over OUT only once
+    // the whole input has converted, so a failed import leaves no
+    // truncated trace at OUT (and keeps whatever was there).
+    let part = format!("{output}.part");
     let writer = std::io::BufWriter::new(
-        std::fs::File::create(output)
+        std::fs::File::create(&part)
             .map_err(|e| ArgError(format!("cannot create {output}: {e}")))?,
     );
     let written = import_to_compact(format, reader, writer, limit)
-        .map_err(|e| ArgError(format!("{input}: {e}")))?;
+        .map_err(|e| ArgError(format!("{input}: {e}")))
+        .and_then(|written| {
+            std::fs::rename(&part, output)
+                .map(|()| written)
+                .map_err(|e| ArgError(format!("cannot create {output}: {e}")))
+        })
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&part);
+        })?;
     let bytes = std::fs::metadata(output).map(|m| m.len()).unwrap_or(0);
     Ok(format!(
         "imported {written} instructions from {input} ({}) -> {output} ({bytes} bytes, {:.2} \

@@ -1,7 +1,7 @@
 //! Caller input the simulator cannot run — an unbuildable cache
-//! geometry, a meaningless off-chip latency, an empty measurement window
-//! — must be an argument error: exit status 2, an `error:` line naming
-//! the problem, and no panic.
+//! geometry, a meaningless off-chip latency, an empty measurement window,
+//! a malformed trace to import — must be an argument error: exit status
+//! 2, an `error:` line naming the problem, and no panic.
 
 use std::process::Command;
 use tlc_trace::compact::write_compact_trace;
@@ -86,4 +86,44 @@ fn predict_sweep_refuses_an_arena_past_its_budget() {
         &["sweep", "--workload", "li", "--engine", "predict", "--instr", "70000000"],
         "exceeds the 1024 MiB arena budget",
     );
+}
+
+#[test]
+fn failed_import_leaves_nothing_at_the_output_path() {
+    use tlc_trace::io::{BINARY_MAGIC, INSTR_MAGIC};
+    let dir = std::env::temp_dir().join(format!("tlc-bad-import-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // 300 flat references, the last one cut 4 bytes short.
+    let mut refs = BINARY_MAGIC.to_vec();
+    for i in 0..300u64 {
+        refs.push((i % 3) as u8);
+        refs.extend_from_slice(&(0x1000 + 8 * i).to_le_bytes());
+    }
+    refs.truncate(refs.len() - 4);
+    // 20 fetch-only instructions, then a record with an unknown flags bit.
+    let mut instrs = INSTR_MAGIC.to_vec();
+    for i in 0..21u64 {
+        instrs.push(if i == 20 { 0b100 } else { 0 });
+        instrs.extend_from_slice(&(0x400 + 4 * i).to_le_bytes());
+    }
+    let cases = [
+        ("cut.ref", refs, "truncated trace at byte offset 2699"),
+        ("badflags.itr", instrs, "unknown instruction-record flags 0x04"),
+    ];
+    for (name, bytes, expected) in cases {
+        let input = dir.join(name);
+        std::fs::write(&input, bytes).unwrap();
+        let out = dir.join(format!("{name}.trc"));
+        let part = dir.join(format!("{name}.trc.part"));
+        let args = ["trace", "import", input.to_str().unwrap(), out.to_str().unwrap()];
+        assert_rejected(&args, expected);
+        assert!(!out.exists(), "{name}: a failed import left {}", out.display());
+        assert!(!part.exists(), "{name}: a failed import left {}", part.display());
+        // A trace already at the output path survives a failed import.
+        std::fs::write(&out, b"previous").unwrap();
+        assert_rejected(&args, expected);
+        assert_eq!(std::fs::read(&out).unwrap(), b"previous", "{name}");
+        assert!(!part.exists(), "{name}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

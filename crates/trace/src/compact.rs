@@ -1,19 +1,21 @@
 //! The `TLCTRC01` compact on-disk instruction-trace format.
 //!
-//! This is the interchange format for *real* traces: a versioned header
-//! followed by delta/varint-encoded instruction records, typically 3–5
-//! bytes per instruction against 9–17 for the flat formats in
-//! [`crate::io`]. The module provides:
+//! This is the one trace format the library writes and reads back: a
+//! versioned header followed by delta/varint-encoded instruction
+//! records, typically 3–5 bytes per instruction against 9–17 for the
+//! flat formats in [`crate::io`]. The module provides:
 //!
 //! * [`CompactTraceWriter`] / [`write_compact_trace`] — encoding;
 //! * [`TraceReader`] — a streaming block decoder that implements
 //!   [`InstructionSource`], so a trace file can feed
 //!   [`TraceArena::capture`](crate::TraceArena::capture)
 //!   chunk-by-chunk under a bounded memory budget without ever holding
-//!   the decoded stream in memory;
-//! * [`import_to_compact`] — a streaming importer that converts the
-//!   other formats this crate knows (flat text/binary reference streams,
-//!   `TLCITR01`, plain address lists) into `TLCTRC01`.
+//!   the decoded stream in memory ([`read_compact_trace`] collects a
+//!   small file whole);
+//! * [`import_to_compact`] — the one way in for every other format
+//!   ([`ImportFormat`]: flat `TLCREF01`/text reference streams,
+//!   `TLCITR01`, plain address lists), streamed into `TLCTRC01`. It is
+//!   what `tlc trace import` runs.
 //!
 //! ## Encoding
 //!
@@ -565,7 +567,11 @@ impl<R: Read + Send> InstructionSource for TraceReader<R> {
 /// Returns a [`TraceIoError`] on any header or record violation.
 pub fn read_compact_trace<R: Read>(input: R) -> Result<Vec<InstructionRecord>, TraceIoError> {
     let mut reader = TraceReader::new(input, "compact")?;
-    io::collect_records(|| reader.try_next())
+    let mut records = Vec::new();
+    while let Some(rec) = reader.try_next()? {
+        records.push(rec);
+    }
+    Ok(records)
 }
 
 /// External formats [`import_to_compact`] can ingest.
@@ -1031,8 +1037,7 @@ mod tests {
     #[test]
     fn import_instr_stops_reading_at_the_limit() {
         let recs = crate::spec::SpecBenchmark::Li.workload().take_instructions(5);
-        let mut src = Vec::new();
-        io::write_instruction_trace(&mut src, &recs).unwrap();
+        let mut src = io::tests::instr_bytes(&recs);
         src.extend_from_slice(&[0b100; 9]); // record 5 opens with a bad flags byte
         let mut out = Vec::new();
         assert_eq!(import_to_compact(ImportFormat::Instr, &src[..], &mut out, Some(5)).unwrap(), 5);

@@ -1,17 +1,27 @@
-//! Trace serialisation.
+//! Trace decoding for the formats `tlc trace import` accepts, and the
+//! miss-event archive.
 //!
-//! Several interchange formats are provided so generated streams can be
-//! inspected, archived, or replayed without re-running the generators:
+//! The library writes and reads back one instruction-trace format,
+//! `TLCTRC01` ([`crate::compact`]). Every other format enters through
+//! [`import_to_compact`](crate::compact::import_to_compact), which
+//! streams it through the decoders here into `TLCTRC01`:
 //!
-//! * **binary** — 9 bytes per reference (1 kind byte + little-endian u64
-//!   address), preceded by an 8-byte magic; compact and fast;
-//! * **text** — one `K 0xADDR` line per reference (`K` ∈ `I`/`L`/`S`),
-//!   greppable and diffable;
-//! * **compact** — the delta/varint-encoded `TLCTRC01` instruction
-//!   format, which lives in [`crate::compact`] together with its
-//!   streaming reader and external-format importer.
+//! * **`TLCREF01`** ([`BINARY_MAGIC`]) — the magic, then 9 bytes per
+//!   reference: a kind byte (0 fetch, 1 load, 2 store) and the
+//!   little-endian u64 address;
+//! * **text** — one `K 0xADDR` line per reference (`K` ∈ `I`/`L`/`S`);
+//! * **address lists** — one `[R|W] ADDR` line per data reference, or
+//!   raw little-endian u64 words, all reads;
+//! * **`TLCITR01`** ([`INSTR_MAGIC`]) — the magic, then per instruction
+//!   one flags byte (`bit0` = has a data reference, `bit1` = it is a
+//!   store), the fetch address (LE u64) and, when present, the data
+//!   address (LE u64).
 //!
-//! Readers are strict: malformed input is a typed [`TraceIoError`]
+//! The `TLCEVT01` miss-event stream ([`write_event_trace`],
+//! [`read_event_trace`]) is how the audit corpus archives an
+//! [`EventArena`](crate::EventArena).
+//!
+//! Decoders are strict: malformed input is a typed [`TraceIoError`]
 //! carrying the byte offset and expected magic, never a panic and never
 //! a silent skip.
 
@@ -155,126 +165,6 @@ pub(crate) fn read_full<R: Read>(
             TraceIoError::Io(e)
         }
     })
-}
-
-/// Writes references to a binary trace stream.
-///
-/// The header is written on construction; call [`BinaryTraceWriter::write`]
-/// per reference. A mutable reference to any `Write` may be passed.
-///
-/// # Examples
-///
-/// ```
-/// use tlc_trace::io::{read_binary_trace, BinaryTraceWriter};
-/// use tlc_trace::{Addr, MemRef};
-///
-/// # fn main() -> std::io::Result<()> {
-/// let mut buf = Vec::new();
-/// let mut w = BinaryTraceWriter::new(&mut buf)?;
-/// w.write(MemRef::fetch(Addr::new(0x100)))?;
-/// w.write(MemRef::store(Addr::new(0x2000)))?;
-/// drop(w);
-/// let refs = read_binary_trace(&buf[..])?;
-/// assert_eq!(refs.len(), 2);
-/// assert_eq!(refs[1], MemRef::store(Addr::new(0x2000)));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct BinaryTraceWriter<W: Write> {
-    out: W,
-    written: u64,
-}
-
-impl<W: Write> BinaryTraceWriter<W> {
-    /// Creates the writer and emits the stream header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from writing the header.
-    pub fn new(mut out: W) -> io::Result<Self> {
-        out.write_all(BINARY_MAGIC)?;
-        Ok(BinaryTraceWriter { out, written: 0 })
-    }
-
-    /// Appends one reference.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write(&mut self, r: MemRef) -> io::Result<()> {
-        let kind = match r.kind {
-            AccessKind::InstrFetch => 0u8,
-            AccessKind::Load => 1,
-            AccessKind::Store => 2,
-        };
-        self.out.write_all(&[kind])?;
-        self.out.write_all(&r.addr.raw().to_le_bytes())?;
-        self.written += 1;
-        Ok(())
-    }
-
-    /// Number of references written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from flushing.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.out.flush()?;
-        Ok(self.out)
-    }
-}
-
-/// Reads an entire binary trace stream produced by [`BinaryTraceWriter`].
-///
-/// # Errors
-///
-/// Returns a [`TraceIoError`] on a bad magic, an unknown kind byte, or a
-/// truncated record, and propagates I/O errors.
-pub fn read_binary_trace<R: Read>(input: R) -> Result<Vec<MemRef>, TraceIoError> {
-    let mut refs = RefDecoder::new(io::BufReader::new(input), RefFormat::Binary)?;
-    collect_records(|| refs.next_ref())
-}
-
-/// Writes references in the text format, one `K 0xADDR` line each.
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-pub fn write_text_trace<W: Write>(mut out: W, refs: &[MemRef]) -> io::Result<()> {
-    for r in refs {
-        writeln!(out, "{} {:#x}", r.kind.code(), r.addr.raw())?;
-    }
-    Ok(())
-}
-
-/// Parses the text format produced by [`write_text_trace`].
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Corrupt`] naming the offending line number and
-/// the byte offset where that line starts on any malformed line; blank
-/// lines and `#` comments are permitted.
-pub fn read_text_trace<R: BufRead>(input: R) -> Result<Vec<MemRef>, TraceIoError> {
-    let mut refs = RefDecoder::new(input, RefFormat::Text)?;
-    collect_records(|| refs.next_ref())
-}
-
-/// Collects a decoder's records up to the end of its stream; the first
-/// decode error is the result instead.
-pub(crate) fn collect_records<T>(
-    mut next: impl FnMut() -> Result<Option<T>, TraceIoError>,
-) -> Result<Vec<T>, TraceIoError> {
-    let mut out = Vec::new();
-    while let Some(rec) = next()? {
-        out.push(rec);
-    }
-    Ok(out)
 }
 
 /// A flat reference format [`RefDecoder`] reads.
@@ -458,61 +348,6 @@ fn parse_addr_list_line(t: &str, lineno: usize, offset: u64) -> Result<MemRef, T
     Ok(MemRef { addr: Addr::new(addr), kind })
 }
 
-/// Writes [`InstructionRecord`](crate::InstructionRecord)s in a compact
-/// binary format: the [`INSTR_MAGIC`] header, then per record one flags
-/// byte (`bit0` = has data ref, `bit1` = data ref is a store), the fetch
-/// address (LE u64), and — when present — the data address (LE u64).
-///
-/// # Errors
-///
-/// Propagates I/O errors.
-///
-/// # Examples
-///
-/// ```
-/// use tlc_trace::io::{read_instruction_trace, write_instruction_trace};
-/// use tlc_trace::spec::SpecBenchmark;
-///
-/// # fn main() -> std::io::Result<()> {
-/// let recs = SpecBenchmark::Li.workload().take_instructions(100);
-/// let mut buf = Vec::new();
-/// write_instruction_trace(&mut buf, &recs)?;
-/// assert_eq!(read_instruction_trace(&buf[..])?, recs);
-/// # Ok(())
-/// # }
-/// ```
-pub fn write_instruction_trace<W: Write>(
-    mut out: W,
-    records: &[crate::InstructionRecord],
-) -> io::Result<()> {
-    out.write_all(INSTR_MAGIC)?;
-    for r in records {
-        let (flags, data_addr) = match r.data {
-            None => (0u8, None),
-            Some(d) => (1 | ((d.kind == AccessKind::Store) as u8) << 1, Some(d.addr.raw())),
-        };
-        out.write_all(&[flags])?;
-        out.write_all(&r.fetch.raw().to_le_bytes())?;
-        if let Some(a) = data_addr {
-            out.write_all(&a.to_le_bytes())?;
-        }
-    }
-    out.flush()
-}
-
-/// Parses a stream produced by [`write_instruction_trace`].
-///
-/// # Errors
-///
-/// Returns a [`TraceIoError`] on a bad magic, unknown flag bits, or a
-/// truncated record, and propagates I/O errors.
-pub fn read_instruction_trace<R: Read>(
-    input: R,
-) -> Result<Vec<crate::InstructionRecord>, TraceIoError> {
-    let mut records = InstrDecoder::new(input)?;
-    collect_records(|| records.next_record())
-}
-
 /// The one streaming decoder of the `TLCITR01` instruction format.
 #[derive(Debug)]
 pub(crate) struct InstrDecoder<R> {
@@ -666,104 +501,137 @@ pub fn read_event_trace<R: Read>(mut input: R) -> Result<crate::EventArena, Trac
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::compact::{import_to_compact, read_compact_trace, ImportFormat};
+    use crate::InstructionRecord;
 
-    fn sample_refs() -> Vec<MemRef> {
+    /// A `TLCREF01` stream of `refs`.
+    pub(crate) fn ref_bytes(refs: &[MemRef]) -> Vec<u8> {
+        let mut buf = BINARY_MAGIC.to_vec();
+        for r in refs {
+            buf.push(match r.kind {
+                AccessKind::InstrFetch => 0,
+                AccessKind::Load => 1,
+                AccessKind::Store => 2,
+            });
+            buf.extend_from_slice(&r.addr.raw().to_le_bytes());
+        }
+        buf
+    }
+
+    /// A text trace of `refs`, one `K 0xADDR` line each.
+    pub(crate) fn ref_text(refs: &[MemRef]) -> String {
+        refs.iter().map(|r| format!("{} {:#x}\n", r.kind.code(), r.addr.raw())).collect()
+    }
+
+    /// A `TLCITR01` stream of `records`.
+    pub(crate) fn instr_bytes(records: &[InstructionRecord]) -> Vec<u8> {
+        let mut buf = INSTR_MAGIC.to_vec();
+        for r in records {
+            let flags = match r.data {
+                None => 0u8,
+                Some(d) => 1 | u8::from(d.kind == AccessKind::Store) << 1,
+            };
+            buf.push(flags);
+            buf.extend_from_slice(&r.fetch.raw().to_le_bytes());
+            if let Some(d) = r.data {
+                buf.extend_from_slice(&d.addr.raw().to_le_bytes());
+            }
+        }
+        buf
+    }
+
+    /// Imports `input` as `format` and reads the `TLCTRC01` result back.
+    fn import(format: ImportFormat, input: &[u8]) -> Result<Vec<InstructionRecord>, TraceIoError> {
+        let mut out = Vec::new();
+        let n = import_to_compact(format, input, &mut out, None)?;
+        let records = read_compact_trace(&out[..]).expect("the importer writes valid TLCTRC01");
+        assert_eq!(records.len() as u64, n);
+        Ok(records)
+    }
+
+    fn sample_records() -> Vec<InstructionRecord> {
         vec![
-            MemRef::fetch(Addr::new(0x0040_0000)),
-            MemRef::load(Addr::new(0x1000_0010)),
-            MemRef::store(Addr::new(0xFFFF_FFFF_FFFF_FFF0)),
+            InstructionRecord::fetch_only(Addr::new(0x0040_0000)),
+            InstructionRecord::with_data(
+                Addr::new(0x0040_0004),
+                MemRef::load(Addr::new(0x1000_0010)),
+            ),
+            InstructionRecord::with_data(
+                Addr::new(0x0040_0008),
+                MemRef::store(Addr::new(0xFFFF_FFFF_FFFF_FFF0)),
+            ),
         ]
     }
 
-    #[test]
-    fn binary_roundtrip() {
-        let mut buf = Vec::new();
-        let mut w = BinaryTraceWriter::new(&mut buf).unwrap();
-        for r in sample_refs() {
-            w.write(r).unwrap();
-        }
-        assert_eq!(w.written(), 3);
-        w.into_inner().unwrap();
-        assert_eq!(read_binary_trace(&buf[..]).unwrap(), sample_refs());
+    fn sample_refs() -> Vec<MemRef> {
+        sample_records().iter().flat_map(|r| r.refs()).collect()
     }
 
     #[test]
-    fn binary_rejects_bad_magic() {
-        let buf = b"NOTMAGIC".to_vec();
-        assert!(read_binary_trace(&buf[..]).is_err());
+    fn every_format_imports_the_same_records() {
+        let recs = sample_records();
+        assert_eq!(import(ImportFormat::Refs, &ref_bytes(&sample_refs())).unwrap(), recs);
+        assert_eq!(import(ImportFormat::Text, ref_text(&sample_refs()).as_bytes()).unwrap(), recs);
+        assert_eq!(import(ImportFormat::Instr, &instr_bytes(&recs)).unwrap(), recs);
     }
 
     #[test]
-    fn binary_rejects_unknown_kind() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(BINARY_MAGIC);
+    fn refs_reject_unknown_kind() {
+        let mut buf = BINARY_MAGIC.to_vec();
         buf.push(9); // bad kind
         buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(read_binary_trace(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn text_roundtrip() {
-        let mut buf = Vec::new();
-        write_text_trace(&mut buf, &sample_refs()).unwrap();
-        let parsed = read_text_trace(&buf[..]).unwrap();
-        assert_eq!(parsed, sample_refs());
+        let err = import(ImportFormat::Refs, &buf).unwrap_err();
+        assert!(matches!(err, TraceIoError::Corrupt { offset: 8, .. }), "{err}");
+        assert!(err.to_string().contains("kind byte 9"), "{err}");
     }
 
     #[test]
     fn text_allows_comments_and_blanks() {
         let src = "# header\n\nI 0x100\n  L 0x200  \n";
-        let parsed = read_text_trace(src.as_bytes()).unwrap();
-        assert_eq!(parsed, vec![MemRef::fetch(Addr::new(0x100)), MemRef::load(Addr::new(0x200))]);
+        assert_eq!(
+            import(ImportFormat::Text, src.as_bytes()).unwrap(),
+            vec![InstructionRecord::with_data(Addr::new(0x100), MemRef::load(Addr::new(0x200)))]
+        );
     }
 
     #[test]
     fn text_rejects_malformed() {
         for bad in ["X 0x100", "I 100", "I", "II 0x100", "I 0xZZ"] {
-            let err = read_text_trace(bad.as_bytes()).unwrap_err();
-            assert!(matches!(err, TraceIoError::Corrupt { .. }), "{bad:?} should fail: {err}");
+            let err = import(ImportFormat::Text, bad.as_bytes()).unwrap_err();
+            assert!(matches!(err, TraceIoError::Corrupt { offset: 0, .. }), "{bad:?}: {err}");
+            assert!(err.to_string().contains("malformed trace line 1"), "{bad:?}: {err}");
         }
         // The offset is where the bad line starts, CRLF terminators
-        // counted, as the importer reports it for the same bytes.
+        // counted, and the line number is one-based.
         let crlf = "I 0x1\r\nL 0x2\r\nbad\r\n";
-        match read_text_trace(crlf.as_bytes()).unwrap_err() {
-            TraceIoError::Corrupt { offset, .. } => assert_eq!(offset, 14),
-            other => panic!("expected Corrupt, got {other}"),
-        }
-        let mut out = Vec::new();
-        let err = crate::compact::import_to_compact(
-            crate::ImportFormat::Text,
-            crlf.as_bytes(),
-            &mut out,
-            None,
-        )
-        .unwrap_err();
+        let err = import(ImportFormat::Text, crlf.as_bytes()).unwrap_err();
         assert!(matches!(err, TraceIoError::Corrupt { offset: 14, .. }), "{err}");
+        assert!(err.to_string().contains("malformed trace line 3"), "{err}");
     }
 
     #[test]
     fn errors_carry_offset_and_expected_magic() {
-        let err = read_binary_trace(&b"NOTMAGIC"[..]).unwrap_err();
-        match &err {
-            TraceIoError::BadMagic { found, expected } => {
-                assert_eq!(found, b"NOTMAGIC");
-                assert_eq!(*expected, BINARY_MAGIC);
+        for (format, expected) in
+            [(ImportFormat::Refs, BINARY_MAGIC), (ImportFormat::Instr, INSTR_MAGIC)]
+        {
+            let err = import(format, b"NOTMAGIC").unwrap_err();
+            match &err {
+                TraceIoError::BadMagic { found, expected: want } => {
+                    assert_eq!(found, b"NOTMAGIC");
+                    assert_eq!(*want, expected);
+                }
+                other => panic!("expected BadMagic, got {other}"),
             }
-            other => panic!("expected BadMagic, got {other}"),
+            assert!(err.to_string().contains(&expected.escape_ascii().to_string()), "{err}");
         }
-        assert!(err.to_string().contains("TLCREF01"), "{err}");
 
         // A truncated record reports the byte offset where it began.
-        let mut buf = Vec::new();
-        {
-            let mut w = BinaryTraceWriter::new(&mut buf).unwrap();
-            w.write(MemRef::load(Addr::new(0x42))).unwrap();
-        }
+        let mut buf = ref_bytes(&[MemRef::fetch(Addr::new(0x40)), MemRef::load(Addr::new(0x42))]);
         buf.truncate(buf.len() - 2);
-        match read_binary_trace(&buf[..]).unwrap_err() {
-            TraceIoError::Truncated { offset, .. } => assert_eq!(offset, 8),
+        match import(ImportFormat::Refs, &buf).unwrap_err() {
+            TraceIoError::Truncated { offset, .. } => assert_eq!(offset, 17),
             other => panic!("expected Truncated, got {other}"),
         }
     }
@@ -778,43 +646,31 @@ mod tests {
     }
 
     #[test]
-    fn into_inner_flushes() {
-        let w = BinaryTraceWriter::new(Vec::new()).unwrap();
-        let inner = w.into_inner().unwrap();
-        assert_eq!(&inner[..8], BINARY_MAGIC);
-    }
-
-    #[test]
-    fn instruction_trace_roundtrip() {
-        use crate::InstructionRecord;
-        let recs = vec![
-            InstructionRecord::fetch_only(Addr::new(0x100)),
-            InstructionRecord::with_data(Addr::new(0x104), MemRef::load(Addr::new(0x2000))),
-            InstructionRecord::with_data(Addr::new(0x108), MemRef::store(Addr::new(0x3000))),
-        ];
-        let mut buf = Vec::new();
-        write_instruction_trace(&mut buf, &recs).unwrap();
-        assert_eq!(read_instruction_trace(&buf[..]).unwrap(), recs);
-    }
-
-    #[test]
-    fn instruction_trace_rejects_bad_magic_and_flags() {
-        assert!(read_instruction_trace(&b"WRONGMAG"[..]).is_err());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(INSTR_MAGIC);
+    fn instruction_trace_rejects_bad_flags() {
+        let mut buf = INSTR_MAGIC.to_vec();
         buf.push(0b100); // unknown flag bit
         buf.extend_from_slice(&0u64.to_le_bytes());
-        assert!(read_instruction_trace(&buf[..]).is_err());
+        let err = import(ImportFormat::Instr, &buf).unwrap_err();
+        assert!(matches!(err, TraceIoError::Corrupt { offset: 8, .. }), "{err}");
+        assert!(err.to_string().contains("flags 0x04"), "{err}");
     }
 
     #[test]
     fn instruction_trace_rejects_truncation() {
-        let recs =
-            vec![crate::InstructionRecord::with_data(Addr::new(4), MemRef::load(Addr::new(8)))];
-        let mut buf = Vec::new();
-        write_instruction_trace(&mut buf, &recs).unwrap();
+        let recs = vec![InstructionRecord::with_data(Addr::new(4), MemRef::load(Addr::new(8)))];
+        let mut buf = instr_bytes(&recs);
         buf.truncate(buf.len() - 3); // chop the data address
-        assert!(read_instruction_trace(&buf[..]).is_err());
+        let err = import(ImportFormat::Instr, &buf).unwrap_err();
+        assert!(matches!(err, TraceIoError::Truncated { offset: 8, .. }), "{err}");
+    }
+
+    #[test]
+    fn empty_streams_import_cleanly() {
+        assert!(import(ImportFormat::Instr, INSTR_MAGIC).unwrap().is_empty());
+        assert!(import(ImportFormat::Refs, BINARY_MAGIC).unwrap().is_empty());
+        for format in [ImportFormat::Text, ImportFormat::AddrText, ImportFormat::AddrBinary] {
+            assert!(import(format, b"").unwrap().is_empty(), "{}", format.name());
+        }
     }
 
     #[test]
@@ -877,12 +733,5 @@ mod tests {
         let mut buf = Vec::new();
         write_event_trace(&mut buf, &EventArena::new()).unwrap();
         assert!(read_event_trace(&buf[..]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn empty_instruction_trace() {
-        let mut buf = Vec::new();
-        write_instruction_trace(&mut buf, &[]).unwrap();
-        assert!(read_instruction_trace(&buf[..]).unwrap().is_empty());
     }
 }

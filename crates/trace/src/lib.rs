@@ -39,11 +39,14 @@
 //!   arenas own, each with its own record encoding, and
 //!   [`walk_window`](columns::walk_window), the one warm-up/measure walk
 //!   every replay of either arena takes.
-//! * [`spec`] — the seven SPEC'89-like presets of the paper's Table 1.
+//! * [`spec`] — the seven SPEC'89-like presets of the paper's Table 1,
+//!   each a [`specfile::WorkloadSpec`].
 //! * [`TraceStats`] — Table-1-style counters and footprints.
-//! * [`io`] — binary and text trace serialisation.
-//! * [`compact`] — the `TLCTRC01` delta/varint on-disk format, its
-//!   streaming reader, and the external-trace importer.
+//! * [`compact`] — the `TLCTRC01` delta/varint on-disk format (the one
+//!   trace format the library writes and reads back), its streaming
+//!   reader, and the importer every other format enters through.
+//! * [`io`] — the decoders of the formats the importer accepts, the
+//!   typed [`TraceIoError`], and the `TLCEVT01` miss-event archive.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

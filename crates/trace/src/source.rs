@@ -59,8 +59,10 @@ impl InstructionSource for Workload {
     }
 }
 
-/// Replays a pre-recorded sequence of instructions (e.g. parsed from a
-/// trace file via [`crate::io::read_instruction_trace`]).
+/// Replays a pre-recorded sequence of instructions held in memory (e.g.
+/// a small `TLCTRC01` file collected by
+/// [`read_compact_trace`](crate::compact::read_compact_trace); a large
+/// one streams through [`TraceReader`](crate::TraceReader) instead).
 ///
 /// # Examples
 ///

@@ -2,7 +2,8 @@
 //!
 //! The paper gathered miss rates from traces of seven SPEC benchmarks
 //! (Table 1). Those traces are unobtainable, so each preset here is a
-//! synthetic model assembled from the generators in [`crate::gen`], with
+//! synthetic model: a [`WorkloadSpec`] over the generators in
+//! [`crate::gen`], built the way a user's JSON workload is, with
 //! parameters chosen to reproduce the published per-benchmark behaviour:
 //!
 //! * reference mix (instruction/data ratio) straight from Table 1;
@@ -15,16 +16,10 @@
 //! Every preset is seeded; constructing the same benchmark twice yields
 //! bit-identical streams.
 
-use crate::addr::{Addr, AddrRange};
-use crate::gen::chase::PermutationChase;
-use crate::gen::loops::{CodeParams, CodeWalker};
-use crate::gen::mixture::{MixEntry, Mixture};
-use crate::gen::regions::{Region, RegionSet};
-use crate::gen::stream::{StreamArray, StreamWalker};
-use crate::gen::AddrSource;
+use crate::specfile::{
+    ChaseSpec, CodeSpec, DataSpec, MixtureEntrySpec, RegionSpec, StreamSpec, WorkloadSpec,
+};
 use crate::workload::Workload;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -132,26 +127,28 @@ impl SpecBenchmark {
 
     /// Builds the benchmark's synthetic workload.
     pub fn workload(self) -> Workload {
-        let mut layout_rng = StdRng::seed_from_u64(self.seed() ^ 0xD1CE);
-        let instr = self.instr_source(&mut layout_rng);
-        let data = self.data_source(&mut layout_rng);
-        Workload::new(
-            self.name(),
-            self.seed(),
-            instr,
-            data,
-            self.data_per_instr(),
-            self.store_fraction(),
-        )
+        self.spec().build().expect("every preset spec is valid")
     }
 
-    fn instr_source(self, rng: &mut StdRng) -> Box<dyn AddrSource> {
-        let base = Addr::new(CODE_BASE);
-        let params = match self {
+    /// The preset as a declarative [`WorkloadSpec`]: the same generator
+    /// algebra a user's JSON workload file describes.
+    fn spec(self) -> WorkloadSpec {
+        WorkloadSpec {
+            name: self.name().into(),
+            seed: self.seed(),
+            data_per_instr: self.data_per_instr(),
+            store_fraction: self.store_fraction(),
+            code: self.code_spec(),
+            data: self.data_spec(),
+        }
+    }
+
+    fn code_spec(self) -> CodeSpec {
+        match self {
             // gcc: big compiler binary; many moderately hot loops spread
             // over a large footprint, frequent excursions into cold code.
-            SpecBenchmark::Gcc1 => CodeParams {
-                footprint_bytes: 160 * KB,
+            SpecBenchmark::Gcc1 => CodeSpec {
+                footprint_kb: 160,
                 n_sites: 100,
                 body_min_bytes: 64,
                 body_max_bytes: 768,
@@ -159,10 +156,11 @@ impl SpecBenchmark {
                 zipf_theta: 0.9,
                 p_excursion: 0.03,
                 excursion_bytes: 1536,
+                base: CODE_BASE,
             },
             // espresso: small hot kernel loops.
-            SpecBenchmark::Espresso => CodeParams {
-                footprint_bytes: 40 * KB,
+            SpecBenchmark::Espresso => CodeSpec {
+                footprint_kb: 40,
                 n_sites: 36,
                 body_min_bytes: 64,
                 body_max_bytes: 320,
@@ -170,11 +168,12 @@ impl SpecBenchmark {
                 zipf_theta: 1.1,
                 p_excursion: 0.015,
                 excursion_bytes: 768,
+                base: CODE_BASE,
             },
             // fpppp: famous for enormous straight-line basic blocks; the
             // instruction working set alone exceeds 100KB.
-            SpecBenchmark::Fpppp => CodeParams {
-                footprint_bytes: 192 * KB,
+            SpecBenchmark::Fpppp => CodeSpec {
+                footprint_kb: 192,
                 n_sites: 10,
                 body_min_bytes: 12 * KB,
                 body_max_bytes: 28 * KB,
@@ -182,10 +181,11 @@ impl SpecBenchmark {
                 zipf_theta: 0.6,
                 p_excursion: 0.02,
                 excursion_bytes: 2048,
+                base: CODE_BASE,
             },
             // doduc: mid-sized numeric code with many routines.
-            SpecBenchmark::Doduc => CodeParams {
-                footprint_bytes: 96 * KB,
+            SpecBenchmark::Doduc => CodeSpec {
+                footprint_kb: 96,
                 n_sites: 64,
                 body_min_bytes: 192,
                 body_max_bytes: 2 * KB,
@@ -193,10 +193,11 @@ impl SpecBenchmark {
                 zipf_theta: 0.9,
                 p_excursion: 0.03,
                 excursion_bytes: 1024,
+                base: CODE_BASE,
             },
             // li: small interpreter dispatch loop plus builtins.
-            SpecBenchmark::Li => CodeParams {
-                footprint_bytes: 28 * KB,
+            SpecBenchmark::Li => CodeSpec {
+                footprint_kb: 28,
                 n_sites: 30,
                 body_min_bytes: 64,
                 body_max_bytes: 384,
@@ -204,10 +205,11 @@ impl SpecBenchmark {
                 zipf_theta: 1.0,
                 p_excursion: 0.01,
                 excursion_bytes: 512,
+                base: CODE_BASE,
             },
             // eqntott: nearly all time in one tiny comparison loop.
-            SpecBenchmark::Eqntott => CodeParams {
-                footprint_bytes: 10 * KB,
+            SpecBenchmark::Eqntott => CodeSpec {
+                footprint_kb: 10,
                 n_sites: 8,
                 body_min_bytes: 64,
                 body_max_bytes: 256,
@@ -215,10 +217,11 @@ impl SpecBenchmark {
                 zipf_theta: 1.2,
                 p_excursion: 0.004,
                 excursion_bytes: 512,
+                base: CODE_BASE,
             },
             // tomcatv: a few vector loops.
-            SpecBenchmark::Tomcatv => CodeParams {
-                footprint_bytes: 8 * KB,
+            SpecBenchmark::Tomcatv => CodeSpec {
+                footprint_kb: 8,
                 n_sites: 6,
                 body_min_bytes: 512,
                 body_max_bytes: 2 * KB,
@@ -226,115 +229,105 @@ impl SpecBenchmark {
                 zipf_theta: 0.8,
                 p_excursion: 0.002,
                 excursion_bytes: 512,
+                base: CODE_BASE,
             },
-        };
-        Box::new(CodeWalker::new(params, base, rng))
+        }
     }
 
-    fn data_source(self, rng: &mut StdRng) -> Box<dyn AddrSource> {
+    fn data_spec(self) -> DataSpec {
         match self {
-            SpecBenchmark::Gcc1 => {
-                // Hot stack + symbol tables + cold AST storage.
-                Box::new(RegionSet::new(vec![
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE), 6 * KB), 0.50, 6.0),
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE + MB), 48 * KB), 0.30, 4.0),
-                    Region::new(AddrRange::new(Addr::new(HEAP_BASE), 192 * KB), 0.16, 3.0),
-                    Region::new(AddrRange::new(Addr::new(HEAP_BASE + 16 * MB), MB), 0.04, 3.0),
-                ]))
-            }
-            SpecBenchmark::Espresso => {
-                // Tiny hot cube tables; very low residual traffic.
-                Box::new(RegionSet::new(vec![
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE), 3 * KB), 0.64, 5.0),
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE + MB), 20 * KB), 0.31, 4.0),
-                    Region::new(AddrRange::new(Addr::new(HEAP_BASE), 128 * KB), 0.05, 3.0),
-                ]))
-            }
-            SpecBenchmark::Fpppp => {
-                // Moderate data set: Fock-matrix blocks, mostly resident.
-                Box::new(RegionSet::new(vec![
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE), 8 * KB), 0.45, 6.0),
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE + MB), 48 * KB), 0.40, 5.0),
-                    Region::new(AddrRange::new(Addr::new(HEAP_BASE), 256 * KB), 0.15, 4.0),
-                ]))
-            }
-            SpecBenchmark::Doduc => Box::new(RegionSet::new(vec![
-                Region::new(AddrRange::new(Addr::new(DATA_BASE), 8 * KB), 0.48, 6.0),
-                Region::new(AddrRange::new(Addr::new(DATA_BASE + MB), 72 * KB), 0.34, 4.0),
-                Region::new(AddrRange::new(Addr::new(HEAP_BASE), 384 * KB), 0.18, 3.0),
-            ])),
-            SpecBenchmark::Li => {
-                // Hot stack/environment + pointer-chased cons heap.
-                let hot = RegionSet::new(vec![
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE), 4 * KB), 0.70, 3.0),
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE + MB), 24 * KB), 0.30, 2.0),
-                ]);
-                let heap = PermutationChase::new(
-                    AddrRange::new(Addr::new(HEAP_BASE), 160 * KB),
-                    0.004,
-                    rng,
-                );
-                Box::new(Mixture::new(vec![
-                    MixEntry::new(0.72, 24.0, Box::new(hot)),
-                    MixEntry::new(0.28, 8.0, Box::new(heap)),
-                ]))
-            }
-            SpecBenchmark::Eqntott => {
-                // Small hot vectors plus occasional probes of big bit
-                // tables: low overall miss rate that barely improves with
-                // larger caches.
-                let hot = RegionSet::new(vec![
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE), 2 * KB), 0.75, 6.0),
-                    Region::new(AddrRange::new(Addr::new(DATA_BASE + MB), 12 * KB), 0.25, 4.0),
-                ]);
-                let probes =
-                    PermutationChase::new(AddrRange::new(Addr::new(HEAP_BASE), 2 * MB), 0.02, rng);
-                Box::new(Mixture::new(vec![
-                    MixEntry::new(0.90, 32.0, Box::new(hot)),
-                    MixEntry::new(0.10, 4.0, Box::new(probes)),
-                ]))
-            }
+            // Hot stack + symbol tables + cold AST storage.
+            SpecBenchmark::Gcc1 => DataSpec::Regions(vec![
+                region(DATA_BASE, 6, 0.50, 6.0),
+                region(DATA_BASE + MB, 48, 0.30, 4.0),
+                region(HEAP_BASE, 192, 0.16, 3.0),
+                region(HEAP_BASE + 16 * MB, MB / KB, 0.04, 3.0),
+            ]),
+            // Tiny hot cube tables; very low residual traffic.
+            SpecBenchmark::Espresso => DataSpec::Regions(vec![
+                region(DATA_BASE, 3, 0.64, 5.0),
+                region(DATA_BASE + MB, 20, 0.31, 4.0),
+                region(HEAP_BASE, 128, 0.05, 3.0),
+            ]),
+            // Moderate data set: Fock-matrix blocks, mostly resident.
+            SpecBenchmark::Fpppp => DataSpec::Regions(vec![
+                region(DATA_BASE, 8, 0.45, 6.0),
+                region(DATA_BASE + MB, 48, 0.40, 5.0),
+                region(HEAP_BASE, 256, 0.15, 4.0),
+            ]),
+            SpecBenchmark::Doduc => DataSpec::Regions(vec![
+                region(DATA_BASE, 8, 0.48, 6.0),
+                region(DATA_BASE + MB, 72, 0.34, 4.0),
+                region(HEAP_BASE, 384, 0.18, 3.0),
+            ]),
+            // Hot stack/environment + pointer-chased cons heap.
+            SpecBenchmark::Li => DataSpec::Mixture(vec![
+                mix(
+                    0.72,
+                    24.0,
+                    DataSpec::Regions(vec![
+                        region(DATA_BASE, 4, 0.70, 3.0),
+                        region(DATA_BASE + MB, 24, 0.30, 2.0),
+                    ]),
+                ),
+                mix(0.28, 8.0, chase(HEAP_BASE, 160, 0.004)),
+            ]),
+            // Small hot vectors plus occasional probes of big bit tables:
+            // low overall miss rate that barely improves with larger
+            // caches.
+            SpecBenchmark::Eqntott => DataSpec::Mixture(vec![
+                mix(
+                    0.90,
+                    32.0,
+                    DataSpec::Regions(vec![
+                        region(DATA_BASE, 2, 0.75, 6.0),
+                        region(DATA_BASE + MB, 12, 0.25, 4.0),
+                    ]),
+                ),
+                mix(0.10, 4.0, chase(HEAP_BASE, 2 * MB / KB, 0.02)),
+            ]),
+            // Four 0.5MB arrays swept with small strides (double-precision
+            // mesh vectors) plus three mid-size boundary/coefficient
+            // arrays (96/64/48KB) that a large on-chip cache can capture
+            // — the real tomcatv's residual decline between 32KB and
+            // 256KB that puts 16:64-style two-level configurations on the
+            // paper's Figure 8/20 envelopes while the small-cache miss
+            // rate stays high and flat.
+            // Array bases are staggered by an odd multiple of the line
+            // size so the lockstep streams do not alias to the same cache
+            // sets at any studied cache size.
             SpecBenchmark::Tomcatv => {
-                // Four 0.5MB arrays swept with small strides
-                // (double-precision mesh vectors) plus three mid-size
-                // boundary/coefficient arrays (96/64/48KB) that a large
-                // on-chip cache can capture — the real tomcatv's residual
-                // decline between 32KB and 256KB that puts 16:64-style
-                // two-level configurations on the paper's Figure 8/20
-                // envelopes while the small-cache miss rate stays high
-                // and flat.
-                // Array bases are staggered by an odd multiple of the
-                // line size so the lockstep streams do not alias to the
-                // same cache sets at any studied cache size.
                 let arrays = (0..7)
-                    .map(|i| {
-                        StreamArray::new(
-                            AddrRange::new(
-                                Addr::new(ARRAY_BASE + i * 8 * MB + i * 4112),
-                                match i {
-                                    4 => 96 * KB,
-                                    5 => 64 * KB,
-                                    6 => 48 * KB,
-                                    _ => 512 * KB,
-                                },
-                            ),
-                            if i % 2 == 0 { 8 } else { 4 },
-                        )
+                    .map(|i| StreamSpec {
+                        base: ARRAY_BASE + i * 8 * MB + i * 4112,
+                        size_kb: match i {
+                            4 => 96,
+                            5 => 64,
+                            6 => 48,
+                            _ => 512,
+                        },
+                        stride_bytes: if i % 2 == 0 { 8 } else { 4 },
                     })
                     .collect();
-                let stream = StreamWalker::new(arrays);
-                let scalars = RegionSet::new(vec![Region::new(
-                    AddrRange::new(Addr::new(DATA_BASE), 2 * KB),
-                    1.0,
-                    4.0,
-                )]);
-                Box::new(Mixture::new(vec![
-                    MixEntry::new(0.80, 32.0, Box::new(stream)),
-                    MixEntry::new(0.20, 16.0, Box::new(scalars)),
-                ]))
+                DataSpec::Mixture(vec![
+                    mix(0.80, 32.0, DataSpec::Stream(arrays)),
+                    mix(0.20, 16.0, DataSpec::Regions(vec![region(DATA_BASE, 2, 1.0, 4.0)])),
+                ])
             }
         }
     }
+}
+
+fn region(base: u64, size_kb: u64, weight: f64, mean_run: f64) -> RegionSpec {
+    RegionSpec { base, size_kb, weight, mean_run }
+}
+
+fn chase(base: u64, size_kb: u64, p_restart: f64) -> DataSpec {
+    DataSpec::Chase(ChaseSpec { base, size_kb, p_restart })
+}
+
+fn mix(weight: f64, mean_burst: f64, source: DataSpec) -> MixtureEntrySpec {
+    MixtureEntrySpec { weight, mean_burst, source }
 }
 
 impl fmt::Display for SpecBenchmark {

@@ -1,9 +1,9 @@
 //! Declarative workload specifications (JSON-serialisable).
 //!
-//! The seven built-in presets are Rust code; [`WorkloadSpec`] exposes the
-//! same generator algebra as *data*, so users can define their own
-//! synthetic workloads in a JSON file and run the whole harness on them
-//! without recompiling:
+//! [`WorkloadSpec`] is the generator algebra as *data*. The seven
+//! built-in presets are specs (see [`crate::spec`]), and users can define
+//! their own synthetic workloads the same way in a JSON file and run the
+//! whole harness on them without recompiling:
 //!
 //! ```json
 //! {

@@ -3,60 +3,82 @@
 //!
 //! The 1993 study was trace-driven (§2.2); this repository's workloads
 //! are synthetic, but the same harness accepts recorded traces — yours
-//! included — via the `TLCITR01` instruction-trace format and
-//! [`ReplaySource`].
+//! included — as `TLCTRC01` files, written by [`CompactTraceWriter`] and
+//! streamed back by [`TraceReader`].
 //!
 //! ```text
-//! cargo run --release --example record_and_replay [-- /path/to/trace.bin]
+//! cargo run --release --example record_and_replay [-- /path/to/trace.trc]
 //! ```
 //!
-//! With a path argument, the example replays *that* trace instead of
-//! recording a synthetic one.
+//! With a path argument, the example replays *that* `TLCTRC01` trace
+//! instead of recording a synthetic one. A trace in another format (flat
+//! `I`/`L`/`S` references, address lists, `TLCITR01`) converts first:
+//!
+//! ```text
+//! tlc trace import raw.txt trace.trc
+//! ```
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 use two_level_cache::study::experiment::{simulate_source, SimBudget};
 use two_level_cache::study::{L2Policy, MachineConfig};
-use two_level_cache::trace::io::{read_instruction_trace, write_instruction_trace};
 use two_level_cache::trace::spec::SpecBenchmark;
-use two_level_cache::trace::ReplaySource;
+use two_level_cache::trace::{CompactTraceWriter, TraceReader};
 
 fn main() -> std::io::Result<()> {
     let cfg = MachineConfig::two_level(4, 32, 4, L2Policy::Exclusive, 50.0);
     let budget = SimBudget { instructions: 200_000, warmup_instructions: 50_000 };
-    let n_total = (budget.instructions + budget.warmup_instructions) as usize;
+    let n_total = budget.instructions + budget.warmup_instructions;
 
-    let (records, name) = match std::env::args().nth(1) {
-        Some(path) => {
-            println!("replaying user trace {path}...");
-            let recs = read_instruction_trace(BufReader::new(File::open(&path)?))?;
-            (recs, path)
-        }
+    let (path, recorded) = match std::env::args().nth(1) {
+        Some(path) => (path.into(), false),
         None => {
             // Record the li workload to a temporary trace file.
-            let path = std::env::temp_dir().join("tlc_li_trace.bin");
-            println!("recording {} instructions of li to {}...", n_total, path.display());
-            let recs = SpecBenchmark::Li.workload().take_instructions(n_total);
-            write_instruction_trace(BufWriter::new(File::create(&path)?), &recs)?;
+            let path = std::env::temp_dir().join("tlc_li_trace.trc");
+            println!("recording {n_total} instructions of li to {}...", path.display());
+            let mut writer = CompactTraceWriter::new(BufWriter::new(File::create(&path)?))?;
+            let mut live = SpecBenchmark::Li.workload();
+            for _ in 0..n_total {
+                writer.write(&live.next_instruction())?;
+            }
+            writer.into_inner()?;
             let size = std::fs::metadata(&path)?.len();
             println!(
-                "trace file: {} bytes ({:.1} bytes/instruction)",
-                size,
+                "trace file: {size} bytes ({:.1} bytes/instruction)",
                 size as f64 / n_total as f64
             );
-
-            // Read it back — everything downstream uses only the file.
-            let recs = read_instruction_trace(BufReader::new(File::open(&path)?))?;
-            (recs, "li (recorded)".to_string())
+            (path, true)
         }
     };
 
-    println!("replaying {} instructions from {name} through {cfg}...", records.len());
-    let mut replay = ReplaySource::new(&name, records);
+    // Everything downstream reads only the file, streamed record by
+    // record: the trace is never held in memory whole.
+    let name = path.display().to_string();
+    let mut replay =
+        TraceReader::new(BufReader::new(File::open(&path)?), name.as_str()).map_err(|e| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("{name}: {e} (convert other formats with `tlc trace import`)"),
+            )
+        })?;
+    println!("replaying {name} through {cfg}...");
     let replay_stats = simulate_source(&cfg, &mut replay, budget);
-    println!("replay : {replay_stats}");
+    if let Some(e) = replay.take_error() {
+        return Err(e.into());
+    }
+    if replay.decoded() <= budget.warmup_instructions {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!(
+                "{name}: {} instructions leave nothing to measure after the {}-instruction warm-up",
+                replay.decoded(),
+                budget.warmup_instructions
+            ),
+        ));
+    }
+    println!("replay : {replay_stats} ({} instructions decoded)", replay.decoded());
 
-    if name.starts_with("li") {
+    if recorded {
         // Cross-check against the live generator.
         let mut live = SpecBenchmark::Li.workload();
         let live_stats = simulate_source(&cfg, &mut live, budget);

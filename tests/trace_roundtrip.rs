@@ -1,15 +1,73 @@
 //! Property-based tests of the trace substrate: serialisation
-//! round-trips, workload determinism, and statistics consistency.
+//! round-trips, the importer every external format enters through,
+//! workload determinism, and statistics consistency.
 
 use proptest::prelude::*;
-use two_level_cache::trace::compact::{read_compact_trace, write_compact_trace, COMPACT_MAGIC};
-use two_level_cache::trace::io::{
-    read_binary_trace, read_text_trace, write_text_trace, BinaryTraceWriter,
+use two_level_cache::trace::compact::{
+    import_to_compact, read_compact_trace, write_compact_trace, COMPACT_MAGIC, COMPACT_VERSION,
 };
+use two_level_cache::trace::io::{BINARY_MAGIC, INSTR_MAGIC};
 use two_level_cache::trace::spec::SpecBenchmark;
 use two_level_cache::trace::{
-    AccessKind, Addr, CompactTraceWriter, InstructionRecord, MemRef, TraceIoError, TraceStats,
+    AccessKind, Addr, CompactTraceWriter, ImportFormat, InstructionRecord, MemRef, TraceIoError,
+    TraceStats,
 };
+
+/// A `TLCREF01` stream of `refs`: the magic, then a kind byte and the
+/// little-endian address per reference.
+fn ref_bytes(refs: &[MemRef]) -> Vec<u8> {
+    let mut buf = BINARY_MAGIC.to_vec();
+    for r in refs {
+        buf.push(match r.kind {
+            AccessKind::InstrFetch => 0,
+            AccessKind::Load => 1,
+            AccessKind::Store => 2,
+        });
+        buf.extend_from_slice(&r.addr.raw().to_le_bytes());
+    }
+    buf
+}
+
+/// A text trace of `refs`, one `K 0xADDR` line each.
+fn ref_text(refs: &[MemRef]) -> Vec<u8> {
+    refs.iter()
+        .map(|r| format!("{} {:#x}\n", r.kind.code(), r.addr.raw()))
+        .collect::<String>()
+        .into()
+}
+
+/// A `TLCITR01` stream of `records`: the magic, then per record a flags
+/// byte, the fetch address and the data address when there is one.
+fn instr_bytes(records: &[InstructionRecord]) -> Vec<u8> {
+    let mut buf = INSTR_MAGIC.to_vec();
+    for r in records {
+        buf.push(match r.data {
+            None => 0,
+            Some(d) if d.kind == AccessKind::Store => 3,
+            Some(_) => 1,
+        });
+        buf.extend_from_slice(&r.fetch.raw().to_le_bytes());
+        if let Some(d) = r.data {
+            buf.extend_from_slice(&d.addr.raw().to_le_bytes());
+        }
+    }
+    buf
+}
+
+/// The flat reference stream of `records`: each fetch, then its data
+/// reference.
+fn flatten(records: &[InstructionRecord]) -> Vec<MemRef> {
+    records.iter().flat_map(|r| r.refs()).collect()
+}
+
+/// Imports `input` as `format` and reads the `TLCTRC01` result back.
+fn import(format: ImportFormat, input: &[u8]) -> Result<Vec<InstructionRecord>, TraceIoError> {
+    let mut out = Vec::new();
+    let n = import_to_compact(format, input, &mut out, None)?;
+    let records = read_compact_trace(&out[..]).expect("the importer writes valid TLCTRC01");
+    assert_eq!(records.len() as u64, n, "import count matches the records written");
+    Ok(records)
+}
 
 fn arbitrary_refs(len: usize) -> impl Strategy<Value = Vec<MemRef>> {
     prop::collection::vec((any::<u64>(), 0u8..3), 0..len).prop_map(|v| {
@@ -30,24 +88,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn binary_roundtrip(refs in arbitrary_refs(200)) {
-        let mut buf = Vec::new();
-        let mut w = BinaryTraceWriter::new(&mut buf).expect("write header");
-        for r in &refs {
-            w.write(*r).expect("write record");
-        }
-        prop_assert_eq!(w.written() as usize, refs.len());
-        w.into_inner().expect("flush");
-        let back = read_binary_trace(&buf[..]).expect("read back");
-        prop_assert_eq!(back, refs);
+    fn binary_roundtrip(records in arbitrary_records(200)) {
+        // TLCREF01: every kind byte and full 64-bit address decodes, and
+        // each fetch folds with the data reference after it.
+        let back = import(ImportFormat::Refs, &ref_bytes(&flatten(&records))).expect("import");
+        prop_assert_eq!(back, records);
     }
 
     #[test]
-    fn text_roundtrip(refs in arbitrary_refs(200)) {
-        let mut buf = Vec::new();
-        write_text_trace(&mut buf, &refs).expect("write");
-        let back = read_text_trace(&buf[..]).expect("read");
-        prop_assert_eq!(back, refs);
+    fn text_roundtrip(records in arbitrary_records(200)) {
+        let back = import(ImportFormat::Text, &ref_text(&flatten(&records))).expect("import");
+        prop_assert_eq!(back, records);
     }
 
     #[test]
@@ -172,25 +223,134 @@ fn workload_streams_are_distinct_across_benchmarks() {
 
 #[test]
 fn generated_trace_survives_binary_format() {
-    // Full pipeline: generate → serialise → parse → identical stats.
-    let mut w = SpecBenchmark::Doduc.workload();
-    let mut refs = Vec::new();
-    for _ in 0..5_000 {
-        let i = w.next_instruction();
-        refs.extend(i.refs());
-    }
-    let mut buf = Vec::new();
-    let mut writer = BinaryTraceWriter::new(&mut buf).expect("header");
-    for r in &refs {
-        writer.write(*r).expect("record");
-    }
-    writer.into_inner().expect("flush");
-    let back = read_binary_trace(&buf[..]).expect("read");
-    assert_eq!(back, refs);
+    // Full pipeline: generate → flat TLCREF01 references → import →
+    // TLCTRC01 → identical records and stats.
+    let records = SpecBenchmark::Doduc.workload().take_instructions(5_000);
+    let refs = flatten(&records);
+    let back = import(ImportFormat::Refs, &ref_bytes(&refs)).expect("import");
+    assert_eq!(back, records);
 
     let mut s1 = TraceStats::new(16);
     let mut s2 = TraceStats::new(16);
     refs.iter().for_each(|r| s1.record(*r));
-    back.iter().for_each(|r| s2.record(*r));
+    flatten(&back).iter().for_each(|r| s2.record(*r));
     assert_eq!(s1.summary(), s2.summary());
+}
+
+/// A valid encoding of `records` in `format`.
+fn encode(format: ImportFormat, records: &[InstructionRecord]) -> Vec<u8> {
+    let data = || records.iter().filter_map(|r| r.data);
+    match format {
+        ImportFormat::Compact => {
+            let mut buf = Vec::new();
+            write_compact_trace(&mut buf, records).expect("write");
+            buf
+        }
+        ImportFormat::Instr => instr_bytes(records),
+        ImportFormat::Refs => ref_bytes(&flatten(records)),
+        ImportFormat::Text => ref_text(&flatten(records)),
+        ImportFormat::AddrText => data()
+            .map(|d| {
+                let tag = if d.kind == AccessKind::Store { 'W' } else { 'R' };
+                format!("{tag} {:#x}\n", d.addr.raw())
+            })
+            .collect::<String>()
+            .into(),
+        ImportFormat::AddrBinary => data().flat_map(|d| d.addr.raw().to_le_bytes()).collect(),
+    }
+}
+
+const ALL_FORMATS: [ImportFormat; 6] = [
+    ImportFormat::Compact,
+    ImportFormat::Instr,
+    ImportFormat::Refs,
+    ImportFormat::Text,
+    ImportFormat::AddrText,
+    ImportFormat::AddrBinary,
+];
+
+/// The importer's contract on any input: the records it wrote as a
+/// valid `TLCTRC01` stream, or a typed error that fits the format and
+/// whose offset lies inside the input. Never a panic.
+fn check_import(
+    format: ImportFormat,
+    input: &[u8],
+) -> Result<Option<Vec<InstructionRecord>>, TestCaseError> {
+    let name = format.name();
+    match import(format, input) {
+        Ok(records) => return Ok(Some(records)),
+        Err(TraceIoError::Truncated { offset, .. } | TraceIoError::Corrupt { offset, .. }) => {
+            prop_assert!(offset as usize <= input.len(), "{name}: offset {offset}");
+        }
+        Err(TraceIoError::BadMagic { found, .. }) => {
+            prop_assert!(!magic(format).is_empty() && input.starts_with(&found), "{name}");
+        }
+        Err(TraceIoError::UnknownVersion { .. }) => {
+            prop_assert!(format == ImportFormat::Compact, "{name}");
+        }
+        // The line formats' reader refuses invalid UTF-8 as an I/O error.
+        Err(TraceIoError::Io(e)) => {
+            prop_assert!(
+                matches!(format, ImportFormat::Text | ImportFormat::AddrText),
+                "{name}: {e}"
+            );
+        }
+    }
+    Ok(None)
+}
+
+/// The header a format's stream opens with, if it has one.
+fn magic(format: ImportFormat) -> Vec<u8> {
+    match format {
+        ImportFormat::Compact => [&COMPACT_MAGIC[..], &[COMPACT_VERSION]].concat(),
+        ImportFormat::Instr => INSTR_MAGIC.to_vec(),
+        ImportFormat::Refs => BINARY_MAGIC.to_vec(),
+        _ => Vec::new(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_import_format_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+    ) {
+        for format in ALL_FORMATS {
+            check_import(format, &bytes)?;
+            // Past the header, so the record decoder sees the bytes too.
+            check_import(format, &[magic(format), bytes.clone()].concat())?;
+        }
+    }
+
+    #[test]
+    fn every_import_format_survives_every_cut(records in arbitrary_records(12)) {
+        let data_addrs = |recs: &[InstructionRecord]| -> Vec<Addr> {
+            recs.iter().filter_map(|r| r.data.map(|d| d.addr)).collect()
+        };
+        for format in ALL_FORMATS {
+            let full = encode(format, &records);
+            let whole = check_import(format, &full)?.expect("a valid encoding imports");
+            match format {
+                ImportFormat::AddrText | ImportFormat::AddrBinary => {
+                    prop_assert_eq!(data_addrs(&whole), data_addrs(&records), "{}", format.name());
+                }
+                _ => prop_assert_eq!(&whole, &records, "{}", format.name()),
+            }
+            for cut in 0..full.len() {
+                let prefix = check_import(format, &full[..cut])?;
+                // A binary format cut inside the stream yields a prefix
+                // of the references or a typed error, never other ones
+                // (a cut `TLCREF01` may end on a fetch whose data
+                // reference no longer follows).
+                if let (false, Some(prefix)) = (magic(format).is_empty(), prefix) {
+                    prop_assert!(
+                        flatten(&whole).starts_with(&flatten(&prefix)),
+                        "{} cut at {cut}",
+                        format.name()
+                    );
+                }
+            }
+        }
+    }
 }
