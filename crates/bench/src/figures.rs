@@ -13,12 +13,8 @@ use tlc_core::configspace::{full_space, single_level_configs, SpaceOptions};
 use tlc_core::envelope::{envelope_at, mean_improvement};
 use tlc_core::experiment::simulate_source_on;
 use tlc_core::report::{envelope_of, envelope_table, points_table};
-use tlc_core::runner::{
-    arena_bytes_for, try_run_indexed, try_sweep_family_arena_threads, try_sweep_threads, SweepUnit,
-    ARENA_BYTES_LIMIT,
-};
+use tlc_core::runner::{try_run_indexed, try_sweep_threads, SweepUnit};
 use tlc_core::{DesignPoint, L2Policy, MachineConfig};
-use tlc_obs::{obs_event, obs_span};
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{Addr, MemRef};
 
@@ -124,30 +120,16 @@ pub fn run(id: &str, h: &Harness) -> Option<String> {
     exhibit(id).map(|f| f(h))
 }
 
-/// One design-space sweep on `benchmark`: the family engine over an
-/// arena built from the harness's cached stream, or — past
-/// [`ARENA_BYTES_LIMIT`] — the runner's regenerating path. Panics if the
-/// sweep fails.
+/// One design-space sweep on `benchmark`: the family engine over the
+/// harness's cached stream ([`Harness::replay`]). Panics if the sweep
+/// fails.
 pub fn sweep_points(
     h: &Harness,
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
 ) -> Vec<DesignPoint> {
-    let points = if arena_bytes_for(h.budget) > ARENA_BYTES_LIMIT {
-        try_sweep_threads(configs, benchmark, h.budget, &h.timing, &h.area, h.threads)
-    } else {
-        obs_event!(
-            "engine.selected",
-            "family engine over one arena from the harness trace cache, {} configs",
-            configs.len()
-        );
-        let arena = {
-            let _span = obs_span!("arena_capture");
-            h.arena(benchmark)
-        };
-        try_sweep_family_arena_threads(configs, &arena, h.budget, &h.timing, &h.area, h.threads)
-    };
-    points.expect("exhibit sweep")
+    try_sweep_threads(configs, || h.replay(benchmark), h.budget, &h.timing, &h.area, h.threads)
+        .expect("exhibit sweep")
 }
 
 /// Runs a study's independent units (one workload on one system, say)

@@ -4,11 +4,11 @@ use std::mem::ManuallyDrop;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use tlc_area::AreaModel;
 use tlc_core::experiment::SimBudget;
-use tlc_core::runner::{self, arena_bytes_for, ARENA_BYTES_LIMIT};
+use tlc_core::runner::{self, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD};
 use tlc_timing::TimingModel;
 use tlc_trace::compact::{CompactTraceWriter, TraceReader};
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{InstructionRecord, InstructionSource, TraceArena, Workload};
+use tlc_trace::{InstructionRecord, InstructionSource, Workload};
 
 /// Models plus simulation budget shared by every figure.
 #[derive(Debug)]
@@ -22,7 +22,7 @@ pub struct Harness {
     /// Worker threads for configuration sweeps and per-access studies.
     pub threads: usize,
     /// Each preset's stream, generated once and replayed by every
-    /// exhibit through [`Harness::replay`] and [`Harness::arena`].
+    /// exhibit through [`Harness::replay`].
     pub traces: TraceCache,
 }
 
@@ -60,7 +60,7 @@ impl Harness {
     /// window.
     pub fn replay(&self, benchmark: SpecBenchmark) -> PresetReplay<'_> {
         let window = self.window();
-        let cached = (arena_bytes_for(self.budget) <= ARENA_BYTES_LIMIT)
+        let cached = (window <= (ARENA_BYTES_LIMIT / ARENA_BYTES_PER_RECORD) as u64)
             .then(|| self.traces.get_or_fill(benchmark, window))
             .filter(|cached| cached.records >= window);
         let state = match cached {
@@ -72,13 +72,6 @@ impl Harness {
             None => Replay::Live(benchmark.workload()),
         };
         PresetReplay { benchmark, state }
-    }
-
-    /// One budget's worth (warm-up plus measured) of `benchmark`'s
-    /// stream captured into an arena from [`Harness::replay`]: the arena
-    /// `capture_benchmark(benchmark, self.budget)` would build.
-    pub fn arena(&self, benchmark: SpecBenchmark) -> TraceArena {
-        TraceArena::capture(&mut self.replay(benchmark), self.window())
     }
 
     /// Instructions one configuration runs: warm-up plus measured.
@@ -304,33 +297,40 @@ mod tests {
     }
 
     #[test]
-    fn cached_arena_equals_the_captured_benchmark() {
-        let _serial = serial();
-        let h = Harness::quick().with_budget(SMALL);
-        for b in SpecBenchmark::ALL {
-            let (got, want) = (h.arena(b), capture_benchmark(b, SMALL));
-            assert_eq!(
-                (got.name(), got.len(), got.bytes()),
-                (want.name(), want.len(), want.bytes())
-            );
-            assert!(got.replay().eq(want.replay()), "{b}: arena records differ");
-        }
-    }
-
-    #[test]
     fn a_changed_budget_never_serves_the_stale_window() {
         let _serial = serial();
         let mut h = Harness::quick().with_budget(SMALL);
         let b = SpecBenchmark::Li;
         let _ = h.replay(b); // fills a 4 000-record window
         h.budget = SimBudget { instructions: 9_000, warmup_instructions: 1_000 };
-        let want = capture_benchmark(b, h.budget);
-        let got = h.arena(b);
-        assert_eq!(got.len(), 10_000);
-        assert!(got.replay().eq(want.replay()), "the longer budget must see the full stream");
+        let want = b.workload().take_instructions(10_000);
+        assert_eq!(records(&mut h.replay(b), 10_000), want, "the longer budget sees the stream");
         // A shorter budget reads a prefix of the cached window.
         h.budget = SimBudget { instructions: 500, warmup_instructions: 100 };
-        assert!(h.arena(b).replay().eq(capture_benchmark(b, h.budget).replay()));
+        assert_eq!(records(&mut h.replay(b), 600), want[..600]);
+    }
+
+    #[test]
+    fn sweeps_over_the_cache_match_sweeps_over_an_arena() {
+        // Every share opens its own replay of the cached window; the
+        // points must be those of the same sweep over a captured arena.
+        use tlc_core::configspace::{full_space, SpaceOptions};
+        use tlc_core::runner::{try_sweep_family_arena_threads, try_sweep_threads};
+        let _serial = serial();
+        let h = Harness::quick().with_budget(SMALL);
+        let configs = full_space(&SpaceOptions::baseline());
+        for b in [SpecBenchmark::Gcc1, SpecBenchmark::Eqntott] {
+            let arena = capture_benchmark(b, SMALL);
+            let want =
+                try_sweep_family_arena_threads(&configs, &arena, SMALL, &h.timing, &h.area, 2)
+                    .expect("arena sweep");
+            for threads in [1, 2, 3, 8] {
+                let got =
+                    try_sweep_threads(&configs, || h.replay(b), SMALL, &h.timing, &h.area, threads)
+                        .expect("cached sweep");
+                assert_eq!(got, want, "{b} at {threads} threads");
+            }
+        }
     }
 
     #[test]

@@ -338,7 +338,6 @@ pub(crate) fn walk_events<S: EventSink>(sink: &mut S, stream: &MissStream) {
         stream.warmup_events,
         u64::MAX,
         sink,
-        |_| true,
         replay_event_chunk,
         S::reset_counters,
     );

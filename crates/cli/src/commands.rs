@@ -7,12 +7,11 @@ use tlc_area::{AreaModel, CacheGeometry, CellKind};
 use tlc_cache::{ReplacementKind, StackDistanceProfiler};
 use tlc_core::audit::{run_audit, AuditOptions};
 use tlc_core::configspace::{full_space, SpaceOptions};
-use tlc_core::experiment::capture_benchmark;
 use tlc_core::experiment::{l1_config, l2_config, simulate_source, SimBudget};
 use tlc_core::report::{envelope_table, points_csv, points_table};
 use tlc_core::runner::{
-    arena_bytes_for, default_threads, try_sweep_family_arena_threads,
-    try_sweep_predict_arena_threads, try_sweep_sampled_threads, try_sweep_threads, SweepError,
+    default_threads, try_sweep_family_arena_threads, try_sweep_predict_arena_threads,
+    try_sweep_predict_threads, try_sweep_sampled_threads, try_sweep_threads, SweepError,
     ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD,
 };
 use tlc_core::sampling::{capture_phase_slices, sample_source, PhaseSample, SampleOptions};
@@ -283,18 +282,6 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
         }
         _ => {}
     }
-    // Predict profiles a captured arena; a workload budget past the arena
-    // bound is refused before anything is generated.
-    if let (SweepInput::Bench(_), Engine::Predict) = (&input, engine) {
-        if arena_bytes_for(budget) > ARENA_BYTES_LIMIT {
-            return Err(ArgError(format!(
-                "--engine predict: a {} MiB arena exceeds the {} MiB arena budget; lower \
-                 --instr/--warmup or use --engine auto",
-                arena_bytes_for(budget) >> 20,
-                ARENA_BYTES_LIMIT >> 20
-            )));
-        }
-    }
     let metrics_path = args.get("metrics").map(str::to_string);
     let trace_out_path = args.get("trace-out").map(str::to_string);
     let configs = full_space(&opts);
@@ -312,26 +299,23 @@ pub fn cmd_sweep(args: &ArgMap) -> Result<String, ArgError> {
     let result = {
         let _span = tlc_obs::obs_span!("sweep");
         match input {
-            SweepInput::Bench(benchmark) => match engine {
-                // Family replay over a captured arena, or over one
-                // regenerated stream per L1 group past the arena bound.
-                Engine::Auto | Engine::Family => {
-                    try_sweep_threads(&configs, benchmark, budget, &timing, &area, threads)
+            SweepInput::Bench(benchmark) => {
+                let open = || benchmark.workload();
+                match engine {
+                    // Family replay, each share of the L1 groups walking
+                    // its own run of the generator.
+                    Engine::Auto | Engine::Family => {
+                        try_sweep_threads(&configs, open, budget, &timing, &area, threads)
+                    }
+                    // Analytical prediction: one reuse-distance pass per
+                    // L1 group answers every conventional point; exclusive
+                    // members stay on replay. ε-accurate, not
+                    // bit-identical (see docs/models.md).
+                    Engine::Predict => {
+                        try_sweep_predict_threads(&configs, open, budget, &timing, &area, threads)
+                    }
                 }
-                // Analytical prediction: one reuse-distance pass per L1
-                // group answers every conventional point; exclusive
-                // members stay on replay. ε-accurate, not bit-identical
-                // (see docs/models.md).
-                Engine::Predict => {
-                    let arena = {
-                        let _span = tlc_obs::PhaseSpan::enter("arena_capture");
-                        capture_benchmark(benchmark, budget)
-                    };
-                    try_sweep_predict_arena_threads(
-                        &configs, &arena, budget, &timing, &area, threads,
-                    )
-                }
-            },
+            }
             SweepInput::Trace { mut reader, sample: Some(sample) } => {
                 // Sampled sweep: capture only the representative slices,
                 // sweep each with the family engine, recombine weighted.

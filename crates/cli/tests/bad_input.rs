@@ -79,16 +79,6 @@ fn sweep_rejects_the_removed_arena_engine() {
 }
 
 #[test]
-fn predict_sweep_refuses_an_arena_past_its_budget() {
-    // 70 M instructions (+ the default warm-up) need a ~1.1 GiB arena:
-    // refused before any capture, so this returns at once.
-    assert_rejected(
-        &["sweep", "--workload", "li", "--engine", "predict", "--instr", "70000000"],
-        "exceeds the 1024 MiB arena budget",
-    );
-}
-
-#[test]
 fn failed_import_leaves_nothing_at_the_output_path() {
     use tlc_trace::io::{BINARY_MAGIC, INSTR_MAGIC};
     let dir = std::env::temp_dir().join(format!("tlc-bad-import-{}", std::process::id()));
@@ -109,13 +99,18 @@ fn failed_import_leaves_nothing_at_the_output_path() {
     let cases = [
         ("cut.ref", refs, "truncated trace at byte offset 2699"),
         ("badflags.itr", instrs, "unknown instruction-record flags 0x04"),
+        // A text line that is not UTF-8 is named like any malformed line.
+        ("notutf8.txt", b"I 0x100\nL 0x2\xff00\n".to_vec(), "byte offset 8"),
     ];
     for (name, bytes, expected) in cases {
         let input = dir.join(name);
         std::fs::write(&input, bytes).unwrap();
         let out = dir.join(format!("{name}.trc"));
         let part = dir.join(format!("{name}.trc.part"));
-        let args = ["trace", "import", input.to_str().unwrap(), out.to_str().unwrap()];
+        let mut args = vec!["trace", "import", input.to_str().unwrap(), out.to_str().unwrap()];
+        if name.ends_with(".txt") {
+            args.extend(["--format", "text"]);
+        }
         assert_rejected(&args, expected);
         assert!(!out.exists(), "{name}: a failed import left {}", out.display());
         assert!(!part.exists(), "{name}: a failed import left {}", part.display());

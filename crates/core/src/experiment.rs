@@ -9,13 +9,16 @@
 use crate::machine::{L2Policy, L2Spec, MachineConfig, MachineTiming};
 use crate::tpi;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 use tlc_area::AreaModel;
 use tlc_cache::{HierarchyStats, L1FrontEnd, MemorySystem, MissStream, SystemKind};
 use tlc_timing::TimingModel;
 use tlc_trace::arena::{FLAG_NONE, FLAG_STORE};
-use tlc_trace::columns::DEFAULT_CHUNK_LEN;
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::{Addr, ChunkView, InstructionSource, MemRef, TraceArena};
+use tlc_trace::{
+    batch_buffer, Addr, ChunkView, InstructionRecord, InstructionSource, MemRef, TraceArena,
+};
 
 /// How long to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -149,25 +152,6 @@ pub fn build_system_kind(cfg: &MachineConfig) -> SystemKind {
     try_build_system_kind(cfg).expect("valid L1/L2 configuration")
 }
 
-/// Drives up to `limit` instructions from `source` through `sys`,
-/// returning how many were actually executed (less than `limit` only
-/// when the source exhausted).
-fn drive<S: InstructionSource + ?Sized, M: MemorySystem + ?Sized>(
-    sys: &mut M,
-    source: &mut S,
-    limit: u64,
-) -> u64 {
-    for n in 0..limit {
-        match source.next_instruction_opt() {
-            Some(rec) => {
-                sys.access_instruction(&rec);
-            }
-            None => return n,
-        }
-    }
-    limit
-}
-
 /// Runs `source` through the system for `budget`, returning measured
 /// statistics (warm-up excluded). Any [`InstructionSource`] drives it: a
 /// live [`tlc_trace::Workload`] or a recorded trace
@@ -201,10 +185,49 @@ pub fn simulate_source_on<S: InstructionSource + ?Sized, M: MemorySystem + ?Size
     source: &mut S,
     budget: SimBudget,
 ) -> HierarchyStats {
-    drive(sys, source, budget.warmup_instructions);
-    sys.reset_stats();
-    drive(sys, source, budget.instructions);
+    let step = |sys: &mut M, block: &[InstructionRecord]| {
+        for rec in block {
+            sys.access_instruction(rec);
+        }
+        true
+    };
+    walk_source(source, budget, sys, step, |sys| sys.reset_stats());
     *sys.stats()
+}
+
+/// The warm-up/measure protocol over one window of a source, behind
+/// [`simulate_source_on`] and every miss-stream capture (chunk stores
+/// take [`tlc_trace::columns::walk_window`]): reads up to the warm-up,
+/// then up to the measured instructions in [`batch_buffer`]-sized blocks,
+/// never past the window, handing each block to `step`; `reset` runs at
+/// the warm-up boundary, also when the source ended inside warm-up.
+/// Returns the instructions read, or `None` once `step` returns `false`.
+fn walk_source<S: InstructionSource + ?Sized, T: ?Sized>(
+    source: &mut S,
+    budget: SimBudget,
+    sink: &mut T,
+    mut step: impl FnMut(&mut T, &[InstructionRecord]) -> bool,
+    mut reset: impl FnMut(&mut T),
+) -> Option<u64> {
+    let mut batch = batch_buffer();
+    let mut read = 0u64;
+    let mut ended = false;
+    for (measure, mut left) in [(false, budget.warmup_instructions), (true, budget.instructions)] {
+        if measure {
+            reset(sink);
+        }
+        while left > 0 && !ended {
+            let asked = usize::try_from(left).map_or(batch.len(), |n| n.min(batch.len()));
+            let got = source.next_batch(&mut batch[..asked]);
+            ended = got < asked;
+            left -= got as u64;
+            read += got as u64;
+            if !step(sink, &batch[..got]) {
+                return None;
+            }
+        }
+    }
+    Some(read)
 }
 
 /// Replays one arena chunk's packed columns through the system. This is
@@ -229,29 +252,21 @@ fn replay_chunk<M: MemorySystem>(sys: &mut M, chunk: ChunkView<'_>, start: usize
 }
 
 /// The warm-up/measure protocol over one *window* of a captured arena —
-/// the chunk walk behind [`simulate_arena`] and every miss-stream
-/// capture: the one window walk ([`tlc_trace::columns::walk_window`])
-/// with `budget`'s split, resetting the system's statistics at the
-/// warm-up boundary. A window that ends inside warm-up measures nothing.
-/// `fits` is asked once before each chunk is replayed; the walk stops
-/// and returns `false` on the first `false`. Monomorphized per concrete
-/// system type, so every `access` in the replay loop is a direct,
-/// inlinable call.
-fn walk_window<M: MemorySystem>(
-    sys: &mut M,
-    arena: &TraceArena,
-    budget: SimBudget,
-    fits: impl Fn(&M) -> bool,
-) -> bool {
+/// the chunk walk behind [`simulate_arena`]: the one window walk
+/// ([`tlc_trace::columns::walk_window`]) with `budget`'s split, resetting
+/// the system's statistics at the warm-up boundary. A window that ends
+/// inside warm-up measures nothing. Monomorphized per concrete system
+/// type, so every `access` in the replay loop is a direct, inlinable
+/// call.
+fn walk_window<M: MemorySystem>(sys: &mut M, arena: &TraceArena, budget: SimBudget) {
     tlc_trace::columns::walk_window(
         arena.chunks(),
         budget.warmup_instructions,
         budget.instructions,
         sys,
-        fits,
         replay_chunk,
         M::reset_stats,
-    )
+    );
 }
 
 /// As [`simulate_source`], replaying a captured [`TraceArena`] through
@@ -267,95 +282,105 @@ pub fn simulate_arena(
 ) -> HierarchyStats {
     let mut sys = build_system_kind(cfg);
     match &mut sys {
-        SystemKind::Single(s) => walk_window(s, arena, budget, |_| true),
-        SystemKind::Conventional(s) => walk_window(s, arena, budget, |_| true),
-        SystemKind::Exclusive(s) => walk_window(s, arena, budget, |_| true),
+        SystemKind::Single(s) => walk_window(s, arena, budget),
+        SystemKind::Conventional(s) => walk_window(s, arena, budget),
+        SystemKind::Exclusive(s) => walk_window(s, arena, budget),
     };
     *sys.stats()
 }
 
-/// A split direct-mapped L1 front-end for one L1 group.
-///
-/// # Panics
-///
-/// Panics on an invalid L1 geometry.
-fn front_end(l1_size_bytes: u64, line_bytes: u64) -> L1FrontEnd {
-    use tlc_cache::{Associativity, CacheConfig, ReplacementKind};
-    L1FrontEnd::new(
-        CacheConfig::new(
-            l1_size_bytes,
-            line_bytes,
-            Associativity::Direct,
-            ReplacementKind::PseudoRandom,
-        )
-        .expect("valid L1 configuration"),
-    )
+/// One L1 front-end of a [`capture_groups`] walk.
+pub(crate) struct GroupCapture {
+    fe: L1FrontEnd,
+    /// Packed bytes of `segments`.
+    banked: usize,
+    /// One miss-stream segment per window walked.
+    pub(crate) segments: Vec<MissStream>,
+    /// Wall time the front-end spent stepping over blocks, in ns.
+    pub(crate) block_ns: u64,
 }
 
-/// The one L1 capture: a single direct-mapped front-end walks every
-/// window in order and keeps only the events the L2 would observe.
-/// [`L1FrontEnd::take_stream`] cuts one segment per window while the L1
-/// contents carry over, so window `k` starts from the state window
-/// `k-1` left behind. Returns `None` once the packed segments together
-/// outgrow `byte_limit` (checked between chunks and at each window's
-/// end, before its segment is cut).
+/// The one capture walk: the direct-mapped front-ends of `l1s` walk the
+/// windows together. Window `w` is the source `open(w)` under
+/// `budgets[w]`'s split ([`walk_source`]); each block read from it is
+/// stepped through every front-end before the next block is read, so a
+/// window is read once however many front-ends there are, and each sees
+/// exactly the records it would see alone. [`L1FrontEnd::take_stream`]
+/// cuts one segment per window while the L1 contents carry over.
+///
+/// `active` holds the index (into `l1s`) of the front-end being built or
+/// stepped, so a caller that catches a panic can name it. Returns the
+/// captures and the instructions read from all windows, or the index of
+/// a front-end whose segments together outgrew `byte_limit` (checked
+/// after every block).
 ///
 /// # Panics
 ///
 /// Panics on an invalid L1 geometry.
-pub(crate) fn capture_windows(
+pub(crate) fn capture_groups<S: InstructionSource>(
+    l1s: &[(u64, u64)],
+    open: impl Fn(usize) -> S,
+    budgets: &[SimBudget],
+    byte_limit: usize,
+    active: &AtomicUsize,
+) -> Result<(Vec<GroupCapture>, u64), usize> {
+    use tlc_cache::{Associativity::Direct, CacheConfig, ReplacementKind::PseudoRandom};
+    let mut groups: Vec<GroupCapture> = l1s
+        .iter()
+        .enumerate()
+        .map(|(g, &(l1, line))| {
+            active.store(g, Ordering::Relaxed);
+            let l1 =
+                CacheConfig::new(l1, line, Direct, PseudoRandom).expect("valid L1 configuration");
+            GroupCapture { fe: L1FrontEnd::new(l1), banked: 0, segments: Vec::new(), block_ns: 0 }
+        })
+        .collect();
+    let (mut read, mut over) = (0, None);
+    for (w, &budget) in budgets.iter().enumerate() {
+        let mut source = open(w);
+        let step = |groups: &mut Vec<GroupCapture>, block: &[InstructionRecord]| {
+            let mut t = Instant::now();
+            for (g, group) in groups.iter_mut().enumerate() {
+                active.store(g, Ordering::Relaxed);
+                for rec in block {
+                    group.fe.access_instruction(rec);
+                }
+                let now = Instant::now();
+                group.block_ns += (now - t).as_nanos() as u64;
+                t = now;
+                if group.banked + group.fe.event_bytes() > byte_limit {
+                    over = Some(g);
+                    return false;
+                }
+            }
+            true
+        };
+        let reset =
+            |groups: &mut Vec<GroupCapture>| groups.iter_mut().for_each(|g| g.fe.reset_stats());
+        read += walk_source(&mut source, budget, &mut groups, step, reset)
+            .ok_or_else(|| over.expect("a walk stops only past the byte limit"))?;
+        for group in &mut groups {
+            let segment = group.fe.take_stream(source.source_name());
+            group.banked += segment.bytes();
+            group.segments.push(segment);
+        }
+    }
+    Ok((groups, read))
+}
+
+/// [`capture_groups`] for one front-end, without the sweep's panic
+/// attribution: its segments, or `None` past `byte_limit`.
+fn capture_one<S: InstructionSource>(
     l1_size_bytes: u64,
     line_bytes: u64,
-    windows: &[(&TraceArena, SimBudget)],
+    open: impl Fn(usize) -> S,
+    budgets: &[SimBudget],
     byte_limit: usize,
 ) -> Option<Vec<MissStream>> {
-    let mut fe = front_end(l1_size_bytes, line_bytes);
-    let mut segments = Vec::with_capacity(windows.len());
-    let mut banked = 0usize;
-    for &(arena, budget) in windows {
-        let fits = |fe: &L1FrontEnd| banked + fe.event_bytes() <= byte_limit;
-        if !(walk_window(&mut fe, arena, budget, fits) && fits(&fe)) {
-            return None;
-        }
-        let seg = fe.take_stream(arena.name());
-        banked += seg.bytes();
-        segments.push(seg);
-    }
-    Some(segments)
-}
-
-/// As [`capture_miss_stream`] over `benchmark`'s seeded generator
-/// instead of a captured arena: the front-end walks a fresh
-/// [`SpecBenchmark::workload`] for `budget`, so the stream is the one an
-/// arena of that budget would have yielded, and no arena is ever held.
-/// Returns `None` once the packed stream outgrows `byte_limit` (checked
-/// every arena-chunk's worth of instructions).
-///
-/// # Panics
-///
-/// Panics on an invalid L1 geometry.
-pub(crate) fn capture_regenerated(
-    l1_size_bytes: u64,
-    line_bytes: u64,
-    benchmark: SpecBenchmark,
-    budget: SimBudget,
-    byte_limit: usize,
-) -> Option<MissStream> {
-    let mut fe = front_end(l1_size_bytes, line_bytes);
-    let mut source = benchmark.workload();
-    for (measure, mut left) in [(false, budget.warmup_instructions), (true, budget.instructions)] {
-        if measure {
-            fe.reset_stats();
-        }
-        // One arena chunk's worth per limit check; the generator never
-        // runs dry.
-        while left > 0 && fe.event_bytes() <= byte_limit {
-            let block = left.min(DEFAULT_CHUNK_LEN as u64);
-            drive(&mut fe, &mut source, block);
-            left -= block;
-        }
-    }
-    (fe.event_bytes() <= byte_limit).then(|| fe.finish(source.name()))
+    let l1s = [(l1_size_bytes, line_bytes)];
+    capture_groups(&l1s, open, budgets, byte_limit, &AtomicUsize::new(0))
+        .ok()
+        .map(|(mut captures, _)| captures.pop().expect("one front-end").segments)
 }
 
 /// Captures the miss/victim event stream of one L1 front-end (shared by
@@ -366,7 +391,7 @@ pub(crate) fn capture_regenerated(
 /// Follows [`simulate_arena`]'s warm-up split and early-exhaustion
 /// contract, so [`simulate_family`] on the result is bit-identical to
 /// [`simulate_arena`] on the full arena. Returns `None` when the packed
-/// event stream outgrows `byte_limit` (checked between chunks; an L1 so
+/// event stream outgrows `byte_limit` (checked after every block; an L1 so
 /// small that most references miss could otherwise approach the arena's
 /// own footprint); the sweep runner reports that as
 /// [`SweepError::MissStreamTooLarge`](crate::runner::SweepError::MissStreamTooLarge).
@@ -381,7 +406,7 @@ pub fn capture_miss_stream(
     budget: SimBudget,
     byte_limit: usize,
 ) -> Option<MissStream> {
-    capture_windows(l1_size_bytes, line_bytes, &[(arena, budget)], byte_limit)
+    capture_one(l1_size_bytes, line_bytes, |_| arena.replay(), &[budget], byte_limit)
         .map(|mut segments| segments.pop().expect("one window"))
 }
 
@@ -395,7 +420,7 @@ pub fn capture_miss_stream(
 /// single slice yields exactly [`capture_miss_stream`]'s stream.
 ///
 /// Returns `None` when the packed segments collectively outgrow
-/// `byte_limit` (checked between chunks).
+/// `byte_limit` (checked after every block).
 ///
 /// # Panics
 ///
@@ -406,9 +431,8 @@ pub fn capture_miss_stream_segments(
     slices: &[crate::sampling::PhaseSlice],
     byte_limit: usize,
 ) -> Option<Vec<MissStream>> {
-    let windows: Vec<(&TraceArena, SimBudget)> =
-        slices.iter().map(|s| (&s.arena, s.budget)).collect();
-    capture_windows(l1_size_bytes, line_bytes, &windows, byte_limit)
+    let budgets: Vec<SimBudget> = slices.iter().map(|s| s.budget).collect();
+    capture_one(l1_size_bytes, line_bytes, |w| slices[w].arena.replay(), &budgets, byte_limit)
 }
 
 /// Replays a captured [`MissStream`] through a whole *family* of

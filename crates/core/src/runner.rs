@@ -10,38 +10,31 @@
 //! family of one configuration included.
 //!
 //! There is one `Result`-returning entry point per engine:
+//! [`try_sweep_threads`] (`auto`/`family`) and
+//! [`try_sweep_predict_threads`] (`predict`) over any
+//! [`InstructionSource`] opener, their `*_arena_threads` twins over an
+//! arena's cursor, and [`try_sweep_sampled_threads`] over phase slices.
 //!
-//! - [`try_sweep_family_arena_threads`]: exact family replay over an
-//!   already-captured arena;
-//! - [`try_sweep_predict_arena_threads`]: one reuse-distance profile per
-//!   L1 group, within the documented ε of replay;
-//! - [`try_sweep_sampled_threads`]: stitched replay of phase slices;
-//! - [`try_sweep_threads`] (`auto`): family replay from a benchmark,
-//!   over one captured arena, or — past [`ARENA_BYTES_LIMIT`] — over one
-//!   freshly regenerated stream per L1 group.
-//!
-//! All of them run one pipeline. A capture phase walks each L1 group's
-//! front-end over its *feed* — the windows of captured arenas, or the
-//! regenerated benchmark stream — cutting one stream segment per window
-//! (a window is an arena and its warm-up/measure [`SimBudget`] split: a
-//! whole-trace sweep is one window, a sampled sweep one window per phase
-//! slice). One unit evaluator then replays a family over its group's
-//! segments and recombines the per-window statistics by window weight.
-//! The predict engine answers its predictable members from the captured
-//! stream and hands the rest to the same evaluator. A miss stream that
-//! outgrows [`MISS_STREAM_BYTES_LIMIT`] is an error
+//! All of them run one pipeline. The capture phase takes its input as
+//! *windows* — a source opener and a warm-up/measure [`SimBudget`]: a
+//! whole-trace sweep is one window, a sampled sweep one per phase slice.
+//! It deals the L1 groups into `min(threads, groups)` *shares*; each
+//! share opens its own sources and reads each window once, stepping all
+//! of its front-ends over a block of records before reading the next,
+//! and cuts one stream segment per window and group. Each front-end sees
+//! exactly the records it would see alone, so the exact engines produce
+//! the [`DesignPoint`]s [`evaluate`](crate::experiment::evaluate) would
+//! at any thread count. One unit evaluator then replays a family over
+//! its group's segments and recombines the per-window statistics by
+//! window weight; the predict engine answers its predictable members
+//! from the captured stream and hands the rest to the same evaluator. A
+//! miss stream that outgrows [`MISS_STREAM_BYTES_LIMIT`] is an error
 //! ([`SweepError::MissStreamTooLarge`]), never a silent switch to
-//! another engine.
-//!
-//! The exact engines produce the [`DesignPoint`]s
-//! [`evaluate`](crate::experiment::evaluate) would: the arena holds
-//! exactly the stream the seeded generator produces, and the replay
-//! issues references in the same order. [`sweep`] is the default-threads
-//! convenience over `auto`.
+//! another engine. [`sweep`] is the default-threads convenience.
 
 use crate::experiment::{
-    capture_benchmark, capture_regenerated, capture_windows, design_point_untracked,
-    evaluate_predicted, simulate_family_segments, DesignPoint, SimBudget,
+    capture_groups, design_point_untracked, evaluate_predicted, simulate_family_segments,
+    DesignPoint, SimBudget,
 };
 use crate::machine::{L2Policy, MachineConfig};
 use crate::sampling::{combine_weighted, PhaseSlice};
@@ -50,10 +43,10 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use tlc_area::AreaModel;
 use tlc_cache::{HierarchyStats, MissStream};
-use tlc_obs::{obs_count, obs_event, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
+use tlc_obs::{obs_count, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
-use tlc_trace::TraceArena;
+use tlc_trace::{InstructionSource, TraceArena};
 
 /// The work unit a sweep worker was executing when it panicked;
 /// identifies where in the pipeline the failure sits.
@@ -161,21 +154,15 @@ fn require_threads(threads: usize) -> Result<(), SweepError> {
     Ok(())
 }
 
-/// Upper bound on the arena capture size before [`try_sweep_threads`]
-/// stops capturing one and regenerates the stream once per L1 group
-/// instead: 1 GiB ≈ 63 M instructions at 17 bytes per packed record, far
-/// beyond the standard 2 M-instruction budget.
+/// Upper bound on a whole-trace arena capture (`tlc sweep --trace`) and
+/// on a cached preset window: 1 GiB ≈ 63 M instructions at 17 bytes per
+/// packed record, far beyond the standard 2 M-instruction budget. No
+/// sweep needs an arena: a sweep streams its input past this size.
 pub const ARENA_BYTES_LIMIT: usize = 1 << 30;
 
 /// Packed bytes per captured instruction (fetch `u64` + data `u64` +
 /// flag `u8`); used to predict a capture's footprint before building it.
 pub use tlc_trace::columns::BYTES_PER_RECORD as ARENA_BYTES_PER_RECORD;
-
-/// Predicted arena footprint in bytes for one benchmark at `budget`.
-pub fn arena_bytes_for(budget: SimBudget) -> usize {
-    let records = budget.warmup_instructions.saturating_add(budget.instructions);
-    usize::try_from(records).unwrap_or(usize::MAX).saturating_mul(ARENA_BYTES_PER_RECORD)
-}
 
 /// Upper bound on one L1 group's captured miss stream (all of its
 /// segments together) before the sweep fails with
@@ -207,8 +194,8 @@ pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
 }
 
 /// Evaluates every configuration on `benchmark` on [`default_threads`]
-/// workers ([`try_sweep_threads`]). Results are returned in the same
-/// order as `configs`.
+/// workers ([`try_sweep_threads`] over its generator). Results are
+/// returned in the same order as `configs`.
 ///
 /// # Panics
 ///
@@ -220,7 +207,7 @@ pub fn sweep(
     timing: &TimingModel,
     area: &AreaModel,
 ) -> Vec<DesignPoint> {
-    try_sweep_threads(configs, benchmark, budget, timing, area, default_threads())
+    try_sweep_threads(configs, || benchmark.workload(), budget, timing, area, default_threads())
         .unwrap_or_else(|e| panic!("sweep failed: {e}"))
 }
 
@@ -233,15 +220,20 @@ pub fn default_threads() -> usize {
     *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4))
 }
 
-/// The `auto` engine: evaluates every configuration on `benchmark` on
-/// `threads` workers, in input order, by family replay.
+/// The `auto` engine: evaluates every configuration on the stream
+/// `open` yields (every call must yield the same stream), on `threads`
+/// workers, in input order, by family replay.
 ///
-/// Captures the benchmark's stream once and hands it to
-/// [`try_sweep_family_arena_threads`]. When that arena would exceed
-/// [`ARENA_BYTES_LIMIT`], no arena is captured: each L1 group's
-/// front-end walks its own freshly regenerated stream instead (one
-/// generation per L1 group) and feeds the same family replay. Either way
-/// the results are identical.
+/// Configurations are grouped by L1 front-end ([`l1_groups`]); each
+/// share of the groups calls `open` once and captures its groups' miss
+/// streams over `budget`'s window. Each group is partitioned into
+/// *families* sharing one L2 policy, associativity and replacement (in
+/// the paper's spaces, "one L1, every L2 capacity"), and each family
+/// replays its group's events once for all of its members
+/// ([`simulate_family_segments`]). Every statistic is bit-identical to
+/// [`evaluate`](crate::experiment::evaluate) on each configuration
+/// alone. A family holding more than its fair share of the space is
+/// chunked across threads (a single-threaded sweep keeps it whole).
 ///
 /// # Errors
 ///
@@ -249,85 +241,78 @@ pub fn default_threads() -> usize {
 /// [`SweepError::MissStreamTooLarge`] if an L1 group's miss stream
 /// outgrows [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
 /// worker panics, naming the L1 group or family chunk that failed.
-pub fn try_sweep_threads(
+pub fn try_sweep_threads<S: InstructionSource>(
     configs: &[MachineConfig],
-    benchmark: SpecBenchmark,
+    open: impl Fn() -> S + Sync,
     budget: SimBudget,
     timing: &TimingModel,
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    if arena_bytes_for(budget) > ARENA_BYTES_LIMIT {
-        obs_event!(
-            "engine.selected",
-            "family engine over one regenerated stream per L1 group, {} configs (predicted \
-             arena {} B)",
-            configs.len(),
-            arena_bytes_for(budget)
-        );
-        let feed = Feed::Regenerated(benchmark, budget);
-        return try_sweep_feed(configs, feed, &[1.0], timing, area, threads);
-    }
-    obs_event!(
-        "engine.selected",
-        "family engine over one captured arena, {} configs",
-        configs.len()
-    );
-    let arena = {
-        let _span = obs_span!("arena_capture");
-        capture_benchmark(benchmark, budget)
-    };
-    try_sweep_family_arena_threads(configs, &arena, budget, timing, area, threads)
+    let groups = l1_groups(configs);
+    let captured =
+        try_capture_groups(&groups, |_| open(), &[budget], MISS_STREAM_BYTES_LIMIT, threads)?;
+    try_replay_groups(configs, &groups, &captured, &[1.0], timing, area, threads)
 }
 
-/// What every L1 group's front-end walks in a sweep's capture phase.
-#[derive(Clone, Copy)]
-enum Feed<'a> {
-    /// Captured arenas, one `(arena, warm-up/measure split)` window each,
-    /// walked in order (one stream segment per window).
-    Arenas(&'a [(&'a TraceArena, SimBudget)]),
-    /// The benchmark's seeded generator for one window of `budget`,
-    /// regenerated afresh for every group.
-    Regenerated(SpecBenchmark, SimBudget),
-}
-
-/// Phase A of every sweep: one miss-stream capture per L1 group over
-/// `feed`, with a `group[...]` phase span per capture. Every group
-/// captures, a group of one configuration included. A group whose
-/// stream outgrows `byte_limit` fails the sweep with
-/// [`SweepError::MissStreamTooLarge`].
-fn try_capture_groups(
+/// Phase A of every sweep: each L1 group's segments, in group order, over
+/// the windows `budgets` (window `w` read from `open(w)`). The groups are
+/// dealt round-robin into `min(threads, groups)` shares; each share is
+/// one [`capture_groups`] walk under a `share[k]` span whose items are
+/// its groups. `capture.l1_group_ns` gets one sample per group, and
+/// share 0 counts the windows' instructions into `trace.instructions`.
+/// A group past `byte_limit` fails the sweep with
+/// [`SweepError::MissStreamTooLarge`]; a panic names the group whose
+/// front-end was being built or stepped.
+fn try_capture_groups<S: InstructionSource>(
     groups: &[(L1Key, Vec<usize>)],
-    feed: Feed<'_>,
+    open: impl Fn(usize) -> S + Sync,
+    budgets: &[SimBudget],
     byte_limit: usize,
     threads: usize,
 ) -> Result<Vec<Vec<MissStream>>, SweepError> {
     let _span = obs_span!("l1_capture");
-    try_run_indexed(
-        groups.len(),
+    let shares = threads.min(groups.len());
+    // Group `g` sits in share `g % shares`, at position `g / shares`.
+    let group_of = |share: usize, i: usize| &groups[share + i * shares].0;
+    let active: Vec<AtomicUsize> = (0..shares).map(|_| AtomicUsize::new(0)).collect();
+    let dealt = try_run_indexed(
+        shares,
         threads,
-        |g| {
-            let (&(l1, line), idxs) = (&groups[g].0, &groups[g].1);
-            let span = PhaseSpan::enter_with("group", &format!("{l1}B/{line}B"));
-            span.add_items(idxs.len() as u64);
-            let _t = HistTimer::start(Hist::CaptureL1GroupNs);
-            match feed {
-                Feed::Arenas(windows) => capture_windows(l1, line, windows, byte_limit),
-                Feed::Regenerated(benchmark, budget) => {
-                    capture_regenerated(l1, line, benchmark, budget, byte_limit).map(|s| vec![s])
-                }
+        |k| {
+            let keys: Vec<L1Key> = groups.iter().skip(k).step_by(shares).map(|g| g.0).collect();
+            let span = PhaseSpan::enter_with("share", &k.to_string());
+            span.add_items(keys.len() as u64);
+            let (captures, read) = capture_groups(&keys, &open, budgets, byte_limit, &active[k])
+                .map_err(|i| {
+                    let &(l1_size_bytes, line_bytes) = group_of(k, i);
+                    SweepError::MissStreamTooLarge {
+                        l1_size_bytes,
+                        line_bytes,
+                        limit_bytes: byte_limit,
+                    }
+                })?;
+            if k == 0 {
+                obs_count!(Counter::TraceInstructions, read);
             }
-            .ok_or(SweepError::MissStreamTooLarge {
-                l1_size_bytes: l1,
-                line_bytes: line,
-                limit_bytes: byte_limit,
-            })
+            for c in &captures {
+                obs_hist!(Hist::CaptureL1GroupNs, c.block_ns);
+            }
+            Ok(captures)
         },
-        |g| SweepUnit::L1Group { l1_size_bytes: groups[g].0 .0, line_bytes: groups[g].0 .1 },
-    )?
-    .into_iter()
-    .collect()
+        |k| {
+            let &(l1_size_bytes, line_bytes) = group_of(k, active[k].load(Ordering::Relaxed));
+            SweepUnit::L1Group { l1_size_bytes, line_bytes }
+        },
+    )?;
+    let mut segments: Vec<Vec<MissStream>> = groups.iter().map(|_| Vec::new()).collect();
+    for (k, share) in dealt.into_iter().enumerate() {
+        for (i, capture) in share?.into_iter().enumerate() {
+            segments[k + i * shares] = capture.segments;
+        }
+    }
+    Ok(segments)
 }
 
 /// One parallel work unit of every sweep: a family chunk sharing one L2
@@ -440,23 +425,21 @@ fn eval_unit(
         .collect()
 }
 
-/// The family sweep over `feed`: one capture per L1 group
-/// ([`try_capture_groups`]), each group's families planned into units
-/// ([`plan_units`]), and every unit evaluated by [`eval_unit`] with the
-/// per-window `weights`.
-fn try_sweep_feed(
+/// Phase B of the family sweeps: plans each group's families into units
+/// ([`plan_units`]) over its `captured` segments and evaluates every
+/// unit by [`eval_unit`] with the per-window `weights`.
+fn try_replay_groups(
     configs: &[MachineConfig],
-    feed: Feed<'_>,
+    groups: &[(L1Key, Vec<usize>)],
+    captured: &[Vec<MissStream>],
     weights: &[f64],
     timing: &TimingModel,
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    let groups = l1_groups(configs);
-    let captured = try_capture_groups(&groups, feed, MISS_STREAM_BYTES_LIMIT, threads)?;
-    let units: Vec<Unit<'_>> = plan_units(configs, &groups, threads)
+    let units: Vec<Unit<'_>> = plan_units(configs, groups, threads)
         .into_iter()
-        .zip(&captured)
+        .zip(captured)
         .flat_map(|(chunks, segments)| chunks.into_iter().map(|members| Unit { segments, members }))
         .collect();
     try_fan_out(configs, &units, threads, Unit::sweep_unit, |u| {
@@ -464,29 +447,12 @@ fn try_sweep_feed(
     })
 }
 
-/// The family-batched sweep: configurations are grouped by L1 front-end
-/// ([`l1_groups`]), the arena is replayed through each distinct L1
-/// **once** to capture its miss/victim event stream, each group is
-/// partitioned into *families* sharing one L2 policy and associativity
-/// (in the paper's spaces, a family is "one L1, every L2 capacity"), and
-/// each family replays its group's events **once** for all of its
-/// members ([`simulate_family_segments`] over one segment). Every
-/// statistic is bit-identical to simulating each configuration on its
-/// own ([`simulate_arena`](crate::experiment::simulate_arena)): the L1
-/// work is paid once per group, and the event decode once per family.
-///
-/// Parallelism runs across (group × family) units; when one family holds
-/// more than its fair share of the space, it is chunked so a dominant
-/// group cannot serialise a multi-threaded sweep (a single-threaded
-/// sweep keeps every family whole for maximal sharing). Results are
-/// returned in input order.
+/// [`try_sweep_threads`] over `arena`'s cursor: the family sweep of an
+/// already-captured trace.
 ///
 /// # Errors
 ///
-/// [`SweepError::NoThreads`] if `threads` is zero, before any work;
-/// [`SweepError::MissStreamTooLarge`] if an L1 group's miss stream
-/// outgrows [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
-/// worker panics, naming the L1 group or family chunk that failed.
+/// As [`try_sweep_threads`].
 pub fn try_sweep_family_arena_threads(
     configs: &[MachineConfig],
     arena: &TraceArena,
@@ -495,8 +461,7 @@ pub fn try_sweep_family_arena_threads(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
-    require_threads(threads)?;
-    try_sweep_feed(configs, Feed::Arenas(&[(arena, budget)]), &[1.0], timing, area, threads)
+    try_sweep_threads(configs, || arena.replay(), budget, timing, area, threads)
 }
 
 /// The sampled sweep with **stitched warming**: the family sweep with
@@ -539,19 +504,20 @@ pub fn try_sweep_sampled_threads(
     if slices.is_empty() {
         return Err(SweepError::NoSlices);
     }
-    let windows: Vec<(&TraceArena, SimBudget)> =
-        slices.iter().map(|s| (&s.arena, s.budget)).collect();
+    let budgets: Vec<SimBudget> = slices.iter().map(|s| s.budget).collect();
     let weights: Vec<f64> = slices.iter().map(|s| s.weight).collect();
-    try_sweep_feed(configs, Feed::Arenas(&windows), &weights, timing, area, threads)
+    let groups = l1_groups(configs);
+    let open = |w: usize| slices[w].arena.replay();
+    let captured = try_capture_groups(&groups, open, &budgets, MISS_STREAM_BYTES_LIMIT, threads)?;
+    try_replay_groups(configs, &groups, &captured, &weights, timing, area, threads)
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
-/// captured exactly as in [`try_sweep_family_arena_threads`], but each
-/// group's single-level and conventional members are answered by
-/// **one** reuse-distance profiling pass
-/// ([`evaluate_predicted`]) — O(events) per L1 group, independent of how
-/// many L2 points the group sweeps — instead of one replay per
-/// associativity family.
+/// captured exactly as in [`try_sweep_threads`], but each group's
+/// single-level and conventional members are answered by **one**
+/// reuse-distance profiling pass ([`evaluate_predicted`]) — O(events)
+/// per L1 group, independent of how many L2 points the group sweeps —
+/// instead of one replay per associativity family.
 ///
 /// **Not bit-identical.** Predicted points carry the documented ε
 /// contract ([`tlc_cache::MISS_RATIO_EPSILON`]) on the local L2 miss
@@ -572,19 +538,18 @@ pub fn try_sweep_sampled_threads(
 /// outgrows [`MISS_STREAM_BYTES_LIMIT`]; [`SweepError::Worker`] if a
 /// worker panics, naming the L1 group, predict group, or family chunk
 /// that failed.
-pub fn try_sweep_predict_arena_threads(
+pub fn try_sweep_predict_threads<S: InstructionSource>(
     configs: &[MachineConfig],
-    arena: &TraceArena,
+    open: impl Fn() -> S + Sync,
     budget: SimBudget,
     timing: &TimingModel,
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    let windows = [(arena, budget)];
     let groups = l1_groups(configs);
     let captured =
-        try_capture_groups(&groups, Feed::Arenas(&windows), MISS_STREAM_BYTES_LIMIT, threads)?;
+        try_capture_groups(&groups, |_| open(), &[budget], MISS_STREAM_BYTES_LIMIT, threads)?;
     // Each group's predictable members form one profiling unit; the rest
     // are planned as the family sweep plans them.
     let mut profiled: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
@@ -628,6 +593,22 @@ pub fn try_sweep_predict_arena_threads(
             eval_unit(configs, &[1.0], unit, timing, area)
         }
     })
+}
+
+/// [`try_sweep_predict_threads`] over `arena`'s cursor.
+///
+/// # Errors
+///
+/// As [`try_sweep_predict_threads`].
+pub fn try_sweep_predict_arena_threads(
+    configs: &[MachineConfig],
+    arena: &TraceArena,
+    budget: SimBudget,
+    timing: &TimingModel,
+    area: &AreaModel,
+    threads: usize,
+) -> Result<Vec<DesignPoint>, SweepError> {
+    try_sweep_predict_threads(configs, || arena.replay(), budget, timing, area, threads)
 }
 
 /// One parallel work unit of the predict sweep.
@@ -763,7 +744,7 @@ where
 mod tests {
     use super::*;
     use crate::configspace::{single_level_configs, two_level_configs, SpaceOptions};
-    use crate::experiment::{capture_miss_stream, evaluate};
+    use crate::experiment::{capture_benchmark, capture_miss_stream, evaluate};
 
     /// The independent per-configuration reference: every point through
     /// its own per-access hierarchy on the regenerated stream.
@@ -787,9 +768,11 @@ mod tests {
         let configs = &configs[..4];
         let budget = SimBudget { instructions: 20_000, warmup_instructions: 5_000 };
         let serial =
-            try_sweep_threads(configs, SpecBenchmark::Eqntott, budget, &tm, &am, 1).expect("sweep");
+            try_sweep_threads(configs, || SpecBenchmark::Eqntott.workload(), budget, &tm, &am, 1)
+                .expect("sweep");
         let parallel =
-            try_sweep_threads(configs, SpecBenchmark::Eqntott, budget, &tm, &am, 4).expect("sweep");
+            try_sweep_threads(configs, || SpecBenchmark::Eqntott.workload(), budget, &tm, &am, 4)
+                .expect("sweep");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.label, p.label);
@@ -823,7 +806,8 @@ mod tests {
         let configs = [MachineConfig::two_level(4, 64, 4, L2Policy::Exclusive, 50.0)];
         let budget = SimBudget { instructions: 15_000, warmup_instructions: 5_000 };
         let auto =
-            try_sweep_threads(&configs, SpecBenchmark::Gcc1, budget, &tm, &am, 2).expect("sweep");
+            try_sweep_threads(&configs, || SpecBenchmark::Gcc1.workload(), budget, &tm, &am, 2)
+                .expect("sweep");
         assert_eq!(auto, per_config(&configs, SpecBenchmark::Gcc1, budget));
     }
 
@@ -850,7 +834,8 @@ mod tests {
         let configs = &configs[..3];
         let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
         let points =
-            try_sweep_threads(configs, SpecBenchmark::Li, budget, &tm, &am, 3).expect("sweep");
+            try_sweep_threads(configs, || SpecBenchmark::Li.workload(), budget, &tm, &am, 3)
+                .expect("sweep");
         let labels: Vec<&str> = points.iter().map(|p| p.label.as_str()).collect();
         assert_eq!(labels, vec!["1:0", "2:0", "4:0"]);
     }
@@ -859,8 +844,8 @@ mod tests {
     fn empty_space_is_fine() {
         let tm = TimingModel::paper();
         let am = AreaModel::new();
-        let points = try_sweep_threads(&[], SpecBenchmark::Li, SimBudget::quick(), &tm, &am, 2)
-            .expect("sweep");
+        let open = || SpecBenchmark::Li.workload();
+        let points = try_sweep_threads(&[], open, SimBudget::quick(), &tm, &am, 2).expect("sweep");
         assert!(points.is_empty());
     }
 
@@ -1052,75 +1037,145 @@ mod tests {
         }
     }
 
-    #[test]
-    fn over_limit_capture_is_a_typed_error() {
-        // A zero byte limit rejects every capture: the sweep fails naming
-        // the first L1 group, from an arena and a regenerated feed alike.
-        let budget = SimBudget { instructions: 5_000, warmup_instructions: 1_000 };
-        let arena = capture_benchmark(SpecBenchmark::Tomcatv, budget);
-        assert!(capture_miss_stream(1024, 16, &arena, budget, 0).is_none());
-        assert!(capture_miss_stream(1024, 16, &arena, budget, usize::MAX).is_some());
-        let configs = [MachineConfig::single_level(1, 50.0), MachineConfig::single_level(2, 50.0)];
-        let groups = l1_groups(&configs);
-        let want =
-            SweepError::MissStreamTooLarge { l1_size_bytes: 1024, line_bytes: 16, limit_bytes: 0 };
-        for feed in
-            [Feed::Arenas(&[(&arena, budget)]), Feed::Regenerated(SpecBenchmark::Tomcatv, budget)]
-        {
-            for threads in [1, 2] {
-                let err =
-                    try_capture_groups(&groups, feed, 0, threads).expect_err("over the limit");
-                assert_eq!(err, want);
-                assert!(err.to_string().contains("MISS_STREAM_BYTES_LIMIT"), "{err}");
-            }
-        }
+    /// Asserts two captured segments agree field for field and event for
+    /// event.
+    fn assert_same_stream(got: &MissStream, want: &MissStream, what: &str) {
+        let shape = |s: &MissStream| {
+            (s.name().to_string(), s.l1_size_bytes(), s.line_bytes(), s.len(), s.bytes())
+        };
+        assert_eq!(shape(got), shape(want), "{what}");
+        assert_eq!(got.warmup_events(), want.warmup_events(), "{what}: warm-up boundary");
+        assert_eq!(got.l1_stats(), want.l1_stats(), "{what}: L1 statistics");
+        assert!(got.events().eq(want.events()), "{what}: events diverged");
     }
 
-    #[test]
-    fn regenerated_capture_matches_arena_capture() {
-        // One generation per L1 group yields the arena's streams event for
-        // event, and the family replay over them the same points.
-        let tm = TimingModel::paper();
-        let am = AreaModel::new();
-        let mut opts = SpaceOptions::baseline();
-        let mut configs = single_level_configs(&opts)[..3].to_vec();
-        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
-        opts.l2_policy = L2Policy::Exclusive;
+    /// Five L1 groups: fewer than eight threads, more than one to three.
+    fn capture_space() -> Vec<MachineConfig> {
+        let opts = SpaceOptions::baseline();
+        let mut configs = single_level_configs(&opts)[..5].to_vec();
         configs.extend_from_slice(&two_level_configs(&opts)[..4]);
-        let groups = l1_groups(&configs);
-        for budget in [
-            SimBudget { instructions: 9_000, warmup_instructions: 3_000 },
-            SimBudget { instructions: 70_000, warmup_instructions: 0 },
-        ] {
-            let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
-            let windows = [(&arena, budget)];
-            let from_arena = try_capture_groups(&groups, Feed::Arenas(&windows), usize::MAX, 2)
+        configs.push(MachineConfig::two_level(2, 64, 4, L2Policy::Exclusive, 50.0));
+        configs
+    }
+
+    /// The shared walk over `open`'s window at 1, 2, 3 and 8 threads must
+    /// capture, for every group, exactly the stream a lone front-end
+    /// captures from an arena of that window.
+    fn check_shared_walk<S: InstructionSource>(
+        what: &str,
+        open: impl Fn() -> S + Sync,
+        budget: SimBudget,
+    ) {
+        let groups = l1_groups(&capture_space());
+        assert_eq!(groups.len(), 5);
+        let arena =
+            TraceArena::capture(&mut open(), budget.warmup_instructions + budget.instructions);
+        let want: Vec<MissStream> = groups
+            .iter()
+            .map(|&((l1, line), _)| {
+                capture_miss_stream(l1, line, &arena, budget, usize::MAX).expect("unbounded")
+            })
+            .collect();
+        for threads in [1, 2, 3, 8] {
+            let got = try_capture_groups(&groups, |_| open(), &[budget], usize::MAX, threads)
                 .expect("capture");
-            let regenerated = Feed::Regenerated(SpecBenchmark::Gcc1, budget);
-            let from_source =
-                try_capture_groups(&groups, regenerated, usize::MAX, 2).expect("capture");
-            for (a, r) in from_arena.iter().zip(&from_source) {
-                let (a, r) = (&a[0], &r[0]);
-                assert_eq!(a.name(), r.name());
-                assert_eq!(a.l1_size_bytes(), r.l1_size_bytes());
-                assert_eq!(a.warmup_events(), r.warmup_events());
-                assert_eq!(a.l1_stats(), r.l1_stats());
-                assert!(a.events().eq(r.events()), "{}B L1: events diverged", a.l1_size_bytes());
+            assert_eq!(got.len(), groups.len());
+            for (segments, want) in got.iter().zip(&want) {
+                assert_eq!(segments.len(), 1, "one window, one segment");
+                let what = format!("{what}, {}B L1, {threads} threads", want.l1_size_bytes());
+                assert_same_stream(&segments[0], want, &what);
             }
-            let want = try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2)
-                .expect("sweep");
-            let got = try_sweep_feed(&configs, regenerated, &[1.0], &tm, &am, 2).expect("sweep");
-            assert_eq!(want, got);
         }
     }
 
     #[test]
-    fn arena_footprint_prediction() {
-        let b = SimBudget::standard();
-        assert_eq!(arena_bytes_for(b), 2_000_000 * 17);
-        assert!(arena_bytes_for(b) < ARENA_BYTES_LIMIT, "standard budget uses the arena path");
-        let huge = b.scaled(1000.0);
-        assert!(arena_bytes_for(huge) > ARENA_BYTES_LIMIT, "1000x budget streams instead");
+    fn shared_walk_matches_per_group_capture_from_every_source() {
+        use tlc_trace::compact::{write_compact_trace, TraceReader};
+        use tlc_trace::ReplaySource;
+        let budget = SimBudget { instructions: 9_000, warmup_instructions: 3_000 };
+        let b = SpecBenchmark::Gcc1;
+        check_shared_walk("generator", || b.workload(), budget);
+        let arena = capture_benchmark(b, budget);
+        check_shared_walk("arena cursor", || arena.replay(), budget);
+        let records = b.workload().take_instructions(12_000);
+        let mut compact = Vec::new();
+        write_compact_trace(&mut compact, &records).expect("in-memory write");
+        let reader = || TraceReader::new(&compact[..], b.name()).expect("compact header");
+        check_shared_walk("TLCTRC01 reader", reader, budget);
+        // 2 000 records end inside the 3 000-instruction warm-up: every
+        // group measures nothing, with its warm-up events kept.
+        let short = || ReplaySource::new(b.name(), records[..2_000].to_vec());
+        check_shared_walk("source ending in warm-up", short, budget);
+        // A window with no warm-up, measured to a short source's end.
+        let open = || ReplaySource::new(b.name(), records[..7_000].to_vec());
+        let whole = SimBudget { instructions: u64::MAX - 1, warmup_instructions: 0 };
+        check_shared_walk("whole finite source", open, whole);
+    }
+
+    #[test]
+    fn shared_walk_matches_per_group_capture_over_sampled_windows() {
+        use crate::experiment::capture_miss_stream_segments;
+        let records = SpecBenchmark::Li.workload().take_instructions(30_000);
+        let slice = |from: usize, to: usize, warmup: u64| {
+            let mut src = tlc_trace::ReplaySource::new("li", records[from..to].to_vec());
+            let arena = TraceArena::capture(&mut src, u64::MAX);
+            let budget =
+                SimBudget { instructions: arena.len() - warmup, warmup_instructions: warmup };
+            PhaseSlice { arena, budget, weight: 1.0, representative: from as u64 }
+        };
+        let slices =
+            [slice(0, 6_000, 1_000), slice(9_000, 16_000, 2_500), slice(20_000, 30_000, 0)];
+        let budgets: Vec<SimBudget> = slices.iter().map(|s| s.budget).collect();
+        let groups = l1_groups(&capture_space());
+        for threads in [1, 2, 3, 8] {
+            let open = |w: usize| slices[w].arena.replay();
+            let got =
+                try_capture_groups(&groups, open, &budgets, usize::MAX, threads).expect("capture");
+            for (&((l1, line), _), segments) in groups.iter().zip(&got) {
+                let want =
+                    capture_miss_stream_segments(l1, line, &slices, usize::MAX).expect("unbounded");
+                assert_eq!(segments.len(), slices.len());
+                for (w, (g, want)) in segments.iter().zip(&want).enumerate() {
+                    assert_same_stream(
+                        g,
+                        want,
+                        &format!("{l1}B L1, window {w}, {threads} threads"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn over_limit_group_inside_a_share_is_a_typed_error() {
+        // Groups 64 KiB, 1 KiB, 128 KiB: at one thread the 1 KiB group sits
+        // in the middle of the only share. Its stream is the largest, and
+        // the limit admits the other two.
+        let budget = SimBudget { instructions: 40_000, warmup_instructions: 2_000 };
+        let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
+        let bytes = |kb: u64| {
+            capture_miss_stream(kb * 1024, 16, &arena, budget, usize::MAX)
+                .expect("unbounded")
+                .bytes()
+        };
+        let limit = bytes(64).max(bytes(128));
+        assert!(bytes(1) > limit, "the 1 KiB stream must be the only one past the limit");
+        assert!(capture_miss_stream(1024, 16, &arena, budget, limit).is_none());
+        assert!(capture_miss_stream(64 * 1024, 16, &arena, budget, limit).is_some());
+        let configs = [64, 1, 128].map(|kb| MachineConfig::single_level(kb, 50.0));
+        let groups = l1_groups(&configs);
+        let want = SweepError::MissStreamTooLarge {
+            l1_size_bytes: 1024,
+            line_bytes: 16,
+            limit_bytes: limit,
+        };
+        for threads in [1, 2, 3] {
+            let open = |_| arena.replay();
+            let err = try_capture_groups(&groups, open, &[budget], limit, threads)
+                .expect_err("over the limit");
+            assert_eq!(err, want, "{threads} threads");
+            assert!(err.to_string().contains("MISS_STREAM_BYTES_LIMIT"), "{err}");
+        }
     }
 
     #[test]
@@ -1180,7 +1235,7 @@ mod tests {
     fn try_sweep_threads_rejects_zero_threads() {
         let (configs, _, budget) = zero_thread_inputs();
         let (tm, am) = (TimingModel::paper(), AreaModel::new());
-        let r = try_sweep_threads(&configs, SpecBenchmark::Li, budget, &tm, &am, 0);
+        let r = try_sweep_threads(&configs, || SpecBenchmark::Li.workload(), budget, &tm, &am, 0);
         assert_eq!(r.unwrap_err(), SweepError::NoThreads);
     }
 

@@ -52,7 +52,8 @@ pub const SPAN_RING_CAPACITY: usize = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// Instructions synthesised into a trace arena.
+    /// Instructions a sweep's capture phase took from its input, counted
+    /// once per window (not once per share that reads it).
     TraceInstructions,
     /// Bytes of packed SoA storage allocated by arena capture.
     TraceBytesPacked,

@@ -1,23 +1,13 @@
-//! [`TraceArena`]: a benchmark's instruction stream, materialised once
-//! and replayed many times.
-//!
-//! Design-space sweeps evaluate dozens of cache configurations against
-//! the *same* workload. Regenerating the synthetic stream for every
-//! configuration pays the full generator cost (two `Box<dyn AddrSource>`
-//! virtual calls plus up to three RNG draws per instruction) once per
-//! *configuration*; capturing it into an arena pays that cost once per
-//! *benchmark* and turns every subsequent replay into a linear scan over
-//! packed slices.
-//!
-//! ## Memory layout
+//! [`TraceArena`]: an instruction stream held in memory and replayed
+//! many times — a `--trace` capture, a sampled phase slice, or the input
+//! of a per-access reference replay. Sweeps need no arena: they read any
+//! [`InstructionSource`] once per share of their L1 groups.
 //!
 //! Records live in a [`ColumnStore`]: fetch address (primary word), data
 //! address (secondary word, zero without a data reference), and a
-//! one-byte flag (none/load/store) — 17 bytes per instruction. A
-//! standard-budget capture (500 K warmup + 1.5 M measured) is therefore
-//! ≈ 34 MB, shared by every configuration and thread in the sweep. A
-//! capture of known length reserves each chunk exactly, and the chunks
-//! are the sweep scheduler's natural work granules.
+//! one-byte flag (none/load/store) — 17 bytes per instruction, ≈ 34 MB
+//! for a standard budget (500 K warm-up + 1.5 M measured). A capture of
+//! known length reserves each chunk exactly.
 //!
 //! ## Example
 //!
@@ -116,7 +106,6 @@ impl TraceArena {
             }
         }
         let arena = TraceArena { name, columns };
-        tlc_obs::obs_count!(tlc_obs::Counter::TraceInstructions, arena.len());
         tlc_obs::obs_count!(tlc_obs::Counter::TraceChunks, arena.chunks().len() as u64);
         tlc_obs::obs_count!(tlc_obs::Counter::TraceBytesPacked, arena.bytes() as u64);
         arena
@@ -165,16 +154,28 @@ pub struct ArenaReplay<'a> {
 
 impl InstructionSource for ArenaReplay<'_> {
     fn next_instruction_opt(&mut self) -> Option<InstructionRecord> {
-        loop {
-            let chunk = self.arena.columns.chunk(self.chunk)?;
-            if self.offset < chunk.len() {
-                let rec = decode(chunk, self.offset);
-                self.offset += 1;
-                return Some(rec);
+        let mut one = [InstructionRecord::fetch_only(Addr::new(0))];
+        (self.next_batch(&mut one) == 1).then_some(one[0])
+    }
+
+    /// Decodes whole runs of each chunk's columns into `out`, so a
+    /// batched consumer pays no per-record cursor call.
+    fn next_batch(&mut self, out: &mut [InstructionRecord]) -> usize {
+        let mut n = 0;
+        while n < out.len() {
+            let Some(chunk) = self.arena.columns.chunk(self.chunk) else { break };
+            let take = (chunk.len() - self.offset).min(out.len() - n);
+            for (slot, i) in out[n..n + take].iter_mut().zip(self.offset..) {
+                *slot = decode(chunk, i);
             }
-            self.chunk += 1;
-            self.offset = 0;
+            n += take;
+            self.offset += take;
+            if self.offset == chunk.len() {
+                self.chunk += 1;
+                self.offset = 0;
+            }
         }
+        n
     }
 
     fn source_name(&self) -> &str {
@@ -236,6 +237,22 @@ mod tests {
         }
         assert_eq!(total as u64, arena.len());
         assert_eq!(replay.next_instruction_opt(), None);
+    }
+
+    #[test]
+    fn batched_replay_matches_record_replay_across_chunk_edges() {
+        let arena = TraceArena::capture_chunked(&mut SpecBenchmark::Gcc1.workload(), 1000, 96);
+        let want: Vec<_> = arena.replay().collect();
+        let mut replay = arena.replay();
+        let mut got = Vec::new();
+        // Batch lengths that start, straddle and end on chunk edges.
+        for len in [0usize, 96, 50, 200, 1, 1000] {
+            let mut out = vec![InstructionRecord::fetch_only(Addr::new(0)); len];
+            let n = replay.next_batch(&mut out);
+            got.extend_from_slice(&out[..n]);
+        }
+        assert_eq!(got, want);
+        assert_eq!(replay.next_instruction_opt(), None, "a short batch means the arena ended");
     }
 
     #[test]

@@ -161,27 +161,21 @@ impl ColumnStore {
 /// u64::MAX` walks to the end), calling `reset(sink)` at the warm-up
 /// boundary and splitting the chunk it falls in. A stream that ends
 /// inside warm-up (or exactly at its end) measured nothing, so `reset`
-/// runs again after the last chunk. `fits(sink)` is asked before each
-/// chunk is replayed; the walk stops and returns `false` on the first
-/// `false`, and returns `true` otherwise. Generic over the closures, so
-/// the per-record loop inside `replay` is monomorphized per sink.
+/// runs again after the last chunk. Generic over the closures, so the
+/// per-record loop inside `replay` is monomorphized per sink.
 pub fn walk_window<'a, S: ?Sized>(
     chunks: impl IntoIterator<Item = ChunkView<'a>>,
     warmup: u64,
     measure: u64,
     sink: &mut S,
-    fits: impl Fn(&S) -> bool,
     mut replay: impl FnMut(&mut S, ChunkView<'a>, usize, usize),
     mut reset: impl FnMut(&mut S),
-) -> bool {
+) {
     let total = warmup.saturating_add(measure);
     let mut pos = 0u64; // stream-global index of the next record
     for chunk in chunks {
         if pos >= total {
             break;
-        }
-        if !fits(sink) {
-            return false;
         }
         let take = (chunk.len() as u64).min(total - pos);
         // Records of this chunk that still belong to warm-up.
@@ -200,7 +194,6 @@ pub fn walk_window<'a, S: ?Sized>(
     if pos <= warmup {
         reset(sink);
     }
-    true
 }
 
 #[cfg(test)]
@@ -220,15 +213,14 @@ mod tests {
             store.push(i, 0, 0, records);
         }
         let mut calls = Vec::new();
-        assert!(walk_window(
+        walk_window(
             store.chunks(),
             warmup,
             measure,
             &mut calls,
-            |_| true,
             |calls, chunk, s, e| calls.push(Some((chunk.primary[0], s, e))),
             |calls| calls.push(None),
-        ));
+        );
         calls
     }
 
@@ -252,26 +244,6 @@ mod tests {
         assert_eq!(trace_walk(4, 4, 4, 5), vec![Some((0, 0, 4)), None, None]);
         // An empty stream measured nothing either.
         assert_eq!(trace_walk(4, 0, 0, 5), vec![None]);
-    }
-
-    #[test]
-    fn walk_asks_fits_before_each_chunk_and_stops_on_false() {
-        let mut store = ColumnStore::new(2);
-        for i in 0..6 {
-            store.push(i, 0, 0, 6);
-        }
-        let mut replayed = 0usize;
-        let ok = walk_window(
-            store.chunks(),
-            0,
-            u64::MAX,
-            &mut replayed,
-            |n| *n < 4,
-            |n, _, s, e| *n += e - s,
-            |_| {},
-        );
-        assert!(!ok);
-        assert_eq!(replayed, 4, "the third chunk is refused");
     }
 
     #[test]

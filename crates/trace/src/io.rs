@@ -194,7 +194,7 @@ pub(crate) struct RefDecoder<R> {
     count: u64,
     /// Byte offset of the next record or line.
     offset: u64,
-    line: String,
+    line: Vec<u8>,
 }
 
 impl<R: BufRead> RefDecoder<R> {
@@ -207,7 +207,7 @@ impl<R: BufRead> RefDecoder<R> {
         } else {
             0
         };
-        Ok(RefDecoder { input, format, count: 0, offset, line: String::new() })
+        Ok(RefDecoder { input, format, count: 0, offset, line: Vec::new() })
     }
 
     /// The next reference, `Ok(None)` at a clean end of stream.
@@ -247,15 +247,22 @@ impl<R: BufRead> RefDecoder<R> {
         parse: fn(&str, usize, u64) -> Result<MemRef, TraceIoError>,
     ) -> Result<Option<MemRef>, TraceIoError> {
         loop {
+            // Read as bytes, so a line that is not UTF-8 is a malformed
+            // line at its offset like any other, not an I/O error.
             self.line.clear();
-            let read = self.input.read_line(&mut self.line)?;
+            let read = self.input.read_until(b'\n', &mut self.line)?;
             if read == 0 {
                 return Ok(None);
             }
             let (lineno, offset) = (self.count as usize, self.offset);
             self.count += 1;
             self.offset += read as u64;
-            let t = self.line.trim();
+            let t = std::str::from_utf8(&self.line)
+                .map_err(|_| TraceIoError::Corrupt {
+                    offset,
+                    detail: format!("trace line {} is not valid UTF-8", lineno + 1),
+                })?
+                .trim();
             if !(t.is_empty() || t.starts_with('#')) {
                 return parse(t, lineno, offset).map(Some);
             }
@@ -609,6 +616,18 @@ pub(crate) mod tests {
         let err = import(ImportFormat::Text, crlf.as_bytes()).unwrap_err();
         assert!(matches!(err, TraceIoError::Corrupt { offset: 14, .. }), "{err}");
         assert!(err.to_string().contains("malformed trace line 3"), "{err}");
+    }
+
+    #[test]
+    fn line_formats_reject_invalid_utf8_at_its_line() {
+        for (format, input) in [
+            (ImportFormat::Text, &b"I 0x100\nL 0x2\xff00\n"[..]),
+            (ImportFormat::AddrText, &b"R 0x100\nW 0x2\xff00\n"[..]),
+        ] {
+            let err = import(format, input).unwrap_err();
+            assert!(matches!(err, TraceIoError::Corrupt { offset: 8, .. }), "{format:?}: {err}");
+            assert!(err.to_string().contains("trace line 2 is not valid UTF-8"), "{err}");
+        }
     }
 
     #[test]
