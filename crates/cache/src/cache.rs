@@ -23,7 +23,7 @@ use tlc_trace::LineAddr;
 /// address fits in 62 bits, and
 /// [`MissStream::from_parts`](crate::MissStream::from_parts) rejects
 /// stream input beyond that bound.
-pub(crate) const EMPTY: u64 = u64::MAX;
+const EMPTY: u64 = u64::MAX;
 
 /// A line evicted by a fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,7 +210,7 @@ impl Liveness {
 /// Running tallies behind [`Liveness`]: departed generations only; the
 /// still-resident ones are folded in by [`LiveTally::snapshot`].
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct LiveTally {
+struct LiveTally {
     fills: u64,
     dead: u64,
     multi: u64,
@@ -219,13 +219,13 @@ pub(crate) struct LiveTally {
 impl LiveTally {
     /// Starts a generation.
     #[inline(always)]
-    pub(crate) fn fill(&mut self) {
+    fn fill(&mut self) {
         self.fills += 1;
     }
 
     /// Ends a generation that saw `hits` demand hits.
     #[inline(always)]
-    pub(crate) fn retire(&mut self, hits: u8) {
+    fn retire(&mut self, hits: u8) {
         if hits == 0 {
             self.dead += 1;
         } else if hits >= 2 {
@@ -235,7 +235,7 @@ impl LiveTally {
 
     /// Classifies the still-resident generations' hit counts and returns
     /// the closed totals.
-    pub(crate) fn snapshot(mut self, resident: impl Iterator<Item = u8>) -> Liveness {
+    fn snapshot(mut self, resident: impl Iterator<Item = u8>) -> Liveness {
         for h in resident {
             self.retire(h);
         }

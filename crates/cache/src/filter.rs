@@ -112,11 +112,6 @@ impl L1FrontEnd {
         self.events.bytes()
     }
 
-    /// Events captured so far.
-    pub fn event_count(&self) -> u64 {
-        self.events.len()
-    }
-
     /// Finishes the capture, packaging the event stream, the warm-up
     /// boundary, and the measured-window L1-side statistics into a
     /// shareable [`MissStream`] named after the captured workload.
@@ -575,7 +570,6 @@ mod tests {
         fe.access(MemRef::fetch(a));
         assert_eq!(fe.stats().instructions, 3);
         assert_eq!(fe.stats().l1i_misses, 1, "repeat fetches are guaranteed hits");
-        assert_eq!(fe.event_count(), 1);
     }
 
     #[test]

@@ -36,7 +36,9 @@
 //! `Cache` — stepped by the same protocol code, so stamp clocks, tree
 //! bits, RRPVs and pseudo-random draws evolve identically by
 //! construction. Members may even mix replacement policies: each cache
-//! is built from its own member's configuration.
+//! is built from its own member's configuration. A direct-mapped member
+//! is no exception: it is one more `Cache`, whose probe is a single
+//! compare, stepped like any other.
 //!
 //! The exclusive step keeps the one L2-dependent bit of L1 state, the
 //! fill-dirty bit of an L1-miss/L2-hit, in a per-L1-set mirror beside
@@ -46,18 +48,6 @@
 //! ([`VictimLine::written`](tlc_trace::VictimLine)). The mirror is per
 //! member: its entries come out of the member's own L2 extracts, whose
 //! dirty bits depend on L2 capacity (see `docs/models.md`).
-//!
-//! ## The direct-mapped fast path
-//!
-//! For a conventional family of direct-mapped L2s the batched loop
-//! collapses further: nested power-of-two DM caches index with prefix
-//! bits, and demand-filled content is *inclusive* across sizes (resident
-//! at size S ⇒ resident at 2S), so one "smallest hitting size" threshold
-//! per access answers the whole family. Hits and victim writebacks then
-//! accumulate into per-threshold histograms instead of per-member
-//! counters — see `DmConventionalFamily` for the invariant. Replacement
-//! policy is irrelevant at one way per set, so the fast path serves every
-//! [`ReplacementKind`].
 //!
 //! ## Segments
 //!
@@ -75,7 +65,7 @@
 //! An unsupported family or segment shape surfaces as a typed
 //! [`FamilyError`]; nothing in this module panics on caller input.
 
-use crate::cache::{Cache, Evicted, LiveTally, Liveness, EMPTY};
+use crate::cache::{Cache, Evicted, Liveness};
 use crate::config::{CacheConfig, ReplacementKind};
 use crate::exclusive::{exclusive_step, ExclusiveState};
 use crate::filter::{replay_single, walk_events, EventSink, MissStream};
@@ -199,10 +189,6 @@ impl Member {
         Member { l2: Cache::new(*cfg), stats: HierarchyStats::default() }
     }
 
-    fn counters(&self) -> (u64, u64, u64) {
-        (self.stats.l2_hits, self.stats.l2_misses, self.stats.offchip_writebacks)
-    }
-
     /// Lifetime LFSR victim draws. A pseudo-random set-associative L2
     /// draws exactly once per eviction: a fill into a free way draws
     /// nothing, and the exclusive swap's `fill_at` only reuses the way its
@@ -218,9 +204,9 @@ impl Member {
 }
 
 /// Validates that every member shares the stream's line size and one
-/// associativity, returning that way count. Replacement policies may
-/// differ per member — each member is its own [`Cache`].
-fn family_ways(l2_cfgs: &[CacheConfig], stream: &MissStream) -> Result<u32, FamilyError> {
+/// associativity. Replacement policies may differ per member — each
+/// member is its own [`Cache`].
+fn check_family(l2_cfgs: &[CacheConfig], stream: &MissStream) -> Result<(), FamilyError> {
     let ways = l2_cfgs[0].ways();
     for cfg in l2_cfgs {
         if cfg.line_bytes() != stream.line_bytes() {
@@ -233,7 +219,7 @@ fn family_ways(l2_cfgs: &[CacheConfig], stream: &MissStream) -> Result<u32, Fami
             return Err(FamilyError::MixedWays { first: ways, other: cfg.ways() });
         }
     }
-    Ok(ways)
+    Ok(())
 }
 
 /// Batched conventional back-end: each event takes every member through
@@ -300,149 +286,30 @@ impl EventSink for ExclusiveFamily {
     }
 }
 
-/// Batched conventional direct-mapped fast path.
-///
-/// Invariant (maintained inductively, sizes sorted ascending): a
-/// demand-filled DM cache's set `s` holds exactly the most recent event
-/// line in `s`'s conflict group, and nested power-of-two set masks nest
-/// the conflict groups — so residency is *inclusive* across the family
-/// (resident at size `k` ⇒ resident at every larger size). Each access
-/// therefore has one threshold `t` = smallest size index that hits; the
-/// event is a hit for every member `k ≥ t` and installs (evicting) for
-/// every `k < t`. Victim merges get the same treatment with their own
-/// threshold. Hits and victim writebacks accumulate into per-threshold
-/// histograms (index `K` = "nowhere"), turned into per-member counters
-/// by prefix sums at the end.
-///
-/// Dirty bits are *not* inclusive (an install at a small size clears the
-/// bit a larger size preserves), so they live in the per-size slot
-/// arrays as usual — and so do the per-set hit counts behind the
-/// liveness tallies, which follow each member's own fill generations.
-#[derive(Debug)]
-struct DmConventionalFamily {
-    /// `order[k]`: input index of the `k`-th smallest member (a stable
-    /// sort, so duplicate sizes keep their relative order).
-    order: Vec<usize>,
-    /// Per size (ascending): one slot per set.
-    slots: Vec<Vec<u64>>,
-    set_masks: Vec<u64>,
-    /// `hit_hist[t]`: events whose smallest hitting size index is `t`.
-    hit_hist: Vec<u64>,
-    /// `vic_hist[t]`: written victims whose smallest resident size is `t`.
-    vic_hist: Vec<u64>,
-    /// Dirty evictions on install, per size.
-    evict_wb: Vec<u64>,
-    /// Per size: per-set demand-hit counts since the slot's last install.
-    hit_counts: Vec<Vec<u8>>,
-    /// Per size: departed fill-generation tallies.
-    live: Vec<LiveTally>,
-}
-
-impl DmConventionalFamily {
-    fn new(cfgs: &[CacheConfig]) -> Self {
-        let mut order: Vec<usize> = (0..cfgs.len()).collect();
-        order.sort_by_key(|&i| cfgs[i].size_bytes());
-        let cfgs_ascending: Vec<&CacheConfig> = order.iter().map(|&i| &cfgs[i]).collect();
-        let k = cfgs_ascending.len();
-        DmConventionalFamily {
-            order,
-            slots: cfgs_ascending.iter().map(|c| vec![EMPTY; c.num_sets() as usize]).collect(),
-            set_masks: cfgs_ascending.iter().map(|c| c.num_sets() - 1).collect(),
-            hit_hist: vec![0; k + 1],
-            vic_hist: vec![0; k + 1],
-            evict_wb: vec![0; k],
-            hit_counts: cfgs_ascending.iter().map(|c| vec![0; c.num_sets() as usize]).collect(),
-            live: vec![LiveTally::default(); k],
-        }
-    }
-
-    /// Smallest size index at which `line` is resident, or `len` if none.
-    #[inline]
-    fn threshold(&self, line: u64) -> usize {
-        for (k, mask) in self.set_masks.iter().enumerate() {
-            if self.slots[k][(line & mask) as usize] >> 1 == line {
-                return k;
-            }
-        }
-        self.set_masks.len()
-    }
-
-    /// Family-total liveness: each member's tallies snapshotted over its
-    /// residents, then summed (the obs counters aggregate members).
-    fn liveness_total(&self) -> Liveness {
-        let mut total = Liveness::default();
-        for (k, live) in self.live.iter().enumerate() {
-            total.merge(
-                live.snapshot(
-                    self.slots[k]
-                        .iter()
-                        .zip(&self.hit_counts[k])
-                        .filter(|(&s, _)| s != EMPTY)
-                        .map(|(_, &h)| h),
-                ),
-            );
-        }
-        total
-    }
-}
-
-impl EventSink for DmConventionalFamily {
-    #[inline]
-    fn consume(&mut self, _fetch: bool, line: LineAddr, victim: Option<(LineAddr, bool)>) {
-        let l = line.0;
-        let t = self.threshold(l);
-        self.hit_hist[t] += 1;
-        // Sizes at or above the threshold hit: a demand hit on each
-        // member's resident generation.
-        for k in t..self.set_masks.len() {
-            let c = &mut self.hit_counts[k][(l & self.set_masks[k]) as usize];
-            *c = c.saturating_add(1);
-        }
-        for k in 0..t {
-            let idx = (l & self.set_masks[k]) as usize;
-            let slot = self.slots[k][idx];
-            if slot != EMPTY && slot & 1 == 1 {
-                self.evict_wb[k] += 1;
-            }
-            self.live[k].fill();
-            if slot != EMPTY {
-                self.live[k].retire(self.hit_counts[k][idx]);
-            }
-            self.hit_counts[k][idx] = 0;
-            self.slots[k][idx] = l << 1;
-        }
-        if let Some((vline, written)) = victim {
-            if written {
-                let vl = vline.0;
-                let tv = self.threshold(vl);
-                self.vic_hist[tv] += 1;
-                // Write-back merges refresh the dirty bit only — not a
-                // demand hit, so the hit counts stay put.
-                for k in tv..self.set_masks.len() {
-                    self.slots[k][(vl & self.set_masks[k]) as usize] |= 1;
-                }
-            }
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.hit_hist.iter_mut().for_each(|h| *h = 0);
-        self.vic_hist.iter_mut().for_each(|h| *h = 0);
-        self.evict_wb.iter_mut().for_each(|h| *h = 0);
-    }
-}
-
-/// A batched L2 family: an [`EventSink`] that reports every member's
-/// counters. Implemented by the conventional, exclusive, and
-/// direct-mapped families; [`replay_segments`] drives any of them.
+/// A batched L2 family: an [`EventSink`] over member caches. Implemented
+/// by the conventional and exclusive families; [`replay_segments`]
+/// drives either.
 trait Family: EventSink {
-    /// Per-member `(l2_hits, l2_misses, offchip_writebacks)` since the
-    /// last counter reset, in input order.
-    fn member_counters(&self) -> Vec<(u64, u64, u64)>;
+    /// The members, in input order.
+    fn members(&self) -> &[Member];
 
-    /// Lifetime `(lfsr_draws, swaps, liveness)` summed over the members
-    /// — never reset, like the LFSR itself.
-    fn lifetime(&self) -> (u64, u64, Liveness);
+    /// Lifetime exclusive swaps summed over the members — never reset,
+    /// like the LFSR itself.
+    fn swaps(&self) -> u64;
+}
+
+/// Each member's L2 counters since the last counter reset, over the
+/// segment's shared L1 statistics, in input order.
+fn member_stats(members: &[Member], seg: &MissStream) -> Vec<HierarchyStats> {
+    members
+        .iter()
+        .map(|m| HierarchyStats {
+            l2_hits: m.stats.l2_hits,
+            l2_misses: m.stats.l2_misses,
+            offchip_writebacks: m.stats.offchip_writebacks,
+            ..*seg.l1_stats()
+        })
+        .collect()
 }
 
 /// Sums `(lfsr_draws, liveness)` over `members`.
@@ -455,47 +322,22 @@ fn members_lifetime(members: &[Member]) -> (u64, Liveness) {
 }
 
 impl Family for ConventionalFamily {
-    fn member_counters(&self) -> Vec<(u64, u64, u64)> {
-        self.members.iter().map(Member::counters).collect()
+    fn members(&self) -> &[Member] {
+        &self.members
     }
 
-    fn lifetime(&self) -> (u64, u64, Liveness) {
-        let (draws, live) = members_lifetime(&self.members);
-        (draws, 0, live)
+    fn swaps(&self) -> u64 {
+        0
     }
 }
 
 impl Family for ExclusiveFamily {
-    fn member_counters(&self) -> Vec<(u64, u64, u64)> {
-        self.members.iter().map(Member::counters).collect()
+    fn members(&self) -> &[Member] {
+        &self.members
     }
 
-    fn lifetime(&self) -> (u64, u64, Liveness) {
-        let (draws, live) = members_lifetime(&self.members);
-        (draws, self.states.iter().map(ExclusiveState::swaps).sum(), live)
-    }
-}
-
-impl Family for DmConventionalFamily {
-    /// Prefix sums over the ascending sizes, scattered back to input
-    /// order.
-    fn member_counters(&self) -> Vec<(u64, u64, u64)> {
-        let total_hits: u64 = self.hit_hist.iter().sum();
-        let total_vics: u64 = self.vic_hist.iter().sum();
-        let mut hits = 0u64;
-        let mut vics = 0u64;
-        let mut out = vec![(0, 0, 0); self.order.len()];
-        for (k, &i) in self.order.iter().enumerate() {
-            hits += self.hit_hist[k];
-            vics += self.vic_hist[k];
-            out[i] = (hits, total_hits - hits, self.evict_wb[k] + (total_vics - vics));
-        }
-        out
-    }
-
-    fn lifetime(&self) -> (u64, u64, Liveness) {
-        // Direct-mapped members have no replacement choice: no draws.
-        (0, 0, self.liveness_total())
+    fn swaps(&self) -> u64 {
+        self.states.iter().map(ExclusiveState::swaps).sum()
     }
 }
 
@@ -534,19 +376,10 @@ fn replay_segments<F: Family>(mut fam: F, segments: &[MissStream]) -> Vec<Vec<Hi
             let _t = slice_timer(segments);
             walk_events(&mut fam, seg);
         }
-        out.push(
-            fam.member_counters()
-                .into_iter()
-                .map(|(l2_hits, l2_misses, offchip_writebacks)| HierarchyStats {
-                    l2_hits,
-                    l2_misses,
-                    offchip_writebacks,
-                    ..*seg.l1_stats()
-                })
-                .collect(),
-        );
+        out.push(member_stats(fam.members(), seg));
     }
-    flush_l2_counters(segments, &out, fam.lifetime());
+    let (draws, live) = members_lifetime(fam.members());
+    flush_l2_counters(segments, &out, (draws, fam.swaps(), live));
     out
 }
 
@@ -584,10 +417,9 @@ fn flush_l2_counters(
 /// segments (see the module docs); pass `std::slice::from_ref(stream)`
 /// to replay one whole stream.
 ///
-/// A family of direct-mapped members takes the threshold/histogram fast
-/// path (`DmConventionalFamily`); any other associativity takes the
-/// generic batched loop. Every replacement policy is supported, and
-/// members may mix policies.
+/// Every associativity takes the same batched loop, direct-mapped
+/// included. Every replacement policy is supported, and members may mix
+/// policies.
 ///
 /// # Errors
 ///
@@ -603,11 +435,8 @@ pub fn try_replay_conventional_family_segments(
     if l2_cfgs.is_empty() {
         return Ok(vec![Vec::new(); segments.len()]);
     }
-    Ok(if family_ways(l2_cfgs, &segments[0])? == 1 {
-        replay_segments(DmConventionalFamily::new(l2_cfgs), segments)
-    } else {
-        replay_segments(ConventionalFamily::new(l2_cfgs), segments)
-    })
+    check_family(l2_cfgs, &segments[0])?;
+    Ok(replay_segments(ConventionalFamily::new(l2_cfgs), segments))
 }
 
 /// As [`try_replay_conventional_family_segments`] for a family of
@@ -626,7 +455,7 @@ pub fn try_replay_exclusive_family_segments(
     if l2_cfgs.is_empty() {
         return Ok(vec![Vec::new(); segments.len()]);
     }
-    family_ways(l2_cfgs, &segments[0])?;
+    check_family(l2_cfgs, &segments[0])?;
     Ok(replay_segments(ExclusiveFamily::new(l2_cfgs, segments[0].l1_sets()), segments))
 }
 
@@ -774,7 +603,7 @@ mod tests {
     }
 
     #[test]
-    fn dm_fast_path_handles_unsorted_and_duplicate_sizes() {
+    fn dm_family_handles_unsorted_and_duplicate_sizes() {
         let stream = capture(SpecBenchmark::Espresso, 1024, 1_000, 6_000);
         let cfgs: Vec<CacheConfig> = [8192u64, 2048, 8192, 4096].map(|b| l2_cfg(b, 1)).to_vec();
         let batched = conventional(&cfgs, &stream);
@@ -785,7 +614,7 @@ mod tests {
     }
 
     #[test]
-    fn dm_fast_path_misses_are_monotone_in_size() {
+    fn dm_family_misses_are_monotone_in_size() {
         let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
         let cfgs: Vec<CacheConfig> =
             [2048u64, 4096, 8192, 16384, 32768].map(|b| l2_cfg(b, 1)).to_vec();
@@ -893,31 +722,22 @@ mod tests {
         // sequence either way, warm-up included.
         let stream = capture(SpecBenchmark::Gcc1, 1024, 2_000, 8_000);
         for repl in ReplacementKind::ALL {
-            let cfgs = [l2_policy_cfg(4096, 4, repl), l2_policy_cfg(16384, 4, repl)];
-            let mut fam = ConventionalFamily::new(&cfgs);
-            walk_events(&mut fam, &stream);
-            for (cfg, m) in cfgs.iter().zip(&fam.members) {
-                let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), *cfg);
-                let mut w = SpecBenchmark::Gcc1.workload();
-                for _ in 0..10_000 {
-                    sys.access_instruction(&w.next_instruction_opt().unwrap());
+            for ways in [1u32, 4] {
+                let cfgs = [l2_policy_cfg(4096, ways, repl), l2_policy_cfg(16384, ways, repl)];
+                let mut fam = ConventionalFamily::new(&cfgs);
+                walk_events(&mut fam, &stream);
+                for (cfg, m) in cfgs.iter().zip(&fam.members) {
+                    let mut sys = ConventionalTwoLevel::new(l1_cfg(1024), *cfg);
+                    let mut w = SpecBenchmark::Gcc1.workload();
+                    for _ in 0..10_000 {
+                        sys.access_instruction(&w.next_instruction_opt().unwrap());
+                    }
+                    let got = m.l2.liveness();
+                    assert_eq!(got, sys.l2().liveness(), "{repl} {cfg}");
+                    assert_eq!(got.fills, got.dead_on_arrival + got.live_fills, "{repl} {cfg}");
+                    assert!(got.multi_hit <= got.live_fills, "{repl} {cfg}");
                 }
-                let got = m.l2.liveness();
-                assert_eq!(got, sys.l2().liveness(), "{repl} {cfg}");
-                assert_eq!(got.fills, got.dead_on_arrival + got.live_fills, "{repl} {cfg}");
-                assert!(got.multi_hit <= got.live_fills, "{repl} {cfg}");
             }
         }
-    }
-
-    #[test]
-    fn dm_family_liveness_matches_scalar_caches() {
-        let stream = capture(SpecBenchmark::Tomcatv, 1024, 1_000, 8_000);
-        let cfgs = [l2_cfg(2048, 1), l2_cfg(8192, 1)];
-        let mut fam = DmConventionalFamily::new(&cfgs);
-        walk_events(&mut fam, &stream);
-        let mut scalar = ConventionalFamily::new(&cfgs);
-        walk_events(&mut scalar, &stream);
-        assert_eq!(fam.liveness_total(), members_lifetime(&scalar.members).1);
     }
 }

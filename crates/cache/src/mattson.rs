@@ -287,16 +287,17 @@ const DM_INVALID: u64 = u64::MAX;
 /// Independent nested direct-mapped profiler: one plain tag array per
 /// power-of-two set count, probed individually on every access.
 ///
-/// This is the audit oracle for the family engine's direct-mapped fast
-/// path (`DmConventionalFamily` in
-/// [`filter_family`](crate::filter_family)): that engine probes sizes
-/// ascending and stops at the first hit, relying on the inclusion
-/// invariant (demand-filled DM content at size `S` is a subset of content
-/// at `2S`). This profiler does **not** take that shortcut — it probes
-/// every size on every access, counts the smallest hitting size into a
-/// histogram, and *verifies* the inclusion invariant as it goes, so a
-/// violation of the trick's precondition shows up as a counted
-/// discrepancy instead of silently corrupted statistics.
+/// Nested power-of-two set masks nest the conflict groups, so
+/// demand-filled DM content at size `S` is a subset of content at `2S`
+/// (inclusion) and each access has one smallest hitting size. The
+/// predictor ([`predict`](crate::predict)) answers direct-mapped members
+/// from that histogram, and the audit checks the family engine
+/// ([`filter_family`](crate::filter_family), one [`Cache`](crate::Cache)
+/// per member) against it. The profiler probes every size on every
+/// access, counts the smallest hitting size into a histogram, and
+/// *verifies* the inclusion invariant as it goes, so a violation of the
+/// nesting argument shows up as a counted discrepancy instead of
+/// silently wrong predictions.
 ///
 /// Dirty bits and victim write-backs are out of scope (they are not
 /// inclusive across sizes); the per-access naive hierarchy oracle covers
@@ -391,8 +392,8 @@ impl NestedDmProfiler {
 
     /// Accesses (lifetime) on which a smaller size hit while a larger one
     /// missed. Always zero for demand-filled nested power-of-two DM
-    /// arrays — a nonzero count falsifies the family fast path's
-    /// precondition.
+    /// arrays — a nonzero count falsifies the nesting argument the
+    /// histogram rests on.
     pub fn inclusion_violations(&self) -> u64 {
         self.inclusion_violations
     }

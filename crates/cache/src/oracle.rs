@@ -431,7 +431,7 @@ pub fn naive_replay_single(stream: &MissStream) -> HierarchyStats {
 /// Event-level conventional-L2 oracle on the naive cache. Must match
 /// every member of
 /// [`try_replay_conventional_family_segments`](crate::filter_family::try_replay_conventional_family_segments)
-/// (including the direct-mapped threshold fast path) bit-for-bit.
+/// (direct-mapped members included) bit-for-bit.
 pub fn naive_replay_conventional(
     l2_size_bytes: u64,
     l2_ways: u32,

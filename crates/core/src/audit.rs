@@ -4,8 +4,8 @@
 //! ([`simulate_source`](crate::experiment::simulate_source)), the
 //! devirtualized arena replay ([`simulate_arena`]), and the miss-stream
 //! L2 back-end ([`simulate_family`]: a family of one per sampled
-//! configuration, batched sibling families, and the direct-mapped
-//! threshold fast path) — are *bit-identical*. This module
+//! configuration and batched sibling families, direct-mapped ones
+//! included) — are *bit-identical*. This module
 //! stops that from being "engines agreeing with themselves": every sampled
 //! case is also run through the deliberately-naive reference oracle
 //! ([`tlc_cache::NaiveSystem`], [`tlc_cache::oracle`]) and the Mattson
@@ -629,8 +629,9 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
 
     // Independent DM oracle: a direct-mapped conventional L2's content is
     // a pure DM tag array over the event line sequence, so the nested
-    // profiler predicts hits/misses for all sibling sizes at once —
-    // without the threshold trick the family fast path uses.
+    // profiler predicts hits/misses for all sibling sizes at once from
+    // its inclusion histogram — a second derivation checked against the
+    // family's batched loop, one `Cache` per member.
     if let Some(spec) = cfg.l2 {
         if spec.ways == 1 && spec.policy == L2Policy::Conventional {
             let sizes: Vec<u64> = [1u64, 2, 4].iter().map(|m| spec.size_bytes * m).collect();

@@ -90,12 +90,6 @@ pub fn xy(points: &[DesignPoint]) -> Vec<(f64, f64)> {
     points.iter().map(|p| (p.area_rbe, p.tpi_ns)).collect()
 }
 
-/// Labels of the envelope configurations, in area order (for comparing a
-/// run against the configuration lists printed in the paper's figures).
-pub fn envelope_labels(points: &[DesignPoint]) -> Vec<String> {
-    best_envelope(&xy(points)).iter().map(|e| points[e.index].label.clone()).collect()
-}
-
 /// Convenience: the envelope of a point list.
 pub fn envelope_of(points: &[DesignPoint]) -> Vec<EnvelopePoint> {
     best_envelope(&xy(points))
@@ -141,7 +135,6 @@ mod tests {
         assert_eq!(body.len(), 2);
         assert!(body[0].contains("1:0"));
         assert!(body[1].contains("4:0"));
-        assert_eq!(envelope_labels(&pts), vec!["1:0", "4:0"]);
     }
 
     #[test]

@@ -160,11 +160,6 @@ impl DetailedTimingModel {
         DetailedTimingModel { dev: DeviceParams::paper_0_5um() }
     }
 
-    /// Model with explicit device parameters.
-    pub fn with_devices(dev: DeviceParams) -> Self {
-        DetailedTimingModel { dev }
-    }
-
     /// The device parameters in use.
     pub fn devices(&self) -> &DeviceParams {
         &self.dev

@@ -105,15 +105,6 @@ impl From<Addr> for u64 {
 )]
 pub struct LineAddr(pub u64);
 
-impl LineAddr {
-    /// Reconstructs the first byte address of this line.
-    #[inline]
-    pub fn first_byte(self, line_bytes: u64) -> Addr {
-        debug_assert!(line_bytes.is_power_of_two());
-        Addr(self.0 << line_bytes.trailing_zeros())
-    }
-}
-
 impl fmt::Display for LineAddr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "L{:#x}", self.0)
@@ -199,7 +190,6 @@ mod tests {
         let a = Addr::new(0xABCD);
         assert_eq!(a.line(16), LineAddr(0xABC));
         assert_eq!(a.line(64), LineAddr(0x2AF));
-        assert_eq!(LineAddr(0xABC).first_byte(16), Addr::new(0xABC0));
     }
 
     #[test]

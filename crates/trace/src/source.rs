@@ -105,11 +105,6 @@ impl ReplaySource {
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
-
-    /// Rewinds to the beginning (replay the same trace again).
-    pub fn rewind(&mut self) {
-        self.position = 0;
-    }
 }
 
 impl InstructionSource for ReplaySource {
@@ -150,7 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn replay_exhausts_and_rewinds() {
+    fn replay_exhausts_and_stays_exhausted() {
         let recs = vec![
             InstructionRecord::fetch_only(Addr::new(0)),
             InstructionRecord::with_data(Addr::new(4), MemRef::store(Addr::new(0x100))),
@@ -163,8 +158,6 @@ mod tests {
         assert_eq!(r.next_instruction_opt(), Some(recs[1]));
         assert_eq!(r.next_instruction_opt(), None);
         assert_eq!(r.next_instruction_opt(), None, "stays exhausted");
-        r.rewind();
-        assert_eq!(r.next_instruction_opt(), Some(recs[0]));
     }
 
     #[test]

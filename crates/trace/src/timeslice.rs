@@ -74,16 +74,6 @@ impl<'a> TimeSliced<'a> {
     pub fn context_switches(&self) -> u64 {
         self.context_switches
     }
-
-    /// Number of scheduled processes.
-    pub fn process_count(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// The process currently scheduled.
-    pub fn current_process(&self) -> usize {
-        self.current
-    }
 }
 
 impl InstructionSource for TimeSliced<'_> {
@@ -147,7 +137,6 @@ mod tests {
             assert!(mp.next_instruction_opt().is_some());
         }
         assert_eq!(mp.context_switches(), 0);
-        assert_eq!(mp.process_count(), 1);
     }
 
     #[test]

@@ -438,11 +438,10 @@ proptest! {
         prop_assert_eq!(stream.l1_size_bytes(), l1_bytes);
     }
 
-    /// The direct-mapped fast path answers a nested family of L2 sizes
-    /// from one "smallest hitting size" threshold per event, which is
-    /// sound because demand-filled DM contents are inclusive across
-    /// nested power-of-two sizes — so L2 misses must be monotone
-    /// non-increasing in L2 size on any trace.
+    /// Demand-filled direct-mapped caches of nested power-of-two sizes
+    /// are inclusive (resident at size S ⇒ resident at 2S), so a family
+    /// of direct-mapped L2s must show misses monotone non-increasing in
+    /// L2 size on any trace.
     #[test]
     fn dm_family_misses_are_monotone_in_l2_size(
         refs in ref_stream(96, 300),

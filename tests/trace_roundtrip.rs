@@ -1,16 +1,19 @@
 //! Property-based tests of the trace substrate: serialisation
-//! round-trips, the importer every external format enters through,
-//! workload determinism, and statistics consistency.
+//! round-trips, the importer every external format enters through, the
+//! `TLCEVT01` miss-event archive, workload determinism, and statistics
+//! consistency.
 
 use proptest::prelude::*;
 use two_level_cache::trace::compact::{
     import_to_compact, read_compact_trace, write_compact_trace, COMPACT_MAGIC, COMPACT_VERSION,
 };
-use two_level_cache::trace::io::{BINARY_MAGIC, INSTR_MAGIC};
+use two_level_cache::trace::io::{
+    read_event_trace, write_event_trace, BINARY_MAGIC, EVENT_MAGIC, INSTR_MAGIC,
+};
 use two_level_cache::trace::spec::SpecBenchmark;
 use two_level_cache::trace::{
-    AccessKind, Addr, CompactTraceWriter, ImportFormat, InstructionRecord, MemRef, TraceIoError,
-    TraceStats,
+    AccessKind, Addr, CompactTraceWriter, EventArena, ImportFormat, InstructionRecord, LineAddr,
+    MemRef, MissEvent, TraceIoError, TraceStats, VictimLine,
 };
 
 /// A `TLCREF01` stream of `refs`: the magic, then a kind byte and the
@@ -349,5 +352,85 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+fn arbitrary_events(len: usize) -> impl Strategy<Value = Vec<MissEvent>> {
+    prop::collection::vec((any::<u64>(), 0u8..3, any::<u64>(), 0u8..3), 0..len).prop_map(|v| {
+        v.into_iter()
+            .map(|(line, kind, victim, victim_kind)| MissEvent {
+                kind: match kind {
+                    0 => AccessKind::InstrFetch,
+                    1 => AccessKind::Load,
+                    _ => AccessKind::Store,
+                },
+                line: LineAddr(line),
+                victim: (victim_kind > 0)
+                    .then_some(VictimLine { line: LineAddr(victim), written: victim_kind == 2 }),
+            })
+            .collect()
+    })
+}
+
+/// A `TLCEVT01` header: the magic and a little-endian event count.
+fn event_header(count: u64) -> Vec<u8> {
+    [&EVENT_MAGIC[..], &count.to_le_bytes()].concat()
+}
+
+/// The event reader's contract on any input: the decoded events, or a
+/// typed error whose offset lies inside the input. Never a panic.
+fn check_event_trace(input: &[u8]) -> Result<Option<Vec<MissEvent>>, TestCaseError> {
+    match read_event_trace(input) {
+        Ok(arena) => return Ok(Some(arena.iter().collect())),
+        Err(TraceIoError::Truncated { offset, .. } | TraceIoError::Corrupt { offset, .. }) => {
+            prop_assert!(offset as usize <= input.len(), "offset {offset} past {}", input.len());
+        }
+        Err(TraceIoError::BadMagic { found, .. }) => prop_assert!(input.starts_with(&found)),
+        Err(e) => prop_assert!(false, "not an event-trace format fault: {e}"),
+    }
+    Ok(None)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn event_trace_survives_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..160),
+        count in prop_oneof![0u64..12, any::<u64>()],
+    ) {
+        check_event_trace(&bytes)?;
+        // Past the header, so the record decoder sees the bytes too.
+        check_event_trace(&[event_header(count), bytes].concat())?;
+    }
+
+    #[test]
+    fn event_trace_survives_every_cut(events in arbitrary_events(12)) {
+        let mut arena = EventArena::new();
+        events.iter().for_each(|&ev| arena.push(ev));
+        let mut full = Vec::new();
+        write_event_trace(&mut full, &arena).expect("write to memory");
+        let whole = check_event_trace(&full)?.expect("a valid encoding reads back");
+        prop_assert_eq!(whole, events);
+        // The count header is authoritative: every proper prefix is short.
+        for cut in 0..full.len() {
+            match read_event_trace(&full[..cut]) {
+                Err(TraceIoError::Truncated { offset, .. }) => prop_assert!(offset as usize <= cut),
+                other => prop_assert!(false, "cut at {cut}: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn event_trace_claiming_u64_max_events_fails_as_truncated() {
+    // One whole record and a few stray bytes under a header that claims
+    // 2^64 - 1 events: the reader must stop at the short record instead
+    // of reserving room for the claimed count.
+    let record = [0u8; 17];
+    let input = [&event_header(u64::MAX)[..], &record, &[0u8; 5]].concat();
+    match read_event_trace(&input[..]) {
+        Err(TraceIoError::Truncated { offset, .. }) => assert_eq!(offset, 16 + 17),
+        other => panic!("expected a truncation at the second record, got {other:?}"),
     }
 }
