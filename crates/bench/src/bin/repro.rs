@@ -36,8 +36,12 @@ fn usage() -> ! {
 /// Dumps the design-space scatters as CSV files into `dir`.
 ///
 /// Each benchmark's four (off-chip latency × L2 policy) spaces run as one
-/// [`sweep_points`] call, so each L1 group is captured once, and the
-/// points split back into one CSV per space.
+/// [`sweep_points`] call, and the points split back into one CSV per
+/// space. The 200 ns spaces ask for exactly the cache hierarchies of the
+/// 50 ns ones, so the call simulates each distinct hierarchy once
+/// (capturing each L1 group once) and derives both latencies' points
+/// from it. The statistics stay in the preset's memo
+/// ([`Harness::with_memo`]) for the exhibits run after it.
 fn dump_csv(dir: &std::path::Path, harness: &Harness) -> std::io::Result<()> {
     std::fs::create_dir_all(dir)?;
     let (mut spaces, mut configs) = (Vec::new(), Vec::new());

@@ -13,7 +13,7 @@ use tlc_core::configspace::{full_space, single_level_configs, SpaceOptions};
 use tlc_core::envelope::{envelope_at, mean_improvement};
 use tlc_core::experiment::simulate_source_on;
 use tlc_core::report::{envelope_of, envelope_table, points_table};
-use tlc_core::runner::{try_run_indexed, try_sweep_threads, SweepUnit};
+use tlc_core::runner::{try_run_indexed, try_sweep_memo_threads, SweepUnit};
 use tlc_core::{DesignPoint, L2Policy, MachineConfig};
 use tlc_trace::spec::SpecBenchmark;
 use tlc_trace::{Addr, MemRef};
@@ -121,15 +121,20 @@ pub fn run(id: &str, h: &Harness) -> Option<String> {
 }
 
 /// One design-space sweep on `benchmark`: the family engine over the
-/// harness's cached stream ([`Harness::replay`]). Panics if the sweep
-/// fails.
+/// harness's cached stream ([`Harness::replay`]) and its statistics memo
+/// ([`Harness::with_memo`]), so a cache hierarchy an earlier exhibit
+/// simulated at the same budget costs a lookup and a derivation. Panics
+/// if the sweep fails.
 pub fn sweep_points(
     h: &Harness,
     configs: &[MachineConfig],
     benchmark: SpecBenchmark,
 ) -> Vec<DesignPoint> {
-    try_sweep_threads(configs, || h.replay(benchmark), h.budget, &h.timing, &h.area, h.threads)
-        .expect("exhibit sweep")
+    h.with_memo(benchmark, |memo| {
+        let open = || h.replay(benchmark);
+        try_sweep_memo_threads(configs, open, h.budget, &h.timing, &h.area, h.threads, memo)
+    })
+    .expect("exhibit sweep")
 }
 
 /// Runs a study's independent units (one workload on one system, say)

@@ -1,10 +1,11 @@
 //! Shared context for figure regeneration.
 
+use std::collections::HashMap;
 use std::mem::ManuallyDrop;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use tlc_area::AreaModel;
 use tlc_core::experiment::SimBudget;
-use tlc_core::runner::{self, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD};
+use tlc_core::runner::{self, StatsMemo, ARENA_BYTES_LIMIT, ARENA_BYTES_PER_RECORD};
 use tlc_timing::TimingModel;
 use tlc_trace::compact::{CompactTraceWriter, TraceReader};
 use tlc_trace::spec::SpecBenchmark;
@@ -78,6 +79,18 @@ impl Harness {
     fn window(&self) -> u64 {
         self.budget.warmup_instructions.saturating_add(self.budget.instructions)
     }
+
+    /// Runs `f` on the statistics memo of `benchmark`'s stream at
+    /// [`Harness::budget`]: every sweep of that preset at that budget
+    /// reads and extends the same memo, and no other preset or budget
+    /// ever sees it. Concurrent callers for one preset take turns.
+    pub fn with_memo<R>(&self, benchmark: SpecBenchmark, f: impl FnOnce(&mut StatsMemo) -> R) -> R {
+        let budget = (self.budget.warmup_instructions, self.budget.instructions);
+        let mut memos = self.traces.slots().memos[benchmark as usize]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        f(memos.entry(budget).or_default())
+    }
 }
 
 impl Default for Harness {
@@ -88,17 +101,23 @@ impl Default for Harness {
 
 /// The seven presets' streams, each held as an exact-size `TLCTRC01`
 /// compact buffer (≈ 2.3–3.8 bytes per instruction) once something asks
-/// for it. A new cache is one empty lazily filled slot: building a
-/// [`Harness`] allocates nothing, dropping an unused one is one inlined
-/// check, and a harness that runs no simulation never fills the cache.
+/// for it, beside each preset's simulated statistics by (warm-up,
+/// measured) budget ([`Harness::with_memo`]). A new cache is one empty
+/// lazily filled slot: building a [`Harness`] allocates nothing, dropping
+/// an unused one is one inlined check, and a harness that runs no
+/// simulation never fills the cache.
 #[derive(Default)]
 pub struct TraceCache {
     /// Freed by [`TraceCache`]'s `Drop`, out of line, only once filled.
     slots: ManuallyDrop<OnceLock<Box<Slots>>>,
 }
 
+#[derive(Default)]
 struct Slots {
     presets: [OnceLock<Cached>; SpecBenchmark::ALL.len()],
+    /// Each preset's statistics memos, keyed by (warm-up, measured)
+    /// instructions.
+    memos: [Mutex<HashMap<(u64, u64), StatsMemo>>; SpecBenchmark::ALL.len()],
     /// The one encode buffer every fill writes through before copying
     /// the result into an exact-size box.
     scratch: Mutex<Vec<u8>>,
@@ -117,13 +136,16 @@ impl TraceCache {
             .map_or(0, |s| s.presets.iter().filter_map(OnceLock::get).map(|c| c.bytes.len()).sum())
     }
 
+    /// The slots, allocated on first use.
+    fn slots(&self) -> &Slots {
+        self.slots.get_or_init(Box::default)
+    }
+
     /// `benchmark`'s cached window, generating `window` instructions of
     /// it first if it is not cached yet. Concurrent callers for one
     /// preset wait for a single fill.
     fn get_or_fill(&self, benchmark: SpecBenchmark, window: u64) -> &Cached {
-        let slots = self.slots.get_or_init(|| {
-            Box::new(Slots { presets: Default::default(), scratch: Mutex::new(Vec::new()) })
-        });
+        let slots = self.slots();
         slots.presets[benchmark as usize].get_or_init(|| {
             let mut scratch = slots.scratch.lock().unwrap_or_else(PoisonError::into_inner);
             scratch.clear();
@@ -331,6 +353,50 @@ mod tests {
                 assert_eq!(got, want, "{b} at {threads} threads");
             }
         }
+    }
+
+    #[test]
+    fn a_changed_budget_never_serves_stale_stats() {
+        use crate::figures::sweep_points;
+        use tlc_core::configspace::{full_space, SpaceOptions};
+        let _serial = serial();
+        let configs = full_space(&SpaceOptions::baseline());
+        let b = SpecBenchmark::Li;
+        let mut h = Harness::quick().with_budget(SMALL);
+        // Fill SMALL's memo; then a longer budget, and one splitting
+        // SMALL's window differently, must each see their own statistics.
+        let _ = sweep_points(&h, &configs, b);
+        for budget in [
+            SimBudget { instructions: 9_000, warmup_instructions: 1_000 },
+            SimBudget { instructions: 2_000, warmup_instructions: 2_000 },
+            SMALL,
+        ] {
+            h.budget = budget;
+            let fresh = Harness::quick().with_budget(budget);
+            assert_eq!(
+                sweep_points(&h, &configs, b),
+                sweep_points(&fresh, &configs, b),
+                "{budget:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_presets_memo_never_answers_another() {
+        use crate::figures::sweep_points;
+        use tlc_core::configspace::{full_space, SpaceOptions};
+        let _serial = serial();
+        let configs = full_space(&SpaceOptions::baseline());
+        let h = Harness::quick().with_budget(SMALL);
+        let gcc1 = sweep_points(&h, &configs, SpecBenchmark::Gcc1);
+        let li = sweep_points(&h, &configs, SpecBenchmark::Li);
+        let fresh = Harness::quick().with_budget(SMALL);
+        assert_eq!(li, sweep_points(&fresh, &configs, SpecBenchmark::Li));
+        assert!(li.iter().all(|p| p.workload == "li"));
+        assert_ne!(
+            gcc1.iter().map(|p| p.stats).collect::<Vec<_>>(),
+            li.iter().map(|p| p.stats).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! report must not depend on how many workers ran the units or which
 //! worker filled the trace cache first. Every sweep deals its L1 groups
 //! into one share per worker, so a sweep exhibit's report must not
-//! depend on how the groups were dealt either.
+//! depend on how the groups were dealt either. Sweeps share each
+//! preset's statistics memo, so a report must not depend on which
+//! exhibits ran before it on the same harness.
 
 use tlc_bench::figures::run;
 use tlc_bench::Harness;
@@ -53,4 +55,17 @@ fn pooled_study_reports_do_not_depend_on_the_thread_count() {
 #[test]
 fn sweep_exhibit_reports_do_not_depend_on_the_thread_count() {
     assert_thread_invariant(&SWEEPS);
+}
+
+#[test]
+fn sweep_exhibit_reports_do_not_depend_on_the_memo_order() {
+    let harness = || Harness { threads: 2, ..Harness::quick().with_budget(TINY) };
+    let shared = harness();
+    for id in ["fig3", "fig5"] {
+        run(id, &shared).expect("known id");
+    }
+    for id in ["fig17", "fig10", "sensitivity"] {
+        let fresh = run(id, &harness()).expect("known id");
+        assert_eq!(run(id, &shared).expect("known id"), fresh, "{id}: after fig3 and fig5");
+    }
 }

@@ -440,7 +440,7 @@ fn shrink_and_archive(
 }
 
 /// Sibling L2 sizes for the family engine check: the sampled size plus
-/// its doublings, with a duplicate to exercise in-family deduplication.
+/// its doublings, with a duplicate size among them.
 fn family_siblings(cfg: &MachineConfig) -> Vec<MachineConfig> {
     let Some(spec) = cfg.l2 else { return vec![*cfg, *cfg] };
     [2, 1, 1, 4]
@@ -550,8 +550,8 @@ fn run_case(case: &SampledCase, case_index: u64, opts: &AuditOptions, ledger: &m
         );
     }
 
-    // Batching invariance: every sibling of a batched family (through
-    // the deduplicated fan-out) must equal its own family of one.
+    // Batching invariance: every sibling of a batched family (a
+    // duplicate size included) must equal its own family of one.
     let siblings = family_siblings(cfg);
     let family = simulate_family(&siblings, &stream);
     let mut family_diverged = false;

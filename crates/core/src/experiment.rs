@@ -6,7 +6,7 @@
 //! combine everything into TPI — producing one [`DesignPoint`], the
 //! (area, TPI) dot of the paper's figures.
 
-use crate::machine::{L2Policy, L2Spec, MachineConfig, MachineTiming};
+use crate::machine::{L2Policy, MachineConfig, MachineTiming};
 use crate::tpi;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -446,10 +446,9 @@ pub fn capture_miss_stream_segments(
 /// same budget from the same arena. A single configuration is a family
 /// of one (`std::slice::from_ref(cfg)`).
 ///
-/// Members that differ only in off-chip latency or L1 cell kind — or
-/// that repeat an L2 size outright — share one simulated L2 internally:
-/// the family is deduplicated by L2 capacity and the statistics fanned
-/// back out.
+/// Every member is simulated, duplicates included: the sweep runner
+/// hands in one member per distinct
+/// [`CacheKey`](crate::runner::CacheKey).
 ///
 /// # Panics
 ///
@@ -487,10 +486,9 @@ pub fn evaluate_family(
 /// per-segment, per-member statistics (`out[segment][member]`, members
 /// in `cfgs` input order); a lone segment is exactly [`simulate_family`].
 ///
-/// This is the one replay core of both: it validates the family,
-/// deduplicates the members by L2 capacity, replays the segments once
-/// through the [`filter_family`](tlc_cache::filter_family) back-end,
-/// and fans the per-size statistics back out.
+/// This is the one replay core of both: it validates the family and
+/// replays the segments once through the
+/// [`filter_family`](tlc_cache::filter_family) back-end.
 ///
 /// # Panics
 ///
@@ -533,29 +531,14 @@ pub fn simulate_family_segments(
     let Some(spec) = first.l2 else {
         return or_panic(try_replay_single_family_segments(segments, cfgs.len()));
     };
-    // Deduplicate by L2 capacity; duplicate sizes share one simulation.
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut size_of: Vec<usize> = Vec::with_capacity(cfgs.len());
-    for cfg in cfgs {
-        let sz = cfg.l2.expect("two-level family").size_bytes;
-        let k = sizes.iter().position(|&s| s == sz).unwrap_or_else(|| {
-            sizes.push(sz);
-            sizes.len() - 1
-        });
-        size_of.push(k);
-    }
-    let l2_cfgs: Vec<tlc_cache::CacheConfig> = sizes
+    let l2_cfgs: Vec<tlc_cache::CacheConfig> = cfgs
         .iter()
-        .map(|&size_bytes| {
-            let member = MachineConfig { l2: Some(L2Spec { size_bytes, ..spec }), ..*first };
-            l2_config(&member).expect("valid L2 configuration").expect("two-level family")
-        })
+        .map(|cfg| l2_config(cfg).expect("valid L2 configuration").expect("two-level family"))
         .collect();
-    let per_size = or_panic(match spec.policy {
+    or_panic(match spec.policy {
         L2Policy::Conventional => try_replay_conventional_family_segments(&l2_cfgs, segments),
         L2Policy::Exclusive => try_replay_exclusive_family_segments(&l2_cfgs, segments),
-    });
-    per_size.into_iter().map(|row| size_of.iter().map(|&k| row[k]).collect()).collect()
+    })
 }
 
 /// Whether the analytical predictor's ε contract covers `cfg`:
@@ -900,8 +883,8 @@ mod tests {
         let stream = capture_miss_stream(4 * 1024, 16, &arena, budget, usize::MAX).unwrap();
         for policy in [L2Policy::Conventional, L2Policy::Exclusive] {
             for ways in [1, 4] {
-                // Duplicate sizes and mixed off-chip latencies exercise
-                // the in-family deduplication.
+                // A duplicate size and mixed off-chip latencies: each
+                // member equals its own family of one.
                 let cfgs: Vec<MachineConfig> = [(8, 50.0), (32, 50.0), (8, 200.0), (64, 50.0)]
                     .map(|(l2_kb, ns)| MachineConfig::two_level(4, l2_kb, ways, policy, ns))
                     .to_vec();

@@ -14,6 +14,15 @@
 //! [`try_sweep_predict_threads`] (`predict`) over any
 //! [`InstructionSource`] opener, their `*_arena_threads` twins over an
 //! arena's cursor, and [`try_sweep_sampled_threads`] over phase slices.
+//! [`try_sweep_memo_threads`] is [`try_sweep_threads`] with a
+//! caller-owned [`StatsMemo`].
+//!
+//! The family sweeps *simulate*, then *derive*. A configuration's
+//! simulated statistics depend only on its [`CacheKey`] (L1 size, line
+//! size and L2 spec); its off-chip time and L1 cell enter only the
+//! timing/area derivation. So each distinct key is simulated once per
+//! call — once per memo, when the caller keeps one across calls — and
+//! every configuration's point is derived from its key's statistics.
 //!
 //! All of them run one pipeline. The capture phase takes its input as
 //! *windows* — a source opener and a warm-up/measure [`SimBudget`]: a
@@ -36,13 +45,14 @@ use crate::experiment::{
     capture_groups, design_point_untracked, evaluate_predicted, simulate_family_segments,
     DesignPoint, SimBudget,
 };
-use crate::machine::{L2Policy, MachineConfig};
+use crate::machine::{L2Policy, L2Spec, MachineConfig};
 use crate::sampling::{combine_weighted, PhaseSlice};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use tlc_area::AreaModel;
-use tlc_cache::{HierarchyStats, MissStream};
+use tlc_cache::{HierarchyStats, MissStream, ReplacementKind};
 use tlc_obs::{obs_count, obs_hist, obs_span, Counter, Hist, HistTimer, PhaseSpan};
 use tlc_timing::TimingModel;
 use tlc_trace::spec::SpecBenchmark;
@@ -193,6 +203,40 @@ pub fn l1_groups(configs: &[MachineConfig]) -> Vec<(L1Key, Vec<usize>)> {
     groups
 }
 
+/// Everything a configuration's simulated [`HierarchyStats`] depend on:
+/// the L1 front-end ([`L1Key`]) and the L2, if any. The rest of a
+/// [`MachineConfig`] — the L1 cell kind and the off-chip service time —
+/// enters only the timing and area derivation, so configurations that
+/// differ only there share one simulation. A direct-mapped L2's
+/// replacement policy is normalised away: its one way is always the
+/// victim, so the policy never acts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    /// Capacity of each L1 cache in bytes.
+    pub l1_size_bytes: u64,
+    /// Line size in bytes.
+    pub line_bytes: u64,
+    /// The L2, with `repl` normalised when `ways == 1`.
+    pub l2: Option<L2Spec>,
+}
+
+impl CacheKey {
+    /// The key `cfg` is simulated under.
+    pub fn of(cfg: &MachineConfig) -> CacheKey {
+        let l2 = cfg.l2.map(|spec| match spec.ways {
+            1 => L2Spec { repl: ReplacementKind::PseudoRandom, ..spec },
+            _ => spec,
+        });
+        CacheKey { l1_size_bytes: cfg.l1_size_bytes, line_bytes: cfg.line_bytes, l2 }
+    }
+}
+
+/// Simulated statistics by [`CacheKey`], owned by a caller that sweeps
+/// one stream at one budget several times ([`try_sweep_memo_threads`]).
+/// Every entry must come from that stream and budget: the memo itself
+/// records neither.
+pub type StatsMemo = HashMap<CacheKey, HierarchyStats>;
+
 /// Evaluates every configuration on `benchmark` on [`default_threads`]
 /// workers ([`try_sweep_threads`] over its generator). Results are
 /// returned in the same order as `configs`.
@@ -224,14 +268,17 @@ pub fn default_threads() -> usize {
 /// `open` yields (every call must yield the same stream), on `threads`
 /// workers, in input order, by family replay.
 ///
-/// Configurations are grouped by L1 front-end ([`l1_groups`]); each
-/// share of the groups calls `open` once and captures its groups' miss
-/// streams over `budget`'s window. Each group is partitioned into
-/// *families* sharing one L2 policy, associativity and replacement (in
-/// the paper's spaces, "one L1, every L2 capacity"), and each family
-/// replays its group's events once for all of its members
-/// ([`simulate_family_segments`]). Every statistic is bit-identical to
-/// [`evaluate`](crate::experiment::evaluate) on each configuration
+/// The sweep simulates, then derives. Configurations sharing a
+/// [`CacheKey`] are simulated once. The distinct keys are grouped by L1
+/// front-end ([`l1_groups`]); each share of the groups calls `open` once
+/// and captures its groups' miss streams over `budget`'s window. Each
+/// group is partitioned into *families* sharing one L2 policy,
+/// associativity and replacement (in the paper's spaces, "one L1, every
+/// L2 capacity"), and each family replays its group's events once for
+/// all of its members ([`simulate_family_segments`]). Every
+/// configuration's [`DesignPoint`] is then derived from its key's
+/// statistics and its own timing and area. Every point is bit-identical
+/// to [`evaluate`](crate::experiment::evaluate) on that configuration
 /// alone. A family holding more than its fair share of the space is
 /// chunked across threads (a single-threaded sweep keeps it whole).
 ///
@@ -249,11 +296,91 @@ pub fn try_sweep_threads<S: InstructionSource>(
     area: &AreaModel,
     threads: usize,
 ) -> Result<Vec<DesignPoint>, SweepError> {
+    try_sweep_memo_threads(configs, open, budget, timing, area, threads, &mut StatsMemo::new())
+}
+
+/// [`try_sweep_threads`] with a caller-owned `memo` of the statistics
+/// already simulated on the same stream at the same `budget`. Only the
+/// keys missing from `memo` are captured and replayed; their statistics
+/// are written back, so a later sweep of the same stream that asks for
+/// them costs a lookup and a derivation. A failed sweep leaves `memo`
+/// unchanged.
+///
+/// # Errors
+///
+/// As [`try_sweep_threads`].
+pub fn try_sweep_memo_threads<S: InstructionSource>(
+    configs: &[MachineConfig],
+    open: impl Fn() -> S + Sync,
+    budget: SimBudget,
+    timing: &TimingModel,
+    area: &AreaModel,
+    threads: usize,
+    memo: &mut StatsMemo,
+) -> Result<Vec<DesignPoint>, SweepError> {
     require_threads(threads)?;
-    let groups = l1_groups(configs);
-    let captured =
-        try_capture_groups(&groups, |_| open(), &[budget], MISS_STREAM_BYTES_LIMIT, threads)?;
-    try_replay_groups(configs, &groups, &captured, &[1.0], timing, area, threads)
+    try_sweep_windows(configs, |_| open(), &[budget], &[1.0], memo, timing, area, threads)
+}
+
+/// The family sweep over the windows `budgets` (window `w` read from
+/// `open(w)`), recombined by the window `weights`.
+///
+/// *Simulate*: every [`CacheKey`] of `configs` that `memo` lacks is
+/// replayed once, through its first configuration, and its statistics
+/// are written into `memo`. *Derive*: every configuration's point comes
+/// from its key's statistics in `memo` ([`design_point_untracked`]).
+/// `runner.configs_simulated` ticks once per replayed key and
+/// `runner.configs_completed` once per point × window, as each unit
+/// finishes for the configurations its keys stand for.
+#[allow(clippy::too_many_arguments)]
+fn try_sweep_windows<S: InstructionSource>(
+    configs: &[MachineConfig],
+    open: impl Fn(usize) -> S + Sync,
+    budgets: &[SimBudget],
+    weights: &[f64],
+    memo: &mut StatsMemo,
+    timing: &TimingModel,
+    area: &AreaModel,
+    threads: usize,
+) -> Result<Vec<DesignPoint>, SweepError> {
+    let keys: Vec<CacheKey> = configs.iter().map(CacheKey::of).collect();
+    // Each missing key is replayed through its first configuration,
+    // which stands for `sharers[first]` configurations.
+    let mut sharers = vec![0usize; configs.len()];
+    let mut first_of: HashMap<CacheKey, usize> = HashMap::new();
+    for (i, key) in keys.iter().enumerate().filter(|(_, key)| !memo.contains_key(key)) {
+        sharers[*first_of.entry(*key).or_insert(i)] += 1;
+    }
+    let reps: Vec<usize> = (0..configs.len()).filter(|&i| sharers[i] > 0).collect();
+    let groups: Vec<(L1Key, Vec<usize>)> = l1_groups(&member_configs(configs, &reps))
+        .into_iter()
+        .map(|(key, idxs)| (key, idxs.into_iter().map(|r| reps[r]).collect()))
+        .collect();
+    let captured = try_capture_groups(&groups, &open, budgets, MISS_STREAM_BYTES_LIMIT, threads)?;
+    let units: Vec<Unit<'_>> = plan_units(configs, &groups, threads)
+        .into_iter()
+        .zip(&captured)
+        .flat_map(|(chunks, segments)| chunks.into_iter().map(|members| Unit { segments, members }))
+        .collect();
+    let simulated = try_fan_out(configs.len(), &units, threads, Unit::sweep_unit, |u| {
+        let stats = replay_unit(configs, weights, u);
+        let points: usize = u.members.iter().map(|&m| sharers[m]).sum();
+        obs_count!(Counter::RunnerConfigsCompleted, (points * weights.len()) as u64);
+        stats
+    })?;
+    memo.extend(keys.iter().zip(simulated).filter_map(|(key, stats)| Some((*key, stats?))));
+    let served = configs.len() - sharers.iter().sum::<usize>();
+    obs_count!(Counter::RunnerConfigsCompleted, (served * weights.len()) as u64);
+    let workload = match captured.first() {
+        Some(segments) => segments[0].name().to_string(),
+        None if configs.is_empty() => String::new(),
+        None => open(0).source_name().to_string(),
+    };
+    Ok(configs
+        .iter()
+        .zip(&keys)
+        .map(|(cfg, key)| design_point_untracked(cfg, workload.clone(), memo[key], timing, area))
+        .collect())
 }
 
 /// Phase A of every sweep: each L1 group's segments, in group order, over
@@ -347,7 +474,7 @@ fn plan_units(
     groups: &[(L1Key, Vec<usize>)],
     threads: usize,
 ) -> Vec<Vec<Vec<usize>>> {
-    type FamilyKey = Option<(L2Policy, u32, tlc_cache::ReplacementKind)>;
+    type FamilyKey = Option<(L2Policy, u32, ReplacementKind)>;
     let members: usize = groups.iter().map(|(_, idxs)| idxs.len()).sum();
     let cap = if threads > 1 { members.div_ceil(threads).max(2) } else { usize::MAX };
     groups
@@ -367,25 +494,25 @@ fn plan_units(
 }
 
 /// Phase B of every sweep: fans the units out under a `fan_out` span
-/// (each returns `(input index, point)` pairs) and scatters the points
-/// back to input order. `unit_of` names the unit a worker panic is
-/// attributed to.
-fn try_fan_out<U: Sync>(
-    configs: &[MachineConfig],
+/// (each returns `(input index, value)` pairs) and scatters the values
+/// into `n` input-order slots; a slot no unit filled stays `None`.
+/// `unit_of` names the unit a worker panic is attributed to.
+fn try_fan_out<U: Sync, T: Clone + Send>(
+    n: usize,
     units: &[U],
     threads: usize,
     unit_of: impl Fn(&U) -> SweepUnit + Sync,
-    eval: impl Fn(&U) -> Vec<(usize, DesignPoint)> + Sync,
-) -> Result<Vec<DesignPoint>, SweepError> {
+    eval: impl Fn(&U) -> Vec<(usize, T)> + Sync,
+) -> Result<Vec<Option<T>>, SweepError> {
     let evaluated = {
         let _span = obs_span!("fan_out");
         try_run_indexed(units.len(), threads, |u| eval(&units[u]), |u| unit_of(&units[u]))?
     };
-    let mut slots: Vec<Option<DesignPoint>> = vec![None; configs.len()];
-    for (i, p) in evaluated.into_iter().flatten() {
-        slots[i] = Some(p);
+    let mut slots: Vec<Option<T>> = vec![None; n];
+    for (i, v) in evaluated.into_iter().flatten() {
+        slots[i] = Some(v);
     }
-    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
+    Ok(slots)
 }
 
 /// The configurations at `members`, in order.
@@ -395,56 +522,30 @@ fn member_configs(configs: &[MachineConfig], members: &[usize]) -> Vec<MachineCo
 
 /// Phase B of every sweep: replays one family unit over its group's
 /// segments ([`simulate_family_segments`]), returning `(input index,
-/// point)` pairs. Each member's per-window statistics are recombined by
-/// the window `weights`
+/// statistics)` pairs. Each member's per-window statistics are
+/// recombined by the window `weights`
 /// ([`combine_weighted`](crate::sampling::combine_weighted), exact for a
-/// single window of weight 1) before the timing/area derivation.
-/// `runner.configs_completed` ticks once per member × window.
-fn eval_unit(
+/// single window of weight 1). `runner.configs_simulated` ticks once per
+/// member.
+fn replay_unit(
     configs: &[MachineConfig],
     weights: &[f64],
     unit: &Unit<'_>,
-    timing: &TimingModel,
-    area: &AreaModel,
-) -> Vec<(usize, DesignPoint)> {
+) -> Vec<(usize, HierarchyStats)> {
     let per_window = {
         let _t = HistTimer::start(Hist::ReplayFamilyChunkNs);
         simulate_family_segments(&member_configs(configs, &unit.members), unit.segments)
     };
-    obs_count!(Counter::RunnerConfigsCompleted, (unit.members.len() * weights.len()) as u64);
-    let workload = unit.segments[0].name();
+    obs_count!(Counter::RunnerConfigsSimulated, unit.members.len() as u64);
     unit.members
         .iter()
         .enumerate()
         .map(|(m, &i)| {
             let parts: Vec<(f64, HierarchyStats)> =
                 per_window.iter().zip(weights).map(|(row, &w)| (w, row[m])).collect();
-            let stats = combine_weighted(&parts);
-            (i, design_point_untracked(&configs[i], workload.to_string(), stats, timing, area))
+            (i, combine_weighted(&parts))
         })
         .collect()
-}
-
-/// Phase B of the family sweeps: plans each group's families into units
-/// ([`plan_units`]) over its `captured` segments and evaluates every
-/// unit by [`eval_unit`] with the per-window `weights`.
-fn try_replay_groups(
-    configs: &[MachineConfig],
-    groups: &[(L1Key, Vec<usize>)],
-    captured: &[Vec<MissStream>],
-    weights: &[f64],
-    timing: &TimingModel,
-    area: &AreaModel,
-    threads: usize,
-) -> Result<Vec<DesignPoint>, SweepError> {
-    let units: Vec<Unit<'_>> = plan_units(configs, groups, threads)
-        .into_iter()
-        .zip(captured)
-        .flat_map(|(chunks, segments)| chunks.into_iter().map(|members| Unit { segments, members }))
-        .collect();
-    try_fan_out(configs, &units, threads, Unit::sweep_unit, |u| {
-        eval_unit(configs, weights, u, timing, area)
-    })
 }
 
 /// [`try_sweep_threads`] over `arena`'s cursor: the family sweep of an
@@ -465,9 +566,10 @@ pub fn try_sweep_family_arena_threads(
 }
 
 /// The sampled sweep with **stitched warming**: the family sweep with
-/// one window per representative [`PhaseSlice`]. Configurations are
-/// grouped by L1 front-end ([`l1_groups`]) and each group's front-end
-/// replays every slice in trace order (as
+/// one window per representative [`PhaseSlice`]. Configurations sharing
+/// a [`CacheKey`] are simulated once; the distinct keys are grouped by
+/// L1 front-end ([`l1_groups`]) and each group's front-end replays every
+/// slice in trace order (as
 /// [`capture_miss_stream_segments`](crate::experiment::capture_miss_stream_segments)
 /// does) — L1 contents persist across the gaps between slices, and each
 /// slice's warm-up prefix refreshes them. Each family then walks the
@@ -506,10 +608,9 @@ pub fn try_sweep_sampled_threads(
     }
     let budgets: Vec<SimBudget> = slices.iter().map(|s| s.budget).collect();
     let weights: Vec<f64> = slices.iter().map(|s| s.weight).collect();
-    let groups = l1_groups(configs);
     let open = |w: usize| slices[w].arena.replay();
-    let captured = try_capture_groups(&groups, open, &budgets, MISS_STREAM_BYTES_LIMIT, threads)?;
-    try_replay_groups(configs, &groups, &captured, &weights, timing, area, threads)
+    let memo = &mut StatsMemo::new();
+    try_sweep_windows(configs, open, &budgets, &weights, memo, timing, area, threads)
 }
 
 /// The analytical-prediction sweep: configurations are grouped and
@@ -579,7 +680,7 @@ pub fn try_sweep_predict_threads<S: InstructionSource>(
         },
         PredictUnit::Replay(unit) => unit.sweep_unit(),
     };
-    try_fan_out(configs, &units, threads, unit_of, |unit| match unit {
+    let slots = try_fan_out(configs.len(), &units, threads, unit_of, |unit| match unit {
         PredictUnit::Profile { stream, members } => {
             let label = format!("{}B/{}B", stream.l1_size_bytes(), stream.line_bytes());
             let span = PhaseSpan::enter_with("predict_group", &label);
@@ -590,9 +691,18 @@ pub fn try_sweep_predict_threads<S: InstructionSource>(
         }
         PredictUnit::Replay(unit) => {
             obs_count!(Counter::PredictConfigsReplayed, unit.members.len() as u64);
-            eval_unit(configs, &[1.0], unit, timing, area)
+            let stats = replay_unit(configs, &[1.0], unit);
+            obs_count!(Counter::RunnerConfigsCompleted, stats.len() as u64);
+            let workload = unit.segments[0].name();
+            stats
+                .into_iter()
+                .map(|(i, s)| {
+                    (i, design_point_untracked(&configs[i], workload.to_string(), s, timing, area))
+                })
+                .collect()
         }
-    })
+    })?;
+    Ok(slots.into_iter().map(|s| s.expect("every configuration evaluated")).collect())
 }
 
 /// [`try_sweep_predict_threads`] over `arena`'s cursor.
@@ -745,6 +855,7 @@ mod tests {
     use super::*;
     use crate::configspace::{single_level_configs, two_level_configs, SpaceOptions};
     use crate::experiment::{capture_benchmark, capture_miss_stream, evaluate};
+    use tlc_area::CellKind;
 
     /// The independent per-configuration reference: every point through
     /// its own per-access hierarchy on the regenerated stream.
@@ -824,6 +935,53 @@ mod tests {
         let many =
             try_sweep_family_arena_threads(configs, &arena, budget, &tm, &am, 5).expect("sweep");
         assert_eq!(one, many);
+    }
+
+    #[test]
+    fn a_memo_serves_its_keys_and_learns_the_missing_ones() {
+        let (tm, am) = (TimingModel::paper(), AreaModel::new());
+        let opts = SpaceOptions::baseline();
+        let mut configs = single_level_configs(&opts)[..2].to_vec();
+        configs.extend_from_slice(&two_level_configs(&opts)[..6]);
+        let budget = SimBudget { instructions: 10_000, warmup_instructions: 2_000 };
+        let arena = capture_benchmark(SpecBenchmark::Gcc1, budget);
+        let fresh =
+            try_sweep_family_arena_threads(&configs, &arena, budget, &tm, &am, 2).expect("sweep");
+        // A seeded key is served as seeded, never re-simulated; the rest
+        // are simulated and written back.
+        let seeded = HierarchyStats { instructions: 1, ..fresh[0].stats };
+        let mut memo = StatsMemo::from([(CacheKey::of(&configs[0]), seeded)]);
+        let got =
+            try_sweep_memo_threads(&configs, || arena.replay(), budget, &tm, &am, 2, &mut memo)
+                .expect("sweep");
+        assert_eq!(got[0].stats, seeded);
+        assert_eq!(got[1..], fresh[1..]);
+        assert_eq!(memo.len(), configs.len(), "one key per configuration here");
+        for (cfg, p) in configs.iter().zip(&fresh).skip(1) {
+            assert_eq!(memo[&CacheKey::of(cfg)], p.stats, "{}", cfg.label());
+        }
+        // The same hierarchies at another off-chip time and L1 cell are
+        // served from the memo alone and derive their own points.
+        let slow: Vec<MachineConfig> = configs[1..]
+            .iter()
+            .map(|c| MachineConfig { offchip_ns: 200.0, ..c.with_l1_cell(CellKind::DualPorted) })
+            .collect();
+        let want =
+            try_sweep_family_arena_threads(&slow, &arena, budget, &tm, &am, 1).expect("sweep");
+        for threads in [1, 3] {
+            let served = try_sweep_memo_threads(
+                &slow,
+                || arena.replay(),
+                budget,
+                &tm,
+                &am,
+                threads,
+                &mut memo,
+            )
+            .expect("sweep");
+            assert_eq!(served, want, "{threads} threads");
+        }
+        assert_eq!(memo.len(), configs.len(), "nothing new to learn");
     }
 
     #[test]

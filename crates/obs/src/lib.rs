@@ -102,6 +102,10 @@ pub enum Counter {
     L2MultiHit,
     /// Design points fully evaluated (TPI + area computed).
     RunnerConfigsCompleted,
+    /// Distinct cache hierarchies replayed by the family engine; points
+    /// derived from statistics a sweep already held do not tick it
+    /// (`runner.configs_simulated <= runner.configs_completed`).
+    RunnerConfigsSimulated,
     /// Design points answered analytically by the reuse-distance
     /// predictor (no event replay).
     PredictConfigsPredicted,
@@ -138,7 +142,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (size of the [`CounterSet`] array).
-    pub const COUNT: usize = 32;
+    pub const COUNT: usize = 33;
 
     /// All counters, in discriminant order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -162,6 +166,7 @@ impl Counter {
         Counter::L2LiveFills,
         Counter::L2MultiHit,
         Counter::RunnerConfigsCompleted,
+        Counter::RunnerConfigsSimulated,
         Counter::PredictConfigsPredicted,
         Counter::PredictConfigsReplayed,
         Counter::PredictEventsProfiled,
@@ -199,6 +204,7 @@ impl Counter {
             Counter::L2LiveFills => "l2.live_fills",
             Counter::L2MultiHit => "l2.multi_hit",
             Counter::RunnerConfigsCompleted => "runner.configs_completed",
+            Counter::RunnerConfigsSimulated => "runner.configs_simulated",
             Counter::PredictConfigsPredicted => "predict.configs_predicted",
             Counter::PredictConfigsReplayed => "predict.configs_replayed",
             Counter::PredictEventsProfiled => "predict.events_profiled",

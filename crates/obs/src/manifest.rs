@@ -277,6 +277,8 @@ impl RunManifest {
     ///   `l2.hits + l2.misses`, and for sweeps
     ///   `runner.configs_completed` == `configs` (times the phase count
     ///   for sampled sweeps);
+    /// * `runner.configs_simulated <= runner.configs_completed` when both
+    ///   are recorded;
     /// * when phase-sampled (`sample.phases` > 0):
     ///   `sample.phases + sample.intervals_skipped == sample.intervals`;
     /// * per histogram: bucket counts sum to `count` and quantiles are
@@ -332,6 +334,15 @@ impl RunManifest {
         let l2m = get("l2.misses")?;
         if probes != l2h + l2m {
             return Err(format!("l2.probes {probes} != l2.hits {l2h} + l2.misses {l2m}"));
+        }
+        if let (Some(simulated), Some(done)) =
+            (self.counter("runner.configs_simulated"), self.counter("runner.configs_completed"))
+        {
+            if simulated > done {
+                return Err(format!(
+                    "runner.configs_simulated {simulated} > runner.configs_completed {done}"
+                ));
+            }
         }
         let phases = self.counter("sample.phases").unwrap_or(0);
         if phases > 0 {
@@ -644,6 +655,12 @@ mod tests {
         set(&mut m, "runner.configs_completed", 1);
         assert!(m.validate().unwrap_err().contains("configs_completed"));
         m.configs = 1;
+        assert!(m.validate().is_ok());
+        // A point is simulated or derived from held statistics, never
+        // both: simulated hierarchies cannot outnumber completed points.
+        set(&mut m, "runner.configs_simulated", 2);
+        assert!(m.validate().unwrap_err().contains("configs_simulated"));
+        set(&mut m, "runner.configs_simulated", 1);
         assert!(m.validate().is_ok());
     }
 

@@ -5,15 +5,22 @@
 //! thread boundaries; (c) propagate worker panics as structured
 //! [`SweepError`]s naming the failing unit; and (d) roll up into a
 //! `tlc-run-manifest/2` document whose arithmetic invariants hold,
-//! including the v2 latency histograms and memory section.
+//! including the v2 latency histograms and memory section; and (e)
+//! simulate each distinct cache hierarchy of a sweep once while
+//! completing every design point.
 //!
 //! The obs state is process-global, so every test takes `SERIAL`.
 
+use std::collections::HashSet;
 use std::sync::Mutex;
 use tlc_area::AreaModel;
-use tlc_core::experiment::{capture_benchmark, SimBudget};
-use tlc_core::runner::{try_sweep_family_arena_threads, SweepError, SweepUnit};
-use tlc_core::{L2Policy, MachineConfig};
+use tlc_area::CellKind;
+use tlc_cache::ReplacementKind;
+use tlc_core::experiment::{capture_benchmark, evaluate, SimBudget};
+use tlc_core::runner::{
+    try_sweep_family_arena_threads, try_sweep_threads, CacheKey, SweepError, SweepUnit,
+};
+use tlc_core::{L2Policy, L2Spec, MachineConfig};
 use tlc_obs::manifest::{build_span_tree, RunManifest, RunMeta};
 use tlc_obs::Counter;
 use tlc_timing::TimingModel;
@@ -300,4 +307,69 @@ fn family_sweep_manifest_carries_distributions_and_memory() {
         manifest.counter("filter.event_bytes"),
         "event-buffer bytes mirror the filter.event_bytes counter"
     );
+}
+
+/// A space in which most configurations share their simulated
+/// hierarchy: 50/200 ns off-chip × single/dual-ported L1 cells over
+/// single-level, conventional and exclusive 4-way points, plus
+/// direct-mapped conventional and exclusive L2s under every replacement
+/// policy (which a one-way set never consults).
+fn duplicate_key_space() -> Vec<MachineConfig> {
+    let mut configs = Vec::new();
+    for offchip in [50.0, 200.0] {
+        for cell in [CellKind::SinglePorted, CellKind::DualPorted] {
+            for l1_kb in [2u64, 8] {
+                configs.push(MachineConfig::single_level(l1_kb, offchip).with_l1_cell(cell));
+                for policy in [L2Policy::Conventional, L2Policy::Exclusive] {
+                    for l2_kb in [16u64, 64] {
+                        let cfg = MachineConfig::two_level(l1_kb, l2_kb, 4, policy, offchip);
+                        configs.push(cfg.with_l1_cell(cell));
+                    }
+                }
+            }
+        }
+    }
+    for l1_kb in [2u64, 8] {
+        for policy in [L2Policy::Conventional, L2Policy::Exclusive] {
+            for repl in ReplacementKind::ALL {
+                let mut cfg = MachineConfig::two_level(l1_kb, 32, 1, policy, 50.0);
+                cfg.l2 = cfg.l2.map(|spec| L2Spec { repl, ..spec });
+                configs.push(cfg);
+            }
+        }
+    }
+    configs
+}
+
+/// One sweep call over a space full of duplicate cache keys must equal
+/// per-configuration evaluation bit for bit at any thread count, replay
+/// each distinct key once (`runner.configs_simulated`) and still
+/// complete one design point per configuration
+/// (`runner.configs_completed`).
+#[test]
+fn duplicate_keys_are_simulated_once_and_every_point_completes() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (tm, am) = (TimingModel::paper(), AreaModel::new());
+    let configs = duplicate_key_space();
+    let keys: HashSet<CacheKey> = configs.iter().map(CacheKey::of).collect();
+    // Two L1s × (one single-level + four 4-way + two direct-mapped).
+    assert_eq!(keys.len(), 14);
+    let want: Vec<_> = configs
+        .iter()
+        .map(|cfg| evaluate(cfg, &mut SpecBenchmark::Li.workload(), BUDGET, &tm, &am))
+        .collect();
+    for threads in [1, 2, 3, 8] {
+        tlc_obs::reset();
+        let got =
+            try_sweep_threads(&configs, || SpecBenchmark::Li.workload(), BUDGET, &tm, &am, threads)
+                .expect("sweep succeeds");
+        assert_eq!(got, want, "sweep differs from per-config evaluation at {threads} threads");
+        let c = tlc_obs::counters();
+        assert_eq!(c.get(Counter::RunnerConfigsSimulated), keys.len() as u64, "{threads} threads");
+        assert_eq!(
+            c.get(Counter::RunnerConfigsCompleted),
+            configs.len() as u64,
+            "{threads} threads"
+        );
+    }
 }

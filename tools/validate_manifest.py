@@ -265,6 +265,19 @@ def check_manifest(doc):
     if l2_hits + l2_misses != probes:
         fail(f"l2.hits ({l2_hits}) + l2.misses ({l2_misses}) != l2.probes ({probes})")
 
+    # A design point is either simulated or derived from statistics the
+    # sweep already held, so distinct simulated hierarchies never
+    # outnumber completed points. Manifests from before the counter
+    # existed carry no runner.configs_simulated.
+    if "runner.configs_simulated" in counters and "runner.configs_completed" in counters:
+        simulated = counters["runner.configs_simulated"]
+        completed = counters["runner.configs_completed"]
+        if simulated > completed:
+            fail(
+                f"runner.configs_simulated ({simulated}) > "
+                f"runner.configs_completed ({completed})"
+            )
+
     # Block-liveness accounting: every L2 fill's generation ends exactly
     # once, classified as dead-on-arrival (no demand hit before
     # departure) or live; multi-hit generations are a subset of live.
